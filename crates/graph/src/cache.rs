@@ -438,8 +438,8 @@ impl ArtifactCache {
         })
     }
 
-    /// Loads the shard grid stored under `key`, skipping the arena sort and
-    /// metadata scan a fresh [`ShardGrid::build`] pays (the cheap CSR-style
+    /// Loads the shard grid stored under `key`, skipping the scatter and
+    /// metadata pass a fresh [`ShardGrid::build`] pays (the cheap CSR-style
     /// row/column indexes are rebuilt).
     ///
     /// Returns `Ok(None)` on a clean miss.
@@ -1638,6 +1638,9 @@ mod tests {
     #[test]
     fn windowed_load_is_bit_identical_to_resident_loads() {
         let (cache, dir) = temp_cache("windowed");
+        // A recorder of its own: tests running in parallel also load grids,
+        // so the process-global counters can move under this test.
+        let cache = cache.with_recorder(Recorder::detached());
         let edges = generators::rmat(300, 1400, 5).unwrap();
         let grid = ShardGrid::build(&edges, 32).unwrap();
         let key = ArtifactCache::grid_key("dataset/win/seed5", 32, false);
@@ -1651,13 +1654,13 @@ mod tests {
         let arena = grid.total_edges() as u64 * 8;
         // Window sizes: always-stream, one max shard, exact fit, oversized.
         for window_bytes in [0, largest, arena, 1 << 30] {
-            let before = memory::memory_telemetry();
+            let before = cache.recorder().memory_stats();
             let windowed = cache
                 .load_grid_windowed(&key, window_bytes)
                 .unwrap()
                 .expect("hit");
             assert!(windowed.is_windowed());
-            let after = memory::memory_telemetry();
+            let after = cache.recorder().memory_stats();
             assert!(
                 after.grid_segment_loads > before.grid_segment_loads,
                 "windowed opens count as segmented loads"

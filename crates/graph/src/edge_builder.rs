@@ -1,47 +1,49 @@
 //! Streaming, chunked edge-list construction with optional disk spilling.
 //!
-//! The synthetic generators used to build one giant `Vec<Edge>` and sort it
-//! at the end — an `O(E log E)` single-threaded wall that made ogbn-scale
-//! graphs (millions of edges) the cold-start bottleneck of every sweep. The
-//! [`EdgeListBuilder`] replaces that flow with the classic external-sort
-//! shape:
+//! Generators *stream* edges into the [`EdgeListBuilder`], which seals them
+//! into fixed-capacity chunks. Sealed chunks stay in memory while they fit
+//! the builder's [`MemoryBudget`]; beyond the cap a chunk is sorted
+//! immediately and spilled to a `spill-<pid>-<nonce>.run` file (raw
+//! little-endian `(src, dst)` pairs) in the cache directory.
 //!
-//! 1. generators *stream* edges into the builder, which seals them into
-//!    fixed-capacity chunks;
-//! 2. sealed chunks stay in memory while they fit the builder's
-//!    [`MemoryBudget`]; beyond the cap a chunk is sorted immediately and
-//!    spilled to a `spill-<pid>-<nonce>.run` file (raw little-endian
-//!    `(src, dst)` pairs) in the cache directory;
-//! 3. [`EdgeListBuilder::finish`] sorts the remaining in-memory chunks
-//!    **in parallel** (rayon) and k-way merges every cursor — in-memory
-//!    slices and buffered spill-file readers alike — into one globally
-//!    sorted, duplicate-free [`EdgeList`] in a single pass.
+//! [`EdgeListBuilder::finish`] then produces one sorted, duplicate-free
+//! [`EdgeList`]:
 //!
-//! The output is bit-identical to `collect → sort_unstable → dedup` on the
-//! same edge multiset regardless of how many chunks spilled (the property
-//! tests pin this), so the generators' seeded determinism is preserved.
-//! Spill run-files are deleted as soon as the merge consumes them; files
-//! orphaned by a crash are reaped by the
-//! [`ArtifactCache`](crate::ArtifactCache) startup sweep.
+//! * when nothing spilled, a counting pass over source ids scatters every
+//!   edge's destination into its source's row of one `u32` buffer (freeing
+//!   each chunk once it is scattered), and each row is sorted and
+//!   deduplicated on its own — `O(V + E)` plus per-row sorts of small
+//!   integers, with no comparison sort over whole edges;
+//! * when chunks spilled, the in-memory chunks are sorted and k-way merged
+//!   with buffered readers over the sorted run-files in a single pass.
+//!
+//! Either way the output is bit-identical to `collect → sort_unstable →
+//! dedup` on the same edge multiset (the property tests pin this), so the
+//! generators' seeded determinism is preserved. Spill run-files are deleted
+//! as soon as the merge consumes them; files orphaned by a crash are reaped
+//! by the [`ArtifactCache`](crate::ArtifactCache) startup sweep.
 
 use crate::cache;
 use crate::memory::MemoryBudget;
-use crate::{Edge, EdgeList, GraphError};
+use crate::{Edge, EdgeList, GraphError, NodeId};
 use gnnerator_observe::Recorder;
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
 
-/// Default number of edges per sealed chunk (~512 KiB of edge records): big
-/// enough that per-chunk sort overhead amortises, small enough that a dozen
-/// worker threads all get work on million-edge graphs.
+/// Default number of edges per sealed chunk (~512 KiB of edge records): the
+/// unit the memory budget accounts and spills in. Small enough that a
+/// bounded budget keeps close to its cap, big enough that a spill writes one
+/// sizeable sequential run-file rather than many tiny ones.
 pub const DEFAULT_CHUNK_CAPACITY: usize = 1 << 16;
 
 /// Bytes per edge record in a spill run-file: two little-endian `u32`s.
 const SPILL_RECORD_BYTES: usize = 8;
+
+/// Bytes per destination id in the counting sort's row buffer.
+const ROW_ENTRY_BYTES: usize = std::mem::size_of::<NodeId>();
 
 /// A sorted run of edges spilled to disk; the file is removed on drop.
 #[derive(Debug)]
@@ -56,9 +58,9 @@ impl Drop for SpillFile {
     }
 }
 
-/// A streaming builder that accumulates edges in sorted chunks — in memory
-/// or spilled to disk under a [`MemoryBudget`] — and merges them into a
-/// canonical (sorted, deduplicated) [`EdgeList`].
+/// A streaming builder that accumulates edges in chunks — in memory, or
+/// sorted and spilled to disk under a [`MemoryBudget`] — and turns them into
+/// a canonical (sorted, deduplicated) [`EdgeList`].
 ///
 /// # Examples
 ///
@@ -109,8 +111,8 @@ impl EdgeListBuilder {
     }
 
     /// Creates a builder with an explicit chunk capacity (clamped to at
-    /// least 1). Small capacities are useful in tests to force many-chunk
-    /// merges.
+    /// least 1). Small capacities are useful in tests to force many chunks
+    /// and, under a bounded budget, many spills.
     pub fn with_chunk_capacity(num_nodes: usize, chunk_capacity: usize) -> Self {
         let chunk_capacity = chunk_capacity.max(1);
         Self {
@@ -241,7 +243,7 @@ impl EdgeListBuilder {
                 Err(_) => {
                     // Disk trouble must not lose edges: fall back to memory.
                     // (The chunk arrives sorted at finish, which is fine —
-                    // the merge only assumes per-chunk sortedness.)
+                    // neither finish path assumes resident chunks unsorted.)
                 }
             }
         }
@@ -282,9 +284,10 @@ impl EdgeListBuilder {
         self.recorder.note_resident_bytes(bytes);
     }
 
-    /// Sorts all in-memory chunks in parallel, k-way merges every chunk —
-    /// in-memory and spilled — and returns the canonical edge list: sorted
-    /// by `(src, dst)`, duplicates removed.
+    /// Returns the canonical edge list: sorted by `(src, dst)`, duplicates
+    /// removed. A builder that never spilled counting-sorts its chunks by
+    /// source (see [`sort_dedup_by_source`]); one that spilled sorts its
+    /// in-memory chunks and k-way merges them with the run-files.
     ///
     /// Self-loops are *kept* (the builder is policy-free); generators that
     /// need simple graphs simply never stream self-loops in.
@@ -298,28 +301,21 @@ impl EdgeListBuilder {
             let rest = std::mem::take(&mut self.current);
             self.seal(rest);
         }
-        self.mem_chunks
-            .par_iter_mut()
-            .for_each(|chunk| chunk.sort_unstable());
-
-        let merged = if self.spilled.is_empty() {
-            match self.mem_chunks.len() {
-                0 => Vec::new(),
-                1 => {
-                    let mut only = self.mem_chunks.pop().expect("one chunk");
-                    only.dedup();
-                    only
-                }
-                _ => merge_chunks(&self.mem_chunks),
-            }
+        let edges = if self.spilled.is_empty() {
+            // Every chunk plus the row buffer is resident at the scatter.
+            self.note_resident(
+                (self.resident_edges * (SPILL_RECORD_BYTES + ROW_ENTRY_BYTES)) as u64,
+            );
+            sort_dedup_by_source(self.num_nodes, std::mem::take(&mut self.mem_chunks))
         } else {
-            merge_spilled(&self.mem_chunks, &self.spilled, self.budget)?
+            for chunk in &mut self.mem_chunks {
+                chunk.sort_unstable();
+            }
+            let merged = merge_spilled(&self.mem_chunks, &self.spilled, self.budget)?;
+            self.note_resident(((merged.len() + self.resident_edges) * SPILL_RECORD_BYTES) as u64);
+            merged
         };
-        self.note_resident(((merged.len() + self.resident_edges) * SPILL_RECORD_BYTES) as u64);
-        Ok(EdgeList::from_sorted_edges_unchecked(
-            self.num_nodes,
-            merged,
-        ))
+        Ok(EdgeList::from_sorted_edges_unchecked(self.num_nodes, edges))
     }
 
     /// [`EdgeListBuilder::try_finish`], for builders that cannot have
@@ -335,28 +331,63 @@ impl EdgeListBuilder {
     }
 }
 
-/// K-way merge of sorted chunks with duplicate elimination, via a min-heap of
-/// `(head edge, chunk index)` cursors: `O(E log k)` comparisons total.
-fn merge_chunks(chunks: &[Vec<Edge>]) -> Vec<Edge> {
-    let total: usize = chunks.iter().map(Vec::len).sum();
-    let mut out: Vec<Edge> = Vec::with_capacity(total);
-    let mut cursors = vec![0usize; chunks.len()];
-    let mut heap: BinaryHeap<Reverse<(Edge, usize)>> = chunks
-        .iter()
-        .enumerate()
-        .filter(|(_, chunk)| !chunk.is_empty())
-        .map(|(i, chunk)| Reverse((chunk[0], i)))
-        .collect();
-    while let Some(Reverse((edge, chunk_index))) = heap.pop() {
-        if out.last() != Some(&edge) {
-            out.push(edge);
-        }
-        cursors[chunk_index] += 1;
-        if let Some(&next) = chunks[chunk_index].get(cursors[chunk_index]) {
-            heap.push(Reverse((next, chunk_index)));
+/// Sorts the edges of `chunks` by `(src, dst)` and removes duplicates.
+///
+/// A counting pass over source ids sizes one row per source in a buffer of
+/// destination ids only; a second pass scatters every destination into its
+/// row, dropping each chunk once it is scattered. Each row is then sorted
+/// and deduplicated on its own, so no comparison ever looks at a whole edge.
+/// Cost is `O(V + E)` plus the per-row sorts.
+pub(crate) fn sort_dedup_by_source(num_nodes: usize, chunks: Vec<Vec<Edge>>) -> Vec<Edge> {
+    // `row_end[s]` first holds the start of source `s`'s row, advances as
+    // the row fills, and so ends as the row's (exclusive) end.
+    let mut row_end = vec![0usize; num_nodes + 1];
+    for edge in chunks.iter().flatten() {
+        row_end[edge.src as usize + 1] += 1;
+    }
+    for s in 0..num_nodes {
+        row_end[s + 1] += row_end[s];
+    }
+    let mut dsts: Vec<NodeId> = vec![0; row_end[num_nodes]];
+    for chunk in chunks {
+        for edge in &chunk {
+            let slot = &mut row_end[edge.src as usize];
+            dsts[*slot] = edge.dst;
+            *slot += 1;
         }
     }
-    out
+
+    // Sort each row and compact its distinct destinations to the front of
+    // the buffer; `row_end` is rewritten to the compacted ends.
+    let mut unique = 0usize;
+    let mut begin = 0usize;
+    for end in &mut row_end[..num_nodes] {
+        let row_stop = *end;
+        dsts[begin..row_stop].sort_unstable();
+        let mut last = None;
+        for i in begin..row_stop {
+            let dst = dsts[i];
+            if last != Some(dst) {
+                dsts[unique] = dst;
+                unique += 1;
+                last = Some(dst);
+            }
+        }
+        *end = unique;
+        begin = row_stop;
+    }
+
+    let mut edges = Vec::with_capacity(unique);
+    let mut begin = 0usize;
+    for (src, &end) in row_end[..num_nodes].iter().enumerate() {
+        edges.extend(
+            dsts[begin..end]
+                .iter()
+                .map(|&dst| Edge::new(src as NodeId, dst)),
+        );
+        begin = end;
+    }
+    edges
 }
 
 /// One input to the heterogeneous k-way merge: an in-memory sorted slice or
@@ -406,9 +437,9 @@ impl MergeCursor<'_> {
     }
 }
 
-/// K-way merge across in-memory chunks and spilled run-files. Identical
-/// ordering and dedup semantics to [`merge_chunks`]; read buffers divide the
-/// budget across the open run-files.
+/// K-way merge across sorted in-memory chunks and spilled run-files into
+/// one sorted, duplicate-free list; read buffers divide the budget across
+/// the open run-files.
 fn merge_spilled(
     mem_chunks: &[Vec<Edge>],
     spilled: &[SpillFile],

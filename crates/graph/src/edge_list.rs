@@ -194,6 +194,11 @@ impl EdgeList {
         &self.edges
     }
 
+    /// Consumes the list, returning its edge vector without a copy.
+    pub(crate) fn into_edges(self) -> Vec<Edge> {
+        self.edges
+    }
+
     /// Sorts edges by `(src, dst)` and removes duplicates and self-loops.
     ///
     /// Citation graphs are simple graphs; the synthetic generators may emit

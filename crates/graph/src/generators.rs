@@ -6,14 +6,43 @@
 //! this module. All generators are deterministic given a seed.
 //!
 //! The generators stream edges through the chunked
-//! [`EdgeListBuilder`](crate::EdgeListBuilder) — per-chunk parallel sorts
-//! plus one k-way merge — instead of materialising an unsorted list and
-//! sorting it at the end, which keeps ogbn-scale synthesis (millions of
-//! edges) off the cold-start critical path.
+//! [`EdgeListBuilder`](crate::EdgeListBuilder), whose counting sort by
+//! source puts them in canonical order in linear time, instead of
+//! materialising an unsorted list and comparison-sorting it at the end. That
+//! keeps ogbn-scale synthesis (millions of edges) off the cold-start
+//! critical path.
 
+use crate::edge_builder::sort_dedup_by_source;
 use crate::{Edge, EdgeList, EdgeListBuilder, GraphError, NodeId};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+
+/// The classic R-MAT quadrant probabilities `a`, `b`, `c` (top-left,
+/// top-right, bottom-left); `d = 1 - a - b - c` is the bottom-right rest.
+const RMAT_ABC: [f64; 3] = [0.57, 0.19, 0.19];
+
+/// `2^53`: a uniform `f64` draw is a 53-bit integer scaled by `2^-53`.
+const F64_DRAW_SCALE: f64 = (1u64 << 53) as f64;
+
+/// The integer form of the cumulative quadrant thresholds `a`, `a + b` and
+/// `a + b + c`.
+///
+/// A uniform draw `r: f64` is `m · 2^-53` for `m = next_u64() >> 11`, and
+/// both that product and `t · 2^53` are exact in `f64`, so `r < t` holds
+/// exactly when `m < ceil(t · 2^53)`. Comparing integers against these
+/// thresholds therefore picks the same quadrant as comparing the `f64` draw
+/// against `t`, for every draw.
+fn rmat_thresholds() -> [u64; 3] {
+    let [a, b, c] = RMAT_ABC;
+    [a, a + b, a + b + c].map(|t| (t * F64_DRAW_SCALE).ceil() as u64)
+}
+
+/// The quadrant a 53-bit draw `m` falls in, without branches: the number of
+/// thresholds it reaches. 0 is top-left, 1 top-right (destination bit set),
+/// 2 bottom-left (source bit set) and 3 bottom-right (both bits set).
+fn rmat_quadrant(m: u64, [t_a, t_ab, t_abc]: [u64; 3]) -> usize {
+    usize::from(m >= t_a) + usize::from(m >= t_ab) + usize::from(m >= t_abc)
+}
 
 /// Generates an Erdős–Rényi `G(n, p)` directed graph (no self-loops).
 ///
@@ -79,11 +108,14 @@ pub fn erdos_renyi(num_nodes: usize, p: f64, seed: u64) -> Result<EdgeList, Grap
 /// R-MAT (with the classic `a=0.57, b=0.19, c=0.19, d=0.05` partition) yields
 /// the skewed degree distributions characteristic of real-world graphs such
 /// as the paper's citation networks: a few hub nodes with large
-/// neighbourhoods and many low-degree nodes. Sampled edges are streamed
-/// symmetrically (each accepted edge and its reverse) through the chunked
-/// builder, which sorts chunks in parallel and merge-deduplicates — the
+/// neighbourhoods and many low-degree nodes. Each level draws one 53-bit
+/// integer and picks its quadrant without branches, by counting how many of
+/// the exact integer thresholds it reaches (the same choice a `f64`
+/// comparison would make). Sampled edges are streamed symmetrically (each
+/// accepted edge and its reverse) through the chunked builder, whose
+/// counting sort by source puts them in order and deduplicates them. The
 /// result matches the historical sort-everything-then-dedup flow bit for
-/// bit, at a fraction of the single-threaded sort cost.
+/// bit.
 ///
 /// # Errors
 ///
@@ -110,8 +142,7 @@ pub fn rmat(num_nodes: usize, target_edges: usize, seed: u64) -> Result<EdgeList
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let levels = (num_nodes as f64).log2().ceil() as u32;
-    let side = 1usize << levels;
-    let (a, b, c) = (0.57, 0.19, 0.19);
+    let thresholds = rmat_thresholds();
 
     let mut builder = EdgeListBuilder::new(num_nodes);
     // Symmetrisation halves the unique directed edge count on average, and
@@ -119,20 +150,11 @@ pub fn rmat(num_nodes: usize, target_edges: usize, seed: u64) -> Result<EdgeList
     let attempts = target_edges * 2;
     for _ in 0..attempts {
         let (mut src, mut dst) = (0usize, 0usize);
-        let mut span = side;
-        while span > 1 {
-            span /= 2;
-            let r: f64 = rng.gen();
-            if r < a {
-                // top-left quadrant: no offset
-            } else if r < a + b {
-                dst += span;
-            } else if r < a + b + c {
-                src += span;
-            } else {
-                src += span;
-                dst += span;
-            }
+        // One bit of each endpoint per level, most significant first.
+        for _ in 0..levels {
+            let quadrant = rmat_quadrant(rng.next_u64() >> 11, thresholds);
+            src = (src << 1) | (quadrant >> 1);
+            dst = (dst << 1) | (quadrant & 1);
         }
         if src < num_nodes && dst < num_nodes && src != dst {
             builder
@@ -140,9 +162,8 @@ pub fn rmat(num_nodes: usize, target_edges: usize, seed: u64) -> Result<EdgeList
                 .expect("endpoints in range by construction");
         }
     }
-    let mut edges = builder.try_finish()?;
-    trim_to(&mut edges, target_edges, &mut rng);
-    Ok(edges)
+    let edges = builder.try_finish()?;
+    Ok(trim_to(edges, target_edges, &mut rng))
 }
 
 /// Generates a power-law graph with *exactly* `target_edges` directed edges
@@ -178,7 +199,7 @@ pub fn rmat_exact(
         // base plus a BTreeSet of top-up edges, merged once at the end —
         // inserting into the sorted vector directly would memmove O(n) bytes
         // per accepted edge, which is catastrophic at ogbn-products scale.
-        let base: Vec<Edge> = edges.iter().copied().collect();
+        let base = edges.into_edges();
         let mut added = std::collections::BTreeSet::new();
         let mut guard = 0usize;
         while base.len() + added.len() < target_edges {
@@ -207,24 +228,25 @@ pub fn rmat_exact(
         all.extend(added);
         edges = EdgeList::from_sorted_edges_unchecked(num_nodes, all);
     }
-    trim_to(&mut edges, target_edges, &mut rng);
-    Ok(edges)
+    Ok(trim_to(edges, target_edges, &mut rng))
 }
 
 /// Removes random edges until the list holds at most `target` edges.
-fn trim_to(edges: &mut EdgeList, target: usize, rng: &mut StdRng) {
+///
+/// A partial Fisher–Yates shuffle picks the survivors in place, and the edge
+/// builder's counting sort by source restores `(src, dst)` order.
+fn trim_to(edges: EdgeList, target: usize, rng: &mut StdRng) -> EdgeList {
     if edges.num_edges() <= target {
-        return;
+        return edges;
     }
-    let mut all: Vec<Edge> = edges.iter().copied().collect();
-    // Fisher-Yates style partial shuffle, then truncate.
+    let num_nodes = edges.num_nodes();
+    let mut all = edges.into_edges();
     for i in 0..target {
         let j = rng.gen_range(i..all.len());
         all.swap(i, j);
     }
     all.truncate(target);
-    all.sort_unstable();
-    *edges = EdgeList::from_sorted_edges_unchecked(edges.num_nodes(), all);
+    EdgeList::from_sorted_edges_unchecked(num_nodes, sort_dedup_by_source(num_nodes, vec![all]))
 }
 
 #[cfg(test)]
@@ -311,16 +333,25 @@ mod tests {
         );
     }
 
-    #[test]
-    fn rmat_matches_the_historical_symmetrize_flow() {
-        // The streaming builder path must reproduce the original
-        // build-everything-then-symmetrize flow bit for bit: same RNG
-        // consumption, same sorted/deduped set, same trim.
-        let (n, target, seed) = (200usize, 900usize, 17u64);
-        let streamed = rmat(n, target, seed).unwrap();
+    /// The historical trim: copy, partial shuffle, truncate, comparison
+    /// re-sort.
+    fn historical_trim(edges: &mut EdgeList, target: usize, rng: &mut StdRng) {
+        if edges.num_edges() <= target {
+            return;
+        }
+        let mut all: Vec<Edge> = edges.iter().copied().collect();
+        for i in 0..target {
+            let j = rng.gen_range(i..all.len());
+            all.swap(i, j);
+        }
+        all.truncate(target);
+        all.sort_unstable();
+        *edges = EdgeList::from_edges(edges.num_nodes(), all).unwrap();
+    }
 
-        // Historical reference: replay the identical sampling loop into a
-        // plain list, then symmetrize + trim the old way.
+    /// The historical R-MAT flow: `f64` draws through a three-way branch
+    /// into a plain list, then symmetrize and trim the old way.
+    fn historical_rmat(n: usize, target: usize, seed: u64) -> EdgeList {
         let mut rng = StdRng::seed_from_u64(seed);
         let levels = (n as f64).log2().ceil() as u32;
         let side = 1usize << levels;
@@ -347,8 +378,71 @@ mod tests {
             }
         }
         edges.symmetrize();
-        trim_to(&mut edges, target, &mut rng);
-        assert_eq!(streamed, edges);
+        historical_trim(&mut edges, target, &mut rng);
+        edges
+    }
+
+    #[test]
+    fn integer_thresholds_match_the_f64_comparison_at_their_edges() {
+        // `m < ceil(t · 2^53)` must agree with the shim's `f64` draw
+        // `(m as f64) · 2^-53 < t` right at each threshold, and the
+        // branchless quadrant must equal the historical three-way branch
+        // there.
+        let [a, b, c] = RMAT_ABC;
+        let thresholds = rmat_thresholds();
+        for (threshold, t) in thresholds.into_iter().zip([a, a + b, a + b + c]) {
+            for m in [threshold - 1, threshold, threshold + 1] {
+                let r = m as f64 * (1.0 / (1u64 << 53) as f64);
+                assert_eq!(m < threshold, r < t, "t = {t}, m = {m}");
+                let historical = if r < a {
+                    0
+                } else if r < a + b {
+                    1
+                } else if r < a + b + c {
+                    2
+                } else {
+                    3
+                };
+                assert_eq!(rmat_quadrant(m, thresholds), historical, "m = {m}");
+            }
+        }
+    }
+
+    #[test]
+    fn rmat_matches_the_historical_symmetrize_flow() {
+        // The branchless sampler, the counting-sort builder and the in-place
+        // trim must reproduce the original build-everything-then-symmetrize
+        // flow bit for bit: same RNG consumption, same sorted/deduped set,
+        // same trim. Node counts include non-powers of two (rejected
+        // samples) and tiny graphs (few or no levels).
+        let cases: [(usize, usize, u64); 20] = [
+            (1, 4, 3),
+            (2, 2, 1),
+            (3, 5, 7),
+            (7, 20, 2),
+            (16, 60, 4),
+            (17, 80, 5),
+            (31, 100, 6),
+            (64, 300, 8),
+            (100, 450, 9),
+            (127, 600, 10),
+            (128, 600, 11),
+            (129, 700, 12),
+            (200, 900, 17),
+            (255, 1000, 13),
+            (333, 1500, 14),
+            (500, 2500, 15),
+            (512, 4000, 16),
+            (777, 3000, 18),
+            (1000, 5000, 1),
+            (1500, 9000, 19),
+        ];
+        for (n, target, seed) in cases {
+            let streamed = rmat(n, target, seed).unwrap();
+            let historical = historical_rmat(n, target, seed);
+            assert_eq!(streamed, historical, "n {n}, target {target}, seed {seed}");
+            assert!(streamed.is_sorted());
+        }
     }
 
     #[test]
@@ -381,7 +475,7 @@ mod tests {
         let (n, target, seed) = (150usize, 1100usize, 21u64);
         let fast = rmat_exact(n, target, seed).unwrap();
 
-        let mut edges = rmat(n, target, seed).unwrap();
+        let mut edges = historical_rmat(n, target, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
         if edges.num_edges() < target {
             let mut all: Vec<Edge> = edges.iter().copied().collect();
@@ -402,7 +496,7 @@ mod tests {
             }
             edges = EdgeList::from_sorted_edges_unchecked(n, all);
         }
-        trim_to(&mut edges, target, &mut rng);
+        historical_trim(&mut edges, target, &mut rng);
         assert!(
             fast.num_edges() == target,
             "the sample must actually fall short so the top-up runs"

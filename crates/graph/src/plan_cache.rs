@@ -294,15 +294,7 @@ impl ShardPlanCache {
         nodes_per_shard: usize,
     ) -> Result<ShardGrid, GraphError> {
         let build_start = Instant::now();
-        // A sorted edge list (the generators' normal output) can feed the
-        // streaming build, which writes the arena in shard order without the
-        // full-arena sort — same grid bit for bit, without the second copy
-        // `ShardGrid::build`'s sort materialises.
-        let grid = if edges.is_sorted() && nodes_per_shard > 0 && edges.num_nodes() > 0 {
-            ShardGrid::build_streamed(edges.num_nodes(), nodes_per_shard, edges.iter().copied())?
-        } else {
-            ShardGrid::build(edges, nodes_per_shard)?
-        };
+        let grid = ShardGrid::build(edges, nodes_per_shard)?;
         *lock_recover(&self.build_seconds) += build_start.elapsed().as_secs_f64();
         self.grids_built.fetch_add(1, Ordering::Relaxed);
         Ok(grid)

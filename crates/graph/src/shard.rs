@@ -1,6 +1,5 @@
 use crate::{Edge, EdgeList, GraphError, NodeId};
 use gnnerator_observe::Recorder;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -664,89 +663,34 @@ impl ShardGrid {
     /// Builds a shard grid from an edge list, with at most `nodes_per_shard`
     /// source (and destination) nodes per shard.
     ///
-    /// The build is a single sort of the edge arena by shard coordinate
-    /// followed by one linear scan that emits per-shard metadata — no
-    /// per-cell buckets are ever allocated, so the cost is
-    /// `O(E log E + S)` regardless of how empty the grid is.
+    /// A sorted list (the generators' normal output) streams straight into
+    /// [`ShardGrid::build_streamed`]; any other list is first copied and
+    /// sorted by `(src, dst)`, then takes the same single pass.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::InvalidParameter`] if `nodes_per_shard` is zero
     /// or the edge list has no nodes.
     pub fn build(edges: &EdgeList, nodes_per_shard: usize) -> Result<Self, GraphError> {
-        if nodes_per_shard == 0 {
-            return Err(GraphError::invalid("nodes_per_shard", "must be positive"));
+        if edges.is_sorted() {
+            return Self::build_streamed(edges.num_nodes(), nodes_per_shard, edges.iter().copied());
         }
-        let num_nodes = edges.num_nodes();
-        if num_nodes == 0 {
-            return Err(GraphError::invalid("edges", "graph has no nodes"));
-        }
-        if edges.num_edges() > u32::MAX as usize {
-            return Err(GraphError::invalid(
-                "edges",
-                "edge count exceeds the 32-bit arena index space",
-            ));
-        }
-        let mut arena: Vec<Edge> = edges.iter().copied().collect();
-        arena.sort_unstable_by_key(|e| {
-            (
-                e.src as usize / nodes_per_shard,
-                e.dst as usize / nodes_per_shard,
-                e.src,
-                e.dst,
-            )
-        });
-
-        // One scan over the sorted arena: each run of equal (src_block,
-        // dst_block) is an occupied shard. Within a run edges are sorted by
-        // (src, dst), so distinct sources fall out of adjacent comparisons;
-        // distinct destinations need one small sort of the run's endpoints.
-        let mut metas: Vec<ShardMeta> = Vec::new();
-        let mut dst_scratch: Vec<NodeId> = Vec::new();
-        let mut start = 0usize;
-        while start < arena.len() {
-            let coord = ShardCoord::new(
-                arena[start].src as usize / nodes_per_shard,
-                arena[start].dst as usize / nodes_per_shard,
-            );
-            let mut end = start + 1;
-            while end < arena.len()
-                && arena[end].src as usize / nodes_per_shard == coord.src_block
-                && arena[end].dst as usize / nodes_per_shard == coord.dst_block
-            {
-                end += 1;
-            }
-            let run = &arena[start..end];
-            let unique_sources = 1 + run.windows(2).filter(|w| w[0].src != w[1].src).count();
-            dst_scratch.clear();
-            dst_scratch.extend(run.iter().map(|e| e.dst));
-            dst_scratch.sort_unstable();
-            dst_scratch.dedup();
-            metas.push(ShardMeta {
-                coord,
-                edge_start: start as u32,
-                num_edges: (end - start) as u32,
-                unique_sources: unique_sources as u32,
-                unique_destinations: dst_scratch.len() as u32,
-            });
-            start = end;
-        }
-
-        Ok(Self::assemble(num_nodes, nodes_per_shard, arena, metas))
+        let mut canonical: Vec<Edge> = edges.iter().copied().collect();
+        canonical.sort_unstable();
+        Self::build_streamed(edges.num_nodes(), nodes_per_shard, canonical)
     }
 
     /// Builds a shard grid from a `(src, dst)`-sorted edge *stream* without
-    /// ever materialising a full [`EdgeList`] — the out-of-core companion to
-    /// [`ShardGrid::build`], bit-identical to it on the same edges.
+    /// ever materialising a full [`EdgeList`], in one linear pass.
     ///
     /// A `(src, dst)`-sorted stream delivers edges grouped by contiguous
-    /// source block, so the builder buffers one source-block *row group* at
-    /// a time, sorts it by `(dst_block, src, dst)` (completing the arena's
-    /// `(src_block, dst_block, src, dst)` order) and appends it to the
-    /// arena with placeholder shard metadata. The per-shard
-    /// distinct-endpoint counts are then filled in by a rayon-parallel pass
-    /// over the finished arena slices. Peak transient memory is one row
-    /// group, not the whole edge list.
+    /// source block, so the builder buffers one source-block *row* at a
+    /// time. A stable counting scatter by destination block moves the row
+    /// into the arena in `(dst_block, src, dst)` order, completing the
+    /// arena's `(src_block, dst_block, src, dst)` order. Each shard's
+    /// distinct sources then fall out of adjacent comparisons, and its
+    /// distinct destinations out of a per-node stamp array. Peak transient
+    /// memory is one row, not the whole edge list.
     ///
     /// # Errors
     ///
@@ -782,45 +726,8 @@ impl ShardGrid {
             return Err(GraphError::invalid("edges", "graph has no nodes"));
         }
 
-        /// Sorts one source-block row group into shard order and appends it
-        /// to the arena, emitting metadata (uniques deferred) per shard run.
-        fn flush_row_group(
-            row: &mut Vec<Edge>,
-            nodes_per_shard: usize,
-            arena: &mut Vec<Edge>,
-            metas: &mut Vec<ShardMeta>,
-        ) {
-            if row.is_empty() {
-                return;
-            }
-            row.sort_unstable_by_key(|e| (e.dst as usize / nodes_per_shard, e.src, e.dst));
-            let mut start = 0usize;
-            while start < row.len() {
-                let coord = ShardCoord::new(
-                    row[start].src as usize / nodes_per_shard,
-                    row[start].dst as usize / nodes_per_shard,
-                );
-                let mut end = start + 1;
-                while end < row.len() && row[end].dst as usize / nodes_per_shard == coord.dst_block
-                {
-                    end += 1;
-                }
-                metas.push(ShardMeta {
-                    coord,
-                    edge_start: (arena.len() + start) as u32,
-                    num_edges: (end - start) as u32,
-                    unique_sources: 0,
-                    unique_destinations: 0,
-                });
-                start = end;
-            }
-            arena.extend_from_slice(row);
-            row.clear();
-        }
-
-        let mut arena: Vec<Edge> = Vec::new();
-        let mut metas: Vec<ShardMeta> = Vec::new();
-        let mut row: Vec<Edge> = Vec::new();
+        let edges = edges.into_iter();
+        let mut rows = RowScatter::new(num_nodes, nodes_per_shard, edges.size_hint().0);
         let mut row_block = 0usize;
         let mut prev: Option<Edge> = None;
         for edge in edges {
@@ -836,39 +743,29 @@ impl ShardGrid {
                 ));
             }
             prev = Some(edge);
-            if arena.len() + row.len() >= u32::MAX as usize {
+            if rows.arena.len() + rows.row.len() >= u32::MAX as usize {
                 return Err(GraphError::invalid(
                     "edges",
                     "edge count exceeds the 32-bit arena index space",
                 ));
             }
             let block = edge.src as usize / nodes_per_shard;
-            if row.is_empty() {
+            if rows.row.is_empty() {
                 row_block = block;
             } else if block != row_block {
-                flush_row_group(&mut row, nodes_per_shard, &mut arena, &mut metas);
+                rows.flush(row_block);
                 row_block = block;
             }
-            row.push(edge);
+            rows.row.push(edge);
         }
-        flush_row_group(&mut row, nodes_per_shard, &mut arena, &mut metas);
+        rows.flush(row_block);
 
-        // Distinct-endpoint counts, shard-parallel over finished arena
-        // slices: within a run edges are sorted by (src, dst), so distinct
-        // sources fall out of adjacent comparisons; distinct destinations
-        // need one small per-shard sort.
-        let arena_ref = &arena;
-        metas.par_iter_mut().for_each(|meta| {
-            let run = &arena_ref[meta.edge_range()];
-            let unique_sources = 1 + run.windows(2).filter(|w| w[0].src != w[1].src).count();
-            let mut dsts: Vec<NodeId> = run.iter().map(|e| e.dst).collect();
-            dsts.sort_unstable();
-            dsts.dedup();
-            meta.unique_sources = unique_sources as u32;
-            meta.unique_destinations = dsts.len() as u32;
-        });
-
-        Ok(Self::assemble(num_nodes, nodes_per_shard, arena, metas))
+        Ok(Self::assemble(
+            num_nodes,
+            nodes_per_shard,
+            rows.arena,
+            rows.metas,
+        ))
     }
 
     /// Assembles a grid from a sorted arena and its row-major occupied-shard
@@ -1195,6 +1092,104 @@ impl ShardGrid {
     }
 }
 
+/// The state of [`ShardGrid::build_streamed`]'s single pass: the arena and
+/// metadata built so far, the source-block row being buffered, and the
+/// scratch its counting scatter and distinct-destination counts reuse.
+struct RowScatter {
+    nodes_per_shard: usize,
+    arena: Vec<Edge>,
+    metas: Vec<ShardMeta>,
+    /// Edges of the current source-block row, sorted by `(src, dst)`.
+    row: Vec<Edge>,
+    /// Per destination block: the row's edge count, then the scatter
+    /// cursor. Zero again between rows.
+    block_slots: Vec<usize>,
+    /// Destination blocks the current row touches.
+    touched: Vec<usize>,
+    /// Per node offset within a block: one more than the index of the last
+    /// shard that counted it, so no reset is needed between shards.
+    stamps: Vec<u32>,
+}
+
+impl RowScatter {
+    fn new(num_nodes: usize, nodes_per_shard: usize, edges_hint: usize) -> Self {
+        Self {
+            nodes_per_shard,
+            arena: Vec::with_capacity(edges_hint),
+            metas: Vec::new(),
+            row: Vec::new(),
+            block_slots: vec![0; num_nodes.div_ceil(nodes_per_shard)],
+            touched: Vec::new(),
+            stamps: vec![0; nodes_per_shard.min(num_nodes)],
+        }
+    }
+
+    /// Moves the buffered row of `src_block` into the arena in destination
+    /// block order and emits one [`ShardMeta`] per occupied shard.
+    fn flush(&mut self, src_block: usize) {
+        if self.row.is_empty() {
+            return;
+        }
+        let nps = self.nodes_per_shard;
+        for edge in &self.row {
+            let block = edge.dst as usize / nps;
+            if self.block_slots[block] == 0 {
+                self.touched.push(block);
+            }
+            self.block_slots[block] += 1;
+        }
+        self.touched.sort_unstable();
+
+        // Counts become arena offsets, in ascending destination block order.
+        let first_meta = self.metas.len();
+        let mut offset = self.arena.len();
+        for &block in &self.touched {
+            let count = self.block_slots[block];
+            self.metas.push(ShardMeta {
+                coord: ShardCoord::new(src_block, block),
+                edge_start: offset as u32,
+                num_edges: count as u32,
+                unique_sources: 0,
+                unique_destinations: 0,
+            });
+            self.block_slots[block] = offset;
+            offset += count;
+        }
+
+        // Stable scatter: each shard receives its edges in (src, dst) order.
+        self.arena.resize(offset, Edge::new(0, 0));
+        for &edge in &self.row {
+            let slot = &mut self.block_slots[edge.dst as usize / nps];
+            self.arena[*slot] = edge;
+            *slot += 1;
+        }
+
+        for (index, meta) in self.metas.iter_mut().enumerate().skip(first_meta) {
+            let run = &self.arena[meta.edge_range()];
+            let block_start = meta.coord.dst_block * nps;
+            // Shard indexes stay below the u32 arena bound checked per edge.
+            let stamp = index as u32 + 1;
+            let mut unique_destinations = 0u32;
+            for edge in run {
+                let seen = &mut self.stamps[edge.dst as usize - block_start];
+                if *seen != stamp {
+                    *seen = stamp;
+                    unique_destinations += 1;
+                }
+            }
+            meta.unique_sources =
+                1 + run.windows(2).filter(|w| w[0].src != w[1].src).count() as u32;
+            meta.unique_destinations = unique_destinations;
+        }
+
+        for &block in &self.touched {
+            self.block_slots[block] = 0;
+        }
+        self.touched.clear();
+        self.row.clear();
+    }
+}
+
 impl PartialEq for ShardGrid {
     /// Logical equality: same sharding parameters, same occupied-shard
     /// metadata, same edges shard by shard. A windowed grid compares equal
@@ -1371,6 +1366,85 @@ mod tests {
             ShardGrid::build_streamed(5, 2, std::iter::empty()).unwrap(),
             ShardGrid::build(&empty, 2).unwrap()
         );
+    }
+
+    /// The historical build: one comparison sort of the whole arena by
+    /// shard coordinate, then a scan that sorts each shard's destinations to
+    /// count them.
+    fn historical_build(edges: &EdgeList, nodes_per_shard: usize) -> ShardGrid {
+        let mut arena: Vec<Edge> = edges.iter().copied().collect();
+        arena.sort_unstable_by_key(|e| {
+            (
+                e.src as usize / nodes_per_shard,
+                e.dst as usize / nodes_per_shard,
+                e.src,
+                e.dst,
+            )
+        });
+        let mut metas = Vec::new();
+        let mut start = 0usize;
+        while start < arena.len() {
+            let coord = ShardCoord::new(
+                arena[start].src as usize / nodes_per_shard,
+                arena[start].dst as usize / nodes_per_shard,
+            );
+            let mut end = start + 1;
+            while end < arena.len()
+                && arena[end].src as usize / nodes_per_shard == coord.src_block
+                && arena[end].dst as usize / nodes_per_shard == coord.dst_block
+            {
+                end += 1;
+            }
+            let run = &arena[start..end];
+            let unique_sources = 1 + run.windows(2).filter(|w| w[0].src != w[1].src).count();
+            let mut dsts: Vec<NodeId> = run.iter().map(|e| e.dst).collect();
+            dsts.sort_unstable();
+            dsts.dedup();
+            metas.push(ShardMeta::from_raw(
+                coord,
+                start as u32,
+                (end - start) as u32,
+                unique_sources as u32,
+                dsts.len() as u32,
+            ));
+            start = end;
+        }
+        ShardGrid::assemble(edges.num_nodes(), nodes_per_shard, arena, metas)
+    }
+
+    #[test]
+    fn build_matches_the_historical_sort_and_scan() {
+        // Unsorted pseudo-random multisets with duplicates and self-loops,
+        // sharded at one node per shard, odd widths, exactly one shard and
+        // wider than the graph: the scatter build must equal the old
+        // sort-and-scan build field for field, sorted input or not.
+        let mut state = 0x5eed_u64;
+        for n in [1usize, 2, 9, 50, 257] {
+            let mut edges = EdgeList::new(n);
+            for _ in 0..n * 6 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let src = ((state >> 33) % n as u64) as NodeId;
+                let dst = if state & 3 == 0 {
+                    src
+                } else {
+                    ((state >> 13) % n as u64) as NodeId
+                };
+                edges.push(Edge::new(src, dst)).unwrap();
+            }
+            let mut sorted = edges.clone();
+            sorted.symmetrize();
+            sorted.add_self_loops();
+            for nps in [1, 2, 7, n, n + 5] {
+                for list in [&edges, &sorted] {
+                    let expected = historical_build(list, nps);
+                    assert_eq!(
+                        ShardGrid::build(list, nps).unwrap(),
+                        expected,
+                        "n {n} nps {nps}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

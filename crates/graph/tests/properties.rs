@@ -71,6 +71,71 @@ impl DenseReference {
     }
 }
 
+/// Checks every cell of `ShardGrid::build(edges, nps)` — edges, metadata
+/// and the `shard()` lookup, occupied or not — against the dense reference.
+fn check_against_dense_reference(edges: &EdgeList, nps: usize) -> Result<(), TestCaseError> {
+    let grid = ShardGrid::build(edges, nps).unwrap();
+    let reference = DenseReference::build(edges, nps);
+    prop_assert_eq!(grid.grid_dim(), reference.grid_dim);
+    let mut occupied = 0usize;
+    for src in 0..grid.grid_dim() {
+        for dst in 0..grid.grid_dim() {
+            let coord = ShardCoord::new(src, dst);
+            let view = grid.shard(coord);
+            let expected = reference.bucket(coord);
+            prop_assert_eq!(view.edges(), expected, "{} at nps {}", coord, nps);
+            prop_assert_eq!(view.coord(), coord);
+            prop_assert_eq!(
+                view.unique_source_count(),
+                reference.unique_sources(coord),
+                "{} at nps {}",
+                coord,
+                nps
+            );
+            prop_assert_eq!(
+                view.unique_destination_count(),
+                reference.unique_destinations(coord),
+                "{} at nps {}",
+                coord,
+                nps
+            );
+            if let Some(meta) = view.meta() {
+                occupied += 1;
+                prop_assert_eq!(meta.num_edges(), expected.len());
+                prop_assert_eq!(grid.edges_of(meta), expected);
+            } else {
+                prop_assert!(expected.is_empty());
+            }
+        }
+    }
+    prop_assert_eq!(grid.occupied_shards(), occupied);
+    let cells = grid.grid_dim() * grid.grid_dim();
+    prop_assert!((grid.occupancy() - occupied as f64 / cells as f64).abs() < 1e-12);
+    Ok(())
+}
+
+/// Strategy for a hub-heavy, duplicate-heavy edge multiset: most edges leave
+/// or enter one of two hubs, or fall among three nodes, so rows are long and
+/// repeats are common.
+fn hub_heavy_edges() -> impl Strategy<Value = (usize, Vec<Edge>)> {
+    (3usize..60).prop_flat_map(|n| {
+        proptest::collection::vec((0u32..4, 0..n as u32, 0..n as u32), 0..400).prop_map(
+            move |draws| {
+                let edges = draws
+                    .into_iter()
+                    .map(|(kind, a, b)| match kind {
+                        0 => Edge::new(a % 2, b),
+                        1 => Edge::new(a, b % 2),
+                        2 => Edge::new(a % 3, b % 3),
+                        _ => Edge::new(a, b),
+                    })
+                    .collect();
+                (n, edges)
+            },
+        )
+    })
+}
+
 /// Strategy for a small random edge list.
 fn edge_list() -> impl Strategy<Value = EdgeList> {
     (2usize..40).prop_flat_map(|n| {
@@ -141,42 +206,27 @@ proptest! {
     #[test]
     fn sparse_grid_matches_the_dense_reference(edges in edge_list(), nps in 1usize..10) {
         prop_assume!(edges.num_nodes() > 0);
-        let grid = ShardGrid::build(&edges, nps).unwrap();
-        let reference = DenseReference::build(&edges, nps);
-        prop_assert_eq!(grid.grid_dim(), reference.grid_dim);
+        check_against_dense_reference(&edges, nps)?;
+    }
 
-        // Per-cell agreement: edges, metadata and the `shard()` lookup all
-        // match the naive buckets — occupied or not.
-        let mut occupied = 0usize;
-        for src in 0..grid.grid_dim() {
-            for dst in 0..grid.grid_dim() {
-                let coord = ShardCoord::new(src, dst);
-                let view = grid.shard(coord);
-                let expected = reference.bucket(coord);
-                prop_assert_eq!(view.edges(), expected, "{}", coord);
-                prop_assert_eq!(view.coord(), coord);
-                prop_assert_eq!(
-                    view.unique_source_count(),
-                    reference.unique_sources(coord),
-                    "{}", coord
-                );
-                prop_assert_eq!(
-                    view.unique_destination_count(),
-                    reference.unique_destinations(coord),
-                    "{}", coord
-                );
-                if let Some(meta) = view.meta() {
-                    occupied += 1;
-                    prop_assert_eq!(meta.num_edges(), expected.len());
-                    prop_assert_eq!(grid.edges_of(meta), expected);
-                } else {
-                    prop_assert!(expected.is_empty());
-                }
+    #[test]
+    fn sparse_grid_matches_the_dense_reference_at_the_extremes(
+        edges in edge_list(),
+        extra in 0usize..4,
+    ) {
+        // One node per shard (every edge its own shard), exactly one shard,
+        // and a shard wider than the graph; then the same with every node's
+        // self-loop added, and with a list of self-loops only.
+        let n = edges.num_nodes();
+        let mut looped = edges.clone();
+        looped.add_self_loops();
+        let mut loops_only = EdgeList::new(n);
+        loops_only.add_self_loops();
+        for list in [&edges, &looped, &loops_only] {
+            for nps in [1, n, n + extra + 1] {
+                check_against_dense_reference(list, nps)?;
             }
         }
-        prop_assert_eq!(grid.occupied_shards(), occupied);
-        let cells = grid.grid_dim() * grid.grid_dim();
-        prop_assert!((grid.occupancy() - occupied as f64 / cells as f64).abs() < 1e-12);
     }
 
     #[test]
@@ -343,6 +393,41 @@ proptest! {
                     name
                 );
             }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn builder_is_bit_identical_on_hub_heavy_inputs_with_mixed_chunks(
+        (n, edges) in hub_heavy_edges(),
+        capacity in 1usize..24,
+        resident_chunks in 0u64..4,
+    ) {
+        // Budgets of a few whole chunks keep the first chunks in memory and
+        // spill the rest, so the merge sees both kinds of input; the
+        // unbounded builder takes the counting-sort path.
+        let mut reference = edges.clone();
+        reference.sort_unstable();
+        reference.dedup();
+        let chunk_bytes = capacity as u64 * std::mem::size_of::<Edge>() as u64;
+        let chunks = edges.len().div_ceil(capacity);
+        let dir = unique_cache_dir();
+        for budget in [
+            MemoryBudget::bytes(resident_chunks * chunk_bytes),
+            MemoryBudget::unbounded(),
+        ] {
+            let mut builder = EdgeListBuilder::with_chunk_capacity(n, capacity)
+                .with_memory_budget(budget)
+                .with_spill_dir(&dir);
+            for &e in &edges {
+                builder.push(e).unwrap();
+            }
+            if budget.is_bounded() && chunks > resident_chunks as usize + 1 {
+                prop_assert!(builder.spilled_chunks() > 0);
+            }
+            let built = builder.try_finish().unwrap();
+            prop_assert_eq!(built.as_slice(), reference.as_slice());
+            prop_assert!(built.is_sorted());
         }
         std::fs::remove_dir_all(&dir).ok();
     }
