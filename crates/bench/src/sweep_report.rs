@@ -78,10 +78,9 @@ pub fn sweep_scenarios(ctx: &SuiteContext) -> Vec<ScenarioSpec> {
 ///
 /// The full [`DatasetKind::OgbnProductsScale`] spec is a ~60M-edge
 /// out-of-core stressor. Earlier harness versions carried it at 1/25 scale;
-/// bounded shard-window residency lets the sweep take it at full spec — at
-/// grid scale 1.0 that is ~2.4M vertices / ~60M edges, a ~480MB edge arena
-/// that no longer needs to fit in memory: under a bounded budget the grid is
-/// simulated straight from the artifact cache through the shard window.
+/// the sweep now takes it at full spec — at grid scale 1.0 that is ~2.4M
+/// vertices / ~60M edges. The timing simulation reads only shard summaries,
+/// so no edge arena has to stay resident or be cached.
 pub const PRODUCTS_SWEEP_SCALE: f64 = 1.0;
 
 /// The ogbn-scale extension of the sweep: the ≥1M-edge ogbn-arxiv GCN
@@ -173,18 +172,6 @@ pub struct SweepPoint {
     /// Process-wide count of sorted edge chunks spilled to disk by the time
     /// this point was evaluated. Absent in pre-out-of-core rows.
     pub spilled_chunks: Option<u64>,
-    /// Process-wide shard-window hits by the time this point was evaluated.
-    /// Absent in rows written before windowed residency.
-    pub window_hits: Option<u64>,
-    /// Process-wide shard-window misses (extents faulted from disk) by the
-    /// time this point was evaluated. Absent in pre-window rows.
-    pub window_misses: Option<u64>,
-    /// Process-wide shard-window evictions by the time this point was
-    /// evaluated. Absent in pre-window rows.
-    pub window_evictions: Option<u64>,
-    /// Process-wide bytes faulted into shard windows by the time this point
-    /// was evaluated. Absent in pre-window rows.
-    pub window_faulted_bytes: Option<u64>,
 }
 
 impl SweepPoint {
@@ -210,10 +197,6 @@ impl SweepPoint {
             speedup_vs_hygcn: result.speedup_vs_hygcn(),
             peak_resident_bytes: Some(result.peak_resident_bytes),
             spilled_chunks: Some(result.spilled_chunks),
-            window_hits: Some(result.window_hits),
-            window_misses: Some(result.window_misses),
-            window_evictions: Some(result.window_evictions),
-            window_faulted_bytes: Some(result.window_faulted_bytes),
         }
     }
 
@@ -233,7 +216,7 @@ impl SweepPoint {
             value.map_or_else(|| "null".to_string(), |v| v.to_string())
         }
         format!(
-            "{{\"label\": {}, \"backend\": {}, \"network\": {}, \"dataset\": {}, \"dataflow\": {}, \"config\": {}, \"seconds\": {}, \"simulate_seconds\": {}, \"total_cycles\": {}, \"dram_bytes\": {}, \"occupancy\": {}, \"occupied_shards\": {}, \"baseline_gpu_seconds\": {}, \"baseline_hygcn_seconds\": {}, \"speedup_vs_gpu\": {}, \"speedup_vs_hygcn\": {}, \"peak_resident_bytes\": {}, \"spilled_chunks\": {}, \"window_hits\": {}, \"window_misses\": {}, \"window_evictions\": {}, \"window_faulted_bytes\": {}}}",
+            "{{\"label\": {}, \"backend\": {}, \"network\": {}, \"dataset\": {}, \"dataflow\": {}, \"config\": {}, \"seconds\": {}, \"simulate_seconds\": {}, \"total_cycles\": {}, \"dram_bytes\": {}, \"occupancy\": {}, \"occupied_shards\": {}, \"baseline_gpu_seconds\": {}, \"baseline_hygcn_seconds\": {}, \"speedup_vs_gpu\": {}, \"speedup_vs_hygcn\": {}, \"peak_resident_bytes\": {}, \"spilled_chunks\": {}}}",
             json_string(&self.label),
             json_string(&self.backend),
             json_string(&self.network),
@@ -252,10 +235,6 @@ impl SweepPoint {
             opt_f64(self.speedup_vs_hygcn),
             opt_u64(self.peak_resident_bytes),
             opt_u64(self.spilled_chunks),
-            opt_u64(self.window_hits),
-            opt_u64(self.window_misses),
-            opt_u64(self.window_evictions),
-            opt_u64(self.window_faulted_bytes),
         )
     }
 
@@ -315,10 +294,6 @@ impl SweepPoint {
             speedup_vs_hygcn: opt_f64("speedup_vs_hygcn")?,
             peak_resident_bytes: lenient_u64("peak_resident_bytes"),
             spilled_chunks: lenient_u64("spilled_chunks"),
-            window_hits: lenient_u64("window_hits"),
-            window_misses: lenient_u64("window_misses"),
-            window_evictions: lenient_u64("window_evictions"),
-            window_faulted_bytes: lenient_u64("window_faulted_bytes"),
         })
     }
 }
@@ -437,18 +412,6 @@ pub struct SweepBenchmark {
     pub peak_resident_bytes: u64,
     /// Sorted edge chunks spilled to disk across every graph build.
     pub spilled_chunks: u64,
-    /// Shard-grid artifacts loaded through the chunked (budgeted) reader.
-    pub grid_segment_loads: u64,
-    /// Shard-grid artifacts deserialised wholesale (unbudgeted reader).
-    pub grid_full_loads: u64,
-    /// Shard-window hits across every windowed grid walk.
-    pub window_hits: u64,
-    /// Shard-window misses (extents faulted in from disk).
-    pub window_misses: u64,
-    /// Shard-window evictions (cold rows dropped as the walk moved on).
-    pub window_evictions: u64,
-    /// Bytes faulted into shard windows from disk.
-    pub window_faulted_bytes: u64,
 }
 
 impl SweepBenchmark {
@@ -530,24 +493,6 @@ impl SweepBenchmark {
             self.peak_resident_bytes
         ));
         out.push_str(&format!("  \"spilled_chunks\": {},\n", self.spilled_chunks));
-        out.push_str(&format!(
-            "  \"grid_segment_loads\": {},\n",
-            self.grid_segment_loads
-        ));
-        out.push_str(&format!(
-            "  \"grid_full_loads\": {},\n",
-            self.grid_full_loads
-        ));
-        out.push_str(&format!("  \"window_hits\": {},\n", self.window_hits));
-        out.push_str(&format!("  \"window_misses\": {},\n", self.window_misses));
-        out.push_str(&format!(
-            "  \"window_evictions\": {},\n",
-            self.window_evictions
-        ));
-        out.push_str(&format!(
-            "  \"window_faulted_bytes\": {},\n",
-            self.window_faulted_bytes
-        ));
         out.push_str("  \"points\": [\n");
         for (i, result) in self.results.iter().enumerate() {
             let comma = if i + 1 == self.results.len() { "" } else { "," };
@@ -664,12 +609,6 @@ pub fn bench_sweep(ctx: &SuiteContext) -> Result<SweepBenchmark, GnneratorError>
         memory_budget: gnnerator_graph::MemoryBudget::from_env().to_string(),
         peak_resident_bytes: memory.peak_resident_bytes,
         spilled_chunks: memory.spilled_chunk_count,
-        grid_segment_loads: memory.grid_segment_loads,
-        grid_full_loads: memory.grid_full_loads,
-        window_hits: memory.window_hits,
-        window_misses: memory.window_misses,
-        window_evictions: memory.window_evictions,
-        window_faulted_bytes: memory.window_faulted_bytes,
     })
 }
 
@@ -763,12 +702,6 @@ mod tests {
         assert!(json.contains("\"memory_budget\""));
         assert!(json.contains("\"peak_resident_bytes\""));
         assert!(json.contains("\"spilled_chunks\""));
-        assert!(json.contains("\"grid_segment_loads\""));
-        assert!(json.contains("\"grid_full_loads\""));
-        assert!(json.contains("\"window_hits\""));
-        assert!(json.contains("\"window_misses\""));
-        assert!(json.contains("\"window_evictions\""));
-        assert!(json.contains("\"window_faulted_bytes\""));
         assert!(json.contains("\"occupancy\""));
         assert!(json.contains("\"occupied_shards\""));
         assert!(json.contains("\"simulate_seconds\""));
@@ -829,8 +762,6 @@ mod tests {
         // columns entirely; they parse as absent rather than failing.
         assert_eq!(point.peak_resident_bytes, None);
         assert_eq!(point.spilled_chunks, None);
-        assert_eq!(point.window_hits, None);
-        assert_eq!(point.window_faulted_bytes, None);
         // Round-trip of the escaped label.
         assert_eq!(SweepPoint::from_json(&point.to_json()), Some(point));
         // Malformed inputs are rejected, not panicked on.
@@ -860,10 +791,6 @@ mod tests {
             speedup_vs_hygcn: Some(f64::NEG_INFINITY),
             peak_resident_bytes: Some(4096),
             spilled_chunks: Some(2),
-            window_hits: Some(7),
-            window_misses: Some(5),
-            window_evictions: Some(3),
-            window_faulted_bytes: Some(40),
         };
         let json = point.to_json();
         assert!(!json.contains("inf"), "{json}");

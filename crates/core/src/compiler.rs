@@ -13,8 +13,8 @@ use gnnerator_graph::{EdgeList, ShardPlanCache};
 /// 2. picks the feature-block size `B` from the [`DataflowConfig`],
 /// 3. derives how many nodes fit on-chip at that block size (the shard
 ///    parameter `n`) from the Graph Engine's scratchpad capacity,
-/// 4. shards the edge list into an `S x S` grid — stored sparsely as one
-///    sorted edge arena plus per-occupied-shard metadata (adding self-loop
+/// 4. summarises the edge list's `S x S` shard grid — per-occupied-shard
+///    edge and distinct-endpoint counts, no edges (merging in self-loop
 ///    edges when the aggregation includes the node itself), and
 /// 5. chooses the shard-traversal order from the Table I cost model unless
 ///    the dataflow pins one.

@@ -13,7 +13,7 @@
 
 use crate::{Compiler, DataflowConfig, GnneratorConfig, GnneratorError};
 use gnnerator_gnn::{GnnModel, Stage};
-use gnnerator_graph::{EdgeList, NodeFeatures};
+use gnnerator_graph::{EdgeList, NodeFeatures, ShardGrid};
 use gnnerator_tensor::{ops, Matrix};
 
 /// Executes `model` on the graph/features using the compiled blocked
@@ -88,6 +88,17 @@ pub fn execute_blocked(
 
         // ---- Aggregation over the shard grid, block by block ----
         let aggregated = if let Some(agg) = plan.aggregation {
+            // The compiled plan carries only the shard summary; the value
+            // walk needs the edges, so shard this (small) graph here with
+            // the plan's parameters.
+            let grid = if agg.include_self {
+                let mut with_self = edges.clone();
+                with_self.add_self_loops();
+                ShardGrid::build(&with_self, plan.nodes_per_shard)
+            } else {
+                ShardGrid::build(edges, plan.nodes_per_shard)
+            }?;
+            debug_assert_eq!(grid.summary(), &*plan.grid);
             let n = edges.num_nodes();
             let dim = agg.dim;
             let mut acc = Matrix::filled(n, dim, agg.aggregator.identity());
@@ -99,7 +110,7 @@ pub fn execute_blocked(
                 // hardware would: empty shards contribute no edges, so the
                 // edge-processing order (and the floating-point result) is
                 // unchanged.
-                for shard in plan.grid.occupied_traversal(plan.traversal) {
+                for shard in grid.occupied_traversal(plan.traversal) {
                     for edge in shard.edges() {
                         let (src, dst) = (edge.src as usize, edge.dst as usize);
                         if block_idx == 0 {

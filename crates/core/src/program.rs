@@ -1,5 +1,5 @@
 use gnnerator_gnn::{Aggregator, StageOrder};
-use gnnerator_graph::{ShardGrid, TraversalOrder};
+use gnnerator_graph::{ShardSummary, TraversalOrder};
 use gnnerator_tensor::Activation;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -80,13 +80,15 @@ pub struct LayerPlan {
     pub nodes_per_shard: usize,
     /// Shard-grid traversal order.
     pub traversal: TraversalOrder,
-    /// The 2-D shard grid for this layer (self-loops already added when the
-    /// aggregation includes the node itself).
+    /// The occupied-shard summary of this layer's 2-D shard grid
+    /// (self-loops already merged in when the aggregation includes the node
+    /// itself). It carries the per-shard counts the timing model reads and
+    /// no edges.
     ///
     /// Shared: layers of one program — and programs compiled from the same
     /// [`SimSession`](crate::SimSession) under different configurations —
-    /// reuse one grid whenever their shard parameters coincide.
-    pub grid: Arc<ShardGrid>,
+    /// reuse one summary whenever their shard parameters coincide.
+    pub grid: Arc<ShardSummary>,
 }
 
 impl LayerPlan {
@@ -197,9 +199,9 @@ mod tests {
     use super::*;
     use gnnerator_graph::EdgeList;
 
-    fn tiny_grid() -> Arc<ShardGrid> {
+    fn tiny_grid() -> Arc<ShardSummary> {
         let edges = EdgeList::from_pairs(4, &[(0, 1), (2, 3)]).unwrap();
-        Arc::new(ShardGrid::build(&edges, 2).unwrap())
+        Arc::new(ShardSummary::build(&edges, 2, false).unwrap())
     }
 
     fn sample_plan() -> LayerPlan {

@@ -15,7 +15,8 @@ use crate::{
 };
 use gnnerator_gnn::GnnModel;
 use gnnerator_graph::datasets::Dataset;
-use gnnerator_graph::{ArtifactCache, EdgeList, GridResidency, MemoryBudget, ShardPlanCache};
+use gnnerator_graph::{ArtifactCache, EdgeList, ShardPlanCache};
+use gnnerator_observe::Recorder;
 use std::fmt;
 use std::sync::Arc;
 
@@ -49,6 +50,9 @@ pub struct SimSession {
     model: GnnModel,
     dataset_name: String,
     plans: ShardPlanCache,
+    /// Telemetry sink the session's evaluations snapshot memory counters
+    /// from (the process-global recorder unless overridden).
+    recorder: Recorder,
     /// Wall-clock seconds materialising the session's graph took (dataset
     /// synthesis or artifact-cache load; `0.0` for bare edge lists).
     graph_build_seconds: f64,
@@ -83,48 +87,19 @@ impl SimSession {
         Self::build(model, dataset, Some(cache))
     }
 
-    /// Overrides the memory budget the session's shard-plan cache builds and
-    /// loads under (the default comes from `GNNERATOR_MEM_BUDGET`). Bounded
-    /// budgets chunk-load cached grids instead of deserialising wholesale.
+    /// Overrides the telemetry recorder the session's evaluations snapshot
+    /// memory counters from. A scoped recorder isolates this session's
+    /// counts while still propagating to the process-global view; the
+    /// default is the global recorder itself.
     #[must_use]
-    pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
-        self.plans = self.plans.with_memory_budget(budget);
-        self
-    }
-
-    /// The memory budget this session plans under.
-    pub fn memory_budget(&self) -> MemoryBudget {
-        self.plans.memory_budget()
-    }
-
-    /// Overrides how the session's shard grids stay resident: fully in
-    /// memory, faulted through a bounded shard window over the artifact
-    /// cache, or decided by the memory budget (the default comes from
-    /// `GNNERATOR_GRID_RESIDENCY`).
-    #[must_use]
-    pub fn with_residency(mut self, residency: GridResidency) -> Self {
-        self.plans = self.plans.with_residency(residency);
-        self
-    }
-
-    /// The grid residency policy this session plans under.
-    pub fn residency(&self) -> GridResidency {
-        self.plans.residency()
-    }
-
-    /// Overrides the telemetry recorder the session's shard-plan cache (and
-    /// so its shard windows) records into. A scoped recorder isolates this
-    /// session's window traffic while still propagating to the
-    /// process-global view; the default is the global recorder itself.
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: gnnerator_observe::Recorder) -> Self {
-        self.plans = self.plans.with_recorder(recorder);
+    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
+        self.recorder = recorder;
         self
     }
 
     /// The telemetry recorder this session records into.
-    pub fn recorder(&self) -> &gnnerator_observe::Recorder {
-        self.plans.recorder()
+    pub fn recorder(&self) -> &Recorder {
+        &self.recorder
     }
 
     fn build(
@@ -154,6 +129,7 @@ impl SimSession {
             model,
             dataset_name: dataset.spec.name.to_string(),
             plans,
+            recorder: Recorder::default(),
             graph_build_seconds: dataset.build_seconds,
         })
     }
@@ -177,6 +153,7 @@ impl SimSession {
             model,
             dataset_name: dataset_name.into(),
             plans: ShardPlanCache::new(edges),
+            recorder: Recorder::default(),
             graph_build_seconds: 0.0,
         })
     }

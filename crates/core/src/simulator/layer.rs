@@ -68,12 +68,6 @@ pub(crate) fn simulate_layer(
                     // source-block order, matching the dense walk.
                     for dst in 0..s {
                         for meta in plan.grid.column_metas(dst) {
-                            // A windowed grid streams the shard's edge
-                            // extent from disk here — exactly where the
-                            // graph engine would fetch its edges — so the
-                            // simulation is priced (and metered) against
-                            // real I/O; resident grids skip this entirely.
-                            plan.grid.touch(meta);
                             graph.process_shard(
                                 plan,
                                 dram,
@@ -105,7 +99,6 @@ pub(crate) fn simulate_layer(
                     // run after the final row.
                     for src in 0..s {
                         for meta in plan.grid.row_metas(src) {
-                            plan.grid.touch(meta);
                             graph.process_shard(
                                 plan,
                                 dram,

@@ -11,7 +11,8 @@
 //!
 //! The walk over the shard grid is **occupancy-aware**: each column (or row,
 //! under the source-stationary order) visits only the shards the sparse
-//! [`ShardGrid`](gnnerator_graph::ShardGrid) index lists as non-empty. Empty
+//! [`ShardSummary`](gnnerator_graph::ShardSummary) index lists as non-empty,
+//! reading their counts and never their edges. Empty
 //! shards move no bytes and consume no cycles, so the reports are
 //! bit-identical to a dense `S²` sweep while the cost per feature block drops
 //! from `O(S²)` to `O(occupied + S)`.

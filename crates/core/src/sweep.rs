@@ -255,10 +255,6 @@ pub fn evaluate_scenario(
         simulate_seconds,
         peak_resident_bytes: memory.peak_resident_bytes,
         spilled_chunks: memory.spilled_chunks,
-        window_hits: memory.window_hits,
-        window_misses: memory.window_misses,
-        window_evictions: memory.window_evictions,
-        window_faulted_bytes: memory.window_faulted_bytes,
     })
 }
 
@@ -362,19 +358,6 @@ pub struct ScenarioResult {
     /// (snapshot delta over the session's recorder). Excluded from
     /// equality.
     pub spilled_chunks: u64,
-    /// Shard-window cache hits recorded while this point evaluated
-    /// (windowed residency only; zero when every grid stayed resident).
-    /// Excluded from equality.
-    pub window_hits: u64,
-    /// Shard-window misses (extents faulted in from disk) recorded while
-    /// this point evaluated. Excluded from equality.
-    pub window_misses: u64,
-    /// Shard-window evictions recorded while this point evaluated.
-    /// Excluded from equality.
-    pub window_evictions: u64,
-    /// Bytes faulted into shard windows from disk while this point
-    /// evaluated. Excluded from equality.
-    pub window_faulted_bytes: u64,
 }
 
 impl ScenarioResult {
@@ -471,14 +454,6 @@ pub struct SweepRunner {
     /// Wall-clock seconds spent materialising graphs (synthesis or cache
     /// load), summed across worker threads.
     graph_build_seconds: Mutex<f64>,
-    /// Explicit memory budget for every session this runner builds.
-    /// `None` (the default) leaves sessions on the process-wide
-    /// `GNNERATOR_MEM_BUDGET` default.
-    memory_budget: Option<gnnerator_graph::MemoryBudget>,
-    /// Explicit grid residency policy for every session this runner builds.
-    /// `None` (the default) leaves sessions on the process-wide
-    /// `GNNERATOR_GRID_RESIDENCY` default.
-    residency: Option<gnnerator_graph::GridResidency>,
     /// Explicit telemetry recorder for every session this runner builds.
     /// `None` (the default) leaves sessions on the process-global
     /// recorder.
@@ -505,42 +480,9 @@ impl SweepRunner {
         self.artifact_cache.as_ref()
     }
 
-    /// Returns this runner with an explicit [`MemoryBudget`] applied to
-    /// every session it builds (bounded budgets spill edge chunks during
-    /// synthesis and chunk-load cached shard grids). Without this, sessions
-    /// follow the process-wide `GNNERATOR_MEM_BUDGET` default.
-    ///
-    /// [`MemoryBudget`]: gnnerator_graph::MemoryBudget
-    pub fn with_memory_budget(mut self, budget: gnnerator_graph::MemoryBudget) -> Self {
-        self.memory_budget = Some(budget);
-        self
-    }
-
-    /// The explicit memory budget applied to this runner's sessions, if any.
-    pub fn memory_budget(&self) -> Option<gnnerator_graph::MemoryBudget> {
-        self.memory_budget
-    }
-
-    /// Returns this runner with an explicit [`GridResidency`] applied to
-    /// every session it builds: `Windowed` keeps shard-grid edge arenas on
-    /// disk and faults shard extents through a bounded LRU window, `Resident`
-    /// pins them in memory, and `Auto` (the process default) windows only
-    /// when the memory budget cannot hold the arena.
-    ///
-    /// [`GridResidency`]: gnnerator_graph::GridResidency
-    pub fn with_residency(mut self, residency: gnnerator_graph::GridResidency) -> Self {
-        self.residency = Some(residency);
-        self
-    }
-
-    /// The explicit grid residency applied to this runner's sessions, if any.
-    pub fn residency(&self) -> Option<gnnerator_graph::GridResidency> {
-        self.residency
-    }
-
     /// Returns this runner with a scoped telemetry [`Recorder`] applied to
-    /// every session it builds: the runner's window traffic and spill
-    /// counts become attributable to this runner alone, while still
+    /// every session it builds: the runner's memory and spill counts
+    /// become attributable to this runner alone, while still
     /// propagating up the recorder's parent chain to the process-global
     /// view. Without this, sessions record straight into the global.
     ///
@@ -636,12 +578,6 @@ impl SweepRunner {
         }
         let dataset = self.dataset(scenario)?;
         let mut session = build_session(scenario, &dataset, self.artifact_cache.as_ref())?;
-        if let Some(budget) = self.memory_budget {
-            session = session.with_memory_budget(budget);
-        }
-        if let Some(residency) = self.residency {
-            session = session.with_residency(residency);
-        }
         if let Some(recorder) = &self.recorder {
             session = session.with_recorder(recorder.clone());
         }

@@ -28,15 +28,17 @@
 //! payload  [u8]
 //! ```
 //!
-//! Since format version 2 the shard-grid payload is *segmented*: the grid
-//! header and the per-shard metadata table (the arena extent — offset and
-//! edge count — of every occupied shard) come **before** the edge arena
-//! bytes, so a loader can parse everything it needs to plan the read
-//! without touching the arena, then stream the arena through a bounded
-//! buffer. Under a bounded [`MemoryBudget`] [`ArtifactCache::load_grid`]
-//! takes exactly that chunked path instead of deserialising the file
-//! wholesale; [`ArtifactCache::store_grid`] symmetrically streams the
-//! arena through a buffered writer inside the same temp+rename discipline.
+//! Since format version 3 a shard-grid artifact stores a [`ShardSummary`]
+//! and no edges: the payload is a 32-byte header (`num_nodes`,
+//! `nodes_per_shard`, `total_edges`, occupied-shard count, each a `u64`)
+//! followed by one 32-byte record per occupied shard, row-major
+//! (`src_block` u64, `dst_block` u64, then `edge_start`, `num_edges`,
+//! `unique_sources`, `unique_destinations` as u32). That table is all the
+//! timing simulator reads, so a warm start reads kilobytes and no edge;
+//! [`ArtifactCache::load_summary`] checks that the records are row-major and
+//! tile `[0, total_edges)` before rebuilding the row/column indexes.
+//! Artifacts written by an older version fail the version check and are
+//! quarantined and rebuilt like any other unusable artifact.
 //!
 //! Loads distinguish a *miss* (no file: `Ok(None)`) from an *unusable
 //! artifact* (bad magic, stale version, checksum or key mismatch, truncated
@@ -55,20 +57,20 @@
 //! [`GraphError::CacheArtifact`] without quarantining the (healthy) file.
 
 use crate::datasets::{Dataset, DatasetKind, DatasetSpec};
-use crate::memory::MemoryBudget;
-use crate::{CsrGraph, Edge, EdgeList, GraphError, NodeFeatures, ShardCoord, ShardGrid, ShardMeta};
-use gnnerator_observe::Recorder;
+use crate::{
+    CsrGraph, Edge, EdgeList, GraphError, NodeFeatures, ShardCoord, ShardMeta, ShardSummary,
+};
 use gnnerator_tensor::Matrix;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// On-disk format version; bump whenever the byte layout changes so stale
-/// artifacts are rejected (and rebuilt) instead of misread. Version 2
-/// reordered the shard-grid payload into the segmented header-first layout.
-pub const FORMAT_VERSION: u32 = 2;
+/// artifacts are rejected (and rebuilt) instead of misread. Version 3
+/// replaced the shard-grid artifact's edge arena with the bare
+/// [`ShardSummary`] metadata table.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Environment variable controlling the cache. Accepted values (matched
 /// after trimming surrounding whitespace):
@@ -87,6 +89,8 @@ pub const CACHE_ENV_VAR: &str = "GNNERATOR_CACHE";
 const MAGIC: &[u8; 4] = b"GNNA";
 const KIND_DATASET: u8 = 1;
 const KIND_GRID: u8 = 2;
+/// Bytes of the shard-summary payload header (four `u64` fields).
+const SUMMARY_HEADER_BYTES: usize = 32;
 
 /// Monotonic nonce making concurrent temp-file names unique within a process.
 static TEMP_NONCE: AtomicU64 = AtomicU64::new(0);
@@ -130,12 +134,6 @@ pub struct ArtifactCache {
     /// Artifacts found unusable and renamed to `<name>.corrupt` by this
     /// cache instance.
     corrupt_artifacts: AtomicUsize,
-    /// Memory budget governing grid loads: bounded budgets take the
-    /// segmented chunk-read path, unbounded budgets the wholesale one.
-    budget: MemoryBudget,
-    /// Telemetry sink for grid-load counts. Defaults to the process global;
-    /// a scoped recorder attributes this cache's loads to its scope.
-    recorder: Recorder,
 }
 
 impl ArtifactCache {
@@ -153,8 +151,6 @@ impl ArtifactCache {
         Self {
             root: Some(root),
             corrupt_artifacts: AtomicUsize::new(0),
-            budget: MemoryBudget::from_env(),
-            recorder: Recorder::default(),
         }
     }
 
@@ -163,33 +159,7 @@ impl ArtifactCache {
         Self {
             root: None,
             corrupt_artifacts: AtomicUsize::new(0),
-            budget: MemoryBudget::from_env(),
-            recorder: Recorder::default(),
         }
-    }
-
-    /// Overrides the memory budget governing grid loads (the default comes
-    /// from `GNNERATOR_MEM_BUDGET`; see [`MemoryBudget::from_env`]).
-    pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Overrides the telemetry sink grid-load counts are recorded into
-    /// (the default is the process-global recorder).
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// The telemetry sink this cache records into.
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    /// The memory budget governing this cache's grid loads.
-    pub fn memory_budget(&self) -> MemoryBudget {
-        self.budget
     }
 
     /// Builds the cache from the `GNNERATOR_CACHE` environment variable (see
@@ -384,63 +354,37 @@ impl ArtifactCache {
         self.quarantining(&path, load())
     }
 
-    /// Stores a shard grid under the given full grid key (see
-    /// [`ArtifactCache::grid_key`]) in the segmented v2 layout: grid header
-    /// and per-shard arena extents first, then the arena bytes, streamed
-    /// through a bounded buffer rather than materialised as one payload.
+    /// Stores a shard summary under the given full grid key (see
+    /// [`ArtifactCache::grid_key`]): the grid header and the occupied-shard
+    /// metadata table, nothing else.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::CacheArtifact`] if the file cannot be written.
-    pub fn store_grid(&self, key: &str, grid: &ShardGrid) -> Result<(), GraphError> {
+    pub fn store_summary(&self, key: &str, summary: &ShardSummary) -> Result<(), GraphError> {
         let Some(path) = self.file_for("grid", key) else {
             return Ok(());
         };
-        // A windowed grid was loaded *from* this cache; re-serialising it
-        // would mean faulting the whole arena back through the window.
-        let Some(arena) = grid.resident_edges() else {
-            return Err(GraphError::invalid(
-                "grid",
-                "cannot store a windowed grid (it already lives in the cache)",
-            ));
-        };
-        let mut header = Vec::with_capacity(32 + grid.metas().len() * 32);
-        write_u64(&mut header, grid.num_nodes() as u64);
-        write_u64(&mut header, grid.nodes_per_shard() as u64);
-        write_u64(&mut header, grid.total_edges() as u64);
-        write_u64(&mut header, grid.metas().len() as u64);
-        for meta in grid.metas() {
-            write_u64(&mut header, meta.coord().src_block as u64);
-            write_u64(&mut header, meta.coord().dst_block as u64);
-            write_u32(&mut header, meta.edge_start());
-            write_u32(&mut header, meta.num_edges() as u32);
-            write_u32(&mut header, meta.unique_source_count() as u32);
-            write_u32(&mut header, meta.unique_destination_count() as u32);
+        let mut payload = Vec::with_capacity(SUMMARY_HEADER_BYTES + summary.metas().len() * 32);
+        write_u64(&mut payload, summary.num_nodes() as u64);
+        write_u64(&mut payload, summary.nodes_per_shard() as u64);
+        write_u64(&mut payload, summary.total_edges() as u64);
+        write_u64(&mut payload, summary.metas().len() as u64);
+        for meta in summary.metas() {
+            write_u64(&mut payload, meta.coord().src_block as u64);
+            write_u64(&mut payload, meta.coord().dst_block as u64);
+            write_u32(&mut payload, meta.edge_start());
+            write_u32(&mut payload, meta.num_edges() as u32);
+            write_u32(&mut payload, meta.unique_source_count() as u32);
+            write_u32(&mut payload, meta.unique_destination_count() as u32);
         }
-        let payload_len = header.len() as u64 + grid.total_edges() as u64 * 8;
-        let chunk_edges = (self.budget.io_buffer_bytes(1) / 8).max(1);
-        let mut chunk = Vec::with_capacity(chunk_edges * 8);
-        // Pass 1: checksum the payload without ever materialising it.
-        let mut hasher = Fnv1a::new();
-        hasher.update(&header);
-        for edges in arena.chunks(chunk_edges) {
-            pack_edges(&mut chunk, edges);
-            hasher.update(&chunk);
-        }
-        // Pass 2: stream envelope + payload through the temp+rename flow.
-        write_artifact_streamed(&path, KIND_GRID, key, payload_len, hasher.finish(), |w| {
-            w.write_all(&header)?;
-            for edges in arena.chunks(chunk_edges) {
-                pack_edges(&mut chunk, edges);
-                w.write_all(&chunk)?;
-            }
-            Ok(())
-        })
+        write_artifact(&path, KIND_GRID, key, &payload)
     }
 
-    /// Loads the shard grid stored under `key`, skipping the scatter and
-    /// metadata pass a fresh [`ShardGrid::build`] pays (the cheap CSR-style
-    /// row/column indexes are rebuilt).
+    /// Loads the shard summary stored under `key`, skipping the metadata
+    /// pass a fresh [`ShardSummary::build`] pays (the cheap CSR-style
+    /// row/column indexes are rebuilt). No edge is read: the artifact holds
+    /// none.
     ///
     /// Returns `Ok(None)` on a clean miss.
     ///
@@ -448,377 +392,40 @@ impl ArtifactCache {
     ///
     /// Returns [`GraphError::CacheArtifact`] for corrupt, stale-version or
     /// mismatched files.
-    pub fn load_grid(&self, key: &str) -> Result<Option<ShardGrid>, GraphError> {
-        self.load_grid_budgeted(key, self.budget)
-    }
-
-    /// [`ArtifactCache::load_grid`] under an explicit [`MemoryBudget`]:
-    /// bounded budgets chunk-load the segmented artifact (header + metadata
-    /// table parsed first, arena streamed through a bounded buffer),
-    /// unbounded budgets deserialise wholesale. Both paths produce
-    /// bit-identical grids and tick the corresponding process-wide
-    /// telemetry counter ([`memory::grid_segment_loads`] /
-    /// [`memory::grid_full_loads`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::CacheArtifact`] for corrupt, stale-version or
-    /// mismatched files.
-    pub fn load_grid_budgeted(
-        &self,
-        key: &str,
-        budget: MemoryBudget,
-    ) -> Result<Option<ShardGrid>, GraphError> {
+    pub fn load_summary(&self, key: &str) -> Result<Option<ShardSummary>, GraphError> {
         let Some(path) = self.file_for("grid", key) else {
             return Ok(None);
         };
         check_fault("cache_read", &path)?;
         let load = || {
-            if budget.is_bounded() {
-                load_grid_segmented(&path, key, budget)
-            } else {
-                load_grid_whole(&path, key)
+            let Some(payload) = read_artifact(&path, KIND_GRID, key)? else {
+                return Ok(None);
+            };
+            let mut r = Reader::new(&payload, &path);
+            let num_nodes = r.u64()? as usize;
+            let nodes_per_shard = r.u64()? as usize;
+            if num_nodes == 0 || nodes_per_shard == 0 {
+                return Err(reject(&path, "degenerate grid dimensions".to_string()));
             }
+            let grid_dim = num_nodes.div_ceil(nodes_per_shard);
+            let total_edges = r.u64()? as usize;
+            let meta_count = r.u64()? as usize;
+            if meta_count.checked_mul(32) != Some(payload.len() - SUMMARY_HEADER_BYTES) {
+                return Err(reject(
+                    &path,
+                    "shard metadata does not fill the payload".to_string(),
+                ));
+            }
+            let metas = parse_grid_metas(&mut r, &path, grid_dim, meta_count, total_edges)?;
+            r.finish()?;
+            Ok(Some(ShardSummary::assemble(
+                num_nodes,
+                nodes_per_shard,
+                metas,
+            )))
         };
-        let result = self.quarantining(&path, load());
-        if matches!(result, Ok(Some(_))) {
-            if budget.is_bounded() {
-                self.recorder.note_grid_segment_load();
-            } else {
-                self.recorder.note_grid_full_load();
-            }
-        }
-        result
+        self.quarantining(&path, load())
     }
-
-    /// Opens the grid stored under `key` *windowed*: the artifact is fully
-    /// validated (envelope, metadata table, arena endpoint ranges, payload
-    /// checksum) in one streaming pass that never materialises the arena,
-    /// and the returned [`ShardGrid`] faults shard extents in through a
-    /// [`ShardWindow`](crate::ShardWindow) of at most `window_bytes` over
-    /// the same validated file handle. Counts as a segmented load in the
-    /// process-wide telemetry (no wholesale deserialisation happens).
-    ///
-    /// Returns `Ok(None)` on a clean miss.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::CacheArtifact`] for corrupt, stale-version or
-    /// mismatched files (quarantined like every other load path).
-    pub fn load_grid_windowed(
-        &self,
-        key: &str,
-        window_bytes: u64,
-    ) -> Result<Option<ShardGrid>, GraphError> {
-        self.load_grid_windowed_in(key, crate::WindowPool::new(window_bytes))
-    }
-
-    /// Like [`ArtifactCache::load_grid_windowed`], but the returned grid's
-    /// window draws residency from `pool` — shared across every windowed
-    /// grid opened with the same pool, so several shardings of one session
-    /// split one budget instead of stacking it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::CacheArtifact`] for corrupt, stale-version or
-    /// mismatched files (quarantined like every other load path).
-    pub fn load_grid_windowed_in(
-        &self,
-        key: &str,
-        pool: Arc<crate::WindowPool>,
-    ) -> Result<Option<ShardGrid>, GraphError> {
-        let Some(path) = self.file_for("grid", key) else {
-            return Ok(None);
-        };
-        check_fault("cache_read", &path)?;
-        let result = self.quarantining(
-            &path,
-            open_grid_windowed(&path, key, pool, self.budget.io_buffer_bytes(1)),
-        );
-        if matches!(result, Ok(Some(_))) {
-            self.recorder.note_grid_segment_load();
-        }
-        result
-    }
-}
-
-/// Wholesale v2 grid load: one `read`, then in-memory parsing.
-fn load_grid_whole(path: &Path, key: &str) -> Result<Option<ShardGrid>, GraphError> {
-    let Some(payload) = read_artifact(path, KIND_GRID, key)? else {
-        return Ok(None);
-    };
-    let mut r = Reader::new(&payload, path);
-    let num_nodes = r.u64()? as usize;
-    let nodes_per_shard = r.u64()? as usize;
-    if num_nodes == 0 || nodes_per_shard == 0 {
-        return Err(reject(path, "degenerate grid dimensions".to_string()));
-    }
-    let grid_dim = num_nodes.div_ceil(nodes_per_shard);
-    let arena_len = r.u64()? as usize;
-    let meta_count = r.u64()? as usize;
-    let metas = parse_grid_metas(&mut r, path, grid_dim, meta_count, arena_len)?;
-    let arena: Vec<Edge> = r
-        .byte_records(arena_len, 8)?
-        .chunks_exact(8)
-        .map(|rec| {
-            Edge::new(
-                u32::from_le_bytes(rec[..4].try_into().expect("4 bytes")),
-                u32::from_le_bytes(rec[4..].try_into().expect("4 bytes")),
-            )
-        })
-        .collect();
-    r.finish()?;
-    if arena
-        .iter()
-        .any(|e| e.src as usize >= num_nodes || e.dst as usize >= num_nodes)
-    {
-        return Err(reject(path, "arena edge endpoint out of range".to_string()));
-    }
-    Ok(Some(ShardGrid::assemble(
-        num_nodes,
-        nodes_per_shard,
-        arena,
-        metas,
-    )))
-}
-
-/// Everything a segmented v2 grid loader needs before touching arena bytes:
-/// the stream positioned at the first arena record, the running payload
-/// hasher, and the parsed header + metadata table. Produced by
-/// [`read_segmented_prefix`], consumed by both the chunk-materialising
-/// loader and the windowed opener.
-struct SegmentedPrefix<'p> {
-    r: StreamReader<'p>,
-    hasher: Fnv1a,
-    checksum: u64,
-    num_nodes: usize,
-    nodes_per_shard: usize,
-    arena_len: usize,
-    arena_bytes: usize,
-    /// Byte offset of the first arena record in the file.
-    arena_offset: u64,
-    metas: Vec<ShardMeta>,
-    /// A second handle on the same (still-being-validated) file, for
-    /// callers that keep reading it after this pass — the handle stays
-    /// valid even if the path is later replaced or removed.
-    file: File,
-}
-
-/// Validates a segmented v2 grid artifact's envelope, payload header and
-/// metadata table through a bounded buffer, stopping at the first arena
-/// byte. Returns `Ok(None)` on a clean miss (no file).
-fn read_segmented_prefix<'p>(
-    path: &'p Path,
-    key: &str,
-    buffer_bytes: usize,
-) -> Result<Option<SegmentedPrefix<'p>>, GraphError> {
-    let file = match File::open(path) {
-        Ok(file) => file,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(reject(path, format!("reading cache artifact: {e}"))),
-    };
-    let file_len = file
-        .metadata()
-        .map_err(|e| reject(path, format!("reading cache artifact: {e}")))?
-        .len();
-    let handle = file
-        .try_clone()
-        .map_err(|e| reject(path, format!("reading cache artifact: {e}")))?;
-    let mut r = StreamReader {
-        reader: BufReader::with_capacity(buffer_bytes, file),
-        path,
-    };
-
-    // Envelope (not covered by the payload checksum).
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(reject(
-            path,
-            "bad magic (not a gnnerator artifact)".to_string(),
-        ));
-    }
-    let version = r.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(reject(
-            path,
-            format!("stale format version {version} (expected {FORMAT_VERSION})"),
-        ));
-    }
-    let stored_kind = r.u8()?;
-    if stored_kind != KIND_GRID {
-        return Err(reject(path, format!("wrong artifact kind {stored_kind}")));
-    }
-    let key_len = r.u32()? as usize;
-    if key_len != key.len() {
-        return Err(reject(
-            path,
-            format!("key mismatch: stored key length {key_len}, requested {key:?}"),
-        ));
-    }
-    let mut stored_key = vec![0u8; key_len];
-    r.read_exact(&mut stored_key)?;
-    if stored_key != key.as_bytes() {
-        return Err(reject(
-            path,
-            format!(
-                "key mismatch: stored {:?}, requested {key:?}",
-                String::from_utf8_lossy(&stored_key)
-            ),
-        ));
-    }
-    let payload_len = r.u64()?;
-    let checksum = r.u64()?;
-    let envelope_len = (4 + 4 + 1 + 4 + key.len() + 8 + 8) as u64;
-    if envelope_len.saturating_add(payload_len) != file_len {
-        return Err(reject(path, "truncated artifact".to_string()));
-    }
-
-    // Payload header: grid dimensions + the per-shard extent table.
-    let mut hasher = Fnv1a::new();
-    let header = r.take_hashed(32.min(payload_len as usize), &mut hasher)?;
-    if header.len() < 32 {
-        return Err(reject(path, "truncated artifact".to_string()));
-    }
-    let mut hr = Reader::new(&header, path);
-    let num_nodes = hr.u64()? as usize;
-    let nodes_per_shard = hr.u64()? as usize;
-    if num_nodes == 0 || nodes_per_shard == 0 {
-        return Err(reject(path, "degenerate grid dimensions".to_string()));
-    }
-    let grid_dim = num_nodes.div_ceil(nodes_per_shard);
-    let arena_len = hr.u64()? as usize;
-    let meta_count = hr.u64()? as usize;
-    let meta_bytes = meta_count
-        .checked_mul(32)
-        .filter(|&b| (b as u64).saturating_add(32) <= payload_len)
-        .ok_or_else(|| reject(path, "shard metadata exceeds the payload".to_string()))?;
-    let arena_bytes = arena_len
-        .checked_mul(8)
-        .filter(|&b| 32 + meta_bytes as u64 + b as u64 == payload_len)
-        .ok_or_else(|| {
-            reject(
-                path,
-                "payload length does not match the segments".to_string(),
-            )
-        })?;
-    let meta_buf = r.take_hashed(meta_bytes, &mut hasher)?;
-    let mut mr = Reader::new(&meta_buf, path);
-    let metas = parse_grid_metas(&mut mr, path, grid_dim, meta_count, arena_len)?;
-    mr.finish()?;
-
-    Ok(Some(SegmentedPrefix {
-        r,
-        hasher,
-        checksum,
-        num_nodes,
-        nodes_per_shard,
-        arena_len,
-        arena_bytes,
-        arena_offset: envelope_len + 32 + meta_bytes as u64,
-        metas,
-        file: handle,
-    }))
-}
-
-/// Segmented v2 grid load: envelope and payload header are read through a
-/// bounded buffer, the metadata table is parsed before any arena byte, and
-/// the arena streams in budget-sized chunks — no whole-file materialisation.
-fn load_grid_segmented(
-    path: &Path,
-    key: &str,
-    budget: MemoryBudget,
-) -> Result<Option<ShardGrid>, GraphError> {
-    let buffer_bytes = budget.io_buffer_bytes(1);
-    let Some(mut p) = read_segmented_prefix(path, key, buffer_bytes)? else {
-        return Ok(None);
-    };
-
-    // Arena: stream in budget-sized chunks, never more than one buffer
-    // resident beyond the arena itself.
-    let mut arena: Vec<Edge> = Vec::with_capacity(p.arena_len);
-    let chunk_edges = (buffer_bytes / 8).max(1);
-    let mut buf = vec![0u8; chunk_edges.min(p.arena_len.max(1)) * 8];
-    let mut remaining_bytes = p.arena_bytes;
-    while remaining_bytes > 0 {
-        let take = remaining_bytes.min(buf.len());
-        let bytes = &mut buf[..take];
-        p.r.read_exact(bytes)?;
-        p.hasher.update(bytes);
-        for rec in bytes.chunks_exact(8) {
-            let edge = Edge::new(
-                u32::from_le_bytes(rec[..4].try_into().expect("4 bytes")),
-                u32::from_le_bytes(rec[4..].try_into().expect("4 bytes")),
-            );
-            if edge.src as usize >= p.num_nodes || edge.dst as usize >= p.num_nodes {
-                return Err(reject(path, "arena edge endpoint out of range".to_string()));
-            }
-            arena.push(edge);
-        }
-        remaining_bytes -= take;
-    }
-    p.r.expect_eof()?;
-    if p.hasher.finish() != p.checksum {
-        return Err(reject(path, "payload checksum mismatch".to_string()));
-    }
-    Ok(Some(ShardGrid::assemble(
-        p.num_nodes,
-        p.nodes_per_shard,
-        arena,
-        p.metas,
-    )))
-}
-
-/// Windowed v2 grid open: the same streaming validation pass as
-/// [`load_grid_segmented`] (every arena byte is endpoint-checked and
-/// checksummed through a bounded buffer) but the decoded edges are
-/// *discarded* — the grid keeps only the metadata plus a bounded
-/// [`crate::ShardWindow`] over the validated file handle, and shard extents
-/// are `pread` back in on demand during traversal.
-fn open_grid_windowed(
-    path: &Path,
-    key: &str,
-    pool: Arc<crate::WindowPool>,
-    buffer_bytes: usize,
-) -> Result<Option<ShardGrid>, GraphError> {
-    let Some(mut p) = read_segmented_prefix(path, key, buffer_bytes)? else {
-        return Ok(None);
-    };
-
-    let chunk_edges = (buffer_bytes / 8).max(1);
-    let mut buf = vec![0u8; chunk_edges.min(p.arena_len.max(1)) * 8];
-    let mut remaining_bytes = p.arena_bytes;
-    while remaining_bytes > 0 {
-        let take = remaining_bytes.min(buf.len());
-        let bytes = &mut buf[..take];
-        p.r.read_exact(bytes)?;
-        p.hasher.update(bytes);
-        for rec in bytes.chunks_exact(8) {
-            let src = u32::from_le_bytes(rec[..4].try_into().expect("4 bytes"));
-            let dst = u32::from_le_bytes(rec[4..].try_into().expect("4 bytes"));
-            if src as usize >= p.num_nodes || dst as usize >= p.num_nodes {
-                return Err(reject(path, "arena edge endpoint out of range".to_string()));
-            }
-        }
-        remaining_bytes -= take;
-    }
-    p.r.expect_eof()?;
-    if p.hasher.finish() != p.checksum {
-        return Err(reject(path, "payload checksum mismatch".to_string()));
-    }
-    let window = crate::ShardWindow::with_pool(
-        p.file,
-        path.to_path_buf(),
-        p.arena_offset,
-        p.arena_len,
-        pool,
-    );
-    Ok(Some(ShardGrid::assemble_windowed(
-        p.num_nodes,
-        p.nodes_per_shard,
-        window,
-        p.metas,
-    )))
 }
 
 /// Parses `meta_count` shard-metadata records, validating coordinates and
@@ -830,7 +437,7 @@ fn parse_grid_metas(
     meta_count: usize,
     arena_len: usize,
 ) -> Result<Vec<ShardMeta>, GraphError> {
-    let mut metas = Vec::with_capacity(meta_count);
+    let mut metas: Vec<ShardMeta> = Vec::with_capacity(meta_count);
     let mut expected_start = 0u64;
     for _ in 0..meta_count {
         let src_block = r.u64()? as usize;
@@ -842,6 +449,10 @@ fn parse_grid_metas(
         if src_block >= grid_dim || dst_block >= grid_dim {
             return Err(reject(path, "shard coordinate out of range".to_string()));
         }
+        let coord = ShardCoord::new(src_block, dst_block);
+        if metas.last().is_some_and(|prev| prev.coord() >= coord) {
+            return Err(reject(path, "shard metadata is not row-major".to_string()));
+        }
         if num_edges == 0 || u64::from(edge_start) != expected_start {
             return Err(reject(
                 path,
@@ -850,7 +461,7 @@ fn parse_grid_metas(
         }
         expected_start += u64::from(num_edges);
         metas.push(ShardMeta::from_raw(
-            ShardCoord::new(src_block, dst_block),
+            coord,
             edge_start,
             num_edges,
             unique_sources,
@@ -894,44 +505,13 @@ fn kind_from_tag(tag: u8) -> Option<DatasetKind> {
     }
 }
 
-/// Incremental FNV-1a 64-bit: a small, stable, dependency-free checksum. Not
+/// FNV-1a 64-bit: a small, stable, dependency-free checksum. Not
 /// cryptographic — it guards against torn writes and bit rot, not attackers
 /// (the cache directory is as trusted as the build directory it lives in).
-/// The incremental form lets the streaming store/load paths checksum a
-/// payload they never hold in one buffer.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// One-shot FNV-1a 64 over a contiguous buffer.
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hasher = Fnv1a::new();
-    hasher.update(bytes);
-    hasher.finish()
-}
-
-/// Re-fills `buf` with the little-endian wire form of `edges`.
-fn pack_edges(buf: &mut Vec<u8>, edges: &[Edge]) {
-    buf.clear();
-    for e in edges {
-        buf.extend_from_slice(&e.src.to_le_bytes());
-        buf.extend_from_slice(&e.dst.to_le_bytes());
-    }
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// The pure `GNNERATOR_CACHE` policy: `None` (unset) selects the default
@@ -1088,28 +668,6 @@ fn is_corrupt_artifact_name(name: &str) -> bool {
 
 /// Writes a complete artifact file atomically (temp file + rename).
 fn write_artifact(path: &Path, kind: u8, key: &str, payload: &[u8]) -> Result<(), GraphError> {
-    write_artifact_streamed(
-        path,
-        kind,
-        key,
-        payload.len() as u64,
-        fnv1a64(payload),
-        |w| w.write_all(payload),
-    )
-}
-
-/// Streams an artifact file atomically (temp file + rename): the envelope is
-/// written from the pre-computed payload length and checksum, then `emit`
-/// produces the payload bytes through the buffered writer — the payload is
-/// never required to exist as one contiguous buffer.
-fn write_artifact_streamed(
-    path: &Path,
-    kind: u8,
-    key: &str,
-    payload_len: u64,
-    checksum: u64,
-    emit: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
-) -> Result<(), GraphError> {
     check_fault("cache_write", path)?;
     let io_err = |what: &str, e: std::io::Error| reject(path, format!("{what}: {e}"));
     let dir = path.parent().expect("cache files always live under a root");
@@ -1124,9 +682,9 @@ fn write_artifact_streamed(
         w.write_all(&[kind])?;
         w.write_all(&(key.len() as u32).to_le_bytes())?;
         w.write_all(key.as_bytes())?;
-        w.write_all(&payload_len.to_le_bytes())?;
-        w.write_all(&checksum.to_le_bytes())?;
-        emit(&mut w)?;
+        w.write_all(&(payload.len() as u64).to_le_bytes())?;
+        w.write_all(&fnv1a64(payload).to_le_bytes())?;
+        w.write_all(payload)?;
         w.flush()
     };
     if let Err(e) = write(&temp) {
@@ -1255,70 +813,10 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Bounded-buffer file reader with typed cache errors — the segmented
-/// grid-load path's counterpart to [`Reader`].
-struct StreamReader<'a> {
-    reader: BufReader<File>,
-    path: &'a Path,
-}
-
-impl StreamReader<'_> {
-    fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), GraphError> {
-        self.reader.read_exact(buf).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                reject(self.path, "truncated artifact".to_string())
-            } else {
-                reject(self.path, format!("reading cache artifact: {e}"))
-            }
-        })
-    }
-
-    fn u8(&mut self) -> Result<u8, GraphError> {
-        let mut b = [0u8; 1];
-        self.read_exact(&mut b)?;
-        Ok(b[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, GraphError> {
-        let mut b = [0u8; 4];
-        self.read_exact(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64, GraphError> {
-        let mut b = [0u8; 8];
-        self.read_exact(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Reads `n` bytes, feeding them to the payload checksum.
-    fn take_hashed(&mut self, n: usize, hasher: &mut Fnv1a) -> Result<Vec<u8>, GraphError> {
-        let mut buf = vec![0u8; n];
-        self.read_exact(&mut buf)?;
-        hasher.update(&buf);
-        Ok(buf)
-    }
-
-    /// Asserts the file holds no bytes past the payload (the streaming
-    /// counterpart of [`Reader::finish`]).
-    fn expect_eof(&mut self) -> Result<(), GraphError> {
-        let mut b = [0u8; 1];
-        match self.reader.read(&mut b) {
-            Ok(0) => Ok(()),
-            Ok(_) => Err(reject(
-                self.path,
-                "trailing bytes after payload".to_string(),
-            )),
-            Err(e) => Err(reject(self.path, format!("reading cache artifact: {e}"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::memory;
     use std::sync::atomic::AtomicUsize;
 
     static TEST_DIR_NONCE: AtomicUsize = AtomicUsize::new(0);
@@ -1356,12 +854,12 @@ mod tests {
     fn grid_round_trips_bit_identically() {
         let (cache, dir) = temp_cache("grid");
         let edges = generators::rmat(200, 900, 3).unwrap();
-        let grid = ShardGrid::build(&edges, 32).unwrap();
+        let grid = ShardSummary::build(&edges, 32, false).unwrap();
         let key = ArtifactCache::grid_key("dataset/test/seed3", 32, false);
-        assert!(cache.load_grid(&key).unwrap().is_none());
-        cache.store_grid(&key, &grid).unwrap();
-        let loaded = cache.load_grid(&key).unwrap().expect("hit");
-        assert_eq!(loaded, grid, "same arena, metas and indexes");
+        assert!(cache.load_summary(&key).unwrap().is_none());
+        cache.store_summary(&key, &grid).unwrap();
+        let loaded = cache.load_summary(&key).unwrap().expect("hit");
+        assert_eq!(loaded, grid, "same metas and indexes");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1369,9 +867,9 @@ mod tests {
     fn corrupted_payload_is_a_typed_error() {
         let (cache, dir) = temp_cache("corrupt");
         let edges = generators::rmat(100, 400, 1).unwrap();
-        let grid = ShardGrid::build(&edges, 16).unwrap();
+        let grid = ShardSummary::build(&edges, 16, false).unwrap();
         let key = ArtifactCache::grid_key("g", 16, false);
-        cache.store_grid(&key, &grid).unwrap();
+        cache.store_summary(&key, &grid).unwrap();
 
         // Flip one payload byte on disk.
         let file = std::fs::read_dir(&dir)
@@ -1386,7 +884,7 @@ mod tests {
         std::fs::write(&file, bytes).unwrap();
 
         assert!(matches!(
-            cache.load_grid(&key),
+            cache.load_summary(&key),
             Err(GraphError::CacheArtifact { .. })
         ));
         // The failing load quarantined the file: the original name is gone,
@@ -1395,10 +893,10 @@ mod tests {
         assert!(!file.exists(), "corrupt artifact must be renamed away");
         assert!(file.with_extension("corrupt").exists());
         assert_eq!(cache.corrupt_artifacts(), 1);
-        assert!(cache.load_grid(&key).unwrap().is_none());
+        assert!(cache.load_summary(&key).unwrap().is_none());
         // The key is rebuildable: a fresh store publishes a good artifact.
-        cache.store_grid(&key, &grid).unwrap();
-        assert_eq!(cache.load_grid(&key).unwrap().expect("hit"), grid);
+        cache.store_summary(&key, &grid).unwrap();
+        assert_eq!(cache.load_summary(&key).unwrap().expect("hit"), grid);
         assert_eq!(cache.corrupt_artifacts(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1407,9 +905,9 @@ mod tests {
     fn stale_version_and_wrong_key_are_typed_errors() {
         let (cache, dir) = temp_cache("stale");
         let edges = generators::rmat(100, 400, 1).unwrap();
-        let grid = ShardGrid::build(&edges, 16).unwrap();
+        let grid = ShardSummary::build(&edges, 16, false).unwrap();
         let key = ArtifactCache::grid_key("g", 16, false);
-        cache.store_grid(&key, &grid).unwrap();
+        cache.store_summary(&key, &grid).unwrap();
         let file = std::fs::read_dir(&dir)
             .unwrap()
             .next()
@@ -1421,23 +919,23 @@ mod tests {
         let mut bytes = std::fs::read(&file).unwrap();
         bytes[4] = bytes[4].wrapping_add(1);
         std::fs::write(&file, &bytes).unwrap();
-        let err = cache.load_grid(&key).unwrap_err();
+        let err = cache.load_summary(&key).unwrap_err();
         assert!(err.to_string().contains("stale format version"), "{err}");
 
         // Restore the version but corrupt the key bytes.
         bytes[4] = bytes[4].wrapping_sub(1);
         bytes[13] ^= 0xff; // first key byte (4 magic + 4 version + 1 kind + 4 len)
         std::fs::write(&file, &bytes).unwrap();
-        let err = cache.load_grid(&key).unwrap_err();
+        let err = cache.load_summary(&key).unwrap_err();
         assert!(err.to_string().contains("key mismatch"), "{err}");
 
         // Truncation is caught too.
         std::fs::write(&file, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(cache.load_grid(&key).is_err());
+        assert!(cache.load_summary(&key).is_err());
 
         // Not an artifact at all.
         std::fs::write(&file, b"definitely not a cache file").unwrap();
-        let err = cache.load_grid(&key).unwrap_err();
+        let err = cache.load_summary(&key).unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1451,9 +949,9 @@ mod tests {
         let dataset = spec.synthesize(1).unwrap();
         cache.store_dataset(&dataset).unwrap();
         assert!(cache.load_dataset(&spec, 1).unwrap().is_none());
-        let grid = ShardGrid::build(&dataset.edge_list, 16).unwrap();
-        cache.store_grid("k", &grid).unwrap();
-        assert!(cache.load_grid("k").unwrap().is_none());
+        let grid = ShardSummary::build(&dataset.edge_list, 16, false).unwrap();
+        cache.store_summary("k", &grid).unwrap();
+        assert!(cache.load_summary("k").unwrap().is_none());
     }
 
     #[test]
@@ -1498,9 +996,9 @@ mod tests {
         let (cache, dir) = temp_cache("sweep");
         // Publish a real artifact so the directory holds a `.bin` file.
         let edges = generators::rmat(100, 400, 1).unwrap();
-        let grid = ShardGrid::build(&edges, 16).unwrap();
+        let grid = ShardSummary::build(&edges, 16, false).unwrap();
         let key = ArtifactCache::grid_key("g", 16, false);
-        cache.store_grid(&key, &grid).unwrap();
+        cache.store_summary(&key, &grid).unwrap();
 
         // Simulate a writer killed between write and rename.
         let orphan = dir.join("ds-deadbeefdeadbeef.tmp.99999.3");
@@ -1511,14 +1009,17 @@ mod tests {
         // A freshly opened cache (1-hour window) keeps the young orphan.
         let reopened = ArtifactCache::new(&dir);
         assert!(orphan.exists(), "young temp files must not be swept");
-        assert!(reopened.load_grid(&key).unwrap().is_some());
+        assert!(reopened.load_summary(&key).unwrap().is_some());
 
         // With a zero safety window the orphan is stale and is deleted;
         // published artifacts and unrelated files are untouched.
         sweep_stale_temp_files(&dir, std::time::Duration::ZERO);
         assert!(!orphan.exists(), "stale temp files accumulate forever");
         assert!(unrelated.exists());
-        assert!(ArtifactCache::new(&dir).load_grid(&key).unwrap().is_some());
+        assert!(ArtifactCache::new(&dir)
+            .load_summary(&key)
+            .unwrap()
+            .is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1556,9 +1057,9 @@ mod tests {
     fn abandoned_spill_run_files_are_swept_like_orphaned_temps() {
         let (cache, dir) = temp_cache("spill-sweep");
         let edges = generators::rmat(100, 400, 1).unwrap();
-        let grid = ShardGrid::build(&edges, 16).unwrap();
+        let grid = ShardSummary::build(&edges, 16, false).unwrap();
         let key = ArtifactCache::grid_key("g", 16, false);
-        cache.store_grid(&key, &grid).unwrap();
+        cache.store_summary(&key, &grid).unwrap();
 
         // Simulate a builder killed mid-spill.
         let abandoned = dir.join("spill-99999-17.run");
@@ -1571,7 +1072,10 @@ mod tests {
 
         sweep_stale_temp_files(&dir, std::time::Duration::ZERO);
         assert!(!abandoned.exists(), "stale run-files accumulate forever");
-        assert!(ArtifactCache::new(&dir).load_grid(&key).unwrap().is_some());
+        assert!(ArtifactCache::new(&dir)
+            .load_summary(&key)
+            .unwrap()
+            .is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1599,9 +1103,9 @@ mod tests {
     fn stale_quarantine_files_are_swept_but_young_ones_survive() {
         let (cache, dir) = temp_cache("corrupt-sweep");
         let edges = generators::rmat(100, 400, 1).unwrap();
-        let grid = ShardGrid::build(&edges, 16).unwrap();
+        let grid = ShardSummary::build(&edges, 16, false).unwrap();
         let key = ArtifactCache::grid_key("g", 16, false);
-        cache.store_grid(&key, &grid).unwrap();
+        cache.store_summary(&key, &grid).unwrap();
 
         // Quarantine the artifact for real by corrupting it.
         let file = std::fs::read_dir(&dir)
@@ -1614,7 +1118,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         std::fs::write(&file, bytes).unwrap();
-        assert!(cache.load_grid(&key).is_err());
+        assert!(cache.load_summary(&key).is_err());
         let quarantined = file.with_extension("corrupt");
         assert!(quarantined.exists());
 
@@ -1625,178 +1129,53 @@ mod tests {
 
         // Past the safety window it is reaped instead of accumulating
         // forever; a republished artifact is untouched.
-        cache.store_grid(&key, &grid).unwrap();
+        cache.store_summary(&key, &grid).unwrap();
         sweep_stale_temp_files(&dir, std::time::Duration::ZERO);
         assert!(
             !quarantined.exists(),
             "stale quarantines accumulate forever"
         );
-        assert!(ArtifactCache::new(&dir).load_grid(&key).unwrap().is_some());
+        assert!(ArtifactCache::new(&dir)
+            .load_summary(&key)
+            .unwrap()
+            .is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn windowed_load_is_bit_identical_to_resident_loads() {
-        let (cache, dir) = temp_cache("windowed");
-        // A recorder of its own: tests running in parallel also load grids,
-        // so the process-global counters can move under this test.
-        let cache = cache.with_recorder(Recorder::detached());
-        let edges = generators::rmat(300, 1400, 5).unwrap();
-        let grid = ShardGrid::build(&edges, 32).unwrap();
-        let key = ArtifactCache::grid_key("dataset/win/seed5", 32, false);
-        assert!(cache.load_grid_windowed(&key, 1 << 20).unwrap().is_none());
-        cache.store_grid(&key, &grid).unwrap();
-        let whole = cache
-            .load_grid_budgeted(&key, MemoryBudget::unbounded())
-            .unwrap()
-            .expect("hit");
-        let largest = grid.max_shard_edges() as u64 * 8;
-        let arena = grid.total_edges() as u64 * 8;
-        // Window sizes: always-stream, one max shard, exact fit, oversized.
-        for window_bytes in [0, largest, arena, 1 << 30] {
-            let before = cache.recorder().memory_stats();
-            let windowed = cache
-                .load_grid_windowed(&key, window_bytes)
-                .unwrap()
-                .expect("hit");
-            assert!(windowed.is_windowed());
-            let after = cache.recorder().memory_stats();
-            assert!(
-                after.grid_segment_loads > before.grid_segment_loads,
-                "windowed opens count as segmented loads"
-            );
-            assert_eq!(after.grid_full_loads, before.grid_full_loads);
-            assert_eq!(windowed, whole, "window {window_bytes}");
-            assert_eq!(windowed, grid, "window {window_bytes}");
-            assert_eq!(windowed.window().unwrap().window_bytes(), window_bytes);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn windowed_load_rejects_and_quarantines_corruption_up_front() {
-        let (cache, dir) = temp_cache("windowed-corrupt");
-        let edges = generators::rmat(200, 900, 3).unwrap();
-        let grid = ShardGrid::build(&edges, 32).unwrap();
-        let key = ArtifactCache::grid_key("wc", 32, false);
-        cache.store_grid(&key, &grid).unwrap();
-        let file = std::fs::read_dir(&dir)
-            .unwrap()
-            .next()
-            .unwrap()
-            .unwrap()
-            .path();
-        let mut bytes = std::fs::read(&file).unwrap();
-        // Flip one arena byte: the open-time validation pass must catch it
-        // even though the windowed grid would never materialise the arena.
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        std::fs::write(&file, bytes).unwrap();
-
-        assert!(matches!(
-            cache.load_grid_windowed(&key, 1 << 20),
-            Err(GraphError::CacheArtifact { .. })
-        ));
-        assert!(!file.exists(), "must be renamed away");
-        assert!(file.with_extension("corrupt").exists());
-        assert_eq!(cache.corrupt_artifacts(), 1);
-        assert!(cache.load_grid_windowed(&key, 1 << 20).unwrap().is_none());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn storing_a_windowed_grid_is_rejected() {
-        let (cache, dir) = temp_cache("windowed-store");
-        let edges = generators::rmat(100, 400, 1).unwrap();
-        let grid = ShardGrid::build(&edges, 16).unwrap();
-        let key = ArtifactCache::grid_key("ws", 16, false);
-        cache.store_grid(&key, &grid).unwrap();
-        let windowed = cache
-            .load_grid_windowed(&key, 1 << 20)
-            .unwrap()
-            .expect("hit");
-        let err = cache.store_grid(&key, &windowed).unwrap_err();
-        assert!(err.to_string().contains("windowed"), "{err}");
-        // The published artifact is untouched.
-        assert_eq!(cache.load_grid(&key).unwrap().expect("hit"), grid);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn segmented_load_is_bit_identical_to_wholesale() {
-        let (cache, dir) = temp_cache("segmented");
-        let edges = generators::rmat(300, 1400, 5).unwrap();
-        let grid = ShardGrid::build(&edges, 32).unwrap();
-        let key = ArtifactCache::grid_key("dataset/seg/seed5", 32, false);
-        cache.store_grid(&key, &grid).unwrap();
-        let whole = cache
-            .load_grid_budgeted(&key, MemoryBudget::unbounded())
-            .unwrap()
-            .expect("hit");
-        // Budgets straddling the buffer clamp: zero (minimum 4 KiB buffer),
-        // one smaller than the arena, one larger than the whole file.
-        for budget in [0u64, 8 << 10, 1 << 30] {
-            let segmented = cache
-                .load_grid_budgeted(&key, MemoryBudget::bytes(budget))
-                .unwrap()
-                .expect("hit");
-            assert_eq!(segmented, whole, "budget {budget}");
-            assert_eq!(segmented, grid, "budget {budget}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn segmented_load_ticks_telemetry() {
-        let (cache, dir) = temp_cache("seg-telemetry");
-        let edges = generators::rmat(100, 400, 2).unwrap();
-        let grid = ShardGrid::build(&edges, 16).unwrap();
-        let key = ArtifactCache::grid_key("t", 16, false);
-        cache.store_grid(&key, &grid).unwrap();
-        let before = memory::memory_telemetry();
-        cache
-            .load_grid_budgeted(&key, MemoryBudget::bytes(4 << 10))
-            .unwrap()
-            .expect("hit");
-        cache
-            .load_grid_budgeted(&key, MemoryBudget::unbounded())
-            .unwrap()
-            .expect("hit");
-        let after = memory::memory_telemetry();
-        assert!(after.grid_segment_loads > before.grid_segment_loads);
-        assert!(after.grid_full_loads > before.grid_full_loads);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_segmented_artifacts_are_typed_errors_and_quarantined() {
-        let budget = MemoryBudget::bytes(4 << 10);
-        // Truncation, a flipped arena byte, and a flipped header byte each
-        // surface as typed errors through the chunked path and quarantine
-        // the file as `<name>.corrupt`.
-        for case in 0..3 {
-            let (cache, dir) = temp_cache("seg-corrupt");
+    fn corrupt_summary_artifacts_are_typed_errors_and_quarantined() {
+        // Truncation, a flipped record byte, a flipped header byte, and a
+        // correctly checksummed table that is not row-major each surface as
+        // typed errors and quarantine the file as `<name>.corrupt`.
+        for case in 0..4 {
+            let (cache, dir) = temp_cache("summary-corrupt");
             let edges = generators::rmat(200, 900, 3).unwrap();
-            let grid = ShardGrid::build(&edges, 32).unwrap();
+            let summary = ShardSummary::build(&edges, 32, false).unwrap();
             let key = ArtifactCache::grid_key("sc", 32, false);
-            cache.store_grid(&key, &grid).unwrap();
-            let file = std::fs::read_dir(&dir)
-                .unwrap()
-                .next()
-                .unwrap()
-                .unwrap()
-                .path();
+            cache.store_summary(&key, &summary).unwrap();
+            let file = cache.file_for("grid", &key).unwrap();
             let mut bytes = std::fs::read(&file).unwrap();
             match case {
                 0 => bytes.truncate(bytes.len() - 16),
                 1 => *bytes.last_mut().unwrap() ^= 0xff,
-                _ => bytes[40] ^= 0x01,
+                2 => bytes[40] ^= 0x01,
+                _ => {
+                    // Swap the first two shard records and re-checksum: the
+                    // envelope is valid, the table order is not.
+                    let payload_start = bytes.len() - (32 + summary.metas().len() * 32);
+                    let mut payload = bytes[payload_start..].to_vec();
+                    let (first, rest) = payload[32..].split_at_mut(32);
+                    first.swap_with_slice(&mut rest[..32]);
+                    bytes.truncate(payload_start - 8);
+                    bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+                    bytes.append(&mut payload);
+                }
             }
             std::fs::write(&file, &bytes).unwrap();
 
             assert!(
                 matches!(
-                    cache.load_grid_budgeted(&key, budget),
+                    cache.load_summary(&key),
                     Err(GraphError::CacheArtifact { .. })
                 ),
                 "case {case}"
@@ -1804,18 +1183,32 @@ mod tests {
             assert!(!file.exists(), "case {case}: must be renamed away");
             assert!(file.with_extension("corrupt").exists(), "case {case}");
             assert_eq!(cache.corrupt_artifacts(), 1, "case {case}");
-            assert!(cache.load_grid_budgeted(&key, budget).unwrap().is_none());
+            assert!(cache.load_summary(&key).unwrap().is_none());
             // Rebuildable after quarantine.
-            cache.store_grid(&key, &grid).unwrap();
-            assert_eq!(
-                cache
-                    .load_grid_budgeted(&key, budget)
-                    .unwrap()
-                    .expect("hit"),
-                grid
-            );
+            cache.store_summary(&key, &summary).unwrap();
+            assert_eq!(cache.load_summary(&key).unwrap().expect("hit"), summary);
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn summary_artifacts_hold_no_edges() {
+        let (cache, dir) = temp_cache("summary-size");
+        let edges = generators::rmat(2000, 20_000, 4).unwrap();
+        let summary = ShardSummary::build(&edges, 256, true).unwrap();
+        let key = ArtifactCache::grid_key("size", 256, true);
+        cache.store_summary(&key, &summary).unwrap();
+        let file_len = std::fs::metadata(cache.file_for("grid", &key).unwrap())
+            .unwrap()
+            .len();
+        let envelope = (4 + 4 + 1 + 4 + key.len() + 8 + 8) as u64;
+        assert_eq!(
+            file_len,
+            envelope + 32 + 32 * summary.occupied_shards() as u64,
+            "header plus one record per occupied shard"
+        );
+        assert!(file_len < summary.total_edges() as u64 * 8);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1863,27 +1256,29 @@ mod tests {
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
-        /// Any truncation or single-bit flip of a stored artifact is (a)
-        /// detected as a typed cache error — never misread as data — and
-        /// (b) quarantined, so the follow-up load is a clean miss and a
-        /// fresh store round-trips again.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+        /// Any truncation or single-bit flip of a stored artifact — a shard
+        /// summary or a dataset — is (a) detected as a typed cache error,
+        /// never misread as data, and (b) quarantined, so the follow-up load
+        /// is a clean miss and a fresh store round-trips again.
         #[test]
         fn truncation_and_bit_flips_are_detected_and_quarantined(
             position in 0usize..1_000_000,
             mode in 0usize..2,
+            dataset in 0usize..2,
         ) {
             let (cache, dir) = temp_cache("prop-corrupt");
-            let edges = generators::rmat(120, 500, 2).unwrap();
-            let grid = ShardGrid::build(&edges, 16).unwrap();
-            let key = ArtifactCache::grid_key("prop", 16, false);
-            cache.store_grid(&key, &grid).unwrap();
-            let file = std::fs::read_dir(&dir)
-                .unwrap()
-                .next()
-                .unwrap()
-                .unwrap()
-                .path();
+            let spec = DatasetKind::Cora.spec().scaled(0.01);
+            let stored = spec.synthesize(2).unwrap();
+            let summary = ShardSummary::build(&stored.edge_list, 8, true).unwrap();
+            let key = ArtifactCache::grid_key("prop", 8, true);
+            let file = if dataset == 1 {
+                cache.store_dataset(&stored).unwrap();
+                cache.file_for("ds", &ArtifactCache::dataset_key(&spec, 2)).unwrap()
+            } else {
+                cache.store_summary(&key, &summary).unwrap();
+                cache.file_for("grid", &key).unwrap()
+            };
             let bytes = std::fs::read(&file).unwrap();
             let mutated = if mode == 0 {
                 // Truncate to a strict prefix (possibly empty).
@@ -1897,7 +1292,14 @@ mod tests {
             };
             std::fs::write(&file, &mutated).unwrap();
 
-            let outcome = cache.load_grid(&key);
+            let reload = || -> Result<bool, GraphError> {
+                Ok(if dataset == 1 {
+                    cache.load_dataset(&spec, 2)?.is_some()
+                } else {
+                    cache.load_summary(&key)?.is_some()
+                })
+            };
+            let outcome = reload();
             proptest::prop_assert!(
                 matches!(outcome, Err(GraphError::CacheArtifact { .. })),
                 "mutated artifact must be a typed error, got {outcome:?}"
@@ -1906,9 +1308,17 @@ mod tests {
             proptest::prop_assert!(file.with_extension("corrupt").exists());
             proptest::prop_assert_eq!(cache.corrupt_artifacts(), 1);
             // Quarantined means the key is a clean miss, and rebuildable.
-            proptest::prop_assert!(cache.load_grid(&key).unwrap().is_none());
-            cache.store_grid(&key, &grid).unwrap();
-            proptest::prop_assert_eq!(cache.load_grid(&key).unwrap().expect("hit"), grid);
+            proptest::prop_assert!(!reload().unwrap());
+            if dataset == 1 {
+                cache.store_dataset(&stored).unwrap();
+                proptest::prop_assert_eq!(
+                    cache.load_dataset(&spec, 2).unwrap().expect("hit").edge_list,
+                    stored.edge_list
+                );
+            } else {
+                cache.store_summary(&key, &summary).unwrap();
+                proptest::prop_assert_eq!(cache.load_summary(&key).unwrap().expect("hit"), summary);
+            }
             std::fs::remove_dir_all(&dir).ok();
         }
     }

@@ -237,7 +237,8 @@ impl EdgeList {
         self.edges = merge_sorted_unique(
             forward.into_iter().filter(|e| e.src != e.dst),
             reversed.into_iter(),
-        );
+        )
+        .collect();
         self.sorted = true;
     }
 
@@ -257,7 +258,7 @@ impl EdgeList {
             return;
         }
         let existing = std::mem::take(&mut self.edges);
-        self.edges = merge_sorted_unique(existing.into_iter(), loops);
+        self.edges = merge_sorted_unique(existing.into_iter(), loops).collect();
         self.sorted = true;
     }
 
@@ -280,31 +281,27 @@ impl EdgeList {
     }
 }
 
-/// Merges two individually sorted edge sequences into one sorted vector,
-/// dropping duplicates (within and across the inputs).
-fn merge_sorted_unique(a: impl Iterator<Item = Edge>, b: impl Iterator<Item = Edge>) -> Vec<Edge> {
+/// Merges two individually sorted edge sequences into one sorted sequence,
+/// dropping duplicates (within and across the inputs), lazily.
+pub(crate) fn merge_sorted_unique(
+    a: impl Iterator<Item = Edge>,
+    b: impl Iterator<Item = Edge>,
+) -> impl Iterator<Item = Edge> {
     let mut a = a.peekable();
     let mut b = b.peekable();
-    let mut out: Vec<Edge> = Vec::new();
-    loop {
+    let mut last: Option<Edge> = None;
+    std::iter::from_fn(move || loop {
         let next = match (a.peek(), b.peek()) {
-            (Some(&x), Some(&y)) => {
-                if x <= y {
-                    a.next()
-                } else {
-                    b.next()
-                }
-            }
+            (Some(&x), Some(&y)) if x <= y => a.next(),
+            (Some(_), Some(_)) => b.next(),
             (Some(_), None) => a.next(),
-            (None, Some(_)) => b.next(),
-            (None, None) => break,
-        };
-        let next = next.expect("peeked a value");
-        if out.last() != Some(&next) {
-            out.push(next);
+            (None, _) => b.next(),
+        }?;
+        if last != Some(next) {
+            last = Some(next);
+            return Some(next);
         }
-    }
-    out
+    })
 }
 
 impl<'a> IntoIterator for &'a EdgeList {

@@ -21,14 +21,16 @@
 //!   in for the real datasets,
 //! * [`datasets`] — the Table II dataset specifications (plus an ogbn-scale
 //!   extension) and synthesisers,
-//! * [`ShardGrid`] — the 2-D shard grid, stored sparsely as one sorted edge
-//!   arena plus per-occupied-shard [`ShardMeta`], with source-/destination-
-//!   stationary traversal orders that skip empty cells; under a bounded
-//!   budget (or an explicit [`GridResidency`]) the arena stays on disk and
-//!   shard extents are faulted through a bounded LRU [`ShardWindow`],
+//! * [`ShardSummary`] — the 2-D shard grid as the timing model sees it: one
+//!   [`ShardMeta`] per occupied shard (edge count, distinct endpoints) plus
+//!   row/column indexes, with source-/destination-stationary traversal
+//!   orders that skip empty cells, built in one linear pass and holding no
+//!   edges; [`ShardGrid`] adds the sorted edge arena for the value-level
+//!   executors,
 //! * [`ArtifactCache`] — a persistent, checksummed on-disk store of
-//!   synthesised datasets and shard grids, keyed by `(spec, seed)` and shard
-//!   parameters, so repeated harness runs skip synthesis and re-sharding,
+//!   synthesised datasets and shard summaries, keyed by `(spec, seed)` and
+//!   shard parameters, so repeated harness runs skip synthesis and
+//!   re-sharding,
 //! * [`GraphStats`] — degree and locality statistics used in reports.
 //!
 //! # Examples
@@ -67,15 +69,11 @@ pub use edge_builder::{EdgeListBuilder, DEFAULT_CHUNK_CAPACITY};
 pub use edge_list::{Edge, EdgeList};
 pub use error::GraphError;
 pub use features::NodeFeatures;
-pub use memory::{
-    memory_telemetry, GridResidency, MemoryBudget, MemoryTelemetry, GRID_RESIDENCY_ENV_VAR,
-    MEM_BUDGET_ENV_VAR,
-};
+pub use memory::{memory_telemetry, MemoryBudget, MemoryTelemetry, MEM_BUDGET_ENV_VAR};
 pub use plan_cache::{PlanKey, ShardPlanCache};
 pub use shard::{
-    EdgeSegment, OccupiedTraversal, SerpentineCoords, ShardCoord, ShardGrid, ShardMeta, ShardView,
-    ShardWindow, TraversalOrder, WindowPool, WindowStats, BYTES_PER_EDGE,
-    BYTES_PER_FEATURE_ELEMENT,
+    OccupiedTraversal, SerpentineCoords, ShardCoord, ShardGrid, ShardMeta, ShardSummary, ShardView,
+    TraversalOrder, BYTES_PER_EDGE, BYTES_PER_FEATURE_ELEMENT,
 };
 pub use stats::GraphStats;
 

@@ -1,21 +1,20 @@
 //! Memory budgeting for the out-of-core graph pipeline.
 //!
 //! A [`MemoryBudget`] caps how many bytes the graph path may keep resident
-//! while building edge lists ([`EdgeListBuilder`](crate::EdgeListBuilder)
-//! spills sealed chunks to disk run-files beyond the cap) and while loading
-//! cached shard grids ([`ArtifactCache`](crate::ArtifactCache) switches from
-//! wholesale deserialisation to bounded chunk reads). The budget is a
-//! *pipeline* cap: the finished [`EdgeList`](crate::EdgeList) and
-//! [`ShardGrid`](crate::ShardGrid) the simulator consumes are still fully
+//! while building edge lists: [`EdgeListBuilder`](crate::EdgeListBuilder)
+//! spills sealed chunks to disk run-files beyond the cap. The budget is a
+//! *pipeline* cap: the finished [`EdgeList`](crate::EdgeList) is still fully
 //! materialised — what the budget bounds is the transient working set on top
-//! of them (unsorted chunks, merge buffers, whole-file deserialisation
-//! copies), which is where the unbudgeted path's peak lives.
+//! of it (unsorted chunks, merge buffers), which is where the unbudgeted
+//! path's peak lives. Shard grids need no budget: the timing path keeps
+//! only their [`ShardSummary`](crate::ShardSummary), which holds no edges.
 //!
 //! The process-wide default comes from the [`MEM_BUDGET_ENV_VAR`]
-//! environment variable; explicit configuration (session, sweep runner,
-//! serve config) overrides it. The out-of-core telemetry counters (peak
-//! resident bytes, spilled chunks, segmented vs. full grid loads) that
-//! `BENCH_sweep.json` and the serving `/stats` endpoint report live on
+//! environment variable; an explicit
+//! [`EdgeListBuilder::with_memory_budget`](crate::EdgeListBuilder::with_memory_budget)
+//! overrides it. The out-of-core telemetry counters (peak resident bytes,
+//! spilled chunks) that `BENCH_sweep.json` and the serving `/stats`
+//! endpoint report live on
 //! [`gnnerator_observe::Recorder`] instances; the free functions in this
 //! module are thin compatibility views over the process-global recorder
 //! ([`Recorder::global`]). Components that want per-scope counts accept a
@@ -31,93 +30,6 @@ use std::fmt;
 /// for no budget. Unparseable values fall back to unbounded rather than
 /// aborting the process.
 pub const MEM_BUDGET_ENV_VAR: &str = "GNNERATOR_MEM_BUDGET";
-
-/// Environment variable selecting the process-wide default grid residency
-/// policy (see [`GridResidency`]).
-///
-/// Accepted values: `auto` (default — window a grid only when its arena
-/// would exceed the memory budget), `resident` (always materialise the
-/// arena), `windowed` (always simulate through a bounded shard window).
-/// Unparseable values fall back to `auto`.
-pub const GRID_RESIDENCY_ENV_VAR: &str = "GNNERATOR_GRID_RESIDENCY";
-
-/// Window capacity used when a windowed grid is requested under an
-/// *unbounded* memory budget (there is no cap to derive the window from).
-const DEFAULT_WINDOW_BYTES: u64 = 64 << 20;
-
-/// How a finished [`ShardGrid`](crate::ShardGrid) keeps its edge arena
-/// resident.
-///
-/// * [`GridResidency::Resident`] — the whole sorted arena lives in memory
-///   (the historical behaviour).
-/// * [`GridResidency::Windowed`] — the grid is backed by the segmented
-///   artifact file and shard extents are `pread` into a budget-sized LRU
-///   window on demand; cold segments are evicted as the serpentine walk
-///   moves past them.
-/// * [`GridResidency::Auto`] — windowed exactly when the arena's bytes
-///   would exceed the [`MemoryBudget`]; resident otherwise. This is the
-///   default, so setting `GNNERATOR_MEM_BUDGET` below a graph's arena size
-///   is all it takes to simulate that graph from disk.
-///
-/// Every residency mode produces bit-identical simulation results; the
-/// modes trade memory for (re-)read bandwidth only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum GridResidency {
-    /// Window only when the arena would exceed the memory budget.
-    #[default]
-    Auto,
-    /// Always keep the whole edge arena in memory.
-    Resident,
-    /// Always walk the arena through a bounded shard window.
-    Windowed,
-}
-
-impl GridResidency {
-    /// Reads the process-wide default from [`GRID_RESIDENCY_ENV_VAR`].
-    pub fn from_env() -> Self {
-        match std::env::var(GRID_RESIDENCY_ENV_VAR) {
-            Ok(value) => Self::parse(&value),
-            Err(_) => Self::Auto,
-        }
-    }
-
-    /// Parses a residency string as documented on
-    /// [`GRID_RESIDENCY_ENV_VAR`]. Unparseable input yields `Auto`.
-    pub fn parse(value: &str) -> Self {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "resident" | "full" => Self::Resident,
-            "windowed" | "window" => Self::Windowed,
-            _ => Self::Auto,
-        }
-    }
-
-    /// Whether a grid whose arena occupies `arena_bytes` should be windowed
-    /// under `budget`.
-    pub fn wants_window(self, budget: MemoryBudget, arena_bytes: u64) -> bool {
-        match self {
-            Self::Resident => false,
-            Self::Windowed => true,
-            Self::Auto => budget.would_exceed(0, arena_bytes),
-        }
-    }
-
-    /// The shard-window capacity to use under `budget`: the budget's cap
-    /// when bounded, a fixed default otherwise (a forced-`Windowed` grid
-    /// under an unbounded budget still needs *some* capacity).
-    pub fn window_bytes(budget: MemoryBudget) -> u64 {
-        budget.limit_bytes().unwrap_or(DEFAULT_WINDOW_BYTES)
-    }
-}
-
-impl fmt::Display for GridResidency {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Auto => f.write_str("auto"),
-            Self::Resident => f.write_str("resident"),
-            Self::Windowed => f.write_str("windowed"),
-        }
-    }
-}
 
 /// A cap on the transient bytes the graph pipeline may keep resident.
 ///
@@ -146,8 +58,7 @@ impl MemoryBudget {
     }
 
     /// Caps resident pipeline bytes at `limit`. A budget of `0` forces the
-    /// maximally out-of-core path: every sealed chunk spills and every grid
-    /// load streams.
+    /// maximally out-of-core path: every sealed chunk spills.
     pub fn bytes(limit: u64) -> Self {
         MemoryBudget { limit: Some(limit) }
     }
@@ -242,48 +153,6 @@ pub fn note_spilled_chunks(count: u64) {
     Recorder::global().note_spilled_chunks(count);
 }
 
-/// Records one shard-grid artifact loaded via the bounded segmented path.
-pub fn note_grid_segment_load() {
-    Recorder::global().note_grid_segment_load();
-}
-
-/// Records one shard-grid artifact deserialised wholesale.
-pub fn note_grid_full_load() {
-    Recorder::global().note_grid_full_load();
-}
-
-/// Records one shard extent served from an already-resident window segment.
-pub fn note_window_hit() {
-    Recorder::global().note_window_hit();
-}
-
-/// Records one shard extent that had to be faulted in from disk.
-pub fn note_window_miss() {
-    Recorder::global().note_window_miss();
-}
-
-/// Records one segment evicted from a shard window to stay under capacity.
-pub fn note_window_eviction() {
-    Recorder::global().note_window_eviction();
-}
-
-/// Records `bytes` read from disk to satisfy a window miss.
-pub fn note_window_faulted_bytes(bytes: u64) {
-    Recorder::global().note_window_faulted_bytes(bytes);
-}
-
-/// Adds `bytes` to the live gauge of window-cached bytes and returns the new
-/// total, which also feeds the resident-bytes peak.
-pub fn window_resident_add(bytes: u64) -> u64 {
-    Recorder::global().window_resident_add(bytes)
-}
-
-/// Subtracts `bytes` from the live gauge of window-cached bytes (eviction or
-/// window drop).
-pub fn window_resident_sub(bytes: u64) {
-    Recorder::global().window_resident_sub(bytes);
-}
-
 /// Peak resident pipeline bytes observed so far in this process.
 pub fn peak_resident_bytes() -> u64 {
     Recorder::global().memory().peak_resident_bytes.get()
@@ -294,42 +163,6 @@ pub fn spilled_chunk_count() -> u64 {
     Recorder::global().memory().spilled_chunks.get()
 }
 
-/// Total segmented (chunked) shard-grid loads so far in this process.
-pub fn grid_segment_loads() -> u64 {
-    Recorder::global().memory().grid_segment_loads.get()
-}
-
-/// Total wholesale shard-grid loads so far in this process.
-pub fn grid_full_loads() -> u64 {
-    Recorder::global().memory().grid_full_loads.get()
-}
-
-/// Total shard extents served from resident window segments so far.
-pub fn window_hits() -> u64 {
-    Recorder::global().memory().window_hits.get()
-}
-
-/// Total shard extents faulted in from disk so far.
-pub fn window_misses() -> u64 {
-    Recorder::global().memory().window_misses.get()
-}
-
-/// Total window segments evicted so far.
-pub fn window_evictions() -> u64 {
-    Recorder::global().memory().window_evictions.get()
-}
-
-/// Total bytes faulted in to satisfy window misses so far.
-pub fn window_faulted_bytes() -> u64 {
-    Recorder::global().memory().window_faulted_bytes.get()
-}
-
-/// Bytes currently cached across all live shard windows. Returns to its
-/// prior value once every windowed grid has been dropped.
-pub fn window_resident_bytes() -> u64 {
-    Recorder::global().memory().window_resident_bytes.get()
-}
-
 /// A point-in-time snapshot of the out-of-core telemetry counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryTelemetry {
@@ -337,18 +170,6 @@ pub struct MemoryTelemetry {
     pub peak_resident_bytes: u64,
     /// Sealed chunks spilled to disk run-files.
     pub spilled_chunk_count: u64,
-    /// Shard grids loaded via the bounded segmented path.
-    pub grid_segment_loads: u64,
-    /// Shard grids deserialised wholesale.
-    pub grid_full_loads: u64,
-    /// Shard extents served from resident window segments.
-    pub window_hits: u64,
-    /// Shard extents faulted in from disk.
-    pub window_misses: u64,
-    /// Window segments evicted to stay under capacity.
-    pub window_evictions: u64,
-    /// Bytes read from disk to satisfy window misses.
-    pub window_faulted_bytes: u64,
 }
 
 /// Snapshots the process-wide out-of-core telemetry counters.
@@ -357,18 +178,11 @@ pub fn memory_telemetry() -> MemoryTelemetry {
 }
 
 impl MemoryTelemetry {
-    /// The compatibility view of a recorder snapshot (drops the live
-    /// window-resident gauge, which [`window_resident_bytes`] reports).
+    /// The compatibility view of a recorder snapshot.
     pub fn from_stats(stats: &gnnerator_observe::MemoryStats) -> Self {
         MemoryTelemetry {
             peak_resident_bytes: stats.peak_resident_bytes,
             spilled_chunk_count: stats.spilled_chunks,
-            grid_segment_loads: stats.grid_segment_loads,
-            grid_full_loads: stats.grid_full_loads,
-            window_hits: stats.window_hits,
-            window_misses: stats.window_misses,
-            window_evictions: stats.window_evictions,
-            window_faulted_bytes: stats.window_faulted_bytes,
         }
     }
 }
@@ -433,55 +247,11 @@ mod tests {
     }
 
     #[test]
-    fn residency_parse_accepts_the_documented_spellings() {
-        assert_eq!(GridResidency::parse("resident"), GridResidency::Resident);
-        assert_eq!(GridResidency::parse(" FULL "), GridResidency::Resident);
-        assert_eq!(GridResidency::parse("windowed"), GridResidency::Windowed);
-        assert_eq!(GridResidency::parse("Window"), GridResidency::Windowed);
-        for s in ["", "auto", "garbage", "12"] {
-            assert_eq!(GridResidency::parse(s), GridResidency::Auto, "{s:?}");
-        }
-    }
-
-    #[test]
-    fn auto_residency_windows_only_past_the_budget() {
-        let tight = MemoryBudget::bytes(100);
-        assert!(!GridResidency::Auto.wants_window(tight, 100));
-        assert!(GridResidency::Auto.wants_window(tight, 101));
-        assert!(!GridResidency::Auto.wants_window(MemoryBudget::unbounded(), u64::MAX));
-        assert!(GridResidency::Windowed.wants_window(MemoryBudget::unbounded(), 1));
-        assert!(!GridResidency::Resident.wants_window(tight, u64::MAX));
-    }
-
-    #[test]
-    fn window_bytes_follows_the_budget_cap() {
-        assert_eq!(GridResidency::window_bytes(MemoryBudget::bytes(4096)), 4096);
-        assert_eq!(
-            GridResidency::window_bytes(MemoryBudget::unbounded()),
-            DEFAULT_WINDOW_BYTES
-        );
-    }
-
-    #[test]
-    fn window_gauge_add_and_sub_round_trip() {
-        let before = window_resident_bytes();
-        let now = window_resident_add(128);
-        assert!(now >= 128);
-        assert!(peak_resident_bytes() >= now);
-        window_resident_sub(128);
-        // Other tests may touch the gauge concurrently; it must at least not
-        // retain our 128 bytes.
-        assert!(window_resident_bytes() <= before + 128);
-    }
-
-    #[test]
     fn telemetry_snapshot_is_coherent() {
         note_spilled_chunks(2);
-        note_grid_segment_load();
-        note_grid_full_load();
+        note_resident_bytes(64);
         let t = memory_telemetry();
         assert!(t.spilled_chunk_count >= 2);
-        assert!(t.grid_segment_loads >= 1);
-        assert!(t.grid_full_loads >= 1);
+        assert!(t.peak_resident_bytes >= 64);
     }
 }

@@ -1,29 +1,25 @@
 //! Shard-plan caching for compile-once, run-many simulation sessions.
 //!
-//! Sharding an edge list into a [`ShardGrid`](crate::ShardGrid) is the
+//! Summarising an edge list's shard grid (a [`ShardSummary`]) is the
 //! expensive part of compiling a workload, and its inputs are only the edge
 //! list, the nodes-per-shard parameter `n` and whether self-loop edges are
-//! added. A [`ShardPlanCache`] pins one edge list and memoises every grid
-//! built from it, so sweeping many `(config, dataflow)` scenarios over the
-//! same graph reshards only when `n` actually changes.
+//! added. A [`ShardPlanCache`] pins one edge list and memoises every
+//! summary built from it, so sweeping many `(config, dataflow)` scenarios
+//! over the same graph re-summarises only when `n` actually changes.
 //!
 //! When the cache is constructed with a disk backing
 //! ([`ShardPlanCache::with_disk_cache`]), in-memory misses consult the
 //! persistent [`ArtifactCache`] before building: repeated harness runs over
-//! the same dataset skip re-sharding entirely, loading the sorted arena and
-//! shard metadata straight from disk. Corrupt or stale artifacts are treated
-//! as misses (the grid is rebuilt and the artifact overwritten), never as
-//! failures.
+//! the same dataset skip the metadata pass entirely, loading the shard
+//! summary straight from disk without touching an edge. Corrupt or stale
+//! artifacts are treated as misses (the summary is rebuilt and the artifact
+//! overwritten), never as failures.
 
-use crate::{
-    ArtifactCache, EdgeList, GraphError, GridResidency, MemoryBudget, ShardGrid, WindowPool,
-    BYTES_PER_EDGE,
-};
+use crate::{ArtifactCache, EdgeList, GraphError, ShardSummary};
 use gnnerator_faults::lock_recover;
-use gnnerator_observe::Recorder;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Cache key: the two parameters that determine a shard grid for a fixed
@@ -37,11 +33,11 @@ pub struct PlanKey {
     pub include_self_loops: bool,
 }
 
-/// A memoising sharder over one immutable edge list.
+/// A memoising shard summariser over one immutable edge list.
 ///
 /// Thread-safe: scenario sweeps shard from many worker threads at once, and
 /// every caller asking for the same `(n, self-loops)` pair receives the same
-/// [`Arc<ShardGrid>`].
+/// [`Arc<ShardSummary>`].
 ///
 /// # Examples
 ///
@@ -61,35 +57,18 @@ pub struct PlanKey {
 #[derive(Debug)]
 pub struct ShardPlanCache {
     edges: EdgeList,
-    with_self_loops: OnceLock<EdgeList>,
-    plans: Mutex<HashMap<PlanKey, Arc<ShardGrid>>>,
-    /// Cumulative wall-clock seconds spent inside [`ShardGrid::build`]
+    plans: Mutex<HashMap<PlanKey, Arc<ShardSummary>>>,
+    /// Cumulative wall-clock seconds spent inside [`ShardSummary::build`]
     /// (cache hits cost nothing; racing duplicate builds both count, since
     /// both actually burned the time).
     build_seconds: Mutex<f64>,
     /// Persistent backing: the artifact cache plus this edge list's stable
     /// graph identity (a dataset key). `None` for anonymous edge lists.
     disk: Option<(Arc<ArtifactCache>, String)>,
-    /// Number of grids built from scratch (in-memory *and* disk misses).
+    /// Number of summaries built from scratch (in-memory *and* disk misses).
     grids_built: AtomicUsize,
-    /// Number of grids loaded from the persistent cache.
+    /// Number of summaries loaded from the persistent cache.
     grids_loaded: AtomicUsize,
-    /// Memory budget for disk loads (segmented vs. wholesale) and for
-    /// choosing the streaming shard build over the sort-in-place one.
-    budget: MemoryBudget,
-    /// How grid edge arenas are kept resident: fully in memory, faulted
-    /// through a bounded [`ShardWindow`](crate::ShardWindow), or decided by
-    /// the memory budget.
-    residency: GridResidency,
-    /// One residency pool shared by every windowed grid this cache
-    /// materialises, so several shardings of the same graph (one per
-    /// derived nodes-per-shard) split a single window budget instead of
-    /// each claiming the full budget. Created on the first windowed load.
-    window_pool: OnceLock<Arc<WindowPool>>,
-    /// Telemetry sink threaded into the shared window pool. Defaults to the
-    /// process global; a scoped recorder attributes this cache's window
-    /// traffic to its scope (one session, typically).
-    recorder: Recorder,
 }
 
 impl ShardPlanCache {
@@ -97,63 +76,20 @@ impl ShardPlanCache {
     pub fn new(edges: EdgeList) -> Self {
         Self {
             edges,
-            with_self_loops: OnceLock::new(),
             plans: Mutex::new(HashMap::new()),
             build_seconds: Mutex::new(0.0),
             disk: None,
             grids_built: AtomicUsize::new(0),
             grids_loaded: AtomicUsize::new(0),
-            budget: MemoryBudget::from_env(),
-            residency: GridResidency::from_env(),
-            window_pool: OnceLock::new(),
-            recorder: Recorder::default(),
         }
-    }
-
-    /// Overrides the telemetry sink this cache's window pool records into
-    /// (the default is the process-global recorder). Must be set before the
-    /// first windowed load — the shared pool is created lazily and keeps
-    /// the recorder it was born with.
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// The telemetry sink this cache records into.
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    /// Overrides the memory budget governing disk grid loads and build
-    /// strategy (the default comes from `GNNERATOR_MEM_BUDGET`).
-    pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// The memory budget this cache plans under.
-    pub fn memory_budget(&self) -> MemoryBudget {
-        self.budget
-    }
-
-    /// Overrides the grid residency policy (the default comes from
-    /// `GNNERATOR_GRID_RESIDENCY`, falling back to budget-driven `auto`).
-    pub fn with_residency(mut self, residency: GridResidency) -> Self {
-        self.residency = residency;
-        self
-    }
-
-    /// The grid residency policy this cache materialises grids under.
-    pub fn residency(&self) -> GridResidency {
-        self.residency
     }
 
     /// Creates a cache over `edges` backed by a persistent [`ArtifactCache`].
     ///
     /// `graph_key` is the stable identity of the edge list's source (e.g.
-    /// [`ArtifactCache::dataset_key`]); grids are stored under
+    /// [`ArtifactCache::dataset_key`]); summaries are stored under
     /// `graph_key/nps../loops..`. Two processes that materialise the same
-    /// `(spec, seed)` dataset therefore share shard grids across runs.
+    /// `(spec, seed)` dataset therefore share shard summaries across runs.
     pub fn with_disk_cache(
         edges: EdgeList,
         cache: Arc<ArtifactCache>,
@@ -171,31 +107,23 @@ impl ShardPlanCache {
         &self.edges
     }
 
-    /// The edge list with one self-loop per node, built on first use.
-    pub fn edges_with_self_loops(&self) -> &EdgeList {
-        self.with_self_loops.get_or_init(|| {
-            let mut with_self = self.edges.clone();
-            with_self.add_self_loops();
-            with_self
-        })
-    }
-
-    /// Returns the shard grid for `(nodes_per_shard, include_self_loops)`,
+    /// Returns the shard summary for `(nodes_per_shard, include_self_loops)`,
     /// building and caching it on first request.
     ///
     /// With a disk backing, an in-memory miss first tries the persistent
-    /// artifact; only a disk miss (or an unusable artifact) pays for a fresh
-    /// [`ShardGrid::build`], whose result is stored back for future runs.
+    /// artifact — a hit reads no edge — and only a disk miss (or an unusable
+    /// artifact) pays for a fresh [`ShardSummary::build`], whose result is
+    /// stored back for future runs.
     ///
     /// # Errors
     ///
-    /// Propagates [`ShardGrid::build`] errors (zero `nodes_per_shard`, empty
-    /// node set).
+    /// Propagates [`ShardSummary::build`] errors (zero `nodes_per_shard`,
+    /// empty node set).
     pub fn plan(
         &self,
         nodes_per_shard: usize,
         include_self_loops: bool,
-    ) -> Result<Arc<ShardGrid>, GraphError> {
+    ) -> Result<Arc<ShardSummary>, GraphError> {
         let key = PlanKey {
             nodes_per_shard,
             include_self_loops,
@@ -204,119 +132,85 @@ impl ShardPlanCache {
             return Ok(Arc::clone(hit));
         }
         // Build outside the lock so concurrent misses on *different* keys
-        // shard in parallel; a racing duplicate build of the same key is
+        // build in parallel; a racing duplicate build of the same key is
         // harmless and the first insert wins.
-        let edges = if include_self_loops {
-            self.edges_with_self_loops()
-        } else {
-            &self.edges
-        };
-        let grid = Arc::new(self.materialize(edges, nodes_per_shard, include_self_loops)?);
+        let summary = Arc::new(self.materialize(key)?);
         let mut plans = lock_recover(&self.plans);
-        Ok(Arc::clone(plans.entry(key).or_insert(grid)))
+        Ok(Arc::clone(plans.entry(key).or_insert(summary)))
     }
 
-    /// Loads the grid from disk or builds it fresh, maintaining the
+    /// Loads the summary from disk or builds it fresh, maintaining the
     /// telemetry counters.
-    fn materialize(
-        &self,
-        edges: &EdgeList,
-        nodes_per_shard: usize,
-        include_self_loops: bool,
-    ) -> Result<ShardGrid, GraphError> {
-        if nodes_per_shard == 0 {
-            // Surface the parameter error before touching the disk so an
-            // invalid request can never be "answered" by a stale artifact.
-            return ShardGrid::build(edges, nodes_per_shard);
+    fn materialize(&self, key: PlanKey) -> Result<ShardSummary, GraphError> {
+        let Some((cache, graph_key)) = self.disk.as_ref().filter(|_| key.nodes_per_shard > 0)
+        else {
+            // A zero `nodes_per_shard` surfaces its parameter error before
+            // touching the disk, so an invalid request can never be
+            // "answered" by a stale artifact.
+            return self.build_timed(key);
+        };
+        let artifact_key =
+            ArtifactCache::grid_key(graph_key, key.nodes_per_shard, key.include_self_loops);
+        match cache.load_summary(&artifact_key) {
+            Ok(Some(summary)) if self.fits(&summary, key) => {
+                self.grids_loaded.fetch_add(1, Ordering::Relaxed);
+                return Ok(summary);
+            }
+            // A clean miss, a shape mismatch (key reuse across different
+            // graphs) or a corrupt/stale artifact: rebuild and overwrite.
+            Ok(_) | Err(GraphError::CacheArtifact { .. }) => {}
+            Err(other) => return Err(other),
         }
-        if let Some((cache, graph_key)) = &self.disk {
-            let key = ArtifactCache::grid_key(graph_key, nodes_per_shard, include_self_loops);
-            // The windowed (out-of-core) path only exists when the finished
-            // arena would overflow the budget — or the residency policy
-            // demands it — and needs a disk artifact to fault from.
-            let arena_bytes = edges.num_edges() as u64 * BYTES_PER_EDGE;
-            let windowed = self.residency.wants_window(self.budget, arena_bytes);
-            let load = if windowed {
-                cache.load_grid_windowed_in(&key, self.shared_window_pool())
+        let summary = self.build_timed(key)?;
+        // Persistence is best-effort: a failed store costs the next run a
+        // rebuild, never a wrong result.
+        cache.store_summary(&artifact_key, &summary).ok();
+        Ok(summary)
+    }
+
+    /// Whether a loaded summary has the shape this cache's edge list would
+    /// produce under `key`, judged without reading an edge: the node count
+    /// and block size must match, and the edge total must be the list's
+    /// (or, with self-loops merged in, lie between one loop per node and
+    /// one extra edge per node).
+    fn fits(&self, summary: &ShardSummary, key: PlanKey) -> bool {
+        let (nodes, edges) = (self.edges.num_nodes(), self.edges.num_edges());
+        let total = summary.total_edges();
+        summary.num_nodes() == nodes
+            && summary.nodes_per_shard() == key.nodes_per_shard
+            && if key.include_self_loops {
+                (nodes..=edges + nodes).contains(&total)
             } else {
-                cache.load_grid_budgeted(&key, self.budget)
-            };
-            match load {
-                Ok(Some(grid))
-                    if grid.num_nodes() == edges.num_nodes()
-                        && grid.total_edges() == edges.num_edges()
-                        && grid.nodes_per_shard() == nodes_per_shard =>
-                {
-                    self.grids_loaded.fetch_add(1, Ordering::Relaxed);
-                    return Ok(grid);
-                }
-                // A clean miss, a shape mismatch (key reuse across different
-                // graphs) or a corrupt/stale artifact: rebuild and overwrite.
-                Ok(_) | Err(GraphError::CacheArtifact { .. }) => {}
-                Err(other) => return Err(other),
+                total == edges
             }
-            let grid = self.build_timed(edges, nodes_per_shard)?;
-            if cache.store_grid(&key, &grid).is_ok() && windowed {
-                // The freshly written artifact lets the resident build be
-                // dropped and re-opened through the bounded window. Any
-                // hiccup falls back to serving the resident grid — the
-                // result is bit-identical either way.
-                if let Ok(Some(rewound)) =
-                    cache.load_grid_windowed_in(&key, self.shared_window_pool())
-                {
-                    if rewound.num_nodes() == grid.num_nodes()
-                        && rewound.total_edges() == grid.total_edges()
-                        && rewound.nodes_per_shard() == grid.nodes_per_shard()
-                    {
-                        return Ok(rewound);
-                    }
-                }
-            }
-            return Ok(grid);
-        }
-        self.build_timed(edges, nodes_per_shard)
     }
 
-    /// The pool every windowed grid of this cache draws residency from,
-    /// created on first use with the budget-derived window size.
-    fn shared_window_pool(&self) -> Arc<WindowPool> {
-        Arc::clone(self.window_pool.get_or_init(|| {
-            WindowPool::with_recorder(
-                GridResidency::window_bytes(self.budget),
-                self.recorder.clone(),
-            )
-        }))
-    }
-
-    fn build_timed(
-        &self,
-        edges: &EdgeList,
-        nodes_per_shard: usize,
-    ) -> Result<ShardGrid, GraphError> {
+    fn build_timed(&self, key: PlanKey) -> Result<ShardSummary, GraphError> {
         let build_start = Instant::now();
-        let grid = ShardGrid::build(edges, nodes_per_shard)?;
+        let summary =
+            ShardSummary::build(&self.edges, key.nodes_per_shard, key.include_self_loops)?;
         *lock_recover(&self.build_seconds) += build_start.elapsed().as_secs_f64();
         self.grids_built.fetch_add(1, Ordering::Relaxed);
-        Ok(grid)
+        Ok(summary)
     }
 
-    /// Number of distinct shard grids currently cached.
+    /// Number of distinct shard summaries currently cached.
     pub fn cached_plans(&self) -> usize {
         lock_recover(&self.plans).len()
     }
 
     /// Cumulative wall-clock seconds this cache has spent building shard
-    /// grids (cache hits — in-memory or disk — are free).
+    /// summaries (cache hits — in-memory or disk — are free).
     pub fn build_seconds(&self) -> f64 {
         *lock_recover(&self.build_seconds)
     }
 
-    /// Number of shard grids built from scratch by this cache.
+    /// Number of shard summaries built from scratch by this cache.
     pub fn grids_built(&self) -> usize {
         self.grids_built.load(Ordering::Relaxed)
     }
 
-    /// Number of shard grids loaded from the persistent artifact cache.
+    /// Number of shard summaries loaded from the persistent artifact cache.
     pub fn grids_loaded(&self) -> usize {
         self.grids_loaded.load(Ordering::Relaxed)
     }
@@ -325,7 +219,7 @@ impl ShardPlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::{generators, ShardGrid};
     use std::path::PathBuf;
 
     fn cache() -> ShardPlanCache {
@@ -370,9 +264,14 @@ mod tests {
     fn cached_grid_matches_a_fresh_build() {
         let edges = generators::rmat(100, 400, 1).unwrap();
         let cache = ShardPlanCache::new(edges.clone());
-        let cached = cache.plan(16, false).unwrap();
-        let fresh = ShardGrid::build(&edges, 16).unwrap();
-        assert_eq!(*cached, fresh);
+        for loops in [false, true] {
+            let cached = cache.plan(16, loops).unwrap();
+            let mut list = edges.clone();
+            if loops {
+                list.add_self_loops();
+            }
+            assert_eq!(*cached, *ShardGrid::build(&list, 16).unwrap());
+        }
     }
 
     #[test]
@@ -443,7 +342,7 @@ mod tests {
         // The typed error is observable at the ArtifactCache layer...
         let key = ArtifactCache::grid_key("g1", 16, false);
         assert!(matches!(
-            artifact.load_grid(&key),
+            artifact.load_summary(&key),
             Err(GraphError::CacheArtifact { .. })
         ));
         // ...and the plan cache silently rebuilds (and re-publishes).
@@ -453,7 +352,7 @@ mod tests {
         assert_eq!(second.grids_loaded(), 0);
         assert_eq!(*rebuilt, *built);
         // The overwritten artifact is valid again.
-        assert!(artifact.load_grid(&key).unwrap().is_some());
+        assert!(artifact.load_summary(&key).unwrap().is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -471,78 +370,6 @@ mod tests {
         assert_eq!(second.grids_loaded(), 0, "shape mismatch rejected");
         assert_eq!(grid.num_nodes(), big.num_nodes());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn forced_windowed_residency_is_bit_identical_to_resident() {
-        let dir = temp_dir("windowed");
-        let artifact = Arc::new(ArtifactCache::new(&dir));
-        let edges = generators::rmat(100, 400, 1).unwrap();
-
-        let resident = ShardPlanCache::with_disk_cache(edges.clone(), Arc::clone(&artifact), "g1");
-        let built = resident.plan(16, false).unwrap();
-        assert!(!built.is_windowed());
-
-        let windowed = ShardPlanCache::with_disk_cache(edges.clone(), Arc::clone(&artifact), "g1")
-            .with_residency(GridResidency::Windowed)
-            .with_memory_budget(MemoryBudget::bytes(1 << 10));
-        let faulted = windowed.plan(16, false).unwrap();
-        assert!(faulted.is_windowed());
-        assert_eq!(windowed.grids_loaded(), 1);
-        assert_eq!(windowed.grids_built(), 0);
-        assert_eq!(*faulted, *built, "windowed grid must be bit-identical");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn windowed_cold_miss_builds_stores_and_reopens_through_the_window() {
-        let dir = temp_dir("windowed-cold");
-        let artifact = Arc::new(ArtifactCache::new(&dir));
-        let edges = generators::rmat(100, 400, 1).unwrap();
-        let cache = ShardPlanCache::with_disk_cache(edges.clone(), Arc::clone(&artifact), "g1")
-            .with_residency(GridResidency::Windowed);
-        let grid = cache.plan(16, false).unwrap();
-        assert_eq!(cache.grids_built(), 1, "cold cache pays one build");
-        assert_eq!(cache.grids_loaded(), 0, "the reopen is not a load hit");
-        assert!(
-            grid.is_windowed(),
-            "the fresh build is immediately re-opened through the window"
-        );
-        assert_eq!(*grid, ShardGrid::build(&edges, 16).unwrap());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn auto_residency_windows_only_when_the_budget_demands_it() {
-        let dir = temp_dir("auto");
-        let artifact = Arc::new(ArtifactCache::new(&dir));
-        let edges = generators::rmat(100, 400, 1).unwrap();
-
-        // A roomy budget keeps the arena resident.
-        let roomy = ShardPlanCache::with_disk_cache(edges.clone(), Arc::clone(&artifact), "g1")
-            .with_residency(GridResidency::Auto)
-            .with_memory_budget(MemoryBudget::bytes(1 << 30));
-        assert!(!roomy.plan(16, false).unwrap().is_windowed());
-
-        // A budget smaller than the arena forces the window.
-        let tight = ShardPlanCache::with_disk_cache(edges.clone(), Arc::clone(&artifact), "g1")
-            .with_residency(GridResidency::Auto)
-            .with_memory_budget(MemoryBudget::bytes(256));
-        let grid = tight.plan(16, false).unwrap();
-        assert!(grid.is_windowed());
-        assert_eq!(grid.window().unwrap().window_bytes(), 256);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn windowed_residency_without_disk_backing_stays_resident() {
-        // There is no artifact to fault from, so the policy degrades to a
-        // resident build rather than failing.
-        let cache = ShardPlanCache::new(generators::rmat(100, 400, 1).unwrap())
-            .with_residency(GridResidency::Windowed);
-        let grid = cache.plan(16, false).unwrap();
-        assert!(!grid.is_windowed());
-        assert_eq!(cache.grids_built(), 1);
     }
 
     #[test]

@@ -1,13 +1,9 @@
+use crate::edge_list::merge_sorted_unique;
 use crate::{Edge, EdgeList, GraphError, NodeId};
-use gnnerator_observe::Recorder;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::borrow::Cow;
 use std::fmt;
-use std::fs::File;
 use std::ops::Range;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Bytes per edge record streamed by the Shard Edge Fetch unit (32-bit source
 /// id + 32-bit destination id).
@@ -74,7 +70,7 @@ impl fmt::Display for ShardCoord {
 /// Precomputed metadata of one *occupied* shard: everything the timing
 /// simulator and the traffic models need, without touching the shard's edges.
 ///
-/// A [`ShardGrid`] stores one `ShardMeta` per non-empty grid cell. The edge
+/// A [`ShardSummary`] stores one `ShardMeta` per non-empty grid cell. The edge
 /// count and the distinct-endpoint counts are fixed at build time, so the
 /// cycle/byte cost of processing a shard under any feature-block width is a
 /// couple of multiplies away — the simulator's hot loop never walks edge
@@ -161,443 +157,9 @@ impl ShardMeta {
     }
 }
 
-/// A shard-sized run of edges, shared with either the grid's resident arena
-/// or a [`ShardWindow`] cache segment.
-///
-/// Dereferences to `[Edge]`. Cloning is an `Arc` bump; holding a segment
-/// keeps its backing buffer alive (for a windowed grid that pins the segment
-/// even across an eviction, so a consumer never observes edges change under
-/// it).
-#[derive(Debug, Clone)]
-pub struct EdgeSegment {
-    buf: Arc<Vec<Edge>>,
-    start: usize,
-    len: usize,
-}
-
-impl EdgeSegment {
-    /// A segment covering `range` of a shared arena.
-    fn slice(buf: Arc<Vec<Edge>>, range: Range<usize>) -> Self {
-        debug_assert!(range.end <= buf.len());
-        EdgeSegment {
-            buf,
-            start: range.start,
-            len: range.len(),
-        }
-    }
-
-    /// A segment covering an entire buffer (a faulted-in window segment).
-    fn whole(buf: Arc<Vec<Edge>>) -> Self {
-        let len = buf.len();
-        EdgeSegment { buf, start: 0, len }
-    }
-
-    /// The canonical empty segment.
-    fn empty() -> Self {
-        static EMPTY: OnceLock<Arc<Vec<Edge>>> = OnceLock::new();
-        EdgeSegment::whole(Arc::clone(EMPTY.get_or_init(|| Arc::new(Vec::new()))))
-    }
-}
-
-impl std::ops::Deref for EdgeSegment {
-    type Target = [Edge];
-
-    fn deref(&self) -> &[Edge] {
-        &self.buf[self.start..self.start + self.len]
-    }
-}
-
-impl PartialEq for EdgeSegment {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for EdgeSegment {}
-
-impl PartialEq<[Edge]> for EdgeSegment {
-    fn eq(&self, other: &[Edge]) -> bool {
-        **self == *other
-    }
-}
-
-impl PartialEq<&[Edge]> for EdgeSegment {
-    fn eq(&self, other: &&[Edge]) -> bool {
-        **self == **other
-    }
-}
-
-impl PartialEq<Vec<Edge>> for EdgeSegment {
-    fn eq(&self, other: &Vec<Edge>) -> bool {
-        **self == other[..]
-    }
-}
-
-/// A shared residency budget for one or more [`ShardWindow`]s.
-///
-/// A session whose layers derive different shardings holds one windowed grid
-/// per sharding; their windows draw from a single pool so the budget bounds
-/// the *total* window residency instead of letting each window claim the
-/// full budget on its own. Windows opened without an explicit pool get a
-/// private one of their capacity.
-pub struct WindowPool {
-    /// Capacity of the pooled residency in bytes.
-    cap: u64,
-    /// Bytes currently reserved across every window drawing on this pool.
-    resident: AtomicU64,
-    /// Telemetry sink for this pool's windows. Defaults to the process
-    /// global; a scoped recorder isolates this pool's counts per session.
-    recorder: Recorder,
-}
-
-impl WindowPool {
-    /// A fresh pool holding at most `cap` bytes of window segments,
-    /// recording into the process-global telemetry.
-    pub fn new(cap: u64) -> Arc<Self> {
-        Self::with_recorder(cap, Recorder::default())
-    }
-
-    /// A fresh pool recording into `recorder` (and, via the recorder's
-    /// parent chain, every ancestor up to the global root).
-    pub fn with_recorder(cap: u64, recorder: Recorder) -> Arc<Self> {
-        Arc::new(WindowPool {
-            cap,
-            resident: AtomicU64::new(0),
-            recorder,
-        })
-    }
-
-    /// The telemetry sink this pool's windows record into.
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    /// The pool's byte capacity.
-    pub fn capacity(&self) -> u64 {
-        self.cap
-    }
-
-    /// Bytes currently resident across the pool's windows.
-    pub fn resident_bytes(&self) -> u64 {
-        self.resident.load(Ordering::Relaxed)
-    }
-
-    /// Whether reserving `bytes` more would overflow the pool.
-    fn over(&self, bytes: u64) -> bool {
-        self.resident_bytes() + bytes > self.cap
-    }
-
-    /// Reserves `bytes` if the pool stays at or under capacity; the global
-    /// window gauge mirrors every successful reservation.
-    fn try_reserve(&self, bytes: u64) -> bool {
-        let now = self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        if now > self.cap {
-            self.resident.fetch_sub(bytes, Ordering::Relaxed);
-            return false;
-        }
-        self.recorder.window_resident_add(bytes);
-        true
-    }
-
-    /// Returns `bytes` of reserved residency to the pool.
-    fn release(&self, bytes: u64) {
-        self.resident.fetch_sub(bytes, Ordering::Relaxed);
-        self.recorder.window_resident_sub(bytes);
-    }
-}
-
-impl fmt::Debug for WindowPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WindowPool")
-            .field("cap", &self.cap)
-            .field("resident", &self.resident_bytes())
-            .finish()
-    }
-}
-
-/// A bounded LRU cache of shard edge extents `pread` from a segmented v2
-/// grid artifact.
-///
-/// This is what lets a [`ShardGrid`] simulate from disk: instead of the
-/// whole sorted arena, at most a [`WindowPool`]'s capacity of shard segments
-/// stay resident, keyed by their arena offset. The serpentine walk's
-/// locality means a window at least one grid row wide faults each shard in
-/// only once per traversal direction; anything smaller still works, it just
-/// re-reads.
-///
-/// Fetches outside the lock may race and read the same extent twice; the
-/// loser's buffer is dropped, so the cache never holds duplicates. Segments
-/// larger than the whole pool are served uncached (as is everything when
-/// the capacity is 0, the degenerate always-stream window), and so is any
-/// extent the pool cannot fit after this window has evicted everything it
-/// holds — sibling windows on the same pool never stack their budgets.
-pub struct ShardWindow {
-    file: File,
-    path: PathBuf,
-    /// Byte offset of the edge arena inside the artifact file.
-    arena_offset: u64,
-    /// Total edges in the on-disk arena.
-    arena_len: usize,
-    /// The residency budget this window draws from (possibly shared).
-    pool: Arc<WindowPool>,
-    state: Mutex<WindowState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// Point-in-time per-window fault statistics (see [`ShardWindow::stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WindowStats {
-    /// Extents served from resident segments.
-    pub hits: u64,
-    /// Extents faulted in from disk.
-    pub misses: u64,
-    /// Segments evicted to stay under capacity.
-    pub evictions: u64,
-}
-
-#[derive(Default)]
-struct WindowState {
-    /// Resident segments keyed by arena edge offset.
-    segments: HashMap<u32, Arc<Vec<Edge>>>,
-    /// Same keys, least-recently-used first.
-    lru: VecDeque<u32>,
-    resident_bytes: u64,
-}
-
-impl ShardWindow {
-    /// Wraps an already-validated segmented artifact, drawing residency from
-    /// `pool` (shared between sibling windows, or private to this one).
-    /// `arena_offset` is the byte position of the first edge record in
-    /// `file`.
-    pub(crate) fn with_pool(
-        file: File,
-        path: PathBuf,
-        arena_offset: u64,
-        arena_len: usize,
-        pool: Arc<WindowPool>,
-    ) -> Self {
-        ShardWindow {
-            file,
-            path,
-            arena_offset,
-            arena_len,
-            pool,
-            state: Mutex::new(WindowState::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// This window's own hit/miss/eviction counts (the process-wide
-    /// aggregates live in [`memory_telemetry`](crate::memory_telemetry)).
-    pub fn stats(&self) -> WindowStats {
-        WindowStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Total edges in the on-disk arena.
-    pub fn arena_len(&self) -> usize {
-        self.arena_len
-    }
-
-    /// Capacity of the window's residency pool in bytes.
-    pub fn window_bytes(&self) -> u64 {
-        self.pool.capacity()
-    }
-
-    /// The residency pool this window draws from.
-    pub fn pool(&self) -> &Arc<WindowPool> {
-        &self.pool
-    }
-
-    /// Bytes of segments currently resident in this window.
-    pub fn resident_bytes(&self) -> u64 {
-        self.lock().resident_bytes
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, WindowState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Returns the edges of the shard described by `meta`, faulting them in
-    /// from disk on a miss and evicting least-recently-used segments to stay
-    /// under `window_bytes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the artifact file can no longer deliver the extent (for
-    /// example it was deleted mid-run). The file was fully checksum-validated
-    /// when the window was opened, so this is an external interference
-    /// failure, not a data-dependent one; serving workers supervise panics
-    /// and degrade per-request.
-    fn fetch(&self, meta: &ShardMeta) -> EdgeSegment {
-        let key = meta.edge_start();
-        {
-            let mut state = self.lock();
-            if let Some(buf) = state.segments.get(&key).cloned() {
-                self.pool.recorder.note_window_hit();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(pos) = state.lru.iter().position(|&k| k == key) {
-                    state.lru.remove(pos);
-                    state.lru.push_back(key);
-                }
-                return EdgeSegment::whole(buf);
-            }
-        }
-
-        self.pool.recorder.note_window_miss();
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let buf = Arc::new(self.read_extent(meta));
-        let bytes = meta.num_edges() as u64 * BYTES_PER_EDGE;
-        self.pool.recorder.note_window_faulted_bytes(bytes);
-        if bytes > self.pool.capacity() {
-            // Too big to ever cache (or a zero-byte window): serve uncached.
-            return EdgeSegment::whole(buf);
-        }
-
-        let mut state = self.lock();
-        if let Some(existing) = state.segments.get(&key).cloned() {
-            // A concurrent fetch of the same extent won the insert race.
-            return EdgeSegment::whole(existing);
-        }
-        // The pool may be shared with sibling windows, so evict from this
-        // window only; if the pool still cannot fit the extent (a sibling
-        // holds the budget), serve it uncached — a serpentine pass touches
-        // each extent once, so an uncacheable extent costs nothing beyond
-        // the fault already paid.
-        while self.pool.over(bytes) {
-            let Some(victim) = state.lru.pop_front() else {
-                break;
-            };
-            if let Some(evicted) = state.segments.remove(&victim) {
-                let evicted_bytes = evicted.len() as u64 * BYTES_PER_EDGE;
-                state.resident_bytes -= evicted_bytes;
-                self.pool.recorder.note_window_eviction();
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.pool.release(evicted_bytes);
-            }
-        }
-        if !self.pool.try_reserve(bytes) {
-            return EdgeSegment::whole(buf);
-        }
-        state.segments.insert(key, Arc::clone(&buf));
-        state.lru.push_back(key);
-        state.resident_bytes += bytes;
-        EdgeSegment::whole(buf)
-    }
-
-    /// `pread`s and decodes one shard extent from the artifact file.
-    fn read_extent(&self, meta: &ShardMeta) -> Vec<Edge> {
-        use std::os::unix::fs::FileExt;
-
-        let offset = self.arena_offset + meta.edge_start() as u64 * BYTES_PER_EDGE;
-        let mut raw = vec![0u8; meta.num_edges() * BYTES_PER_EDGE as usize];
-        if let Err(err) = self.file.read_exact_at(&mut raw, offset) {
-            panic!(
-                "shard window lost its backing artifact {}: {err}",
-                self.path.display()
-            );
-        }
-        raw.chunks_exact(BYTES_PER_EDGE as usize)
-            .map(|rec| {
-                Edge::new(
-                    u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]),
-                    u32::from_le_bytes([rec[4], rec[5], rec[6], rec[7]]),
-                )
-            })
-            .collect()
-    }
-}
-
-impl Drop for ShardWindow {
-    fn drop(&mut self) {
-        // Return the window's residency to its pool and the process-wide
-        // gauge so leaked window state is observable
-        // (`memory::window_resident_bytes`).
-        let state = self.state.get_mut().unwrap_or_else(|e| e.into_inner());
-        if state.resident_bytes > 0 {
-            self.pool.release(state.resident_bytes);
-        }
-    }
-}
-
-impl fmt::Debug for ShardWindow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardWindow")
-            .field("path", &self.path)
-            .field("arena_offset", &self.arena_offset)
-            .field("arena_len", &self.arena_len)
-            .field("window_bytes", &self.pool.capacity())
-            .field("resident_bytes", &self.resident_bytes())
-            .finish()
-    }
-}
-
-/// Where a grid's edge arena lives: fully resident in memory, or behind a
-/// bounded [`ShardWindow`] over the segmented artifact file.
-#[derive(Debug, Clone)]
-enum EdgeStore {
-    Resident(Arc<Vec<Edge>>),
-    Windowed(Arc<ShardWindow>),
-}
-
-/// A view of one shard: its metadata plus its run of edges.
-///
-/// Produced by [`ShardGrid::shard`], [`ShardGrid::iter`] and
-/// [`ShardGrid::occupied_traversal`]. For a resident grid the edges alias
-/// the shared arena (no copy); for a windowed grid they pin the shard's
-/// cached window segment. Cloning a view is an `Arc` bump either way.
-#[derive(Debug, Clone)]
-pub struct ShardView<'a> {
-    coord: ShardCoord,
-    meta: Option<&'a ShardMeta>,
-    edges: EdgeSegment,
-}
-
-impl<'a> ShardView<'a> {
-    /// The shard's grid coordinate.
-    pub fn coord(&self) -> ShardCoord {
-        self.coord
-    }
-
-    /// The shard's metadata, or `None` if the shard is empty.
-    pub fn meta(&self) -> Option<&'a ShardMeta> {
-        self.meta
-    }
-
-    /// Edges contained in the shard, sorted by `(src, dst)`.
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
-    }
-
-    /// Number of edges in the shard.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Returns `true` if the shard contains no edges.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// Number of distinct source nodes referenced by the shard's edges.
-    pub fn unique_source_count(&self) -> usize {
-        self.meta.map_or(0, ShardMeta::unique_source_count)
-    }
-
-    /// Number of distinct destination nodes referenced by the shard's edges.
-    pub fn unique_destination_count(&self) -> usize {
-        self.meta.map_or(0, ShardMeta::unique_destination_count)
-    }
-}
-
-/// A GridGraph-style two-dimensional shard grid (Figure 1), stored sparsely.
+/// The occupied-shard summary of a GridGraph-style two-dimensional shard
+/// grid (Figure 1): everything the timing simulator and the traffic models
+/// read, and nothing they do not.
 ///
 /// The node id space is cut into `grid_dim` contiguous blocks of at most
 /// `nodes_per_shard` nodes; shard `(i, j)` holds every edge whose source lies
@@ -606,47 +168,45 @@ impl<'a> ShardView<'a> {
 /// of n² edges" definition.
 ///
 /// Real graphs sharded this way are extremely sparse at the shard level —
-/// most of the `S²` cells hold no edges — so the grid never materialises
-/// per-cell storage. Instead it keeps:
+/// most of the `S²` cells hold no edges — so the summary keeps:
 ///
-/// * one **edge arena**: every edge, sorted by `(src_block, dst_block, src,
-///   dst)`, so each shard's edges are one contiguous slice;
 /// * one [`ShardMeta`] per *occupied* shard (row-major), carrying the edge
-///   count, distinct-endpoint counts and arena offset;
+///   count, distinct-endpoint counts (Table I's cost-model inputs) and the
+///   shard's offset in the `(src_block, dst_block, src, dst)`-sorted edge
+///   arena a [`ShardGrid`] materialises;
 /// * CSR-style offset indexes over both grid axes (`row_offsets` for
 ///   source-stationary walks, `col_offsets`/`col_entries` for
 ///   destination-stationary walks), so traversals touch only occupied cells.
 ///
-/// Memory is `O(E + occupied + S)` instead of the dense `O(S² + E)` (with a
-/// second edge copy) a `Vec<Shard>` layout costs.
+/// Memory is `O(occupied + S)`: the summary holds no edges at all, which is
+/// what lets the artifact cache store and reload it in kilobytes.
 ///
 /// # Examples
 ///
 /// ```
-/// use gnnerator_graph::{EdgeList, ShardGrid, TraversalOrder};
+/// use gnnerator_graph::{EdgeList, ShardSummary, TraversalOrder};
 ///
 /// # fn main() -> Result<(), gnnerator_graph::GraphError> {
 /// let edges = EdgeList::from_pairs(6, &[(0, 5), (3, 1), (5, 0), (2, 4)])?;
-/// let grid = ShardGrid::build(&edges, 3)?;
-/// assert_eq!(grid.grid_dim(), 2);
-/// assert_eq!(grid.total_edges(), 4);
+/// let summary = ShardSummary::build(&edges, 3, false)?;
+/// assert_eq!(summary.grid_dim(), 2);
+/// assert_eq!(summary.total_edges(), 4);
 /// // The four edges land in two of the four grid cells; the occupancy-aware
 /// // walk visits only those.
-/// assert_eq!(grid.occupied_shards(), 2);
-/// let visited: Vec<_> = grid.traversal(TraversalOrder::DestinationStationary).collect();
-/// assert_eq!(visited.len(), 4);
-/// assert_eq!(grid.occupied_traversal(TraversalOrder::DestinationStationary).count(), 2);
+/// assert_eq!(summary.occupied_shards(), 2);
+/// assert_eq!(summary.traversal(TraversalOrder::DestinationStationary).count(), 4);
+/// assert_eq!(summary.occupied_metas(TraversalOrder::DestinationStationary).count(), 2);
+/// // Self-loops are merged in virtually: one more edge per node.
+/// assert_eq!(ShardSummary::build(&edges, 3, true)?.total_edges(), 10);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardGrid {
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ShardSummary {
     num_nodes: usize,
     nodes_per_shard: usize,
     grid_dim: usize,
-    /// Every edge, sorted by `(src_block, dst_block, src, dst)` — resident
-    /// in memory or behind a bounded shard window over the artifact file.
-    store: EdgeStore,
+    total_edges: usize,
     /// Metadata of occupied shards, row-major (`src_block` outer).
     metas: Vec<ShardMeta>,
     /// `metas[row_offsets[i]..row_offsets[i + 1]]` are row `i`'s occupied
@@ -659,38 +219,48 @@ pub struct ShardGrid {
     col_offsets: Vec<usize>,
 }
 
-impl ShardGrid {
-    /// Builds a shard grid from an edge list, with at most `nodes_per_shard`
-    /// source (and destination) nodes per shard.
+impl ShardSummary {
+    /// Summarises the shard grid of `edges` at `nodes_per_shard` nodes per
+    /// block, optionally with one self-loop per node.
     ///
     /// A sorted list (the generators' normal output) streams straight into
-    /// [`ShardGrid::build_streamed`]; any other list is first copied and
-    /// sorted by `(src, dst)`, then takes the same single pass.
+    /// [`ShardSummary::build_streamed`]; any other list is first copied and
+    /// sorted. Self-loops are merged into the sorted stream on the fly —
+    /// with the same sorted-and-deduplicated result
+    /// [`EdgeList::add_self_loops`] produces — so the edge list is never
+    /// cloned to add them.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::InvalidParameter`] if `nodes_per_shard` is zero
     /// or the edge list has no nodes.
-    pub fn build(edges: &EdgeList, nodes_per_shard: usize) -> Result<Self, GraphError> {
-        if edges.is_sorted() {
-            return Self::build_streamed(edges.num_nodes(), nodes_per_shard, edges.iter().copied());
+    pub fn build(
+        edges: &EdgeList,
+        nodes_per_shard: usize,
+        include_self_loops: bool,
+    ) -> Result<Self, GraphError> {
+        let sorted = sorted_edges(edges);
+        let n = edges.num_nodes();
+        if include_self_loops {
+            let loops = (0..n as NodeId).map(|v| Edge::new(v, v));
+            let merged = merge_sorted_unique(sorted.iter().copied(), loops);
+            Self::build_streamed(n, nodes_per_shard, merged)
+        } else {
+            Self::build_streamed(n, nodes_per_shard, sorted.iter().copied())
         }
-        let mut canonical: Vec<Edge> = edges.iter().copied().collect();
-        canonical.sort_unstable();
-        Self::build_streamed(edges.num_nodes(), nodes_per_shard, canonical)
     }
 
-    /// Builds a shard grid from a `(src, dst)`-sorted edge *stream* without
-    /// ever materialising a full [`EdgeList`], in one linear pass.
+    /// Summarises a `(src, dst)`-sorted edge *stream* in one linear pass,
+    /// holding no edges.
     ///
-    /// A `(src, dst)`-sorted stream delivers edges grouped by contiguous
-    /// source block, so the builder buffers one source-block *row* at a
-    /// time. A stable counting scatter by destination block moves the row
-    /// into the arena in `(dst_block, src, dst)` order, completing the
-    /// arena's `(src_block, dst_block, src, dst)` order. Each shard's
-    /// distinct sources then fall out of adjacent comparisons, and its
-    /// distinct destinations out of a per-node stamp array. Peak transient
-    /// memory is one row, not the whole edge list.
+    /// A sorted stream delivers edges grouped by contiguous source block
+    /// (grid row). Within a row, each edge bumps its destination block's
+    /// edge count; its distinct-source count grows whenever the block sees a
+    /// new source (sources arrive in ascending order), and its
+    /// distinct-destination count whenever a per-node stamp array has not
+    /// yet seen the destination in this row — a node belongs to exactly one
+    /// destination block, so a row stamp is a shard stamp. Neither array is
+    /// reset between rows: sources and rows only ascend.
     ///
     /// # Errors
     ///
@@ -698,19 +268,6 @@ impl ShardGrid {
     /// zero, `num_nodes` is zero, the stream is not sorted by `(src, dst)`,
     /// or the edge count exceeds the 32-bit arena index space, and
     /// [`GraphError::NodeOutOfRange`] for an endpoint `>= num_nodes`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use gnnerator_graph::{EdgeList, ShardGrid};
-    ///
-    /// # fn main() -> Result<(), gnnerator_graph::GraphError> {
-    /// let edges = EdgeList::from_pairs(6, &[(0, 5), (2, 4), (3, 1), (5, 0)])?;
-    /// let streamed = ShardGrid::build_streamed(6, 3, edges.iter().copied())?;
-    /// assert_eq!(streamed, ShardGrid::build(&edges, 3)?);
-    /// # Ok(())
-    /// # }
-    /// ```
     pub fn build_streamed<I>(
         num_nodes: usize,
         nodes_per_shard: usize,
@@ -725,10 +282,7 @@ impl ShardGrid {
         if num_nodes == 0 {
             return Err(GraphError::invalid("edges", "graph has no nodes"));
         }
-
-        let edges = edges.into_iter();
-        let mut rows = RowScatter::new(num_nodes, nodes_per_shard, edges.size_hint().0);
-        let mut row_block = 0usize;
+        let mut pass = MetaPass::new(num_nodes, nodes_per_shard);
         let mut prev: Option<Edge> = None;
         for edge in edges {
             for node in [edge.src, edge.dst] {
@@ -743,74 +297,30 @@ impl ShardGrid {
                 ));
             }
             prev = Some(edge);
-            if rows.arena.len() + rows.row.len() >= u32::MAX as usize {
+            if pass.edges >= u32::MAX as usize {
                 return Err(GraphError::invalid(
                     "edges",
                     "edge count exceeds the 32-bit arena index space",
                 ));
             }
-            let block = edge.src as usize / nodes_per_shard;
-            if rows.row.is_empty() {
-                row_block = block;
-            } else if block != row_block {
-                rows.flush(row_block);
-                row_block = block;
-            }
-            rows.row.push(edge);
+            pass.push(edge);
         }
-        rows.flush(row_block);
-
-        Ok(Self::assemble(
-            num_nodes,
-            nodes_per_shard,
-            rows.arena,
-            rows.metas,
-        ))
+        pass.flush_row();
+        Ok(Self::assemble(num_nodes, nodes_per_shard, pass.metas))
     }
 
-    /// Assembles a grid from a sorted arena and its row-major occupied-shard
-    /// metadata, rebuilding the CSR-style row/column indexes. Shared by
-    /// [`ShardGrid::build`] and the artifact cache's deserialiser (the
-    /// indexes are cheap linear passes, so they are recomputed rather than
-    /// stored).
+    /// Assembles a summary from its row-major occupied-shard metadata,
+    /// rebuilding the CSR-style row/column indexes. Shared by
+    /// [`ShardSummary::build_streamed`] and the artifact cache's
+    /// deserialiser (the indexes are cheap linear passes, so they are
+    /// recomputed rather than stored).
     pub(crate) fn assemble(
         num_nodes: usize,
         nodes_per_shard: usize,
-        arena: Vec<Edge>,
-        metas: Vec<ShardMeta>,
-    ) -> Self {
-        Self::assemble_store(
-            num_nodes,
-            nodes_per_shard,
-            EdgeStore::Resident(Arc::new(arena)),
-            metas,
-        )
-    }
-
-    /// Assembles a *windowed* grid over a validated segmented artifact: same
-    /// metadata and indexes as [`ShardGrid::assemble`], but shard edges are
-    /// faulted in through `window` on demand instead of living in memory.
-    pub(crate) fn assemble_windowed(
-        num_nodes: usize,
-        nodes_per_shard: usize,
-        window: ShardWindow,
-        metas: Vec<ShardMeta>,
-    ) -> Self {
-        Self::assemble_store(
-            num_nodes,
-            nodes_per_shard,
-            EdgeStore::Windowed(Arc::new(window)),
-            metas,
-        )
-    }
-
-    fn assemble_store(
-        num_nodes: usize,
-        nodes_per_shard: usize,
-        store: EdgeStore,
         metas: Vec<ShardMeta>,
     ) -> Self {
         let grid_dim = num_nodes.div_ceil(nodes_per_shard);
+        let total_edges = metas.last().map_or(0, |m| m.edge_range().end);
 
         // Row index: metas are already row-major, so offsets come from one
         // counting pass.
@@ -843,7 +353,7 @@ impl ShardGrid {
             num_nodes,
             nodes_per_shard,
             grid_dim,
-            store,
+            total_edges,
             metas,
             row_offsets,
             col_entries,
@@ -868,10 +378,7 @@ impl ShardGrid {
 
     /// Total number of edges across all shards.
     pub fn total_edges(&self) -> usize {
-        match &self.store {
-            EdgeStore::Resident(arena) => arena.len(),
-            EdgeStore::Windowed(window) => window.arena_len(),
-        }
+        self.total_edges
     }
 
     /// Number of shards that contain at least one edge.
@@ -879,74 +386,9 @@ impl ShardGrid {
         self.metas.len()
     }
 
-    /// `true` when this grid simulates from disk through a bounded
-    /// [`ShardWindow`] instead of a resident edge arena.
-    pub fn is_windowed(&self) -> bool {
-        matches!(self.store, EdgeStore::Windowed(_))
-    }
-
-    /// The backing shard window of a windowed grid, or `None` when the
-    /// arena is resident.
-    pub fn window(&self) -> Option<&ShardWindow> {
-        match &self.store {
-            EdgeStore::Resident(_) => None,
-            EdgeStore::Windowed(window) => Some(window),
-        }
-    }
-
-    /// The shared edge arena, sorted by `(src_block, dst_block, src, dst)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a windowed grid, which never materialises the whole arena;
-    /// walk shards via [`ShardGrid::edges_of`] or
-    /// [`ShardGrid::occupied_traversal`] instead (or check
-    /// [`ShardGrid::is_windowed`] first).
-    pub fn edges(&self) -> &[Edge] {
-        self.resident_edges().expect(
-            "windowed ShardGrid does not expose the whole edge arena; \
-             iterate shards via edges_of/occupied_traversal",
-        )
-    }
-
-    /// The resident edge arena, or `None` for a windowed grid.
-    pub(crate) fn resident_edges(&self) -> Option<&[Edge]> {
-        match &self.store {
-            EdgeStore::Resident(arena) => Some(arena),
-            EdgeStore::Windowed(_) => None,
-        }
-    }
-
     /// Metadata of every occupied shard, row-major.
     pub fn metas(&self) -> &[ShardMeta] {
         &self.metas
-    }
-
-    /// The edges of the shard described by `meta`, sharing the resident
-    /// arena or faulting the extent in through the shard window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `meta` did not come from this grid and indexes out of the
-    /// arena, or if a windowed grid's backing artifact disappeared mid-run.
-    pub fn edges_of(&self, meta: &ShardMeta) -> EdgeSegment {
-        match &self.store {
-            EdgeStore::Resident(arena) => EdgeSegment::slice(Arc::clone(arena), meta.edge_range()),
-            EdgeStore::Windowed(window) => window.fetch(meta),
-        }
-    }
-
-    /// Streams the shard's edge extent into residency: a no-op for a
-    /// resident grid, a window fetch (hit or fault) for a windowed one.
-    ///
-    /// The timing simulator calls this where the hardware's graph engine
-    /// would stream the shard's edges, so a windowed simulation actually
-    /// pays — and meters — the disk traffic of its serpentine walk, while
-    /// the resident path stays untouched.
-    pub fn touch(&self, meta: &ShardMeta) {
-        if let EdgeStore::Windowed(window) = &self.store {
-            drop(window.fetch(meta));
-        }
     }
 
     /// Metadata of row `src_block`'s occupied shards, ascending `dst_block`.
@@ -972,45 +414,21 @@ impl ShardGrid {
             .map(move |&index| &self.metas[index])
     }
 
-    /// The shard at `coord` (a borrowed view; empty cells return an
-    /// edge-less view rather than failing).
+    /// The metadata of the shard at `coord`, or `None` for an empty cell.
     ///
     /// # Panics
     ///
     /// Panics if `coord` is outside the grid.
-    pub fn shard(&self, coord: ShardCoord) -> ShardView<'_> {
+    pub fn meta(&self, coord: ShardCoord) -> Option<&ShardMeta> {
         assert!(
             coord.src_block < self.grid_dim && coord.dst_block < self.grid_dim,
             "shard {coord} out of range for {0}x{0} grid",
             self.grid_dim
         );
-        match self
-            .row_metas(coord.src_block)
-            .binary_search_by_key(&coord.dst_block, |m| m.coord.dst_block)
-        {
-            Ok(offset) => {
-                let meta = &self.row_metas(coord.src_block)[offset];
-                ShardView {
-                    coord,
-                    meta: Some(meta),
-                    edges: self.edges_of(meta),
-                }
-            }
-            Err(_) => ShardView {
-                coord,
-                meta: None,
-                edges: EdgeSegment::empty(),
-            },
-        }
-    }
-
-    /// Iterates over the occupied shards in row-major order.
-    pub fn iter(&self) -> impl Iterator<Item = ShardView<'_>> + '_ {
-        self.metas.iter().map(move |meta| ShardView {
-            coord: meta.coord,
-            meta: Some(meta),
-            edges: self.edges_of(meta),
-        })
+        let row = self.row_metas(coord.src_block);
+        row.binary_search_by_key(&coord.dst_block, |m| m.coord.dst_block)
+            .ok()
+            .map(|offset| &row[offset])
     }
 
     /// The contiguous range of node ids belonging to block `block`.
@@ -1063,7 +481,7 @@ impl ShardGrid {
     ///
     /// The iterator is allocation-free: coordinates are computed from a
     /// linear index. For walks that should skip empty cells, use
-    /// [`ShardGrid::occupied_traversal`].
+    /// [`ShardSummary::occupied_metas`].
     pub fn traversal(&self, order: TraversalOrder) -> SerpentineCoords {
         SerpentineCoords {
             grid_dim: self.grid_dim,
@@ -1073,17 +491,18 @@ impl ShardGrid {
         }
     }
 
-    /// Returns the *occupied* shards in the same S-pattern order as
-    /// [`ShardGrid::traversal`], skipping empty cells via the sparse index.
+    /// Returns the metadata of the *occupied* shards in the same S-pattern
+    /// order as [`ShardSummary::traversal`], skipping empty cells via the
+    /// sparse index.
     ///
     /// This is the subsequence of the full serpentine walk restricted to
     /// shards that actually contain edges, so any consumer for whom empty
     /// shards are no-ops (the timing simulator, the functional executor)
     /// observes an identical processing order at `O(occupied + S)` cost
     /// instead of `O(S²)`.
-    pub fn occupied_traversal(&self, order: TraversalOrder) -> OccupiedTraversal<'_> {
+    pub fn occupied_metas(&self, order: TraversalOrder) -> OccupiedTraversal<'_> {
         OccupiedTraversal {
-            grid: self,
+            summary: self,
             order,
             outer: 0,
             group: 0..0,
@@ -1092,136 +511,329 @@ impl ShardGrid {
     }
 }
 
-/// The state of [`ShardGrid::build_streamed`]'s single pass: the arena and
-/// metadata built so far, the source-block row being buffered, and the
-/// scratch its counting scatter and distinct-destination counts reuse.
-struct RowScatter {
+/// The state of [`ShardSummary::build_streamed`]'s single pass: metadata
+/// emitted so far, plus per-destination-block counters for the source-block
+/// row being read.
+struct MetaPass {
     nodes_per_shard: usize,
-    arena: Vec<Edge>,
     metas: Vec<ShardMeta>,
-    /// Edges of the current source-block row, sorted by `(src, dst)`.
-    row: Vec<Edge>,
-    /// Per destination block: the row's edge count, then the scatter
-    /// cursor. Zero again between rows.
-    block_slots: Vec<usize>,
+    /// Edges consumed so far (the arena offset of the next shard).
+    edges: usize,
+    /// Arena offset of the current row's first edge.
+    row_start: usize,
+    /// Source block of the current row.
+    row: usize,
     /// Destination blocks the current row touches.
     touched: Vec<usize>,
-    /// Per node offset within a block: one more than the index of the last
-    /// shard that counted it, so no reset is needed between shards.
-    stamps: Vec<u32>,
+    /// Per destination block: the current row's edge, distinct-source and
+    /// distinct-destination counts. Zero again between rows.
+    counts: Vec<[u32; 3]>,
+    /// Per destination block: one more than the last source counted.
+    last_source: Vec<u32>,
+    /// Per node: one more than the last row that counted it as a
+    /// destination.
+    destination_stamps: Vec<u32>,
 }
 
-impl RowScatter {
-    fn new(num_nodes: usize, nodes_per_shard: usize, edges_hint: usize) -> Self {
+impl MetaPass {
+    fn new(num_nodes: usize, nodes_per_shard: usize) -> Self {
+        let grid_dim = num_nodes.div_ceil(nodes_per_shard);
         Self {
             nodes_per_shard,
-            arena: Vec::with_capacity(edges_hint),
             metas: Vec::new(),
-            row: Vec::new(),
-            block_slots: vec![0; num_nodes.div_ceil(nodes_per_shard)],
+            edges: 0,
+            row_start: 0,
+            row: 0,
             touched: Vec::new(),
-            stamps: vec![0; nodes_per_shard.min(num_nodes)],
+            counts: vec![[0; 3]; grid_dim],
+            last_source: vec![0; grid_dim],
+            destination_stamps: vec![0; num_nodes],
         }
     }
 
-    /// Moves the buffered row of `src_block` into the arena in destination
-    /// block order and emits one [`ShardMeta`] per occupied shard.
-    fn flush(&mut self, src_block: usize) {
-        if self.row.is_empty() {
-            return;
+    fn push(&mut self, edge: Edge) {
+        let row = edge.src as usize / self.nodes_per_shard;
+        if row != self.row {
+            self.flush_row();
+            self.row = row;
         }
-        let nps = self.nodes_per_shard;
-        for edge in &self.row {
-            let block = edge.dst as usize / nps;
-            if self.block_slots[block] == 0 {
-                self.touched.push(block);
-            }
-            self.block_slots[block] += 1;
+        let block = edge.dst as usize / self.nodes_per_shard;
+        let counts = &mut self.counts[block];
+        if counts[0] == 0 {
+            self.touched.push(block);
         }
+        counts[0] += 1;
+        if self.last_source[block] != edge.src + 1 {
+            self.last_source[block] = edge.src + 1;
+            counts[1] += 1;
+        }
+        // Rows are node ids divided by the block size, so they fit a u32.
+        let stamp = self.row as u32 + 1;
+        let seen = &mut self.destination_stamps[edge.dst as usize];
+        if *seen != stamp {
+            *seen = stamp;
+            counts[2] += 1;
+        }
+        self.edges += 1;
+    }
+
+    /// Emits one [`ShardMeta`] per occupied shard of the current row, in
+    /// ascending destination block order.
+    fn flush_row(&mut self) {
         self.touched.sort_unstable();
-
-        // Counts become arena offsets, in ascending destination block order.
-        let first_meta = self.metas.len();
-        let mut offset = self.arena.len();
+        let mut offset = self.row_start;
         for &block in &self.touched {
-            let count = self.block_slots[block];
+            let [num_edges, unique_sources, unique_destinations] =
+                std::mem::take(&mut self.counts[block]);
             self.metas.push(ShardMeta {
-                coord: ShardCoord::new(src_block, block),
+                coord: ShardCoord::new(self.row, block),
                 edge_start: offset as u32,
-                num_edges: count as u32,
-                unique_sources: 0,
-                unique_destinations: 0,
+                num_edges,
+                unique_sources,
+                unique_destinations,
             });
-            self.block_slots[block] = offset;
-            offset += count;
-        }
-
-        // Stable scatter: each shard receives its edges in (src, dst) order.
-        self.arena.resize(offset, Edge::new(0, 0));
-        for &edge in &self.row {
-            let slot = &mut self.block_slots[edge.dst as usize / nps];
-            self.arena[*slot] = edge;
-            *slot += 1;
-        }
-
-        for (index, meta) in self.metas.iter_mut().enumerate().skip(first_meta) {
-            let run = &self.arena[meta.edge_range()];
-            let block_start = meta.coord.dst_block * nps;
-            // Shard indexes stay below the u32 arena bound checked per edge.
-            let stamp = index as u32 + 1;
-            let mut unique_destinations = 0u32;
-            for edge in run {
-                let seen = &mut self.stamps[edge.dst as usize - block_start];
-                if *seen != stamp {
-                    *seen = stamp;
-                    unique_destinations += 1;
-                }
-            }
-            meta.unique_sources =
-                1 + run.windows(2).filter(|w| w[0].src != w[1].src).count() as u32;
-            meta.unique_destinations = unique_destinations;
-        }
-
-        for &block in &self.touched {
-            self.block_slots[block] = 0;
+            offset += num_edges as usize;
         }
         self.touched.clear();
-        self.row.clear();
+        self.row_start = offset;
     }
 }
 
-impl PartialEq for ShardGrid {
-    /// Logical equality: same sharding parameters, same occupied-shard
-    /// metadata, same edges shard by shard. A windowed grid compares equal
-    /// to the resident grid it was serialised from (comparing one faults
-    /// its shards through the window).
-    fn eq(&self, other: &Self) -> bool {
-        if self.num_nodes != other.num_nodes
-            || self.nodes_per_shard != other.nodes_per_shard
-            || self.grid_dim != other.grid_dim
-            || self.metas != other.metas
-        {
-            return false;
-        }
-        // The CSR indexes are derived from the metas, so they need no
-        // separate comparison.
-        match (&self.store, &other.store) {
-            (EdgeStore::Resident(a), EdgeStore::Resident(b)) => a == b,
-            _ => {
-                self.total_edges() == other.total_edges()
-                    && self
-                        .metas
-                        .iter()
-                        .all(|meta| self.edges_of(meta) == other.edges_of(meta))
+/// `edges` in `(src, dst)` order: borrowed when the list is already sorted,
+/// a sorted copy otherwise.
+fn sorted_edges(edges: &EdgeList) -> Cow<'_, [Edge]> {
+    if edges.is_sorted() {
+        return Cow::Borrowed(edges.as_slice());
+    }
+    let mut sorted = edges.as_slice().to_vec();
+    sorted.sort_unstable();
+    Cow::Owned(sorted)
+}
+
+/// A view of one shard of a [`ShardGrid`]: its metadata plus its run of
+/// edges in the grid's resident arena.
+#[derive(Debug, Clone, Copy)]
+pub struct ShardView<'a> {
+    coord: ShardCoord,
+    meta: Option<&'a ShardMeta>,
+    edges: &'a [Edge],
+}
+
+impl<'a> ShardView<'a> {
+    /// The shard's grid coordinate.
+    pub fn coord(&self) -> ShardCoord {
+        self.coord
+    }
+
+    /// The shard's metadata, or `None` if the shard is empty.
+    pub fn meta(&self) -> Option<&'a ShardMeta> {
+        self.meta
+    }
+
+    /// Edges contained in the shard, sorted by `(src, dst)`.
+    pub fn edges(&self) -> &'a [Edge] {
+        self.edges
+    }
+
+    /// Number of edges in the shard.
+    pub fn num_edges(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// Returns `true` if the shard contains no edges.
+    pub fn is_empty(&self) -> bool {
+        self.edges.is_empty()
+    }
+
+    /// Number of distinct source nodes referenced by the shard's edges.
+    pub fn unique_source_count(&self) -> usize {
+        self.meta.map_or(0, ShardMeta::unique_source_count)
+    }
+
+    /// Number of distinct destination nodes referenced by the shard's edges.
+    pub fn unique_destination_count(&self) -> usize {
+        self.meta.map_or(0, ShardMeta::unique_destination_count)
+    }
+}
+
+/// A [`ShardSummary`] plus its resident edge arena: the shard grid the
+/// value-level executors walk edge by edge.
+///
+/// The timing path never needs edges and works from the summary alone; a
+/// `ShardGrid` exists for the functional executor and tests, which run on
+/// small graphs. It dereferences to its summary, so every grid accessor
+/// (`grid_dim`, `metas`, `row_metas`, ...) is available on it.
+///
+/// # Examples
+///
+/// ```
+/// use gnnerator_graph::{EdgeList, ShardGrid, TraversalOrder};
+///
+/// # fn main() -> Result<(), gnnerator_graph::GraphError> {
+/// let edges = EdgeList::from_pairs(6, &[(0, 5), (3, 1), (5, 0), (2, 4)])?;
+/// let grid = ShardGrid::build(&edges, 3)?;
+/// assert_eq!(grid.grid_dim(), 2);
+/// assert_eq!(grid.total_edges(), 4);
+/// let walked: usize = grid
+///     .occupied_traversal(TraversalOrder::DestinationStationary)
+///     .map(|shard| shard.num_edges())
+///     .sum();
+/// assert_eq!(walked, 4);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ShardGrid {
+    summary: ShardSummary,
+    /// Every edge, sorted by `(src_block, dst_block, src, dst)`, so each
+    /// shard's edges are one contiguous slice.
+    arena: Vec<Edge>,
+}
+
+impl ShardGrid {
+    /// Builds a shard grid from an edge list, with at most `nodes_per_shard`
+    /// source (and destination) nodes per shard.
+    ///
+    /// A sorted list is summarised and scattered in place; any other list
+    /// is first copied and sorted by `(src, dst)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::InvalidParameter`] if `nodes_per_shard` is zero
+    /// or the edge list has no nodes.
+    pub fn build(edges: &EdgeList, nodes_per_shard: usize) -> Result<Self, GraphError> {
+        Self::from_sorted(edges.num_nodes(), nodes_per_shard, &sorted_edges(edges))
+    }
+
+    /// Builds a shard grid from a `(src, dst)`-sorted edge stream.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`ShardSummary::build_streamed`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use gnnerator_graph::{EdgeList, ShardGrid};
+    ///
+    /// # fn main() -> Result<(), gnnerator_graph::GraphError> {
+    /// let edges = EdgeList::from_pairs(6, &[(0, 5), (2, 4), (3, 1), (5, 0)])?;
+    /// let streamed = ShardGrid::build_streamed(6, 3, edges.iter().copied())?;
+    /// assert_eq!(streamed, ShardGrid::build(&edges, 3)?);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn build_streamed<I>(
+        num_nodes: usize,
+        nodes_per_shard: usize,
+        edges: I,
+    ) -> Result<Self, GraphError>
+    where
+        I: IntoIterator<Item = Edge>,
+    {
+        let edges: Vec<Edge> = edges.into_iter().collect();
+        Self::from_sorted(num_nodes, nodes_per_shard, &edges)
+    }
+
+    /// Summarises `sorted`, then moves it into the arena with a stable
+    /// scatter: each shard receives its edges in `(src, dst)` order.
+    fn from_sorted(
+        num_nodes: usize,
+        nodes_per_shard: usize,
+        sorted: &[Edge],
+    ) -> Result<Self, GraphError> {
+        let summary =
+            ShardSummary::build_streamed(num_nodes, nodes_per_shard, sorted.iter().copied())?;
+        let mut arena = vec![Edge::new(0, 0); summary.total_edges()];
+        let mut cursors = vec![0usize; summary.grid_dim()];
+        let mut row = None;
+        for &edge in sorted {
+            let src_block = edge.src as usize / nodes_per_shard;
+            if row != Some(src_block) {
+                row = Some(src_block);
+                for meta in summary.row_metas(src_block) {
+                    cursors[meta.coord.dst_block] = meta.edge_start as usize;
+                }
             }
+            let cursor = &mut cursors[edge.dst as usize / nodes_per_shard];
+            arena[*cursor] = edge;
+            *cursor += 1;
         }
+        Ok(Self { summary, arena })
+    }
+
+    /// The grid's occupied-shard summary.
+    pub fn summary(&self) -> &ShardSummary {
+        &self.summary
+    }
+
+    /// The shared edge arena, sorted by `(src_block, dst_block, src, dst)`.
+    pub fn edges(&self) -> &[Edge] {
+        &self.arena
+    }
+
+    /// The edges of the shard described by `meta`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `meta` did not come from this grid and indexes out of the
+    /// arena.
+    pub fn edges_of(&self, meta: &ShardMeta) -> &[Edge] {
+        &self.arena[meta.edge_range()]
+    }
+
+    fn view<'a>(&'a self, meta: &'a ShardMeta) -> ShardView<'a> {
+        ShardView {
+            coord: meta.coord,
+            meta: Some(meta),
+            edges: self.edges_of(meta),
+        }
+    }
+
+    /// The shard at `coord` (a borrowed view; empty cells return an
+    /// edge-less view rather than failing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coord` is outside the grid.
+    pub fn shard(&self, coord: ShardCoord) -> ShardView<'_> {
+        match self.summary.meta(coord) {
+            Some(meta) => self.view(meta),
+            None => ShardView {
+                coord,
+                meta: None,
+                edges: &[],
+            },
+        }
+    }
+
+    /// Iterates over the occupied shards in row-major order.
+    pub fn iter(&self) -> impl Iterator<Item = ShardView<'_>> + '_ {
+        self.summary.metas.iter().map(move |meta| self.view(meta))
+    }
+
+    /// The occupied shards with their edges, in the serpentine order of
+    /// [`ShardSummary::occupied_metas`].
+    pub fn occupied_traversal(
+        &self,
+        order: TraversalOrder,
+    ) -> impl Iterator<Item = ShardView<'_>> + '_ {
+        self.summary
+            .occupied_metas(order)
+            .map(move |meta| self.view(meta))
     }
 }
 
-impl Eq for ShardGrid {}
+impl std::ops::Deref for ShardGrid {
+    type Target = ShardSummary;
+
+    fn deref(&self) -> &ShardSummary {
+        &self.summary
+    }
+}
 
 /// Allocation-free serpentine coordinate iterator returned by
-/// [`ShardGrid::traversal`].
+/// [`ShardSummary::traversal`].
 #[derive(Debug, Clone)]
 pub struct SerpentineCoords {
     grid_dim: usize,
@@ -1256,15 +868,15 @@ impl Iterator for SerpentineCoords {
 
 impl ExactSizeIterator for SerpentineCoords {}
 
-/// Occupied-only serpentine shard iterator returned by
-/// [`ShardGrid::occupied_traversal`].
+/// Occupied-only serpentine iterator returned by
+/// [`ShardSummary::occupied_metas`].
 ///
 /// Walks the sparse row/column index group by group, reversing every other
-/// group to follow the S-pattern, and yields a [`ShardView`] per occupied
-/// shard.
+/// group to follow the S-pattern, and yields the [`ShardMeta`] of each
+/// occupied shard.
 #[derive(Debug, Clone)]
 pub struct OccupiedTraversal<'a> {
-    grid: &'a ShardGrid,
+    summary: &'a ShardSummary,
     order: TraversalOrder,
     /// Next outer row/column group to open.
     outer: usize,
@@ -1274,42 +886,31 @@ pub struct OccupiedTraversal<'a> {
     reverse: bool,
 }
 
-impl<'a> OccupiedTraversal<'a> {
-    fn meta_at(&self, entry: usize) -> &'a ShardMeta {
-        match self.order {
-            TraversalOrder::SourceStationary => &self.grid.metas[entry],
-            TraversalOrder::DestinationStationary => &self.grid.metas[self.grid.col_entries[entry]],
-        }
-    }
-}
-
 impl<'a> Iterator for OccupiedTraversal<'a> {
-    type Item = ShardView<'a>;
+    type Item = &'a ShardMeta;
 
-    fn next(&mut self) -> Option<ShardView<'a>> {
+    fn next(&mut self) -> Option<&'a ShardMeta> {
         loop {
-            if !self.group.is_empty() {
-                let entry = if self.reverse {
-                    self.group.end -= 1;
-                    self.group.end
-                } else {
-                    let e = self.group.start;
-                    self.group.start += 1;
-                    e
-                };
-                let meta = self.meta_at(entry);
-                return Some(ShardView {
-                    coord: meta.coord,
-                    meta: Some(meta),
-                    edges: self.grid.edges_of(meta),
+            let entry = if self.reverse {
+                self.group.next_back()
+            } else {
+                self.group.next()
+            };
+            if let Some(entry) = entry {
+                let summary = self.summary;
+                return Some(match self.order {
+                    TraversalOrder::SourceStationary => &summary.metas[entry],
+                    TraversalOrder::DestinationStationary => {
+                        &summary.metas[summary.col_entries[entry]]
+                    }
                 });
             }
-            if self.outer >= self.grid.grid_dim {
+            if self.outer >= self.summary.grid_dim {
                 return None;
             }
             let offsets = match self.order {
-                TraversalOrder::SourceStationary => &self.grid.row_offsets,
-                TraversalOrder::DestinationStationary => &self.grid.col_offsets,
+                TraversalOrder::SourceStationary => &self.summary.row_offsets,
+                TraversalOrder::DestinationStationary => &self.summary.col_offsets,
             };
             self.group = offsets[self.outer]..offsets[self.outer + 1];
             self.reverse = self.outer % 2 == 1;
@@ -1371,7 +972,7 @@ mod tests {
     /// The historical build: one comparison sort of the whole arena by
     /// shard coordinate, then a scan that sorts each shard's destinations to
     /// count them.
-    fn historical_build(edges: &EdgeList, nodes_per_shard: usize) -> ShardGrid {
+    fn historical_build(edges: &EdgeList, nodes_per_shard: usize) -> (Vec<Edge>, Vec<ShardMeta>) {
         let mut arena: Vec<Edge> = edges.iter().copied().collect();
         arena.sort_unstable_by_key(|e| {
             (
@@ -1409,7 +1010,7 @@ mod tests {
             ));
             start = end;
         }
-        ShardGrid::assemble(edges.num_nodes(), nodes_per_shard, arena, metas)
+        (arena, metas)
     }
 
     #[test]
@@ -1436,12 +1037,10 @@ mod tests {
             sorted.add_self_loops();
             for nps in [1, 2, 7, n, n + 5] {
                 for list in [&edges, &sorted] {
-                    let expected = historical_build(list, nps);
-                    assert_eq!(
-                        ShardGrid::build(list, nps).unwrap(),
-                        expected,
-                        "n {n} nps {nps}"
-                    );
+                    let (arena, metas) = historical_build(list, nps);
+                    let grid = ShardGrid::build(list, nps).unwrap();
+                    assert_eq!(grid.edges(), arena, "n {n} nps {nps}");
+                    assert_eq!(grid.metas(), metas, "n {n} nps {nps}");
                 }
             }
         }
@@ -1716,165 +1315,6 @@ mod tests {
         );
     }
 
-    /// Writes `grid`'s arena as raw little-endian records (prefixed by
-    /// `lead` filler bytes) and opens a [`ShardWindow`] over it.
-    fn window_over(grid: &ShardGrid, lead: u64, window_bytes: u64) -> ShardWindow {
-        use std::io::Write;
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        static NONCE: AtomicU64 = AtomicU64::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "gnnerator-shard-window-{}-{}.arena",
-            std::process::id(),
-            NONCE.fetch_add(1, Ordering::Relaxed)
-        ));
-        let mut file = std::fs::File::create(&path).unwrap();
-        file.write_all(&vec![0u8; lead as usize]).unwrap();
-        for edge in grid.edges() {
-            file.write_all(&edge.src.to_le_bytes()).unwrap();
-            file.write_all(&edge.dst.to_le_bytes()).unwrap();
-        }
-        file.flush().unwrap();
-        drop(file);
-        let file = std::fs::File::open(&path).unwrap();
-        // The file is open; unlink so the temp dir stays clean regardless of
-        // test outcome (Unix keeps the inode alive).
-        let _ = std::fs::remove_file(&path);
-        ShardWindow::with_pool(
-            file,
-            path,
-            lead,
-            grid.total_edges(),
-            WindowPool::new(window_bytes),
-        )
-    }
-
-    fn windowed_clone(grid: &ShardGrid, window_bytes: u64) -> ShardGrid {
-        ShardGrid::assemble_windowed(
-            grid.num_nodes(),
-            grid.nodes_per_shard(),
-            window_over(grid, 96, window_bytes),
-            grid.metas().to_vec(),
-        )
-    }
-
-    #[test]
-    fn sibling_windows_split_one_pool_instead_of_stacking_budgets() {
-        let edges = sample_edges();
-        let resident = ShardGrid::build(&edges, 3).unwrap();
-        let arena_bytes = resident.total_edges() as u64 * BYTES_PER_EDGE;
-        let pool = WindowPool::new(arena_bytes);
-        let sibling = |g: &ShardGrid| {
-            let mut window = window_over(g, 96, 0);
-            window.pool = Arc::clone(&pool);
-            ShardGrid::assemble_windowed(
-                g.num_nodes(),
-                g.nodes_per_shard(),
-                window,
-                g.metas().to_vec(),
-            )
-        };
-        // The first sibling's walk fills the whole pool.
-        let first = sibling(&resident);
-        assert_eq!(first, resident);
-        assert_eq!(pool.resident_bytes(), arena_bytes);
-        // The second sibling finds the pool full, evicts nothing it owns,
-        // serves every extent uncached — and stays bit-identical.
-        let second = sibling(&resident);
-        assert_eq!(second, resident);
-        assert_eq!(second.window().unwrap().resident_bytes(), 0);
-        assert_eq!(second.window().unwrap().stats().evictions, 0);
-        assert_eq!(pool.resident_bytes(), arena_bytes);
-        // Dropping the full sibling frees the pool for the other one.
-        drop(first);
-        assert_eq!(pool.resident_bytes(), 0);
-        assert_eq!(second, resident);
-        assert_eq!(second.window().unwrap().resident_bytes(), arena_bytes);
-    }
-
-    #[test]
-    fn windowed_grid_is_bit_identical_to_resident() {
-        let edges = sample_edges();
-        let resident = ShardGrid::build(&edges, 3).unwrap();
-        let max_shard_bytes = resident.max_shard_edges() as u64 * BYTES_PER_EDGE;
-        for window_bytes in [0, max_shard_bytes, 1 << 20] {
-            let windowed = windowed_clone(&resident, window_bytes);
-            assert!(windowed.is_windowed());
-            assert!(!resident.is_windowed());
-            assert_eq!(windowed.total_edges(), resident.total_edges());
-            assert_eq!(windowed, resident, "window_bytes={window_bytes}");
-            for order in [
-                TraversalOrder::SourceStationary,
-                TraversalOrder::DestinationStationary,
-            ] {
-                let walk = |g: &ShardGrid| -> Vec<(ShardCoord, Vec<Edge>)> {
-                    g.occupied_traversal(order)
-                        .map(|s| (s.coord(), s.edges().to_vec()))
-                        .collect()
-                };
-                assert_eq!(
-                    walk(&windowed),
-                    walk(&resident),
-                    "window_bytes={window_bytes} {order}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn tight_window_evicts_and_repeated_walks_hit() {
-        let edges = sample_edges();
-        let resident = ShardGrid::build(&edges, 1).unwrap();
-        let occupied = resident.occupied_shards() as u64;
-        assert!(occupied > 2);
-        // Window fits exactly one single-edge shard: every new shard evicts.
-        let windowed = windowed_clone(&resident, BYTES_PER_EDGE);
-        let global_before = crate::memory::memory_telemetry();
-        assert_eq!(windowed, resident);
-        let stats = windowed.window().unwrap().stats();
-        assert_eq!(stats.misses, occupied);
-        assert_eq!(stats.evictions, occupied - 1);
-        // The global aggregates move in lockstep (other tests may add more).
-        let global_after = crate::memory::memory_telemetry();
-        assert!(global_after.window_misses >= global_before.window_misses + stats.misses);
-        assert!(global_after.window_evictions >= global_before.window_evictions + stats.evictions);
-        assert!(
-            global_after.window_faulted_bytes
-                >= global_before.window_faulted_bytes + occupied * BYTES_PER_EDGE
-        );
-
-        // A window big enough for everything faults each shard once, then
-        // serves the second walk entirely from residency.
-        let roomy = windowed_clone(&resident, 1 << 20);
-        let drain = |g: &ShardGrid| {
-            g.occupied_traversal(TraversalOrder::default())
-                .map(|s| s.num_edges())
-                .sum::<usize>()
-        };
-        drain(&roomy);
-        drain(&roomy);
-        let warm = roomy.window().unwrap().stats();
-        assert_eq!(warm.misses, occupied);
-        assert_eq!(warm.evictions, 0);
-        assert_eq!(warm.hits, occupied);
-    }
-
-    #[test]
-    fn dropping_a_window_returns_its_resident_bytes() {
-        let edges = sample_edges();
-        let resident = ShardGrid::build(&edges, 3).unwrap();
-        let windowed = windowed_clone(&resident, 1 << 20);
-        assert_eq!(windowed, resident);
-        let held = windowed.window().unwrap().resident_bytes();
-        assert_eq!(held, resident.total_edges() as u64 * BYTES_PER_EDGE);
-        // The process-wide gauge holds at least this window's bytes; exact
-        // return-to-baseline is asserted by the single-window integration
-        // test (tests/shard_window.rs), where no parallel test races the
-        // gauge.
-        assert!(crate::memory::window_resident_bytes() >= held);
-        drop(windowed);
-    }
-
     #[test]
     fn segment_equality_and_empty_view() {
         let edges = sample_edges();
@@ -1882,10 +1322,35 @@ mod tests {
         let meta = grid.metas()[0];
         let seg = grid.edges_of(&meta);
         assert_eq!(seg, grid.edges_of(&meta));
-        assert_eq!(seg, seg.to_vec());
-        assert_eq!(seg, *grid.edges_of(&meta));
+        assert_eq!(seg, grid.shard(meta.coord()).edges());
         let view = grid.shard(meta.coord());
-        let cloned = view.clone();
+        let cloned = view;
         assert_eq!(cloned.edges(), view.edges());
+        let sparse = ShardGrid::build(&EdgeList::from_pairs(4, &[(0, 1)]).unwrap(), 2).unwrap();
+        let empty = sparse.shard(ShardCoord::new(1, 0));
+        assert!(empty.is_empty() && empty.meta().is_none());
+        assert_eq!(empty.edges(), sparse.shard(ShardCoord::new(1, 1)).edges());
+    }
+
+    #[test]
+    fn virtual_self_loops_match_the_materialised_list() {
+        // Unsorted input with duplicates and an existing loop: the summary's
+        // on-the-fly merge must equal summarising `add_self_loops()`'s
+        // sorted, deduplicated output.
+        let edges =
+            EdgeList::from_pairs(7, &[(5, 1), (0, 0), (3, 6), (0, 2), (5, 1), (6, 6)]).unwrap();
+        let mut materialised = edges.clone();
+        materialised.add_self_loops();
+        for nps in [1, 2, 3, 7, 9] {
+            let summary = ShardSummary::build(&edges, nps, true).unwrap();
+            assert_eq!(
+                summary,
+                *ShardGrid::build(&materialised, nps).unwrap(),
+                "nps {nps}"
+            );
+            assert_eq!(summary.total_edges(), materialised.num_edges());
+            let plain = ShardSummary::build(&edges, nps, false).unwrap();
+            assert_eq!(plain, *ShardGrid::build(&edges, nps).unwrap(), "nps {nps}");
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! SIGKILL crash-safety for artifact writes: a writer killed mid-
-//! `store_grid` must never leave a torn artifact visible to a fresh
+//! `store_dataset` (the cache's largest artifact: edges plus the feature
+//! table) must never leave a torn artifact visible to a fresh
 //! [`ArtifactCache`].
 //!
 //! The write discipline under test is temp-file + atomic rename: payload
@@ -9,23 +10,24 @@
 //! artifact, or an orphaned temp file the next cache open sweeps — never a
 //! half-written file under the artifact's name.
 
-use gnnerator_graph::{generators, ArtifactCache, EdgeList, GraphError, ShardGrid};
+use gnnerator_graph::datasets::{Dataset, DatasetKind, DatasetSpec};
+use gnnerator_graph::{ArtifactCache, GraphError};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-const NODES_PER_SHARD: usize = 64;
+const SEED: u64 = 17;
 const KILL_ROUNDS: usize = 5;
 
-fn victim_edges() -> EdgeList {
-    generators::rmat(2_000, 120_000, 17).unwrap()
+fn victim_spec() -> DatasetSpec {
+    DatasetKind::Cora.spec().scaled(0.5)
 }
 
-fn victim_key() -> String {
-    ArtifactCache::grid_key("kill9-victim", NODES_PER_SHARD, false)
+fn victim() -> Dataset {
+    victim_spec().synthesize(SEED).unwrap()
 }
 
-/// Helper body for the crash test: loops `store_grid` forever until the
+/// Helper body for the crash test: loops `store_dataset` forever until the
 /// parent SIGKILLs this process. Guarded by an environment variable so a
 /// plain `cargo test` run never enters the loop; the parent invokes it as
 /// `<this binary> kill9_child_writes_forever --exact --ignored`.
@@ -36,10 +38,9 @@ fn kill9_child_writes_forever() {
         return;
     };
     let cache = ArtifactCache::new(dir);
-    let grid = ShardGrid::build(&victim_edges(), NODES_PER_SHARD).unwrap();
-    let key = victim_key();
+    let dataset = victim();
     loop {
-        cache.store_grid(&key, &grid).unwrap();
+        cache.store_dataset(&dataset).unwrap();
     }
 }
 
@@ -47,7 +48,7 @@ fn kill9_child_writes_forever() {
 fn kill9_mid_write_leaves_no_torn_artifact() {
     let dir: PathBuf = std::env::temp_dir().join(format!("gnnerator-kill9-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let reference = ShardGrid::build(&victim_edges(), NODES_PER_SHARD).unwrap();
+    let reference = victim();
     let exe = std::env::current_exe().unwrap();
 
     for round in 0..KILL_ROUNDS {
@@ -72,12 +73,15 @@ fn kill9_mid_write_leaves_no_torn_artifact() {
         child.wait().unwrap();
 
         // A fresh cache over the crashed state must see either no artifact
-        // yet or the complete, checksum-valid grid — never an error, never
-        // a quarantine.
+        // yet or the complete, checksum-valid dataset — never an error,
+        // never a quarantine.
         let cache = ArtifactCache::new(&dir);
-        match cache.load_grid(&victim_key()) {
+        match cache.load_dataset(&victim_spec(), SEED) {
             Ok(None) => {}
-            Ok(Some(grid)) => assert_eq!(grid, reference, "round {round}"),
+            Ok(Some(loaded)) => {
+                assert_eq!(loaded.edge_list, reference.edge_list, "round {round}");
+                assert_eq!(loaded.features, reference.features, "round {round}");
+            }
             Err(GraphError::CacheArtifact { .. }) => {
                 panic!("round {round}: torn artifact became visible")
             }
@@ -103,6 +107,6 @@ fn writes_visible(dir: &PathBuf) -> bool {
     entries.filter_map(|e| e.ok()).any(|e| {
         let name = e.file_name();
         let name = name.to_string_lossy();
-        name.contains(".tmp.") || name.starts_with("grid-")
+        name.contains(".tmp.") || name.starts_with("ds-")
     })
 }

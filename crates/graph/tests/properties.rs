@@ -6,7 +6,7 @@
 
 use gnnerator_graph::{
     generators, ArtifactCache, CsrGraph, Edge, EdgeList, EdgeListBuilder, MemoryBudget, ShardCoord,
-    ShardGrid, TraversalOrder,
+    ShardGrid, ShardSummary, TraversalOrder,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -111,6 +111,47 @@ fn check_against_dense_reference(edges: &EdgeList, nps: usize) -> Result<(), Tes
     prop_assert_eq!(grid.occupied_shards(), occupied);
     let cells = grid.grid_dim() * grid.grid_dim();
     prop_assert!((grid.occupancy() - occupied as f64 / cells as f64).abs() < 1e-12);
+    Ok(())
+}
+
+/// Checks `ShardSummary::build(edges, nps, loops)` — which never
+/// materialises the self-loops it merges in — against the grid built from
+/// the materialised list: identical metas (counts and arena offsets) and
+/// row/column indexes, and per-shard counts equal to the dense reference's,
+/// which shares no code with the single-pass meta routine.
+fn check_summary_against_grid(edges: &EdgeList, nps: usize) -> Result<(), TestCaseError> {
+    for loops in [false, true] {
+        let mut list = edges.clone();
+        if loops {
+            list.add_self_loops();
+        }
+        let grid = ShardGrid::build(&list, nps).unwrap();
+        let summary = ShardSummary::build(edges, nps, loops).unwrap();
+        prop_assert_eq!(summary.metas(), grid.metas(), "nps {} loops {}", nps, loops);
+        prop_assert_eq!(summary.total_edges(), list.num_edges());
+        for block in 0..grid.grid_dim() {
+            prop_assert_eq!(summary.row_metas(block), grid.row_metas(block));
+            let column: Vec<_> = summary.column_metas(block).collect();
+            let expected: Vec<_> = grid.column_metas(block).collect();
+            prop_assert_eq!(column, expected);
+        }
+        prop_assert_eq!(&summary, grid.summary());
+        let reference = DenseReference::build(&list, nps);
+        for meta in summary.metas() {
+            let coord = meta.coord();
+            prop_assert_eq!(meta.num_edges(), reference.bucket(coord).len());
+            prop_assert_eq!(meta.unique_source_count(), reference.unique_sources(coord));
+            prop_assert_eq!(
+                meta.unique_destination_count(),
+                reference.unique_destinations(coord),
+                "{} nps {} loops {}",
+                coord,
+                nps,
+                loops
+            );
+            prop_assert_eq!(grid.edges_of(meta), reference.bucket(coord));
+        }
+    }
     Ok(())
 }
 
@@ -474,22 +515,50 @@ proptest! {
     }
 
     #[test]
-    fn grid_cache_round_trip_is_bit_identical(edges in edge_list(), nps in 1usize..10) {
+    fn grid_cache_round_trip_is_bit_identical(
+        edges in edge_list(),
+        nps in 1usize..10,
+        loops in 0usize..2,
+    ) {
         prop_assume!(edges.num_nodes() > 0);
-        let grid = ShardGrid::build(&edges, nps).unwrap();
+        let summary = ShardSummary::build(&edges, nps, loops == 1).unwrap();
         let dir = unique_cache_dir();
         let cache = ArtifactCache::new(&dir);
-        let key = ArtifactCache::grid_key("prop-graph", nps, false);
-        cache.store_grid(&key, &grid).unwrap();
-        let loaded = cache.load_grid(&key).unwrap().expect("stored artifact");
-        // A budget small enough to force many arena chunks through the
-        // segmented reader must reconstruct the identical grid.
-        let budgeted = ArtifactCache::new(&dir).with_memory_budget(MemoryBudget::bytes(64));
-        let segmented = budgeted.load_grid(&key).unwrap().expect("stored artifact");
+        let key = ArtifactCache::grid_key("prop-graph", nps, loops == 1);
+        cache.store_summary(&key, &summary).unwrap();
+        let loaded = cache.load_summary(&key).unwrap().expect("stored artifact");
         std::fs::remove_dir_all(&dir).ok();
-        // Same arena, same metas, same indexes — full structural equality.
-        prop_assert_eq!(&loaded, &grid);
-        prop_assert_eq!(&segmented, &grid);
+        // Same metas, same indexes — full structural equality.
+        prop_assert_eq!(&loaded, &summary);
+    }
+
+    #[test]
+    fn shard_summary_matches_the_grid_build(edges in edge_list(), nps in 1usize..10) {
+        // `edge_list()` draws unsorted multisets with duplicates and
+        // self-loops, which the summary must sort and merge exactly as the
+        // materialising path does.
+        check_summary_against_grid(&edges, nps)?;
+    }
+
+    #[test]
+    fn shard_summary_matches_the_grid_build_on_hub_heavy_and_sorted_inputs(
+        (n, edges) in hub_heavy_edges(),
+        extra in 0usize..4,
+    ) {
+        let unsorted = EdgeList::from_edges(n, edges).unwrap();
+        let mut sorted = unsorted.clone();
+        sorted.dedup();
+        sorted.symmetrize();
+        prop_assert!(sorted.is_sorted());
+        let mut looped = sorted.clone();
+        looped.add_self_loops();
+        for list in [&unsorted, &sorted, &looped] {
+            // One node per shard, exactly one shard, wider than the graph,
+            // and a mid-sized block.
+            for nps in [1, n, n + extra + 1, n / 3 + 1] {
+                check_summary_against_grid(list, nps)?;
+            }
+        }
     }
 }
 

@@ -15,7 +15,7 @@
 //!   gets *isolated* counts (two concurrent sessions no longer interleave
 //!   into one global) while process-wide views (`memory_telemetry()`,
 //!   `/stats`, `/metrics`) stay coherent,
-//! * [`MemoryStats`] — snapshot-and-delta semantics over the memory/window
+//! * [`MemoryStats`] — snapshot-and-delta semantics over the memory
 //!   counters ([`MemoryStats::delta_since`]), so consumers report intervals
 //!   without ever resetting shared counters (resetting is what loses counts
 //!   recorded between the reset and the following read),
@@ -38,4 +38,4 @@ mod recorder;
 pub use hist::{Histogram, MIN_BUCKET_SECONDS, NUM_BUCKETS};
 pub use prom::PromText;
 pub use provenance::{RequestProvenance, Span};
-pub use recorder::{Counter, Gauge, MaxGauge, MemoryCounters, MemoryStats, Recorder};
+pub use recorder::{Counter, MaxGauge, MemoryCounters, MemoryStats, Recorder};

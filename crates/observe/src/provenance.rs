@@ -29,12 +29,6 @@ pub struct RequestProvenance {
     /// Whether the session came from the pool (`true`) or was built for
     /// this request.
     pub session_reused: bool,
-    /// Shard-window outcome during the evaluation pass: extents served
-    /// from resident segments.
-    pub window_hits: u64,
-    /// Shard-window outcome during the evaluation pass: extents faulted
-    /// from disk.
-    pub window_misses: u64,
     /// The timed stages, in request order.
     pub spans: Vec<Span>,
 }

@@ -38,27 +38,6 @@ impl Counter {
     }
 }
 
-/// A non-monotonic atomic gauge (adds and subtracts).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Adds `n` and returns the new value.
-    pub fn add(&self, n: u64) -> u64 {
-        self.0.fetch_add(n, Ordering::Relaxed) + n
-    }
-
-    /// Subtracts `n`.
-    pub fn sub(&self, n: u64) {
-        self.0.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// An atomic high-water mark: `note` keeps the maximum ever observed.
 #[derive(Debug, Default)]
 pub struct MaxGauge(AtomicU64);
@@ -75,85 +54,41 @@ impl MaxGauge {
     }
 }
 
-/// The memory / out-of-core counter set every [`Recorder`] owns: spill and
-/// grid-load totals from the graph build path plus shard-window traffic
-/// from windowed simulation.
+/// The memory / out-of-core counter set every [`Recorder`] owns: the
+/// graph build path's resident-bytes peak and spill total.
 #[derive(Debug, Default)]
 pub struct MemoryCounters {
     /// Peak resident pipeline bytes observed (high-water mark).
     pub peak_resident_bytes: MaxGauge,
     /// Sealed chunks spilled to disk run-files.
     pub spilled_chunks: Counter,
-    /// Shard grids loaded via the bounded segmented path.
-    pub grid_segment_loads: Counter,
-    /// Shard grids deserialised wholesale.
-    pub grid_full_loads: Counter,
-    /// Shard extents served from resident window segments.
-    pub window_hits: Counter,
-    /// Shard extents faulted in from disk.
-    pub window_misses: Counter,
-    /// Window segments evicted to stay under capacity.
-    pub window_evictions: Counter,
-    /// Bytes read from disk to satisfy window misses.
-    pub window_faulted_bytes: Counter,
-    /// Live gauge: bytes currently cached across shard windows in this
-    /// scope. Every insert adds, every eviction and window drop subtracts,
-    /// so a nonzero value with no live windowed grid is a leak.
-    pub window_resident_bytes: Gauge,
 }
 
 /// A point-in-time snapshot of a recorder's memory counters.
 ///
-/// Monotonic counters subtract cleanly across snapshots
-/// ([`MemoryStats::delta_since`]); the peak and the live gauge are not
-/// differences (a high-water mark has no meaningful delta), so the delta
-/// carries the *later* snapshot's values for those two fields.
+/// The spill counter subtracts cleanly across snapshots
+/// ([`MemoryStats::delta_since`]); the peak is not a difference (a
+/// high-water mark has no meaningful delta), so the delta carries the
+/// *later* snapshot's value for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryStats {
     /// Peak resident pipeline bytes observed.
     pub peak_resident_bytes: u64,
     /// Sealed chunks spilled to disk run-files.
     pub spilled_chunks: u64,
-    /// Shard grids loaded via the bounded segmented path.
-    pub grid_segment_loads: u64,
-    /// Shard grids deserialised wholesale.
-    pub grid_full_loads: u64,
-    /// Shard extents served from resident window segments.
-    pub window_hits: u64,
-    /// Shard extents faulted in from disk.
-    pub window_misses: u64,
-    /// Window segments evicted to stay under capacity.
-    pub window_evictions: u64,
-    /// Bytes read from disk to satisfy window misses.
-    pub window_faulted_bytes: u64,
-    /// Bytes currently cached across live shard windows.
-    pub window_resident_bytes: u64,
 }
 
 impl MemoryStats {
-    /// Counts recorded since `earlier` was snapshotted: monotonic counters
-    /// subtract (saturating, so reordered snapshots cannot underflow);
-    /// `peak_resident_bytes` and `window_resident_bytes` carry this (the
-    /// later) snapshot's values. This is the snapshot-and-delta replacement for
-    /// resetting shared counters — nothing recorded between two snapshots
-    /// can be dropped, because nothing is ever zeroed.
+    /// Counts recorded since `earlier` was snapshotted: the spill counter
+    /// subtracts (saturating, so reordered snapshots cannot underflow);
+    /// `peak_resident_bytes` carries this (the later) snapshot's value.
+    /// This is the snapshot-and-delta replacement for resetting shared
+    /// counters — nothing recorded between two snapshots can be dropped,
+    /// because nothing is ever zeroed.
     pub fn delta_since(&self, earlier: &MemoryStats) -> MemoryStats {
         MemoryStats {
             peak_resident_bytes: self.peak_resident_bytes,
             spilled_chunks: self.spilled_chunks.saturating_sub(earlier.spilled_chunks),
-            grid_segment_loads: self
-                .grid_segment_loads
-                .saturating_sub(earlier.grid_segment_loads),
-            grid_full_loads: self.grid_full_loads.saturating_sub(earlier.grid_full_loads),
-            window_hits: self.window_hits.saturating_sub(earlier.window_hits),
-            window_misses: self.window_misses.saturating_sub(earlier.window_misses),
-            window_evictions: self
-                .window_evictions
-                .saturating_sub(earlier.window_evictions),
-            window_faulted_bytes: self
-                .window_faulted_bytes
-                .saturating_sub(earlier.window_faulted_bytes),
-            window_resident_bytes: self.window_resident_bytes,
         }
     }
 }
@@ -247,73 +182,12 @@ impl Recorder {
         self.each(|m| m.spilled_chunks.add(count));
     }
 
-    /// Records one shard-grid artifact loaded via the bounded segmented
-    /// path.
-    pub fn note_grid_segment_load(&self) {
-        self.each(|m| m.grid_segment_loads.add(1));
-    }
-
-    /// Records one shard-grid artifact deserialised wholesale.
-    pub fn note_grid_full_load(&self) {
-        self.each(|m| m.grid_full_loads.add(1));
-    }
-
-    /// Records one shard extent served from an already-resident window
-    /// segment.
-    pub fn note_window_hit(&self) {
-        self.each(|m| m.window_hits.add(1));
-    }
-
-    /// Records one shard extent that had to be faulted in from disk.
-    pub fn note_window_miss(&self) {
-        self.each(|m| m.window_misses.add(1));
-    }
-
-    /// Records one segment evicted from a shard window to stay under
-    /// capacity.
-    pub fn note_window_eviction(&self) {
-        self.each(|m| m.window_evictions.add(1));
-    }
-
-    /// Records `bytes` read from disk to satisfy a window miss.
-    pub fn note_window_faulted_bytes(&self, bytes: u64) {
-        self.each(|m| m.window_faulted_bytes.add(bytes));
-    }
-
-    /// Adds `bytes` to the live gauge of window-cached bytes and returns
-    /// the new total *at this scope*, which also feeds each scope's
-    /// resident-bytes peak.
-    pub fn window_resident_add(&self, bytes: u64) -> u64 {
-        let local = self.inner.memory.window_resident_bytes.add(bytes);
-        self.inner.memory.peak_resident_bytes.note(local);
-        let mut node = self.inner.parent.as_ref();
-        while let Some(r) = node {
-            let now = r.inner.memory.window_resident_bytes.add(bytes);
-            r.inner.memory.peak_resident_bytes.note(now);
-            node = r.inner.parent.as_ref();
-        }
-        local
-    }
-
-    /// Subtracts `bytes` from the live gauge of window-cached bytes
-    /// (eviction or window drop).
-    pub fn window_resident_sub(&self, bytes: u64) {
-        self.each(|m| m.window_resident_bytes.sub(bytes));
-    }
-
     /// Snapshots this recorder's memory counters.
     pub fn memory_stats(&self) -> MemoryStats {
         let m = &self.inner.memory;
         MemoryStats {
             peak_resident_bytes: m.peak_resident_bytes.get(),
             spilled_chunks: m.spilled_chunks.get(),
-            grid_segment_loads: m.grid_segment_loads.get(),
-            grid_full_loads: m.grid_full_loads.get(),
-            window_hits: m.window_hits.get(),
-            window_misses: m.window_misses.get(),
-            window_evictions: m.window_evictions.get(),
-            window_faulted_bytes: m.window_faulted_bytes.get(),
-            window_resident_bytes: m.window_resident_bytes.get(),
         }
     }
 }
@@ -327,28 +201,29 @@ mod tests {
         let root = Recorder::detached();
         let a = root.child();
         let b = root.child();
-        a.note_window_hit();
-        a.note_window_hit();
-        b.note_window_miss();
-        assert_eq!(a.memory_stats().window_hits, 2);
-        assert_eq!(a.memory_stats().window_misses, 0, "siblings are isolated");
-        assert_eq!(b.memory_stats().window_misses, 1);
-        assert_eq!(root.memory_stats().window_hits, 2);
-        assert_eq!(root.memory_stats().window_misses, 1);
+        a.note_spilled_chunks(1);
+        a.note_spilled_chunks(1);
+        b.note_spilled_chunks(5);
+        assert_eq!(a.memory_stats().spilled_chunks, 2);
+        assert_eq!(b.memory_stats().spilled_chunks, 5, "siblings are isolated");
+        assert_eq!(root.memory_stats().spilled_chunks, 7);
     }
 
     #[test]
     fn resident_gauge_feeds_peak_at_every_level() {
         let root = Recorder::detached();
         let child = root.child();
-        let now = child.window_resident_add(100);
-        assert_eq!(now, 100);
-        child.window_resident_add(50);
-        child.window_resident_sub(150);
-        assert_eq!(child.memory_stats().window_resident_bytes, 0);
-        assert_eq!(root.memory_stats().window_resident_bytes, 0);
-        assert!(child.memory_stats().peak_resident_bytes >= 150);
-        assert!(root.memory_stats().peak_resident_bytes >= 150);
+        child.note_resident_bytes(100);
+        child.note_resident_bytes(150);
+        child.note_resident_bytes(50);
+        assert_eq!(child.memory_stats().peak_resident_bytes, 150);
+        assert_eq!(root.memory_stats().peak_resident_bytes, 150);
+        root.note_resident_bytes(200);
+        assert_eq!(
+            child.memory_stats().peak_resident_bytes,
+            150,
+            "parents do not feed children"
+        );
     }
 
     #[test]
@@ -358,23 +233,21 @@ mod tests {
         r.note_resident_bytes(1000);
         let before = r.memory_stats();
         r.note_spilled_chunks(2);
-        r.note_window_faulted_bytes(64);
         r.note_resident_bytes(500); // below the peak: mark unchanged
         let delta = r.memory_stats().delta_since(&before);
         assert_eq!(delta.spilled_chunks, 2);
-        assert_eq!(delta.window_faulted_bytes, 64);
         assert_eq!(delta.peak_resident_bytes, 1000, "marks carry, not subtract");
     }
 
     #[test]
     fn delta_since_never_underflows_on_reordered_snapshots() {
         let r = Recorder::detached();
-        r.note_window_miss();
+        r.note_spilled_chunks(1);
         let later = r.memory_stats();
-        r.note_window_miss();
+        r.note_spilled_chunks(1);
         let newest = r.memory_stats();
         let reordered = later.delta_since(&newest);
-        assert_eq!(reordered.window_misses, 0);
+        assert_eq!(reordered.spilled_chunks, 0);
     }
 
     #[test]

@@ -184,8 +184,6 @@ struct PoolInner {
 pub struct SessionPool {
     capacity: usize,
     artifact_cache: Option<Arc<ArtifactCache>>,
-    memory_budget: Option<gnnerator_graph::MemoryBudget>,
-    residency: Option<gnnerator_graph::GridResidency>,
     recorder: Option<gnnerator_observe::Recorder>,
     inner: Mutex<PoolInner>,
     breaker_config: BreakerConfig,
@@ -207,8 +205,6 @@ impl SessionPool {
         Self {
             capacity: capacity.max(1),
             artifact_cache: artifact_cache.filter(|c| c.is_enabled()),
-            memory_budget: None,
-            residency: None,
             recorder: None,
             inner: Mutex::new(PoolInner {
                 entries: HashMap::new(),
@@ -227,24 +223,7 @@ impl SessionPool {
         }
     }
 
-    /// Overrides the graph memory budget applied to every session this pool
-    /// builds. Without this, builds follow `GNNERATOR_MEM_BUDGET`.
-    #[must_use]
-    pub fn with_memory_budget(mut self, budget: gnnerator_graph::MemoryBudget) -> Self {
-        self.memory_budget = Some(budget);
-        self
-    }
-
-    /// Overrides the grid residency policy applied to every session this
-    /// pool builds (resident arenas vs. bounded shard windows). Without
-    /// this, builds follow `GNNERATOR_GRID_RESIDENCY`.
-    #[must_use]
-    pub fn with_residency(mut self, residency: gnnerator_graph::GridResidency) -> Self {
-        self.residency = Some(residency);
-        self
-    }
-
-    /// Routes each built session's memory/window telemetry through
+    /// Routes each built session's memory telemetry through
     /// `recorder` (a scoped child still propagates to the global root).
     /// Without this, sessions record against the process-global recorder.
     #[must_use]
@@ -446,12 +425,6 @@ impl SessionPool {
             self.datasets_synthesized.fetch_add(1, Ordering::Relaxed);
         }
         let mut session = build_session(scenario, &dataset, self.artifact_cache.as_ref())?;
-        if let Some(budget) = self.memory_budget {
-            session = session.with_memory_budget(budget);
-        }
-        if let Some(residency) = self.residency {
-            session = session.with_residency(residency);
-        }
         if let Some(recorder) = &self.recorder {
             session = session.with_recorder(recorder.clone());
         }

@@ -38,7 +38,7 @@
 //!
 //! `/simulate` responses additionally carry a per-request provenance
 //! breakdown (queue wait → session build → evaluate → serialize, plus the
-//! session key, backend, batch size and shard-window outcome) when the
+//! session key, backend and batch size) when the
 //! client opts in with `X-Provenance: 1`; the same spans feed the central
 //! stage histograms either way.
 
@@ -50,7 +50,7 @@ use crate::pool::{BreakerConfig, PoolError, SessionPool};
 use crate::request::scenario_from_json;
 use gnnerator::{evaluate_scenario_batch, ScenarioResult, ScenarioSpec, SessionKey, SimSession};
 use gnnerator_faults::lock_recover;
-use gnnerator_graph::{ArtifactCache, GridResidency, MemoryBudget};
+use gnnerator_graph::{ArtifactCache, MemoryBudget};
 use gnnerator_observe::{PromText, Recorder, RequestProvenance};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -95,15 +95,6 @@ pub struct ServeConfig {
     /// Per-session-key circuit breaker tuning: repeated cold-build failures
     /// quarantine the key behind `503` + `Retry-After`.
     pub breaker: BreakerConfig,
-    /// Memory budget applied to the graph pipeline of every pooled session
-    /// build. `None` (the default) follows the process-wide
-    /// `GNNERATOR_MEM_BUDGET` environment variable; `Some` overrides it.
-    pub memory_budget: Option<MemoryBudget>,
-    /// Grid residency policy applied to every pooled session build (resident
-    /// edge arenas vs. bounded shard windows over the artifact cache).
-    /// `None` (the default) follows the process-wide
-    /// `GNNERATOR_GRID_RESIDENCY` environment variable; `Some` overrides it.
-    pub residency: Option<GridResidency>,
 }
 
 impl Default for ServeConfig {
@@ -126,8 +117,6 @@ impl Default for ServeConfig {
             idle_timeout: Duration::from_secs(30),
             max_connections: 1024,
             breaker: BreakerConfig::default(),
-            memory_budget: None,
-            residency: None,
         }
     }
 }
@@ -258,10 +247,6 @@ struct ServerState {
     connection_inflight: usize,
     max_connections: usize,
     idle_timeout: Duration,
-    // Resolved graph memory budget (override or environment), for `/stats`.
-    memory_budget: MemoryBudget,
-    // Resolved grid residency policy (override or environment), for `/stats`.
-    residency: GridResidency,
     // Worker supervision, reported by `/stats` and `/readyz`.
     configured_workers: usize,
     workers_alive: AtomicUsize,
@@ -289,14 +274,8 @@ impl SessionServer {
     pub fn start(addr: impl ToSocketAddrs, config: ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let mut pool = SessionPool::new(config.pool_capacity, config.artifact_cache)
+        let pool = SessionPool::new(config.pool_capacity, config.artifact_cache)
             .with_breaker(config.breaker);
-        if let Some(budget) = config.memory_budget {
-            pool = pool.with_memory_budget(budget);
-        }
-        if let Some(residency) = config.residency {
-            pool = pool.with_residency(residency);
-        }
         let state = Arc::new(ServerState {
             pool,
             queue: JobQueue::new(config.queue_depth),
@@ -314,8 +293,6 @@ impl SessionServer {
             connection_inflight: config.connection_inflight.max(1),
             max_connections: config.max_connections.max(1),
             idle_timeout: config.idle_timeout,
-            memory_budget: config.memory_budget.unwrap_or_else(MemoryBudget::from_env),
-            residency: config.residency.unwrap_or_else(GridResidency::from_env),
             configured_workers: config.workers.max(1),
             workers_alive: AtomicUsize::new(0),
             worker_panics: AtomicUsize::new(0),
@@ -1092,17 +1069,10 @@ fn process_simulate_batch(batch: Vec<Job>, state: &Arc<ServerState>) {
         .iter()
         .find_map(|lookup| lookup.as_ref().ok().map(|l| Arc::clone(&l.session)));
     let scenarios: Vec<ScenarioSpec> = jobs.iter().map(|(s, _, _, _)| s.clone()).collect();
-    // Shard-window outcomes for this pass, as a snapshot delta over the
-    // global recorder (other in-flight batches may interleave; this is the
-    // pass's view, not an exact per-request attribution).
-    let memory_before = Recorder::global().memory_stats();
     let results = match &session {
         Some(session) => evaluate_scenario_batch(&scenarios, session),
         None => Vec::new(), // every lookup failed; answered per-job below
     };
-    let memory_delta = Recorder::global()
-        .memory_stats()
-        .delta_since(&memory_before);
     {
         let mut metrics = lock_recover(&state.metrics);
         metrics.batch.record(size);
@@ -1137,8 +1107,6 @@ fn process_simulate_batch(batch: Vec<Job>, state: &Arc<ServerState>) {
                             backend: result.backend().as_str().to_string(),
                             batch_size: size as u64,
                             session_reused: lookup.reused,
-                            window_hits: memory_delta.window_hits,
-                            window_misses: memory_delta.window_misses,
                             spans: Vec::new(),
                         };
                         provenance.span("queue_wait", queue_waits[index]);
@@ -1182,14 +1150,11 @@ fn provenance_json(provenance: &RequestProvenance) -> String {
         .join(", ");
     format!(
         "{{\"session_key\": {}, \"backend\": {}, \"batch_size\": {}, \
-         \"session_reused\": {}, \"window_hits\": {}, \"window_misses\": {}, \
-         \"total_seconds\": {}, \"spans\": [{}]}}",
+         \"session_reused\": {}, \"total_seconds\": {}, \"spans\": [{}]}}",
         json_string(&provenance.session_key),
         json_string(&provenance.backend),
         provenance.batch_size,
         provenance.session_reused,
-        provenance.window_hits,
-        provenance.window_misses,
         json_f64(provenance.total_seconds()),
         spans,
     )
@@ -1470,20 +1435,10 @@ fn stats_body(state: &ServerState) -> String {
     );
     let telemetry = gnnerator_graph::memory::memory_telemetry();
     let memory = format!(
-        "{{\"budget\": {}, \"residency\": {}, \"peak_resident_bytes\": {}, \
-         \"spilled_chunks\": {}, \"grid_segment_loads\": {}, \"grid_full_loads\": {}, \
-         \"window_hits\": {}, \"window_misses\": {}, \"window_evictions\": {}, \
-         \"window_faulted_bytes\": {}}}",
-        json_string(&state.memory_budget.to_string()),
-        json_string(&state.residency.to_string()),
+        "{{\"budget\": {}, \"peak_resident_bytes\": {}, \"spilled_chunks\": {}}}",
+        json_string(&MemoryBudget::from_env().to_string()),
         telemetry.peak_resident_bytes,
         telemetry.spilled_chunk_count,
-        telemetry.grid_segment_loads,
-        telemetry.grid_full_loads,
-        telemetry.window_hits,
-        telemetry.window_misses,
-        telemetry.window_evictions,
-        telemetry.window_faulted_bytes,
     );
     let faults = gnnerator_faults::stats()
         .into_iter()
@@ -1556,7 +1511,7 @@ fn stats_body(state: &ServerState) -> String {
 /// Renders the unified telemetry as Prometheus text (exposition format
 /// 0.0.4) for `GET /metrics`: request/error counters, the four stage
 /// histograms, pool and admission counters, worker liveness, per-key
-/// breaker states, graph memory/window telemetry from the global
+/// breaker states, graph memory telemetry from the global
 /// [`Recorder`], and fault-injection hit/trip counts.
 fn metrics_body(state: &ServerState) -> String {
     let mut prom = PromText::new();
@@ -1812,7 +1767,7 @@ fn metrics_body(state: &ServerState) -> String {
         state.worker_respawns.load(Ordering::Relaxed) as u64,
     );
 
-    // Graph memory / shard-window telemetry from the global recorder.
+    // Graph memory telemetry from the global recorder.
     let memory = Recorder::global().memory_stats();
     prom.gauge(
         "gnnerator_memory_peak_resident_bytes",
@@ -1824,42 +1779,6 @@ fn metrics_body(state: &ServerState) -> String {
         "Edge chunks spilled to disk by the out-of-core builder.",
         memory.spilled_chunks,
     );
-    prom.counter(
-        "gnnerator_grid_segment_loads_total",
-        "Shard-grid artifacts loaded segment-at-a-time.",
-        memory.grid_segment_loads,
-    );
-    prom.counter(
-        "gnnerator_grid_full_loads_total",
-        "Shard-grid artifacts loaded fully resident.",
-        memory.grid_full_loads,
-    );
-    prom.counter(
-        "gnnerator_window_hits_total",
-        "Shard-window fetches served from resident segments.",
-        memory.window_hits,
-    );
-    prom.counter(
-        "gnnerator_window_misses_total",
-        "Shard-window fetches that faulted a segment from disk.",
-        memory.window_misses,
-    );
-    prom.counter(
-        "gnnerator_window_evictions_total",
-        "Shard-window segments evicted to stay within budget.",
-        memory.window_evictions,
-    );
-    prom.counter(
-        "gnnerator_window_faulted_bytes_total",
-        "Bytes faulted from disk by shard windows.",
-        memory.window_faulted_bytes,
-    );
-    prom.gauge(
-        "gnnerator_window_resident_bytes",
-        "Bytes currently resident across shard windows.",
-        memory.window_resident_bytes as f64,
-    );
-
     // Fault injection: armed spec plus per-point hit/trip counts.
     let armed = gnnerator_faults::armed_spec();
     prom.gauge(

@@ -155,3 +155,110 @@ fn warm_rerun_after_mid_sweep_cache_faults_matches_a_clean_cold_run() {
     std::fs::remove_dir_all(&clean_dir).ok();
     std::fs::remove_dir_all(&faulted_dir).ok();
 }
+
+/// The cache's grid (shard summary) artifacts under `dir`.
+fn summary_artifacts(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .flatten()
+                .filter(|e| {
+                    let name = e.file_name();
+                    let name = name.to_string_lossy();
+                    name.starts_with("grid-") && name.ends_with(".bin")
+                })
+                .count()
+        })
+        .unwrap_or(0)
+}
+
+#[test]
+fn cache_read_fault_on_a_warm_summary_load_falls_back_to_a_rebuild() {
+    let _guard = fault_guard();
+    let scenarios = grid();
+    let dir = scratch_dir("summary-read");
+    let cold = SweepRunner::new().with_artifact_cache(Arc::new(ArtifactCache::new(&dir)));
+    let reference = cold.run_serial(&scenarios).expect("cold run");
+    let summaries = summary_artifacts(&dir);
+    assert!(summaries > 0);
+
+    // A warm runner whose datasets load cleanly, then every summary read
+    // faults: each summary is rebuilt from the loaded edges instead.
+    let cache = Arc::new(ArtifactCache::new(&dir));
+    let warm = SweepRunner::new().with_artifact_cache(Arc::clone(&cache));
+    for scenario in &scenarios {
+        warm.dataset(scenario)
+            .expect("dataset loads before the fault");
+    }
+    assert_eq!(warm.datasets_synthesized(), 0);
+    gnnerator_faults::configure("cache_read:io", 0).unwrap();
+    let faulted = warm
+        .run_serial(&scenarios)
+        .expect("faulted summary loads rebuild");
+    gnnerator_faults::clear();
+    assert_bit_identical(&reference, &faulted, "summary read faults");
+    assert_eq!(warm.total_shard_grids_loaded(), 0);
+    assert_eq!(warm.total_shard_grids_built(), summaries);
+    // Injected faults are I/O errors, not corruption: nothing quarantined,
+    // so the next clean run loads every summary again.
+    assert_eq!(cache.corrupt_artifacts(), 0);
+    let healed = SweepRunner::new().with_artifact_cache(Arc::new(ArtifactCache::new(&dir)));
+    assert_bit_identical(
+        &reference,
+        &healed.run_serial(&scenarios).unwrap(),
+        "healed",
+    );
+    assert_eq!(healed.total_shard_grids_built(), 0);
+    assert_eq!(healed.total_shard_grids_loaded(), summaries);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cache_write_fault_on_a_summary_store_leaves_a_cold_but_correct_next_run() {
+    let _guard = fault_guard();
+    let scenarios = grid();
+    let reference = SweepRunner::new()
+        .run_serial(&scenarios)
+        .expect("reference run");
+
+    // Datasets persist cleanly; every summary store then faults.
+    let dir = scratch_dir("summary-write");
+    let first = SweepRunner::new().with_artifact_cache(Arc::new(ArtifactCache::new(&dir)));
+    for scenario in &scenarios {
+        first
+            .dataset(scenario)
+            .expect("dataset stores before the fault");
+    }
+    gnnerator_faults::configure("cache_write:io", 0).unwrap();
+    let faulted = first
+        .run_serial(&scenarios)
+        .expect("store faults are best-effort");
+    gnnerator_faults::clear();
+    assert_bit_identical(&reference, &faulted, "summary write faults");
+    assert_eq!(summary_artifacts(&dir), 0, "no summary was published");
+
+    // The next run loads its datasets but is cold for summaries: it builds
+    // (and this time publishes) each one, bit-identically.
+    let next = SweepRunner::new().with_artifact_cache(Arc::new(ArtifactCache::new(&dir)));
+    assert_bit_identical(
+        &reference,
+        &next.run_serial(&scenarios).unwrap(),
+        "cold rerun",
+    );
+    assert_eq!(next.datasets_synthesized(), 0);
+    assert_eq!(next.total_shard_grids_loaded(), 0);
+    let built = next.total_shard_grids_built();
+    assert!(built > 0);
+    assert_eq!(summary_artifacts(&dir), built);
+
+    // ...after which the cache has converged: a third run is fully warm.
+    let warm = SweepRunner::new().with_artifact_cache(Arc::new(ArtifactCache::new(&dir)));
+    assert_bit_identical(
+        &reference,
+        &warm.run_serial(&scenarios).unwrap(),
+        "warm rerun",
+    );
+    assert_eq!(warm.total_shard_grids_built(), 0);
+    assert_eq!(warm.total_shard_grids_loaded(), built);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -9,8 +9,9 @@ use gnnerator::{
 };
 use gnnerator_gnn::NetworkKind;
 use gnnerator_graph::datasets::DatasetKind;
-use gnnerator_graph::{ArtifactCache, GraphError};
-use std::path::PathBuf;
+use gnnerator_graph::{ArtifactCache, EdgeList, GraphError, ShardGrid};
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -76,6 +77,104 @@ fn warm_cache_run_skips_all_graph_builds_and_is_bit_identical() {
             assert_eq!(wr.total_cycles, cr.total_cycles);
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// FNV-1a 64, the artifact payload checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Rewrites the shard-summary artifact at `path` in the format-2 layout the
+/// cache used before summaries: the same grid header and metadata table,
+/// followed by the full `(src_block, dst_block, src, dst)`-sorted edge
+/// arena, under version 2. `edges_by_graph` maps each dataset key to its
+/// edge list.
+fn rewrite_as_v2_grid_artifact(path: &Path, edges_by_graph: &HashMap<String, EdgeList>) {
+    let bytes = std::fs::read(path).unwrap();
+    let key_len = u32::from_le_bytes(bytes[9..13].try_into().unwrap()) as usize;
+    let key = std::str::from_utf8(&bytes[13..13 + key_len]).unwrap();
+    let envelope_len = 13 + key_len + 16;
+    // Grid keys read `<dataset key>/nps<n>/loops<0|1>`.
+    let mut parts = key.rsplitn(3, '/');
+    let loops = parts.next().unwrap() == "loops1";
+    let nps: usize = parts.next().unwrap()["nps".len()..].parse().unwrap();
+    let mut edges = edges_by_graph[parts.next().unwrap()].clone();
+    if loops {
+        edges.add_self_loops();
+    }
+    let mut payload = bytes[envelope_len..].to_vec();
+    for edge in ShardGrid::build(&edges, nps).unwrap().edges() {
+        payload.extend_from_slice(&edge.src.to_le_bytes());
+        payload.extend_from_slice(&edge.dst.to_le_bytes());
+    }
+    let mut v2 = bytes[..envelope_len - 16].to_vec();
+    v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+    v2.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    v2.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+    v2.extend_from_slice(&payload);
+    std::fs::write(path, v2).unwrap();
+}
+
+#[test]
+fn v2_grid_artifacts_are_quarantined_and_rebuilt_once() {
+    let dir = scratch_dir("v2-upgrade");
+    let scenarios = grid();
+    let cold = SweepRunner::new().with_artifact_cache(Arc::new(ArtifactCache::new(&dir)));
+    let cold_results = cold.run_serial(&scenarios).unwrap();
+    let grids = cold.total_shard_grids_built();
+    assert!(grids > 0);
+
+    // Leave a format-2 grid artifact (edge arena included) under every
+    // summary's name, as a cache root written before summaries would hold.
+    let mut edges_by_graph = HashMap::new();
+    for scenario in &scenarios {
+        let dataset = cold.dataset(scenario).unwrap();
+        edges_by_graph.insert(
+            ArtifactCache::dataset_key(&scenario.dataset, scenario.seed),
+            dataset.edge_list.clone(),
+        );
+    }
+    let grid_files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| {
+            path.file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with("grid-")
+        })
+        .collect();
+    assert_eq!(grid_files.len(), grids);
+    for path in &grid_files {
+        rewrite_as_v2_grid_artifact(path, &edges_by_graph);
+    }
+
+    // Each stale artifact is rejected on its version, quarantined and
+    // rebuilt exactly once, with bit-identical reports.
+    let cache = Arc::new(ArtifactCache::new(&dir));
+    let upgraded = SweepRunner::new().with_artifact_cache(Arc::clone(&cache));
+    assert_eq!(upgraded.run_serial(&scenarios).unwrap(), cold_results);
+    assert_eq!(upgraded.datasets_synthesized(), 0);
+    assert_eq!(upgraded.total_shard_grids_loaded(), 0);
+    assert_eq!(upgraded.total_shard_grids_built(), grids);
+    assert_eq!(cache.corrupt_artifacts(), grids);
+    for path in &grid_files {
+        assert!(
+            path.with_extension("corrupt").exists(),
+            "{}",
+            path.display()
+        );
+        assert!(path.exists(), "rebuilt summary republished");
+    }
+
+    // The republished summaries serve the next run without a rebuild.
+    let warm = SweepRunner::new().with_artifact_cache(Arc::new(ArtifactCache::new(&dir)));
+    assert_eq!(warm.run_serial(&scenarios).unwrap(), cold_results);
+    assert_eq!(warm.total_shard_grids_built(), 0);
+    assert_eq!(warm.total_shard_grids_loaded(), grids);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -145,7 +244,7 @@ fn cache_off_escape_hatch_disables_persistence() {
         "disabled caches are dropped at attach time"
     );
     let scenarios = grid();
-    let results = runner.run(&scenarios).unwrap();
+    let results = runner.run_serial(&scenarios).unwrap();
     assert_eq!(results.len(), scenarios.len());
     assert_eq!(runner.datasets_loaded(), 0);
     assert_eq!(runner.total_shard_grids_loaded(), 0);
