@@ -39,7 +39,8 @@ pub struct GpuConfig {
 impl GpuConfig {
     /// The RTX 2080 Ti configuration of Table IV with efficiency factors
     /// calibrated so the relative accelerator-versus-GPU gap matches the
-    /// magnitudes reported in the paper's Figure 3 (see `EXPERIMENTS.md`).
+    /// magnitudes reported in the paper's Figure 3 (see the README's
+    /// "Backends" section; `tests/backend_goldens.rs` pins the results).
     pub fn rtx_2080_ti() -> Self {
         Self {
             name: "rtx-2080-ti".to_string(),

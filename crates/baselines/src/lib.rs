@@ -26,7 +26,8 @@
 //!
 //! The absolute times are estimates; the benchmark harness only relies on the
 //! *relative* ordering and rough magnitudes, which is the level at which the
-//! paper's figures are reproduced (see `EXPERIMENTS.md`).
+//! paper's figures are reproduced (see the README's "Backends" section;
+//! `tests/backend_goldens.rs` pins the resulting Figure 3 / Table V numbers).
 //!
 //! # Examples
 //!

@@ -7,11 +7,14 @@
 //! * the one-shot helpers ([`request`], [`post`], [`get`]) open a fresh
 //!   connection per request (`Connection: close`) — handy for smoke tests
 //!   and the cold-path baseline in `serve_bench`;
-//! * [`ClientConnection`] holds one keep-alive socket, frames responses by
-//!   `Content-Length` (the connection stays open, so EOF no longer
-//!   delimits), transparently reconnects once when a pooled socket turns
-//!   out to have been idle-reaped, and can [`ClientConnection::pipeline`]
-//!   several requests before reading any response;
+//! * [`ClientConnection`] holds one keep-alive socket behind a buffered
+//!   reader, frames responses by `Content-Length` (the connection stays
+//!   open, so EOF no longer delimits), transparently reconnects once when
+//!   a pooled socket turns out to have been idle-reaped, and can
+//!   [`ClientConnection::pipeline`] several requests before reading any
+//!   response. Each request leaves in one write; each response head is
+//!   found in the read buffer and parsed in place, and bytes past its body
+//!   (the next pipelined response) stay buffered;
 //! * [`RetryPolicy`] adds client-side resilience on top of either shape:
 //!   `429`/`503` responses are retried after honouring the server's
 //!   `Retry-After` hint, and transport failures (connect refused, stale
@@ -19,8 +22,9 @@
 //!   the same seed replays the same retry schedule, so load tests with
 //!   retries stay reproducible.
 
+use crate::http::{read_head, HeadError, READ_BUFFER_BYTES};
 use crate::json::Json;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -113,13 +117,12 @@ pub fn request_with_headers(
         .iter()
         .map(|(name, value)| format!("{name}: {value}\r\n"))
         .collect::<String>();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n{extra}Connection: close\r\n\r\n",
+    let message = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n{extra}Connection: close\r\n\r\n{body}",
         body.len()
     );
     stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body.as_bytes()))
+        .write_all(message.as_bytes())
         .map_err(|e| format!("sending request: {e}"))?;
 
     let mut raw = String::new();
@@ -284,7 +287,8 @@ enum TransportError {
 /// One persistent keep-alive connection to the serving API.
 pub struct ClientConnection {
     addr: SocketAddr,
-    stream: Option<TcpStream>,
+    /// The socket behind its read buffer; writes go to the socket itself.
+    stream: Option<BufReader<TcpStream>>,
 }
 
 impl ClientConnection {
@@ -298,14 +302,14 @@ impl ClientConnection {
         self.stream = None;
     }
 
-    fn connect(&mut self) -> Result<&mut TcpStream, String> {
+    fn connect(&mut self) -> Result<&mut BufReader<TcpStream>, String> {
         if self.stream.is_none() {
             let stream = TcpStream::connect_timeout(&self.addr, Duration::from_secs(10))
                 .map_err(|e| format!("connecting to {}: {e}", self.addr))?;
             stream.set_read_timeout(Some(Duration::from_secs(120))).ok();
             stream.set_write_timeout(Some(Duration::from_secs(30))).ok();
             stream.set_nodelay(true).ok();
-            self.stream = Some(stream);
+            self.stream = Some(BufReader::with_capacity(READ_BUFFER_BYTES, stream));
         }
         Ok(self.stream.as_mut().expect("just connected"))
     }
@@ -418,19 +422,12 @@ impl ClientConnection {
         &mut self,
         requests: &[(&str, &str, &str)],
     ) -> Result<Vec<ClientResponse>, String> {
-        let rendered: Vec<String> = requests
+        let rendered: String = requests
             .iter()
             .map(|(method, path, body)| self.render_request(method, path, body))
             .collect();
-        self.connect()?;
-        let written: std::io::Result<()> = {
-            let stream = self.stream.as_mut().expect("just connected");
-            rendered
-                .iter()
-                .try_for_each(|request| stream.write_all(request.as_bytes()))
-                .and_then(|()| stream.flush())
-        };
-        if let Err(e) = written {
+        let stream = self.connect()?.get_mut();
+        if let Err(e) = stream.write_all(rendered.as_bytes()) {
             self.close();
             return Err(format!("sending pipelined requests: {e}"));
         }
@@ -465,9 +462,8 @@ impl ClientConnection {
     }
 
     fn send_and_read(&mut self, rendered: &str) -> Result<ClientResponse, TransportError> {
-        self.connect().map_err(TransportError::Other)?;
-        let stream = self.stream.as_mut().expect("just connected");
-        if stream.write_all(rendered.as_bytes()).is_err() {
+        let stream = self.connect().map_err(TransportError::Other)?;
+        if stream.get_mut().write_all(rendered.as_bytes()).is_err() {
             // A broken pooled socket surfaces as a write error (EPIPE /
             // reset); nothing of this request was processed.
             self.close();
@@ -482,44 +478,44 @@ impl ClientConnection {
     }
 }
 
+/// Upper bound on a response head.
+const MAX_RESPONSE_HEAD_BYTES: usize = 64 * 1024;
+
 /// Reads one `Content-Length`-framed response from a (possibly persistent)
-/// stream.
-fn read_response(stream: &mut TcpStream) -> Result<ClientResponse, TransportError> {
-    let mut head = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        if head.len() > 64 * 1024 {
-            return Err(TransportError::Other("response head too large".to_string()));
-        }
-        match stream.read(&mut byte) {
-            Ok(0) if head.is_empty() => return Err(TransportError::Stale),
-            Ok(0) => {
-                return Err(TransportError::Other(
-                    "connection closed mid-response".to_string(),
-                ))
-            }
-            Ok(_) => head.push(byte[0]),
-            Err(e) if head.is_empty() => {
-                return Err(match e.kind() {
-                    std::io::ErrorKind::ConnectionReset
+/// buffered stream. Bytes past its body stay buffered for the next call.
+fn read_response(reader: &mut impl BufRead) -> Result<ClientResponse, TransportError> {
+    let (head, _) = read_head(reader, MAX_RESPONSE_HEAD_BYTES, None, |head| {
+        std::str::from_utf8(head)
+            .map_err(|_| "response head is not UTF-8".to_string())
+            .and_then(parse_head)
+    })
+    .map_err(|e| match e {
+        HeadError::Nothing(None) => TransportError::Stale,
+        HeadError::Nothing(Some(e))
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::ConnectionReset
                     | std::io::ErrorKind::ConnectionAborted
-                    | std::io::ErrorKind::BrokenPipe => TransportError::Stale,
-                    _ => TransportError::Other(format!("reading response head: {e}")),
-                })
-            }
-            Err(e) => return Err(TransportError::Other(format!("reading response head: {e}"))),
+                    | std::io::ErrorKind::BrokenPipe
+            ) =>
+        {
+            TransportError::Stale
         }
-    }
-    let head = String::from_utf8(head)
-        .map_err(|_| TransportError::Other("response head is not UTF-8".to_string()))?;
-    let (status, headers) = parse_head(head.trim_end()).map_err(TransportError::Other)?;
+        HeadError::Nothing(Some(e)) | HeadError::Io(e) => {
+            TransportError::Other(format!("reading response head: {e}"))
+        }
+        HeadError::Truncated => TransportError::Other("connection closed mid-response".to_string()),
+        HeadError::TooLarge => TransportError::Other("response head too large".to_string()),
+        HeadError::Deadline => TransportError::Other("response head timed out".to_string()),
+    })?;
+    let (status, headers) = head.map_err(TransportError::Other)?;
     let content_length = headers
         .iter()
         .find(|(name, _)| name == "content-length")
         .and_then(|(_, value)| value.parse::<usize>().ok())
         .unwrap_or(0);
     let mut body = vec![0u8; content_length];
-    stream
+    reader
         .read_exact(&mut body)
         .map_err(|e| TransportError::Other(format!("reading response body: {e}")))?;
     let body = String::from_utf8(body)
@@ -641,5 +637,82 @@ mod tests {
         assert!(outcome.unwrap_err().contains("connecting to"));
         // Two backoff waits happened (tiny, but nonzero).
         assert!(started.elapsed() >= policy.backoff(0));
+    }
+
+    /// Two keep-alive responses back to back, as one segment carries them.
+    const TWO_RESPONSES: &str = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\
+        Connection: keep-alive\r\n\r\n{}\
+        HTTP/1.1 429 Too Many Requests\r\nContent-Length: 4\r\n\
+        Retry-After: 1\r\nConnection: keep-alive\r\n\r\nshed";
+
+    fn assert_two_responses(first: &ClientResponse, second: &ClientResponse) {
+        assert_eq!((first.status, first.body.as_str()), (200, "{}"));
+        assert!(first.keep_alive());
+        assert_eq!((second.status, second.body.as_str()), (429, "shed"));
+        assert_eq!(second.header("Retry-After"), Some("1"));
+    }
+
+    /// Two responses in one segment: the first read buffers both, the
+    /// second response is parsed from the leftover bytes, and the EOF after
+    /// them is a stale close.
+    #[test]
+    fn two_responses_in_one_segment_parse_from_one_buffer() {
+        let mut reader = BufReader::new(TWO_RESPONSES.as_bytes());
+        let first = read_response(&mut reader).ok().expect("first response");
+        let second = read_response(&mut reader).ok().expect("second response");
+        assert_two_responses(&first, &second);
+        assert!(matches!(
+            read_response(&mut reader),
+            Err(TransportError::Stale)
+        ));
+    }
+
+    /// A byte-at-a-time stream still frames responses exactly.
+    #[test]
+    fn trickled_responses_reassemble() {
+        struct Trickle<'a>(&'a [u8]);
+        impl Read for Trickle<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.0.len().min(buf.len()).min(1);
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let mut reader = BufReader::new(Trickle(TWO_RESPONSES.as_bytes()));
+        let first = read_response(&mut reader).ok().expect("first response");
+        let second = read_response(&mut reader).ok().expect("second response");
+        assert_two_responses(&first, &second);
+    }
+
+    /// Over a real socket: two pipelined requests leave in one write, and
+    /// the server's two answers, sent as one segment, come back in order.
+    #[test]
+    fn pipelined_responses_sent_as_one_segment_come_back_in_order() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
+        let addr = listener.local_addr().expect("bound addr");
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut received = Vec::new();
+            let mut buffer = [0u8; 4096];
+            while received.windows(4).filter(|w| w == b"\r\n\r\n").count() < 2 {
+                let n = stream.read(&mut buffer).expect("request bytes");
+                assert!(n > 0, "client closed early");
+                received.extend_from_slice(&buffer[..n]);
+            }
+            stream
+                .write_all(TWO_RESPONSES.as_bytes())
+                .expect("one write");
+            String::from_utf8(received).expect("UTF-8 requests")
+        });
+        let mut connection = ClientConnection::new(addr);
+        let responses = connection
+            .pipeline(&[("GET", "/a", ""), ("POST", "/b", "{}")])
+            .expect("both responses");
+        assert_eq!(responses.len(), 2);
+        assert_two_responses(&responses[0], &responses[1]);
+        let requests = server.join().unwrap();
+        assert!(requests.starts_with("GET /a HTTP/1.1\r\n"), "{requests}");
+        assert!(requests.ends_with("\r\n\r\n{}"), "{requests}");
     }
 }

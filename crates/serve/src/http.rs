@@ -6,6 +6,11 @@
 //! body — with hard caps on header and body sizes so a misbehaving client
 //! cannot balloon server memory, plus HTTP/1.1 keep-alive semantics:
 //!
+//! * both sides read through one [`BufReader`] per connection, refilled
+//!   8 KiB at a time: a head is located by its blank line
+//!   and parsed in place in the buffer (a head spanning refills is
+//!   gathered first), and whatever follows it — the body, the next
+//!   pipelined request or response — stays buffered for the next read;
 //! * [`read_request`] distinguishes *one more request* from *the peer is
 //!   done* (clean EOF, or silence past the idle timeout, before the first
 //!   byte of a request → `Ok(None)`), so the server can loop reads on one
@@ -13,13 +18,20 @@
 //! * every [`Request`] carries [`Request::keep_alive`] — the client's
 //!   connection preference (HTTP/1.1 defaults to keep-alive, HTTP/1.0 to
 //!   close, `Connection: keep-alive|close` overrides either);
-//! * [`write_response`] takes [`ResponseOptions`] naming whether the
-//!   connection persists after this response (error responses that abort
-//!   the connection always advertise `Connection: close`) and an optional
-//!   `Retry-After` for load-shedding `429`s.
+//! * [`write_response`] assembles head and body into one buffer and sends
+//!   it with one write, so a response leaves a `TCP_NODELAY` socket as one
+//!   segment. Its [`ResponseOptions`] name whether the connection persists
+//!   after this response (error responses that abort the connection
+//!   always advertise `Connection: close`) and an optional `Retry-After`
+//!   for load-shedding `429`s.
 
-use std::io::{Read, Write};
+use std::fmt::Write as _;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::time::{Duration, Instant};
+
+/// Capacity of the per-connection read buffer on either side: one refill
+/// holds any ordinary request or response head, and usually its body.
+pub(crate) const READ_BUFFER_BYTES: usize = 8 * 1024;
 
 /// Upper bound on the request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -79,6 +91,13 @@ impl HttpError {
             message: message.into(),
         }
     }
+
+    fn deadline() -> Self {
+        Self {
+            status: 408,
+            message: "request not received within the read deadline".to_string(),
+        }
+    }
 }
 
 impl std::fmt::Display for HttpError {
@@ -87,78 +106,105 @@ impl std::fmt::Display for HttpError {
     }
 }
 
-/// Reads and parses one request from `stream`.
+/// Why [`read_head`] returned without a head.
+#[derive(Debug)]
+pub(crate) enum HeadError {
+    /// No byte of a head arrived: `None` for a clean EOF, otherwise the
+    /// read error (a timeout, a reset, ...).
+    Nothing(Option<std::io::Error>),
+    /// The peer closed part-way through a head.
+    Truncated,
+    /// The head outgrew its cap.
+    TooLarge,
+    /// The deadline, counted from the first byte, passed mid-head.
+    Deadline,
+    /// A read failed part-way through a head.
+    Io(std::io::Error),
+}
+
+/// Byte offset of the blank line (`\r\n\r\n`) ending a head, if present.
+fn blank_line(bytes: &[u8]) -> Option<usize> {
+    bytes.windows(4).position(|window| window == b"\r\n\r\n")
+}
+
+/// Reads one message head — everything before the blank line — from
+/// `reader`, returning `parse` of it and the instant its first byte
+/// arrived. The blank line is consumed; any bytes after it stay buffered.
 ///
-/// Returns `Ok(None)` when the peer is cleanly done with the connection:
-/// EOF, a reset, or read-timeout silence *before the first byte* of a
-/// request. The caller arms the socket's read timeout as the keep-alive
-/// idle timeout, so "no byte within the timeout" is an idle connection to
-/// reap, not a client error. Once the first byte has arrived the request
-/// must complete: timeouts and EOF mid-request are [`HttpError`]s (`408` /
-/// `400`) answered on a closing connection.
-///
-/// The stream is also writable because `Expect: 100-continue` clients
-/// (curl sends it for any body over ~1 KiB, e.g. a `/sweep` batch) hold
-/// the body back until the server answers with an interim `100 Continue` —
-/// without it every such request stalls for the client's give-up timeout
-/// (~1 s in curl) before the body arrives.
-///
-/// # Errors
-///
-/// Returns an [`HttpError`] for malformed or oversized requests and for
-/// transport failures after the request started arriving.
-pub fn read_request(stream: &mut (impl Read + Write)) -> Result<Option<Request>, HttpError> {
-    // Read byte-wise until the blank line; request heads are tiny and the
-    // per-connection cost is dwarfed by scenario evaluation.
-    let mut head = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
-    // The overall deadline starts at the first byte, not at idle-wait
-    // entry: a connection may legitimately sit idle (bounded by the
-    // socket's own read timeout) between keep-alive requests.
-    let mut deadline: Option<Instant> = None;
-    let check_deadline = |deadline: Option<Instant>| {
-        if deadline.is_some_and(|d| Instant::now() > d) {
-            return Err(HttpError {
-                status: 408,
-                message: "request not received within the read deadline".to_string(),
-            });
+/// A head that arrives within one refill (the common case) is parsed in
+/// place in the reader's buffer. One that spans refills is gathered into a
+/// scratch buffer first, never beyond `max_bytes` (blank line included).
+/// With a `deadline`, the head must complete within that long of its
+/// first byte; it is checked before every refill.
+pub(crate) fn read_head<T>(
+    reader: &mut impl BufRead,
+    max_bytes: usize,
+    deadline: Option<Duration>,
+    parse: impl FnOnce(&[u8]) -> T,
+) -> Result<(T, Instant), HeadError> {
+    let mut gathered = Vec::new();
+    let mut first_byte: Option<Instant> = None;
+    loop {
+        if let (Some(started), Some(deadline)) = (first_byte, deadline) {
+            if started.elapsed() > deadline {
+                return Err(HeadError::Deadline);
+            }
         }
-        Ok(())
-    };
-    while !head.ends_with(b"\r\n\r\n") {
-        if head.len() >= MAX_HEAD_BYTES {
-            return Err(HttpError {
-                status: 431,
-                message: "request head too large".to_string(),
-            });
-        }
-        check_deadline(deadline)?;
-        match stream.read(&mut byte) {
-            Ok(0) if head.is_empty() => return Ok(None), // clean keep-alive close
-            Ok(0) => return Err(HttpError::bad_request("connection closed mid-head")),
-            Ok(_) => {
-                if head.is_empty() {
-                    deadline = Some(Instant::now() + REQUEST_READ_DEADLINE);
+        let buffered = match reader.fill_buf() {
+            Ok([]) if first_byte.is_none() => return Err(HeadError::Nothing(None)),
+            Ok([]) => return Err(HeadError::Truncated),
+            Ok(buffered) => buffered,
+            Err(e) if first_byte.is_none() => return Err(HeadError::Nothing(Some(e))),
+            Err(e) => return Err(HeadError::Io(e)),
+        };
+        let started = *first_byte.get_or_insert_with(Instant::now);
+        if gathered.is_empty() {
+            if let Some(end) = blank_line(buffered) {
+                if end + 4 > max_bytes {
+                    return Err(HeadError::TooLarge);
                 }
-                head.push(byte[0]);
+                let parsed = parse(&buffered[..end]);
+                reader.consume(end + 4);
+                return Ok((parsed, started));
             }
-            Err(e) if head.is_empty() => {
-                return match e.kind() {
-                    // Idle-timeout silence between requests: reap quietly.
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => Ok(None),
-                    // A reset with nothing sent is a vanished client, not a
-                    // request worth answering.
-                    std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::ConnectionAborted => {
-                        Ok(None)
-                    }
-                    _ => Err(read_error("request", &e)),
-                };
+        }
+        // The head spans refills; the blank line may straddle the seam.
+        let seen = gathered.len();
+        let refill = buffered.len();
+        gathered.extend_from_slice(buffered);
+        let from = seen.saturating_sub(3);
+        if seen > 0 {
+            if let Some(end) = blank_line(&gathered[from..]).map(|at| from + at) {
+                if end + 4 > max_bytes {
+                    return Err(HeadError::TooLarge);
+                }
+                reader.consume(end + 4 - seen);
+                gathered.truncate(end);
+                return Ok((parse(&gathered), started));
             }
-            Err(e) => return Err(read_error("request", &e)),
+        }
+        reader.consume(refill);
+        if gathered.len() >= max_bytes {
+            return Err(HeadError::TooLarge);
         }
     }
-    let head =
-        String::from_utf8(head).map_err(|_| HttpError::bad_request("request head is not UTF-8"))?;
+}
+
+/// What a request head says, before the body is read.
+struct RequestHead {
+    method: String,
+    path: String,
+    keep_alive: bool,
+    content_length: usize,
+    expects_continue: bool,
+    deadline_ms: Option<u64>,
+    provenance: bool,
+}
+
+/// Parses a request head (blank line excluded).
+fn parse_request_head(head: &[u8]) -> Result<RequestHead, HttpError> {
+    let head = std::str::from_utf8(head)
+        .map_err(|_| HttpError::bad_request("request head is not UTF-8"))?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or_default();
     let mut parts = request_line.split_whitespace();
@@ -176,18 +222,21 @@ pub fn read_request(stream: &mut (impl Read + Write)) -> Result<Option<Request>,
             message: format!("unsupported protocol {version}"),
         });
     }
-    // HTTP/1.1 persists by default; HTTP/1.0 closes by default.
-    let mut keep_alive = version != "HTTP/1.0";
-
-    let mut content_length = 0usize;
-    let mut expects_continue = false;
-    let mut deadline_ms = None;
-    let mut provenance = false;
+    let mut parsed = RequestHead {
+        method,
+        path,
+        // HTTP/1.1 persists by default; HTTP/1.0 closes by default.
+        keep_alive: version != "HTTP/1.0",
+        content_length: 0,
+        expects_continue: false,
+        deadline_ms: None,
+        provenance: false,
+    };
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             let name = name.trim();
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
+                parsed.content_length = value
                     .trim()
                     .parse()
                     .map_err(|_| HttpError::bad_request("invalid Content-Length"))?;
@@ -197,22 +246,22 @@ pub fn read_request(stream: &mut (impl Read + Write)) -> Result<Option<Request>,
                 for token in value.split(',') {
                     let token = token.trim();
                     if token.eq_ignore_ascii_case("close") {
-                        keep_alive = false;
+                        parsed.keep_alive = false;
                     } else if token.eq_ignore_ascii_case("keep-alive") {
-                        keep_alive = true;
+                        parsed.keep_alive = true;
                     }
                 }
             } else if name.eq_ignore_ascii_case("expect")
                 && value.trim().eq_ignore_ascii_case("100-continue")
             {
-                expects_continue = true;
+                parsed.expects_continue = true;
             } else if name.eq_ignore_ascii_case("x-deadline-ms") {
-                deadline_ms = Some(value.trim().parse::<u64>().map_err(|_| {
+                parsed.deadline_ms = Some(value.trim().parse::<u64>().map_err(|_| {
                     HttpError::bad_request("invalid X-Deadline-Ms (want milliseconds as a u64)")
                 })?);
             } else if name.eq_ignore_ascii_case("x-provenance") {
                 let value = value.trim();
-                provenance = value == "1" || value.eq_ignore_ascii_case("true");
+                parsed.provenance = value == "1" || value.eq_ignore_ascii_case("true");
             } else if name.eq_ignore_ascii_case("transfer-encoding") {
                 // Bodies are framed by Content-Length only; silently
                 // treating a chunked body as empty would misreport a
@@ -227,13 +276,81 @@ pub fn read_request(stream: &mut (impl Read + Write)) -> Result<Option<Request>,
             }
         }
     }
-    if content_length > MAX_BODY_BYTES {
+    if parsed.content_length > MAX_BODY_BYTES {
         return Err(HttpError {
             status: 413,
-            message: format!("body of {content_length} bytes exceeds the {MAX_BODY_BYTES} cap"),
+            message: format!(
+                "body of {} bytes exceeds the {MAX_BODY_BYTES} cap",
+                parsed.content_length
+            ),
         });
     }
-    if expects_continue && content_length > 0 {
+    Ok(parsed)
+}
+
+/// Reads and parses one request from the connection's buffered `reader`.
+///
+/// Returns `Ok(None)` when the peer is cleanly done with the connection:
+/// EOF, a reset, or read-timeout silence *before the first byte* of a
+/// request. The caller arms the socket's read timeout as the keep-alive
+/// idle timeout, so "no byte within the timeout" is an idle connection to
+/// reap, not a client error. Once the first byte has arrived the request
+/// must complete: timeouts and EOF mid-request are [`HttpError`]s (`408` /
+/// `400`) answered on a closing connection.
+///
+/// Bytes after this request's body stay in `reader` and start the next
+/// call, so pipelined requests parse back to back.
+///
+/// The underlying stream is also writable because `Expect: 100-continue`
+/// clients (curl sends it for any body over ~1 KiB, e.g. a `/sweep` batch)
+/// hold the body back until the server answers with an interim
+/// `100 Continue` — without it every such request stalls for the client's
+/// give-up timeout (~1 s in curl) before the body arrives.
+///
+/// # Errors
+///
+/// Returns an [`HttpError`] for malformed or oversized requests and for
+/// transport failures after the request started arriving.
+pub fn read_request<S: Read + Write>(
+    reader: &mut BufReader<S>,
+) -> Result<Option<Request>, HttpError> {
+    // The overall deadline starts at the first byte, not at idle-wait
+    // entry: a connection may legitimately sit idle (bounded by the
+    // socket's own read timeout) between keep-alive requests.
+    let (head, first_byte) = match read_head(
+        reader,
+        MAX_HEAD_BYTES,
+        Some(REQUEST_READ_DEADLINE),
+        parse_request_head,
+    ) {
+        Ok((head, first_byte)) => (head?, first_byte),
+        Err(HeadError::Nothing(None)) => return Ok(None), // clean keep-alive close
+        Err(HeadError::Nothing(Some(e))) => {
+            return match e.kind() {
+                // Idle-timeout silence between requests: reap quietly.
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => Ok(None),
+                // A reset with nothing sent is a vanished client, not a
+                // request worth answering.
+                std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::ConnectionAborted => {
+                    Ok(None)
+                }
+                _ => Err(read_error("request", &e)),
+            };
+        }
+        Err(HeadError::Truncated) => {
+            return Err(HttpError::bad_request("connection closed mid-head"))
+        }
+        Err(HeadError::TooLarge) => {
+            return Err(HttpError {
+                status: 431,
+                message: "request head too large".to_string(),
+            })
+        }
+        Err(HeadError::Deadline) => return Err(HttpError::deadline()),
+        Err(HeadError::Io(e)) => return Err(read_error("request", &e)),
+    };
+    if head.expects_continue && head.content_length > 0 {
+        let stream = reader.get_mut();
         stream
             .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
             .and_then(|()| stream.flush())
@@ -242,13 +359,17 @@ pub fn read_request(stream: &mut (impl Read + Write)) -> Result<Option<Request>,
 
     // Read the body in bounded slices so the overall deadline applies to
     // trickled bodies too (a single read_exact would only be bounded by
-    // the per-read socket timeout, reset on every byte).
-    let mut body = vec![0u8; content_length];
+    // the per-read socket timeout, reset on every byte). Whatever of it
+    // arrived with the head is served from the buffer.
+    let deadline = first_byte + REQUEST_READ_DEADLINE;
+    let mut body = vec![0u8; head.content_length];
     let mut filled = 0usize;
-    while filled < content_length {
-        check_deadline(deadline)?;
-        let end = (filled + 8 * 1024).min(content_length);
-        match stream.read(&mut body[filled..end]) {
+    while filled < body.len() {
+        if Instant::now() > deadline {
+            return Err(HttpError::deadline());
+        }
+        let end = (filled + READ_BUFFER_BYTES).min(body.len());
+        match reader.read(&mut body[filled..end]) {
             Ok(0) => return Err(HttpError::bad_request("connection closed mid-body")),
             Ok(n) => filled += n,
             Err(e) => return Err(read_error("request body", &e)),
@@ -256,12 +377,12 @@ pub fn read_request(stream: &mut (impl Read + Write)) -> Result<Option<Request>,
     }
     let body = String::from_utf8(body).map_err(|_| HttpError::bad_request("body is not UTF-8"))?;
     Ok(Some(Request {
-        method,
-        path,
+        method: head.method,
+        path: head.path,
         body,
-        keep_alive,
-        deadline_ms,
-        provenance,
+        keep_alive: head.keep_alive,
+        deadline_ms: head.deadline_ms,
+        provenance: head.provenance,
     }))
 }
 
@@ -349,7 +470,9 @@ impl ResponseOptions {
     }
 }
 
-/// Writes a complete JSON response with the given connection framing.
+/// Writes a complete response with the given connection framing. Head and
+/// body go out in one `write_all` of one buffer: on a `TCP_NODELAY` socket
+/// two writes would send two segments and wake the peer twice.
 ///
 /// # Errors
 ///
@@ -360,19 +483,25 @@ pub fn write_response(
     body: &str,
     options: ResponseOptions,
 ) -> std::io::Result<()> {
-    let retry_after = options
-        .retry_after_seconds
-        .map(|seconds| format!("Retry-After: {seconds}\r\n"))
-        .unwrap_or_default();
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{retry_after}Connection: {}\r\n\r\n",
+    let mut message = String::with_capacity(160 + body.len());
+    // Formatting into a `String` cannot fail.
+    let _ = write!(
+        message,
+        "HTTP/1.1 {status} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         reason_phrase(status),
         options.content_type.unwrap_or("application/json"),
         body.len(),
-        if options.keep_alive { "keep-alive" } else { "close" },
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    if let Some(seconds) = options.retry_after_seconds {
+        let _ = write!(message, "Retry-After: {seconds}\r\n");
+    }
+    message.push_str(if options.keep_alive {
+        "Connection: keep-alive\r\n\r\n"
+    } else {
+        "Connection: close\r\n\r\n"
+    });
+    message.push_str(body);
+    stream.write_all(message.as_bytes())?;
     stream.flush()
 }
 
@@ -383,9 +512,14 @@ mod tests {
 
     /// A test stream: reads from a fixed script, captures writes separately
     /// (a plain `Cursor` would splice interim responses into the input).
+    /// `chunks` caps each read at 1, 2, 3, 1, 2, 3, ... bytes when set, and
+    /// `then_timeout` makes the end of the script a read timeout, not EOF.
     struct FakeStream {
         input: Cursor<Vec<u8>>,
         written: Vec<u8>,
+        chunks: bool,
+        reads: usize,
+        then_timeout: bool,
     }
 
     impl FakeStream {
@@ -393,13 +527,26 @@ mod tests {
             Self {
                 input: Cursor::new(raw.as_bytes().to_vec()),
                 written: Vec::new(),
+                chunks: false,
+                reads: 0,
+                then_timeout: false,
             }
         }
     }
 
     impl Read for FakeStream {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.input.read(buf)
+            self.reads += 1;
+            let len = if self.chunks {
+                buf.len().min(1 + (self.reads - 1) % 3)
+            } else {
+                buf.len()
+            };
+            let n = self.input.read(&mut buf[..len])?;
+            if n == 0 && self.then_timeout {
+                return Err(std::io::ErrorKind::TimedOut.into());
+            }
+            Ok(n)
         }
     }
 
@@ -413,8 +560,13 @@ mod tests {
         }
     }
 
+    /// The connection's buffered reader over a scripted stream.
+    fn stream(raw: &str) -> BufReader<FakeStream> {
+        BufReader::with_capacity(READ_BUFFER_BYTES, FakeStream::new(raw))
+    }
+
     fn parse(raw: &str) -> Result<Option<Request>, HttpError> {
-        read_request(&mut FakeStream::new(raw))
+        read_request(&mut stream(raw))
     }
 
     fn parse_one(raw: &str) -> Request {
@@ -461,7 +613,7 @@ mod tests {
 
     #[test]
     fn pipelined_requests_parse_back_to_back_from_one_stream() {
-        let mut stream = FakeStream::new(
+        let mut stream = stream(
             "POST /simulate HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi\
              GET /stats HTTP/1.1\r\n\r\n",
         );
@@ -527,16 +679,15 @@ mod tests {
         // curl sends Expect: 100-continue for bodies over ~1 KiB and holds
         // the body until the server answers; without the interim response
         // every /sweep batch pays curl's ~1 s give-up timeout.
-        let mut stream = FakeStream::new(
-            "POST /sweep HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 4\r\n\r\nbody",
-        );
-        let req = read_request(&mut stream).unwrap().unwrap();
+        let mut reader =
+            stream("POST /sweep HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 4\r\n\r\nbody");
+        let req = read_request(&mut reader).unwrap().unwrap();
         assert_eq!(req.body, "body");
-        assert_eq!(stream.written, b"HTTP/1.1 100 Continue\r\n\r\n");
+        assert_eq!(reader.get_ref().written, b"HTTP/1.1 100 Continue\r\n\r\n");
         // Bodyless requests never get (or need) the interim response.
-        let mut stream = FakeStream::new("GET /stats HTTP/1.1\r\nExpect: 100-continue\r\n\r\n");
-        read_request(&mut stream).unwrap();
-        assert!(stream.written.is_empty());
+        let mut reader = stream("GET /stats HTTP/1.1\r\nExpect: 100-continue\r\n\r\n");
+        read_request(&mut reader).unwrap();
+        assert!(reader.get_ref().written.is_empty());
     }
 
     fn parse_err(raw: &str) -> HttpError {
@@ -620,5 +771,119 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
+    }
+
+    /// Pipelined requests with bodies, read through a stream that yields
+    /// 1–3 bytes per read: every head (and the blank lines straddling the
+    /// tiny refills) and every body reassemble exactly.
+    #[test]
+    fn trickled_pipelined_requests_with_bodies_reassemble() {
+        let raw = "POST /simulate HTTP/1.1\r\nContent-Length: 5\r\n\r\nfirst\
+                   POST /sweep HTTP/1.1\r\nX-Provenance: 1\r\nContent-Length: 6\r\n\r\nsecond\
+                   GET /stats HTTP/1.1\r\n\r\n";
+        let mut fake = FakeStream::new(raw);
+        fake.chunks = true;
+        let mut reader = BufReader::with_capacity(READ_BUFFER_BYTES, fake);
+        let first = read_request(&mut reader).unwrap().unwrap();
+        assert_eq!(
+            (first.path.as_str(), first.body.as_str()),
+            ("/simulate", "first")
+        );
+        let second = read_request(&mut reader).unwrap().unwrap();
+        assert_eq!(
+            (second.path.as_str(), second.body.as_str()),
+            ("/sweep", "second")
+        );
+        assert!(second.provenance);
+        let third = read_request(&mut reader).unwrap().unwrap();
+        assert_eq!((third.path.as_str(), third.body.as_str()), ("/stats", ""));
+        assert!(read_request(&mut reader).unwrap().is_none());
+        assert!(
+            reader.get_ref().reads > raw.len() / 3,
+            "the stream really was trickled"
+        );
+    }
+
+    /// A head, its body and the next head in one read: one refill serves
+    /// both requests, and the leftover bytes start the second.
+    #[test]
+    fn one_read_carrying_a_request_and_the_next_head_serves_both() {
+        let mut reader = stream(
+            "POST /simulate HTTP/1.1\r\nContent-Length: 2\r\n\r\nhiGET /healthz HTTP/1.1\r\n\r\n",
+        );
+        assert_eq!(read_request(&mut reader).unwrap().unwrap().body, "hi");
+        assert_eq!(read_request(&mut reader).unwrap().unwrap().path, "/healthz");
+        // Two reads: the one refill, then the EOF probe.
+        assert!(read_request(&mut reader).unwrap().is_none());
+        assert_eq!(reader.get_ref().reads, 2);
+    }
+
+    /// A head longer than one refill but under the cap is gathered across
+    /// refills and parses; past the cap it is a 431 however it arrives.
+    #[test]
+    fn heads_spanning_refills_parse_up_to_the_cap() {
+        let padding = "y".repeat(READ_BUFFER_BYTES + 100);
+        let req = parse_one(&format!(
+            "POST /x HTTP/1.1\r\nPadding: {padding}\r\nContent-Length: 2\r\n\r\nhi"
+        ));
+        assert_eq!(req.body, "hi");
+        let padding = "y".repeat(MAX_HEAD_BYTES);
+        let mut fake = FakeStream::new(&format!("GET /x HTTP/1.1\r\nPadding: {padding}\r\n\r\n"));
+        fake.chunks = true;
+        let err = read_request(&mut BufReader::new(fake)).unwrap_err();
+        assert_eq!(err.status, 431);
+    }
+
+    /// Silence before the first byte is an idle close; a read timeout
+    /// after it, in the head or in the body, is a 408.
+    #[test]
+    fn read_timeouts_mid_request_are_408_and_before_it_idle() {
+        let timing_out = |raw: &str| {
+            let mut fake = FakeStream::new(raw);
+            fake.then_timeout = true;
+            read_request(&mut BufReader::new(fake))
+        };
+        assert!(timing_out("").unwrap().is_none(), "idle keep-alive reap");
+        assert_eq!(
+            timing_out("POST /x HTTP/1.1\r\nCont").unwrap_err().status,
+            408
+        );
+        assert_eq!(
+            timing_out("POST /x HTTP/1.1\r\nContent-Length: 9\r\n\r\npart")
+                .unwrap_err()
+                .status,
+            408
+        );
+    }
+
+    /// Counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_exactly_one_write() {
+        for options in [
+            ResponseOptions::keep_alive(),
+            ResponseOptions::close().with_retry_after(1),
+        ] {
+            let mut out = CountingWriter::default();
+            write_response(&mut out, 200, "{\"ok\": true}", options).unwrap();
+            assert_eq!(out.writes, 1, "head and body in one write");
+            assert!(out.bytes.ends_with(b"\r\n\r\n{\"ok\": true}"));
+        }
     }
 }

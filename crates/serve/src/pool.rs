@@ -299,6 +299,17 @@ impl SessionPool {
         }
     }
 
+    /// Whether `scenario`'s session is already built and pooled. Neither
+    /// builds, counts a hit or a miss, nor bumps recency; a slot whose build
+    /// is still in flight reads as not built.
+    pub fn is_built(&self, scenario: &ScenarioSpec) -> bool {
+        let inner = lock_recover(&self.inner);
+        inner
+            .entries
+            .get(&scenario.session_key())
+            .is_some_and(|entry| matches!(entry.slot.try_lock().as_deref(), Ok(Some(_))))
+    }
+
     /// If `key`'s breaker is open, returns the time remaining in its
     /// quarantine window. An elapsed window admits the caller as the
     /// half-open trial (its success or failure decides what happens next).
@@ -544,6 +555,19 @@ mod tests {
         assert_eq!(stats.sessions_built, 1, "zero rebuilds after the first");
         assert_eq!(stats.size, 1);
         assert_eq!(stats.evictions, 0);
+    }
+
+    #[test]
+    fn is_built_reports_pooled_sessions_without_counting_or_building() {
+        let pool = SessionPool::new(4, None);
+        let cora = scenario(DatasetKind::Cora, 1);
+        assert!(!pool.is_built(&cora), "nothing built yet");
+        assert_eq!(pool.stats().sessions_built, 0, "the check never builds");
+        pool.get(&cora).unwrap();
+        assert!(pool.is_built(&cora));
+        assert!(!pool.is_built(&scenario(DatasetKind::Cora, 2)));
+        let stats = pool.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 1), "checks are not lookups");
     }
 
     #[test]

@@ -6,16 +6,25 @@
 //!   (bounded by [`ServeConfig::max_connections`]; excess connections are
 //!   refused with `503` + `Retry-After`),
 //! * **connection threads** that loop HTTP/1.1 keep-alive reads on one
-//!   socket — pipelined requests are read ahead (up to
-//!   [`ServeConfig::connection_inflight`]) and answered strictly in order —
-//!   parse and validate inline, and push evaluation work into a bounded
-//!   admission queue (a full queue sheds the request with `429` +
-//!   `Retry-After` instead of queueing unbounded latency),
+//!   buffered socket — pipelined requests are read ahead (up to
+//!   [`ServeConfig::connection_inflight`]) while earlier ones wait on a
+//!   worker, and answered strictly in order — parse and validate inline,
+//!   and push evaluation work into a bounded admission queue (a full queue
+//!   sheds the request with `429` + `Retry-After` instead of queueing
+//!   unbounded latency),
 //! * **evaluation workers** that pull from the queue; concurrently queued
 //!   `/simulate` requests sharing a
 //!   [`session_key`](gnnerator::ScenarioSpec::session_key) are coalesced
 //!   into one batch evaluated over a single warm session and fanned back
 //!   out, exactly like a `/sweep` body.
+//!
+//! A `/simulate` request whose session is already pooled, arriving while
+//! the server is idle (nothing queued, nothing being evaluated), skips the
+//! hand-off: its connection thread takes an evaluation slot and evaluates
+//! it through the same guarded batch path a worker runs. Every evaluation,
+//! on either path, holds one of [`ServeConfig::workers`] slots, so that
+//! count still bounds concurrent evaluations; cold builds, contention and
+//! coalescing go through the queue.
 //!
 //! All scenario execution routes through the shared [`SessionPool`] and the
 //! core crate's [`evaluate_scenario_batch`] — a straight per-scenario map
@@ -42,8 +51,10 @@
 //! client opts in with `X-Provenance: 1`; the same spans feed the central
 //! stage histograms either way.
 
-use crate::batch::{Job, JobKind, JobQueue, Reply, SubmitError};
-use crate::http::{read_request, write_response, HttpError, Request, ResponseOptions};
+use crate::batch::{EvalSlot, Job, JobKind, JobQueue, Reply, SubmitError};
+use crate::http::{
+    read_request, write_response, HttpError, Request, ResponseOptions, READ_BUFFER_BYTES,
+};
 use crate::json::{json_f64, json_opt_f64, json_opt_u64, json_string, Json};
 use crate::metrics::{Histogram, Metrics};
 use crate::pool::{BreakerConfig, PoolError, SessionPool};
@@ -53,7 +64,7 @@ use gnnerator_faults::lock_recover;
 use gnnerator_graph::{ArtifactCache, MemoryBudget};
 use gnnerator_observe::{PromText, Recorder, RequestProvenance};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -74,7 +85,9 @@ const WORKER_REPLY_TIMEOUT: Duration = Duration::from_secs(600);
 /// Configuration for a [`SessionServer`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Evaluation worker threads (each evaluates one batch at a time).
+    /// Evaluation worker threads (each evaluates one batch at a time), and
+    /// the bound on concurrent evaluations, connection threads' inline
+    /// ones included.
     pub workers: usize,
     /// Warm sessions the pool holds before LRU eviction.
     pub pool_capacity: usize,
@@ -230,11 +243,8 @@ struct ServerState {
     shutdown: AtomicBool,
     /// Set by `POST /drain`: `/readyz` answers `503`, new evaluation work
     /// is refused, and a background thread closes the listener once the
-    /// queue and in-flight batches are empty.
+    /// queue is empty and no evaluation holds a slot.
     draining: AtomicBool,
-    /// Batches currently being processed by workers (drain waits on this
-    /// as well as queue depth, so in-flight work finishes before close).
-    inflight_batches: AtomicUsize,
     /// The bound listener address — the shutdown path dials it to wake the
     /// blocking acceptor.
     addr: SocketAddr,
@@ -278,12 +288,11 @@ impl SessionServer {
             .with_breaker(config.breaker);
         let state = Arc::new(ServerState {
             pool,
-            queue: JobQueue::new(config.queue_depth),
+            queue: JobQueue::new(config.queue_depth, config.workers),
             metrics: Mutex::new(Metrics::default()),
             connections: ConnectionRegistry::default(),
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            inflight_batches: AtomicUsize::new(0),
             addr,
             started: Instant::now(),
             requests: AtomicUsize::new(0),
@@ -294,7 +303,9 @@ impl SessionServer {
             max_connections: config.max_connections.max(1),
             idle_timeout: config.idle_timeout,
             configured_workers: config.workers.max(1),
-            workers_alive: AtomicUsize::new(0),
+            // Counted from spawn, not from the thread's first instruction:
+            // a worker not yet scheduled is alive, and work waits for it.
+            workers_alive: AtomicUsize::new(config.workers.max(1)),
             worker_panics: AtomicUsize::new(0),
             worker_respawns: AtomicUsize::new(0),
         });
@@ -388,8 +399,9 @@ fn trigger_shutdown(state: &ServerState) {
 
 /// Starts a graceful drain: readiness flips to `503` immediately (load
 /// balancers stop routing here), new evaluation work is refused, and a
-/// background thread waits for the queue and every in-flight batch to
-/// finish before triggering the full shutdown that closes the listener.
+/// background thread waits for the queue to empty and every evaluation
+/// slot to be returned before triggering the full shutdown that closes the
+/// listener.
 /// Idempotent — a second `POST /drain` changes nothing.
 fn trigger_drain(state: &Arc<ServerState>) {
     if state.draining.swap(true, Ordering::SeqCst) {
@@ -397,7 +409,7 @@ fn trigger_drain(state: &Arc<ServerState>) {
     }
     let state = Arc::clone(state);
     std::thread::spawn(move || {
-        while state.queue.depth() > 0 || state.inflight_batches.load(Ordering::SeqCst) > 0 {
+        while !state.queue.is_idle() {
             std::thread::sleep(Duration::from_millis(10));
         }
         trigger_shutdown(&state);
@@ -459,76 +471,19 @@ fn refuse_connection(mut stream: TcpStream, state: &ServerState) {
     .ok();
 }
 
-/// A `TcpStream` wrapper that (a) serves previously probed bytes before
-/// touching the socket and (b) can *probe* for already-arrived pipelined
-/// bytes without blocking — the connection loop only reads ahead when the
-/// client has actually sent more.
-struct BufferedStream {
-    stream: TcpStream,
-    buffer: Vec<u8>,
-    pos: usize,
-    peer_closed: bool,
-}
-
-impl BufferedStream {
-    fn new(stream: TcpStream) -> Self {
-        Self {
-            stream,
-            buffer: Vec::new(),
-            pos: 0,
-            peer_closed: false,
-        }
+/// `true` when the next `read_request` will make progress without waiting:
+/// buffered bytes, immediately readable bytes (probed with one
+/// non-blocking refill, which stays buffered), or a pending EOF the caller
+/// should observe. The connection loop reads ahead only when the client
+/// has actually sent more.
+fn has_pending_input(reader: &mut BufReader<TcpStream>) -> bool {
+    if !reader.buffer().is_empty() {
+        return true;
     }
-
-    /// `true` when the next `read_request` will make progress without
-    /// waiting: buffered bytes, immediately readable bytes, or a pending
-    /// EOF the caller should observe.
-    fn has_pending_input(&mut self) -> bool {
-        if self.pos < self.buffer.len() || self.peer_closed {
-            return true;
-        }
-        self.stream.set_nonblocking(true).ok();
-        let mut probe = [0u8; 4096];
-        let outcome = self.stream.read(&mut probe);
-        self.stream.set_nonblocking(false).ok();
-        match outcome {
-            Ok(0) => {
-                self.peer_closed = true;
-                true
-            }
-            Ok(n) => {
-                self.buffer.clear();
-                self.pos = 0;
-                self.buffer.extend_from_slice(&probe[..n]);
-                true
-            }
-            Err(_) => false, // WouldBlock (nothing yet) or a dying socket
-        }
-    }
-}
-
-impl Read for BufferedStream {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        if self.pos < self.buffer.len() {
-            let n = (self.buffer.len() - self.pos).min(out.len());
-            out[..n].copy_from_slice(&self.buffer[self.pos..self.pos + n]);
-            self.pos += n;
-            return Ok(n);
-        }
-        if self.peer_closed {
-            return Ok(0);
-        }
-        self.stream.read(out)
-    }
-}
-
-impl Write for BufferedStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.stream.write(buf)
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.stream.flush()
-    }
+    reader.get_ref().set_nonblocking(true).ok();
+    let probed = reader.fill_buf().is_ok(); // an empty refill is the EOF
+    reader.get_ref().set_nonblocking(false).ok();
+    probed // otherwise WouldBlock (nothing yet) or a dying socket
 }
 
 /// One admitted-but-unanswered request on a connection. Responses are
@@ -549,6 +504,21 @@ enum Pending {
         receiver: Receiver<Reply>,
         keep_alive: bool,
     },
+}
+
+impl Pending {
+    /// An evaluation's answer. Backpressure statuses produced past
+    /// admission (expired deadlines, open circuit breakers) advertise a
+    /// retry hint, matching the shed path.
+    fn answered(reply: Reply, keep_alive: bool) -> Self {
+        Pending::Ready {
+            retry_after: matches!(reply.status, 429 | 503).then_some(1),
+            status: reply.status,
+            body: reply.body,
+            keep_alive,
+            content_type: None,
+        }
+    }
 }
 
 fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
@@ -579,19 +549,26 @@ fn serve_connection(stream: TcpStream, state: &Arc<ServerState>) {
     stream.set_read_timeout(Some(state.idle_timeout)).ok();
     stream.set_write_timeout(Some(CLIENT_IO_TIMEOUT)).ok();
     stream.set_nodelay(true).ok();
-    let mut stream = BufferedStream::new(stream);
+    let mut reader = BufReader::with_capacity(READ_BUFFER_BYTES, stream);
     let mut inflight: VecDeque<Pending> = VecDeque::new();
     let mut reads_done = false;
     loop {
-        // Admit requests: block for the first one, then read ahead only as
-        // long as pipelined bytes have actually arrived and the in-flight
-        // cap allows. Responses are never reordered, so reading ahead just
-        // lets queued work coalesce while earlier answers are in flight.
+        // Admit requests: block for the first one, then read ahead only
+        // while an earlier request still waits on a worker, pipelined bytes
+        // have actually arrived and the in-flight cap allows. Responses are
+        // never reordered, so reading ahead just lets queued work coalesce
+        // while earlier answers are in flight; with every earlier answer
+        // ready, writing it comes first.
         while !reads_done && inflight.len() < state.connection_inflight {
-            if !inflight.is_empty() && !stream.has_pending_input() {
-                break;
+            if !inflight.is_empty() {
+                let awaiting_worker = inflight
+                    .iter()
+                    .any(|pending| matches!(pending, Pending::Waiting { .. }));
+                if !awaiting_worker || !has_pending_input(&mut reader) {
+                    break;
+                }
             }
-            match read_request(&mut stream) {
+            match read_request(&mut reader) {
                 Ok(Some(request)) => {
                     state.requests.fetch_add(1, Ordering::Relaxed);
                     inflight.push_back(admit(request, state));
@@ -637,7 +614,7 @@ fn serve_connection(stream: TcpStream, state: &Arc<ServerState>) {
         if let Some(content_type) = content_type {
             options = options.with_content_type(content_type);
         }
-        if write_response(&mut stream, status, &body, options).is_err() || !keep_alive {
+        if write_response(reader.get_mut(), status, &body, options).is_err() || !keep_alive {
             return; // any replies still pending are dropped (send is a no-op)
         }
     }
@@ -658,13 +635,7 @@ fn resolve(pending: Pending) -> (u16, String, bool, Option<u32>, Option<&'static
             receiver,
             keep_alive,
         } => match receiver.recv_timeout(WORKER_REPLY_TIMEOUT) {
-            // Backpressure statuses produced past admission (expired
-            // deadlines, open circuit breakers) advertise a retry hint,
-            // matching the shed path.
-            Ok(reply) => {
-                let retry_after = matches!(reply.status, 429 | 503).then_some(1);
-                (reply.status, reply.body, keep_alive, retry_after, None)
-            }
+            Ok(reply) => resolve(Pending::answered(reply, keep_alive)),
             Err(_) => (
                 500,
                 error_body("evaluation did not complete"),
@@ -855,6 +826,11 @@ fn readyz_body(state: &ServerState) -> (u16, String) {
 /// answers `503` on a closing connection. A request whose deadline has
 /// already passed (`X-Deadline-Ms: 0` against any queue wait) is answered
 /// `503` + `Retry-After` without entering the queue.
+///
+/// A `/simulate` request whose session is already pooled is evaluated
+/// right here when [`JobQueue::try_claim_idle`] grants a slot: the server
+/// is idle, so there is nothing to coalesce with and nobody to overtake,
+/// and the worker hand-off would only add two thread wake-ups.
 fn submit(
     kind: JobKind,
     keep_alive: bool,
@@ -888,6 +864,20 @@ fn submit(
         deadline,
         provenance,
     };
+    let warm = matches!(&job.kind, JobKind::Simulate(scenario) if state.pool.is_built(scenario));
+    if let Some(slot) = warm.then(|| state.queue.try_claim_idle()).flatten() {
+        evaluate_guarded(vec![job], slot, state);
+        return match receiver.try_recv() {
+            Ok(reply) => Pending::answered(reply, keep_alive),
+            Err(_) => Pending::Ready {
+                status: 500,
+                body: error_body("evaluation did not complete"),
+                keep_alive: false,
+                retry_after: None,
+                content_type: None,
+            },
+        };
+    }
     match state.queue.submit(job) {
         Ok(()) => Pending::Waiting {
             receiver,
@@ -937,76 +927,50 @@ fn parse_sweep(body: &str) -> Result<Vec<ScenarioSpec>, String> {
 // Evaluation workers
 // ---------------------------------------------------------------------------
 
-/// Answers every job of an in-flight batch with `500` if the worker
-/// unwinds mid-batch. Armed before `process_batch`, disarmed after it
-/// returns; during an unwind the `Drop` impl runs and the waiting
-/// connections get a typed error immediately instead of waiting out the
-/// reply timeout on a dropped channel. Jobs already answered normally just
-/// have a second reply sitting unread in their channel.
-struct BatchGuard {
-    replies: Vec<Sender<Reply>>,
-}
+/// Responses an evaluation pass produced, each with the channel it goes
+/// to. They are sent only after the pass returns its evaluation slot.
+type Replies = Vec<(Sender<Reply>, Reply)>;
 
-impl BatchGuard {
-    fn arm(batch: &[Job]) -> Self {
-        Self {
-            replies: batch.iter().map(|job| job.reply.clone()).collect(),
-        }
-    }
-
-    fn disarm(mut self) {
-        self.replies.clear();
-    }
-}
-
-impl Drop for BatchGuard {
-    fn drop(&mut self) {
-        for reply in &self.replies {
-            let _ = reply.send(Reply {
-                status: 500,
-                body: error_body("evaluation worker panicked; the request was aborted"),
-            });
-        }
-    }
-}
-
-/// The supervised evaluation worker loop. A panic while processing a batch
-/// (injected via the `eval` failpoint or real) is caught here: the batch's
-/// jobs are answered `500` by the [`BatchGuard`], the panic and the
-/// respawn are counted for `/stats`, and the loop re-enters — the worker
-/// keeps serving. The loop only exits once the queue is closed and drained.
+/// The evaluation worker loop: one guarded pass per batch, each in the
+/// slot [`JobQueue::next_batch`] handed out with it. The loop only exits
+/// once the queue is closed and drained.
 fn eval_worker_loop(state: &Arc<ServerState>) {
-    state.workers_alive.fetch_add(1, Ordering::SeqCst);
-    loop {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            while let Some(batch) = state.queue.next_batch(state.max_batch) {
-                let guard = BatchGuard::arm(&batch);
-                process_batch(batch, state);
-                guard.disarm();
-            }
-        }));
-        match outcome {
-            Ok(()) => break, // queue closed and drained: clean exit
-            Err(_) => {
-                state.worker_panics.fetch_add(1, Ordering::Relaxed);
-                state.worker_respawns.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    while let Some((batch, slot)) = state.queue.next_batch(state.max_batch) {
+        evaluate_guarded(batch, slot, state);
     }
     state.workers_alive.fetch_sub(1, Ordering::SeqCst);
 }
 
-fn process_batch(batch: Vec<Job>, state: &Arc<ServerState>) {
-    // Panic-safe in-flight accounting: a drain waits on this counter, so a
-    // worker unwinding mid-batch must still decrement it.
-    struct InflightGuard<'a>(&'a ServerState);
-    impl Drop for InflightGuard<'_> {
-        fn drop(&mut self) {
-            self.0.inflight_batches.fetch_sub(1, Ordering::SeqCst);
-        }
+/// Evaluates one batch in `slot`, on a worker or inline on a connection
+/// thread alike, then answers its jobs. The slot is returned first, so a
+/// client that sends its next request as soon as it hears back finds the
+/// server idle. A panic (injected via the `eval` failpoint or real) is
+/// caught here: the panic and the evaluator's recovery are counted for
+/// `/stats`, every job of the batch is answered with a typed `500` instead
+/// of waiting out the reply timeout, and the evaluator keeps serving.
+fn evaluate_guarded(batch: Vec<Job>, slot: EvalSlot<'_>, state: &Arc<ServerState>) {
+    let senders: Vec<Sender<Reply>> = batch.iter().map(|job| job.reply.clone()).collect();
+    let outcome =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process_batch(batch, state)));
+    drop(slot);
+    let replies = outcome.unwrap_or_else(|_| {
+        state.worker_panics.fetch_add(1, Ordering::Relaxed);
+        state.worker_respawns.fetch_add(1, Ordering::Relaxed);
+        let body = error_body("evaluation worker panicked; the request was aborted");
+        senders
+            .into_iter()
+            .map(|sender| {
+                let body = body.clone();
+                (sender, Reply { status: 500, body })
+            })
+            .collect()
+    });
+    for (sender, reply) in replies {
+        let _ = sender.send(reply); // a vanished client's receiver is gone
     }
-    state.inflight_batches.fetch_add(1, Ordering::SeqCst);
-    let _inflight = InflightGuard(state);
+}
+
+fn process_batch(batch: Vec<Job>, state: &Arc<ServerState>) -> Replies {
     let picked_up = Instant::now();
     {
         let mut metrics = lock_recover(&state.metrics);
@@ -1018,22 +982,28 @@ fn process_batch(batch: Vec<Job>, state: &Arc<ServerState>) {
     }
     // A batch is either 1+ same-session-key Simulate jobs, or exactly one
     // Compile/Sweep job (those never coalesce).
-    match batch[0].kind {
-        JobKind::Simulate(_) => process_simulate_batch(batch, state),
-        JobKind::Compile(_) => {
-            for job in batch {
-                process_compile(job, state);
-            }
-        }
-        JobKind::Sweep(_) => {
-            for job in batch {
-                process_sweep(job, state);
-            }
-        }
+    if matches!(batch[0].kind, JobKind::Simulate(_)) {
+        return process_simulate_batch(batch, state);
     }
+    batch
+        .into_iter()
+        .map(|job| {
+            let (path, (status, body)) = match &job.kind {
+                JobKind::Compile(scenario) => {
+                    ("/compile", compile_response(scenario, state, job.enqueued))
+                }
+                JobKind::Sweep(scenarios) => {
+                    ("/sweep", sweep_response(scenarios, state, job.enqueued))
+                }
+                JobKind::Simulate(_) => unreachable!("/simulate jobs are batched by key"),
+            };
+            record_endpoint_latency(state, path, job.enqueued.elapsed().as_secs_f64());
+            (job.reply, Reply { status, body })
+        })
+        .collect()
 }
 
-fn process_simulate_batch(batch: Vec<Job>, state: &Arc<ServerState>) {
+fn process_simulate_batch(batch: Vec<Job>, state: &Arc<ServerState>) -> Replies {
     let size = batch.len();
     let picked_up = Instant::now();
     let mut jobs = Vec::with_capacity(size);
@@ -1081,6 +1051,7 @@ fn process_simulate_batch(batch: Vec<Job>, state: &Arc<ServerState>) {
             metrics.evaluate.record(result.simulate_seconds);
         }
     }
+    let mut replies = Vec::with_capacity(size);
     for (index, ((scenario, reply, enqueued, wants_provenance), lookup)) in
         jobs.into_iter().zip(lookups).enumerate()
     {
@@ -1129,8 +1100,9 @@ fn process_simulate_batch(batch: Vec<Job>, state: &Arc<ServerState>) {
             },
         };
         record_endpoint_latency(state, "/simulate", enqueued.elapsed().as_secs_f64());
-        let _ = reply.send(Reply { status, body });
+        replies.push((reply, Reply { status, body }));
     }
+    replies
 }
 
 /// Renders a [`RequestProvenance`] as the JSON object attached to a
@@ -1158,21 +1130,6 @@ fn provenance_json(provenance: &RequestProvenance) -> String {
         json_f64(provenance.total_seconds()),
         spans,
     )
-}
-
-fn process_compile(job: Job, state: &Arc<ServerState>) {
-    let Job {
-        kind,
-        reply,
-        enqueued,
-        ..
-    } = job;
-    let JobKind::Compile(scenario) = kind else {
-        return;
-    };
-    let (status, body) = compile_response(&scenario, state, enqueued);
-    record_endpoint_latency(state, "/compile", enqueued.elapsed().as_secs_f64());
-    let _ = reply.send(Reply { status, body });
 }
 
 fn compile_response(
@@ -1204,21 +1161,6 @@ fn compile_response(
         json_f64(enqueued.elapsed().as_secs_f64()),
     );
     (200, body)
-}
-
-fn process_sweep(job: Job, state: &Arc<ServerState>) {
-    let Job {
-        kind,
-        reply,
-        enqueued,
-        ..
-    } = job;
-    let JobKind::Sweep(scenarios) = kind else {
-        return;
-    };
-    let (status, body) = sweep_response(&scenarios, state, enqueued);
-    record_endpoint_latency(state, "/sweep", enqueued.elapsed().as_secs_f64());
-    let _ = reply.send(Reply { status, body });
 }
 
 fn sweep_response(
@@ -1390,8 +1332,8 @@ fn stats_body(state: &ServerState) -> String {
     drop(endpoints);
     let admission = format!(
         "{{\"queue_capacity\": {}, \"queue_depth\": {}, \"peak_queue_depth\": {}, \
-         \"shed\": {}, \"expired\": {}, \"active_connections\": {}, \"peak_connections\": {}, \
-         \"total_connections\": {}, \"refused_connections\": {}, \
+         \"shed\": {}, \"expired\": {}, \"inline\": {}, \"active_connections\": {}, \
+         \"peak_connections\": {}, \"total_connections\": {}, \"refused_connections\": {}, \
          \"connection_inflight_cap\": {}, \"max_connections\": {}, \
          \"max_batch\": {}, \"idle_timeout_seconds\": {}}}",
         state.queue.capacity(),
@@ -1399,6 +1341,7 @@ fn stats_body(state: &ServerState) -> String {
         state.queue.peak_depth(),
         state.queue.shed_count(),
         state.queue.expired_count(),
+        state.queue.idle_claim_count(),
         state.connections.active(),
         state.connections.peak.load(Ordering::Relaxed),
         state.connections.total.load(Ordering::Relaxed),

@@ -1,6 +1,7 @@
 //! Integration tests pinning the qualitative claims of the paper's evaluation
 //! section on the full-size Table II datasets. The corresponding numeric
-//! results live in EXPERIMENTS.md and are regenerated by the bench harness.
+//! results are regenerated by the bench harness (`all_experiments`, which
+//! writes `BENCH_sweep.json`).
 
 use gnnerator_bench::experiments;
 use gnnerator_bench::rows::geomean;

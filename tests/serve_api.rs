@@ -292,3 +292,97 @@ fn shutdown_endpoint_stops_the_server_cleanly() {
     // The port no longer answers.
     assert!(client::get(addr, "/stats").is_err());
 }
+
+/// After warm-up, sequential keep-alive `/simulate` requests on an idle
+/// server are evaluated on their connection thread: none of them enters
+/// the admission queue, yet every one is bit-identical to `run_one`, is
+/// counted as a solo evaluation pass, and carries the full provenance
+/// breakdown when asked.
+#[test]
+fn idle_warm_requests_are_evaluated_inline_and_stay_bit_identical() {
+    let (server, addr) = start_server();
+    let request = body("cora", "gnnerator");
+    let scenario = scenario_from_json(&Json::parse(&request).unwrap()).unwrap();
+    let reference = SweepRunner::new().run_one(&scenario).unwrap();
+    let mut connection = client::ClientConnection::new(addr);
+    // The cold request builds the session through the queue.
+    let cold = connection.post("/simulate", &request).unwrap();
+    assert!(cold.is_ok(), "{}", cold.body);
+    let stats = |connection: &mut client::ClientConnection| {
+        connection
+            .get("/stats")
+            .unwrap()
+            .json()
+            .expect("stats JSON")
+    };
+    let counter = |stats: &Json, section: &str, key: &str| {
+        stats
+            .get(section)
+            .and_then(|s| s.get(key))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("missing stats field {section}.{key}"))
+    };
+    let before = stats(&mut connection);
+
+    const REQUESTS: u64 = 12;
+    for index in 0..REQUESTS {
+        let response = connection.post("/simulate", &request).unwrap();
+        assert!(response.is_ok(), "request {index}: {}", response.body);
+        assert!(response.keep_alive(), "request {index} kept the connection");
+        let point = response.json().expect("point JSON");
+        assert_point_matches(&point, &reference, &format!("request {index}"));
+        assert_eq!(point.get("batch_size").and_then(Json::as_u64), Some(1));
+        assert_eq!(
+            point.get("session_reused").and_then(Json::as_bool),
+            Some(true)
+        );
+    }
+    let response = client::request_with_headers(
+        addr,
+        "POST",
+        "/simulate",
+        &request,
+        &[("X-Provenance", "1")],
+    )
+    .unwrap();
+    assert!(response.is_ok(), "{}", response.body);
+    let point = response.json().expect("point JSON");
+    assert_point_matches(&point, &reference, "provenance request");
+    let stages: Vec<&str> = point
+        .get("provenance")
+        .and_then(|p| p.get("spans"))
+        .and_then(Json::as_array)
+        .expect("provenance spans")
+        .iter()
+        .filter_map(|span| span.get("stage").and_then(Json::as_str))
+        .collect();
+    assert_eq!(
+        stages,
+        ["queue_wait", "session_build", "evaluate", "serialize"]
+    );
+
+    let after = stats(&mut connection);
+    assert_eq!(
+        counter(&after, "admission", "peak_queue_depth"),
+        counter(&before, "admission", "peak_queue_depth"),
+        "inline requests never enter the queue"
+    );
+    assert_eq!(
+        counter(&after, "admission", "inline") - counter(&before, "admission", "inline"),
+        REQUESTS + 1,
+        "every idle warm request was evaluated inline"
+    );
+    let simulate_requests = after
+        .get("endpoints")
+        .and_then(|e| e.get("simulate"))
+        .and_then(|s| s.get("requests"))
+        .and_then(Json::as_u64)
+        .expect("simulate endpoint requests");
+    assert_eq!(simulate_requests, REQUESTS + 2);
+    assert_eq!(
+        counter(&after, "batch", "batched_requests") + counter(&after, "batch", "solo_requests"),
+        simulate_requests,
+        "batched + solo covers inline evaluations too"
+    );
+    server.shutdown();
+}
