@@ -8,7 +8,9 @@
 //! qualitatively), so the reproduction's speedup *shapes* carry over even
 //! though the node features themselves are random.
 
+use crate::parallel::{even_bounds, run_bands, split_bands, workers_for};
 use crate::{generators, CsrGraph, EdgeList, GraphError, NodeFeatures};
+use gnnerator_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -187,11 +189,14 @@ impl DatasetSpec {
     ///
     /// The graph topology comes from [`generators::rmat_exact`]; node features
     /// are drawn uniformly from `[0, 1)` with the same seed, which mimics the
-    /// sparsity-free dense feature tables DGL hands to the accelerator.
+    /// sparsity-free dense feature tables DGL hands to the accelerator. Both
+    /// stages run on as many workers as the host and the sizes warrant, with
+    /// the same result at any worker count.
     ///
     /// # Errors
     ///
-    /// Propagates generator errors (they cannot occur for the built-in specs).
+    /// Propagates generator errors (they cannot occur for the built-in specs)
+    /// and [`GraphError::BuildWorker`] if a build worker fails.
     ///
     /// # Examples
     ///
@@ -205,14 +210,27 @@ impl DatasetSpec {
     /// # }
     /// ```
     pub fn synthesize(&self, seed: u64) -> Result<Dataset, GraphError> {
+        self.synthesize_with(seed, workers_for)
+    }
+
+    /// [`DatasetSpec::synthesize`] with `workers(work)` workers for a stage
+    /// of `work` items (the output does not depend on the count).
+    pub(crate) fn synthesize_with(
+        &self,
+        seed: u64,
+        workers: fn(usize) -> usize,
+    ) -> Result<Dataset, GraphError> {
         self.validate()?;
         let start = std::time::Instant::now();
-        let edge_list = generators::rmat_exact(self.vertices, self.edges, seed)?;
+        let edge_list = generators::rmat_exact_with_workers(
+            self.vertices,
+            self.edges,
+            seed,
+            workers(self.edges * 2),
+        )?;
         let graph = CsrGraph::from_edge_list(&edge_list);
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x2545_f491_4f6c_dd1d));
-        let features = NodeFeatures::from_fn(self.vertices, self.feature_dim, |_, _| {
-            rng.gen_range(0.0..1.0)
-        });
+        let values = self.vertices * self.feature_dim;
+        let features = random_features(self.vertices, self.feature_dim, seed, workers(values))?;
         Ok(Dataset {
             spec: *self,
             seed,
@@ -337,6 +355,41 @@ impl fmt::Display for DatasetSpec {
             self.feature_megabytes()
         )
     }
+}
+
+/// The uniform `[0, 1)` feature table of a `seed`-synthesised dataset,
+/// filled in row bands on `workers` workers.
+///
+/// Row-major value `i` is draw `i` of one generator (one draw per value),
+/// so each band starts from a copy advanced by its first value's index and
+/// the table is the same at any worker count.
+fn random_features(
+    rows: usize,
+    dim: usize,
+    seed: u64,
+    workers: usize,
+) -> Result<NodeFeatures, GraphError> {
+    let rng = StdRng::seed_from_u64(seed.wrapping_mul(0x2545_f491_4f6c_dd1d));
+    let mut values = vec![0.0f32; rows * dim];
+    let value_bounds: Vec<usize> = even_bounds(rows, workers)
+        .into_iter()
+        .map(|row| row * dim)
+        .collect();
+    let bands: Vec<(usize, &mut [f32])> = value_bounds
+        .iter()
+        .copied()
+        .zip(split_bands(&mut values, &value_bounds))
+        .collect();
+    run_bands(bands, |(first, band)| {
+        let mut rng = rng.clone();
+        rng.advance(first as u64);
+        for value in band {
+            *value = rng.gen_range(0.0..1.0);
+        }
+        Ok(())
+    })?;
+    let matrix = Matrix::from_vec(rows, dim, values).expect("rows * dim values");
+    Ok(NodeFeatures::from_matrix(matrix))
 }
 
 /// A fully materialised dataset: topology (edge list + CSR) and features.
@@ -602,5 +655,27 @@ mod tests {
         assert_eq!(ds.seed, 9);
         assert!(!ds.loaded_from_cache);
         assert!(ds.build_seconds > 0.0);
+    }
+
+    #[test]
+    fn synthesis_does_not_depend_on_the_worker_count() {
+        // The banded feature fill must reproduce the historical one-stream
+        // fill, and the whole dataset must be the same at any worker count.
+        let spec = DatasetKind::Cora.spec().scaled(0.05);
+        let single = spec.synthesize_with(4, |_| 1).unwrap();
+        let mut rng = StdRng::seed_from_u64(4u64.wrapping_mul(0x2545_f491_4f6c_dd1d));
+        let historical = NodeFeatures::from_fn(spec.vertices, spec.feature_dim, |_, _| {
+            rng.gen_range(0.0..1.0)
+        });
+        assert_eq!(single.features, historical);
+        let policies: [fn(usize) -> usize; 2] = [|_| 2, |_| 7];
+        for workers in policies {
+            let banded = spec.synthesize_with(4, workers).unwrap();
+            assert_eq!(banded.edge_list, single.edge_list, "{} workers", workers(0));
+            assert_eq!(banded.features, single.features, "{} workers", workers(0));
+        }
+        // More bands than rows.
+        let few = random_features(3, 5, 8, 7).unwrap();
+        assert_eq!(few, random_features(3, 5, 8, 1).unwrap());
     }
 }

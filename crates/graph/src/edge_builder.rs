@@ -1,49 +1,109 @@
 //! Streaming, chunked edge-list construction with optional disk spilling.
 //!
 //! Generators *stream* edges into the [`EdgeListBuilder`], which seals them
-//! into fixed-capacity chunks. Sealed chunks stay in memory while they fit
-//! the builder's [`MemoryBudget`]; beyond the cap a chunk is sorted
-//! immediately and spilled to a `spill-<pid>-<nonce>.run` file (raw
-//! little-endian `(src, dst)` pairs) in the cache directory.
+//! into fixed-capacity chunks. A symmetric pair streamed with
+//! [`EdgeListBuilder::push_symmetric`] is recorded once, in a chunk marked
+//! symmetric, and stands for both directions; every consumer of the chunk
+//! expands it. Sealed chunks stay in memory while they fit the builder's
+//! [`MemoryBudget`]; beyond the cap a chunk is expanded, sorted and spilled
+//! to a `spill-<pid>-<nonce>.run` file (raw little-endian `(src, dst)`
+//! pairs) in the cache directory.
 //!
 //! [`EdgeListBuilder::finish`] then produces one sorted, duplicate-free
 //! [`EdgeList`]:
 //!
-//! * when nothing spilled, a counting pass over source ids scatters every
-//!   edge's destination into its source's row of one `u32` buffer (freeing
-//!   each chunk once it is scattered), and each row is sorted and
+//! * when nothing spilled, a counting sort by source (see
+//!   [`sort_dedup_by_source`]) scatters every edge's destination into its
+//!   source's row of one `u32` buffer, and each row is sorted and
 //!   deduplicated on its own — `O(V + E)` plus per-row sorts of small
-//!   integers, with no comparison sort over whole edges;
+//!   integers, with no comparison sort over whole edges. The rows are cut
+//!   into bands of near-equal edge counts, one per worker;
 //! * when chunks spilled, the in-memory chunks are sorted and k-way merged
 //!   with buffered readers over the sorted run-files in a single pass.
 //!
 //! Either way the output is bit-identical to `collect → sort_unstable →
-//! dedup` on the same edge multiset (the property tests pin this), so the
-//! generators' seeded determinism is preserved. Spill run-files are deleted
-//! as soon as the merge consumes them; files orphaned by a crash are reaped
-//! by the [`ArtifactCache`](crate::ArtifactCache) startup sweep.
+//! dedup` on the same edge multiset (the property tests pin this), at any
+//! worker count, so the generators' seeded determinism is preserved. Spill
+//! run-files are deleted as soon as the merge consumes them; files orphaned
+//! by a crash are reaped by the [`ArtifactCache`](crate::ArtifactCache)
+//! startup sweep.
 
 use crate::cache;
 use crate::memory::MemoryBudget;
+use crate::parallel::{even_bounds, run_bands, split_bands, workers_for};
 use crate::{Edge, EdgeList, GraphError, NodeId};
 use gnnerator_observe::Recorder;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::PathBuf;
 
-/// Default number of edges per sealed chunk (~512 KiB of edge records): the
-/// unit the memory budget accounts and spills in. Small enough that a
-/// bounded budget keeps close to its cap, big enough that a spill writes one
-/// sizeable sequential run-file rather than many tiny ones.
+/// Default number of edge records per sealed chunk under a bounded budget
+/// (~512 KiB): the unit the memory budget accounts and spills in. Small
+/// enough that a bounded budget keeps close to its cap, big enough that a
+/// spill writes one sizeable sequential run-file rather than many tiny ones.
 pub const DEFAULT_CHUNK_CAPACITY: usize = 1 << 16;
 
-/// Bytes per edge record in a spill run-file: two little-endian `u32`s.
+/// Edge records per chunk when no budget applies (32 MiB). Nothing can
+/// spill then, so chunks only need to be large: an allocation this size is
+/// mapped and unmapped whole by the system allocator, so the chunks the
+/// counting sort frees go back to the OS instead of lingering as heap that
+/// the sort's own large buffers cannot reuse.
+const UNBOUNDED_CHUNK_CAPACITY: usize = 1 << 22;
+
+/// Bytes per edge record, in memory and in a spill run-file: two `u32`s.
 const SPILL_RECORD_BYTES: usize = 8;
 
 /// Bytes per destination id in the counting sort's row buffer.
 const ROW_ENTRY_BYTES: usize = std::mem::size_of::<NodeId>();
+
+/// A sealed run of edge records. A symmetric chunk holds each pair once
+/// and stands for the pair and its reverse.
+#[derive(Debug)]
+struct Chunk {
+    edges: Vec<Edge>,
+    symmetric: bool,
+}
+
+impl Chunk {
+    /// A chunk of plain directed edges.
+    fn directed(edges: Vec<Edge>) -> Self {
+        Self {
+            edges,
+            symmetric: false,
+        }
+    }
+
+    /// Directed edges this chunk stands for.
+    fn directed_len(&self) -> usize {
+        self.edges.len() << usize::from(self.symmetric)
+    }
+
+    /// Calls `f` on every directed edge the chunk stands for.
+    fn for_each_directed(&self, mut f: impl FnMut(Edge)) {
+        for &edge in &self.edges {
+            f(edge);
+            if self.symmetric {
+                f(edge.reversed());
+            }
+        }
+    }
+
+    /// The plain directed edges, expanding a symmetric chunk in place.
+    fn into_directed(mut self) -> Vec<Edge> {
+        if self.symmetric {
+            let pairs = self.edges.len();
+            self.edges.reserve_exact(pairs);
+            for i in 0..pairs {
+                let reversed = self.edges[i].reversed();
+                self.edges.push(reversed);
+            }
+        }
+        self.edges
+    }
+}
 
 /// A sorted run of edges spilled to disk; the file is removed on drop.
 #[derive(Debug)]
@@ -81,19 +141,24 @@ impl Drop for SpillFile {
 #[derive(Debug)]
 pub struct EdgeListBuilder {
     num_nodes: usize,
-    chunk_capacity: usize,
+    /// Records per chunk; `None` picks by budget (see
+    /// [`DEFAULT_CHUNK_CAPACITY`]).
+    chunk_capacity: Option<usize>,
     budget: MemoryBudget,
     /// Directory spill run-files land in; resolved lazily on first spill.
     spill_dir: Option<PathBuf>,
     /// Sealed, still-unsorted chunks held in memory.
-    mem_chunks: Vec<Vec<Edge>>,
+    mem_chunks: Vec<Chunk>,
     /// Sealed, sorted chunks spilled to disk run-files.
     spilled: Vec<SpillFile>,
-    /// The chunk currently being filled.
+    /// The directed chunk currently being filled.
     current: Vec<Edge>,
-    /// Edges held across `mem_chunks` (excludes `current` and spills).
-    resident_edges: usize,
-    /// Edges sealed so far, in memory or on disk.
+    /// The symmetric chunk currently being filled (one record per pair).
+    current_symmetric: Vec<Edge>,
+    /// Records held across `mem_chunks` (excludes the open chunks and
+    /// spills).
+    resident_records: usize,
+    /// Directed edges sealed so far, in memory or on disk.
     sealed_edges: usize,
     /// Builder-local resident-bytes high-water mark.
     peak_resident_bytes: u64,
@@ -104,17 +169,22 @@ pub struct EdgeListBuilder {
 }
 
 impl EdgeListBuilder {
-    /// Creates a builder for a graph over `num_nodes` nodes with the default
-    /// chunk capacity and the process-wide [`MemoryBudget::from_env`] budget.
+    /// Creates a builder for a graph over `num_nodes` nodes with the
+    /// process-wide [`MemoryBudget::from_env`] budget and the default chunk
+    /// capacity: [`DEFAULT_CHUNK_CAPACITY`] records under a bounded budget,
+    /// 32 MiB chunks under an unbounded one.
     pub fn new(num_nodes: usize) -> Self {
-        Self::with_chunk_capacity(num_nodes, DEFAULT_CHUNK_CAPACITY)
+        Self::with_capacity_policy(num_nodes, None)
     }
 
-    /// Creates a builder with an explicit chunk capacity (clamped to at
-    /// least 1). Small capacities are useful in tests to force many chunks
-    /// and, under a bounded budget, many spills.
+    /// Creates a builder with an explicit chunk capacity in edge records
+    /// (clamped to at least 1). Small capacities are useful in tests to
+    /// force many chunks and, under a bounded budget, many spills.
     pub fn with_chunk_capacity(num_nodes: usize, chunk_capacity: usize) -> Self {
-        let chunk_capacity = chunk_capacity.max(1);
+        Self::with_capacity_policy(num_nodes, Some(chunk_capacity.max(1)))
+    }
+
+    fn with_capacity_policy(num_nodes: usize, chunk_capacity: Option<usize>) -> Self {
         Self {
             num_nodes,
             chunk_capacity,
@@ -122,8 +192,9 @@ impl EdgeListBuilder {
             spill_dir: None,
             mem_chunks: Vec::new(),
             spilled: Vec::new(),
-            current: Vec::with_capacity(chunk_capacity.min(1 << 20)),
-            resident_edges: 0,
+            current: Vec::new(),
+            current_symmetric: Vec::new(),
+            resident_records: 0,
             sealed_edges: 0,
             peak_resident_bytes: 0,
             recorder: Recorder::default(),
@@ -139,7 +210,7 @@ impl EdgeListBuilder {
 
     /// Overrides the builder's memory budget. Sealed chunks that would push
     /// resident sealed bytes past the cap are sorted and spilled to disk;
-    /// the one chunk currently being filled is the fixed working set and is
+    /// the chunks currently being filled are the fixed working set and are
     /// not counted against the cap.
     pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
         self.budget = budget;
@@ -152,6 +223,33 @@ impl EdgeListBuilder {
     pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
         self
+    }
+
+    /// A builder for one of `bands` concurrent workers feeding this one:
+    /// same graph, chunk size and spill directory, `1/bands` of the memory
+    /// budget, and a detached recorder — [`EdgeListBuilder::absorb`] notes
+    /// its counts here.
+    pub(crate) fn band_builder(&self, bands: usize) -> Self {
+        Self {
+            budget: self.budget.share(bands),
+            spill_dir: self.spill_dir.clone(),
+            recorder: Recorder::detached(),
+            ..Self::with_capacity_policy(self.num_nodes, self.chunk_capacity)
+        }
+    }
+
+    /// Takes over every edge of a band builder: its open chunks are sealed
+    /// (and may spill under its budget share), then its chunks and run-files
+    /// join this builder's. The band's resident peak, on top of what this
+    /// builder already holds, and its spills are noted here.
+    pub(crate) fn absorb(&mut self, mut band: EdgeListBuilder) {
+        band.seal_open_chunks();
+        self.note_resident(self.resident_bytes() + band.peak_resident_bytes);
+        self.recorder.note_spilled_chunks(band.spilled.len() as u64);
+        self.resident_records += band.resident_records;
+        self.sealed_edges += band.sealed_edges;
+        self.mem_chunks.append(&mut band.mem_chunks);
+        self.spilled.append(&mut band.spilled);
     }
 
     /// Number of nodes the builder validates endpoints against.
@@ -175,14 +273,27 @@ impl EdgeListBuilder {
         self.peak_resident_bytes
     }
 
-    /// Total number of raw (pre-dedup) edges streamed in so far.
+    /// Total number of raw (pre-dedup) directed edges streamed in so far; a
+    /// symmetric pair counts as two.
     pub fn len(&self) -> usize {
-        self.sealed_edges + self.current.len()
+        self.sealed_edges + self.current.len() + 2 * self.current_symmetric.len()
     }
 
     /// Returns `true` if no edges have been streamed in.
     pub fn is_empty(&self) -> bool {
-        self.sealed_edges == 0 && self.current.is_empty()
+        self.len() == 0
+    }
+
+    fn check_endpoints(&self, edge: Edge) -> Result<(), GraphError> {
+        for node in [edge.src, edge.dst] {
+            if node as usize >= self.num_nodes {
+                return Err(GraphError::NodeOutOfRange {
+                    node,
+                    num_nodes: self.num_nodes,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Streams one edge into the builder.
@@ -192,62 +303,105 @@ impl EdgeListBuilder {
     /// Returns [`GraphError::NodeOutOfRange`] if an endpoint is
     /// `>= num_nodes`.
     pub fn push(&mut self, edge: Edge) -> Result<(), GraphError> {
-        for node in [edge.src, edge.dst] {
-            if node as usize >= self.num_nodes {
-                return Err(GraphError::NodeOutOfRange {
-                    node,
-                    num_nodes: self.num_nodes,
-                });
-            }
+        self.check_endpoints(edge)?;
+        if self.current.capacity() == 0 {
+            self.current.reserve_exact(self.open_chunk_capacity());
         }
         self.current.push(edge);
-        if self.current.len() >= self.chunk_capacity {
-            let full = std::mem::replace(
-                &mut self.current,
-                Vec::with_capacity(self.chunk_capacity.min(1 << 20)),
-            );
-            self.seal(full);
+        if self.current.len() >= self.chunk_capacity() {
+            let full = std::mem::take(&mut self.current);
+            self.seal(Chunk::directed(full));
         }
         Ok(())
     }
 
     /// Streams an edge and its reverse — the building block of symmetric
     /// (undirected-semantics) graphs, replacing a post-hoc
-    /// [`EdgeList::symmetrize`] pass over the full list.
+    /// [`EdgeList::symmetrize`] pass over the full list. The pair is stored
+    /// once; both directions are counted and scattered on finish.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::NodeOutOfRange`] if an endpoint is out of range.
     pub fn push_symmetric(&mut self, edge: Edge) -> Result<(), GraphError> {
-        self.push(edge)?;
-        self.push(edge.reversed())
+        self.check_endpoints(edge)?;
+        if self.current_symmetric.capacity() == 0 {
+            self.current_symmetric
+                .reserve_exact(self.open_chunk_capacity());
+        }
+        self.current_symmetric.push(edge);
+        if self.current_symmetric.len() >= self.chunk_capacity() {
+            let edges = std::mem::take(&mut self.current_symmetric);
+            self.seal(Chunk {
+                edges,
+                symmetric: true,
+            });
+        }
+        Ok(())
+    }
+
+    fn chunk_capacity(&self) -> usize {
+        self.chunk_capacity.unwrap_or(if self.budget.is_bounded() {
+            DEFAULT_CHUNK_CAPACITY
+        } else {
+            UNBOUNDED_CHUNK_CAPACITY
+        })
+    }
+
+    /// Records an open chunk is allocated for up front, so it fills without
+    /// reallocating (capped for huge test capacities).
+    fn open_chunk_capacity(&self) -> usize {
+        self.chunk_capacity().min(UNBOUNDED_CHUNK_CAPACITY)
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        (self.resident_records * SPILL_RECORD_BYTES) as u64
+    }
+
+    /// Seals both open chunks, if they hold anything.
+    fn seal_open_chunks(&mut self) {
+        let directed = std::mem::take(&mut self.current);
+        let symmetric = std::mem::take(&mut self.current_symmetric);
+        for chunk in [
+            Chunk::directed(directed),
+            Chunk {
+                edges: symmetric,
+                symmetric: true,
+            },
+        ] {
+            if !chunk.edges.is_empty() {
+                self.seal(chunk);
+            }
+        }
     }
 
     /// Seals one chunk: kept in memory while the budget allows, otherwise
-    /// sorted and spilled to a run-file. A failed spill write degrades
-    /// gracefully by keeping the chunk in memory.
-    fn seal(&mut self, mut chunk: Vec<Edge>) {
-        let chunk_bytes = (chunk.len() * SPILL_RECORD_BYTES) as u64;
-        let resident_bytes = (self.resident_edges * SPILL_RECORD_BYTES) as u64;
+    /// expanded, sorted and spilled to a run-file. A failed spill write
+    /// degrades gracefully by keeping the chunk in memory.
+    fn seal(&mut self, chunk: Chunk) {
+        let chunk_bytes = (chunk.edges.len() * SPILL_RECORD_BYTES) as u64;
+        let resident_bytes = self.resident_bytes();
         // The freshly sealed chunk is momentarily resident either way.
         self.note_resident(resident_bytes + chunk_bytes);
-        self.sealed_edges += chunk.len();
-        if self.budget.would_exceed(resident_bytes, chunk_bytes) && !chunk.is_empty() {
-            chunk.sort_unstable();
-            match self.spill(&chunk) {
+        self.sealed_edges += chunk.directed_len();
+        let chunk = if self.budget.would_exceed(resident_bytes, chunk_bytes) {
+            let mut edges = chunk.into_directed();
+            edges.sort_unstable();
+            match self.spill(&edges) {
                 Ok(file) => {
                     self.spilled.push(file);
                     self.recorder.note_spilled_chunks(1);
                     return;
                 }
-                Err(_) => {
-                    // Disk trouble must not lose edges: fall back to memory.
-                    // (The chunk arrives sorted at finish, which is fine —
-                    // neither finish path assumes resident chunks unsorted.)
-                }
+                // Disk trouble must not lose edges: fall back to memory.
+                // (The chunk arrives sorted at finish, which is fine —
+                // neither finish path assumes resident chunks unsorted.)
+                Err(_) => Chunk::directed(edges),
             }
-        }
-        self.resident_edges += chunk.len();
+        } else {
+            chunk
+        };
+        self.resident_records += chunk.edges.len();
         self.mem_chunks.push(chunk);
     }
 
@@ -286,8 +440,9 @@ impl EdgeListBuilder {
 
     /// Returns the canonical edge list: sorted by `(src, dst)`, duplicates
     /// removed. A builder that never spilled counting-sorts its chunks by
-    /// source (see [`sort_dedup_by_source`]); one that spilled sorts its
-    /// in-memory chunks and k-way merges them with the run-files.
+    /// source, in row bands on as many workers as the input warrants; one
+    /// that spilled sorts its in-memory chunks and k-way merges them with
+    /// the run-files.
     ///
     /// Self-loops are *kept* (the builder is policy-free); generators that
     /// need simple graphs simply never stream self-loops in.
@@ -295,24 +450,52 @@ impl EdgeListBuilder {
     /// # Errors
     ///
     /// Returns [`GraphError::CacheArtifact`] if a spill run-file written
-    /// earlier cannot be read back. Builders that never spilled cannot fail.
-    pub fn try_finish(mut self) -> Result<EdgeList, GraphError> {
-        if !self.current.is_empty() {
-            let rest = std::mem::take(&mut self.current);
-            self.seal(rest);
-        }
+    /// earlier cannot be read back, and [`GraphError::BuildWorker`] if a
+    /// sort worker fails.
+    pub fn try_finish(self) -> Result<EdgeList, GraphError> {
+        let workers = workers_for(self.len());
+        self.try_finish_with_workers(workers)
+    }
+
+    /// [`EdgeListBuilder::try_finish`] with an explicit worker count for
+    /// the counting sort.
+    pub(crate) fn try_finish_with_workers(self, workers: usize) -> Result<EdgeList, GraphError> {
+        self.try_finish_selected(workers, |_| Ok(None))
+    }
+
+    /// [`EdgeListBuilder::try_finish_with_workers`], keeping only some of
+    /// the distinct edges: `select` is called once with their number and
+    /// may return the [`Selection`] of indices (in sorted order) to keep.
+    /// The kept edges stay in order, and without spills the others are
+    /// never written out.
+    pub(crate) fn try_finish_selected(
+        mut self,
+        workers: usize,
+        select: impl FnOnce(usize) -> Result<Option<Selection>, GraphError>,
+    ) -> Result<EdgeList, GraphError> {
+        self.seal_open_chunks();
         let edges = if self.spilled.is_empty() {
             // Every chunk plus the row buffer is resident at the scatter.
             self.note_resident(
-                (self.resident_edges * (SPILL_RECORD_BYTES + ROW_ENTRY_BYTES)) as u64,
+                self.resident_bytes() + (self.sealed_edges * ROW_ENTRY_BYTES) as u64,
             );
-            sort_dedup_by_source(self.num_nodes, std::mem::take(&mut self.mem_chunks))
+            let chunks = std::mem::take(&mut self.mem_chunks);
+            sort_dedup_by_source(self.num_nodes, chunks, workers, select)?
         } else {
-            for chunk in &mut self.mem_chunks {
-                chunk.sort_unstable();
+            let sorted: Vec<Vec<Edge>> = std::mem::take(&mut self.mem_chunks)
+                .into_iter()
+                .map(|chunk| {
+                    let mut edges = chunk.into_directed();
+                    edges.sort_unstable();
+                    edges
+                })
+                .collect();
+            let mut merged = merge_spilled(&sorted, &self.spilled, self.budget)?;
+            let sorted_records: usize = sorted.iter().map(Vec::len).sum();
+            self.note_resident(((merged.len() + sorted_records) * SPILL_RECORD_BYTES) as u64);
+            if let Some(selection) = select(merged.len())? {
+                selection.retain(&mut merged);
             }
-            let merged = merge_spilled(&self.mem_chunks, &self.spilled, self.budget)?;
-            self.note_resident(((merged.len() + self.resident_edges) * SPILL_RECORD_BYTES) as u64);
             merged
         };
         Ok(EdgeList::from_sorted_edges_unchecked(self.num_nodes, edges))
@@ -323,71 +506,240 @@ impl EdgeListBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if a spill run-file cannot be read back; prefer `try_finish`
-    /// on paths where the builder may run under a bounded budget.
+    /// Panics if a spill run-file cannot be read back or a sort worker
+    /// fails; prefer `try_finish` on paths where the builder may run under
+    /// a bounded budget.
     pub fn finish(self) -> EdgeList {
         self.try_finish()
             .expect("spill run-file readable until finish")
     }
 }
 
-/// Sorts the edges of `chunks` by `(src, dst)` and removes duplicates.
-///
-/// A counting pass over source ids sizes one row per source in a buffer of
-/// destination ids only; a second pass scatters every destination into its
-/// row, dropping each chunk once it is scattered. Each row is then sorted
-/// and deduplicated on its own, so no comparison ever looks at a whole edge.
-/// Cost is `O(V + E)` plus the per-row sorts.
-pub(crate) fn sort_dedup_by_source(num_nodes: usize, chunks: Vec<Vec<Edge>>) -> Vec<Edge> {
-    // `row_end[s]` first holds the start of source `s`'s row, advances as
-    // the row fills, and so ends as the row's (exclusive) end.
-    let mut row_end = vec![0usize; num_nodes + 1];
-    for edge in chunks.iter().flatten() {
-        row_end[edge.src as usize + 1] += 1;
-    }
-    for s in 0..num_nodes {
-        row_end[s + 1] += row_end[s];
-    }
-    let mut dsts: Vec<NodeId> = vec![0; row_end[num_nodes]];
-    for chunk in chunks {
-        for edge in &chunk {
-            let slot = &mut row_end[edge.src as usize];
-            dsts[*slot] = edge.dst;
-            *slot += 1;
+/// A set of indices into an edge list, as a bitmap: the edges to keep.
+#[derive(Debug, Clone)]
+pub(crate) struct Selection {
+    words: Vec<u64>,
+}
+
+impl Selection {
+    /// An empty selection over `len` indices.
+    pub(crate) fn with_len(len: usize) -> Self {
+        Self {
+            words: vec![0; len.div_ceil(64)],
         }
     }
 
-    // Sort each row and compact its distinct destinations to the front of
-    // the buffer; `row_end` is rewritten to the compacted ends.
-    let mut unique = 0usize;
-    let mut begin = 0usize;
-    for end in &mut row_end[..num_nodes] {
-        let row_stop = *end;
-        dsts[begin..row_stop].sort_unstable();
-        let mut last = None;
-        for i in begin..row_stop {
-            let dst = dsts[i];
-            if last != Some(dst) {
-                dsts[unique] = dst;
-                unique += 1;
-                last = Some(dst);
+    pub(crate) fn insert(&mut self, index: usize) {
+        self.words[index / 64] |= 1 << (index % 64);
+    }
+
+    /// Calls `f` on every selected index in `range`, ascending.
+    fn for_each_in(&self, range: Range<usize>, mut f: impl FnMut(usize)) {
+        if range.is_empty() {
+            return;
+        }
+        let (first, last) = (range.start / 64, (range.end - 1) / 64);
+        for w in first..=last {
+            let mut word = self.words[w];
+            if w == first {
+                word &= u64::MAX << (range.start % 64);
+            }
+            let top = range.end - w * 64;
+            if top < 64 {
+                word &= (1 << top) - 1;
+            }
+            while word != 0 {
+                f(w * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
             }
         }
-        *end = unique;
-        begin = row_stop;
     }
 
-    let mut edges = Vec::with_capacity(unique);
-    let mut begin = 0usize;
-    for (src, &end) in row_end[..num_nodes].iter().enumerate() {
-        edges.extend(
-            dsts[begin..end]
-                .iter()
-                .map(|&dst| Edge::new(src as NodeId, dst)),
-        );
-        begin = end;
+    fn count_in(&self, range: Range<usize>) -> usize {
+        let mut count = 0;
+        self.for_each_in(range, |_| count += 1);
+        count
     }
-    edges
+
+    /// Keeps the selected edges of `edges`, in order, compacting in place.
+    pub(crate) fn retain(&self, edges: &mut Vec<Edge>) {
+        let mut next = 0;
+        self.for_each_in(0..edges.len(), |i| {
+            edges[next] = edges[i];
+            next += 1;
+        });
+        edges.truncate(next);
+        edges.shrink_to_fit();
+    }
+}
+
+/// One worker's band of the counting sort: a range of source rows and its
+/// slice of the destination buffer.
+struct RowBand<'a> {
+    rows: Range<usize>,
+    dsts: &'a mut [NodeId],
+    /// Band-relative end of each row's distinct destinations, once sorted.
+    unique_ends: Vec<usize>,
+}
+
+/// Sorts the edges of `chunks` by `(src, dst)` and removes duplicates, on
+/// `workers` threads.
+///
+/// 1. Per-source candidate counts, summed from per-worker counts over
+///    contiguous runs of chunks, size one row per source in a buffer of
+///    destination ids only.
+/// 2. The rows are cut into `workers` bands of near-equal candidate counts
+///    and the buffer is split at the band edges. Each worker scatters its
+///    band's destinations from every chunk, then sorts and deduplicates
+///    each of its rows in place. The chunks are dropped once scattered.
+/// 3. Once the number of distinct edges is known, `select` may pick the
+///    ones to keep. The output is split at the prefix sums of the bands'
+///    kept counts, and each worker writes its band's kept edges.
+///
+/// No comparison ever looks at a whole edge, and the bands are fixed by the
+/// input alone, so the result is the same at any worker count. Cost is
+/// `O(V + E)` plus the per-row sorts.
+///
+/// # Errors
+///
+/// Returns [`GraphError::BuildWorker`] if a worker fails.
+fn sort_dedup_by_source(
+    num_nodes: usize,
+    chunks: Vec<Chunk>,
+    workers: usize,
+    select: impl FnOnce(usize) -> Result<Option<Selection>, GraphError>,
+) -> Result<Vec<Edge>, GraphError> {
+    // `row_start[s]` is where source `s`'s row begins in `dsts`.
+    let chunk_bounds = even_bounds(chunks.len(), workers);
+    let chunk_runs: Vec<&[Chunk]> = chunk_bounds
+        .windows(2)
+        .map(|w| &chunks[w[0]..w[1]])
+        .collect();
+    let counts = run_bands(chunk_runs, |run| {
+        let mut counts = vec![0usize; num_nodes];
+        for chunk in run {
+            chunk.for_each_directed(|edge| counts[edge.src as usize] += 1);
+        }
+        Ok(counts)
+    })?;
+    let mut row_start = vec![0usize; num_nodes + 1];
+    for s in 0..num_nodes {
+        let candidates: usize = counts.iter().map(|c| c[s]).sum();
+        row_start[s + 1] = row_start[s] + candidates;
+    }
+    drop(counts);
+    let total = row_start[num_nodes];
+
+    // Row bands of near-equal candidate counts; a hub row stays whole.
+    let mut row_bounds: Vec<usize> = even_bounds(total, workers)
+        .into_iter()
+        .map(|target| row_start.partition_point(|&start| start < target))
+        .collect();
+    *row_bounds.last_mut().expect("at least one band") = num_nodes;
+    let dst_bounds: Vec<usize> = row_bounds.iter().map(|&row| row_start[row]).collect();
+    let mut dsts: Vec<NodeId> = vec![0; total];
+    let bands: Vec<RowBand<'_>> = split_bands(&mut dsts, &dst_bounds)
+        .into_iter()
+        .zip(row_bounds.windows(2))
+        .map(|(dsts, rows)| RowBand {
+            rows: rows[0]..rows[1],
+            dsts,
+            unique_ends: Vec::new(),
+        })
+        .collect();
+    let bands = run_bands(bands, |mut band| {
+        let base = row_start[band.rows.start];
+        let mut cursor: Vec<usize> = row_start[band.rows.clone()]
+            .iter()
+            .map(|start| start - base)
+            .collect();
+        for chunk in &chunks {
+            chunk.for_each_directed(|edge| {
+                if let Some(slot) = (edge.src as usize)
+                    .checked_sub(band.rows.start)
+                    .and_then(|row| cursor.get_mut(row))
+                {
+                    band.dsts[*slot] = edge.dst;
+                    *slot += 1;
+                }
+            });
+        }
+        // `cursor` now holds each row's end. Sort each row and compact its
+        // distinct destinations to the front of the band.
+        let mut unique = 0usize;
+        let mut begin = 0usize;
+        band.unique_ends = cursor;
+        for end in &mut band.unique_ends {
+            let row_stop = *end;
+            band.dsts[begin..row_stop].sort_unstable();
+            let mut last = None;
+            for i in begin..row_stop {
+                let dst = band.dsts[i];
+                if last != Some(dst) {
+                    band.dsts[unique] = dst;
+                    unique += 1;
+                    last = Some(dst);
+                }
+            }
+            *end = unique;
+            begin = row_stop;
+        }
+        Ok(band)
+    })?;
+    drop(chunks);
+
+    // `firsts[t]` is band `t`'s first distinct edge in list order.
+    let firsts = prefix_sums(
+        bands
+            .iter()
+            .map(|band| band.unique_ends.last().copied().unwrap_or(0)),
+    );
+    let selection = select(firsts[bands.len()])?;
+    let out_bounds = prefix_sums(firsts.windows(2).map(|range| match &selection {
+        Some(selection) => selection.count_in(range[0]..range[1]),
+        None => range[1] - range[0],
+    }));
+    let mut edges = vec![Edge::new(0, 0); out_bounds[bands.len()]];
+    let items: Vec<_> = bands
+        .into_iter()
+        .zip(firsts)
+        .zip(split_bands(&mut edges, &out_bounds))
+        .collect();
+    run_bands(items, |((band, first), out)| {
+        let Some(selection) = &selection else {
+            let mut begin = 0usize;
+            for (row, &end) in band.rows.zip(&band.unique_ends) {
+                for (slot, &dst) in out[begin..end].iter_mut().zip(&band.dsts[begin..end]) {
+                    *slot = Edge::new(row as NodeId, dst);
+                }
+                begin = end;
+            }
+            return Ok(());
+        };
+        // Walk the kept indices, advancing to the row each one falls in.
+        let unique = band.unique_ends.last().copied().unwrap_or(0);
+        let (mut row, mut next) = (0usize, 0usize);
+        selection.for_each_in(first..first + unique, |index| {
+            let local = index - first;
+            while band.unique_ends[row] <= local {
+                row += 1;
+            }
+            out[next] = Edge::new((band.rows.start + row) as NodeId, band.dsts[local]);
+            next += 1;
+        });
+        Ok(())
+    })?;
+    Ok(edges)
+}
+
+/// `[0, c₀, c₀ + c₁, …]`: the bounds of consecutive runs of the given
+/// lengths.
+fn prefix_sums(counts: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut sums = vec![0];
+    for count in counts {
+        sums.push(sums[sums.len() - 1] + count);
+    }
+    sums
 }
 
 /// One input to the heterogeneous k-way merge: an in-memory sorted slice or
@@ -609,6 +961,106 @@ mod tests {
         let mut reference = EdgeList::from_pairs(n, pairs).unwrap();
         reference.symmetrize();
         assert_eq!(built, reference);
+    }
+
+    fn symmetric_reference(num_nodes: usize, pairs: &[Edge]) -> EdgeList {
+        let both: Vec<Edge> = pairs.iter().flat_map(|&e| [e, e.reversed()]).collect();
+        reference(num_nodes, &both)
+    }
+
+    #[test]
+    fn symmetric_pairs_are_stored_once() {
+        let n = 10usize;
+        let pairs = pseudo_random_edges(n, 8);
+        let mut builder = EdgeListBuilder::with_chunk_capacity(n, 4)
+            .with_memory_budget(MemoryBudget::unbounded());
+        for &e in &pairs {
+            builder.push_symmetric(e).unwrap();
+        }
+        // Two sealed chunks of four records each, standing for 16 edges.
+        assert_eq!(builder.len(), 16);
+        assert_eq!(
+            builder.peak_resident_bytes(),
+            (8 * SPILL_RECORD_BYTES) as u64
+        );
+        assert_eq!(builder.finish(), symmetric_reference(n, &pairs));
+    }
+
+    #[test]
+    fn sort_dedup_does_not_depend_on_the_worker_count() {
+        // A hub row holding most edges, empty rows, and fewer nodes than
+        // workers; directed and symmetric chunks mixed.
+        let mut hub = pseudo_random_edges(40, 300);
+        hub.extend((0..2000u32).map(|i| Edge::new(7, (i * 13) % 40)));
+        let sparse: Vec<Edge> = pseudo_random_edges(200, 150)
+            .into_iter()
+            .map(|e| Edge::new(e.src / 10 * 10, e.dst))
+            .collect();
+        let tiny = vec![Edge::new(2, 0), Edge::new(0, 1), Edge::new(2, 0)];
+        for (n, edges) in [(40usize, hub), (200, sparse), (3, tiny), (5, Vec::new())] {
+            let (symmetric, directed) = edges.split_at(edges.len() / 3);
+            let mut all = directed.to_vec();
+            all.extend(symmetric.iter().flat_map(|&e| [e, e.reversed()]));
+            let expected = reference(n, &all);
+            for workers in [1, 2, 7] {
+                let chunks = || {
+                    let mut chunks = vec![Chunk {
+                        edges: symmetric.to_vec(),
+                        symmetric: true,
+                    }];
+                    chunks.extend(directed.chunks(37).map(|c| Chunk::directed(c.to_vec())));
+                    chunks
+                };
+                let sorted = sort_dedup_by_source(n, chunks(), workers, |_| Ok(None)).unwrap();
+                assert_eq!(sorted, expected.as_slice(), "n {n}, {workers} workers");
+                // Keeping every third distinct edge writes exactly those.
+                let mut every_third = None;
+                let selected = sort_dedup_by_source(n, chunks(), workers, |len| {
+                    let mut selection = Selection::with_len(len);
+                    (0..len).step_by(3).for_each(|i| selection.insert(i));
+                    every_third = Some(selection.clone());
+                    Ok(Some(selection))
+                })
+                .unwrap();
+                let mut retained = expected.as_slice().to_vec();
+                every_third.unwrap().retain(&mut retained);
+                let thirds: Vec<Edge> = expected.iter().copied().step_by(3).collect();
+                assert_eq!(retained, thirds);
+                assert_eq!(selected, thirds, "n {n}, {workers} workers, selected");
+            }
+        }
+    }
+
+    #[test]
+    fn band_builders_under_a_budget_spill_and_match() {
+        // The generators' flow: one band builder per worker, each with its
+        // share of the budget, absorbed in worker order and finished on the
+        // same worker count.
+        let n = 64usize;
+        let pairs = pseudo_random_edges(n, 3000);
+        let expected = symmetric_reference(n, &pairs);
+        let dir = spill_dir("bands");
+        for workers in [1usize, 2, 7] {
+            for budget in [MemoryBudget::bytes(2048), MemoryBudget::unbounded()] {
+                let mut merged = EdgeListBuilder::with_chunk_capacity(n, 64)
+                    .with_memory_budget(budget)
+                    .with_spill_dir(&dir);
+                let bounds = crate::parallel::even_bounds(pairs.len(), workers);
+                for range in bounds.windows(2) {
+                    let mut band = merged.band_builder(workers);
+                    for &e in &pairs[range[0]..range[1]] {
+                        band.push_symmetric(e).unwrap();
+                    }
+                    merged.absorb(band);
+                }
+                assert_eq!(merged.len(), 2 * pairs.len());
+                assert_eq!(merged.spilled_chunks() > 0, budget.is_bounded());
+                let built = merged.try_finish_with_workers(workers).unwrap();
+                assert_eq!(built, expected, "{workers} workers, {budget}");
+            }
+        }
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -59,6 +59,13 @@ pub enum GraphError {
         /// Description of why the artifact was rejected.
         message: String,
     },
+    /// A parallel graph-build worker failed (an injected `graph_build`
+    /// fault or a panic). The whole stage's output is discarded; a rerun
+    /// rebuilds it from scratch.
+    BuildWorker {
+        /// What went wrong in the worker.
+        message: String,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -91,6 +98,9 @@ impl fmt::Display for GraphError {
             ),
             GraphError::CacheArtifact { path, message } => {
                 write!(f, "unusable cache artifact {path}: {message}")
+            }
+            GraphError::BuildWorker { message } => {
+                write!(f, "graph build worker failed: {message}")
             }
         }
     }

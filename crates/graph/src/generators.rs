@@ -11,11 +11,24 @@
 //! materialising an unsorted list and comparison-sorting it at the end. That
 //! keeps ogbn-scale synthesis (millions of edges) off the cold-start
 //! critical path.
+//!
+//! R-MAT sampling runs on several workers and stays bit-identical to the
+//! sequential sampler by construction: every attempt consumes exactly
+//! `levels` draws of the SplitMix64 stream, so the attempt range `[a, b)`
+//! starts `a · levels` draws in, where an O(1) [`StdRng::advance`] puts a
+//! copy of the generator. Each worker streams its kept pairs into its own
+//! builder with its share of the memory budget; the builders are absorbed
+//! in worker order and the caller's generator is advanced past every
+//! attempt before the sequential trim. The trim shuffles edge positions
+//! rather than edges and keeps the survivors in list order, so it needs no
+//! sort, and the builder writes out only the surviving edges.
 
-use crate::edge_builder::sort_dedup_by_source;
+use crate::edge_builder::Selection;
+use crate::parallel::{even_bounds, run_bands, workers_for};
 use crate::{Edge, EdgeList, EdgeListBuilder, GraphError, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::ops::Range;
 
 /// The classic R-MAT quadrant probabilities `a`, `b`, `c` (top-left,
 /// top-right, bottom-left); `d = 1 - a - b - c` is the bottom-right rest.
@@ -115,12 +128,13 @@ pub fn erdos_renyi(num_nodes: usize, p: f64, seed: u64) -> Result<EdgeList, Grap
 /// accepted edge and its reverse) through the chunked builder, whose
 /// counting sort by source puts them in order and deduplicates them. The
 /// result matches the historical sort-everything-then-dedup flow bit for
-/// bit.
+/// bit, on any number of workers (see the [module docs](self)).
 ///
 /// # Errors
 ///
 /// Returns [`GraphError::InvalidParameter`] if `num_nodes` is zero or
-/// `target_edges` is zero.
+/// `target_edges` is zero, and [`GraphError::BuildWorker`] if a build
+/// worker fails.
 ///
 /// # Examples
 ///
@@ -134,6 +148,17 @@ pub fn erdos_renyi(num_nodes: usize, p: f64, seed: u64) -> Result<EdgeList, Grap
 /// # }
 /// ```
 pub fn rmat(num_nodes: usize, target_edges: usize, seed: u64) -> Result<EdgeList, GraphError> {
+    rmat_with_workers(num_nodes, target_edges, seed, workers_for(target_edges * 2))
+}
+
+/// [`rmat`] on exactly `workers` workers (the output does not depend on
+/// the count).
+pub(crate) fn rmat_with_workers(
+    num_nodes: usize,
+    target_edges: usize,
+    seed: u64,
+    workers: usize,
+) -> Result<EdgeList, GraphError> {
     if num_nodes == 0 {
         return Err(GraphError::invalid("num_nodes", "must be positive"));
     }
@@ -148,22 +173,37 @@ pub fn rmat(num_nodes: usize, target_edges: usize, seed: u64) -> Result<EdgeList
     // Symmetrisation halves the unique directed edge count on average, and
     // deduplication removes collisions, so oversample before trimming.
     let attempts = target_edges * 2;
-    for _ in 0..attempts {
-        let (mut src, mut dst) = (0usize, 0usize);
-        // One bit of each endpoint per level, most significant first.
-        for _ in 0..levels {
-            let quadrant = rmat_quadrant(rng.next_u64() >> 11, thresholds);
-            src = (src << 1) | (quadrant >> 1);
-            dst = (dst << 1) | (quadrant & 1);
+    // Every attempt consumes exactly `levels` draws, so the attempt range
+    // `[a, b)` starts `a · levels` draws into the stream.
+    let bounds = even_bounds(attempts, workers);
+    let bands: Vec<(Range<usize>, EdgeListBuilder)> = bounds
+        .windows(2)
+        .map(|w| (w[0]..w[1], builder.band_builder(workers)))
+        .collect();
+    let bands = run_bands(bands, |(range, mut band)| {
+        let mut rng = rng.clone();
+        rng.advance(range.start as u64 * u64::from(levels));
+        for _ in range {
+            let (mut src, mut dst) = (0usize, 0usize);
+            // One bit of each endpoint per level, most significant first.
+            for _ in 0..levels {
+                let quadrant = rmat_quadrant(rng.next_u64() >> 11, thresholds);
+                src = (src << 1) | (quadrant >> 1);
+                dst = (dst << 1) | (quadrant & 1);
+            }
+            if src < num_nodes && dst < num_nodes && src != dst {
+                band.push_symmetric(Edge::new(src as NodeId, dst as NodeId))?;
+            }
         }
-        if src < num_nodes && dst < num_nodes && src != dst {
-            builder
-                .push_symmetric(Edge::new(src as NodeId, dst as NodeId))
-                .expect("endpoints in range by construction");
-        }
+        Ok(band)
+    })?;
+    for band in bands {
+        builder.absorb(band);
     }
-    let edges = builder.try_finish()?;
-    Ok(trim_to(edges, target_edges, &mut rng))
+    rng.advance(attempts as u64 * u64::from(levels));
+    // The trim picks its survivors by index once the distinct count is
+    // known, so the builder writes out only the edges that survive.
+    builder.try_finish_selected(workers, |len| trim_selection(len, target_edges, &mut rng))
 }
 
 /// Generates a power-law graph with *exactly* `target_edges` directed edges
@@ -184,6 +224,17 @@ pub fn rmat_exact(
     target_edges: usize,
     seed: u64,
 ) -> Result<EdgeList, GraphError> {
+    rmat_exact_with_workers(num_nodes, target_edges, seed, workers_for(target_edges * 2))
+}
+
+/// [`rmat_exact`] on exactly `workers` workers (the output does not depend
+/// on the count).
+pub(crate) fn rmat_exact_with_workers(
+    num_nodes: usize,
+    target_edges: usize,
+    seed: u64,
+    workers: usize,
+) -> Result<EdgeList, GraphError> {
     let max_edges = num_nodes.saturating_mul(num_nodes.saturating_sub(1));
     if target_edges > max_edges {
         return Err(GraphError::invalid(
@@ -191,7 +242,7 @@ pub fn rmat_exact(
             format!("{target_edges} exceeds the maximum simple-graph edge count {max_edges}"),
         ));
     }
-    let mut edges = rmat(num_nodes, target_edges, seed)?;
+    let mut edges = rmat_with_workers(num_nodes, target_edges, seed, workers)?;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
     if edges.num_edges() < target_edges {
         // Top up with uniform random edges until the exact count is reached.
@@ -228,25 +279,55 @@ pub fn rmat_exact(
         all.extend(added);
         edges = EdgeList::from_sorted_edges_unchecked(num_nodes, all);
     }
-    Ok(trim_to(edges, target_edges, &mut rng))
+    trim_to(edges, target_edges, &mut rng)
 }
 
-/// Removes random edges until the list holds at most `target` edges.
-///
-/// A partial Fisher–Yates shuffle picks the survivors in place, and the edge
-/// builder's counting sort by source restores `(src, dst)` order.
-fn trim_to(edges: EdgeList, target: usize, rng: &mut StdRng) -> EdgeList {
-    if edges.num_edges() <= target {
-        return edges;
-    }
+/// Removes random edges until the list holds at most `target` edges (see
+/// [`trim_selection`]).
+fn trim_to(edges: EdgeList, target: usize, rng: &mut StdRng) -> Result<EdgeList, GraphError> {
+    let Some(kept) = trim_selection(edges.num_edges(), target, rng)? else {
+        return Ok(edges);
+    };
     let num_nodes = edges.num_nodes();
     let mut all = edges.into_edges();
-    for i in 0..target {
-        let j = rng.gen_range(i..all.len());
-        all.swap(i, j);
+    kept.retain(&mut all);
+    Ok(EdgeList::from_sorted_edges_unchecked(num_nodes, all))
+}
+
+/// Which of a sorted, duplicate-free list's `len` edges survive a trim to
+/// `target` edges, or `None` when nothing is trimmed.
+///
+/// A partial Fisher–Yates shuffle picks the survivors, sequentially (each
+/// swap depends on the last). It shuffles edge positions rather than the
+/// edges, with the same draws and the same swaps, so the surviving
+/// positions are exactly those the historical in-place edge shuffle kept.
+/// The list is sorted and free of duplicates, so keeping the edges at those
+/// positions in list order yields the survivors already in `(src, dst)`
+/// order: the historical re-sort is not needed.
+///
+/// # Errors
+///
+/// Returns [`GraphError::InvalidParameter`] for more than `u32::MAX` edges.
+fn trim_selection(
+    len: usize,
+    target: usize,
+    rng: &mut StdRng,
+) -> Result<Option<Selection>, GraphError> {
+    if len <= target {
+        return Ok(None);
     }
-    all.truncate(target);
-    EdgeList::from_sorted_edges_unchecked(num_nodes, sort_dedup_by_source(num_nodes, vec![all]))
+    let count = u32::try_from(len)
+        .map_err(|_| GraphError::invalid("edges", "more than u32::MAX edges to trim"))?;
+    let mut positions: Vec<u32> = (0..count).collect();
+    for i in 0..target {
+        let j = rng.gen_range(i..len);
+        positions.swap(i, j);
+    }
+    let mut kept = Selection::with_len(len);
+    for &position in &positions[..target] {
+        kept.insert(position as usize);
+    }
+    Ok(Some(kept))
 }
 
 #[cfg(test)]
@@ -408,40 +489,67 @@ mod tests {
         }
     }
 
+    /// Node counts include non-powers of two (rejected samples) and tiny
+    /// graphs (few or no levels).
+    const SYMMETRIZE_CASES: [(usize, usize, u64); 20] = [
+        (1, 4, 3),
+        (2, 2, 1),
+        (3, 5, 7),
+        (7, 20, 2),
+        (16, 60, 4),
+        (17, 80, 5),
+        (31, 100, 6),
+        (64, 300, 8),
+        (100, 450, 9),
+        (127, 600, 10),
+        (128, 600, 11),
+        (129, 700, 12),
+        (200, 900, 17),
+        (255, 1000, 13),
+        (333, 1500, 14),
+        (500, 2500, 15),
+        (512, 4000, 16),
+        (777, 3000, 18),
+        (1000, 5000, 1),
+        (1500, 9000, 19),
+    ];
+
     #[test]
     fn rmat_matches_the_historical_symmetrize_flow() {
         // The branchless sampler, the counting-sort builder and the in-place
         // trim must reproduce the original build-everything-then-symmetrize
         // flow bit for bit: same RNG consumption, same sorted/deduped set,
-        // same trim. Node counts include non-powers of two (rejected
-        // samples) and tiny graphs (few or no levels).
-        let cases: [(usize, usize, u64); 20] = [
-            (1, 4, 3),
-            (2, 2, 1),
-            (3, 5, 7),
-            (7, 20, 2),
-            (16, 60, 4),
-            (17, 80, 5),
-            (31, 100, 6),
-            (64, 300, 8),
-            (100, 450, 9),
-            (127, 600, 10),
-            (128, 600, 11),
-            (129, 700, 12),
-            (200, 900, 17),
-            (255, 1000, 13),
-            (333, 1500, 14),
-            (500, 2500, 15),
-            (512, 4000, 16),
-            (777, 3000, 18),
-            (1000, 5000, 1),
-            (1500, 9000, 19),
-        ];
-        for (n, target, seed) in cases {
+        // same trim.
+        for (n, target, seed) in SYMMETRIZE_CASES {
             let streamed = rmat(n, target, seed).unwrap();
             let historical = historical_rmat(n, target, seed);
             assert_eq!(streamed, historical, "n {n}, target {target}, seed {seed}");
             assert!(streamed.is_sorted());
+        }
+    }
+
+    #[test]
+    fn rmat_does_not_depend_on_the_worker_count() {
+        // Counter-indexed sampling bands, per-band builders and the banded
+        // counting sort must give the single-worker list at any worker
+        // count, including more workers than attempts or nodes.
+        for (n, target, seed) in SYMMETRIZE_CASES {
+            let single = rmat_with_workers(n, target, seed, 1).unwrap();
+            assert_eq!(single, historical_rmat(n, target, seed));
+            for workers in [2, 7] {
+                assert_eq!(
+                    rmat_with_workers(n, target, seed, workers).unwrap(),
+                    single,
+                    "n {n}, target {target}, seed {seed}, {workers} workers"
+                );
+            }
+        }
+        for workers in [1, 2, 7] {
+            assert_eq!(
+                rmat_exact_with_workers(150, 1100, 21, workers).unwrap(),
+                rmat_exact_with_workers(150, 1100, 21, 1).unwrap(),
+                "top-up case, {workers} workers"
+            );
         }
     }
 

@@ -9,10 +9,10 @@
 //! * [`EdgeList`] and [`CsrGraph`] — edge-list and compressed-sparse-row
 //!   graph representations,
 //! * [`EdgeListBuilder`] — streaming chunked construction: generators emit
-//!   edge chunks that a counting sort by source puts in canonical order,
-//!   instead of comparison-sorting one giant vector at the end; under a
-//!   bounded [`MemoryBudget`] sealed chunks spill to disk run-files and a
-//!   k-way merge streams them back,
+//!   edge chunks that a counting sort by source, in row bands on several
+//!   workers, puts in canonical order, instead of comparison-sorting one
+//!   giant vector at the end; under a bounded [`MemoryBudget`] sealed
+//!   chunks spill to disk run-files and a k-way merge streams them back,
 //! * [`MemoryBudget`] (and the [`memory`] module) — the out-of-core memory
 //!   cap (`GNNERATOR_MEM_BUDGET`) plus process-wide spill/peak telemetry,
 //! * [`NodeFeatures`] — the dense per-node feature table,
@@ -58,6 +58,7 @@ mod error;
 mod features;
 pub mod generators;
 pub mod memory;
+mod parallel;
 mod plan_cache;
 pub mod reorder;
 mod shard;

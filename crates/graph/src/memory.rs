@@ -114,6 +114,14 @@ impl MemoryBudget {
         }
     }
 
+    /// One of `parts` equal shares of this budget (unbounded stays
+    /// unbounded), for builders that run side by side under one cap.
+    pub(crate) fn share(self, parts: usize) -> Self {
+        MemoryBudget {
+            limit: self.limit.map(|limit| limit / parts.max(1) as u64),
+        }
+    }
+
     /// A sensible per-stream I/O buffer size under this budget: a bounded
     /// budget split across `streams` concurrent readers/writers, clamped to
     /// `[4 KiB, 1 MiB]`; 64 KiB when unbounded.

@@ -1,4 +1,4 @@
-use crate::edge_list::merge_sorted_unique;
+use crate::parallel::{even_bounds, run_bands, workers_for};
 use crate::{Edge, EdgeList, GraphError, NodeId};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -223,12 +223,18 @@ impl ShardSummary {
     /// Summarises the shard grid of `edges` at `nodes_per_shard` nodes per
     /// block, optionally with one self-loop per node.
     ///
-    /// A sorted list (the generators' normal output) streams straight into
-    /// [`ShardSummary::build_streamed`]; any other list is first copied and
-    /// sorted. Self-loops are merged into the sorted stream on the fly —
-    /// with the same sorted-and-deduplicated result
-    /// [`EdgeList::add_self_loops`] produces — so the edge list is never
-    /// cloned to add them.
+    /// A sorted list (the generators' normal output) is summarised in place;
+    /// any other list is first copied and sorted. Self-loops are merged into
+    /// the sorted stream on the fly — with the same sorted-and-deduplicated
+    /// result [`EdgeList::add_self_loops`] produces — so the edge list is
+    /// never cloned to add them.
+    ///
+    /// Large lists are summarised in bands of whole grid rows, one per
+    /// worker, with near-equal edge counts: each band runs the single pass
+    /// of [`ShardSummary::build_streamed`] over its rows (and its nodes'
+    /// self-loops) with its own counters, and the bands' metadata is
+    /// concatenated row-major with arena offsets shifted by the edges of the
+    /// bands before it. The summary does not depend on the worker count.
     ///
     /// # Errors
     ///
@@ -239,15 +245,76 @@ impl ShardSummary {
         nodes_per_shard: usize,
         include_self_loops: bool,
     ) -> Result<Self, GraphError> {
-        let sorted = sorted_edges(edges);
+        let workers = workers_for(edges.num_edges());
+        Self::build_with_workers(edges, nodes_per_shard, include_self_loops, workers)
+    }
+
+    /// [`ShardSummary::build`] on exactly `workers` workers.
+    pub(crate) fn build_with_workers(
+        edges: &EdgeList,
+        nodes_per_shard: usize,
+        include_self_loops: bool,
+        workers: usize,
+    ) -> Result<Self, GraphError> {
         let n = edges.num_nodes();
-        if include_self_loops {
-            let loops = (0..n as NodeId).map(|v| Edge::new(v, v));
-            let merged = merge_sorted_unique(sorted.iter().copied(), loops);
-            Self::build_streamed(n, nodes_per_shard, merged)
-        } else {
-            Self::build_streamed(n, nodes_per_shard, sorted.iter().copied())
+        check_grid_shape(n, nodes_per_shard)?;
+        let sorted = sorted_edges(edges);
+        let grid_dim = n.div_ceil(nodes_per_shard);
+        // `row_edge(r)`: the index of grid row `r`'s first edge.
+        let row_edge = |row: usize| {
+            if row >= grid_dim {
+                return sorted.len();
+            }
+            sorted.partition_point(|e| (e.src as usize) < row * nodes_per_shard)
+        };
+        // Each band boundary is the row boundary nearest to an even split of
+        // the edges; the first band starts at row 0, the last ends at
+        // `grid_dim`.
+        let mut row_bounds: Vec<usize> = even_bounds(sorted.len(), workers)
+            .into_iter()
+            .map(|i| {
+                let Some(edge) = sorted.get(i) else {
+                    return grid_dim;
+                };
+                let row = (edge.src as usize / nodes_per_shard).min(grid_dim);
+                let (lo, hi) = (row_edge(row), row_edge(row + 1));
+                if i - lo <= hi - i {
+                    row
+                } else {
+                    row + 1
+                }
+            })
+            .collect();
+        row_bounds[0] = 0;
+        let bands: Vec<(Range<usize>, &[Edge])> = row_bounds
+            .windows(2)
+            .map(|rows| {
+                let nodes = (rows[0] * nodes_per_shard).min(n)..(rows[1] * nodes_per_shard).min(n);
+                (nodes, &sorted[row_edge(rows[0])..row_edge(rows[1])])
+            })
+            .collect();
+        let bands = run_bands(bands, |(nodes, band)| {
+            Ok(summarize_band(
+                n,
+                nodes_per_shard,
+                band,
+                include_self_loops.then_some(nodes),
+            ))
+        })?;
+        let mut metas = Vec::with_capacity(bands.iter().map(|band| band.metas.len()).sum());
+        let mut offset = 0usize;
+        for band in bands {
+            let start = offset as u32;
+            offset += band.edges;
+            if offset > u32::MAX as usize {
+                return Err(arena_overflow());
+            }
+            metas.extend(band.metas.into_iter().map(|mut meta| {
+                meta.edge_start += start;
+                meta
+            }));
         }
+        Ok(Self::assemble(n, nodes_per_shard, metas))
     }
 
     /// Summarises a `(src, dst)`-sorted edge *stream* in one linear pass,
@@ -276,36 +343,8 @@ impl ShardSummary {
     where
         I: IntoIterator<Item = Edge>,
     {
-        if nodes_per_shard == 0 {
-            return Err(GraphError::invalid("nodes_per_shard", "must be positive"));
-        }
-        if num_nodes == 0 {
-            return Err(GraphError::invalid("edges", "graph has no nodes"));
-        }
-        let mut pass = MetaPass::new(num_nodes, nodes_per_shard);
-        let mut prev: Option<Edge> = None;
-        for edge in edges {
-            for node in [edge.src, edge.dst] {
-                if node as usize >= num_nodes {
-                    return Err(GraphError::NodeOutOfRange { node, num_nodes });
-                }
-            }
-            if prev.is_some_and(|p| edge < p) {
-                return Err(GraphError::invalid(
-                    "edges",
-                    "stream must be sorted by (src, dst)",
-                ));
-            }
-            prev = Some(edge);
-            if pass.edges >= u32::MAX as usize {
-                return Err(GraphError::invalid(
-                    "edges",
-                    "edge count exceeds the 32-bit arena index space",
-                ));
-            }
-            pass.push(edge);
-        }
-        pass.flush_row();
+        check_grid_shape(num_nodes, nodes_per_shard)?;
+        let pass = summarize_rows(num_nodes, nodes_per_shard, edges)?;
         Ok(Self::assemble(num_nodes, nodes_per_shard, pass.metas))
     }
 
@@ -511,6 +550,101 @@ impl ShardSummary {
     }
 }
 
+fn check_grid_shape(num_nodes: usize, nodes_per_shard: usize) -> Result<(), GraphError> {
+    if nodes_per_shard == 0 {
+        return Err(GraphError::invalid("nodes_per_shard", "must be positive"));
+    }
+    if num_nodes == 0 {
+        return Err(GraphError::invalid("edges", "graph has no nodes"));
+    }
+    Ok(())
+}
+
+fn arena_overflow() -> GraphError {
+    GraphError::invalid("edges", "edge count exceeds the 32-bit arena index space")
+}
+
+/// Runs one [`MetaPass`] over a `(src, dst)`-sorted stream of whole grid
+/// rows, validating every edge; arena offsets start at 0.
+fn summarize_rows<I>(
+    num_nodes: usize,
+    nodes_per_shard: usize,
+    edges: I,
+) -> Result<MetaPass, GraphError>
+where
+    I: IntoIterator<Item = Edge>,
+{
+    let mut pass = MetaPass::new(num_nodes, nodes_per_shard);
+    let mut prev: Option<Edge> = None;
+    for edge in edges {
+        for node in [edge.src, edge.dst] {
+            if node as usize >= num_nodes {
+                return Err(GraphError::NodeOutOfRange { node, num_nodes });
+            }
+        }
+        if prev.is_some_and(|p| edge < p) {
+            return Err(GraphError::invalid(
+                "edges",
+                "stream must be sorted by (src, dst)",
+            ));
+        }
+        prev = Some(edge);
+        if pass.edges >= u32::MAX as usize {
+            return Err(arena_overflow());
+        }
+        pass.push(edge);
+    }
+    pass.flush_row();
+    Ok(pass)
+}
+
+/// Runs one [`MetaPass`] over a band of whole grid rows of an
+/// [`EdgeList`] — sorted (see [`sorted_edges`]) and in range by the list's
+/// invariants, so nothing is re-validated — plus, with `loops`, one
+/// self-loop per node of the band.
+///
+/// The pass's counts do not depend on the order of one source's edges
+/// (shard edge counts add up, a source is new to a shard once whichever of
+/// its edges comes first, destination stamps form a set), so each node's
+/// loop is pushed after its own edges unless one of them is the loop.
+/// Like the sorted merge [`ShardSummary::build_streamed`] is fed otherwise,
+/// the loops path drops repeated edges.
+fn summarize_band(
+    num_nodes: usize,
+    nodes_per_shard: usize,
+    edges: &[Edge],
+    loops: Option<Range<usize>>,
+) -> MetaPass {
+    let mut pass = MetaPass::new(num_nodes, nodes_per_shard);
+    match loops {
+        None => edges.iter().for_each(|&edge| pass.push(edge)),
+        Some(nodes) => {
+            let mut rest = edges;
+            for v in nodes {
+                let v = v as NodeId;
+                let own = rest.iter().take_while(|e| e.src == v).count();
+                let (run, tail) = rest.split_at(own);
+                let mut has_loop = false;
+                let mut prev = None;
+                for &edge in run {
+                    if prev != Some(edge) {
+                        prev = Some(edge);
+                        has_loop |= edge.dst == v;
+                        pass.push(edge);
+                    }
+                }
+                if !has_loop {
+                    pass.push(Edge::new(v, v));
+                }
+                rest = tail;
+            }
+            debug_assert!(rest.is_empty(), "band edges outside its nodes");
+        }
+    }
+    pass.flush_row();
+    pass
+}
+
 /// The state of [`ShardSummary::build_streamed`]'s single pass: metadata
 /// emitted so far, plus per-destination-block counters for the source-block
 /// row being read.
@@ -562,18 +696,15 @@ impl MetaPass {
         if counts[0] == 0 {
             self.touched.push(block);
         }
-        counts[0] += 1;
-        if self.last_source[block] != edge.src + 1 {
-            self.last_source[block] = edge.src + 1;
-            counts[1] += 1;
-        }
+        // Whether the source and the destination are new to the shard is
+        // data-dependent, so both are counted without branches.
+        let last_source = std::mem::replace(&mut self.last_source[block], edge.src + 1);
         // Rows are node ids divided by the block size, so they fit a u32.
         let stamp = self.row as u32 + 1;
-        let seen = &mut self.destination_stamps[edge.dst as usize];
-        if *seen != stamp {
-            *seen = stamp;
-            counts[2] += 1;
-        }
+        let seen = std::mem::replace(&mut self.destination_stamps[edge.dst as usize], stamp);
+        counts[0] += 1;
+        counts[1] += u32::from(last_source != edge.src + 1);
+        counts[2] += u32::from(seen != stamp);
         self.edges += 1;
     }
 
@@ -1330,6 +1461,41 @@ mod tests {
         let empty = sparse.shard(ShardCoord::new(1, 0));
         assert!(empty.is_empty() && empty.meta().is_none());
         assert_eq!(empty.edges(), sparse.shard(ShardCoord::new(1, 1)).edges());
+    }
+
+    #[test]
+    fn summary_does_not_depend_on_the_worker_count() {
+        // Row bands at one node per shard, one shard, and wider than the
+        // graph, with and without loops, on a skewed symmetric graph and on
+        // an unsorted list with duplicates and loops: every worker count
+        // must equal the single-pass summary of the materialised list.
+        let mut state = 0x5eed_u64;
+        let mut unsorted = EdgeList::new(90);
+        for _ in 0..600 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let src = ((state >> 33) % 9) as NodeId * 10;
+            let dst = ((state >> 13) % 90) as NodeId;
+            unsorted.push(Edge::new(src, dst)).unwrap();
+        }
+        let skewed = crate::generators::rmat(300, 1500, 3).unwrap();
+        for edges in [skewed, unsorted] {
+            let n = edges.num_nodes();
+            let mut looped = edges.clone();
+            looped.add_self_loops();
+            for nps in [1, 7, n, n + 5] {
+                for (loops, materialised) in [(false, &edges), (true, &looped)] {
+                    let expected = ShardGrid::build(materialised, nps)
+                        .unwrap()
+                        .summary()
+                        .clone();
+                    for workers in [1, 2, 7] {
+                        let banded =
+                            ShardSummary::build_with_workers(&edges, nps, loops, workers).unwrap();
+                        assert_eq!(banded, expected, "n {n} nps {nps} loops {loops} x{workers}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

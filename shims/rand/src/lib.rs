@@ -154,19 +154,32 @@ pub mod rngs {
         state: u64,
     }
 
+    /// SplitMix64's increment: every draw adds it to the state.
+    const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    impl StdRng {
+        /// Skips `draws` calls to `next_u64` in O(1): each draw only adds
+        /// the fixed increment to the state before mixing, so `draws`
+        /// draws add `draws` increments. Lets a counter-indexed consumer
+        /// start the `k`-th of several equal-length draw ranges directly.
+        pub fn advance(&mut self, draws: u64) {
+            self.state = self.state.wrapping_add(GAMMA.wrapping_mul(draws));
+        }
+    }
+
     impl SeedableRng for StdRng {
         fn seed_from_u64(state: u64) -> Self {
             Self {
                 // Pre-mix so consecutive seeds do not yield correlated
                 // opening values.
-                state: state ^ 0x9e37_79b9_7f4a_7c15,
+                state: state ^ GAMMA,
             }
         }
     }
 
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
-            self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            self.state = self.state.wrapping_add(GAMMA);
             let mut z = self.state;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -189,6 +202,21 @@ mod tests {
         }
         let mut c = StdRng::seed_from_u64(43);
         assert_ne!(a.gen::<u64>(), c.gen::<u64>());
+    }
+
+    #[test]
+    fn advance_equals_that_many_draws() {
+        use super::RngCore;
+        for k in [0u64, 1, 2, 17, 1000] {
+            let mut stepped = StdRng::seed_from_u64(9);
+            for _ in 0..k {
+                stepped.next_u64();
+            }
+            let mut jumped = StdRng::seed_from_u64(9);
+            jumped.advance(k);
+            assert_eq!(jumped, stepped, "k = {k}");
+            assert_eq!(jumped.next_u64(), stepped.next_u64());
+        }
     }
 
     #[test]

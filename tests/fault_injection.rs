@@ -14,7 +14,7 @@ use gnnerator::{
 };
 use gnnerator_gnn::NetworkKind;
 use gnnerator_graph::datasets::DatasetKind;
-use gnnerator_graph::ArtifactCache;
+use gnnerator_graph::{generators, ArtifactCache, GraphError};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -261,4 +261,46 @@ fn cache_write_fault_on_a_summary_store_leaves_a_cold_but_correct_next_run() {
     assert_eq!(warm.total_shard_grids_built(), 0);
     assert_eq!(warm.total_shard_grids_loaded(), built);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Asserts a build failed in a worker with the injected `graph_build` fault.
+fn assert_worker_fault<T>(result: Result<T, GraphError>, context: &str) {
+    match result {
+        Err(GraphError::BuildWorker { message }) => {
+            assert!(message.contains("graph_build"), "{context}: {message}");
+        }
+        Err(other) => panic!("{context}: expected a worker fault, got {other}"),
+        Ok(_) => panic!("{context}: the build succeeded under an armed fault"),
+    }
+}
+
+#[test]
+fn graph_build_worker_faults_are_typed_and_reruns_are_bit_identical() {
+    let _guard = fault_guard();
+    // Big enough for several workers per build stage on a multi-core host;
+    // on one core each stage runs one worker, which checks the point too.
+    let spec = DatasetKind::Pubmed.spec().with_feature_dim(16);
+    let clean_edges = generators::rmat(spec.vertices, spec.edges, 7).unwrap();
+    let clean = spec.synthesize(7).unwrap();
+
+    // Only the second worker check trips: one worker fails, the others run
+    // to completion, and the caller still sees the typed error alone.
+    for kind in ["error", "panic"] {
+        gnnerator_faults::configure(&format!("graph_build:{kind}@2"), 0).unwrap();
+        assert_worker_fault(
+            generators::rmat(spec.vertices, spec.edges, 7),
+            &format!("rmat, injected {kind}"),
+        );
+        gnnerator_faults::configure(&format!("graph_build:{kind}@2"), 0).unwrap();
+        assert_worker_fault(spec.synthesize(7), &format!("synthesize, injected {kind}"));
+    }
+    gnnerator_faults::clear();
+
+    assert_eq!(
+        generators::rmat(spec.vertices, spec.edges, 7).unwrap(),
+        clean_edges
+    );
+    let rebuilt = spec.synthesize(7).unwrap();
+    assert_eq!(rebuilt.edge_list, clean.edge_list);
+    assert_eq!(rebuilt.features, clean.features);
 }

@@ -80,7 +80,7 @@ fn warm_cache_run_skips_all_graph_builds_and_is_bit_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// FNV-1a 64, the artifact payload checksum.
+/// Byte-wise FNV-1a 64, the payload checksum of formats 2 and 3.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
         (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -175,6 +175,71 @@ fn v2_grid_artifacts_are_quarantined_and_rebuilt_once() {
     assert_eq!(warm.run_serial(&scenarios).unwrap(), cold_results);
     assert_eq!(warm.total_shard_grids_built(), 0);
     assert_eq!(warm.total_shard_grids_loaded(), grids);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rewrites the dataset artifact at `path` as format 3 wrote it: the same
+/// envelope and payload under version 3, checksummed byte by byte.
+fn rewrite_as_v3_dataset_artifact(path: &Path) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let key_len = u32::from_le_bytes(bytes[9..13].try_into().unwrap()) as usize;
+    let envelope_len = 13 + key_len + 16;
+    let checksum = fnv1a64(&bytes[envelope_len..]);
+    bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+    bytes[envelope_len - 8..envelope_len].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(path, bytes).unwrap();
+}
+
+#[test]
+fn v3_dataset_artifacts_are_quarantined_and_rebuilt_once() {
+    let dir = scratch_dir("v3-upgrade");
+    let scenarios = grid();
+    let cold = SweepRunner::new().with_artifact_cache(Arc::new(ArtifactCache::new(&dir)));
+    let cold_results = cold.run_serial(&scenarios).unwrap();
+    let datasets = cold.datasets_synthesized();
+    assert!(datasets > 0);
+
+    // Leave a format-3 dataset artifact (byte-wise checksum) under every
+    // dataset's name, as a cache root written before format 4 would hold.
+    let dataset_files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| {
+            path.file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with("ds-")
+        })
+        .collect();
+    assert_eq!(dataset_files.len(), datasets);
+    for path in &dataset_files {
+        rewrite_as_v3_dataset_artifact(path);
+    }
+
+    // Each stale artifact is rejected on its version, quarantined and
+    // re-synthesised exactly once, with bit-identical reports; the format-4
+    // summaries still load.
+    let cache = Arc::new(ArtifactCache::new(&dir));
+    let upgraded = SweepRunner::new().with_artifact_cache(Arc::clone(&cache));
+    assert_eq!(upgraded.run_serial(&scenarios).unwrap(), cold_results);
+    assert_eq!(upgraded.datasets_synthesized(), datasets);
+    assert_eq!(upgraded.datasets_loaded(), 0);
+    assert_eq!(upgraded.total_shard_grids_built(), 0);
+    assert_eq!(cache.corrupt_artifacts(), datasets);
+    for path in &dataset_files {
+        assert!(
+            path.with_extension("corrupt").exists(),
+            "{}",
+            path.display()
+        );
+        assert!(path.exists(), "rebuilt dataset republished");
+    }
+
+    // The republished datasets serve the next run without synthesis.
+    let warm = SweepRunner::new().with_artifact_cache(Arc::new(ArtifactCache::new(&dir)));
+    assert_eq!(warm.run_serial(&scenarios).unwrap(), cold_results);
+    assert_eq!(warm.datasets_synthesized(), 0);
+    assert_eq!(warm.datasets_loaded(), datasets);
     std::fs::remove_dir_all(&dir).ok();
 }
 
