@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Ratio `baseline_seconds / other_seconds`, guarded against non-positive
@@ -18,7 +17,7 @@ pub fn guarded_speedup(baseline_seconds: f64, other_seconds: f64) -> f64 {
 }
 
 /// A baseline platform's estimated execution time for one model on one graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineEstimate {
     /// Platform name (e.g. `rtx-2080-ti`, `hygcn`).
     pub platform: String,

@@ -1,6 +1,5 @@
 use crate::{BaselineEstimate, FEATURE_BYTES};
 use gnnerator_gnn::{Aggregator, GnnModel, Stage};
-use serde::{Deserialize, Serialize};
 
 /// Roofline-style performance model of a GPU running GNN layers through a
 /// framework such as DGL + PyTorch.
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// tensor before reducing it; and every stage pays a kernel-launch overhead.
 /// Each of those effects is a parameter of [`GpuConfig`] so the model can be
 /// recalibrated without touching code.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
     /// Platform name used in reports.
     pub name: String,
@@ -78,7 +77,7 @@ impl Default for GpuConfig {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuModel {
     config: GpuConfig,
 }

@@ -1,6 +1,5 @@
 use crate::{BaselineEstimate, EDGE_BYTES, FEATURE_BYTES};
 use gnnerator_gnn::{GnnModel, Stage, StageOrder};
-use serde::{Deserialize, Serialize};
 
 /// Analytical performance model of HyGCN, the hybrid-architecture GNN
 /// accelerator GNNerator is compared against in Table V.
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 ///   aggregation's input windows; the paper quotes roughly 1.1× on
 ///   Cora/Pubmed and 3× on Citeseer, which enters this model as the
 ///   [`HygcnConfig::sparsity_speedup`] factor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HygcnConfig {
     /// Platform name used in reports.
     pub name: String,
@@ -101,7 +100,7 @@ impl Default for HygcnConfig {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HygcnModel {
     config: HygcnConfig,
 }

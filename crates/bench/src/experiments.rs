@@ -1,12 +1,11 @@
 //! Assembles the paper's tables and figures from scenario sweeps.
 //!
-//! Every figure/table follows the same shape: enumerate
-//! [`ScenarioSpec`](gnnerator::ScenarioSpec) points, execute them as **one
-//! parallel batch** through the context's [`SweepRunner`](gnnerator::SweepRunner),
-//! then fold the ordered results into rows. Each function returns plain data
-//! (rows of labels and numbers) plus a formatted [`Table`] so the harness
-//! binaries, the criterion benches and the integration tests all share one
-//! implementation.
+//! Every figure/table follows the same shape: enumerate [`ScenarioSpec`]
+//! points, execute them as **one parallel batch** through the context's
+//! [`SweepRunner`](gnnerator::SweepRunner), then fold the ordered results
+//! into rows. Each function returns plain data (rows of labels and numbers)
+//! plus a formatted [`Table`] so the harness binaries and the integration
+//! tests share one implementation.
 
 use crate::rows::{format_speedup, geomean, Table};
 use crate::suite::{full_suite, SuiteContext, Workload, WorkloadResult};

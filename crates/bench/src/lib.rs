@@ -3,13 +3,13 @@
 //! This crate regenerates every table and figure of the paper's evaluation
 //! section:
 //!
-//! | Artifact | Function | Binary | Criterion bench |
-//! |----------|----------|--------|-----------------|
-//! | Table I  | [`experiments::table1_rows`] | `table1` | `table1_dataflow` |
-//! | Figure 3 | [`experiments::figure3`] | `fig3` | `fig3_speedup` |
-//! | Table V  | [`experiments::table5`] | `table5` | `table5_hygcn` |
-//! | Figure 4 | [`experiments::figure4`] | `fig4` | `fig4_blocksize` |
-//! | Figure 5 | [`experiments::figure5`] | `fig5` | `fig5_scaling` |
+//! | Artifact | Function | Binary |
+//! |----------|----------|--------|
+//! | Table I  | [`experiments::table1_table`] | `table1` |
+//! | Figure 3 | [`experiments::figure3`] | `fig3` |
+//! | Table V  | [`experiments::table5`] | `table5` |
+//! | Figure 4 | [`experiments::figure4`] | `fig4` |
+//! | Figure 5 | [`experiments::figure5`] | `fig5` |
 //!
 //! The [`suite`] module defines the nine-benchmark suite (three citation
 //! datasets × three networks, Tables II & III) on top of the core crate's

@@ -128,8 +128,8 @@ fn products_scenario(ctx: &SuiteContext) -> ScenarioSpec {
 
 /// One machine-readable row of `BENCH_sweep.json`'s `points` array.
 ///
-/// The struct is its own serializer/deserializer (the workspace's serde is a
-/// hermetic no-op shim): [`SweepPoint::to_json`] and [`SweepPoint::from_json`]
+/// The struct is its own serializer/deserializer (the workspace has no
+/// serialisation framework): [`SweepPoint::to_json`] and [`SweepPoint::from_json`]
 /// round-trip every field exactly, which the tests pin.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
@@ -595,7 +595,7 @@ pub fn bench_sweep(ctx: &SuiteContext) -> Result<SweepBenchmark, GnneratorError>
         parallel_seconds,
         serial_seconds,
         bit_identical,
-        threads: rayon::current_num_threads(),
+        threads: std::thread::available_parallelism().map_or(1, usize::from),
         scale: ctx.options().scale,
         shard_build_seconds,
         graph_build_seconds: ctx.runner().graph_build_seconds(),

@@ -9,10 +9,9 @@
 
 use crate::program::{LayerPlan, Program};
 use gnnerator_graph::BYTES_PER_FEATURE_ELEMENT as BYTES_PER_ELEMENT;
-use serde::{Deserialize, Serialize};
 
 /// Analytical off-chip traffic estimate for one layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerTrafficEstimate {
     /// Index of the layer in the program.
     pub layer_index: usize,
@@ -30,7 +29,7 @@ impl LayerTrafficEstimate {
 }
 
 /// Analytical off-chip traffic estimate for a whole program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrafficEstimate {
     /// Per-layer estimates.
     pub layers: Vec<LayerTrafficEstimate>,

@@ -11,7 +11,6 @@
 
 use crate::{DataflowConfig, GnneratorConfig, GnneratorError, Report, SimSession};
 use gnnerator_gnn::GnnModel;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -20,7 +19,7 @@ pub use gnnerator_baselines::{
 };
 
 /// Which compute platform evaluates a scenario point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
     /// The cycle-simulated GNNerator accelerator.
     #[default]

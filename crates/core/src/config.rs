@@ -1,6 +1,4 @@
-use crate::GnneratorError;
-use gnnerator_sim::DramConfig;
-use serde::{Deserialize, Serialize};
+use crate::{DramConfig, GnneratorError};
 use std::fmt;
 
 /// Number of bytes in one mebibyte.
@@ -12,7 +10,7 @@ pub(crate) const MIB: u64 = 1024 * 1024;
 /// activation unit and double-buffered input/weight/output scratchpads, plus
 /// its own DRAM controller (needed both to act as a producer and to reload
 /// partial sums under the feature-blocking dataflow).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DenseEngineConfig {
     /// Rows of the systolic array (64 in Table IV).
     pub array_rows: usize,
@@ -47,7 +45,7 @@ impl DenseEngineConfig {
 /// of SIMD apply/reduce units into multiple Graph Processing Elements (GPEs)
 /// to exploit inter-node parallelism; each GPE's lanes exploit intra-node
 /// parallelism across feature dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphEngineConfig {
     /// Number of Graph Processing Elements working on a shard in parallel.
     pub num_gpes: usize,
@@ -105,7 +103,7 @@ impl GraphEngineConfig {
 /// assert_eq!(cfg.total_onchip_bytes(), 30 * 1024 * 1024);
 /// assert_eq!(cfg.dram.bandwidth_gb_s, 256.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GnneratorConfig {
     /// Human-readable configuration name, used in reports.
     pub name: String,

@@ -16,12 +16,11 @@
 //! compiler uses when the dataflow does not pin an order explicitly.
 
 use gnnerator_graph::TraversalOrder;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Read/write cost of walking the shard grid in a particular order, in units
 /// of node-block feature transfers (the same units Table I uses).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardCost {
     /// Off-chip read cost.
     pub reads: u64,
@@ -112,7 +111,7 @@ pub fn choose_order(s: u64, i: u64) -> TraversalOrder {
 }
 
 /// One evaluated row of Table I, used by the `table1` benchmark harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostTableRow {
     /// Grid dimension `S`.
     pub s: u64,

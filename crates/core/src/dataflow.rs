@@ -1,11 +1,10 @@
 use crate::GnneratorError;
 use gnnerator_graph::TraversalOrder;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether the feature dimension is blocked (Section IV-B) or processed whole
 /// (the conventional dataflow of Section IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockingPolicy {
     /// Conventional dataflow: the whole feature vector of every resident node
     /// stays on-chip (`B = D`), so Algorithm 1's block loop has one iteration.
@@ -46,7 +45,7 @@ impl fmt::Display for BlockingPolicy {
 /// assert_eq!(df.num_blocks(16), 1);
 /// assert_eq!(df.effective_block_size(16), 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DataflowConfig {
     /// Feature-dimension blocking policy.
     pub blocking: BlockingPolicy,

@@ -1,6 +1,5 @@
-use crate::{DenseEngineConfig, GnneratorError};
-use gnnerator_sim::{Cycle, SystolicArray};
-use serde::{Deserialize, Serialize};
+use crate::systolic::SystolicArray;
+use crate::{Cycle, DenseEngineConfig, GnneratorError};
 
 /// Timing and traffic model of the Dense Engine (Section III-A).
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseEngine {
     config: DenseEngineConfig,
     array: SystolicArray,
@@ -57,11 +56,6 @@ impl DenseEngine {
     /// The engine's configuration.
     pub fn config(&self) -> &DenseEngineConfig {
         &self.config
-    }
-
-    /// The underlying systolic-array timing model.
-    pub fn array(&self) -> &SystolicArray {
-        &self.array
     }
 
     /// Cycles to run an `m x k x n` GEMM (weight-stationary mapping).
@@ -186,7 +180,6 @@ mod tests {
     fn accessors() {
         let e = engine();
         assert_eq!(e.config().array_rows, 64);
-        assert_eq!(e.array().rows(), 64);
         assert_eq!(e.peak_macs_per_cycle(), 4096);
     }
 }

@@ -1,5 +1,6 @@
-use crate::{BandwidthChannel, Cycle, SimError, TrafficCounter};
-use serde::{Deserialize, Serialize};
+use crate::bandwidth::BandwidthChannel;
+use crate::Cycle;
+use crate::SimError;
 
 /// Configuration of an off-chip DRAM interface.
 ///
@@ -7,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// RTX 2080 Ti 616 GB/s; `access_latency` models the fixed DRAM access
 /// latency added to every request on top of the bandwidth-limited transfer
 /// time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Peak bandwidth in gigabytes per second.
     pub bandwidth_gb_s: f64,
@@ -36,28 +37,35 @@ impl DramConfig {
     }
 }
 
+/// Read/write byte counters for a memory interface.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TrafficCounter {
+    /// Bytes read.
+    pub(crate) read_bytes: u64,
+    /// Bytes written.
+    pub(crate) write_bytes: u64,
+}
+
+impl TrafficCounter {
+    /// Records a read of `bytes`.
+    pub(crate) fn record_read(&mut self, bytes: u64) {
+        self.read_bytes += bytes;
+    }
+
+    /// Records a write of `bytes`.
+    pub(crate) fn record_write(&mut self, bytes: u64) {
+        self.write_bytes += bytes;
+    }
+}
+
 /// A bandwidth- and latency-limited DRAM channel with read/write accounting.
 ///
 /// Both engines of GNNerator share the feature-memory DRAM; they contend on
 /// the underlying [`BandwidthChannel`]. Reads and writes are tracked
 /// separately so reports can break traffic down the way Table I does.
-///
-/// # Examples
-///
-/// ```
-/// use gnnerator_sim::{DramConfig, DramModel};
-///
-/// # fn main() -> Result<(), gnnerator_sim::SimError> {
-/// let mut dram = DramModel::new(DramConfig::default())?;
-/// let done = dram.read(0, 4096);
-/// assert!(done >= 100); // at least the access latency
-/// assert_eq!(dram.traffic().read_bytes, 4096);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DramModel {
-    config: DramConfig,
+#[derive(Debug)]
+pub(crate) struct DramModel {
+    access_latency: Cycle,
     channel: BandwidthChannel,
     traffic: TrafficCounter,
 }
@@ -69,36 +77,31 @@ impl DramModel {
     ///
     /// Returns [`SimError::InvalidConfig`] if the bandwidth or frequency is
     /// not positive and finite.
-    pub fn new(config: DramConfig) -> Result<Self, SimError> {
+    pub(crate) fn new(config: DramConfig) -> Result<Self, SimError> {
         if !(config.core_frequency_ghz.is_finite() && config.core_frequency_ghz > 0.0) {
             return Err(SimError::invalid(
                 "core_frequency_ghz",
                 "must be positive and finite",
             ));
         }
-        let channel = BandwidthChannel::new("dram", config.bytes_per_cycle())?;
+        let channel = BandwidthChannel::new(config.bytes_per_cycle())?;
         Ok(Self {
-            config,
+            access_latency: config.access_latency,
             channel,
             traffic: TrafficCounter::default(),
         })
     }
 
-    /// The configuration this model was built from.
-    pub fn config(&self) -> &DramConfig {
-        &self.config
-    }
-
     /// Issues a read of `bytes` no earlier than `earliest_start`; returns the
     /// completion cycle.
-    pub fn read(&mut self, earliest_start: Cycle, bytes: u64) -> Cycle {
+    pub(crate) fn read(&mut self, earliest_start: Cycle, bytes: u64) -> Cycle {
         self.traffic.record_read(bytes);
         self.transfer(earliest_start, bytes)
     }
 
     /// Issues a write of `bytes` no earlier than `earliest_start`; returns
     /// the completion cycle.
-    pub fn write(&mut self, earliest_start: Cycle, bytes: u64) -> Cycle {
+    pub(crate) fn write(&mut self, earliest_start: Cycle, bytes: u64) -> Cycle {
         self.traffic.record_write(bytes);
         self.transfer(earliest_start, bytes)
     }
@@ -107,37 +110,17 @@ impl DramModel {
         if bytes == 0 {
             return earliest_start;
         }
-        self.channel.request(earliest_start, bytes) + self.config.access_latency
-    }
-
-    /// Pure latency estimate for moving `bytes` with no contention.
-    pub fn isolated_cycles(&self, bytes: u64) -> Cycle {
-        if bytes == 0 {
-            0
-        } else {
-            self.channel.transfer_cycles(bytes) + self.config.access_latency
-        }
+        self.channel.request(earliest_start, bytes) + self.access_latency
     }
 
     /// Read/write traffic accumulated so far.
-    pub fn traffic(&self) -> &TrafficCounter {
+    pub(crate) fn traffic(&self) -> &TrafficCounter {
         &self.traffic
     }
 
     /// Cycle at which the channel next becomes free.
-    pub fn busy_until(&self) -> Cycle {
+    pub(crate) fn busy_until(&self) -> Cycle {
         self.channel.busy_until()
-    }
-
-    /// Fraction of `elapsed` cycles the channel was transferring data.
-    pub fn utilization(&self, elapsed: Cycle) -> f64 {
-        self.channel.utilization(elapsed)
-    }
-
-    /// Resets traffic counters and channel state, keeping the configuration.
-    pub fn reset(&mut self) {
-        self.channel.reset();
-        self.traffic = TrafficCounter::default();
     }
 }
 
@@ -187,36 +170,24 @@ mod tests {
         let b = dram.write(0, 100); // queued behind the read
         assert_eq!(a, 10);
         assert_eq!(b, 20);
-        assert_eq!(dram.traffic().total_bytes(), 200);
+        assert_eq!(dram.traffic().read_bytes, 100);
+        assert_eq!(dram.traffic().write_bytes, 100);
     }
 
     #[test]
     fn zero_byte_transfers_are_free() {
         let mut dram = DramModel::new(DramConfig::default()).unwrap();
         assert_eq!(dram.read(42, 0), 42);
-        assert_eq!(dram.isolated_cycles(0), 0);
-    }
-
-    #[test]
-    fn isolated_cycles_ignores_contention() {
-        let mut dram = DramModel::new(DramConfig {
-            bandwidth_gb_s: 1.0,
-            core_frequency_ghz: 1.0,
-            access_latency: 5,
-        })
-        .unwrap();
-        dram.read(0, 1_000_000);
-        // The channel is now busy, but isolated_cycles does not care.
-        assert_eq!(dram.isolated_cycles(10), 15);
-    }
-
-    #[test]
-    fn reset_clears_traffic() {
-        let mut dram = DramModel::new(DramConfig::default()).unwrap();
-        dram.read(0, 1024);
-        dram.write(0, 512);
-        dram.reset();
-        assert_eq!(dram.traffic().total_bytes(), 0);
         assert_eq!(dram.busy_until(), 0);
+    }
+
+    #[test]
+    fn traffic_counter_accumulates() {
+        let mut t = TrafficCounter::default();
+        t.record_read(100);
+        t.record_read(50);
+        t.record_write(25);
+        assert_eq!(t.read_bytes, 150);
+        assert_eq!(t.write_bytes, 25);
     }
 }

@@ -1,6 +1,5 @@
 use gnnerator_gnn::GnnError;
 use gnnerator_graph::GraphError;
-use gnnerator_sim::SimError;
 use std::error::Error;
 use std::fmt;
 
@@ -91,6 +90,59 @@ impl fmt::Display for GnneratorError {
     }
 }
 
+/// Error type for hardware-model configuration problems.
+///
+/// # Examples
+///
+/// ```
+/// use gnnerator::{GnneratorConfig, GnneratorError, SimError, Simulator};
+/// use gnnerator_gnn::NetworkKind;
+/// use gnnerator_graph::datasets::DatasetKind;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let dataset = DatasetKind::Cora.spec().scaled(0.05).synthesize(1)?;
+/// let model = NetworkKind::Gcn.build_paper_config(dataset.features.dim(), 7)?;
+/// // A DRAM clocked at 0 GHz is rejected when the timing model is built.
+/// let mut config = GnneratorConfig::paper_default();
+/// config.dram.core_frequency_ghz = 0.0;
+/// let err = Simulator::new(config)?.simulate(&model, &dataset).unwrap_err();
+/// assert!(matches!(err, GnneratorError::Sim(SimError::InvalidConfig { .. })));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub enum SimError {
+    /// A hardware parameter was zero, negative or otherwise out of range.
+    InvalidConfig {
+        /// Name of the offending parameter.
+        parameter: &'static str,
+        /// Description of the constraint that was violated.
+        message: String,
+    },
+}
+
+impl SimError {
+    /// Convenience constructor for [`SimError::InvalidConfig`].
+    pub fn invalid(parameter: &'static str, message: impl Into<String>) -> Self {
+        SimError::InvalidConfig {
+            parameter,
+            message: message.into(),
+        }
+    }
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::InvalidConfig { parameter, message } => {
+                write!(f, "invalid configuration for {parameter}: {message}")
+            }
+        }
+    }
+}
+
+impl Error for SimError {}
+
 impl Error for GnneratorError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
@@ -152,8 +204,16 @@ mod tests {
     }
 
     #[test]
+    fn display_messages() {
+        let e = SimError::invalid("rows", "must be positive");
+        assert!(e.to_string().contains("rows"));
+        assert!(e.to_string().contains("must be positive"));
+    }
+
+    #[test]
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<GnneratorError>();
+        assert_send_sync::<SimError>();
     }
 }

@@ -8,10 +8,8 @@
 //! finished destination features. All buffers are double-buffered so the next
 //! shard's fetch overlaps the current shard's compute.
 
-use crate::{GnneratorError, GraphEngineConfig};
+use crate::{Cycle, GnneratorError, GraphEngineConfig};
 use gnnerator_graph::{ShardMeta, BYTES_PER_FEATURE_ELEMENT as BYTES_PER_ELEMENT};
-use gnnerator_sim::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// The Shard Compute Unit: an array of Graph Processing Elements, each a set
 /// of SIMD apply/reduce lanes.
@@ -29,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// // 1024 edges over a 64-dim block: 32 edges per GPE, 2 lane-passes each.
 /// assert_eq!(unit.compute_cycles(1024, 64), 32 * 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShardComputeUnit {
     num_gpes: usize,
     simd_lanes: usize,
@@ -91,7 +89,7 @@ impl ShardComputeUnit {
 /// The per-shard inputs are [`ShardMeta`] records — the sparse grid's
 /// precomputed edge/endpoint counts — so costing a shard never touches its
 /// edge list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct FetchPlanner;
 
 impl FetchPlanner {
@@ -141,7 +139,7 @@ impl FetchPlanner {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphEngine {
     config: GraphEngineConfig,
     compute: ShardComputeUnit,

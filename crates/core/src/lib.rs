@@ -54,11 +54,13 @@
 
 pub mod analysis;
 mod backend;
+mod bandwidth;
 mod compiler;
 mod config;
 pub mod cost;
 mod dataflow;
 mod dense_engine;
+mod dram;
 mod error;
 pub mod functional;
 mod graph_engine;
@@ -67,6 +69,7 @@ mod report;
 mod session;
 mod simulator;
 mod sweep;
+mod systolic;
 
 pub use backend::{
     Backend, BackendError, BackendEvaluation, BackendKind, GnneratorBackend, GpuRooflineBackend,
@@ -76,12 +79,13 @@ pub use compiler::Compiler;
 pub use config::{DenseEngineConfig, GnneratorConfig, GraphEngineConfig};
 pub use dataflow::{BlockingPolicy, DataflowConfig};
 pub use dense_engine::DenseEngine;
-pub use error::GnneratorError;
+pub use dram::DramConfig;
+pub use error::{GnneratorError, SimError};
 pub use graph_engine::{FetchPlanner, GraphEngine, ShardComputeUnit};
 pub use program::{DenseOp, LayerPlan, Program};
 pub use report::{LayerReport, Report};
 pub use session::{CompiledWorkload, SimSession};
-pub use simulator::Simulator;
+pub use simulator::{Cycle, Simulator};
 pub use sweep::{
     build_session, evaluate_scenario, evaluate_scenario_batch, materialize_dataset,
     BaselineSeconds, ScenarioResult, ScenarioSpec, SessionKey, SweepRunner,

@@ -1,12 +1,11 @@
 use gnnerator_gnn::{Aggregator, StageOrder};
 use gnnerator_graph::{ShardSummary, TraversalOrder};
 use gnnerator_tensor::Activation;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// A dense (feature-extraction) operation mapped onto the Dense Engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseOp {
     /// The K dimension that is fed by the (blocked) aggregated feature — the
     /// part that is processed block-by-block with partial-sum accumulation.
@@ -38,7 +37,7 @@ impl fmt::Display for DenseOp {
 }
 
 /// An aggregation operation mapped onto the Graph Engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AggregationOp {
     /// Feature dimension being aggregated.
     pub dim: usize,
@@ -56,7 +55,7 @@ pub struct AggregationOp {
 /// on-chip at that block size), the traversal order, and the dense operations
 /// that produce (`pre_dense`, GraphSAGE-Pool's pooling MLP) or consume
 /// (`post_dense`) the aggregated features.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerPlan {
     /// Index of the layer in the model.
     pub layer_index: usize,
@@ -142,7 +141,7 @@ impl fmt::Display for LayerPlan {
 }
 
 /// A compiled program: one [`LayerPlan`] per model layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Name of the model the program was compiled from.
     pub model_name: String,

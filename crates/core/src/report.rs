@@ -1,9 +1,8 @@
-use gnnerator_sim::Cycle;
-use serde::{Deserialize, Serialize};
+use crate::Cycle;
 use std::fmt;
 
 /// Per-layer simulation results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerReport {
     /// Index of the layer in the model.
     pub layer_index: usize,
@@ -88,7 +87,7 @@ impl fmt::Display for LayerReport {
 /// assert!((report.seconds() - 1.0e-3).abs() < 1e-9);
 /// assert!((report.speedup_over_seconds(2.0e-3) - 2.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// Name of the simulated platform configuration.
     pub platform: String,

@@ -1,8 +1,8 @@
 //! Dense Engine timing: producer, consumer, deferred and self-feature GEMMs.
 
+use super::{Cycle, DramModel};
 use crate::program::LayerPlan;
 use crate::DenseEngine;
-use gnnerator_sim::{Cycle, DramModel};
 
 /// Timing cursors of the Dense Engine while one layer executes.
 ///

@@ -1,9 +1,9 @@
 //! Graph Engine timing: the fetch → compute shard pipeline.
 
+use super::{Cycle, DramModel};
 use crate::program::LayerPlan;
 use crate::GraphEngine;
 use gnnerator_graph::{ShardMeta, TraversalOrder};
-use gnnerator_sim::{Cycle, DramModel};
 
 /// Per-destination-column completion bookkeeping for one feature block.
 #[derive(Debug)]

@@ -3,10 +3,10 @@
 
 use super::dense_timing::DenseTimer;
 use super::graph_timing::{ColumnState, GraphTimer};
+use super::{Cycle, DramModel};
 use crate::program::LayerPlan;
 use crate::{DenseEngine, GraphEngine, LayerReport};
 use gnnerator_graph::TraversalOrder;
-use gnnerator_sim::{Cycle, DramModel};
 
 /// Simulates one layer, returning a report with cycles counted from the
 /// layer's own start.

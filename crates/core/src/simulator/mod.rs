@@ -3,11 +3,12 @@
 //! The simulator models the paper's evaluation infrastructure: the Graph
 //! Engine's four-stage shard pipeline with double-buffered prefetch
 //! ([`graph_timing`]), the Dense Engine's weight-stationary systolic GEMMs
-//! ([`dense_timing`]), the shared feature-memory DRAM both engines contend
-//! for, and the GNNerator Controller's producer/consumer synchronisation
-//! between the two engines ([`layer`]). It executes a compiled
-//! [`Program`](crate::Program) layer by layer and feature block by feature
-//! block, following Algorithm 1.
+//! ([`dense_timing`] over the [`systolic`](crate::systolic) array model), the
+//! shared feature-memory DRAM both engines contend for ([`dram`](crate::dram),
+//! one serialising [`bandwidth`](crate::bandwidth) channel), and the
+//! GNNerator Controller's producer/consumer synchronisation between the two
+//! engines ([`layer`]). It executes a compiled [`Program`] layer by layer
+//! and feature block by feature block, following Algorithm 1.
 //!
 //! The walk over the shard grid is **occupancy-aware**: each column (or row,
 //! under the source-stationary order) visits only the shards the sparse
@@ -21,6 +22,7 @@ mod dense_timing;
 mod graph_timing;
 mod layer;
 
+use crate::dram::DramModel;
 use crate::{
     CompiledWorkload, DataflowConfig, DenseEngine, GnneratorConfig, GnneratorError, GraphEngine,
     Program, Report, SimSession,
@@ -28,7 +30,9 @@ use crate::{
 use gnnerator_gnn::GnnModel;
 use gnnerator_graph::datasets::Dataset;
 use gnnerator_graph::EdgeList;
-use gnnerator_sim::{Cycle, DramModel};
+
+/// A count of core-clock cycles (both engines share one clock domain).
+pub type Cycle = u64;
 
 /// The GNNerator cycle-level timing simulator.
 ///

@@ -5,7 +5,7 @@
 //! dataflow) — and evaluates each one. A [`SweepRunner`] owns the two caches
 //! that make this cheap (synthesised datasets, keyed by spec and seed;
 //! compiled [`SimSession`]s, keyed by dataset and model shape) and executes a
-//! batch of [`ScenarioSpec`]s in parallel via rayon.
+//! batch of [`ScenarioSpec`]s in parallel on scoped worker threads.
 //!
 //! Scenario execution routes through the [`Backend`] trait: the simulated
 //! accelerator ([`GnneratorBackend`]) and the two analytical baselines
@@ -30,7 +30,6 @@ use gnnerator_faults::lock_recover;
 use gnnerator_gnn::NetworkKind;
 use gnnerator_graph::datasets::{Dataset, DatasetSpec};
 use gnnerator_graph::ArtifactCache;
-use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -648,18 +647,13 @@ impl SweepRunner {
             .iter()
             .filter(|scenario| seen.insert(scenario.session_key()))
             .collect();
-        let _warmed: Vec<Result<(), GnneratorError>> = unique
-            .par_iter()
-            .map(|scenario| self.session(scenario).map(|_| ()))
-            .collect();
+        par_map(&unique, |scenario| self.session(scenario).map(|_| ()));
 
         // Phase 2: evaluate every scenario point in parallel, then fold to
         // the first error in *scenario* order (never completion order).
-        let results: Vec<Result<ScenarioResult, GnneratorError>> = scenarios
-            .par_iter()
-            .map(|scenario| self.run_one(scenario))
-            .collect();
-        results.into_iter().collect()
+        par_map(scenarios, |scenario| self.run_one(scenario))
+            .into_iter()
+            .collect()
     }
 
     /// Runs a batch of scenarios one after another on the calling thread,
@@ -726,6 +720,53 @@ impl SweepRunner {
             .map(|session| session.shard_grids_loaded())
             .sum()
     }
+}
+
+/// Maps `f` over `items` on [`std::thread::available_parallelism`] scoped
+/// threads that claim indices from a shared cursor, and returns the results
+/// in input order, whatever order the workers finish in. A panicking worker
+/// re-raises its own payload on the caller, after every worker has stopped.
+fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let workers = cores.min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let claimed = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut claimed = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        claimed.push((i, f(item)));
+                    }
+                    claimed
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join())
+            .collect::<Vec<_>>()
+    });
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    for worker in claimed {
+        match worker {
+            Ok(results) => {
+                for (i, result) in results {
+                    slots[i] = Some(result);
+                }
+            }
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index is claimed by exactly one worker"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -913,9 +954,9 @@ mod tests {
         // invalid dataflow (caught at evaluation); scenario 1's dataset is
         // degenerate (caught at session build). The old implementation
         // propagated the phase-1 session-build error — i.e. scenario 1's —
-        // even though scenario 0 fails too; under real-rayon short-circuit
-        // semantics the winner would additionally depend on the thread
-        // schedule. The reported error must deterministically be scenario
+        // even though scenario 0 fails too; under a short-circuiting
+        // parallel collect the winner would additionally depend on the
+        // thread schedule. The reported error must deterministically be scenario
         // 0's, exactly as the serial path reports it.
         let base = scenario_grid().remove(0);
         let mut bad_dataflow = base.clone();

@@ -1,7 +1,10 @@
-//! Property-based tests for the accelerator model: compiler invariants and
-//! timing-model monotonicity over randomised workloads.
+//! Property-based tests for the accelerator model: compiler invariants,
+//! timing-model monotonicity over randomised workloads, and the Dense
+//! Engine's weight-stationary systolic timing.
 
-use gnnerator::{Compiler, DataflowConfig, GnneratorConfig, Simulator};
+use gnnerator::{
+    Compiler, DataflowConfig, DenseEngine, DenseEngineConfig, GnneratorConfig, Simulator,
+};
 use gnnerator_gnn::NetworkKind;
 use gnnerator_graph::generators;
 use proptest::prelude::*;
@@ -12,6 +15,43 @@ fn network() -> impl Strategy<Value = NetworkKind> {
         Just(NetworkKind::Graphsage),
         Just(NetworkKind::GraphsagePool),
     ]
+}
+
+/// A Dense Engine whose systolic array is `side x side` PEs.
+fn dense_engine(side: usize) -> DenseEngine {
+    DenseEngine::new(&DenseEngineConfig {
+        array_rows: side,
+        array_cols: side,
+        ..DenseEngineConfig::default()
+    })
+    .unwrap()
+}
+
+// `DenseEngine::gemm_cycles` / `gemm_utilization` are the weight-stationary
+// systolic mapping the simulator times every GEMM with.
+proptest! {
+    #[test]
+    fn systolic_cycles_monotonic_in_each_dimension(m in 1usize..300, k in 1usize..300, n in 1usize..300) {
+        let e = dense_engine(16);
+        let cycles = e.gemm_cycles(m, k, n);
+        prop_assert!(e.gemm_cycles(m + 1, k, n) >= cycles);
+        prop_assert!(e.gemm_cycles(m, k + 1, n) >= cycles);
+        prop_assert!(e.gemm_cycles(m, k, n + 1) >= cycles);
+    }
+
+    #[test]
+    fn systolic_utilization_in_unit_interval(m in 1usize..500, k in 1usize..500, n in 1usize..500) {
+        let u = dense_engine(32).gemm_utilization(m, k, n);
+        prop_assert!((0.0..=1.0).contains(&u));
+    }
+
+    #[test]
+    fn systolic_cycles_at_least_ideal(m in 1usize..200, k in 1usize..200, n in 1usize..200) {
+        // The array can never beat one MAC per PE per cycle.
+        let e = dense_engine(8);
+        let useful_macs = (m * k * n) as u64;
+        prop_assert!(e.gemm_cycles(m, k, n) >= useful_macs.div_ceil(e.peak_macs_per_cycle()));
+    }
 }
 
 proptest! {

@@ -1,5 +1,4 @@
 use gnnerator_tensor::{ops, Matrix};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Neighbourhood reduction applied during the aggregation stage.
@@ -22,7 +21,7 @@ use std::fmt;
 /// let max = Aggregator::Max.aggregate(&feats, &[0, 1]);
 /// assert_eq!(max.as_slice(), &[3.0, 4.0]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Aggregator {
     /// Arithmetic mean of the neighbourhood (GCN, GraphSAGE-mean).
     #[default]

@@ -1,13 +1,12 @@
 use crate::{Aggregator, GnnError};
 use gnnerator_tensor::{Activation, Matrix};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which engine acts as the producer in a layer (Section III-C).
 ///
 /// The GNNerator Controller supports both orderings; HyGCN only supports
 /// [`StageOrder::GraphFirst`], which is why GraphSAGE-Pool maps poorly onto it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StageOrder {
     /// Aggregation runs first and feeds feature extraction (GCN, GraphSAGE).
     GraphFirst,
@@ -29,7 +28,7 @@ impl fmt::Display for StageOrder {
 ///
 /// A [`GnnLayer`] is an ordered list of stages; the compiler lowers dense
 /// stages onto the Dense Engine and aggregate stages onto the Graph Engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stage {
     /// A fully-connected transform applied to every node's feature.
     Dense {
@@ -95,7 +94,7 @@ impl Stage {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GnnLayer {
     name: String,
     in_dim: usize,

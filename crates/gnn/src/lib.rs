@@ -9,7 +9,7 @@
 //! * [`GnnLayer`] and [`GnnModel`] — layer and model descriptions composed of
 //!   dense and aggregation [`Stage`]s, with builders for the three paper
 //!   networks ([`NetworkKind`]),
-//! * [`reference`] — a functional CPU executor used as the golden model that
+//! * [`reference`](mod@reference) — a functional CPU executor used as the golden model that
 //!   the accelerator's functional simulation is cross-checked against,
 //! * [`workload`] — FLOP/byte accounting per stage, consumed by the
 //!   baselines' roofline models and by reports.

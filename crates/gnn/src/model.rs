@@ -1,10 +1,9 @@
 use crate::{GnnError, GnnLayer};
 use gnnerator_tensor::Activation;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three network architectures evaluated in the paper (Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetworkKind {
     /// Graph Convolutional Network (Kipf & Welling).
     Gcn,
@@ -123,7 +122,7 @@ impl fmt::Display for NetworkKind {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GnnModel {
     name: String,
     layers: Vec<GnnLayer>,

@@ -1,6 +1,6 @@
 //! Functional reference executor.
 //!
-//! Runs a [`GnnModel`](crate::GnnModel) on a graph exactly as the mathematics
+//! Runs a [`GnnModel`] on a graph exactly as the mathematics
 //! of Section II-A prescribes, with no notion of hardware. The accelerator's
 //! functional simulation mode is cross-checked against this executor in the
 //! integration tests, which is what gives us confidence that the timing model

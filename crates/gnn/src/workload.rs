@@ -7,7 +7,6 @@
 //! independent of any particular hardware mapping.
 
 use crate::{GnnModel, Stage, StageOrder};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Bytes per feature element (fp32).
@@ -17,7 +16,7 @@ pub const BYTES_PER_ELEMENT: usize = 4;
 pub const BYTES_PER_EDGE: usize = 8;
 
 /// Which engine class a stage belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhaseKind {
     /// Dense feature extraction (systolic-array work).
     Dense,
@@ -35,7 +34,7 @@ impl fmt::Display for PhaseKind {
 }
 
 /// Arithmetic and traffic requirements of one stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageWorkload {
     /// Dense or aggregation work.
     pub kind: PhaseKind,
@@ -70,7 +69,7 @@ impl StageWorkload {
 }
 
 /// Arithmetic and traffic requirements of one layer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerWorkload {
     /// Index of the layer in the model.
     pub index: usize,
@@ -128,7 +127,7 @@ impl LayerWorkload {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelWorkload {
     /// Number of nodes in the target graph.
     pub num_nodes: usize,

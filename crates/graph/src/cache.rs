@@ -14,8 +14,8 @@
 //! Artifacts are single files under the cache root (default
 //! `target/gnnerator-cache/`, overridable — or disabled with `off` — via the
 //! `GNNERATOR_CACHE` environment variable). Each file is a hand-rolled
-//! little-endian binary record (the workspace's serde is a hermetic no-op
-//! shim, so there is no derive-based serialisation to lean on):
+//! little-endian binary record (the workspace has no serialisation
+//! framework, so the format is written out field by field):
 //!
 //! ```text
 //! magic    b"GNNA"

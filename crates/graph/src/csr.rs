@@ -1,5 +1,4 @@
 use crate::{Edge, EdgeList, GraphError, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A directed graph in compressed-sparse-row (CSR) form, indexed by
 /// destination node.
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     num_nodes: usize,
     /// Offset of node `v`'s neighbour slice in `sources`; length `num_nodes + 1`.

@@ -13,11 +13,10 @@ use crate::{generators, CsrGraph, EdgeList, GraphError, NodeFeatures};
 use gnnerator_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier for one of the benchmark datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// Cora: 2708 vertices, 10556 edges, 1433-dimensional features.
     Cora,
@@ -159,7 +158,7 @@ impl fmt::Display for DatasetKind {
 /// assert_eq!(spec.feature_dim, 1433);
 /// assert!(spec.feature_megabytes() > 15.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DatasetSpec {
     /// Which dataset this spec describes.
     pub kind: DatasetKind,

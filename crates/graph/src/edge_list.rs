@@ -1,12 +1,11 @@
 use crate::{GraphError, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A directed edge `source -> destination`.
 ///
 /// During aggregation the destination node reads the source node's feature,
 /// so an edge `(u, v)` means "v aggregates from u".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Edge {
     /// Source node (feature producer).
     pub src: NodeId,
@@ -68,7 +67,7 @@ impl From<(NodeId, NodeId)> for Edge {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EdgeList {
     num_nodes: usize,
     edges: Vec<Edge>,

@@ -1,6 +1,5 @@
 use crate::{CsrGraph, GraphError};
 use gnnerator_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Dense per-node feature table.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(feats.dim(), 16);
 /// assert_eq!(feats.size_bytes(), 10 * 16 * 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeFeatures {
     matrix: Matrix,
 }

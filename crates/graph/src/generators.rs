@@ -6,7 +6,7 @@
 //! this module. All generators are deterministic given a seed.
 //!
 //! The generators stream edges through the chunked
-//! [`EdgeListBuilder`](crate::EdgeListBuilder), whose counting sort by
+//! [`EdgeListBuilder`], whose counting sort by
 //! source puts them in canonical order in linear time, instead of
 //! materialising an unsorted list and comparison-sorting it at the end. That
 //! keeps ogbn-scale synthesis (millions of edges) off the cold-start

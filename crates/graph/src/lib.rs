@@ -30,8 +30,7 @@
 //! * [`ArtifactCache`] — a persistent, checksummed on-disk store of
 //!   synthesised datasets and shard summaries, keyed by `(spec, seed)` and
 //!   shard parameters, so repeated harness runs skip synthesis and
-//!   re-sharding,
-//! * [`GraphStats`] — degree and locality statistics used in reports.
+//!   re-sharding.
 //!
 //! # Examples
 //!
@@ -60,9 +59,7 @@ pub mod generators;
 pub mod memory;
 mod parallel;
 mod plan_cache;
-pub mod reorder;
 mod shard;
-mod stats;
 
 pub use cache::{ArtifactCache, CACHE_ENV_VAR, FORMAT_VERSION};
 pub use csr::CsrGraph;
@@ -76,7 +73,6 @@ pub use shard::{
     OccupiedTraversal, SerpentineCoords, ShardCoord, ShardGrid, ShardMeta, ShardSummary, ShardView,
     TraversalOrder, BYTES_PER_EDGE, BYTES_PER_FEATURE_ELEMENT,
 };
-pub use stats::GraphStats;
 
 /// Node identifier type used throughout the workspace.
 ///

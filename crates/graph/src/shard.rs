@@ -1,6 +1,5 @@
 use crate::parallel::{even_bounds, run_bands, workers_for};
 use crate::{Edge, EdgeList, GraphError, NodeId};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
@@ -22,7 +21,7 @@ pub const BYTES_PER_FEATURE_ELEMENT: u64 = 4;
 ///
 /// The paper assumes an S-pattern (serpentine) walk so that one operand block
 /// carries over between consecutive shards; the iterators here follow that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TraversalOrder {
     /// Keep a source block on-chip and sweep destinations.
     SourceStationary,
@@ -43,7 +42,7 @@ impl fmt::Display for TraversalOrder {
 }
 
 /// Position of a shard in the grid: `(src_block, dst_block)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShardCoord {
     /// Index of the source-node block (grid row).
     pub src_block: usize,
@@ -75,7 +74,7 @@ impl fmt::Display for ShardCoord {
 /// cycle/byte cost of processing a shard under any feature-block width is a
 /// couple of multiplies away — the simulator's hot loop never walks edge
 /// lists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardMeta {
     coord: ShardCoord,
     /// Start of this shard's edges in the grid's shared arena.
@@ -201,7 +200,7 @@ impl ShardMeta {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSummary {
     num_nodes: usize,
     nodes_per_shard: usize,
@@ -813,7 +812,7 @@ impl<'a> ShardView<'a> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardGrid {
     summary: ShardSummary,
     /// Every edge, sorted by `(src_block, dst_block, src, dst)`, so each

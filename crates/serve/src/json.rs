@@ -1,6 +1,6 @@
 //! A small, dependency-free JSON layer for the serving API.
 //!
-//! The workspace's serde is a hermetic no-op shim, so — like
+//! The workspace has no serialisation framework, so — like
 //! `sweep_report.rs` on the benchmark side — request and response bodies are
 //! parsed and rendered by hand. Unlike the benchmark's flat row parser this
 //! one is recursive (the `/sweep` endpoint carries an array of scenario

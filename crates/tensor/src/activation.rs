@@ -1,5 +1,4 @@
 use crate::Matrix;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Element-wise non-linearity applied by the Dense Engine's activation unit.
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert_eq!(Activation::Identity.apply_scalar(-2.0), -2.0);
 /// assert!(Activation::Sigmoid.apply_scalar(0.0) - 0.5 < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Activation {
     /// No non-linearity; the value passes through unchanged.
     #[default]

@@ -1,5 +1,4 @@
 use crate::TensorError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, row-major `f32` matrix.
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert_eq!(m.shape(), (2, 3));
 /// assert_eq!(m.get(1, 2), 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

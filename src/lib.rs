@@ -6,14 +6,13 @@
 //! instead:
 //!
 //! * [`gnnerator`] — the accelerator model, compiler and cycle-level simulator,
-//! * [`graph`](gnnerator_graph) — graphs, synthetic datasets and 2-D sharding,
-//! * [`gnn`](gnnerator_gnn) — GCN / GraphSAGE / GraphSAGE-Pool models and the
+//! * [`graph`] — graphs, synthetic datasets and 2-D sharding,
+//! * [`gnn`] — GCN / GraphSAGE / GraphSAGE-Pool models and the
 //!   reference executor,
-//! * [`sim`](gnnerator_sim) — the hardware-modelling substrate,
-//! * [`baselines`](gnnerator_baselines) — the GPU and HyGCN baseline models,
-//! * [`bench`](gnnerator_bench) — the benchmark harness regenerating every
+//! * [`baselines`] — the GPU and HyGCN baseline models,
+//! * [`bench`](mod@bench) — the benchmark harness regenerating every
 //!   table and figure of the paper,
-//! * [`tensor`](gnnerator_tensor) — the dense matrix kernels underneath it all.
+//! * [`tensor`] — the dense matrix kernels underneath it all.
 //!
 //! # Examples
 //!
@@ -38,5 +37,4 @@ pub use gnnerator_baselines as baselines;
 pub use gnnerator_bench as bench;
 pub use gnnerator_gnn as gnn;
 pub use gnnerator_graph as graph;
-pub use gnnerator_sim as sim;
 pub use gnnerator_tensor as tensor;

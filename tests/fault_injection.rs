@@ -123,6 +123,29 @@ fn sweep_run_reports_the_lowest_index_error_under_injected_failure() {
     gnnerator_faults::clear();
     let results = runner.run(&scenarios).expect("cleared faults run clean");
     assert_eq!(results.len(), scenarios.len());
+    assert!(runner
+        .run(&[])
+        .expect("an empty batch runs clean")
+        .is_empty());
+}
+
+#[test]
+fn a_worker_panic_reaches_the_caller_with_its_own_message() {
+    let _guard = fault_guard();
+    let runner = SweepRunner::new();
+    let scenarios = grid();
+    gnnerator_faults::configure("eval:panic", 1).unwrap();
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner.run(&scenarios)))
+        .expect_err("an armed eval:panic failpoint panics the sweep");
+    gnnerator_faults::clear();
+    // The message must not depend on how many cores ran the sweep: every
+    // worker count re-raises the failpoint's own payload.
+    let message = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("<non-string payload>");
+    assert_eq!(message, "injected panic at failpoint `eval`");
 }
 
 #[test]
