@@ -20,9 +20,11 @@ use gnnerator::{
 };
 use gnnerator_gnn::NetworkKind;
 use gnnerator_graph::datasets::DatasetKind;
-// One escaping policy for every JSON artifact: the serving layer's writer
-// is the shared implementation.
-use gnnerator_serve::json::json_string;
+use gnnerator_observe::Recorder;
+// One JSON layer for every artifact: rows are rendered with the serving
+// layer's writers and parsed with its parser.
+use gnnerator_serve::json::{json_opt_f64, json_opt_u64, json_string};
+use gnnerator_serve::Json;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -76,17 +78,17 @@ pub fn sweep_scenarios(ctx: &SuiteContext) -> Vec<ScenarioSpec> {
 
 /// Extra scale applied to the ogbn-products point on top of the grid scale.
 ///
-/// The full [`DatasetKind::OgbnProductsScale`] spec is a ~60M-edge
-/// out-of-core stressor. Earlier harness versions carried it at 1/25 scale;
-/// the sweep now takes it at full spec — at grid scale 1.0 that is ~2.4M
-/// vertices / ~60M edges. The timing simulation reads only shard summaries,
+/// The full [`DatasetKind::OgbnProductsScale`] spec is a ~60M-edge graph,
+/// the largest in the grid. Earlier harness versions carried it at 1/25
+/// scale; the sweep now takes it at full spec — at grid scale 1.0 that is
+/// ~2.4M vertices / ~60M edges. The timing simulation reads only shard summaries,
 /// so no edge arena has to stay resident or be cached.
 pub const PRODUCTS_SWEEP_SCALE: f64 = 1.0;
 
 /// The ogbn-scale extension of the sweep: the ≥1M-edge ogbn-arxiv GCN
 /// workload (at full scale) that the streaming graph-build pipeline opened
 /// to this path, plus the ogbn-products point (down-scaled by
-/// [`PRODUCTS_SWEEP_SCALE`]) that the out-of-core pipeline added on top —
+/// [`PRODUCTS_SWEEP_SCALE`]), the largest graph in the grid —
 /// each as one accelerator point (which carries both baseline speedup
 /// columns) plus both baseline backends.
 pub fn ogbn_scenarios(ctx: &SuiteContext) -> Vec<ScenarioSpec> {
@@ -167,11 +169,8 @@ pub struct SweepPoint {
     pub speedup_vs_hygcn: Option<f64>,
     /// Process-wide peak transient graph-build memory (bytes) observed by
     /// the time this point was evaluated. Absent in rows written before the
-    /// out-of-core pipeline.
+    /// column existed.
     pub peak_resident_bytes: Option<u64>,
-    /// Process-wide count of sorted edge chunks spilled to disk by the time
-    /// this point was evaluated. Absent in pre-out-of-core rows.
-    pub spilled_chunks: Option<u64>,
 }
 
 impl SweepPoint {
@@ -196,7 +195,6 @@ impl SweepPoint {
             speedup_vs_gpu: result.speedup_vs_gpu(),
             speedup_vs_hygcn: result.speedup_vs_hygcn(),
             peak_resident_bytes: Some(result.peak_resident_bytes),
-            spilled_chunks: Some(result.spilled_chunks),
         }
     }
 
@@ -207,16 +205,8 @@ impl SweepPoint {
     /// returns for a degenerate zero-second run) serialises as `null` rather
     /// than producing an unparseable document.
     pub fn to_json(&self) -> String {
-        fn opt_f64(value: Option<f64>) -> String {
-            value
-                .filter(|v| v.is_finite())
-                .map_or_else(|| "null".to_string(), |v| format!("{v}"))
-        }
-        fn opt_u64(value: Option<u64>) -> String {
-            value.map_or_else(|| "null".to_string(), |v| v.to_string())
-        }
         format!(
-            "{{\"label\": {}, \"backend\": {}, \"network\": {}, \"dataset\": {}, \"dataflow\": {}, \"config\": {}, \"seconds\": {}, \"simulate_seconds\": {}, \"total_cycles\": {}, \"dram_bytes\": {}, \"occupancy\": {}, \"occupied_shards\": {}, \"baseline_gpu_seconds\": {}, \"baseline_hygcn_seconds\": {}, \"speedup_vs_gpu\": {}, \"speedup_vs_hygcn\": {}, \"peak_resident_bytes\": {}, \"spilled_chunks\": {}}}",
+            "{{\"label\": {}, \"backend\": {}, \"network\": {}, \"dataset\": {}, \"dataflow\": {}, \"config\": {}, \"seconds\": {}, \"simulate_seconds\": {}, \"total_cycles\": {}, \"dram_bytes\": {}, \"occupancy\": {}, \"occupied_shards\": {}, \"baseline_gpu_seconds\": {}, \"baseline_hygcn_seconds\": {}, \"speedup_vs_gpu\": {}, \"speedup_vs_hygcn\": {}, \"peak_resident_bytes\": {}}}",
             json_string(&self.label),
             json_string(&self.backend),
             json_string(&self.network),
@@ -225,16 +215,15 @@ impl SweepPoint {
             json_string(&self.config),
             self.seconds,
             self.simulate_seconds,
-            opt_u64(self.total_cycles),
-            opt_u64(self.dram_bytes),
-            opt_f64(self.occupancy),
-            opt_u64(self.occupied_shards),
-            opt_f64(self.baseline_gpu_seconds),
-            opt_f64(self.baseline_hygcn_seconds),
-            opt_f64(self.speedup_vs_gpu),
-            opt_f64(self.speedup_vs_hygcn),
-            opt_u64(self.peak_resident_bytes),
-            opt_u64(self.spilled_chunks),
+            json_opt_u64(self.total_cycles),
+            json_opt_u64(self.dram_bytes),
+            json_opt_f64(self.occupancy),
+            json_opt_u64(self.occupied_shards),
+            json_opt_f64(self.baseline_gpu_seconds),
+            json_opt_f64(self.baseline_hygcn_seconds),
+            json_opt_f64(self.speedup_vs_gpu),
+            json_opt_f64(self.speedup_vs_hygcn),
+            json_opt_u64(self.peak_resident_bytes),
         )
     }
 
@@ -243,37 +232,16 @@ impl SweepPoint {
     /// Fields may appear in any order; unknown fields are ignored. Returns
     /// `None` on malformed input or missing required fields.
     pub fn from_json(text: &str) -> Option<Self> {
-        let fields = parse_flat_object(text)?;
-        let get = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone())
+        let row = Json::parse(text)?;
+        let string = |key: &str| row.get(key)?.as_str().map(str::to_string);
+        let f64_field = |key: &str| row.get(key)?.as_f64();
+        let opt_f64 = |key: &str| match row.get(key)? {
+            Json::Null => Some(None),
+            value => value.as_f64().map(Some),
         };
-        let string = |key: &str| match get(key)? {
-            JsonValue::String(s) => Some(s),
-            _ => None,
-        };
-        let f64_field = |key: &str| match get(key)? {
-            JsonValue::Number(n) => Some(n),
-            _ => None,
-        };
-        let opt_f64 = |key: &str| match get(key)? {
-            JsonValue::Number(n) => Some(Some(n)),
-            JsonValue::Null => Some(None),
-            _ => None,
-        };
-        let opt_u64 = |key: &str| match get(key)? {
-            JsonValue::Number(n) if n >= 0.0 && n.fract() == 0.0 => Some(Some(n as u64)),
-            JsonValue::Null => Some(None),
-            _ => None,
-        };
-        // Telemetry columns added by the out-of-core pipeline: rows written
-        // by earlier harness versions simply lack them, so a missing key is
-        // `None`, not a parse failure.
-        let lenient_u64 = |key: &str| match get(key) {
-            Some(JsonValue::Number(n)) if n >= 0.0 && n.fract() == 0.0 => Some(n as u64),
-            _ => None,
+        let opt_u64 = |key: &str| match row.get(key)? {
+            Json::Null => Some(None),
+            value => value.as_u64().map(Some),
         };
         Some(Self {
             label: string("label")?,
@@ -292,83 +260,11 @@ impl SweepPoint {
             baseline_hygcn_seconds: opt_f64("baseline_hygcn_seconds")?,
             speedup_vs_gpu: opt_f64("speedup_vs_gpu")?,
             speedup_vs_hygcn: opt_f64("speedup_vs_hygcn")?,
-            peak_resident_bytes: lenient_u64("peak_resident_bytes"),
-            spilled_chunks: lenient_u64("spilled_chunks"),
+            // A telemetry column: rows written before it existed lack it,
+            // so a missing key is `None`, not a parse failure.
+            peak_resident_bytes: row.get("peak_resident_bytes").and_then(Json::as_u64),
         })
     }
-}
-
-/// A scalar value inside a flat JSON object.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    String(String),
-    Number(f64),
-    Null,
-}
-
-/// Parses a flat (non-nested) JSON object of string/number/null values into
-/// `(key, value)` pairs, preserving order.
-fn parse_flat_object(text: &str) -> Option<Vec<(String, JsonValue)>> {
-    let body = text.trim().strip_prefix('{')?.strip_suffix('}')?.trim();
-    let mut fields = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        let (key, after_key) = parse_string(rest.trim_start())?;
-        let after_colon = after_key.trim_start().strip_prefix(':')?;
-        let (value, after_value) = parse_value(after_colon.trim_start())?;
-        fields.push((key, value));
-        rest = after_value.trim_start();
-        if let Some(next) = rest.strip_prefix(',') {
-            rest = next;
-        } else {
-            break;
-        }
-    }
-    rest.is_empty().then_some(fields)
-}
-
-/// Parses one JSON string literal, returning it and the remaining input.
-fn parse_string(text: &str) -> Option<(String, &str)> {
-    let mut chars = text.strip_prefix('"')?.char_indices();
-    let mut out = String::new();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Some((out, &text[i + 2..])),
-            '\\' => match chars.next()?.1 {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.1.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Parses one scalar JSON value, returning it and the remaining input.
-fn parse_value(text: &str) -> Option<(JsonValue, &str)> {
-    if text.starts_with('"') {
-        let (s, rest) = parse_string(text)?;
-        return Some((JsonValue::String(s), rest));
-    }
-    if let Some(rest) = text.strip_prefix("null") {
-        return Some((JsonValue::Null, rest));
-    }
-    let end = text
-        .find(|c: char| c == ',' || c == '}' || c.is_whitespace())
-        .unwrap_or(text.len());
-    let number = text[..end].parse::<f64>().ok()?;
-    Some((JsonValue::Number(number), &text[end..]))
 }
 
 /// Results of one sweep benchmark run.
@@ -405,13 +301,8 @@ pub struct SweepBenchmark {
     pub shard_grids_built: usize,
     /// Shard grids loaded from the persistent artifact cache.
     pub shard_grids_loaded: usize,
-    /// The graph memory budget in effect (`GNNERATOR_MEM_BUDGET`), rendered
-    /// as the budget's `Display` string (`"unbounded"` when unset).
-    pub memory_budget: String,
     /// Peak transient graph-build memory (bytes) observed process-wide.
     pub peak_resident_bytes: u64,
-    /// Sorted edge chunks spilled to disk across every graph build.
-    pub spilled_chunks: u64,
 }
 
 impl SweepBenchmark {
@@ -485,14 +376,9 @@ impl SweepBenchmark {
             self.shard_grids_loaded
         ));
         out.push_str(&format!(
-            "  \"memory_budget\": {},\n",
-            json_string(&self.memory_budget)
-        ));
-        out.push_str(&format!(
             "  \"peak_resident_bytes\": {},\n",
             self.peak_resident_bytes
         ));
-        out.push_str(&format!("  \"spilled_chunks\": {},\n", self.spilled_chunks));
         out.push_str("  \"points\": [\n");
         for (i, result) in self.results.iter().enumerate() {
             let comma = if i + 1 == self.results.len() { "" } else { "," };
@@ -581,7 +467,6 @@ pub fn bench_sweep(ctx: &SuiteContext) -> Result<SweepBenchmark, GnneratorError>
         serial.push(serial_reference(ctx, scenario)?);
     }
     let serial_seconds = start.elapsed().as_secs_f64();
-    let memory = gnnerator_graph::memory::memory_telemetry();
 
     let bit_identical = results
         .iter()
@@ -606,9 +491,7 @@ pub fn bench_sweep(ctx: &SuiteContext) -> Result<SweepBenchmark, GnneratorError>
             + cold_runner.total_shard_grids_built(),
         shard_grids_loaded: ctx.runner().total_shard_grids_loaded()
             + cold_runner.total_shard_grids_loaded(),
-        memory_budget: gnnerator_graph::MemoryBudget::from_env().to_string(),
-        peak_resident_bytes: memory.peak_resident_bytes,
-        spilled_chunks: memory.spilled_chunk_count,
+        peak_resident_bytes: Recorder::global().memory_stats().peak_resident_bytes,
     })
 }
 
@@ -643,8 +526,8 @@ mod tests {
             assert!(points.iter().any(|s| s.backend.is_accelerator()));
         }
         // At full scale the arxiv extension point is a >= 1M-edge graph, and
-        // the down-scaled products point is bigger still — the largest graph
-        // in the grid, sized to overflow the CI smoke's memory budget.
+        // the products point is bigger still — the largest graph in the
+        // grid.
         assert!(DatasetKind::OgbnArxiv.spec().edges >= 1_000_000);
         let products_edges =
             (DatasetKind::OgbnProductsScale.spec().edges as f64 * PRODUCTS_SWEEP_SCALE) as usize;
@@ -699,9 +582,7 @@ mod tests {
         assert!(json.contains("\"shard_grids_loaded\""));
         assert!(json.contains("\"dataset\": \"ogbn-arxiv\""));
         assert!(json.contains("\"dataset\": \"ogbn-products\""));
-        assert!(json.contains("\"memory_budget\""));
         assert!(json.contains("\"peak_resident_bytes\""));
-        assert!(json.contains("\"spilled_chunks\""));
         assert!(json.contains("\"occupancy\""));
         assert!(json.contains("\"occupied_shards\""));
         assert!(json.contains("\"simulate_seconds\""));
@@ -758,10 +639,9 @@ mod tests {
         assert_eq!(point.label, "a\"b\\c\nd");
         assert_eq!(point.seconds, 1e-3);
         assert_eq!(point.total_cycles, None);
-        // Rows written before the out-of-core pipeline lack the telemetry
-        // columns entirely; they parse as absent rather than failing.
+        // Rows written before the telemetry column existed lack it; it
+        // parses as absent rather than failing.
         assert_eq!(point.peak_resident_bytes, None);
-        assert_eq!(point.spilled_chunks, None);
         // Round-trip of the escaped label.
         assert_eq!(SweepPoint::from_json(&point.to_json()), Some(point));
         // Malformed inputs are rejected, not panicked on.
@@ -790,7 +670,6 @@ mod tests {
             speedup_vs_gpu: Some(f64::INFINITY),
             speedup_vs_hygcn: Some(f64::NEG_INFINITY),
             peak_resident_bytes: Some(4096),
-            spilled_chunks: Some(2),
         };
         let json = point.to_json();
         assert!(!json.contains("inf"), "{json}");

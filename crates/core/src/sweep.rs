@@ -217,11 +217,6 @@ pub fn evaluate_scenario(
     session: &Arc<SimSession>,
 ) -> Result<ScenarioResult, GnneratorError> {
     gnnerator_faults::check("eval").map_err(|e| GnneratorError::backend(e.to_string()))?;
-    // Snapshot-and-delta, never reset-and-read: the recorder keeps counting
-    // while this point evaluates (other sessions, other threads), and the
-    // delta attributes to this point only what happened between the two
-    // snapshots of *its session's* recorder.
-    let memory_before = session.recorder().memory_stats();
     let start = Instant::now();
     let (evaluation, report, baseline_seconds) = if scenario.backend.is_accelerator() {
         let backend = GnneratorBackend::new(
@@ -240,10 +235,6 @@ pub fn evaluate_scenario(
         (evaluation, None, None)
     };
     let simulate_seconds = start.elapsed().as_secs_f64();
-    let memory = session
-        .recorder()
-        .memory_stats()
-        .delta_since(&memory_before);
     Ok(ScenarioResult {
         scenario: scenario.clone(),
         evaluation,
@@ -252,8 +243,7 @@ pub fn evaluate_scenario(
         num_nodes: session.num_nodes(),
         num_edges: session.num_edges(),
         simulate_seconds,
-        peak_resident_bytes: memory.peak_resident_bytes,
-        spilled_chunks: memory.spilled_chunks,
+        peak_resident_bytes: session.recorder().memory_stats().peak_resident_bytes,
     })
 }
 
@@ -349,14 +339,9 @@ pub struct ScenarioResult {
     /// the bit-identity guarantees the sweep engine is tested against.
     pub simulate_seconds: f64,
     /// Peak resident graph-pipeline bytes on the session's recorder at the
-    /// time this point was evaluated (see [`gnnerator_graph::memory`]).
-    /// Telemetry, not identity: excluded from equality like
-    /// `simulate_seconds`.
+    /// time this point was evaluated. Telemetry, not identity: excluded from
+    /// equality like `simulate_seconds`.
     pub peak_resident_bytes: u64,
-    /// Edge chunks spilled to disk run-files *while this point evaluated*
-    /// (snapshot delta over the session's recorder). Excluded from
-    /// equality.
-    pub spilled_chunks: u64,
 }
 
 impl ScenarioResult {
@@ -480,10 +465,9 @@ impl SweepRunner {
     }
 
     /// Returns this runner with a scoped telemetry [`Recorder`] applied to
-    /// every session it builds: the runner's memory and spill counts
-    /// become attributable to this runner alone, while still
-    /// propagating up the recorder's parent chain to the process-global
-    /// view. Without this, sessions record straight into the global.
+    /// every session it builds: the runner's memory counts become
+    /// attributable to this runner alone, while still propagating up the
+    /// recorder's parent chain to the process-global view. Without this, sessions record straight into the global.
     ///
     /// [`Recorder`]: gnnerator_observe::Recorder
     pub fn with_recorder(mut self, recorder: gnnerator_observe::Recorder) -> Self {

@@ -150,10 +150,10 @@ impl ArtifactCache {
     ///
     /// Opening a root also sweeps orphaned `*.tmp.<pid>.<nonce>` files left
     /// by writers killed between their temp write and the publishing rename,
-    /// abandoned spill run-files, and stale `*.corrupt` quarantine files —
-    /// but only files older than a safety window, so a concurrent store's
-    /// in-flight temp file is never touched and fresh quarantines keep
-    /// their post-mortem value.
+    /// spill run-files abandoned by earlier builds, and stale `*.corrupt`
+    /// quarantine files — but only files older than a safety window, so a
+    /// concurrent store's in-flight temp file is never touched and fresh
+    /// quarantines keep their post-mortem value.
     pub fn new(root: impl Into<PathBuf>) -> Self {
         let root = root.into();
         sweep_stale_temp_files(&root, STALE_TEMP_WINDOW);
@@ -586,24 +586,10 @@ fn env_root(value: Option<&str>) -> Option<PathBuf> {
     }
 }
 
-/// Where [`crate::EdgeListBuilder`] spill run-files land when no explicit
-/// spill directory is configured: the `GNNERATOR_CACHE` root when one is
-/// enabled (spills are cache-adjacent scratch, and the cache sweep reaps
-/// orphans), otherwise the system temp directory.
-pub(crate) fn default_spill_dir() -> PathBuf {
-    env_root(std::env::var(CACHE_ENV_VAR).ok().as_deref()).unwrap_or_else(std::env::temp_dir)
-}
-
-/// A fresh, process-unique spill run-file path under `dir`
-/// (`spill-<pid>-<nonce>.run`), named so [`sweep_stale_temp_files`] can
-/// recognise and reap abandoned runs.
-pub(crate) fn new_spill_run_path(dir: &Path) -> PathBuf {
-    let nonce = TEMP_NONCE.fetch_add(1, Ordering::Relaxed);
-    dir.join(format!("spill-{}-{nonce}.run", std::process::id()))
-}
-
-/// Whether a file name matches the `spill-<pid>-<nonce>.run` pattern
-/// [`new_spill_run_path`] produces. Exact for the same reason as
+/// Whether a file name matches the `spill-<pid>-<nonce>.run` pattern of
+/// the run-files that earlier builds of the edge builder spilled next to
+/// the cache, so the sweep still reaps the ones they abandoned. Exact for
+/// the same reason as
 /// [`is_temp_artifact_name`]: the sweep must only ever delete files this
 /// crate itself could have written.
 fn is_spill_run_name(name: &str) -> bool {
@@ -641,8 +627,8 @@ fn check_fault(point: &str, path: &Path) -> Result<(), GraphError> {
 /// Best-effort on every step: a missing root, unreadable metadata or a
 /// losing race against another sweeper are all fine — the only hard
 /// requirement is never deleting a published artifact, a temp file young
-/// enough to belong to a live writer, or a spill run-file a live
-/// [`crate::EdgeListBuilder`] is still merging from. Quarantined
+/// enough to belong to a live writer, or a spill run-file an older build's
+/// edge builder, still running, is merging from. Quarantined
 /// `*.corrupt` files keep their post-mortem value for the window, then
 /// stop accumulating.
 fn sweep_stale_temp_files(root: &Path, window: std::time::Duration) {
@@ -1185,10 +1171,6 @@ mod tests {
         assert!(!is_spill_run_name("spill--.run"));
         assert!(!is_spill_run_name("respill-1-2.run"));
         assert!(!is_spill_run_name("grid-0123456789abcdef.bin"));
-        // The path constructor and the recogniser agree.
-        let path = new_spill_run_path(Path::new("/tmp"));
-        let name = path.file_name().unwrap().to_str().unwrap();
-        assert!(is_spill_run_name(name), "{name}");
     }
 
     #[test]
@@ -1199,7 +1181,7 @@ mod tests {
         let key = ArtifactCache::grid_key("g", 16, false);
         cache.store_summary(&key, &grid).unwrap();
 
-        // Simulate a builder killed mid-spill.
+        // Simulate an older build's edge builder killed mid-spill.
         let abandoned = dir.join("spill-99999-17.run");
         std::fs::write(&abandoned, b"raw edge pairs").unwrap();
 

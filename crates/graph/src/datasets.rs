@@ -31,12 +31,11 @@ pub enum DatasetKind {
     /// networked builds land.
     OgbnArxiv,
     /// ogbn-products scale class: 2.4M vertices, 60M directed edges,
-    /// 100-dimensional features — the out-of-core stress workload. Its edge
-    /// arena alone is ~480 MB, so building it under a smaller
-    /// `GNNERATOR_MEM_BUDGET` exercises the disk-spill + streaming-shard
-    /// path end to end. Synthesised (the real ogbn-products has 2 449 029
-    /// vertices and ~61.9M directed edges; the round counts keep synthesis
-    /// and cache keys tidy at the same scale class).
+    /// 100-dimensional features — the largest workload, the one that sets
+    /// the cold build's peak memory. Its edge arena alone is ~480 MB.
+    /// Synthesised (the real ogbn-products has 2 449 029 vertices and
+    /// ~61.9M directed edges; the round counts keep synthesis and cache keys
+    /// tidy at the same scale class).
     OgbnProductsScale,
 }
 
@@ -633,8 +632,8 @@ mod tests {
             (spec.vertices, spec.edges, spec.feature_dim),
             (2_400_000, 60_000_000, 100)
         );
-        assert!(spec.edges >= 50_000_000, "out-of-core means >= 50M edges");
-        // The edge arena alone (8 bytes/edge) dwarfs any smoke-test budget.
+        assert!(spec.edges >= 50_000_000, "the stressor has >= 50M edges");
+        // The edge arena alone (8 bytes/edge) is at least 400 MiB.
         assert!(spec.edges * 8 >= 400 << 20);
         assert_eq!(spec.name, "ogbn-products");
         assert_eq!(DatasetKind::OgbnProductsScale.short_name(), "products");

@@ -1,60 +1,36 @@
-//! Streaming, chunked edge-list construction with optional disk spilling.
+//! Streaming, chunked edge-list construction.
 //!
 //! Generators *stream* edges into the [`EdgeListBuilder`], which seals them
 //! into fixed-capacity chunks. A symmetric pair streamed with
 //! [`EdgeListBuilder::push_symmetric`] is recorded once, in a chunk marked
 //! symmetric, and stands for both directions; every consumer of the chunk
-//! expands it. Sealed chunks stay in memory while they fit the builder's
-//! [`MemoryBudget`]; beyond the cap a chunk is expanded, sorted and spilled
-//! to a `spill-<pid>-<nonce>.run` file (raw little-endian `(src, dst)`
-//! pairs) in the cache directory.
+//! expands it.
 //!
 //! [`EdgeListBuilder::finish`] then produces one sorted, duplicate-free
-//! [`EdgeList`]:
+//! [`EdgeList`] with a counting sort by source (see
+//! [`sort_dedup_by_source`]): every edge's destination is scattered into
+//! its source's row of one `u32` buffer, and each row is sorted and
+//! deduplicated on its own — `O(V + E)` plus per-row sorts of small
+//! integers, with no comparison sort over whole edges. The rows are cut
+//! into bands of near-equal edge counts, one per worker.
 //!
-//! * when nothing spilled, a counting sort by source (see
-//!   [`sort_dedup_by_source`]) scatters every edge's destination into its
-//!   source's row of one `u32` buffer, and each row is sorted and
-//!   deduplicated on its own — `O(V + E)` plus per-row sorts of small
-//!   integers, with no comparison sort over whole edges. The rows are cut
-//!   into bands of near-equal edge counts, one per worker;
-//! * when chunks spilled, the in-memory chunks are sorted and k-way merged
-//!   with buffered readers over the sorted run-files in a single pass.
-//!
-//! Either way the output is bit-identical to `collect → sort_unstable →
-//! dedup` on the same edge multiset (the property tests pin this), at any
-//! worker count, so the generators' seeded determinism is preserved. Spill
-//! run-files are deleted as soon as the merge consumes them; files orphaned
-//! by a crash are reaped by the [`ArtifactCache`](crate::ArtifactCache)
-//! startup sweep.
+//! The output is bit-identical to `collect → sort_unstable → dedup` on the
+//! same edge multiset (the property tests pin this), at any worker count,
+//! so the generators' seeded determinism is preserved.
 
-use crate::cache;
-use crate::memory::MemoryBudget;
 use crate::parallel::{even_bounds, run_bands, split_bands, workers_for};
 use crate::{Edge, EdgeList, GraphError, NodeId};
 use gnnerator_observe::Recorder;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
 use std::ops::Range;
-use std::path::PathBuf;
 
-/// Default number of edge records per sealed chunk under a bounded budget
-/// (~512 KiB): the unit the memory budget accounts and spills in. Small
-/// enough that a bounded budget keeps close to its cap, big enough that a
-/// spill writes one sizeable sequential run-file rather than many tiny ones.
-pub const DEFAULT_CHUNK_CAPACITY: usize = 1 << 16;
-
-/// Edge records per chunk when no budget applies (32 MiB). Nothing can
-/// spill then, so chunks only need to be large: an allocation this size is
+/// Edge records per chunk by default (32 MiB). An allocation this size is
 /// mapped and unmapped whole by the system allocator, so the chunks the
 /// counting sort frees go back to the OS instead of lingering as heap that
 /// the sort's own large buffers cannot reuse.
-const UNBOUNDED_CHUNK_CAPACITY: usize = 1 << 22;
+const CHUNK_CAPACITY: usize = 1 << 22;
 
-/// Bytes per edge record, in memory and in a spill run-file: two `u32`s.
-const SPILL_RECORD_BYTES: usize = 8;
+/// Bytes per edge record: two `u32`s.
+const RECORD_BYTES: usize = 8;
 
 /// Bytes per destination id in the counting sort's row buffer.
 const ROW_ENTRY_BYTES: usize = std::mem::size_of::<NodeId>();
@@ -90,37 +66,10 @@ impl Chunk {
             }
         }
     }
-
-    /// The plain directed edges, expanding a symmetric chunk in place.
-    fn into_directed(mut self) -> Vec<Edge> {
-        if self.symmetric {
-            let pairs = self.edges.len();
-            self.edges.reserve_exact(pairs);
-            for i in 0..pairs {
-                let reversed = self.edges[i].reversed();
-                self.edges.push(reversed);
-            }
-        }
-        self.edges
-    }
 }
 
-/// A sorted run of edges spilled to disk; the file is removed on drop.
-#[derive(Debug)]
-struct SpillFile {
-    path: PathBuf,
-    edges: usize,
-}
-
-impl Drop for SpillFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// A streaming builder that accumulates edges in chunks — in memory, or
-/// sorted and spilled to disk under a [`MemoryBudget`] — and turns them into
-/// a canonical (sorted, deduplicated) [`EdgeList`].
+/// A streaming builder that accumulates edges in in-memory chunks and
+/// turns them into a canonical (sorted, deduplicated) [`EdgeList`].
 ///
 /// # Examples
 ///
@@ -141,57 +90,40 @@ impl Drop for SpillFile {
 #[derive(Debug)]
 pub struct EdgeListBuilder {
     num_nodes: usize,
-    /// Records per chunk; `None` picks by budget (see
-    /// [`DEFAULT_CHUNK_CAPACITY`]).
-    chunk_capacity: Option<usize>,
-    budget: MemoryBudget,
-    /// Directory spill run-files land in; resolved lazily on first spill.
-    spill_dir: Option<PathBuf>,
-    /// Sealed, still-unsorted chunks held in memory.
-    mem_chunks: Vec<Chunk>,
-    /// Sealed, sorted chunks spilled to disk run-files.
-    spilled: Vec<SpillFile>,
+    /// Records per chunk.
+    chunk_capacity: usize,
+    /// Sealed, still-unsorted chunks.
+    chunks: Vec<Chunk>,
     /// The directed chunk currently being filled.
     current: Vec<Edge>,
     /// The symmetric chunk currently being filled (one record per pair).
     current_symmetric: Vec<Edge>,
-    /// Records held across `mem_chunks` (excludes the open chunks and
-    /// spills).
+    /// Records held across `chunks` (excludes the open chunks).
     resident_records: usize,
-    /// Directed edges sealed so far, in memory or on disk.
+    /// Directed edges sealed so far.
     sealed_edges: usize,
     /// Builder-local resident-bytes high-water mark.
     peak_resident_bytes: u64,
-    /// Telemetry sink for spill counts and the resident-bytes peak.
-    /// Defaults to the process global; a scoped recorder attributes this
-    /// build's counts to its scope.
+    /// Telemetry sink for the resident-bytes peak. Defaults to the process
+    /// global; a scoped recorder attributes this build's peak to its scope.
     recorder: Recorder,
 }
 
 impl EdgeListBuilder {
     /// Creates a builder for a graph over `num_nodes` nodes with the
-    /// process-wide [`MemoryBudget::from_env`] budget and the default chunk
-    /// capacity: [`DEFAULT_CHUNK_CAPACITY`] records under a bounded budget,
-    /// 32 MiB chunks under an unbounded one.
+    /// default chunk capacity (32 MiB chunks).
     pub fn new(num_nodes: usize) -> Self {
-        Self::with_capacity_policy(num_nodes, None)
+        Self::with_chunk_capacity(num_nodes, CHUNK_CAPACITY)
     }
 
     /// Creates a builder with an explicit chunk capacity in edge records
     /// (clamped to at least 1). Small capacities are useful in tests to
-    /// force many chunks and, under a bounded budget, many spills.
+    /// force many chunks.
     pub fn with_chunk_capacity(num_nodes: usize, chunk_capacity: usize) -> Self {
-        Self::with_capacity_policy(num_nodes, Some(chunk_capacity.max(1)))
-    }
-
-    fn with_capacity_policy(num_nodes: usize, chunk_capacity: Option<usize>) -> Self {
         Self {
             num_nodes,
-            chunk_capacity,
-            budget: MemoryBudget::from_env(),
-            spill_dir: None,
-            mem_chunks: Vec::new(),
-            spilled: Vec::new(),
+            chunk_capacity: chunk_capacity.max(1),
+            chunks: Vec::new(),
             current: Vec::new(),
             current_symmetric: Vec::new(),
             resident_records: 0,
@@ -201,55 +133,32 @@ impl EdgeListBuilder {
         }
     }
 
-    /// Overrides the telemetry sink spill counts and the resident-bytes
-    /// peak are recorded into (the default is the process-global recorder).
+    /// Overrides the telemetry sink the resident-bytes peak is recorded
+    /// into (the default is the process-global recorder).
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
     }
 
-    /// Overrides the builder's memory budget. Sealed chunks that would push
-    /// resident sealed bytes past the cap are sorted and spilled to disk;
-    /// the chunks currently being filled are the fixed working set and are
-    /// not counted against the cap.
-    pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Overrides the directory spill run-files are written to. The default
-    /// is the artifact-cache directory (or the system temp directory when
-    /// the cache is disabled).
-    pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.spill_dir = Some(dir.into());
-        self
-    }
-
-    /// A builder for one of `bands` concurrent workers feeding this one:
-    /// same graph, chunk size and spill directory, `1/bands` of the memory
-    /// budget, and a detached recorder — [`EdgeListBuilder::absorb`] notes
-    /// its counts here.
-    pub(crate) fn band_builder(&self, bands: usize) -> Self {
+    /// A builder for one of the concurrent workers feeding this one: same
+    /// graph and chunk size, and a detached recorder —
+    /// [`EdgeListBuilder::absorb`] notes its peak here.
+    pub(crate) fn band_builder(&self) -> Self {
         Self {
-            budget: self.budget.share(bands),
-            spill_dir: self.spill_dir.clone(),
             recorder: Recorder::detached(),
-            ..Self::with_capacity_policy(self.num_nodes, self.chunk_capacity)
+            ..Self::with_chunk_capacity(self.num_nodes, self.chunk_capacity)
         }
     }
 
-    /// Takes over every edge of a band builder: its open chunks are sealed
-    /// (and may spill under its budget share), then its chunks and run-files
-    /// join this builder's. The band's resident peak, on top of what this
-    /// builder already holds, and its spills are noted here.
+    /// Takes over every edge of a band builder: its open chunks are sealed,
+    /// then its chunks join this builder's. The band's resident peak, on top
+    /// of what this builder already holds, is noted here.
     pub(crate) fn absorb(&mut self, mut band: EdgeListBuilder) {
         band.seal_open_chunks();
         self.note_resident(self.resident_bytes() + band.peak_resident_bytes);
-        self.recorder.note_spilled_chunks(band.spilled.len() as u64);
         self.resident_records += band.resident_records;
         self.sealed_edges += band.sealed_edges;
-        self.mem_chunks.append(&mut band.mem_chunks);
-        self.spilled.append(&mut band.spilled);
+        self.chunks.append(&mut band.chunks);
     }
 
     /// Number of nodes the builder validates endpoints against.
@@ -257,18 +166,8 @@ impl EdgeListBuilder {
         self.num_nodes
     }
 
-    /// The memory budget governing this builder's spill decisions.
-    pub fn memory_budget(&self) -> MemoryBudget {
-        self.budget
-    }
-
-    /// Number of sealed chunks spilled to disk so far.
-    pub fn spilled_chunks(&self) -> usize {
-        self.spilled.len()
-    }
-
-    /// This builder's resident-bytes high-water mark (sealed in-memory
-    /// chunks plus the chunk being sealed, at each seal point).
+    /// This builder's resident-bytes high-water mark (sealed chunks plus
+    /// the chunk being sealed, at each seal point).
     pub fn peak_resident_bytes(&self) -> u64 {
         self.peak_resident_bytes
     }
@@ -308,7 +207,7 @@ impl EdgeListBuilder {
             self.current.reserve_exact(self.open_chunk_capacity());
         }
         self.current.push(edge);
-        if self.current.len() >= self.chunk_capacity() {
+        if self.current.len() >= self.chunk_capacity {
             let full = std::mem::take(&mut self.current);
             self.seal(Chunk::directed(full));
         }
@@ -330,7 +229,7 @@ impl EdgeListBuilder {
                 .reserve_exact(self.open_chunk_capacity());
         }
         self.current_symmetric.push(edge);
-        if self.current_symmetric.len() >= self.chunk_capacity() {
+        if self.current_symmetric.len() >= self.chunk_capacity {
             let edges = std::mem::take(&mut self.current_symmetric);
             self.seal(Chunk {
                 edges,
@@ -340,22 +239,14 @@ impl EdgeListBuilder {
         Ok(())
     }
 
-    fn chunk_capacity(&self) -> usize {
-        self.chunk_capacity.unwrap_or(if self.budget.is_bounded() {
-            DEFAULT_CHUNK_CAPACITY
-        } else {
-            UNBOUNDED_CHUNK_CAPACITY
-        })
-    }
-
     /// Records an open chunk is allocated for up front, so it fills without
     /// reallocating (capped for huge test capacities).
     fn open_chunk_capacity(&self) -> usize {
-        self.chunk_capacity().min(UNBOUNDED_CHUNK_CAPACITY)
+        self.chunk_capacity.min(CHUNK_CAPACITY)
     }
 
     fn resident_bytes(&self) -> u64 {
-        (self.resident_records * SPILL_RECORD_BYTES) as u64
+        (self.resident_records * RECORD_BYTES) as u64
     }
 
     /// Seals both open chunks, if they hold anything.
@@ -375,60 +266,12 @@ impl EdgeListBuilder {
         }
     }
 
-    /// Seals one chunk: kept in memory while the budget allows, otherwise
-    /// expanded, sorted and spilled to a run-file. A failed spill write
-    /// degrades gracefully by keeping the chunk in memory.
+    /// Seals one chunk.
     fn seal(&mut self, chunk: Chunk) {
-        let chunk_bytes = (chunk.edges.len() * SPILL_RECORD_BYTES) as u64;
-        let resident_bytes = self.resident_bytes();
-        // The freshly sealed chunk is momentarily resident either way.
-        self.note_resident(resident_bytes + chunk_bytes);
-        self.sealed_edges += chunk.directed_len();
-        let chunk = if self.budget.would_exceed(resident_bytes, chunk_bytes) {
-            let mut edges = chunk.into_directed();
-            edges.sort_unstable();
-            match self.spill(&edges) {
-                Ok(file) => {
-                    self.spilled.push(file);
-                    self.recorder.note_spilled_chunks(1);
-                    return;
-                }
-                // Disk trouble must not lose edges: fall back to memory.
-                // (The chunk arrives sorted at finish, which is fine —
-                // neither finish path assumes resident chunks unsorted.)
-                Err(_) => Chunk::directed(edges),
-            }
-        } else {
-            chunk
-        };
         self.resident_records += chunk.edges.len();
-        self.mem_chunks.push(chunk);
-    }
-
-    /// Writes one sorted chunk to a fresh spill run-file.
-    fn spill(&mut self, chunk: &[Edge]) -> std::io::Result<SpillFile> {
-        let dir = match &self.spill_dir {
-            Some(dir) => dir.clone(),
-            None => {
-                let dir = cache::default_spill_dir();
-                self.spill_dir = Some(dir.clone());
-                dir
-            }
-        };
-        std::fs::create_dir_all(&dir)?;
-        let path = cache::new_spill_run_path(&dir);
-        let file = SpillFile {
-            path: path.clone(),
-            edges: chunk.len(),
-        };
-        let mut writer =
-            BufWriter::with_capacity(self.budget.io_buffer_bytes(1), File::create(&path)?);
-        for edge in chunk {
-            writer.write_all(&edge.src.to_le_bytes())?;
-            writer.write_all(&edge.dst.to_le_bytes())?;
-        }
-        writer.flush()?;
-        Ok(file)
+        self.note_resident(self.resident_bytes());
+        self.sealed_edges += chunk.directed_len();
+        self.chunks.push(chunk);
     }
 
     fn note_resident(&mut self, bytes: u64) {
@@ -439,19 +282,15 @@ impl EdgeListBuilder {
     }
 
     /// Returns the canonical edge list: sorted by `(src, dst)`, duplicates
-    /// removed. A builder that never spilled counting-sorts its chunks by
-    /// source, in row bands on as many workers as the input warrants; one
-    /// that spilled sorts its in-memory chunks and k-way merges them with
-    /// the run-files.
+    /// removed, by a counting sort by source in row bands on as many
+    /// workers as the input warrants.
     ///
     /// Self-loops are *kept* (the builder is policy-free); generators that
     /// need simple graphs simply never stream self-loops in.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::CacheArtifact`] if a spill run-file written
-    /// earlier cannot be read back, and [`GraphError::BuildWorker`] if a
-    /// sort worker fails.
+    /// Returns [`GraphError::BuildWorker`] if a sort worker fails.
     pub fn try_finish(self) -> Result<EdgeList, GraphError> {
         let workers = workers_for(self.len());
         self.try_finish_with_workers(workers)
@@ -466,52 +305,29 @@ impl EdgeListBuilder {
     /// [`EdgeListBuilder::try_finish_with_workers`], keeping only some of
     /// the distinct edges: `select` is called once with their number and
     /// may return the [`Selection`] of indices (in sorted order) to keep.
-    /// The kept edges stay in order, and without spills the others are
-    /// never written out.
+    /// The kept edges stay in order, and the others are never written out.
     pub(crate) fn try_finish_selected(
         mut self,
         workers: usize,
         select: impl FnOnce(usize) -> Result<Option<Selection>, GraphError>,
     ) -> Result<EdgeList, GraphError> {
         self.seal_open_chunks();
-        let edges = if self.spilled.is_empty() {
-            // Every chunk plus the row buffer is resident at the scatter.
-            self.note_resident(
-                self.resident_bytes() + (self.sealed_edges * ROW_ENTRY_BYTES) as u64,
-            );
-            let chunks = std::mem::take(&mut self.mem_chunks);
-            sort_dedup_by_source(self.num_nodes, chunks, workers, select)?
-        } else {
-            let sorted: Vec<Vec<Edge>> = std::mem::take(&mut self.mem_chunks)
-                .into_iter()
-                .map(|chunk| {
-                    let mut edges = chunk.into_directed();
-                    edges.sort_unstable();
-                    edges
-                })
-                .collect();
-            let mut merged = merge_spilled(&sorted, &self.spilled, self.budget)?;
-            let sorted_records: usize = sorted.iter().map(Vec::len).sum();
-            self.note_resident(((merged.len() + sorted_records) * SPILL_RECORD_BYTES) as u64);
-            if let Some(selection) = select(merged.len())? {
-                selection.retain(&mut merged);
-            }
-            merged
-        };
+        // Every chunk plus the row buffer is resident at the scatter.
+        self.note_resident(self.resident_bytes() + (self.sealed_edges * ROW_ENTRY_BYTES) as u64);
+        let chunks = std::mem::take(&mut self.chunks);
+        let edges = sort_dedup_by_source(self.num_nodes, chunks, workers, select)?;
         Ok(EdgeList::from_sorted_edges_unchecked(self.num_nodes, edges))
     }
 
-    /// [`EdgeListBuilder::try_finish`], for builders that cannot have
-    /// spilled (or callers content to treat spill-file loss as fatal).
+    /// [`EdgeListBuilder::try_finish`], for callers content to treat a
+    /// failed sort worker as fatal.
     ///
     /// # Panics
     ///
-    /// Panics if a spill run-file cannot be read back or a sort worker
-    /// fails; prefer `try_finish` on paths where the builder may run under
-    /// a bounded budget.
+    /// Panics if a sort worker fails.
     pub fn finish(self) -> EdgeList {
         self.try_finish()
-            .expect("spill run-file readable until finish")
+            .expect("edge-list sort workers run to completion")
     }
 }
 
@@ -742,100 +558,6 @@ fn prefix_sums(counts: impl Iterator<Item = usize>) -> Vec<usize> {
     sums
 }
 
-/// One input to the heterogeneous k-way merge: an in-memory sorted slice or
-/// a buffered reader over a sorted spill run-file.
-enum MergeCursor<'a> {
-    Mem {
-        chunk: &'a [Edge],
-        pos: usize,
-    },
-    Run {
-        reader: BufReader<File>,
-        remaining: usize,
-        path: &'a PathBuf,
-    },
-}
-
-impl MergeCursor<'_> {
-    fn next(&mut self) -> Result<Option<Edge>, GraphError> {
-        match self {
-            MergeCursor::Mem { chunk, pos } => {
-                let edge = chunk.get(*pos).copied();
-                *pos += 1;
-                Ok(edge)
-            }
-            MergeCursor::Run {
-                reader,
-                remaining,
-                path,
-            } => {
-                if *remaining == 0 {
-                    return Ok(None);
-                }
-                let mut record = [0u8; SPILL_RECORD_BYTES];
-                reader.read_exact(&mut record).map_err(|e| {
-                    GraphError::cache(
-                        path.display().to_string(),
-                        format!("spill run-file read failed: {e}"),
-                    )
-                })?;
-                *remaining -= 1;
-                Ok(Some(Edge::new(
-                    u32::from_le_bytes(record[0..4].try_into().expect("4 bytes")),
-                    u32::from_le_bytes(record[4..8].try_into().expect("4 bytes")),
-                )))
-            }
-        }
-    }
-}
-
-/// K-way merge across sorted in-memory chunks and spilled run-files into
-/// one sorted, duplicate-free list; read buffers divide the budget across
-/// the open run-files.
-fn merge_spilled(
-    mem_chunks: &[Vec<Edge>],
-    spilled: &[SpillFile],
-    budget: MemoryBudget,
-) -> Result<Vec<Edge>, GraphError> {
-    let total: usize = mem_chunks.iter().map(Vec::len).sum::<usize>()
-        + spilled.iter().map(|s| s.edges).sum::<usize>();
-    let buffer_bytes = budget.io_buffer_bytes(spilled.len());
-    let mut cursors: Vec<MergeCursor<'_>> = Vec::with_capacity(mem_chunks.len() + spilled.len());
-    for chunk in mem_chunks {
-        cursors.push(MergeCursor::Mem { chunk, pos: 0 });
-    }
-    for run in spilled {
-        let file = File::open(&run.path).map_err(|e| {
-            GraphError::cache(
-                run.path.display().to_string(),
-                format!("spill run-file vanished: {e}"),
-            )
-        })?;
-        cursors.push(MergeCursor::Run {
-            reader: BufReader::with_capacity(buffer_bytes, file),
-            remaining: run.edges,
-            path: &run.path,
-        });
-    }
-
-    let mut out: Vec<Edge> = Vec::with_capacity(total);
-    let mut heap: BinaryHeap<Reverse<(Edge, usize)>> = BinaryHeap::with_capacity(cursors.len());
-    for (i, cursor) in cursors.iter_mut().enumerate() {
-        if let Some(edge) = cursor.next()? {
-            heap.push(Reverse((edge, i)));
-        }
-    }
-    while let Some(Reverse((edge, i))) = heap.pop() {
-        if out.last() != Some(&edge) {
-            out.push(edge);
-        }
-        if let Some(next) = cursors[i].next()? {
-            heap.push(Reverse((next, i)));
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -859,26 +581,13 @@ mod tests {
         edges
     }
 
-    fn spill_dir(label: &str) -> PathBuf {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static NONCE: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "gnnerator-spill-test-{label}-{}-{}",
-            std::process::id(),
-            NONCE.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     #[test]
     fn builder_matches_collect_sort_dedup() {
         // A deterministic pseudo-random edge stream spanning many chunks.
         let n = 50usize;
         let edges = pseudo_random_edges(n, 5000);
         for capacity in [1, 7, 64, 4096, usize::MAX] {
-            let mut builder = EdgeListBuilder::with_chunk_capacity(n, capacity)
-                .with_memory_budget(MemoryBudget::unbounded());
+            let mut builder = EdgeListBuilder::with_chunk_capacity(n, capacity);
             for &e in &edges {
                 builder.push(e).unwrap();
             }
@@ -886,67 +595,6 @@ mod tests {
             assert_eq!(built, reference(n, &edges), "capacity {capacity}");
             assert!(built.is_sorted());
         }
-    }
-
-    #[test]
-    fn spilled_builder_is_bit_identical_to_in_memory() {
-        let n = 64usize;
-        let edges = pseudo_random_edges(n, 4000);
-        let expected = reference(n, &edges);
-        let dir = spill_dir("bit-identical");
-        // Budgets straddling the chunk size: spill-everything, exactly one
-        // resident chunk, and a mid-stream cap.
-        let chunk_bytes = (128 * SPILL_RECORD_BYTES) as u64;
-        for budget in [0, chunk_bytes, 3 * chunk_bytes + 1] {
-            let mut builder = EdgeListBuilder::with_chunk_capacity(n, 128)
-                .with_memory_budget(MemoryBudget::bytes(budget))
-                .with_spill_dir(&dir);
-            for &e in &edges {
-                builder.push(e).unwrap();
-            }
-            assert!(
-                builder.spilled_chunks() > 0,
-                "budget {budget} never spilled"
-            );
-            let built = builder.try_finish().unwrap();
-            assert_eq!(built, expected, "budget {budget}");
-        }
-        // Run-files are deleted once the merge consumed them.
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn zero_budget_spills_every_sealed_chunk() {
-        let dir = spill_dir("zero-budget");
-        let mut builder = EdgeListBuilder::with_chunk_capacity(16, 4)
-            .with_memory_budget(MemoryBudget::bytes(0))
-            .with_spill_dir(&dir);
-        for e in pseudo_random_edges(16, 41) {
-            builder.push(e).unwrap();
-        }
-        // 10 full chunks sealed during push; the remainder seals in finish.
-        assert_eq!(builder.spilled_chunks(), 10);
-        assert_eq!(builder.len(), 41);
-        assert!(builder.peak_resident_bytes() <= (4 * SPILL_RECORD_BYTES) as u64);
-        let built = builder.try_finish().unwrap();
-        assert!(built.is_sorted());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn exact_fit_budget_never_spills() {
-        let dir = spill_dir("exact-fit");
-        let edges = pseudo_random_edges(32, 256);
-        let mut builder = EdgeListBuilder::with_chunk_capacity(32, 64)
-            .with_memory_budget(MemoryBudget::bytes((256 * SPILL_RECORD_BYTES) as u64))
-            .with_spill_dir(&dir);
-        for &e in &edges {
-            builder.push(e).unwrap();
-        }
-        assert_eq!(builder.spilled_chunks(), 0);
-        assert_eq!(builder.try_finish().unwrap(), reference(32, &edges));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -972,17 +620,13 @@ mod tests {
     fn symmetric_pairs_are_stored_once() {
         let n = 10usize;
         let pairs = pseudo_random_edges(n, 8);
-        let mut builder = EdgeListBuilder::with_chunk_capacity(n, 4)
-            .with_memory_budget(MemoryBudget::unbounded());
+        let mut builder = EdgeListBuilder::with_chunk_capacity(n, 4);
         for &e in &pairs {
             builder.push_symmetric(e).unwrap();
         }
         // Two sealed chunks of four records each, standing for 16 edges.
         assert_eq!(builder.len(), 16);
-        assert_eq!(
-            builder.peak_resident_bytes(),
-            (8 * SPILL_RECORD_BYTES) as u64
-        );
+        assert_eq!(builder.peak_resident_bytes(), (8 * RECORD_BYTES) as u64);
         assert_eq!(builder.finish(), symmetric_reference(n, &pairs));
     }
 
@@ -1032,35 +676,26 @@ mod tests {
     }
 
     #[test]
-    fn band_builders_under_a_budget_spill_and_match() {
-        // The generators' flow: one band builder per worker, each with its
-        // share of the budget, absorbed in worker order and finished on the
-        // same worker count.
+    fn band_builders_absorbed_in_worker_order_match() {
+        // The generators' flow: one band builder per worker, absorbed in
+        // worker order and finished on the same worker count.
         let n = 64usize;
         let pairs = pseudo_random_edges(n, 3000);
         let expected = symmetric_reference(n, &pairs);
-        let dir = spill_dir("bands");
         for workers in [1usize, 2, 7] {
-            for budget in [MemoryBudget::bytes(2048), MemoryBudget::unbounded()] {
-                let mut merged = EdgeListBuilder::with_chunk_capacity(n, 64)
-                    .with_memory_budget(budget)
-                    .with_spill_dir(&dir);
-                let bounds = crate::parallel::even_bounds(pairs.len(), workers);
-                for range in bounds.windows(2) {
-                    let mut band = merged.band_builder(workers);
-                    for &e in &pairs[range[0]..range[1]] {
-                        band.push_symmetric(e).unwrap();
-                    }
-                    merged.absorb(band);
+            let mut merged = EdgeListBuilder::with_chunk_capacity(n, 64);
+            let bounds = crate::parallel::even_bounds(pairs.len(), workers);
+            for range in bounds.windows(2) {
+                let mut band = merged.band_builder();
+                for &e in &pairs[range[0]..range[1]] {
+                    band.push_symmetric(e).unwrap();
                 }
-                assert_eq!(merged.len(), 2 * pairs.len());
-                assert_eq!(merged.spilled_chunks() > 0, budget.is_bounded());
-                let built = merged.try_finish_with_workers(workers).unwrap();
-                assert_eq!(built, expected, "{workers} workers, {budget}");
+                merged.absorb(band);
             }
+            assert_eq!(merged.len(), 2 * pairs.len());
+            let built = merged.try_finish_with_workers(workers).unwrap();
+            assert_eq!(built, expected, "{workers} workers");
         }
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

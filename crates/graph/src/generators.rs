@@ -17,9 +17,8 @@
 //! `levels` draws of the SplitMix64 stream, so the attempt range `[a, b)`
 //! starts `a · levels` draws in, where an O(1) [`StdRng::advance`] puts a
 //! copy of the generator. Each worker streams its kept pairs into its own
-//! builder with its share of the memory budget; the builders are absorbed
-//! in worker order and the caller's generator is advanced past every
-//! attempt before the sequential trim. The trim shuffles edge positions
+//! builder; the builders are absorbed in worker order and the caller's
+//! generator is advanced past every attempt before the sequential trim. The trim shuffles edge positions
 //! rather than edges and keeps the survivors in list order, so it needs no
 //! sort, and the builder writes out only the surviving edges.
 
@@ -178,7 +177,7 @@ pub(crate) fn rmat_with_workers(
     let bounds = even_bounds(attempts, workers);
     let bands: Vec<(Range<usize>, EdgeListBuilder)> = bounds
         .windows(2)
-        .map(|w| (w[0]..w[1], builder.band_builder(workers)))
+        .map(|w| (w[0]..w[1], builder.band_builder()))
         .collect();
     let bands = run_bands(bands, |(range, mut band)| {
         let mut rng = rng.clone();

@@ -9,12 +9,9 @@
 //! * [`EdgeList`] and [`CsrGraph`] — edge-list and compressed-sparse-row
 //!   graph representations,
 //! * [`EdgeListBuilder`] — streaming chunked construction: generators emit
-//!   edge chunks that a counting sort by source, in row bands on several
-//!   workers, puts in canonical order, instead of comparison-sorting one
-//!   giant vector at the end; under a bounded [`MemoryBudget`] sealed
-//!   chunks spill to disk run-files and a k-way merge streams them back,
-//! * [`MemoryBudget`] (and the [`memory`] module) — the out-of-core memory
-//!   cap (`GNNERATOR_MEM_BUDGET`) plus process-wide spill/peak telemetry,
+//!   in-memory edge chunks that a counting sort by source, in row bands on
+//!   several workers, puts in canonical order, instead of comparison-sorting
+//!   one giant vector at the end,
 //! * [`NodeFeatures`] — the dense per-node feature table,
 //! * [`generators`] — seeded synthetic graph generators (Erdős–Rényi with
 //!   geometric skip sampling and an R-MAT/power-law generator) used to stand
@@ -56,18 +53,16 @@ mod edge_list;
 mod error;
 mod features;
 pub mod generators;
-pub mod memory;
 mod parallel;
 mod plan_cache;
 mod shard;
 
 pub use cache::{ArtifactCache, CACHE_ENV_VAR, FORMAT_VERSION};
 pub use csr::CsrGraph;
-pub use edge_builder::{EdgeListBuilder, DEFAULT_CHUNK_CAPACITY};
+pub use edge_builder::EdgeListBuilder;
 pub use edge_list::{Edge, EdgeList};
 pub use error::GraphError;
 pub use features::NodeFeatures;
-pub use memory::{memory_telemetry, MemoryBudget, MemoryTelemetry, MEM_BUDGET_ENV_VAR};
 pub use plan_cache::{PlanKey, ShardPlanCache};
 pub use shard::{
     OccupiedTraversal, SerpentineCoords, ShardCoord, ShardGrid, ShardMeta, ShardSummary, ShardView,

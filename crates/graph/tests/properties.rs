@@ -5,8 +5,8 @@
 //! synthetic generators respect their advertised statistics.
 
 use gnnerator_graph::{
-    generators, ArtifactCache, CsrGraph, Edge, EdgeList, EdgeListBuilder, MemoryBudget, ShardCoord,
-    ShardGrid, ShardSummary, TraversalOrder,
+    generators, ArtifactCache, CsrGraph, Edge, EdgeList, EdgeListBuilder, ShardCoord, ShardGrid,
+    ShardSummary, TraversalOrder,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -391,86 +391,21 @@ proptest! {
     }
 
     #[test]
-    fn spilled_builder_is_bit_identical_at_budget_boundaries(
-        edges in edge_list(),
-        capacity in 1usize..32,
-    ) {
-        // The out-of-core merge must reproduce the in-memory path exactly at
-        // every budget regime: spill-everything, budgets straddling the
-        // chunk-size edge (one chunk resident / one byte short of it), an
-        // exact fit for the whole input, and unbounded.
-        let edge_bytes = std::mem::size_of::<Edge>() as u64;
-        let chunk_bytes = capacity as u64 * edge_bytes;
-        let total_bytes = edges.iter().count() as u64 * edge_bytes;
-        let budgets = [
-            MemoryBudget::bytes(0),
-            MemoryBudget::bytes(chunk_bytes.saturating_sub(1)),
-            MemoryBudget::bytes(chunk_bytes),
-            MemoryBudget::bytes(total_bytes),
-            MemoryBudget::unbounded(),
-        ];
-        let mut reference: Vec<Edge> = edges.iter().copied().collect();
-        reference.sort_unstable();
-        reference.dedup();
-        let dir = unique_cache_dir();
-        for budget in budgets {
-            let mut builder = EdgeListBuilder::with_chunk_capacity(edges.num_nodes(), capacity)
-                .with_memory_budget(budget)
-                .with_spill_dir(&dir);
-            for e in edges.iter() {
-                builder.push(*e).unwrap();
-            }
-            let built = builder.try_finish().unwrap();
-            prop_assert_eq!(built.as_slice(), reference.as_slice());
-            prop_assert!(built.is_sorted());
-        }
-        // Every spill run file is reclaimed once its merge completes.
-        if let Ok(entries) = std::fs::read_dir(&dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                prop_assert!(
-                    !name.to_string_lossy().ends_with(".run"),
-                    "leaked spill run file: {:?}",
-                    name
-                );
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn builder_is_bit_identical_on_hub_heavy_inputs_with_mixed_chunks(
         (n, edges) in hub_heavy_edges(),
         capacity in 1usize..24,
-        resident_chunks in 0u64..4,
     ) {
-        // Budgets of a few whole chunks keep the first chunks in memory and
-        // spill the rest, so the merge sees both kinds of input; the
-        // unbounded builder takes the counting-sort path.
+        // Hub rows and many small chunks through the counting sort.
         let mut reference = edges.clone();
         reference.sort_unstable();
         reference.dedup();
-        let chunk_bytes = capacity as u64 * std::mem::size_of::<Edge>() as u64;
-        let chunks = edges.len().div_ceil(capacity);
-        let dir = unique_cache_dir();
-        for budget in [
-            MemoryBudget::bytes(resident_chunks * chunk_bytes),
-            MemoryBudget::unbounded(),
-        ] {
-            let mut builder = EdgeListBuilder::with_chunk_capacity(n, capacity)
-                .with_memory_budget(budget)
-                .with_spill_dir(&dir);
-            for &e in &edges {
-                builder.push(e).unwrap();
-            }
-            if budget.is_bounded() && chunks > resident_chunks as usize + 1 {
-                prop_assert!(builder.spilled_chunks() > 0);
-            }
-            let built = builder.try_finish().unwrap();
-            prop_assert_eq!(built.as_slice(), reference.as_slice());
-            prop_assert!(built.is_sorted());
+        let mut builder = EdgeListBuilder::with_chunk_capacity(n, capacity);
+        for &e in &edges {
+            builder.push(e).unwrap();
         }
-        std::fs::remove_dir_all(&dir).ok();
+        let built = builder.finish();
+        prop_assert_eq!(built.as_slice(), reference.as_slice());
+        prop_assert!(built.is_sorted());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Unified telemetry spine for the GNNerator stack.
 //!
 //! Every layer of the workspace used to keep its own counters: process-wide
-//! `static AtomicU64`s in `gnnerator-graph::memory`, a serve-local latency
+//! `static AtomicU64`s in the graph crate, a serve-local latency
 //! histogram, ad-hoc fields on the session pool and sweep runner. This crate
 //! collapses them onto one spine:
 //!
@@ -13,12 +13,9 @@
 //!   propagates up the chain to the process-global root returned by
 //!   [`Recorder::global`]. A component handed a scoped recorder therefore
 //!   gets *isolated* counts (two concurrent sessions no longer interleave
-//!   into one global) while process-wide views (`memory_telemetry()`,
-//!   `/stats`, `/metrics`) stay coherent,
-//! * [`MemoryStats`] — snapshot-and-delta semantics over the memory
-//!   counters ([`MemoryStats::delta_since`]), so consumers report intervals
-//!   without ever resetting shared counters (resetting is what loses counts
-//!   recorded between the reset and the following read),
+//!   into one global) while process-wide views (`/stats`, `/metrics`) stay
+//!   coherent,
+//! * [`MemoryStats`] — a snapshot of a recorder's memory counters,
 //! * [`PromText`] — a hand-rolled Prometheus text-format (version 0.0.4)
 //!   writer for the `GET /metrics` endpoint,
 //! * [`RequestProvenance`] — the per-request span breakdown (queue wait →
@@ -38,4 +35,4 @@ mod recorder;
 pub use hist::{Histogram, MIN_BUCKET_SECONDS, NUM_BUCKETS};
 pub use prom::PromText;
 pub use provenance::{RequestProvenance, Span};
-pub use recorder::{Counter, MaxGauge, MemoryCounters, MemoryStats, Recorder};
+pub use recorder::{MaxGauge, MemoryCounters, MemoryStats, Recorder};

@@ -11,32 +11,11 @@
 //!   process-wide statics did,
 //! * a caller that *does* scope (one recorder per session, per sweep, per
 //!   bench run) reads back counts attributable to that scope alone, while
-//!   the global root still sees everything — `/metrics` and
-//!   `memory_telemetry()` stay whole-process views.
-//!
-//! Interval reporting uses [`MemoryStats`] snapshots and
-//! [`MemoryStats::delta_since`] rather than resetting counters: a reset
-//! silently drops anything recorded between the reset and the next read,
-//! which is exactly the race sweep reporting used to be exposed to.
+//!   the global root still sees everything — `/stats` and `/metrics` stay
+//!   whole-process views.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// A monotonic atomic counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Adds `n` to the counter.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// An atomic high-water mark: `note` keeps the maximum ever observed.
 #[derive(Debug, Default)]
@@ -54,43 +33,19 @@ impl MaxGauge {
     }
 }
 
-/// The memory / out-of-core counter set every [`Recorder`] owns: the
-/// graph build path's resident-bytes peak and spill total.
+/// The memory counter set every [`Recorder`] owns: the graph build path's
+/// resident-bytes peak.
 #[derive(Debug, Default)]
 pub struct MemoryCounters {
     /// Peak resident pipeline bytes observed (high-water mark).
     pub peak_resident_bytes: MaxGauge,
-    /// Sealed chunks spilled to disk run-files.
-    pub spilled_chunks: Counter,
 }
 
 /// A point-in-time snapshot of a recorder's memory counters.
-///
-/// The spill counter subtracts cleanly across snapshots
-/// ([`MemoryStats::delta_since`]); the peak is not a difference (a
-/// high-water mark has no meaningful delta), so the delta carries the
-/// *later* snapshot's value for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryStats {
     /// Peak resident pipeline bytes observed.
     pub peak_resident_bytes: u64,
-    /// Sealed chunks spilled to disk run-files.
-    pub spilled_chunks: u64,
-}
-
-impl MemoryStats {
-    /// Counts recorded since `earlier` was snapshotted: the spill counter
-    /// subtracts (saturating, so reordered snapshots cannot underflow);
-    /// `peak_resident_bytes` carries this (the later) snapshot's value.
-    /// This is the snapshot-and-delta replacement for resetting shared
-    /// counters — nothing recorded between two snapshots can be dropped,
-    /// because nothing is ever zeroed.
-    pub fn delta_since(&self, earlier: &MemoryStats) -> MemoryStats {
-        MemoryStats {
-            peak_resident_bytes: self.peak_resident_bytes,
-            spilled_chunks: self.spilled_chunks.saturating_sub(earlier.spilled_chunks),
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -117,7 +72,7 @@ impl Default for Recorder {
 impl Recorder {
     /// The process-global root recorder. Everything recorded anywhere in
     /// the process (directly or via parent-chain propagation) is visible
-    /// here; `memory_telemetry()` and `GET /metrics` read from it.
+    /// here; `GET /stats` and `GET /metrics` read from it.
     pub fn global() -> &'static Recorder {
         static GLOBAL: OnceLock<Recorder> = OnceLock::new();
         GLOBAL.get_or_init(Recorder::detached)
@@ -177,17 +132,11 @@ impl Recorder {
         self.each(|m| m.peak_resident_bytes.note(bytes));
     }
 
-    /// Records `count` sealed chunks spilled to disk run-files.
-    pub fn note_spilled_chunks(&self, count: u64) {
-        self.each(|m| m.spilled_chunks.add(count));
-    }
-
     /// Snapshots this recorder's memory counters.
     pub fn memory_stats(&self) -> MemoryStats {
         let m = &self.inner.memory;
         MemoryStats {
             peak_resident_bytes: m.peak_resident_bytes.get(),
-            spilled_chunks: m.spilled_chunks.get(),
         }
     }
 }
@@ -201,12 +150,15 @@ mod tests {
         let root = Recorder::detached();
         let a = root.child();
         let b = root.child();
-        a.note_spilled_chunks(1);
-        a.note_spilled_chunks(1);
-        b.note_spilled_chunks(5);
-        assert_eq!(a.memory_stats().spilled_chunks, 2);
-        assert_eq!(b.memory_stats().spilled_chunks, 5, "siblings are isolated");
-        assert_eq!(root.memory_stats().spilled_chunks, 7);
+        a.note_resident_bytes(2);
+        b.note_resident_bytes(5);
+        assert_eq!(a.memory_stats().peak_resident_bytes, 2);
+        assert_eq!(
+            b.memory_stats().peak_resident_bytes,
+            5,
+            "siblings are isolated"
+        );
+        assert_eq!(root.memory_stats().peak_resident_bytes, 5);
     }
 
     #[test]
@@ -224,30 +176,6 @@ mod tests {
             150,
             "parents do not feed children"
         );
-    }
-
-    #[test]
-    fn delta_since_subtracts_counters_and_keeps_marks() {
-        let r = Recorder::detached();
-        r.note_spilled_chunks(3);
-        r.note_resident_bytes(1000);
-        let before = r.memory_stats();
-        r.note_spilled_chunks(2);
-        r.note_resident_bytes(500); // below the peak: mark unchanged
-        let delta = r.memory_stats().delta_since(&before);
-        assert_eq!(delta.spilled_chunks, 2);
-        assert_eq!(delta.peak_resident_bytes, 1000, "marks carry, not subtract");
-    }
-
-    #[test]
-    fn delta_since_never_underflows_on_reordered_snapshots() {
-        let r = Recorder::detached();
-        r.note_spilled_chunks(1);
-        let later = r.memory_stats();
-        r.note_spilled_chunks(1);
-        let newest = r.memory_stats();
-        let reordered = later.delta_since(&newest);
-        assert_eq!(reordered.spilled_chunks, 0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! A small, dependency-free JSON layer for the serving API.
 //!
-//! The workspace has no serialisation framework, so — like
-//! `sweep_report.rs` on the benchmark side — request and response bodies are
-//! parsed and rendered by hand. Unlike the benchmark's flat row parser this
-//! one is recursive (the `/sweep` endpoint carries an array of scenario
+//! The workspace has no serialisation framework, so request and response
+//! bodies are parsed and rendered by hand, here. The benchmark's
+//! `BENCH_sweep.json` rows go through the same parser and writers. The parser
+//! is recursive (the `/sweep` endpoint carries an array of scenario
 //! objects), with a depth cap so a hostile body cannot overflow the stack.
 
 use std::fmt::Write as _;

@@ -61,7 +61,7 @@ use crate::pool::{BreakerConfig, PoolError, SessionPool};
 use crate::request::scenario_from_json;
 use gnnerator::{evaluate_scenario_batch, ScenarioResult, ScenarioSpec, SessionKey, SimSession};
 use gnnerator_faults::lock_recover;
-use gnnerator_graph::{ArtifactCache, MemoryBudget};
+use gnnerator_graph::ArtifactCache;
 use gnnerator_observe::{PromText, Recorder, RequestProvenance};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader};
@@ -172,9 +172,6 @@ impl ServeConfig {
         if let Some(v) = read("GNNERATOR_SERVE_BREAKER_BACKOFF_MS") {
             config.breaker.base_backoff = Duration::from_millis(v.max(1) as u64);
         }
-        // The graph memory budget is deliberately left as the `None`
-        // (follow `GNNERATOR_MEM_BUDGET`) default: the budget is a
-        // process-wide graph-pipeline knob, not a `GNNERATOR_SERVE_*` one.
         config
     }
 }
@@ -1376,12 +1373,9 @@ fn stats_body(state: &ServerState) -> String {
         state.worker_panics.load(Ordering::Relaxed),
         state.worker_respawns.load(Ordering::Relaxed),
     );
-    let telemetry = gnnerator_graph::memory::memory_telemetry();
     let memory = format!(
-        "{{\"budget\": {}, \"peak_resident_bytes\": {}, \"spilled_chunks\": {}}}",
-        json_string(&MemoryBudget::from_env().to_string()),
-        telemetry.peak_resident_bytes,
-        telemetry.spilled_chunk_count,
+        "{{\"peak_resident_bytes\": {}}}",
+        Recorder::global().memory_stats().peak_resident_bytes,
     );
     let faults = gnnerator_faults::stats()
         .into_iter()
@@ -1716,11 +1710,6 @@ fn metrics_body(state: &ServerState) -> String {
         "gnnerator_memory_peak_resident_bytes",
         "High-water mark of tracked resident graph bytes.",
         memory.peak_resident_bytes as f64,
-    );
-    prom.counter(
-        "gnnerator_memory_spilled_chunks_total",
-        "Edge chunks spilled to disk by the out-of-core builder.",
-        memory.spilled_chunks,
     );
     // Fault injection: armed spec plus per-point hit/trip counts.
     let armed = gnnerator_faults::armed_spec();

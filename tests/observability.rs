@@ -134,6 +134,31 @@ fn concurrent_scrapes_parse_and_counters_stay_monotonic() {
         after["gnnerator_requests_total"] > before["gnnerator_requests_total"],
         "the extra request must be visible"
     );
+
+    // `/stats` and `/metrics` read the memory peak from one source, so on
+    // the idle server they agree. The peak is process-wide and other tests
+    // in this binary may raise it at any moment; a `/metrics` read between
+    // two equal `/stats` reads saw the same value, because it only rises.
+    let stats_peak = || {
+        let response = client::get(addr, "/stats").expect("stats succeeds");
+        assert_eq!(response.status, 200, "{}", response.body);
+        Json::parse(&response.body)
+            .and_then(|stats| stats.get("memory")?.get("peak_resident_bytes")?.as_u64())
+            .expect("/stats carries memory.peak_resident_bytes")
+    };
+    let agreed = (0..50).any(|_| {
+        let before = stats_peak();
+        let metrics_peak = scrape(addr).1["gnnerator_memory_peak_resident_bytes"];
+        if stats_peak() != before {
+            return false;
+        }
+        assert_eq!(metrics_peak, before as f64, "/metrics vs /stats peak");
+        true
+    });
+    assert!(
+        agreed,
+        "the memory peak never held still across three reads"
+    );
     server.shutdown();
 }
 
