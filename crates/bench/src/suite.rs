@@ -338,7 +338,7 @@ impl SuiteContext {
         workload
             .network
             .build(
-                dataset.features.dim(),
+                dataset.spec.feature_dim,
                 self.options.hidden_dim,
                 workload.num_classes(),
                 1,
@@ -513,7 +513,7 @@ mod tests {
         for kind in DatasetKind::ALL {
             let ds = ctx.dataset(kind).unwrap();
             assert!(ds.num_nodes() > 0);
-            assert_eq!(ds.features.dim(), kind.spec().feature_dim);
+            assert_eq!(ds.spec.feature_dim, kind.spec().feature_dim);
         }
         assert!((ctx.options().scale - 0.05).abs() < 1e-9);
         assert_eq!(ctx.runner().cached_datasets(), 3);

@@ -404,7 +404,7 @@ fn serial_reference(
     let model = scenario
         .network
         .build(
-            dataset.features.dim(),
+            dataset.spec.feature_dim,
             scenario.hidden_dim,
             scenario.out_dim,
             scenario.hidden_layers,

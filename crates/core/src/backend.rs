@@ -78,7 +78,7 @@ impl fmt::Display for BackendKind {
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
 /// let dataset = DatasetKind::Cora.spec().scaled(0.05).synthesize(7)?;
-/// let model = NetworkKind::Gcn.build_paper_config(dataset.features.dim(), 7)?;
+/// let model = NetworkKind::Gcn.build_paper_config(dataset.spec.feature_dim, 7)?;
 /// let session = Arc::new(SimSession::new(model, &dataset)?);
 /// let backend = GnneratorBackend::new(
 ///     Arc::clone(&session),
@@ -196,7 +196,7 @@ mod tests {
             .synthesize(11)
             .unwrap();
         let model = NetworkKind::Gcn
-            .build_paper_config(dataset.features.dim(), 7)
+            .build_paper_config(dataset.spec.feature_dim, 7)
             .unwrap();
         Arc::new(SimSession::new(model, &dataset).unwrap())
     }

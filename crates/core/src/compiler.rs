@@ -2,6 +2,7 @@ use crate::program::{AggregationOp, DenseOp, LayerPlan, Program};
 use crate::{cost, DataflowConfig, GnneratorConfig, GnneratorError, GraphEngine};
 use gnnerator_gnn::{GnnModel, Stage};
 use gnnerator_graph::{EdgeList, ShardPlanCache};
+use std::sync::Arc;
 
 /// The GNNerator compiler: lowers a [`GnnModel`] plus a graph onto the two
 /// engines, producing a [`Program`] of per-layer execution plans.
@@ -82,7 +83,7 @@ impl Compiler {
     pub fn compile(&self, model: &GnnModel, edges: &EdgeList) -> Result<Program, GnneratorError> {
         // A throwaway cache keeps the one-shot path on the same code as the
         // session path (and already dedups identical grids across layers).
-        let plans = ShardPlanCache::new(edges.clone());
+        let plans = ShardPlanCache::new(Arc::new(edges.clone()));
         self.compile_cached(model, &plans)
     }
 

@@ -101,7 +101,7 @@ impl fmt::Display for GnneratorError {
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let dataset = DatasetKind::Cora.spec().scaled(0.05).synthesize(1)?;
-/// let model = NetworkKind::Gcn.build_paper_config(dataset.features.dim(), 7)?;
+/// let model = NetworkKind::Gcn.build_paper_config(dataset.spec.feature_dim, 7)?;
 /// // A DRAM clocked at 0 GHz is rejected when the timing model is built.
 /// let mut config = GnneratorConfig::paper_default();
 /// config.dram.core_frequency_ghz = 0.0;

@@ -51,28 +51,28 @@ use gnnerator_tensor::{ops, Matrix};
 pub fn execute_blocked(
     model: &GnnModel,
     edges: &EdgeList,
-    features: &NodeFeatures,
+    input: &NodeFeatures,
     config: &GnneratorConfig,
     dataflow: &DataflowConfig,
 ) -> Result<Matrix, GnneratorError> {
-    if features.dim() != model.input_dim() {
+    if input.dim() != model.input_dim() {
         return Err(GnneratorError::unmappable(format!(
             "features are {}-dimensional but the model expects {}",
-            features.dim(),
+            input.dim(),
             model.input_dim()
         )));
     }
-    if features.num_nodes() != edges.num_nodes() {
+    if input.num_nodes() != edges.num_nodes() {
         return Err(GnneratorError::unmappable(format!(
             "feature table has {} rows but the graph has {} nodes",
-            features.num_nodes(),
+            input.num_nodes(),
             edges.num_nodes()
         )));
     }
     let compiler = Compiler::new(config.clone(), *dataflow)?;
     let program = compiler.compile(model, edges)?;
 
-    let mut current = features.as_matrix().clone();
+    let mut current = input.as_matrix().clone();
     for (plan, layer) in program.layers.iter().zip(model.layers()) {
         let layer_input = current.clone();
 

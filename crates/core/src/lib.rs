@@ -37,7 +37,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // A scaled-down Cora so the doctest stays fast.
 //! let dataset = DatasetKind::Cora.spec().scaled(0.05).synthesize(7)?;
-//! let model = NetworkKind::Gcn.build_paper_config(dataset.features.dim(), 7)?;
+//! let model = NetworkKind::Gcn.build_paper_config(dataset.spec.feature_dim, 7)?;
 //!
 //! // Compile once, execute under two dataflows.
 //! let session = SimSession::new(model, &dataset)?;

@@ -31,7 +31,7 @@ use std::sync::Arc;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let dataset = DatasetKind::Cora.spec().scaled(0.05).synthesize(7)?;
-/// let model = NetworkKind::Gcn.build_paper_config(dataset.features.dim(), 7)?;
+/// let model = NetworkKind::Gcn.build_paper_config(dataset.spec.feature_dim, 7)?;
 /// let session = SimSession::new(model, &dataset)?;
 ///
 /// // Compile once per configuration; graphs are sharded at most once per
@@ -65,8 +65,8 @@ impl SimSession {
     /// # Errors
     ///
     /// Returns [`GnneratorError::Unmappable`] if the dataset's feature
-    /// dimension does not match the model's input dimension, or if the graph
-    /// has no nodes.
+    /// dimension (`spec.feature_dim`) does not match the model's input
+    /// dimension, or if the graph has no nodes.
     pub fn new(model: GnnModel, dataset: &Dataset) -> Result<Self, GnneratorError> {
         Self::build(model, dataset, None)
     }
@@ -107,23 +107,25 @@ impl SimSession {
         dataset: &Dataset,
         cache: Option<Arc<ArtifactCache>>,
     ) -> Result<Self, GnneratorError> {
-        if dataset.features.dim() != model.input_dim() {
+        if dataset.spec.feature_dim != model.input_dim() {
             return Err(GnneratorError::unmappable(format!(
                 "dataset features are {}-dimensional but the model expects {}",
-                dataset.features.dim(),
+                dataset.spec.feature_dim,
                 model.input_dim()
             )));
         }
-        if dataset.edge_list.num_nodes() == 0 {
+        if dataset.num_nodes() == 0 {
             return Err(GnneratorError::unmappable("graph has no nodes"));
         }
+        // The session shares the dataset's edges; it never copies them.
+        let edges = Arc::clone(&dataset.edge_list);
         let plans = match cache {
             Some(cache) => ShardPlanCache::with_disk_cache(
-                dataset.edge_list.clone(),
+                edges,
                 cache,
                 ArtifactCache::dataset_key(&dataset.spec, dataset.seed),
             ),
-            None => ShardPlanCache::new(dataset.edge_list.clone()),
+            None => ShardPlanCache::new(edges),
         };
         Ok(Self {
             model,
@@ -152,7 +154,7 @@ impl SimSession {
         Ok(Self {
             model,
             dataset_name: dataset_name.into(),
-            plans: ShardPlanCache::new(edges),
+            plans: ShardPlanCache::new(Arc::new(edges)),
             recorder: Recorder::default(),
             graph_build_seconds: 0.0,
         })
@@ -337,7 +339,7 @@ mod tests {
             .synthesize(11)
             .unwrap();
         let model = NetworkKind::Gcn
-            .build_paper_config(dataset.features.dim(), 7)
+            .build_paper_config(dataset.spec.feature_dim, 7)
             .unwrap();
         SimSession::new(model, &dataset).unwrap()
     }
@@ -370,7 +372,7 @@ mod tests {
             .synthesize(11)
             .unwrap();
         let model = NetworkKind::Graphsage
-            .build_paper_config(dataset.features.dim(), 7)
+            .build_paper_config(dataset.spec.feature_dim, 7)
             .unwrap();
         let session = SimSession::new(model.clone(), &dataset).unwrap();
         let config = GnneratorConfig::paper_default();
@@ -445,7 +447,7 @@ mod tests {
             .synthesize(11)
             .unwrap();
         let model = NetworkKind::Gcn
-            .build_paper_config(dataset.features.dim(), 7)
+            .build_paper_config(dataset.spec.feature_dim, 7)
             .unwrap();
         let config = GnneratorConfig::paper_default();
 

@@ -51,7 +51,7 @@ pub type Cycle = u64;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let dataset = DatasetKind::Pubmed.spec().scaled(0.02).synthesize(1)?;
-/// let model = NetworkKind::Graphsage.build_paper_config(dataset.features.dim(), 3)?;
+/// let model = NetworkKind::Graphsage.build_paper_config(dataset.spec.feature_dim, 3)?;
 /// let sim = Simulator::new(GnneratorConfig::paper_default())?;
 /// let report = sim.simulate(&model, &dataset)?;
 /// assert_eq!(report.layers.len(), 2);
@@ -211,7 +211,9 @@ mod tests {
         let dataset = tiny_dataset();
         let sim = Simulator::new(GnneratorConfig::paper_default()).unwrap();
         for kind in NetworkKind::ALL {
-            let model = kind.build_paper_config(dataset.features.dim(), 7).unwrap();
+            let model = kind
+                .build_paper_config(dataset.spec.feature_dim, 7)
+                .unwrap();
             let report = sim.simulate(&model, &dataset).unwrap();
             assert!(report.total_cycles > 0, "{kind}");
             assert_eq!(report.layers.len(), 2);
@@ -228,7 +230,7 @@ mod tests {
     fn total_cycles_is_the_sum_of_layer_cycles() {
         let dataset = tiny_dataset();
         let model = NetworkKind::Gcn
-            .build_paper_config(dataset.features.dim(), 7)
+            .build_paper_config(dataset.spec.feature_dim, 7)
             .unwrap();
         let sim = Simulator::new(GnneratorConfig::paper_default()).unwrap();
         let report = sim.simulate(&model, &dataset).unwrap();
@@ -240,7 +242,7 @@ mod tests {
     fn simulation_is_deterministic() {
         let dataset = tiny_dataset();
         let model = NetworkKind::Graphsage
-            .build_paper_config(dataset.features.dim(), 7)
+            .build_paper_config(dataset.spec.feature_dim, 7)
             .unwrap();
         let sim = Simulator::new(GnneratorConfig::paper_default()).unwrap();
         let a = sim.simulate(&model, &dataset).unwrap();
@@ -253,7 +255,9 @@ mod tests {
         let dataset = tiny_dataset();
         let sim = Simulator::new(GnneratorConfig::paper_default()).unwrap();
         for kind in NetworkKind::ALL {
-            let model = kind.build_paper_config(dataset.features.dim(), 7).unwrap();
+            let model = kind
+                .build_paper_config(dataset.spec.feature_dim, 7)
+                .unwrap();
             let session = SimSession::new(model.clone(), &dataset).unwrap();
             let workload = session
                 .compile(
@@ -282,7 +286,7 @@ mod tests {
     fn doubling_bandwidth_never_hurts() {
         let dataset = tiny_dataset();
         let model = NetworkKind::Gcn
-            .build_paper_config(dataset.features.dim(), 7)
+            .build_paper_config(dataset.spec.feature_dim, 7)
             .unwrap();
         let base = Simulator::new(GnneratorConfig::paper_default()).unwrap();
         let fast = Simulator::new(GnneratorConfig::paper_default().with_double_feature_bandwidth())
@@ -350,7 +354,7 @@ mod tests {
     fn report_metadata_is_filled_in() {
         let dataset = tiny_dataset();
         let model = NetworkKind::Gcn
-            .build_paper_config(dataset.features.dim(), 7)
+            .build_paper_config(dataset.spec.feature_dim, 7)
             .unwrap();
         let sim = Simulator::new(GnneratorConfig::paper_default()).unwrap();
         let report = sim.simulate(&model, &dataset).unwrap();

@@ -188,7 +188,7 @@ pub fn build_session(
     let model = scenario
         .network
         .build(
-            dataset.features.dim(),
+            dataset.spec.feature_dim,
             scenario.hidden_dim,
             scenario.out_dim,
             scenario.hidden_layers,

@@ -7,11 +7,11 @@
 //! is simulating the *right* computation.
 
 use crate::{GnnError, GnnModel, Stage};
-use gnnerator_graph::{CsrGraph, NodeFeatures};
+use gnnerator_graph::{CsrGraph, GraphError, NodeFeatures};
 use gnnerator_tensor::{ops, Matrix};
 
-/// Executes `model` on `graph` with input `features`, returning the output
-/// feature table (one row per node).
+/// Executes `model` on `graph` with the input feature table `input`,
+/// returning the output feature table (one row per node).
 ///
 /// # Errors
 ///
@@ -38,16 +38,26 @@ use gnnerator_tensor::{ops, Matrix};
 pub fn execute(
     model: &GnnModel,
     graph: &CsrGraph,
-    features: &NodeFeatures,
+    input: &NodeFeatures,
 ) -> Result<Matrix, GnnError> {
-    features.check_compatible(graph)?;
-    if features.dim() != model.input_dim() {
+    if input.num_nodes() != graph.num_nodes() {
+        return Err(GraphError::invalid(
+            "features",
+            format!(
+                "feature table has {} rows but the graph has {} nodes",
+                input.num_nodes(),
+                graph.num_nodes()
+            ),
+        )
+        .into());
+    }
+    if input.dim() != model.input_dim() {
         return Err(GnnError::DimensionMismatch {
             expected: model.input_dim(),
-            actual: features.dim(),
+            actual: input.dim(),
         });
     }
-    let mut current = features.as_matrix().clone();
+    let mut current = input.as_matrix().clone();
     for layer in model.layers() {
         current = execute_layer(layer, graph, &current)?;
     }

@@ -31,10 +31,23 @@
 //!
 //! Stores stream the payload to a temp file through one block buffer,
 //! checksumming each block on its way out, and patch the length and
-//! checksum slots last; no payload-sized buffer is ever built. Folding
-//! whole words makes the checksum eight times cheaper than byte-wise FNV-1a
-//! on both the store and every load, and any corruption confined to one
-//! word is still always detected (see `payload_checksum`).
+//! checksum slots last; no payload-sized buffer is ever built. Loads are the
+//! mirror image: they stream the payload in through one block buffer,
+//! checksumming each block as it arrives and decoding records straight into
+//! place. Folding whole words makes the checksum eight times cheaper than
+//! byte-wise FNV-1a on both the store and every load, and any corruption
+//! confined to one word is still always detected (see `payload_checksum`).
+//! A load checks the envelope's payload length against the file's real size,
+//! and the header's record count against that length, before it reserves
+//! any capacity, and it accepts an artifact only once its checksum matches.
+//!
+//! Since format version 5 a dataset artifact holds the dataset's identity
+//! and its edges, nothing else: the payload is the kind tag (`u8`), the
+//! spec's `vertices`, `edges` and `feature_dim`, the seed, `num_nodes` and
+//! `num_edges` (each a `u64`), then one 8-byte record per edge (`src` and
+//! `dst` as u32) in the list's order. Feature values are a pure function of
+//! `(spec, seed)` ([`DatasetSpec::features`]), so none are stored; the load
+//! checks every endpoint and the sort order as it decodes.
 //!
 //! Since format version 3 a shard-grid artifact stores a [`ShardSummary`]
 //! and no edges: the payload is a 32-byte header (`num_nodes`,
@@ -65,21 +78,20 @@
 //! [`GraphError::CacheArtifact`] without quarantining the (healthy) file.
 
 use crate::datasets::{Dataset, DatasetKind, DatasetSpec};
-use crate::{
-    CsrGraph, Edge, EdgeList, GraphError, NodeFeatures, ShardCoord, ShardMeta, ShardSummary,
-};
-use gnnerator_tensor::Matrix;
+use crate::{Edge, EdgeList, GraphError, ShardCoord, ShardMeta, ShardSummary};
 use std::fs::File;
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// On-disk format version; bump whenever the byte layout changes so stale
 /// artifacts are rejected (and rebuilt) instead of misread. Version 3
 /// replaced the shard-grid artifact's edge arena with the bare
 /// [`ShardSummary`] metadata table; version 4 replaced the byte-wise
-/// payload checksum with the word-wise one.
-pub const FORMAT_VERSION: u32 = 4;
+/// payload checksum with the word-wise one; version 5 dropped the feature
+/// table from the dataset artifact.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Environment variable controlling the cache. Accepted values (matched
 /// after trimming surrounding whitespace):
@@ -98,8 +110,10 @@ pub const CACHE_ENV_VAR: &str = "GNNERATOR_CACHE";
 const MAGIC: &[u8; 4] = b"GNNA";
 const KIND_DATASET: u8 = 1;
 const KIND_GRID: u8 = 2;
-/// Bytes of the shard-summary payload header (four `u64` fields).
-const SUMMARY_HEADER_BYTES: usize = 32;
+/// Bytes of one shard-metadata record.
+const META_RECORD_BYTES: usize = 32;
+/// Bytes of one stored edge (`src` and `dst` as u32).
+const EDGE_RECORD_BYTES: usize = 8;
 
 /// Monotonic nonce making concurrent temp-file names unique within a process.
 static TEMP_NONCE: AtomicU64 = AtomicU64::new(0);
@@ -266,23 +280,24 @@ impl ArtifactCache {
             ] {
                 w.put_u64(field)?;
             }
-            w.put_records(dataset.edge_list.as_slice(), 8, |e, record| {
-                record[..4].copy_from_slice(&e.src.to_le_bytes());
-                record[4..].copy_from_slice(&e.dst.to_le_bytes());
-            })?;
-            w.put_u64(dataset.features.num_nodes() as u64)?;
-            w.put_u64(dataset.features.dim() as u64)?;
-            w.put_records(dataset.features.as_matrix().as_slice(), 4, |v, record| {
-                record.copy_from_slice(&v.to_le_bytes());
-            })
+            w.put_records(
+                dataset.edge_list.as_slice(),
+                EDGE_RECORD_BYTES,
+                |e, record| {
+                    record[..4].copy_from_slice(&e.src.to_le_bytes());
+                    record[4..].copy_from_slice(&e.dst.to_le_bytes());
+                },
+            )
         })
     }
 
     /// Loads the dataset stored under `(spec, seed)`.
     ///
-    /// Returns `Ok(None)` on a clean miss. The loaded dataset is bit-identical
-    /// to the synthesised original (u32 edge endpoints and f32 feature bits
-    /// round-trip exactly; the CSR form is deterministically rebuilt).
+    /// Returns `Ok(None)` on a clean miss. The loaded edge list is
+    /// bit-identical to the synthesised original. The edges stream from the
+    /// file straight into one vector reserved for them, each endpoint and
+    /// the sort order checked on the way, and the dataset is returned only
+    /// once the payload checksum matches.
     ///
     /// # Errors
     ///
@@ -300,10 +315,9 @@ impl ArtifactCache {
         check_fault("cache_read", &path)?;
         let load = || {
             let start = std::time::Instant::now();
-            let Some(payload) = read_artifact(&path, KIND_DATASET, &key)? else {
+            let Some(mut r) = PayloadReader::open(&path, KIND_DATASET, &key)? else {
                 return Ok(None);
             };
-            let mut r = Reader::new(&payload, &path);
             let kind = kind_from_tag(r.u8()?)
                 .ok_or_else(|| reject(&path, "unknown dataset kind tag".to_string()))?;
             let vertices = r.u64()? as usize;
@@ -311,7 +325,7 @@ impl ArtifactCache {
             let feature_dim = r.u64()? as usize;
             let stored_seed = r.u64()?;
             // The spec's `name` is identity only through the key string (already
-            // verified by read_artifact), so a spec carrying a custom name still
+            // verified by PayloadReader::open), so a spec carrying a custom name still
             // hits; the numeric fields are double-checked here.
             let stored_spec = DatasetSpec {
                 kind,
@@ -327,39 +341,33 @@ impl ArtifactCache {
             ));
             }
             let num_nodes = r.u64()? as usize;
-            let num_edges = r.u64()? as usize;
-            let pairs: Vec<Edge> = r
-                .byte_records(num_edges, 8)?
-                .chunks_exact(8)
-                .map(|rec| {
-                    Edge::new(
-                        u32::from_le_bytes(rec[..4].try_into().expect("4 bytes")),
-                        u32::from_le_bytes(rec[4..].try_into().expect("4 bytes")),
-                    )
-                })
-                .collect();
-            let edge_list = EdgeList::from_edges(num_nodes, pairs)
-                .map_err(|e| reject(&path, format!("invalid edge list: {e}")))?;
-            let rows = r.u64()? as usize;
-            let dim = r.u64()? as usize;
-            let count = rows
-                .checked_mul(dim)
-                .ok_or_else(|| reject(&path, "feature table dimensions overflow".to_string()))?;
-            let values: Vec<f32> = r
-                .byte_records(count, 4)?
-                .chunks_exact(4)
-                .map(|rec| f32::from_le_bytes(rec.try_into().expect("4 bytes")))
-                .collect();
+            let num_edges = r.record_count(EDGE_RECORD_BYTES)?;
+            let mut edges: Vec<Edge> = Vec::with_capacity(num_edges);
+            let mut sorted = true;
+            r.records(num_edges, EDGE_RECORD_BYTES, |batch| {
+                let mut last = edges.last().copied();
+                for record in batch.chunks_exact(EDGE_RECORD_BYTES) {
+                    let edge = Edge::new(
+                        u32::from_le_bytes(record[..4].try_into().expect("4 bytes")),
+                        u32::from_le_bytes(record[4..].try_into().expect("4 bytes")),
+                    );
+                    if edge.src.max(edge.dst) as usize >= num_nodes {
+                        return Err(reject(
+                            &path,
+                            format!("edge {edge} out of range for {num_nodes} nodes"),
+                        ));
+                    }
+                    sorted &= last.map_or(true, |last| last <= edge);
+                    last = Some(edge);
+                    edges.push(edge);
+                }
+                Ok(())
+            })?;
             r.finish()?;
-            let matrix = Matrix::from_vec(rows, dim, values)
-                .map_err(|e| reject(&path, format!("invalid feature table: {e}")))?;
-            let graph = CsrGraph::from_edge_list(&edge_list);
             Ok(Some(Dataset {
                 spec: *spec,
                 seed,
-                edge_list,
-                graph,
-                features: NodeFeatures::from_matrix(matrix),
+                edge_list: Arc::new(EdgeList::from_checked_edges(num_nodes, edges, sorted)),
                 build_seconds: start.elapsed().as_secs_f64(),
                 loaded_from_cache: true,
             }))
@@ -420,10 +428,9 @@ impl ArtifactCache {
         };
         check_fault("cache_read", &path)?;
         let load = || {
-            let Some(payload) = read_artifact(&path, KIND_GRID, key)? else {
+            let Some(mut r) = PayloadReader::open(&path, KIND_GRID, key)? else {
                 return Ok(None);
             };
-            let mut r = Reader::new(&payload, &path);
             let num_nodes = r.u64()? as usize;
             let nodes_per_shard = r.u64()? as usize;
             if num_nodes == 0 || nodes_per_shard == 0 {
@@ -431,13 +438,7 @@ impl ArtifactCache {
             }
             let grid_dim = num_nodes.div_ceil(nodes_per_shard);
             let total_edges = r.u64()? as usize;
-            let meta_count = r.u64()? as usize;
-            if meta_count.checked_mul(32) != Some(payload.len() - SUMMARY_HEADER_BYTES) {
-                return Err(reject(
-                    &path,
-                    "shard metadata does not fill the payload".to_string(),
-                ));
-            }
+            let meta_count = r.record_count(META_RECORD_BYTES)?;
             let metas = parse_grid_metas(&mut r, &path, grid_dim, meta_count, total_edges)?;
             r.finish()?;
             Ok(Some(ShardSummary::assemble(
@@ -453,7 +454,7 @@ impl ArtifactCache {
 /// Parses `meta_count` shard-metadata records, validating coordinates and
 /// that the extents tile `[0, arena_len)` contiguously.
 fn parse_grid_metas(
-    r: &mut Reader<'_>,
+    r: &mut PayloadReader<'_>,
     path: &Path,
     grid_dim: usize,
     meta_count: usize,
@@ -461,35 +462,36 @@ fn parse_grid_metas(
 ) -> Result<Vec<ShardMeta>, GraphError> {
     let mut metas: Vec<ShardMeta> = Vec::with_capacity(meta_count);
     let mut expected_start = 0u64;
-    for _ in 0..meta_count {
-        let src_block = r.u64()? as usize;
-        let dst_block = r.u64()? as usize;
-        let edge_start = r.u32()?;
-        let num_edges = r.u32()?;
-        let unique_sources = r.u32()?;
-        let unique_destinations = r.u32()?;
-        if src_block >= grid_dim || dst_block >= grid_dim {
-            return Err(reject(path, "shard coordinate out of range".to_string()));
-        }
-        let coord = ShardCoord::new(src_block, dst_block);
-        if metas.last().is_some_and(|prev| prev.coord() >= coord) {
-            return Err(reject(path, "shard metadata is not row-major".to_string()));
-        }
-        if num_edges == 0 || u64::from(edge_start) != expected_start {
-            return Err(reject(
-                path,
-                "shard arena ranges are not contiguous".to_string(),
+    r.records(meta_count, META_RECORD_BYTES, |batch| {
+        for record in batch.chunks_exact(META_RECORD_BYTES) {
+            let word = |at: usize| u64::from_le_bytes(record[at..at + 8].try_into().expect("8"));
+            let half = |at: usize| u32::from_le_bytes(record[at..at + 4].try_into().expect("4"));
+            let (src_block, dst_block) = (word(0) as usize, word(8) as usize);
+            let (edge_start, num_edges) = (half(16), half(20));
+            if src_block >= grid_dim || dst_block >= grid_dim {
+                return Err(reject(path, "shard coordinate out of range".to_string()));
+            }
+            let coord = ShardCoord::new(src_block, dst_block);
+            if metas.last().is_some_and(|prev| prev.coord() >= coord) {
+                return Err(reject(path, "shard metadata is not row-major".to_string()));
+            }
+            if num_edges == 0 || u64::from(edge_start) != expected_start {
+                return Err(reject(
+                    path,
+                    "shard arena ranges are not contiguous".to_string(),
+                ));
+            }
+            expected_start += u64::from(num_edges);
+            metas.push(ShardMeta::from_raw(
+                coord,
+                edge_start,
+                num_edges,
+                half(24),
+                half(28),
             ));
         }
-        expected_start += u64::from(num_edges);
-        metas.push(ShardMeta::from_raw(
-            coord,
-            edge_start,
-            num_edges,
-            unique_sources,
-            unique_destinations,
-        ));
-    }
+        Ok(())
+    })?;
     if expected_start != arena_len as u64 {
         return Err(reject(
             path,
@@ -564,6 +566,10 @@ fn fold_words(hash: u64, words: &[u8]) -> u64 {
 /// trailing byte) always changes the checksum. Not cryptographic — it
 /// guards against torn writes and bit rot, not attackers (the cache
 /// directory is as trusted as the build directory it lives in).
+///
+/// [`PayloadWriter`] and [`PayloadReader`] fold it block by block; this
+/// whole-payload form is the reference the tests check them against.
+#[cfg(test)]
 fn payload_checksum(payload: &[u8]) -> u64 {
     let whole = payload.len() / 8 * 8;
     fold_bytes(fold_words(FNV_OFFSET, &payload[..whole]), &payload[whole..])
@@ -702,7 +708,7 @@ const PAYLOAD_BLOCK_BYTES: usize = 1 << 18;
 const RECORD_BATCH: usize = 1 << 13;
 
 /// Streams an artifact payload into its file through one block buffer,
-/// folding the block's whole words into the [`payload_checksum`] on their
+/// folding the block's whole words into the `payload_checksum` on their
 /// way out, so no payload-sized buffer ever exists.
 struct PayloadWriter {
     file: File,
@@ -821,91 +827,150 @@ fn write_artifact(
     })
 }
 
-/// Reads and validates an artifact file, returning its payload.
-///
-/// `Ok(None)` when the file does not exist; [`GraphError::CacheArtifact`]
-/// when it exists but cannot be trusted.
-fn read_artifact(path: &Path, kind: u8, key: &str) -> Result<Option<Vec<u8>>, GraphError> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(reject(path, format!("reading cache artifact: {e}"))),
-    };
-    let mut r = Reader::new(&bytes, path);
-    let magic = r.take(4)?;
-    if magic != MAGIC {
-        return Err(reject(
-            path,
-            "bad magic (not a gnnerator artifact)".to_string(),
-        ));
-    }
-    let version = r.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(reject(
-            path,
-            format!("stale format version {version} (expected {FORMAT_VERSION})"),
-        ));
-    }
-    let stored_kind = r.u8()?;
-    if stored_kind != kind {
-        return Err(reject(path, format!("wrong artifact kind {stored_kind}")));
-    }
-    let key_len = r.u32()? as usize;
-    let stored_key = r.take(key_len)?;
-    if stored_key != key.as_bytes() {
-        return Err(reject(
-            path,
-            format!(
-                "key mismatch: stored {:?}, requested {key:?}",
-                String::from_utf8_lossy(stored_key)
-            ),
-        ));
-    }
-    let payload_len = r.u64()? as usize;
-    let checksum = r.u64()?;
-    let payload = r.take(payload_len)?;
-    r.finish()?;
-    if payload_checksum(payload) != checksum {
-        return Err(reject(path, "payload checksum mismatch".to_string()));
-    }
-    Ok(Some(payload.to_vec()))
-}
-
-/// Bounds-checked little-endian byte reader with typed cache errors.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Streams an artifact payload in from its file through one block buffer,
+/// folding each block into the `payload_checksum` as it arrives: the
+/// mirror of [`PayloadWriter`]. No payload-sized buffer ever exists, and
+/// [`PayloadReader::finish`] accepts the payload only once every byte has
+/// been consumed and the checksum matches.
+struct PayloadReader<'a> {
+    file: File,
     path: &'a Path,
+    block: Vec<u8>,
+    /// Bytes of `block` already consumed.
+    pos: usize,
+    /// Payload bytes not yet read from the file.
+    unread: u64,
+    hash: u64,
+    checksum: u64,
 }
 
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8], path: &'a Path) -> Self {
-        Self {
-            bytes,
-            pos: 0,
-            path,
+impl<'a> PayloadReader<'a> {
+    /// Opens the artifact at `path` and validates its envelope: magic,
+    /// version, kind, key, and a stated payload length that matches the
+    /// file's real size. The reader then stands at the payload's first byte.
+    ///
+    /// `Ok(None)` when the file does not exist; [`GraphError::CacheArtifact`]
+    /// when it exists but cannot be trusted.
+    fn open(path: &'a Path, kind: u8, key: &str) -> Result<Option<Self>, GraphError> {
+        let io_err = |what: &str, e: std::io::Error| reject(path, format!("{what}: {e}"));
+        let mut file = match File::open(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(io_err("opening cache artifact", e)),
+        };
+        let file_len = file
+            .metadata()
+            .map_err(|e| io_err("reading cache artifact metadata", e))?
+            .len();
+        let mut fixed = [0u8; 13];
+        read_header(&mut file, path, &mut fixed)?;
+        if fixed[..4] != MAGIC[..] {
+            return Err(reject(
+                path,
+                "bad magic (not a gnnerator artifact)".to_string(),
+            ));
         }
+        let version = u32::from_le_bytes(fixed[4..8].try_into().expect("4 bytes"));
+        if version != FORMAT_VERSION {
+            return Err(reject(
+                path,
+                format!("stale format version {version} (expected {FORMAT_VERSION})"),
+            ));
+        }
+        if fixed[8] != kind {
+            return Err(reject(path, format!("wrong artifact kind {}", fixed[8])));
+        }
+        // A stored key of another length cannot match, so it is rejected
+        // before a byte of it is read.
+        let key_len = u32::from_le_bytes(fixed[9..13].try_into().expect("4 bytes")) as usize;
+        if key_len != key.len() {
+            return Err(reject(
+                path,
+                format!("key mismatch: stored a {key_len}-byte key, requested {key:?}"),
+            ));
+        }
+        let mut rest = vec![0u8; key_len + 16];
+        read_header(&mut file, path, &mut rest)?;
+        let (stored_key, slots) = rest.split_at(key_len);
+        if stored_key != key.as_bytes() {
+            return Err(reject(
+                path,
+                format!(
+                    "key mismatch: stored {:?}, requested {key:?}",
+                    String::from_utf8_lossy(stored_key)
+                ),
+            ));
+        }
+        let len = u64::from_le_bytes(slots[..8].try_into().expect("8 bytes"));
+        let checksum = u64::from_le_bytes(slots[8..].try_into().expect("8 bytes"));
+        let held = file_len.saturating_sub((fixed.len() + rest.len()) as u64);
+        if held != len {
+            return Err(reject(
+                path,
+                format!("the envelope states a {len}-byte payload but the file holds {held} bytes"),
+            ));
+        }
+        Ok(Some(Self {
+            file,
+            path,
+            block: Vec::new(),
+            pos: 0,
+            unread: len,
+            hash: FNV_OFFSET,
+            checksum,
+        }))
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], GraphError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| reject(self.path, "truncated artifact".to_string()))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+    /// Reads a record count (a `u64`) and checks that that many records of
+    /// `width` bytes exactly fill the rest of the payload, whose length the
+    /// envelope states and the file size confirms: a torn or hostile count
+    /// is an error before anything is reserved for it.
+    fn record_count(&mut self, width: usize) -> Result<usize, GraphError> {
+        let count = self.u64()?;
+        let left = self.unread + (self.block.len() - self.pos) as u64;
+        if count.checked_mul(width as u64) != Some(left) {
+            return Err(reject(
+                self.path,
+                format!("header claims {count} records of {width} bytes, but {left} payload bytes are left"),
+            ));
+        }
+        usize::try_from(count).map_err(|_| reject(self.path, format!("{count} records overflow")))
+    }
+
+    /// Makes at least `need` unconsumed bytes available in the block,
+    /// reading and checksumming further blocks of the payload.
+    fn fill(&mut self, need: usize) -> Result<(), GraphError> {
+        while self.block.len() - self.pos < need {
+            if self.unread == 0 {
+                return Err(reject(self.path, "truncated artifact".to_string()));
+            }
+            self.block.drain(..self.pos);
+            self.pos = 0;
+            let chunk = self.unread.min(PAYLOAD_BLOCK_BYTES as u64) as usize;
+            let start = self.block.len();
+            self.block.resize(start + chunk, 0);
+            let fresh = &mut self.block[start..];
+            self.file
+                .read_exact(fresh)
+                .map_err(|e| reject(self.path, format!("reading cache artifact: {e}")))?;
+            self.unread -= chunk as u64;
+            // Every chunk but the last is a whole number of words, so each
+            // starts on a word boundary of the payload.
+            let whole = chunk / 8 * 8;
+            self.hash = fold_bytes(fold_words(self.hash, &fresh[..whole]), &fresh[whole..]);
+        }
+        Ok(())
+    }
+
+    fn take(&mut self, n: usize) -> Result<&[u8], GraphError> {
+        self.fill(n)?;
+        let bytes = &self.block[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(bytes)
     }
 
     fn u8(&mut self) -> Result<u8, GraphError> {
         Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, GraphError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
     }
 
     fn u64(&mut self) -> Result<u64, GraphError> {
@@ -914,27 +979,52 @@ impl<'a> Reader<'a> {
         ))
     }
 
-    /// Takes `count` fixed-width records in one bounds-checked slice — the
-    /// bulk path for edge pairs and feature values, where per-element reads
-    /// would cost millions of redundant checks on ogbn-scale artifacts.
-    fn byte_records(&mut self, count: usize, width: usize) -> Result<&'a [u8], GraphError> {
-        let total = count
-            .checked_mul(width)
-            .ok_or_else(|| reject(self.path, "record count overflows".to_string()))?;
-        self.take(total)
+    /// Hands `decode` the next `count` records of `width` bytes, in batches
+    /// of whole records straight out of the block buffer.
+    fn records(
+        &mut self,
+        count: usize,
+        width: usize,
+        mut decode: impl FnMut(&[u8]) -> Result<(), GraphError>,
+    ) -> Result<(), GraphError> {
+        let mut left = count;
+        while left > 0 {
+            self.fill(width)?;
+            let n = ((self.block.len() - self.pos) / width).min(left);
+            decode(&self.block[self.pos..self.pos + n * width])?;
+            self.pos += n * width;
+            left -= n;
+        }
+        Ok(())
     }
 
-    /// Asserts the reader consumed every byte (trailing garbage is a sign of
-    /// corruption or a layout drift the version bump missed).
-    fn finish(&self) -> Result<(), GraphError> {
-        if self.pos != self.bytes.len() {
+    /// Accepts the payload: every byte consumed (trailing bytes are a sign
+    /// of corruption or of a layout drift the version bump missed), and the
+    /// checksum of the whole payload equal to the envelope's.
+    fn finish(self) -> Result<(), GraphError> {
+        if self.unread != 0 || self.pos != self.block.len() {
             return Err(reject(
                 self.path,
                 "trailing bytes after payload".to_string(),
             ));
         }
+        if self.hash != self.checksum {
+            return Err(reject(self.path, "payload checksum mismatch".to_string()));
+        }
         Ok(())
     }
+}
+
+/// Reads the next `buf.len()` header bytes of an artifact; a short file is
+/// a typed error.
+fn read_header(file: &mut File, path: &Path, buf: &mut [u8]) -> Result<(), GraphError> {
+    file.read_exact(buf).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            reject(path, "truncated artifact".to_string())
+        } else {
+            reject(path, format!("reading cache artifact: {e}"))
+        }
+    })
 }
 
 #[cfg(test)]
@@ -964,10 +1054,10 @@ mod tests {
         cache.store_dataset(&original).unwrap();
         let loaded = cache.load_dataset(&spec, 5).unwrap().expect("hit");
         assert_eq!(loaded.edge_list, original.edge_list);
-        assert_eq!(loaded.graph, original.graph);
-        assert_eq!(loaded.features, original.features);
+        assert_eq!(loaded.edge_list.is_sorted(), original.edge_list.is_sorted());
         assert_eq!(loaded.spec, original.spec);
         assert_eq!(loaded.seed, 5);
+        assert_eq!(loaded.spec.features(loaded.seed), spec.features(5));
         assert!(loaded.loaded_from_cache);
         // A different seed is a different key.
         assert!(cache.load_dataset(&spec, 6).unwrap().is_none());
@@ -1332,6 +1422,65 @@ mod tests {
     }
 
     #[test]
+    fn dataset_artifacts_hold_edges_only() {
+        let (cache, dir) = temp_cache("dataset-size");
+        let dataset = DatasetKind::Pubmed
+            .spec()
+            .scaled(0.05)
+            .synthesize(6)
+            .unwrap();
+        cache.store_dataset(&dataset).unwrap();
+        let key = ArtifactCache::dataset_key(&dataset.spec, 6);
+        let file_len = std::fs::metadata(cache.file_for("ds", &key).unwrap())
+            .unwrap()
+            .len();
+        let envelope = (4 + 4 + 1 + 4 + key.len() + 8 + 8) as u64;
+        assert_eq!(
+            file_len,
+            envelope + 1 + 6 * 8 + 8 * dataset.num_edges() as u64,
+            "fixed fields plus one 8-byte record per edge, no feature block"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn hostile_edge_counts_are_typed_errors_before_any_allocation() {
+        // A correctly checksummed header whose edge count would reserve
+        // 8 TiB is rejected on the payload length alone and quarantined.
+        let (cache, dir) = temp_cache("hostile");
+        let spec = DatasetKind::Cora.spec().scaled(0.02);
+        let dataset = spec.synthesize(4).unwrap();
+        cache.store_dataset(&dataset).unwrap();
+        let key = ArtifactCache::dataset_key(&spec, 4);
+        let file = cache.file_for("ds", &key).unwrap();
+        let mut bytes = std::fs::read(&file).unwrap();
+        let envelope = 4 + 4 + 1 + 4 + key.len() + 16;
+        let num_edges_at = envelope + 1 + 5 * 8;
+        bytes[num_edges_at..num_edges_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let checksum = payload_checksum(&bytes[envelope..]);
+        bytes[envelope - 8..envelope].copy_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&file, &bytes).unwrap();
+
+        let err = cache.load_dataset(&spec, 4).unwrap_err();
+        assert!(matches!(err, GraphError::CacheArtifact { .. }), "{err}");
+        assert!(err.to_string().contains("1099511627776 records"), "{err}");
+        assert!(!file.exists(), "must be quarantined");
+        assert_eq!(cache.corrupt_artifacts(), 1);
+
+        // An envelope that claims more payload than the file holds is
+        // rejected the same way, before the payload is read.
+        cache.store_dataset(&dataset).unwrap();
+        let mut bytes = std::fs::read(&file).unwrap();
+        bytes[envelope - 16..envelope - 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        std::fs::write(&file, &bytes).unwrap();
+        let err = cache.load_dataset(&spec, 4).unwrap_err();
+        assert!(err.to_string().contains("the file holds"), "{err}");
+        assert_eq!(cache.corrupt_artifacts(), 2);
+        assert!(cache.load_dataset(&spec, 4).unwrap().is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn keys_are_distinct_per_parameter() {
         let spec = DatasetKind::Cora.spec();
         let base = ArtifactCache::dataset_key(&spec, 42);
@@ -1359,8 +1508,8 @@ mod tests {
 
     #[test]
     fn streamed_dataset_artifact_keeps_the_buffered_payload_layout() {
-        // The payload is byte for byte the layout format 3 built in memory;
-        // only the version and the checksum differ.
+        // The streamed payload is byte for byte the format-5 layout built in
+        // memory: the kind tag, six u64 fields and the edge records.
         let (cache, dir) = temp_cache("layout");
         let dataset = DatasetKind::Cora.spec().scaled(0.05).synthesize(3).unwrap();
         cache.store_dataset(&dataset).unwrap();
@@ -1382,15 +1531,10 @@ mod tests {
             expected.extend_from_slice(&e.src.to_le_bytes());
             expected.extend_from_slice(&e.dst.to_le_bytes());
         }
-        expected.extend_from_slice(&(dataset.features.num_nodes() as u64).to_le_bytes());
-        expected.extend_from_slice(&(dataset.features.dim() as u64).to_le_bytes());
-        for v in dataset.features.as_matrix().as_slice() {
-            expected.extend_from_slice(&v.to_le_bytes());
-        }
 
         let envelope = 4 + 4 + 1 + 4 + key.len();
         assert_eq!(&bytes[..4], MAGIC);
-        assert_eq!(bytes[4..8], 4u32.to_le_bytes());
+        assert_eq!(bytes[4..8], 5u32.to_le_bytes());
         let len = u64::from_le_bytes(bytes[envelope..envelope + 8].try_into().unwrap());
         let checksum = u64::from_le_bytes(bytes[envelope + 8..envelope + 16].try_into().unwrap());
         assert_eq!(len as usize, expected.len());

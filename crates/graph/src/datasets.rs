@@ -7,13 +7,19 @@
 //! these statistics (plus degree skew, which the R-MAT generator preserves
 //! qualitatively), so the reproduction's speedup *shapes* carry over even
 //! though the node features themselves are random.
+//!
+//! A [`Dataset`] is therefore a spec, a seed and an edge list, nothing else:
+//! the timing model reads only the edges and the feature *dimension*. The
+//! feature values, which only the value-level executors need, are a pure
+//! function of `(spec, seed)`: [`DatasetSpec::features`].
 
-use crate::parallel::{even_bounds, run_bands, split_bands, workers_for};
-use crate::{generators, CsrGraph, EdgeList, GraphError, NodeFeatures};
+use crate::parallel::{even_bounds, split_bands, workers_for};
+use crate::{generators, EdgeList, GraphError, NodeFeatures};
 use gnnerator_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier for one of the benchmark datasets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -183,13 +189,11 @@ impl DatasetSpec {
         self.edges as f64 / self.vertices as f64
     }
 
-    /// Synthesises a dataset with these statistics.
-    ///
-    /// The graph topology comes from [`generators::rmat_exact`]; node features
-    /// are drawn uniformly from `[0, 1)` with the same seed, which mimics the
-    /// sparsity-free dense feature tables DGL hands to the accelerator. Both
-    /// stages run on as many workers as the host and the sizes warrant, with
-    /// the same result at any worker count.
+    /// Synthesises a dataset with these statistics: its graph topology, from
+    /// [`generators::rmat_exact`] on as many workers as the host and the
+    /// size warrant, with the same edges at any worker count. The feature
+    /// values are not part of a dataset; [`DatasetSpec::features`] computes
+    /// them from the same `(spec, seed)` on demand.
     ///
     /// # Errors
     ///
@@ -202,8 +206,14 @@ impl DatasetSpec {
     /// use gnnerator_graph::datasets::DatasetKind;
     /// # fn main() -> Result<(), gnnerator_graph::GraphError> {
     /// // Synthesise a scaled-down Cora for fast tests.
-    /// let tiny = DatasetKind::Cora.spec().scaled(0.05).synthesize(42)?;
-    /// assert_eq!(tiny.features.dim(), 1433);
+    /// let spec = DatasetKind::Cora.spec().scaled(0.05);
+    /// let tiny = spec.synthesize(42)?;
+    /// assert_eq!(tiny.num_nodes(), spec.vertices);
+    /// assert_eq!(tiny.spec.feature_dim, 1433);
+    /// // The feature table is a function of the spec and the seed.
+    /// let table = spec.features(42);
+    /// assert_eq!((table.num_nodes(), table.dim()), (spec.vertices, 1433));
+    /// assert_eq!(table, spec.features(42));
     /// # Ok(())
     /// # }
     /// ```
@@ -226,18 +236,28 @@ impl DatasetSpec {
             seed,
             workers(self.edges * 2),
         )?;
-        let graph = CsrGraph::from_edge_list(&edge_list);
-        let values = self.vertices * self.feature_dim;
-        let features = random_features(self.vertices, self.feature_dim, seed, workers(values))?;
         Ok(Dataset {
             spec: *self,
             seed,
-            edge_list,
-            graph,
-            features,
+            edge_list: Arc::new(edge_list),
             build_seconds: start.elapsed().as_secs_f64(),
             loaded_from_cache: false,
         })
+    }
+
+    /// The node feature table of the `seed`-synthesised dataset: one row per
+    /// vertex, `feature_dim` values each, drawn uniformly from `[0, 1)`,
+    /// which mimics the sparsity-free dense feature tables DGL hands to the
+    /// accelerator. Only the value-level executors read feature values; the
+    /// timing model needs just `feature_dim`, so a [`Dataset`] carries none.
+    ///
+    /// Row-major value `i` is draw `i` of one SplitMix64 stream seeded from
+    /// `seed` alone, so the table is a pure function of `(spec, seed)`. It
+    /// is filled in row bands on as many workers as the host and the size
+    /// warrant, with the same values at any worker count.
+    pub fn features(&self, seed: u64) -> NodeFeatures {
+        let values = self.vertices * self.feature_dim;
+        random_features(self.vertices, self.feature_dim, seed, workers_for(values))
     }
 
     /// Returns a proportionally scaled-down copy of this spec.
@@ -356,41 +376,39 @@ impl fmt::Display for DatasetSpec {
 }
 
 /// The uniform `[0, 1)` feature table of a `seed`-synthesised dataset,
-/// filled in row bands on `workers` workers.
+/// filled in row bands on `workers` scoped threads.
 ///
 /// Row-major value `i` is draw `i` of one generator (one draw per value),
 /// so each band starts from a copy advanced by its first value's index and
 /// the table is the same at any worker count.
-fn random_features(
-    rows: usize,
-    dim: usize,
-    seed: u64,
-    workers: usize,
-) -> Result<NodeFeatures, GraphError> {
+fn random_features(rows: usize, dim: usize, seed: u64, workers: usize) -> NodeFeatures {
     let rng = StdRng::seed_from_u64(seed.wrapping_mul(0x2545_f491_4f6c_dd1d));
     let mut values = vec![0.0f32; rows * dim];
     let value_bounds: Vec<usize> = even_bounds(rows, workers)
         .into_iter()
         .map(|row| row * dim)
         .collect();
-    let bands: Vec<(usize, &mut [f32])> = value_bounds
-        .iter()
-        .copied()
-        .zip(split_bands(&mut values, &value_bounds))
-        .collect();
-    run_bands(bands, |(first, band)| {
+    let fill = |first: usize, band: &mut [f32]| {
         let mut rng = rng.clone();
         rng.advance(first as u64);
         for value in band {
             *value = rng.gen_range(0.0..1.0);
         }
-        Ok(())
-    })?;
+    };
+    let fill = &fill;
+    let bands = split_bands(&mut values, &value_bounds);
+    std::thread::scope(|scope| {
+        for (first, band) in value_bounds.iter().copied().zip(bands) {
+            scope.spawn(move || fill(first, band));
+        }
+    });
     let matrix = Matrix::from_vec(rows, dim, values).expect("rows * dim values");
-    Ok(NodeFeatures::from_matrix(matrix))
+    NodeFeatures::from_matrix(matrix)
 }
 
-/// A fully materialised dataset: topology (edge list + CSR) and features.
+/// A materialised dataset: its identity and its edge list. Feature values
+/// are not stored; [`DatasetSpec::features`] computes them from `spec` and
+/// `seed`.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     /// The specification this dataset was synthesised from.
@@ -399,12 +417,9 @@ pub struct Dataset {
     /// dataset's identity in the persistent
     /// [`ArtifactCache`](crate::ArtifactCache).
     pub seed: u64,
-    /// Edge-list form (input to the sharder).
-    pub edge_list: EdgeList,
-    /// CSR form (input to the reference executor).
-    pub graph: CsrGraph,
-    /// Node feature table.
-    pub features: NodeFeatures,
+    /// The graph as a sorted edge list (input to the sharder), shared with
+    /// every session built over this dataset instead of copied.
+    pub edge_list: Arc<EdgeList>,
     /// Wall-clock seconds materialising this dataset took (synthesis, or a
     /// cache load — see `loaded_from_cache`). Feeds the
     /// `graph_build_seconds` telemetry in `BENCH_sweep.json`.
@@ -417,12 +432,12 @@ pub struct Dataset {
 impl Dataset {
     /// Number of vertices actually materialised.
     pub fn num_nodes(&self) -> usize {
-        self.graph.num_nodes()
+        self.edge_list.num_nodes()
     }
 
     /// Number of directed edges actually materialised.
     pub fn num_edges(&self) -> usize {
-        self.graph.num_edges()
+        self.edge_list.num_edges()
     }
 }
 
@@ -551,9 +566,9 @@ mod tests {
         let ds = spec.synthesize(7).unwrap();
         assert_eq!(ds.num_nodes(), spec.vertices);
         assert_eq!(ds.num_edges(), spec.edges);
-        assert_eq!(ds.features.dim(), spec.feature_dim);
-        assert_eq!(ds.features.num_nodes(), spec.vertices);
-        ds.features.check_compatible(&ds.graph).unwrap();
+        let table = spec.features(7);
+        assert_eq!(table.dim(), spec.feature_dim);
+        assert_eq!(table.num_nodes(), ds.num_nodes());
     }
 
     #[test]
@@ -562,9 +577,10 @@ mod tests {
         let a = spec.synthesize(3).unwrap();
         let b = spec.synthesize(3).unwrap();
         assert_eq!(a.edge_list, b.edge_list);
-        assert_eq!(a.features, b.features);
+        assert_eq!(spec.features(3), spec.features(3));
         let c = spec.synthesize(4).unwrap();
         assert_ne!(a.edge_list, c.edge_list);
+        assert_ne!(spec.features(3), spec.features(4));
     }
 
     #[test]
@@ -658,22 +674,25 @@ mod tests {
     #[test]
     fn synthesis_does_not_depend_on_the_worker_count() {
         // The banded feature fill must reproduce the historical one-stream
-        // fill, and the whole dataset must be the same at any worker count.
+        // fill, and the edges and features must be the same at any worker
+        // count.
         let spec = DatasetKind::Cora.spec().scaled(0.05);
         let single = spec.synthesize_with(4, |_| 1).unwrap();
         let mut rng = StdRng::seed_from_u64(4u64.wrapping_mul(0x2545_f491_4f6c_dd1d));
         let historical = NodeFeatures::from_fn(spec.vertices, spec.feature_dim, |_, _| {
             rng.gen_range(0.0..1.0)
         });
-        assert_eq!(single.features, historical);
+        assert_eq!(spec.features(4), historical);
+        for workers in [1, 2, 7] {
+            let banded = random_features(spec.vertices, spec.feature_dim, 4, workers);
+            assert_eq!(banded, historical, "{workers} workers");
+        }
         let policies: [fn(usize) -> usize; 2] = [|_| 2, |_| 7];
         for workers in policies {
             let banded = spec.synthesize_with(4, workers).unwrap();
             assert_eq!(banded.edge_list, single.edge_list, "{} workers", workers(0));
-            assert_eq!(banded.features, single.features, "{} workers", workers(0));
         }
         // More bands than rows.
-        let few = random_features(3, 5, 8, 7).unwrap();
-        assert_eq!(few, random_features(3, 5, 8, 1).unwrap());
+        assert_eq!(random_features(3, 5, 8, 7), random_features(3, 5, 8, 1));
     }
 }

@@ -142,6 +142,22 @@ impl EdgeList {
         }
     }
 
+    /// Builds an edge list from edges whose endpoints the caller has
+    /// already checked against `num_nodes`, and whose sortedness it has
+    /// already determined — the artifact cache's streaming load does both as
+    /// it decodes, so nothing is scanned twice.
+    pub(crate) fn from_checked_edges(num_nodes: usize, edges: Vec<Edge>, sorted: bool) -> Self {
+        debug_assert_eq!(sorted, edges.windows(2).all(|w| w[0] <= w[1]));
+        debug_assert!(edges
+            .iter()
+            .all(|e| (e.src as usize) < num_nodes && (e.dst as usize) < num_nodes));
+        Self {
+            num_nodes,
+            edges,
+            sorted,
+        }
+    }
+
     fn validate(num_nodes: usize, edge: Edge) -> Result<(), GraphError> {
         for node in [edge.src, edge.dst] {
             if node as usize >= num_nodes {

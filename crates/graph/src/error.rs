@@ -27,13 +27,6 @@ pub enum GraphError {
         /// Description of the constraint that was violated.
         message: String,
     },
-    /// The feature table does not match the graph it is attached to.
-    FeatureShapeMismatch {
-        /// Number of nodes in the graph.
-        graph_nodes: usize,
-        /// Number of rows in the feature table.
-        feature_rows: usize,
-    },
     /// A dataset specification describes a graph too degenerate to shard or
     /// simulate (no vertices, no edges, a zero feature dimension, or more
     /// edges than a simple graph can hold).
@@ -80,13 +73,6 @@ impl fmt::Display for GraphError {
             GraphError::InvalidParameter { name, message } => {
                 write!(f, "invalid parameter {name}: {message}")
             }
-            GraphError::FeatureShapeMismatch {
-                graph_nodes,
-                feature_rows,
-            } => write!(
-                f,
-                "feature table has {feature_rows} rows but the graph has {graph_nodes} nodes"
-            ),
             GraphError::DegenerateDataset {
                 name,
                 vertices,
@@ -141,13 +127,6 @@ mod tests {
 
         let e = GraphError::invalid("probability", "must be in [0, 1]");
         assert!(e.to_string().contains("probability"));
-
-        let e = GraphError::FeatureShapeMismatch {
-            graph_nodes: 5,
-            feature_rows: 4,
-        };
-        assert!(e.to_string().contains('5'));
-        assert!(e.to_string().contains('4'));
 
         let e = GraphError::cache("/tmp/ds-1.bin", "checksum mismatch");
         assert!(e.to_string().contains("ds-1.bin"));

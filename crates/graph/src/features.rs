@@ -1,4 +1,3 @@
-use crate::{CsrGraph, GraphError};
 use gnnerator_tensor::Matrix;
 
 /// Dense per-node feature table.
@@ -87,22 +86,6 @@ impl NodeFeatures {
     pub fn into_matrix(self) -> Matrix {
         self.matrix
     }
-
-    /// Checks that this table is compatible with `graph` (same node count).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::FeatureShapeMismatch`] if the row count differs
-    /// from the graph's node count.
-    pub fn check_compatible(&self, graph: &CsrGraph) -> Result<(), GraphError> {
-        if self.num_nodes() != graph.num_nodes() {
-            return Err(GraphError::FeatureShapeMismatch {
-                graph_nodes: graph.num_nodes(),
-                feature_rows: self.num_nodes(),
-            });
-        }
-        Ok(())
-    }
 }
 
 impl From<Matrix> for NodeFeatures {
@@ -120,7 +103,6 @@ impl AsRef<Matrix> for NodeFeatures {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CsrGraph;
 
     #[test]
     fn zeros_shape_and_size() {
@@ -135,15 +117,6 @@ mod tests {
     fn from_fn_populates_rows() {
         let f = NodeFeatures::from_fn(4, 2, |v, d| (v * 10 + d) as f32);
         assert_eq!(f.feature(2), &[20.0, 21.0]);
-    }
-
-    #[test]
-    fn compatible_with_matching_graph() {
-        let g = CsrGraph::from_pairs(3, &[(0, 1)]).unwrap();
-        let good = NodeFeatures::zeros(3, 8);
-        let bad = NodeFeatures::zeros(4, 8);
-        assert!(good.check_compatible(&g).is_ok());
-        assert!(bad.check_compatible(&g).is_err());
     }
 
     #[test]

@@ -6,18 +6,23 @@
 //! Graph Engine. This crate provides everything between "a graph exists" and
 //! "the accelerator can be pointed at it":
 //!
-//! * [`EdgeList`] and [`CsrGraph`] — edge-list and compressed-sparse-row
-//!   graph representations,
+//! * [`EdgeList`] — the edge-list graph representation every dataset,
+//!   session and shard grid is built on, and [`CsrGraph`], the
+//!   compressed-sparse-row form only the value-level reference executor
+//!   (`gnnerator_gnn::reference`) reads,
 //! * [`EdgeListBuilder`] — streaming chunked construction: generators emit
 //!   in-memory edge chunks that a counting sort by source, in row bands on
 //!   several workers, puts in canonical order, instead of comparison-sorting
 //!   one giant vector at the end,
-//! * [`NodeFeatures`] — the dense per-node feature table,
+//! * [`NodeFeatures`] — the dense per-node feature table, computed on demand
+//!   by [`DatasetSpec::features`](datasets::DatasetSpec::features) and
+//!   never stored,
 //! * [`generators`] — seeded synthetic graph generators (Erdős–Rényi with
 //!   geometric skip sampling and an R-MAT/power-law generator) used to stand
 //!   in for the real datasets,
 //! * [`datasets`] — the Table II dataset specifications (plus an ogbn-scale
-//!   extension) and synthesisers,
+//!   extension) and synthesisers; a synthesised dataset is its spec, its
+//!   seed and its edge list,
 //! * [`ShardSummary`] — the 2-D shard grid as the timing model sees it: one
 //!   [`ShardMeta`] per occupied shard (edge count, distinct endpoints) plus
 //!   row/column indexes, with source-/destination-stationary traversal
@@ -25,7 +30,7 @@
 //!   edges; [`ShardGrid`] adds the sorted edge arena for the value-level
 //!   executors,
 //! * [`ArtifactCache`] — a persistent, checksummed on-disk store of
-//!   synthesised datasets and shard summaries, keyed by `(spec, seed)` and
+//!   synthesised edge lists and shard summaries, keyed by `(spec, seed)` and
 //!   shard parameters, so repeated harness runs skip synthesis and
 //!   re-sharding.
 //!

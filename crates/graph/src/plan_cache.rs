@@ -3,8 +3,9 @@
 //! Summarising an edge list's shard grid (a [`ShardSummary`]) is the
 //! expensive part of compiling a workload, and its inputs are only the edge
 //! list, the nodes-per-shard parameter `n` and whether self-loop edges are
-//! added. A [`ShardPlanCache`] pins one edge list and memoises every
-//! summary built from it, so sweeping many `(config, dataflow)` scenarios
+//! added. A [`ShardPlanCache`] shares one edge list (an `Arc`, so sessions
+//! over the same dataset never copy it) and memoises every summary built
+//! from it, so sweeping many `(config, dataflow)` scenarios
 //! over the same graph re-summarises only when `n` actually changes.
 //!
 //! When the cache is constructed with a disk backing
@@ -46,7 +47,7 @@ pub struct PlanKey {
 ///
 /// # fn main() -> Result<(), gnnerator_graph::GraphError> {
 /// let edges = generators::rmat(128, 512, 3)?;
-/// let cache = ShardPlanCache::new(edges);
+/// let cache = ShardPlanCache::new(std::sync::Arc::new(edges));
 /// let a = cache.plan(32, false)?;
 /// let b = cache.plan(32, false)?;
 /// assert!(std::sync::Arc::ptr_eq(&a, &b)); // cached, not rebuilt
@@ -56,7 +57,7 @@ pub struct PlanKey {
 /// ```
 #[derive(Debug)]
 pub struct ShardPlanCache {
-    edges: EdgeList,
+    edges: Arc<EdgeList>,
     plans: Mutex<HashMap<PlanKey, Arc<ShardSummary>>>,
     /// Cumulative wall-clock seconds spent inside [`ShardSummary::build`]
     /// (cache hits cost nothing; racing duplicate builds both count, since
@@ -73,7 +74,7 @@ pub struct ShardPlanCache {
 
 impl ShardPlanCache {
     /// Creates a purely in-memory cache over `edges`.
-    pub fn new(edges: EdgeList) -> Self {
+    pub fn new(edges: Arc<EdgeList>) -> Self {
         Self {
             edges,
             plans: Mutex::new(HashMap::new()),
@@ -91,7 +92,7 @@ impl ShardPlanCache {
     /// `graph_key/nps../loops..`. Two processes that materialise the same
     /// `(spec, seed)` dataset therefore share shard summaries across runs.
     pub fn with_disk_cache(
-        edges: EdgeList,
+        edges: Arc<EdgeList>,
         cache: Arc<ArtifactCache>,
         graph_key: impl Into<String>,
     ) -> Self {
@@ -223,7 +224,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn cache() -> ShardPlanCache {
-        ShardPlanCache::new(generators::rmat(100, 400, 1).unwrap())
+        ShardPlanCache::new(Arc::new(generators::rmat(100, 400, 1).unwrap()))
     }
 
     fn temp_dir(label: &str) -> PathBuf {
@@ -263,7 +264,7 @@ mod tests {
     #[test]
     fn cached_grid_matches_a_fresh_build() {
         let edges = generators::rmat(100, 400, 1).unwrap();
-        let cache = ShardPlanCache::new(edges.clone());
+        let cache = ShardPlanCache::new(Arc::new(edges.clone()));
         for loops in [false, true] {
             let cached = cache.plan(16, loops).unwrap();
             let mut list = edges.clone();
@@ -305,16 +306,17 @@ mod tests {
     fn disk_backing_shares_grids_across_cache_instances() {
         let dir = temp_dir("share");
         let artifact = Arc::new(ArtifactCache::new(&dir));
-        let edges = generators::rmat(100, 400, 1).unwrap();
+        let edges = Arc::new(generators::rmat(100, 400, 1).unwrap());
 
-        let first = ShardPlanCache::with_disk_cache(edges.clone(), Arc::clone(&artifact), "g1");
+        let first =
+            ShardPlanCache::with_disk_cache(Arc::clone(&edges), Arc::clone(&artifact), "g1");
         let built = first.plan(16, true).unwrap();
         assert_eq!(first.grids_built(), 1);
         assert_eq!(first.grids_loaded(), 0);
 
         // A second cache (a later process, in effect) loads instead of
         // building — bit-identically.
-        let second = ShardPlanCache::with_disk_cache(edges.clone(), artifact, "g1");
+        let second = ShardPlanCache::with_disk_cache(edges, artifact, "g1");
         let loaded = second.plan(16, true).unwrap();
         assert_eq!(second.grids_built(), 0);
         assert_eq!(second.grids_loaded(), 1);
@@ -327,8 +329,9 @@ mod tests {
     fn corrupt_disk_artifact_falls_back_to_a_fresh_build() {
         let dir = temp_dir("corrupt");
         let artifact = Arc::new(ArtifactCache::new(&dir));
-        let edges = generators::rmat(100, 400, 1).unwrap();
-        let first = ShardPlanCache::with_disk_cache(edges.clone(), Arc::clone(&artifact), "g1");
+        let edges = Arc::new(generators::rmat(100, 400, 1).unwrap());
+        let first =
+            ShardPlanCache::with_disk_cache(Arc::clone(&edges), Arc::clone(&artifact), "g1");
         let built = first.plan(16, false).unwrap();
 
         // Corrupt every artifact on disk.
@@ -361,11 +364,11 @@ mod tests {
         // Two different graphs wrongly sharing a key must not cross-serve.
         let dir = temp_dir("mismatch");
         let artifact = Arc::new(ArtifactCache::new(&dir));
-        let small = generators::rmat(100, 400, 1).unwrap();
-        let big = generators::rmat(150, 700, 2).unwrap();
+        let small = Arc::new(generators::rmat(100, 400, 1).unwrap());
+        let big = Arc::new(generators::rmat(150, 700, 2).unwrap());
         let first = ShardPlanCache::with_disk_cache(small, Arc::clone(&artifact), "same-key");
         first.plan(16, false).unwrap();
-        let second = ShardPlanCache::with_disk_cache(big.clone(), artifact, "same-key");
+        let second = ShardPlanCache::with_disk_cache(Arc::clone(&big), artifact, "same-key");
         let grid = second.plan(16, false).unwrap();
         assert_eq!(second.grids_loaded(), 0, "shape mismatch rejected");
         assert_eq!(grid.num_nodes(), big.num_nodes());
@@ -374,7 +377,7 @@ mod tests {
 
     #[test]
     fn disabled_artifact_cache_degrades_to_in_memory() {
-        let edges = generators::rmat(100, 400, 1).unwrap();
+        let edges = Arc::new(generators::rmat(100, 400, 1).unwrap());
         let cache = ShardPlanCache::with_disk_cache(
             edges,
             Arc::new(ArtifactCache::disabled()),

@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let dataset = spec.synthesize(42)?;
 
     // 2. Build the paper's GCN configuration: one hidden layer of width 16.
-    let model = NetworkKind::Gcn.build_paper_config(dataset.features.dim(), 7)?;
+    let model = NetworkKind::Gcn.build_paper_config(dataset.spec.feature_dim, 7)?;
     println!("Model:   {model}");
 
     // 3. Open a session: the model and graph are validated once, and every

@@ -23,7 +23,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let dataset = DatasetKind::Cora.spec().scaled(0.05).synthesize(1)?;
-//! let model = NetworkKind::Gcn.build_paper_config(dataset.features.dim(), 7)?;
+//! let model = NetworkKind::Gcn.build_paper_config(dataset.spec.feature_dim, 7)?;
 //! let report = Simulator::new(GnneratorConfig::paper_default())?.simulate(&model, &dataset)?;
 //! assert!(report.total_cycles > 0);
 //! # Ok(())

@@ -19,7 +19,7 @@ fn every_dataset_and_network_simulates_end_to_end() {
         let dataset = tiny(kind, 7);
         for network in NetworkKind::ALL {
             let model = network
-                .build_paper_config(dataset.features.dim(), 7)
+                .build_paper_config(dataset.spec.feature_dim, 7)
                 .unwrap();
             let report = sim.simulate(&model, &dataset).unwrap();
             assert!(report.total_cycles > 0, "{kind}/{network}");
@@ -33,7 +33,7 @@ fn every_dataset_and_network_simulates_end_to_end() {
 fn compiled_program_structure_matches_the_model() {
     let dataset = tiny(DatasetKind::Cora, 3);
     let model = NetworkKind::GraphsagePool
-        .build_paper_config(dataset.features.dim(), 7)
+        .build_paper_config(dataset.spec.feature_dim, 7)
         .unwrap();
     let compiler = Compiler::new(
         GnneratorConfig::paper_default(),
@@ -66,7 +66,7 @@ fn feature_blocking_helps_memory_bound_workloads() {
         .synthesize(11)
         .unwrap();
     let model = NetworkKind::Gcn
-        .build_paper_config(dataset.features.dim(), 6)
+        .build_paper_config(dataset.spec.feature_dim, 6)
         .unwrap();
     let blocked = Simulator::new(GnneratorConfig::paper_default())
         .unwrap()
@@ -98,7 +98,7 @@ fn accelerator_beats_both_baselines_on_the_paper_workloads() {
     for kind in DatasetKind::ALL {
         let dataset = kind.spec().scaled(0.4).synthesize(5).unwrap();
         let model = NetworkKind::Gcn
-            .build_paper_config(dataset.features.dim(), 7)
+            .build_paper_config(dataset.spec.feature_dim, 7)
             .unwrap();
         let accel = Simulator::new(GnneratorConfig::paper_default())
             .unwrap()
@@ -129,7 +129,7 @@ fn scaled_configurations_never_slow_the_accelerator_down() {
     let base_cfg = GnneratorConfig::paper_default();
     for hidden in [16usize, 256] {
         let model = NetworkKind::Gcn
-            .build(dataset.features.dim(), hidden, 3, 1)
+            .build(dataset.spec.feature_dim, hidden, 3, 1)
             .unwrap();
         let base = Simulator::new(base_cfg.clone())
             .unwrap()
@@ -168,7 +168,7 @@ fn traversal_order_choice_matches_the_analytical_model() {
         .synthesize(2)
         .unwrap();
     let model = NetworkKind::Gcn
-        .build_paper_config(dataset.features.dim(), 6)
+        .build_paper_config(dataset.spec.feature_dim, 6)
         .unwrap();
     let compiler = Compiler::new(
         GnneratorConfig::paper_default(),
@@ -189,7 +189,7 @@ fn traversal_order_choice_matches_the_analytical_model() {
 fn reports_render_for_humans_and_tools() {
     let dataset = tiny(DatasetKind::Cora, 1);
     let model = NetworkKind::Gcn
-        .build_paper_config(dataset.features.dim(), 7)
+        .build_paper_config(dataset.spec.feature_dim, 7)
         .unwrap();
     let report = Simulator::new(GnneratorConfig::paper_default())
         .unwrap()

@@ -17,19 +17,19 @@ fn assert_matches_reference(
     kind: NetworkKind,
     dataflow: DataflowConfig,
     edges: &gnnerator_graph::EdgeList,
-    features: &NodeFeatures,
+    input: &NodeFeatures,
     out_dim: usize,
 ) {
-    let model = kind.build(features.dim(), 12, out_dim, 1).unwrap();
+    let model = kind.build(input.dim(), 12, out_dim, 1).unwrap();
     let blocked = functional::execute_blocked(
         &model,
         edges,
-        features,
+        input,
         &GnneratorConfig::paper_default(),
         &dataflow,
     )
     .unwrap();
-    let expected = reference::execute(&model, &CsrGraph::from_edge_list(edges), features).unwrap();
+    let expected = reference::execute(&model, &CsrGraph::from_edge_list(edges), input).unwrap();
     let diff = blocked.max_abs_diff(&expected).unwrap();
     assert!(diff < 2e-3, "{kind} with {dataflow}: max abs diff {diff}");
 }
@@ -46,7 +46,7 @@ fn blocked_execution_matches_reference_on_scaled_paper_datasets() {
                 kind,
                 DataflowConfig::paper_default(),
                 &dataset.edge_list,
-                &dataset.features,
+                &spec.features(13),
                 5,
             );
         }

@@ -9,7 +9,7 @@ use gnnerator::{
 };
 use gnnerator_gnn::NetworkKind;
 use gnnerator_graph::datasets::DatasetKind;
-use gnnerator_graph::{ArtifactCache, EdgeList, GraphError, ShardGrid};
+use gnnerator_graph::{ArtifactCache, EdgeList, GraphError, NodeFeatures, ShardGrid};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -80,7 +80,8 @@ fn warm_cache_run_skips_all_graph_builds_and_is_bit_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Byte-wise FNV-1a 64, the payload checksum of formats 2 and 3.
+/// Byte-wise FNV-1a 64: the payload checksum of formats 2 and 3, and the
+/// hash that names artifact files.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
         (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -134,7 +135,7 @@ fn v2_grid_artifacts_are_quarantined_and_rebuilt_once() {
         let dataset = cold.dataset(scenario).unwrap();
         edges_by_graph.insert(
             ArtifactCache::dataset_key(&scenario.dataset, scenario.seed),
-            dataset.edge_list.clone(),
+            EdgeList::clone(&dataset.edge_list),
         );
     }
     let grid_files: Vec<PathBuf> = std::fs::read_dir(&dir)
@@ -178,46 +179,66 @@ fn v2_grid_artifacts_are_quarantined_and_rebuilt_once() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Rewrites the dataset artifact at `path` as format 3 wrote it: the same
-/// envelope and payload under version 3, checksummed byte by byte.
-fn rewrite_as_v3_dataset_artifact(path: &Path) {
-    let mut bytes = std::fs::read(path).unwrap();
+/// Word-wise FNV-1a 64, the payload checksum since format 4: 8-byte
+/// little-endian words, then the trailing bytes one at a time.
+fn word_checksum(bytes: &[u8]) -> u64 {
+    let step = |hash: u64, value: u64| (hash ^ value).wrapping_mul(0x0000_0100_0000_01b3);
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    let hash = words.fold(0xcbf2_9ce4_8422_2325, |hash, word| {
+        step(hash, u64::from_le_bytes(word.try_into().unwrap()))
+    });
+    tail.iter().fold(hash, |hash, &b| step(hash, u64::from(b)))
+}
+
+/// Rewrites the dataset artifact at `path` as format 4 wrote it: the same
+/// envelope and payload followed by the feature table (`rows` and `dim` as
+/// u64, then the f32 values), under version 4 and re-checksummed.
+fn rewrite_as_v4_dataset_artifact(path: &Path, table: &NodeFeatures) {
+    let bytes = std::fs::read(path).unwrap();
     let key_len = u32::from_le_bytes(bytes[9..13].try_into().unwrap()) as usize;
     let envelope_len = 13 + key_len + 16;
-    let checksum = fnv1a64(&bytes[envelope_len..]);
-    bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
-    bytes[envelope_len - 8..envelope_len].copy_from_slice(&checksum.to_le_bytes());
-    std::fs::write(path, bytes).unwrap();
+    let mut payload = bytes[envelope_len..].to_vec();
+    payload.extend_from_slice(&(table.num_nodes() as u64).to_le_bytes());
+    payload.extend_from_slice(&(table.dim() as u64).to_le_bytes());
+    for v in table.as_matrix().as_slice() {
+        payload.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut v4 = bytes[..envelope_len - 16].to_vec();
+    v4[4..8].copy_from_slice(&4u32.to_le_bytes());
+    v4.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    v4.extend_from_slice(&word_checksum(&payload).to_le_bytes());
+    v4.extend_from_slice(&payload);
+    std::fs::write(path, v4).unwrap();
 }
 
 #[test]
-fn v3_dataset_artifacts_are_quarantined_and_rebuilt_once() {
-    let dir = scratch_dir("v3-upgrade");
+fn v4_dataset_artifacts_are_quarantined_and_rebuilt_once() {
+    let dir = scratch_dir("v4-upgrade");
     let scenarios = grid();
     let cold = SweepRunner::new().with_artifact_cache(Arc::new(ArtifactCache::new(&dir)));
     let cold_results = cold.run_serial(&scenarios).unwrap();
     let datasets = cold.datasets_synthesized();
     assert!(datasets > 0);
 
-    // Leave a format-3 dataset artifact (byte-wise checksum) under every
-    // dataset's name, as a cache root written before format 4 would hold.
-    let dataset_files: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|entry| entry.unwrap().path())
-        .filter(|path| {
-            path.file_name()
-                .unwrap()
-                .to_string_lossy()
-                .starts_with("ds-")
-        })
-        .collect();
-    assert_eq!(dataset_files.len(), datasets);
-    for path in &dataset_files {
-        rewrite_as_v3_dataset_artifact(path);
+    // Leave a format-4 dataset artifact (edges plus the feature table) under
+    // every dataset's name, as a cache root written before format 5 would
+    // hold. Artifact files are named by the FNV-1a 64 of their key.
+    let mut dataset_files = Vec::new();
+    let mut seen = std::collections::HashSet::new();
+    for scenario in &scenarios {
+        if !seen.insert((scenario.dataset, scenario.seed)) {
+            continue;
+        }
+        let key = ArtifactCache::dataset_key(&scenario.dataset, scenario.seed);
+        let path = dir.join(format!("ds-{:016x}.bin", fnv1a64(key.as_bytes())));
+        rewrite_as_v4_dataset_artifact(&path, &scenario.dataset.features(scenario.seed));
+        dataset_files.push(path);
     }
+    assert_eq!(dataset_files.len(), datasets);
 
     // Each stale artifact is rejected on its version, quarantined and
-    // re-synthesised exactly once, with bit-identical reports; the format-4
+    // re-synthesised exactly once, with bit-identical reports; the
     // summaries still load.
     let cache = Arc::new(ArtifactCache::new(&dir));
     let upgraded = SweepRunner::new().with_artifact_cache(Arc::clone(&cache));
@@ -252,7 +273,7 @@ fn corrupted_cache_files_fall_back_to_identical_fresh_builds() {
         .synthesize(5)
         .unwrap();
     let model = NetworkKind::Gcn
-        .build_paper_config(dataset.features.dim(), 6)
+        .build_paper_config(dataset.spec.feature_dim, 6)
         .unwrap();
     let config = GnneratorConfig::paper_default();
     let cache = Arc::new(ArtifactCache::new(&dir));
@@ -325,7 +346,7 @@ fn ogbn_scale_spec_flows_through_the_streaming_pipeline() {
     assert_eq!(dataset.num_edges(), spec.edges);
     assert!(dataset.edge_list.is_sorted());
     let model = NetworkKind::Gcn
-        .build(dataset.features.dim(), 16, 40, 1)
+        .build(dataset.spec.feature_dim, 16, 40, 1)
         .unwrap();
     let session = SimSession::new(model, &dataset).unwrap();
     let report = session

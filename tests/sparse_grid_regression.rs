@@ -74,7 +74,7 @@ fn table2_reports_are_bit_identical_to_the_dense_grid_simulator() {
         let dataset = kind.spec().scaled(0.05).synthesize(42).unwrap();
         for net in ["gcn", "gsage", "gsage-max"] {
             let model = network(net)
-                .build_paper_config(dataset.features.dim(), 7)
+                .build_paper_config(dataset.spec.feature_dim, 7)
                 .unwrap();
             let session = SimSession::new(model, &dataset).unwrap();
             for df in ["b64", "b32", "conv"] {

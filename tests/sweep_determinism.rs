@@ -75,7 +75,7 @@ fn fresh_per_run_report(scenario: &ScenarioSpec) -> Report {
     let model = scenario
         .network
         .build(
-            dataset.features.dim(),
+            dataset.spec.feature_dim,
             scenario.hidden_dim,
             scenario.out_dim,
             scenario.hidden_layers,
@@ -94,7 +94,7 @@ fn fresh_per_run_evaluation(scenario: &ScenarioSpec) -> BackendEvaluation {
     let model = scenario
         .network
         .build(
-            dataset.features.dim(),
+            dataset.spec.feature_dim,
             scenario.hidden_dim,
             scenario.out_dim,
             scenario.hidden_layers,
@@ -247,7 +247,7 @@ fn session_reuse_matches_fresh_compilation_end_to_end() {
         .synthesize(21)
         .unwrap();
     let model = NetworkKind::GraphsagePool
-        .build_paper_config(dataset.features.dim(), 3)
+        .build_paper_config(dataset.spec.feature_dim, 3)
         .unwrap();
     let session = SimSession::new(model.clone(), &dataset).unwrap();
     let config = GnneratorConfig::paper_default();
