@@ -40,7 +40,7 @@
 //! [`SessionPool`]: gnnerator_serve::SessionPool
 //! [`SessionServer`]: gnnerator_serve::SessionServer
 
-use gnnerator::{build_session, evaluate_scenario, materialize_dataset, ScenarioSpec};
+use gnnerator::{build_session, evaluate_scenario, ScenarioSpec};
 use gnnerator_bench::suite::scale_from_args;
 use gnnerator_graph::datasets::Dataset;
 use gnnerator_serve::{
@@ -191,7 +191,9 @@ fn main() {
             .entry((scenario.dataset.name.to_string(), scenario.seed))
             .or_insert_with(|| {
                 Arc::new(
-                    materialize_dataset(scenario.dataset, scenario.seed, None)
+                    scenario
+                        .dataset
+                        .synthesize(scenario.seed)
                         .expect("request-mix datasets synthesise"),
                 )
             });

@@ -226,7 +226,7 @@ impl SuiteContext {
     ///
     /// # Errors
     ///
-    /// Propagates dataset-synthesis errors.
+    /// Propagates degenerate-spec errors.
     pub fn materialize(options: &SuiteOptions) -> Result<Self, GnneratorError> {
         Self::build(options, SweepRunner::new())
     }
@@ -237,7 +237,7 @@ impl SuiteContext {
     ///
     /// # Errors
     ///
-    /// Propagates dataset-materialisation errors.
+    /// Propagates degenerate-spec errors.
     pub fn materialize_with_cache(
         options: &SuiteOptions,
         cache: Arc<ArtifactCache>,
@@ -250,8 +250,8 @@ impl SuiteContext {
             options: options.clone(),
             runner: Arc::new(runner),
         };
-        // Materialise eagerly so synthesis errors surface here and later
-        // sweeps only pay simulation time.
+        // Open every dataset eagerly so a degenerate spec surfaces here; the
+        // edges load or synthesise on the first compile that needs them.
         for kind in DatasetKind::ALL {
             ctx.dataset(kind)?;
         }
@@ -318,11 +318,12 @@ impl SuiteContext {
         scenario
     }
 
-    /// The synthesised dataset for `kind`.
+    /// The dataset handle for `kind` (its edges materialise on first use).
     ///
     /// # Errors
     ///
-    /// Propagates synthesis errors (cannot occur for the built-in specs).
+    /// Propagates degenerate-spec errors (cannot occur for the built-in
+    /// specs).
     pub fn dataset(&self, kind: DatasetKind) -> Result<Arc<Dataset>, GnneratorError> {
         self.runner
             .dataset_for(self.dataset_spec(kind), self.dataset_seed(kind))

@@ -103,12 +103,10 @@ impl Compiler {
         model: &GnnModel,
         plans: &ShardPlanCache,
     ) -> Result<Program, GnneratorError> {
-        let edges = plans.edges();
-        if edges.num_nodes() == 0 {
+        let (num_nodes, num_edges) = (plans.num_nodes(), plans.num_edges());
+        if num_nodes == 0 {
             return Err(GnneratorError::unmappable("graph has no nodes"));
         }
-        let num_nodes = edges.num_nodes();
-        let num_edges = edges.num_edges();
         let mut layers = Vec::with_capacity(model.num_layers());
         for (index, layer) in model.layers().iter().enumerate() {
             layers.push(self.compile_layer(index, layer, plans)?);
@@ -136,7 +134,7 @@ impl Compiler {
         let nodes_per_shard = self
             .graph_engine
             .nodes_per_shard(block_size)
-            .min(plans.edges().num_nodes())
+            .min(plans.num_nodes())
             .max(1);
 
         // Self-inclusive aggregation is realised by adding self-loop edges so

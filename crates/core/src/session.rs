@@ -53,32 +53,32 @@ pub struct SimSession {
     /// Telemetry sink the session's evaluations snapshot memory counters
     /// from (the process-global recorder unless overridden).
     recorder: Recorder,
-    /// Wall-clock seconds materialising the session's graph took (dataset
-    /// synthesis or artifact-cache load; `0.0` for bare edge lists).
-    graph_build_seconds: f64,
 }
 
 impl SimSession {
     /// Creates a session for `model` running on `dataset`, with purely
     /// in-memory shard-plan caching.
     ///
+    /// The session shares the dataset handle and reads no edge until its
+    /// first compile builds a shard summary.
+    ///
     /// # Errors
     ///
-    /// Returns [`GnneratorError::Unmappable`] if the dataset's feature
-    /// dimension (`spec.feature_dim`) does not match the model's input
-    /// dimension, or if the graph has no nodes.
+    /// Returns [`GnneratorError::Graph`] if the dataset's spec is degenerate
+    /// and [`GnneratorError::Unmappable`] if its feature dimension
+    /// (`spec.feature_dim`) does not match the model's input dimension.
     pub fn new(model: GnnModel, dataset: &Dataset) -> Result<Self, GnneratorError> {
         Self::build(model, dataset, None)
     }
 
     /// Like [`SimSession::new`], but shard grids are additionally persisted
     /// in (and loaded from) `cache`, keyed by the dataset's `(spec, seed)`
-    /// identity — repeated harness runs skip re-sharding entirely.
+    /// identity — repeated harness runs skip re-sharding entirely, and a
+    /// session whose every summary loads never materialises its edges.
     ///
     /// # Errors
     ///
-    /// Returns [`GnneratorError::Unmappable`] under the same conditions as
-    /// [`SimSession::new`].
+    /// Same contract as [`SimSession::new`].
     pub fn with_artifact_cache(
         model: GnnModel,
         dataset: &Dataset,
@@ -107,6 +107,7 @@ impl SimSession {
         dataset: &Dataset,
         cache: Option<Arc<ArtifactCache>>,
     ) -> Result<Self, GnneratorError> {
+        dataset.spec.validate()?;
         if dataset.spec.feature_dim != model.input_dim() {
             return Err(GnneratorError::unmappable(format!(
                 "dataset features are {}-dimensional but the model expects {}",
@@ -114,25 +115,11 @@ impl SimSession {
                 model.input_dim()
             )));
         }
-        if dataset.num_nodes() == 0 {
-            return Err(GnneratorError::unmappable("graph has no nodes"));
-        }
-        // The session shares the dataset's edges; it never copies them.
-        let edges = Arc::clone(&dataset.edge_list);
-        let plans = match cache {
-            Some(cache) => ShardPlanCache::with_disk_cache(
-                edges,
-                cache,
-                ArtifactCache::dataset_key(&dataset.spec, dataset.seed),
-            ),
-            None => ShardPlanCache::new(edges),
-        };
         Ok(Self {
             model,
             dataset_name: dataset.spec.name.to_string(),
-            plans,
+            plans: ShardPlanCache::for_dataset(dataset.clone(), cache),
             recorder: Recorder::default(),
-            graph_build_seconds: dataset.build_seconds,
         })
     }
 
@@ -156,7 +143,6 @@ impl SimSession {
             dataset_name: dataset_name.into(),
             plans: ShardPlanCache::new(Arc::new(edges)),
             recorder: Recorder::default(),
-            graph_build_seconds: 0.0,
         })
     }
 
@@ -172,13 +158,13 @@ impl SimSession {
 
     /// Number of nodes in the session's graph.
     pub fn num_nodes(&self) -> usize {
-        self.plans.edges().num_nodes()
+        self.plans.num_nodes()
     }
 
     /// Number of edges in the session's graph (excluding compiler-added
     /// self-loops).
     pub fn num_edges(&self) -> usize {
-        self.plans.edges().num_edges()
+        self.plans.num_edges()
     }
 
     /// Number of distinct shard grids built so far.
@@ -191,13 +177,6 @@ impl SimSession {
     /// `shard_build_seconds`).
     pub fn shard_build_seconds(&self) -> f64 {
         self.plans.build_seconds()
-    }
-
-    /// Wall-clock seconds materialising this session's graph took (dataset
-    /// synthesis, or the artifact-cache load that replaced it; feeds
-    /// `BENCH_sweep.json`'s `graph_build_seconds`).
-    pub fn graph_build_seconds(&self) -> f64 {
-        self.graph_build_seconds
     }
 
     /// Number of shard grids this session built from scratch.
@@ -458,7 +437,6 @@ mod tests {
             .unwrap();
         assert!(cold.shard_grids_built() > 0);
         assert_eq!(cold.shard_grids_loaded(), 0);
-        assert!(cold.graph_build_seconds() > 0.0);
 
         // A fresh session over the same dataset loads every grid from disk
         // and reproduces the report bit for bit.

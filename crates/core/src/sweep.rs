@@ -3,9 +3,10 @@
 //! Every figure and table of the paper's evaluation enumerates scenario
 //! points — (backend × network × dataset × platform configuration ×
 //! dataflow) — and evaluates each one. A [`SweepRunner`] owns the two caches
-//! that make this cheap (synthesised datasets, keyed by spec and seed;
-//! compiled [`SimSession`]s, keyed by dataset and model shape) and executes a
-//! batch of [`ScenarioSpec`]s in parallel on scoped worker threads.
+//! that make this cheap (dataset handles, keyed by spec and seed, whose
+//! edges materialise at most once; compiled [`SimSession`]s, keyed by
+//! dataset and model shape) and executes a batch of [`ScenarioSpec`]s in
+//! parallel on scoped worker threads.
 //!
 //! Scenario execution routes through the [`Backend`] trait: the simulated
 //! accelerator ([`GnneratorBackend`]) and the two analytical baselines
@@ -28,7 +29,7 @@ use crate::{
 use gnnerator_baselines::guarded_speedup;
 use gnnerator_faults::lock_recover;
 use gnnerator_gnn::NetworkKind;
-use gnnerator_graph::datasets::{Dataset, DatasetSpec};
+use gnnerator_graph::datasets::{Dataset, DatasetSpec, Provenance};
 use gnnerator_graph::ArtifactCache;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -138,40 +139,12 @@ impl ScenarioSpec {
     }
 }
 
-/// Materialises a scenario's dataset: loaded from the artifact cache when
-/// one is supplied and holds a usable entry, synthesised fresh otherwise
-/// (with the fresh build stored back, best-effort). A corrupt or stale
-/// artifact counts as a miss with a cause, not an error.
-///
-/// This is the single materialisation path shared by the [`SweepRunner`]
-/// and the serving layer's session pool, so both produce bit-identical
-/// graphs for the same `(spec, seed)` key.
-///
-/// # Errors
-///
-/// Propagates dataset-synthesis errors (degenerate specs) and
-/// non-artifact cache I/O errors.
-pub fn materialize_dataset(
-    spec: DatasetSpec,
-    seed: u64,
-    cache: Option<&ArtifactCache>,
-) -> Result<Dataset, GnneratorError> {
-    if let Some(cache) = cache {
-        match cache.load_dataset(&spec, seed) {
-            Ok(Some(dataset)) => return Ok(dataset),
-            Ok(None) | Err(gnnerator_graph::GraphError::CacheArtifact { .. }) => {}
-            Err(other) => return Err(other.into()),
-        }
-        let dataset = spec.synthesize(seed)?;
-        cache.store_dataset(&dataset).ok(); // best-effort persistence
-        return Ok(dataset);
-    }
-    Ok(spec.synthesize(seed)?)
-}
-
 /// Builds the compiled session for a scenario's (dataset, model) pair —
 /// the model is constructed from the scenario's shape fields, and shard
-/// grids are persisted in `cache` when one is supplied.
+/// grids are persisted in `cache` when one is supplied. The session shares
+/// `dataset`'s handle and opens no file: its first compile loads or builds
+/// the shard summaries, and only a summary that must be built materialises
+/// the edges.
 ///
 /// Carries the `session_build` fault-injection point: an injected error or
 /// delay here models a slow or failing cold compile.
@@ -390,6 +363,12 @@ pub type SessionKey = (DatasetSpec, u64, NetworkKind, usize, usize, usize);
 /// Executes batches of scenarios in parallel over shared dataset/session
 /// caches, dispatching each point through its [`Backend`].
 ///
+/// The dataset cache holds one [`Dataset`] handle per `(spec, seed)`, shared
+/// by every session over it; a handle's edges are materialised (loaded from
+/// the artifact cache, or synthesised) only when one of those sessions must
+/// build a shard summary, and the `datasets_*` counters count exactly those
+/// materialisations.
+///
 /// # Examples
 ///
 /// ```
@@ -431,13 +410,6 @@ pub struct SweepRunner {
     /// sharding graphs. `None` (the default) keeps the runner fully
     /// in-memory, which is what unit tests and one-shot sweeps want.
     artifact_cache: Option<Arc<ArtifactCache>>,
-    /// Datasets materialised by actually running the synthesiser.
-    datasets_synthesized: AtomicUsize,
-    /// Datasets materialised by reading the artifact cache.
-    datasets_loaded: AtomicUsize,
-    /// Wall-clock seconds spent materialising graphs (synthesis or cache
-    /// load), summed across worker threads.
-    graph_build_seconds: Mutex<f64>,
     /// Explicit telemetry recorder for every session this runner builds.
     /// `None` (the default) leaves sessions on the process-global
     /// recorder.
@@ -481,64 +453,45 @@ impl SweepRunner {
         self.recorder.as_ref()
     }
 
-    /// Returns the materialised dataset for a scenario, synthesising and
-    /// caching it on first request.
+    /// Returns the dataset handle for a scenario, opening and caching it on
+    /// first request. Validates the spec but reads no edge; see
+    /// [`Dataset::edge_list`].
     ///
     /// # Errors
     ///
-    /// Propagates dataset-synthesis errors (degenerate specs).
+    /// Returns [`GnneratorError::Graph`] for a degenerate spec.
     pub fn dataset(&self, scenario: &ScenarioSpec) -> Result<Arc<Dataset>, GnneratorError> {
         let (spec, seed) = scenario.dataset_key();
         self.dataset_for(spec, seed)
     }
 
-    /// Returns the materialised dataset for a bare `(spec, seed)` key,
-    /// synthesising and caching it on first request.
+    /// Returns the dataset handle for a bare `(spec, seed)` key, opening and
+    /// caching it on first request.
     ///
     /// # Errors
     ///
-    /// Propagates dataset-synthesis errors (degenerate specs).
+    /// Returns [`GnneratorError::Graph`] for a degenerate spec.
     pub fn dataset_for(
         &self,
         spec: DatasetSpec,
         seed: u64,
     ) -> Result<Arc<Dataset>, GnneratorError> {
-        if let Some(hit) = lock_recover(&self.datasets).get(&(spec, seed)) {
+        let mut datasets = lock_recover(&self.datasets);
+        if let Some(hit) = datasets.get(&(spec, seed)) {
             return Ok(Arc::clone(hit));
         }
-        // Materialise outside the lock so distinct keys proceed in parallel.
-        // A racing duplicate materialisation of the same key is harmless —
-        // the first insert wins, and only the winner is counted, so the
-        // telemetry counters stay deterministic under any thread schedule.
-        let dataset = Arc::new(self.materialize_dataset(spec, seed)?);
-        let mut cache = lock_recover(&self.datasets);
-        match cache.entry((spec, seed)) {
-            std::collections::hash_map::Entry::Occupied(entry) => Ok(Arc::clone(entry.get())),
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                if dataset.loaded_from_cache {
-                    self.datasets_loaded.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.datasets_synthesized.fetch_add(1, Ordering::Relaxed);
-                }
-                *lock_recover(&self.graph_build_seconds) += dataset.build_seconds;
-                Ok(Arc::clone(entry.insert(dataset)))
-            }
-        }
+        let dataset = Arc::new(Dataset::open(spec, seed, self.artifact_cache.clone())?);
+        datasets.insert((spec, seed), Arc::clone(&dataset));
+        Ok(dataset)
     }
 
-    /// Loads a dataset from the artifact cache or synthesises it fresh. A
-    /// corrupt or stale artifact counts as a miss: the dataset is
-    /// re-synthesised and the artifact overwritten. (Provenance counting
-    /// happens in [`SweepRunner::dataset_for`], against the winning insert.)
-    fn materialize_dataset(&self, spec: DatasetSpec, seed: u64) -> Result<Dataset, GnneratorError> {
-        materialize_dataset(spec, seed, self.artifact_cache.as_deref())
-    }
-
-    /// Seeds the dataset cache with an already-materialised dataset for
-    /// `(spec, seed)`, sharing it instead of re-synthesising.
+    /// Seeds the dataset cache with a dataset handle for `(spec, seed)`,
+    /// sharing it (and its edges, once materialised) instead of opening a
+    /// new one.
     ///
     /// Used to hand graphs between runners — e.g. benchmarking a cold runner
-    /// without re-paying (or timing) dataset synthesis.
+    /// without re-paying (or timing) dataset synthesis. Both runners then
+    /// count the handle's materialisation.
     pub fn insert_dataset(&self, spec: DatasetSpec, seed: u64, dataset: Arc<Dataset>) {
         lock_recover(&self.datasets)
             .entry((spec, seed))
@@ -553,7 +506,7 @@ impl SweepRunner {
     ///
     /// # Errors
     ///
-    /// Propagates dataset-synthesis and model-construction errors.
+    /// Propagates degenerate-spec and model-construction errors.
     pub fn session(&self, scenario: &ScenarioSpec) -> Result<Arc<SimSession>, GnneratorError> {
         let key = scenario.session_key();
         if let Some(hit) = lock_recover(&self.sessions).get(&key) {
@@ -607,10 +560,9 @@ impl SweepRunner {
     /// Runs a batch of scenarios in parallel, returning results in input
     /// order.
     ///
-    /// Sessions (and the datasets underneath them) are materialised first —
-    /// one per distinct (dataset, model) pair, in parallel — then every
-    /// scenario executes on the worker pool against the shared compiled
-    /// state. Results are bit-identical to [`SweepRunner::run_serial`] on
+    /// Sessions are built first — one per distinct (dataset, model) pair, in
+    /// parallel — then every scenario executes on the worker pool against
+    /// the shared compiled state. Results are bit-identical to [`SweepRunner::run_serial`] on
     /// the same scenarios, for every backend.
     ///
     /// # Errors
@@ -619,9 +571,11 @@ impl SweepRunner {
     /// across runs and thread schedules, and identical to the error
     /// [`SweepRunner::run_serial`] reports for the same batch.
     pub fn run(&self, scenarios: &[ScenarioSpec]) -> Result<Vec<ScenarioResult>, GnneratorError> {
-        // Phase 1: materialise each distinct session once, in parallel.
-        // (Dataset synthesis dominates; doing it here keeps the scenario
-        // phase free of cache-miss stampedes.) Build failures are *not*
+        // Phase 1: build each distinct session once, in parallel, so the
+        // scenario phase starts without session-build stampedes. (Sessions
+        // are cheap; the first compile of each, in phase 2, loads or builds
+        // its summaries and materialises a dataset's edges at most once,
+        // behind the dataset's own lock.) Build failures are *not*
         // propagated here: a session-build error would surface in whatever
         // order the deduplicated keys race, which is not necessarily the
         // lowest failing scenario index. Phase 2 re-derives every error
@@ -672,20 +626,35 @@ impl SweepRunner {
             .sum()
     }
 
-    /// Cumulative wall-clock seconds spent materialising graphs (synthesis
-    /// or artifact-cache loads), summed across worker threads.
+    /// How each cached dataset whose edges have been materialised got them.
+    fn provenances(&self) -> Vec<Provenance> {
+        lock_recover(&self.datasets)
+            .values()
+            .filter_map(|dataset| dataset.provenance())
+            .collect()
+    }
+
+    /// Cumulative wall-clock seconds spent materialising the cached datasets'
+    /// edges (synthesis or artifact-cache loads).
     pub fn graph_build_seconds(&self) -> f64 {
-        *lock_recover(&self.graph_build_seconds)
+        self.provenances().iter().map(|p| p.build_seconds).sum()
     }
 
-    /// Number of datasets this runner synthesised from scratch.
+    /// Number of cached datasets whose edges were synthesised from scratch.
     pub fn datasets_synthesized(&self) -> usize {
-        self.datasets_synthesized.load(Ordering::Relaxed)
+        self.provenances()
+            .iter()
+            .filter(|p| !p.loaded_from_cache)
+            .count()
     }
 
-    /// Number of datasets this runner loaded from the artifact cache.
+    /// Number of cached datasets whose edges were loaded from the artifact
+    /// cache. Zero on a warm run whose every shard summary loads.
     pub fn datasets_loaded(&self) -> usize {
-        self.datasets_loaded.load(Ordering::Relaxed)
+        self.provenances()
+            .iter()
+            .filter(|p| p.loaded_from_cache)
+            .count()
     }
 
     /// Total shard grids built from scratch across every cached session.
@@ -1020,7 +989,7 @@ mod tests {
         let runner = SweepRunner::new();
         let via_runner = runner.run_one(&scenario).unwrap();
 
-        let dataset = materialize_dataset(scenario.dataset, scenario.seed, None).unwrap();
+        let dataset = scenario.dataset.synthesize(scenario.seed).unwrap();
         let session = Arc::new(build_session(&scenario, &dataset, None).unwrap());
         let via_helpers = evaluate_scenario(&scenario, &session).unwrap();
         assert_eq!(via_helpers, via_runner);
@@ -1052,15 +1021,16 @@ mod tests {
         assert!(cold.total_shard_grids_built() > 0);
 
         // Warm cached runner: zero synthesis, zero shard builds, identical
-        // results bit for bit.
+        // results bit for bit — and, since every summary loads, no dataset
+        // edges read at all.
         let warm = SweepRunner::new().with_artifact_cache(cache);
         let warm_results = warm.run(&scenarios).unwrap();
         assert_eq!(warm_results, reference);
-        assert_eq!(warm.datasets_synthesized(), 0, "all datasets from disk");
-        assert_eq!(warm.datasets_loaded(), warm.cached_datasets());
+        assert_eq!(warm.datasets_synthesized(), 0, "no dataset synthesised");
+        assert_eq!(warm.datasets_loaded(), 0, "no dataset edges read");
         assert_eq!(warm.total_shard_grids_built(), 0, "all grids from disk");
         assert!(warm.total_shard_grids_loaded() > 0);
-        assert!(warm.graph_build_seconds() > 0.0, "loads are timed too");
+        assert_eq!(warm.graph_build_seconds(), 0.0, "no graph materialised");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -47,7 +47,16 @@
 //! `num_edges` (each a `u64`), then one 8-byte record per edge (`src` and
 //! `dst` as u32) in the list's order. Feature values are a pure function of
 //! `(spec, seed)` ([`DatasetSpec::features`]), so none are stored; the load
-//! checks every endpoint and the sort order as it decodes.
+//! checks every endpoint and the sort order as it decodes, and rejects an
+//! artifact whose `num_nodes` or edge count is not the spec's.
+//!
+//! That check is what lets a [`Dataset`] take its counts from its spec: a
+//! handle from [`Dataset::open`] reads this artifact only on its first
+//! [`Dataset::edge_list`] call, which a session makes only to build a shard
+//! summary it cannot load. A warm run whose summaries all load therefore
+//! opens no dataset artifact at all; a missing, corrupt or fault-injected
+//! one is met only by a summary miss, and then falls back to synthesis
+//! (storing the fresh edges back).
 //!
 //! Since format version 3 a shard-grid artifact stores a [`ShardSummary`]
 //! and no edges: the payload is a 32-byte header (`num_nodes`,
@@ -77,13 +86,12 @@
 //! failpoints (see `gnnerator_faults`): injected faults surface as
 //! [`GraphError::CacheArtifact`] without quarantining the (healthy) file.
 
-use crate::datasets::{Dataset, DatasetKind, DatasetSpec};
+use crate::datasets::{Dataset, DatasetKind, DatasetSpec, Provenance};
 use crate::{Edge, EdgeList, GraphError, ShardCoord, ShardMeta, ShardSummary};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// On-disk format version; bump whenever the byte layout changes so stale
 /// artifacts are rejected (and rebuilt) instead of misread. Version 3
@@ -143,8 +151,8 @@ const STALE_TEMP_WINDOW: std::time::Duration = std::time::Duration::from_secs(60
 /// let dataset = spec.synthesize(7)?;
 /// cache.store_dataset(&dataset)?;
 /// let reloaded = cache.load_dataset(&spec, 7)?.expect("hit");
-/// assert_eq!(reloaded.edge_list, dataset.edge_list);
-/// assert!(reloaded.loaded_from_cache);
+/// assert_eq!(reloaded.edge_list()?, dataset.edge_list()?);
+/// assert!(reloaded.provenance().expect("loaded").loaded_from_cache);
 /// # std::fs::remove_dir_all(&dir).ok();
 /// # Ok(())
 /// # }
@@ -256,42 +264,50 @@ impl ArtifactCache {
             .map(|root| root.join(format!("{prefix}-{:016x}.bin", fnv1a64(key.as_bytes()))))
     }
 
-    /// Stores a synthesised dataset under its `(spec, seed)` key.
+    /// Stores a dataset's edges under its `(spec, seed)` key, materialising
+    /// them first if the handle has not yet.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::CacheArtifact`] if the file cannot be written.
+    /// Returns [`GraphError::CacheArtifact`] if the file cannot be written,
+    /// and propagates the materialisation's errors.
     /// Callers normally treat store failures as best-effort (a cold next run,
     /// not a wrong one).
     pub fn store_dataset(&self, dataset: &Dataset) -> Result<(), GraphError> {
-        let key = Self::dataset_key(&dataset.spec, dataset.seed);
+        self.store_edges(&dataset.spec, dataset.seed, dataset.edge_list()?)
+    }
+
+    /// Stores `edges` as the `(spec, seed)` dataset's artifact.
+    pub(crate) fn store_edges(
+        &self,
+        spec: &DatasetSpec,
+        seed: u64,
+        edges: &EdgeList,
+    ) -> Result<(), GraphError> {
+        let key = Self::dataset_key(spec, seed);
         let Some(path) = self.file_for("ds", &key) else {
             return Ok(());
         };
         write_artifact(&path, KIND_DATASET, &key, |w| {
-            w.put(&[kind_tag(dataset.spec.kind)])?;
+            w.put(&[kind_tag(spec.kind)])?;
             for field in [
-                dataset.spec.vertices as u64,
-                dataset.spec.edges as u64,
-                dataset.spec.feature_dim as u64,
-                dataset.seed,
-                dataset.edge_list.num_nodes() as u64,
-                dataset.edge_list.num_edges() as u64,
+                spec.vertices as u64,
+                spec.edges as u64,
+                spec.feature_dim as u64,
+                seed,
+                edges.num_nodes() as u64,
+                edges.num_edges() as u64,
             ] {
                 w.put_u64(field)?;
             }
-            w.put_records(
-                dataset.edge_list.as_slice(),
-                EDGE_RECORD_BYTES,
-                |e, record| {
-                    record[..4].copy_from_slice(&e.src.to_le_bytes());
-                    record[4..].copy_from_slice(&e.dst.to_le_bytes());
-                },
-            )
+            w.put_records(edges.as_slice(), EDGE_RECORD_BYTES, |e, record| {
+                record[..4].copy_from_slice(&e.src.to_le_bytes());
+                record[4..].copy_from_slice(&e.dst.to_le_bytes());
+            })
         })
     }
 
-    /// Loads the dataset stored under `(spec, seed)`.
+    /// Loads the dataset stored under `(spec, seed)`, its edges in place.
     ///
     /// Returns `Ok(None)` on a clean miss. The loaded edge list is
     /// bit-identical to the synthesised original. The edges stream from the
@@ -302,12 +318,24 @@ impl ArtifactCache {
     /// # Errors
     ///
     /// Returns [`GraphError::CacheArtifact`] for corrupt, stale-version or
-    /// mismatched-key files — callers should fall back to a fresh build.
+    /// mismatched-key files, and for an artifact whose node or edge count is
+    /// not the spec's — callers should fall back to a fresh build.
     pub fn load_dataset(
         &self,
         spec: &DatasetSpec,
         seed: u64,
     ) -> Result<Option<Dataset>, GraphError> {
+        Ok(self
+            .load_edges(spec, seed)?
+            .map(|(edges, provenance)| Dataset::materialized(*spec, seed, edges, provenance)))
+    }
+
+    /// [`ArtifactCache::load_dataset`]'s edge list and how long it took.
+    pub(crate) fn load_edges(
+        &self,
+        spec: &DatasetSpec,
+        seed: u64,
+    ) -> Result<Option<(EdgeList, Provenance)>, GraphError> {
         let key = Self::dataset_key(spec, seed);
         let Some(path) = self.file_for("ds", &key) else {
             return Ok(None);
@@ -340,8 +368,20 @@ impl ArtifactCache {
                 format!("stored identity {stored_spec} (seed {stored_seed}) does not match the requested key"),
             ));
             }
+            // A dataset's counts are its spec's, and sessions read them from
+            // the spec without loading the edges: an artifact holding any
+            // other graph is unusable.
             let num_nodes = r.u64()? as usize;
             let num_edges = r.record_count(EDGE_RECORD_BYTES)?;
+            if (num_nodes, num_edges) != (spec.vertices, spec.edges) {
+                return Err(reject(
+                    &path,
+                    format!(
+                        "holds {num_nodes} nodes and {num_edges} edges, but the spec has {} and {}",
+                        spec.vertices, spec.edges
+                    ),
+                ));
+            }
             let mut edges: Vec<Edge> = Vec::with_capacity(num_edges);
             let mut sorted = true;
             r.records(num_edges, EDGE_RECORD_BYTES, |batch| {
@@ -364,13 +404,14 @@ impl ArtifactCache {
                 Ok(())
             })?;
             r.finish()?;
-            Ok(Some(Dataset {
-                spec: *spec,
-                seed,
-                edge_list: Arc::new(EdgeList::from_checked_edges(num_nodes, edges, sorted)),
+            let provenance = Provenance {
                 build_seconds: start.elapsed().as_secs_f64(),
                 loaded_from_cache: true,
-            }))
+            };
+            Ok(Some((
+                EdgeList::from_checked_edges(num_nodes, edges, sorted),
+                provenance,
+            )))
         };
         self.quarantining(&path, load())
     }
@@ -948,11 +989,16 @@ impl<'a> PayloadReader<'a> {
             self.pos = 0;
             let chunk = self.unread.min(PAYLOAD_BLOCK_BYTES as u64) as usize;
             let start = self.block.len();
-            self.block.resize(start + chunk, 0);
-            let fresh = &mut self.block[start..];
-            self.file
-                .read_exact(fresh)
+            // Read into the block's spare capacity: no zero-fill first.
+            self.block.reserve(chunk);
+            let read = (&mut self.file)
+                .take(chunk as u64)
+                .read_to_end(&mut self.block)
                 .map_err(|e| reject(self.path, format!("reading cache artifact: {e}")))?;
+            if read != chunk {
+                return Err(reject(self.path, "truncated artifact".to_string()));
+            }
+            let fresh = &self.block[start..];
             self.unread -= chunk as u64;
             // Every chunk but the last is a whole number of words, so each
             // starts on a word boundary of the payload.
@@ -1053,12 +1099,14 @@ mod tests {
         assert!(cache.load_dataset(&spec, 5).unwrap().is_none(), "cold miss");
         cache.store_dataset(&original).unwrap();
         let loaded = cache.load_dataset(&spec, 5).unwrap().expect("hit");
-        assert_eq!(loaded.edge_list, original.edge_list);
-        assert_eq!(loaded.edge_list.is_sorted(), original.edge_list.is_sorted());
+        let (loaded_edges, original_edges) =
+            (loaded.edge_list().unwrap(), original.edge_list().unwrap());
+        assert_eq!(loaded_edges, original_edges);
+        assert_eq!(loaded_edges.is_sorted(), original_edges.is_sorted());
         assert_eq!(loaded.spec, original.spec);
         assert_eq!(loaded.seed, 5);
         assert_eq!(loaded.spec.features(loaded.seed), spec.features(5));
-        assert!(loaded.loaded_from_cache);
+        assert!(loaded.provenance().unwrap().loaded_from_cache);
         // A different seed is a different key.
         assert!(cache.load_dataset(&spec, 6).unwrap().is_none());
         std::fs::remove_dir_all(&dir).ok();
@@ -1163,7 +1211,7 @@ mod tests {
         let dataset = spec.synthesize(1).unwrap();
         cache.store_dataset(&dataset).unwrap();
         assert!(cache.load_dataset(&spec, 1).unwrap().is_none());
-        let grid = ShardSummary::build(&dataset.edge_list, 16, false).unwrap();
+        let grid = ShardSummary::build(dataset.edge_list().unwrap(), 16, false).unwrap();
         cache.store_summary("k", &grid).unwrap();
         assert!(cache.load_summary("k").unwrap().is_none());
     }
@@ -1444,6 +1492,36 @@ mod tests {
     }
 
     #[test]
+    fn artifacts_whose_counts_are_not_the_specs_are_quarantined() {
+        // Sessions take a dataset's counts from its spec, so an artifact
+        // holding any other graph under the spec's key must not load.
+        let (cache, dir) = temp_cache("counts");
+        let spec = DatasetKind::Cora.spec().scaled(0.02);
+        let provenance = Provenance {
+            build_seconds: 0.0,
+            loaded_from_cache: false,
+        };
+        let other_nodes = generators::rmat_exact(spec.vertices + 1, spec.edges, 4).unwrap();
+        let other_edges = generators::rmat_exact(spec.vertices, spec.edges - 1, 4).unwrap();
+        for (stored, what) in [(other_nodes, "nodes"), (other_edges, "edges")] {
+            let impostor = Dataset::materialized(spec, 4, stored, provenance);
+            cache.store_dataset(&impostor).unwrap();
+            let err = cache.load_dataset(&spec, 4).unwrap_err();
+            assert!(
+                matches!(err, GraphError::CacheArtifact { .. }),
+                "{what}: {err}"
+            );
+            assert!(
+                err.to_string().contains("but the spec has"),
+                "{what}: {err}"
+            );
+            assert!(cache.load_dataset(&spec, 4).unwrap().is_none(), "{what}");
+        }
+        assert_eq!(cache.corrupt_artifacts(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn hostile_edge_counts_are_typed_errors_before_any_allocation() {
         // A correctly checksummed header whose edge count would reserve
         // 8 TiB is rejected on the payload length alone and quarantined.
@@ -1522,12 +1600,12 @@ mod tests {
             dataset.spec.edges,
             dataset.spec.feature_dim,
             3,
-            dataset.edge_list.num_nodes(),
-            dataset.edge_list.num_edges(),
+            dataset.edge_list().unwrap().num_nodes(),
+            dataset.edge_list().unwrap().num_edges(),
         ] {
             expected.extend_from_slice(&(field as u64).to_le_bytes());
         }
-        for e in dataset.edge_list.iter() {
+        for e in dataset.edge_list().unwrap().iter() {
             expected.extend_from_slice(&e.src.to_le_bytes());
             expected.extend_from_slice(&e.dst.to_le_bytes());
         }
@@ -1594,7 +1672,7 @@ mod tests {
             let (cache, dir) = temp_cache("prop-corrupt");
             let spec = DatasetKind::Cora.spec().scaled(0.01);
             let stored = spec.synthesize(2).unwrap();
-            let summary = ShardSummary::build(&stored.edge_list, 8, true).unwrap();
+            let summary = ShardSummary::build(stored.edge_list().unwrap(), 8, true).unwrap();
             let key = ArtifactCache::grid_key("prop", 8, true);
             let file = if dataset == 1 {
                 cache.store_dataset(&stored).unwrap();
@@ -1636,8 +1714,8 @@ mod tests {
             if dataset == 1 {
                 cache.store_dataset(&stored).unwrap();
                 proptest::prop_assert_eq!(
-                    cache.load_dataset(&spec, 2).unwrap().expect("hit").edge_list,
-                    stored.edge_list
+                    cache.load_dataset(&spec, 2).unwrap().expect("hit").edge_list().unwrap(),
+                    stored.edge_list().unwrap()
                 );
             } else {
                 cache.store_summary(&key, &summary).unwrap();

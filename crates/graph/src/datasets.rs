@@ -8,18 +8,24 @@
 //! qualitatively), so the reproduction's speedup *shapes* carry over even
 //! though the node features themselves are random.
 //!
-//! A [`Dataset`] is therefore a spec, a seed and an edge list, nothing else:
-//! the timing model reads only the edges and the feature *dimension*. The
-//! feature values, which only the value-level executors need, are a pure
-//! function of `(spec, seed)`: [`DatasetSpec::features`].
+//! A [`Dataset`] is therefore its identity `(spec, seed)` and a lazily
+//! materialised edge list, nothing else. Its node and edge counts are the
+//! spec's ([`generators::rmat_exact`] returns exactly `spec.edges` edges on
+//! `spec.vertices` nodes, and the artifact cache rejects any other count), so
+//! the timing model, which reads only counts and shard summaries, needs the
+//! edges only to build a summary it cannot load. The feature values, which
+//! only the value-level executors need, are a pure function of
+//! `(spec, seed)`: [`DatasetSpec::features`].
 
 use crate::parallel::{even_bounds, split_bands, workers_for};
-use crate::{generators, EdgeList, GraphError, NodeFeatures};
+use crate::{generators, ArtifactCache, EdgeList, GraphError, NodeFeatures};
+use gnnerator_faults::lock_recover;
 use gnnerator_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// Identifier for one of the benchmark datasets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -228,21 +234,29 @@ impl DatasetSpec {
         seed: u64,
         workers: fn(usize) -> usize,
     ) -> Result<Dataset, GraphError> {
+        let (edges, provenance) = self.generate(seed, workers)?;
+        Ok(Dataset::materialized(*self, seed, edges, provenance))
+    }
+
+    /// Validates the spec and generates its edge list, timed.
+    fn generate(
+        &self,
+        seed: u64,
+        workers: fn(usize) -> usize,
+    ) -> Result<(EdgeList, Provenance), GraphError> {
         self.validate()?;
-        let start = std::time::Instant::now();
-        let edge_list = generators::rmat_exact_with_workers(
+        let start = Instant::now();
+        let edges = generators::rmat_exact_with_workers(
             self.vertices,
             self.edges,
             seed,
             workers(self.edges * 2),
         )?;
-        Ok(Dataset {
-            spec: *self,
-            seed,
-            edge_list: Arc::new(edge_list),
+        let provenance = Provenance {
             build_seconds: start.elapsed().as_secs_f64(),
             loaded_from_cache: false,
-        })
+        };
+        Ok((edges, provenance))
     }
 
     /// The node feature table of the `seed`-synthesised dataset: one row per
@@ -406,38 +420,165 @@ fn random_features(rows: usize, dim: usize, seed: u64, workers: usize) -> NodeFe
     NodeFeatures::from_matrix(matrix)
 }
 
-/// A materialised dataset: its identity and its edge list. Feature values
-/// are not stored; [`DatasetSpec::features`] computes them from `spec` and
-/// `seed`.
+/// A dataset handle: its identity `(spec, seed)` and one edge list shared by
+/// every clone, materialised on first use.
+///
+/// The counts are the spec's, so [`Dataset::num_nodes`] and
+/// [`Dataset::num_edges`] read no edge. The first [`Dataset::edge_list`]
+/// call on any clone materialises the edges once for all of them: a handle
+/// from [`Dataset::open`] loads them from its artifact cache, or synthesises
+/// them and stores them back; [`DatasetSpec::synthesize`] and
+/// [`ArtifactCache::load_dataset`] return handles whose edges are already
+/// in place. Feature values are not stored; [`DatasetSpec::features`]
+/// computes them from `spec` and `seed`.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     /// The specification this dataset was synthesised from.
     pub spec: DatasetSpec,
     /// The seed it was synthesised with — together with `spec` this is the
-    /// dataset's identity in the persistent
-    /// [`ArtifactCache`](crate::ArtifactCache).
+    /// dataset's identity in the persistent [`ArtifactCache`].
     pub seed: u64,
-    /// The graph as a sorted edge list (input to the sharder), shared with
-    /// every session built over this dataset instead of copied.
-    pub edge_list: Arc<EdgeList>,
-    /// Wall-clock seconds materialising this dataset took (synthesis, or a
-    /// cache load — see `loaded_from_cache`). Feeds the
+    cell: Arc<EdgeCell>,
+}
+
+/// How a dataset's edge list was materialised.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Provenance {
+    /// Wall-clock seconds the synthesis or the cache load took. Feeds the
     /// `graph_build_seconds` telemetry in `BENCH_sweep.json`.
     pub build_seconds: f64,
-    /// `true` when the dataset was read back from the artifact cache rather
+    /// `true` when the edges were read back from the artifact cache rather
     /// than synthesised.
     pub loaded_from_cache: bool,
 }
 
+/// The lazily materialised edge list every clone of a [`Dataset`] shares.
+#[derive(Debug)]
+struct EdgeCell {
+    /// Where the edges load from, and where a fresh synthesis is stored back
+    /// (best-effort); `None` synthesises only.
+    cache: Option<Arc<ArtifactCache>>,
+    edges: OnceLock<(EdgeList, Provenance)>,
+    /// Held while materialising, so concurrent first calls share one load.
+    /// A failed materialisation leaves `edges` empty and the next call
+    /// retries.
+    materializing: Mutex<()>,
+}
+
 impl Dataset {
-    /// Number of vertices actually materialised.
-    pub fn num_nodes(&self) -> usize {
-        self.edge_list.num_nodes()
+    /// A handle on the `(spec, seed)` dataset whose edges materialise on the
+    /// first [`Dataset::edge_list`] call: loaded from `cache` when it holds a
+    /// usable artifact, synthesised otherwise (and stored back, best-effort).
+    /// Opens no file.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::DegenerateDataset`] if `spec` fails
+    /// [`DatasetSpec::validate`].
+    pub fn open(
+        spec: DatasetSpec,
+        seed: u64,
+        cache: Option<Arc<ArtifactCache>>,
+    ) -> Result<Self, GraphError> {
+        spec.validate()?;
+        Ok(Self::with_cell(
+            spec,
+            seed,
+            cache.filter(|cache| cache.is_enabled()),
+            OnceLock::new(),
+        ))
     }
 
-    /// Number of directed edges actually materialised.
+    /// A handle whose edges are already materialised.
+    pub(crate) fn materialized(
+        spec: DatasetSpec,
+        seed: u64,
+        edges: EdgeList,
+        provenance: Provenance,
+    ) -> Self {
+        Self::with_cell(spec, seed, None, OnceLock::from((edges, provenance)))
+    }
+
+    fn with_cell(
+        spec: DatasetSpec,
+        seed: u64,
+        cache: Option<Arc<ArtifactCache>>,
+        edges: OnceLock<(EdgeList, Provenance)>,
+    ) -> Self {
+        let cell = EdgeCell {
+            cache,
+            edges,
+            materializing: Mutex::new(()),
+        };
+        Self {
+            spec,
+            seed,
+            cell: Arc::new(cell),
+        }
+    }
+
+    /// Number of vertices: the spec's.
+    pub fn num_nodes(&self) -> usize {
+        self.spec.vertices
+    }
+
+    /// Number of directed edges: the spec's.
     pub fn num_edges(&self) -> usize {
-        self.edge_list.num_edges()
+        self.spec.edges
+    }
+
+    /// The graph as a sorted edge list, materialised on the first call by
+    /// any clone of this handle and shared by all of them.
+    ///
+    /// A corrupt or stale artifact counts as a miss (it is quarantined and
+    /// the edges are synthesised and stored anew), as does an injected
+    /// `cache_read` fault.
+    ///
+    /// # Errors
+    ///
+    /// Propagates synthesis errors ([`GraphError::BuildWorker`],
+    /// [`GraphError::EdgeCountShortfall`]) and non-artifact cache errors. An
+    /// error is not kept: the next call tries again.
+    pub fn edge_list(&self) -> Result<&EdgeList, GraphError> {
+        let cell = &*self.cell;
+        if let Some((edges, _)) = cell.edges.get() {
+            return Ok(edges);
+        }
+        let _materializing = lock_recover(&cell.materializing);
+        if let Some((edges, _)) = cell.edges.get() {
+            return Ok(edges);
+        }
+        let materialized = self.materialize(cell.cache.as_deref())?;
+        Ok(&cell.edges.get_or_init(|| materialized).0)
+    }
+
+    /// How the edge list was materialised, or `None` while it has not been.
+    pub fn provenance(&self) -> Option<Provenance> {
+        self.cell.edges.get().map(|(_, provenance)| *provenance)
+    }
+
+    /// How many handles (this one included) share this dataset's edge list.
+    pub fn handles(&self) -> usize {
+        Arc::strong_count(&self.cell)
+    }
+
+    fn materialize(
+        &self,
+        cache: Option<&ArtifactCache>,
+    ) -> Result<(EdgeList, Provenance), GraphError> {
+        let Some(cache) = cache else {
+            return self.spec.generate(self.seed, workers_for);
+        };
+        match cache.load_edges(&self.spec, self.seed) {
+            Ok(Some(loaded)) => return Ok(loaded),
+            Ok(None) | Err(GraphError::CacheArtifact { .. }) => {}
+            Err(other) => return Err(other),
+        }
+        let (edges, provenance) = self.spec.generate(self.seed, workers_for)?;
+        // Persistence is best-effort: a failed store costs the next run a
+        // synthesis, never a wrong result.
+        cache.store_edges(&self.spec, self.seed, &edges).ok();
+        Ok((edges, provenance))
     }
 }
 
@@ -576,10 +717,10 @@ mod tests {
         let spec = DatasetKind::Citeseer.spec().scaled(0.02);
         let a = spec.synthesize(3).unwrap();
         let b = spec.synthesize(3).unwrap();
-        assert_eq!(a.edge_list, b.edge_list);
+        assert_eq!(a.edge_list().unwrap(), b.edge_list().unwrap());
         assert_eq!(spec.features(3), spec.features(3));
         let c = spec.synthesize(4).unwrap();
-        assert_ne!(a.edge_list, c.edge_list);
+        assert_ne!(a.edge_list().unwrap(), c.edge_list().unwrap());
         assert_ne!(spec.features(3), spec.features(4));
     }
 
@@ -667,8 +808,38 @@ mod tests {
         let spec = DatasetKind::Cora.spec().scaled(0.02);
         let ds = spec.synthesize(9).unwrap();
         assert_eq!(ds.seed, 9);
-        assert!(!ds.loaded_from_cache);
-        assert!(ds.build_seconds > 0.0);
+        let provenance = ds.provenance().expect("synthesis materialises the edges");
+        assert!(!provenance.loaded_from_cache);
+        assert!(provenance.build_seconds > 0.0);
+    }
+
+    #[test]
+    fn open_validates_eagerly_and_materialises_once_on_first_use() {
+        let broken = DatasetSpec {
+            edges: 0,
+            ..DatasetKind::Cora.spec()
+        };
+        assert!(matches!(
+            Dataset::open(broken, 1, None),
+            Err(GraphError::DegenerateDataset { .. })
+        ));
+
+        let spec = DatasetKind::Cora.spec().scaled(0.02);
+        let lazy = Dataset::open(spec, 9, None).unwrap();
+        let clone = lazy.clone();
+        assert_eq!(
+            (lazy.num_nodes(), lazy.num_edges()),
+            (spec.vertices, spec.edges)
+        );
+        assert_eq!(lazy.provenance(), None, "counts read no edge");
+        assert_eq!(lazy.handles(), 2);
+
+        // The first call on any clone materialises the edges for all of
+        // them, bit-identically to an eager synthesis.
+        let edges = clone.edge_list().unwrap();
+        assert_eq!(edges, spec.synthesize(9).unwrap().edge_list().unwrap());
+        assert!(std::ptr::eq(edges, lazy.edge_list().unwrap()));
+        assert!(!lazy.provenance().unwrap().loaded_from_cache);
     }
 
     #[test]
@@ -690,7 +861,12 @@ mod tests {
         let policies: [fn(usize) -> usize; 2] = [|_| 2, |_| 7];
         for workers in policies {
             let banded = spec.synthesize_with(4, workers).unwrap();
-            assert_eq!(banded.edge_list, single.edge_list, "{} workers", workers(0));
+            assert_eq!(
+                banded.edge_list().unwrap(),
+                single.edge_list().unwrap(),
+                "{} workers",
+                workers(0)
+            );
         }
         // More bands than rows.
         assert_eq!(random_features(3, 5, 8, 7), random_features(3, 5, 8, 1));

@@ -52,6 +52,15 @@ pub enum GraphError {
         /// Description of why the artifact was rejected.
         message: String,
     },
+    /// An exact-count generator ([`rmat_exact`](crate::generators::rmat_exact))
+    /// fell short of the requested edge count: its random top-up ran out of
+    /// attempts before it found enough new edges.
+    EdgeCountShortfall {
+        /// Number of edges requested.
+        requested: usize,
+        /// Number of distinct edges found.
+        generated: usize,
+    },
     /// A parallel graph-build worker failed (an injected `graph_build`
     /// fault or a panic). The whole stage's output is discarded; a rerun
     /// rebuilds it from scratch.
@@ -85,6 +94,13 @@ impl fmt::Display for GraphError {
             GraphError::CacheArtifact { path, message } => {
                 write!(f, "unusable cache artifact {path}: {message}")
             }
+            GraphError::EdgeCountShortfall {
+                requested,
+                generated,
+            } => write!(
+                f,
+                "generated {generated} of {requested} requested edges before the top-up gave up"
+            ),
             GraphError::BuildWorker { message } => {
                 write!(f, "graph build worker failed: {message}")
             }

@@ -216,8 +216,11 @@ pub(crate) fn rmat_with_workers(
 ///
 /// # Errors
 ///
-/// Propagates errors from [`rmat`] and rejects impossible edge counts
-/// (`target_edges > num_nodes * (num_nodes - 1)`).
+/// Propagates errors from [`rmat`], rejects impossible edge counts
+/// (`target_edges > num_nodes * (num_nodes - 1)`), and returns
+/// [`GraphError::EdgeCountShortfall`] rather than fewer edges when the
+/// top-up runs out of attempts (`100 * target_edges`), so a returned list
+/// always holds exactly `target_edges` edges.
 pub fn rmat_exact(
     num_nodes: usize,
     target_edges: usize,
@@ -241,44 +244,64 @@ pub(crate) fn rmat_exact_with_workers(
             format!("{target_edges} exceeds the maximum simple-graph edge count {max_edges}"),
         ));
     }
-    let mut edges = rmat_with_workers(num_nodes, target_edges, seed, workers)?;
+    let edges = rmat_with_workers(num_nodes, target_edges, seed, workers)?;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    if edges.num_edges() < target_edges {
-        // Top up with uniform random edges until the exact count is reached.
-        // Membership is a binary search over the (immutable, sorted) R-MAT
-        // base plus a BTreeSet of top-up edges, merged once at the end —
-        // inserting into the sorted vector directly would memmove O(n) bytes
-        // per accepted edge, which is catastrophic at ogbn-products scale.
-        let base = edges.into_edges();
-        let mut added = std::collections::BTreeSet::new();
-        let mut guard = 0usize;
-        while base.len() + added.len() < target_edges {
-            let src = rng.gen_range(0..num_nodes as NodeId);
-            let dst = rng.gen_range(0..num_nodes as NodeId);
-            if src != dst {
-                let candidate = Edge::new(src, dst);
-                if base.binary_search(&candidate).is_err() {
-                    added.insert(candidate);
-                }
-            }
-            guard += 1;
-            if guard > target_edges * 100 {
-                break;
-            }
-        }
-        // Linear merge of two sorted, disjoint sequences.
-        let mut all: Vec<Edge> = Vec::with_capacity(base.len() + added.len());
-        let mut added = added.into_iter().peekable();
-        for edge in base {
-            while let Some(a) = added.next_if(|a| *a < edge) {
-                all.push(a);
-            }
-            all.push(edge);
-        }
-        all.extend(added);
-        edges = EdgeList::from_sorted_edges_unchecked(num_nodes, all);
-    }
+    let edges = top_up(edges, target_edges, target_edges * 100, &mut rng)?;
     trim_to(edges, target_edges, &mut rng)
+}
+
+/// Tops a sorted, duplicate-free list up with uniform random edges until it
+/// holds `target_edges`, giving up after `budget` further attempts.
+///
+/// Membership is a binary search over the (immutable, sorted) base plus a
+/// BTreeSet of top-up edges, merged once at the end: inserting into the
+/// sorted vector directly would memmove O(n) bytes per accepted edge, which
+/// is catastrophic at ogbn-products scale.
+///
+/// # Errors
+///
+/// Returns [`GraphError::EdgeCountShortfall`] when the budget runs out first.
+fn top_up(
+    edges: EdgeList,
+    target_edges: usize,
+    budget: usize,
+    rng: &mut StdRng,
+) -> Result<EdgeList, GraphError> {
+    if edges.num_edges() >= target_edges {
+        return Ok(edges);
+    }
+    let num_nodes = edges.num_nodes();
+    let base = edges.into_edges();
+    let mut added = std::collections::BTreeSet::new();
+    let mut guard = 0usize;
+    while base.len() + added.len() < target_edges {
+        let src = rng.gen_range(0..num_nodes as NodeId);
+        let dst = rng.gen_range(0..num_nodes as NodeId);
+        if src != dst {
+            let candidate = Edge::new(src, dst);
+            if base.binary_search(&candidate).is_err() {
+                added.insert(candidate);
+            }
+        }
+        guard += 1;
+        if guard > budget {
+            return Err(GraphError::EdgeCountShortfall {
+                requested: target_edges,
+                generated: base.len() + added.len(),
+            });
+        }
+    }
+    // Linear merge of two sorted, disjoint sequences.
+    let mut all: Vec<Edge> = Vec::with_capacity(base.len() + added.len());
+    let mut added = added.into_iter().peekable();
+    for edge in base {
+        while let Some(a) = added.next_if(|a| *a < edge) {
+            all.push(a);
+        }
+        all.push(edge);
+    }
+    all.extend(added);
+    Ok(EdgeList::from_sorted_edges_unchecked(num_nodes, all))
 }
 
 /// Removes random edges until the list holds at most `target` edges (see
@@ -609,6 +632,20 @@ mod tests {
             "the sample must actually fall short so the top-up runs"
         );
         assert_eq!(fast, edges);
+    }
+
+    #[test]
+    fn an_exhausted_top_up_is_a_typed_shortfall() {
+        let sample = rmat(40, 100, 5).unwrap();
+        let have = sample.num_edges();
+        let mut rng = StdRng::seed_from_u64(5);
+        assert!(matches!(
+            top_up(sample.clone(), have + 50, 0, &mut rng),
+            Err(GraphError::EdgeCountShortfall { requested, generated })
+                if requested == have + 50 && generated <= have + 1
+        ));
+        // A list already at the target needs no attempt at all.
+        assert_eq!(top_up(sample.clone(), have, 0, &mut rng), Ok(sample));
     }
 
     #[test]

@@ -3,19 +3,23 @@
 //! Summarising an edge list's shard grid (a [`ShardSummary`]) is the
 //! expensive part of compiling a workload, and its inputs are only the edge
 //! list, the nodes-per-shard parameter `n` and whether self-loop edges are
-//! added. A [`ShardPlanCache`] shares one edge list (an `Arc`, so sessions
-//! over the same dataset never copy it) and memoises every summary built
-//! from it, so sweeping many `(config, dataflow)` scenarios
-//! over the same graph re-summarises only when `n` actually changes.
+//! added. A [`ShardPlanCache`] holds the graph's node and edge counts and
+//! its edge source (a shared edge list, or a [`Dataset`] whose edges load
+//! on first use, so sessions over the same dataset never copy them), and
+//! memoises every summary built from it, so sweeping many
+//! `(config, dataflow)` scenarios over the same graph re-summarises only
+//! when `n` actually changes.
 //!
 //! When the cache is constructed with a disk backing
-//! ([`ShardPlanCache::with_disk_cache`]), in-memory misses consult the
-//! persistent [`ArtifactCache`] before building: repeated harness runs over
-//! the same dataset skip the metadata pass entirely, loading the shard
-//! summary straight from disk without touching an edge. Corrupt or stale
-//! artifacts are treated as misses (the summary is rebuilt and the artifact
-//! overwritten), never as failures.
+//! ([`ShardPlanCache::with_disk_cache`], [`ShardPlanCache::for_dataset`]),
+//! in-memory misses consult the persistent [`ArtifactCache`] before
+//! building: repeated harness runs over the same dataset load the shard
+//! summary straight from disk, checked against the counts alone, and never
+//! touch an edge; a dataset's edges are materialised only when a summary
+//! must be built. Corrupt or stale artifacts are treated as misses (the
+//! summary is rebuilt and the artifact overwritten), never as failures.
 
+use crate::datasets::Dataset;
 use crate::{ArtifactCache, EdgeList, GraphError, ShardSummary};
 use gnnerator_faults::lock_recover;
 use std::collections::HashMap;
@@ -57,14 +61,14 @@ pub struct PlanKey {
 /// ```
 #[derive(Debug)]
 pub struct ShardPlanCache {
-    edges: Arc<EdgeList>,
+    source: EdgeSource,
     plans: Mutex<HashMap<PlanKey, Arc<ShardSummary>>>,
     /// Cumulative wall-clock seconds spent inside [`ShardSummary::build`]
     /// (cache hits cost nothing; racing duplicate builds both count, since
     /// both actually burned the time).
     build_seconds: Mutex<f64>,
-    /// Persistent backing: the artifact cache plus this edge list's stable
-    /// graph identity (a dataset key). `None` for anonymous edge lists.
+    /// Persistent backing: the artifact cache plus the graph's stable
+    /// identity (a dataset key). `None` for an in-memory cache.
     disk: Option<(Arc<ArtifactCache>, String)>,
     /// Number of summaries built from scratch (in-memory *and* disk misses).
     grids_built: AtomicUsize,
@@ -72,17 +76,20 @@ pub struct ShardPlanCache {
     grids_loaded: AtomicUsize,
 }
 
+/// The graph a [`ShardPlanCache`] summarises.
+#[derive(Debug)]
+enum EdgeSource {
+    /// An edge list already in memory.
+    List(Arc<EdgeList>),
+    /// A dataset whose counts are its spec's and whose edges materialise on
+    /// first use.
+    Dataset(Dataset),
+}
+
 impl ShardPlanCache {
     /// Creates a purely in-memory cache over `edges`.
     pub fn new(edges: Arc<EdgeList>) -> Self {
-        Self {
-            edges,
-            plans: Mutex::new(HashMap::new()),
-            build_seconds: Mutex::new(0.0),
-            disk: None,
-            grids_built: AtomicUsize::new(0),
-            grids_loaded: AtomicUsize::new(0),
-        }
+        Self::with_source(EdgeSource::List(edges), None)
     }
 
     /// Creates a cache over `edges` backed by a persistent [`ArtifactCache`].
@@ -96,16 +103,54 @@ impl ShardPlanCache {
         cache: Arc<ArtifactCache>,
         graph_key: impl Into<String>,
     ) -> Self {
-        let mut this = Self::new(edges);
-        if cache.is_enabled() {
-            this.disk = Some((cache, graph_key.into()));
-        }
-        this
+        Self::with_source(EdgeSource::List(edges), Some((cache, graph_key.into())))
     }
 
-    /// The edge list the cache shards (without self-loops).
-    pub fn edges(&self) -> &EdgeList {
-        &self.edges
+    /// Creates a cache over `dataset`, backed by `cache` (when one is given)
+    /// under the dataset's `(spec, seed)` key. Reads no edge: the counts are
+    /// the spec's, and the edges materialise only when a summary must be
+    /// built.
+    pub fn for_dataset(dataset: Dataset, cache: Option<Arc<ArtifactCache>>) -> Self {
+        let disk = cache.map(|cache| {
+            let key = ArtifactCache::dataset_key(&dataset.spec, dataset.seed);
+            (cache, key)
+        });
+        Self::with_source(EdgeSource::Dataset(dataset), disk)
+    }
+
+    fn with_source(source: EdgeSource, disk: Option<(Arc<ArtifactCache>, String)>) -> Self {
+        Self {
+            source,
+            plans: Mutex::new(HashMap::new()),
+            build_seconds: Mutex::new(0.0),
+            disk: disk.filter(|(cache, _)| cache.is_enabled()),
+            grids_built: AtomicUsize::new(0),
+            grids_loaded: AtomicUsize::new(0),
+        }
+    }
+
+    /// Number of nodes in the graph.
+    pub fn num_nodes(&self) -> usize {
+        match &self.source {
+            EdgeSource::List(edges) => edges.num_nodes(),
+            EdgeSource::Dataset(dataset) => dataset.num_nodes(),
+        }
+    }
+
+    /// Number of edges in the graph (without self-loops).
+    pub fn num_edges(&self) -> usize {
+        match &self.source {
+            EdgeSource::List(edges) => edges.num_edges(),
+            EdgeSource::Dataset(dataset) => dataset.num_edges(),
+        }
+    }
+
+    /// The edge list, materialising a dataset's on first use.
+    fn edges(&self) -> Result<&EdgeList, GraphError> {
+        match &self.source {
+            EdgeSource::List(edges) => Ok(edges),
+            EdgeSource::Dataset(dataset) => dataset.edge_list(),
+        }
     }
 
     /// Returns the shard summary for `(nodes_per_shard, include_self_loops)`,
@@ -114,12 +159,13 @@ impl ShardPlanCache {
     /// With a disk backing, an in-memory miss first tries the persistent
     /// artifact — a hit reads no edge — and only a disk miss (or an unusable
     /// artifact) pays for a fresh [`ShardSummary::build`], whose result is
-    /// stored back for future runs.
+    /// stored back for future runs. That build is the one place a dataset's
+    /// edges are materialised.
     ///
     /// # Errors
     ///
     /// Propagates [`ShardSummary::build`] errors (zero `nodes_per_shard`,
-    /// empty node set).
+    /// empty node set) and the errors of materialising a dataset's edges.
     pub fn plan(
         &self,
         nodes_per_shard: usize,
@@ -169,13 +215,13 @@ impl ShardPlanCache {
         Ok(summary)
     }
 
-    /// Whether a loaded summary has the shape this cache's edge list would
-    /// produce under `key`, judged without reading an edge: the node count
-    /// and block size must match, and the edge total must be the list's
+    /// Whether a loaded summary has the shape this cache's graph would
+    /// produce under `key`, judged from the counts alone: the node count
+    /// and block size must match, and the edge total must be the graph's
     /// (or, with self-loops merged in, lie between one loop per node and
     /// one extra edge per node).
     fn fits(&self, summary: &ShardSummary, key: PlanKey) -> bool {
-        let (nodes, edges) = (self.edges.num_nodes(), self.edges.num_edges());
+        let (nodes, edges) = (self.num_nodes(), self.num_edges());
         let total = summary.total_edges();
         summary.num_nodes() == nodes
             && summary.nodes_per_shard() == key.nodes_per_shard
@@ -187,9 +233,9 @@ impl ShardPlanCache {
     }
 
     fn build_timed(&self, key: PlanKey) -> Result<ShardSummary, GraphError> {
+        let edges = self.edges()?;
         let build_start = Instant::now();
-        let summary =
-            ShardSummary::build(&self.edges, key.nodes_per_shard, key.include_self_loops)?;
+        let summary = ShardSummary::build(edges, key.nodes_per_shard, key.include_self_loops)?;
         *lock_recover(&self.build_seconds) += build_start.elapsed().as_secs_f64();
         self.grids_built.fetch_add(1, Ordering::Relaxed);
         Ok(summary)
@@ -220,6 +266,7 @@ impl ShardPlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datasets::DatasetKind;
     use crate::{generators, ShardGrid};
     use std::path::PathBuf;
 
@@ -372,6 +419,40 @@ mod tests {
         let grid = second.plan(16, false).unwrap();
         assert_eq!(second.grids_loaded(), 0, "shape mismatch rejected");
         assert_eq!(grid.num_nodes(), big.num_nodes());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_dataset_source_materialises_its_edges_only_on_a_summary_miss() {
+        let dir = temp_dir("lazy");
+        let artifact = Arc::new(ArtifactCache::new(&dir));
+        let spec = DatasetKind::Cora.spec().scaled(0.02);
+        let open = || Dataset::open(spec, 3, Some(Arc::clone(&artifact))).unwrap();
+
+        let cold_dataset = open();
+        let cold = ShardPlanCache::for_dataset(cold_dataset.clone(), Some(Arc::clone(&artifact)));
+        assert_eq!(
+            (cold.num_nodes(), cold.num_edges()),
+            (spec.vertices, spec.edges)
+        );
+        assert_eq!(cold_dataset.provenance(), None, "counts read no edge");
+        let built = cold.plan(16, true).unwrap();
+        assert!(!cold_dataset.provenance().unwrap().loaded_from_cache);
+
+        // A later process: the summary loads, checked against the counts,
+        // and no edge is read until a summary misses.
+        let warm_dataset = open();
+        let warm = ShardPlanCache::for_dataset(warm_dataset.clone(), Some(Arc::clone(&artifact)));
+        assert_eq!(*warm.plan(16, true).unwrap(), *built);
+        assert_eq!(warm.grids_loaded(), 1);
+        assert_eq!(
+            warm_dataset.provenance(),
+            None,
+            "a summary hit reads no edge"
+        );
+        warm.plan(32, false).unwrap();
+        assert_eq!(warm.grids_built(), 1);
+        assert!(warm_dataset.provenance().unwrap().loaded_from_cache);
         std::fs::remove_dir_all(&dir).ok();
     }
 

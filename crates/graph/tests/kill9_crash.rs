@@ -79,7 +79,11 @@ fn kill9_mid_write_leaves_no_torn_artifact() {
         match cache.load_dataset(&victim_spec(), SEED) {
             Ok(None) => {}
             Ok(Some(loaded)) => {
-                assert_eq!(loaded.edge_list, reference.edge_list, "round {round}");
+                assert_eq!(
+                    loaded.edge_list().unwrap(),
+                    reference.edge_list().unwrap(),
+                    "round {round}"
+                );
                 assert_eq!(
                     loaded.spec.features(loaded.seed),
                     reference.spec.features(reference.seed),

@@ -4,6 +4,7 @@
 //! partition of the edge set, CSR conversion preserves edges, and the
 //! synthetic generators respect their advertised statistics.
 
+use gnnerator_graph::datasets::{DatasetKind, DatasetSpec};
 use gnnerator_graph::{
     generators, ArtifactCache, CsrGraph, Edge, EdgeList, EdgeListBuilder, ShardCoord, ShardGrid,
     ShardSummary, TraversalOrder,
@@ -346,6 +347,29 @@ proptest! {
             prop_assert!((e.src as usize) < n && (e.dst as usize) < n);
             prop_assert_ne!(e.src, e.dst);
         }
+    }
+
+    #[test]
+    fn synthesized_datasets_have_exactly_the_specs_counts(
+        vertices in 16usize..120,
+        fill in 0.0f64..1.0,
+        seed in 0u64..1000,
+    ) {
+        // Sessions take a dataset's counts from its spec without reading an
+        // edge, so synthesis must produce exactly those counts for any
+        // valid spec, dense ones included.
+        let max_edges = vertices * (vertices - 1);
+        let edges = ((fill * max_edges as f64) as usize).clamp(1, max_edges);
+        let spec = DatasetSpec {
+            edges,
+            vertices,
+            ..DatasetKind::Cora.spec().with_feature_dim(8)
+        };
+        prop_assert!(spec.validate().is_ok());
+        let dataset = spec.synthesize(seed).unwrap();
+        let list = dataset.edge_list().unwrap();
+        prop_assert_eq!((list.num_nodes(), list.num_edges()), (vertices, edges));
+        prop_assert_eq!((dataset.num_nodes(), dataset.num_edges()), (vertices, edges));
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! A warm, bounded pool of compiled [`SimSession`]s.
 //!
-//! The serving layer's whole point is that sessions are expensive to build
-//! (dataset materialisation + validation + shard plans) but immutable and
-//! `Arc`-shareable once built (PRs 1–4). The pool keys sessions by
+//! The serving layer's whole point is that sessions are expensive to warm
+//! (shard summaries, and the dataset edges a summary build needs) but
+//! immutable and `Arc`-shareable once built. The pool keys sessions by
 //! [`ScenarioSpec::session_key`] — the same identity the sweep engine's
 //! session cache uses — holds the hottest `capacity` of them in memory (LRU
-//! eviction), and backs cold starts with the persistent [`ArtifactCache`] so
-//! an evicted or never-seen session loads its dataset and shard grids from
-//! disk before resorting to a rebuild.
+//! eviction), shares one dataset handle among the sessions over each
+//! `(spec, seed)`, and backs cold starts with the persistent
+//! [`ArtifactCache`] so an evicted or never-seen session loads its shard
+//! summaries from disk, and reads its dataset's edges only when a summary
+//! must be rebuilt.
 //!
 //! Concurrent requests for the *same* key serialise on a per-key build slot
 //! (no thundering herd: one requester builds, the rest wait and share the
@@ -21,10 +23,9 @@
 //! After the window one half-open trial build is admitted; success closes
 //! the breaker, failure re-opens it with a doubled window.
 
-use gnnerator::{
-    build_session, materialize_dataset, GnneratorError, ScenarioSpec, SessionKey, SimSession,
-};
+use gnnerator::{build_session, GnneratorError, ScenarioSpec, SessionKey, SimSession};
 use gnnerator_faults::lock_recover;
+use gnnerator_graph::datasets::{Dataset, DatasetSpec};
 use gnnerator_graph::ArtifactCache;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -151,9 +152,10 @@ pub struct PoolStats {
     pub sessions_built: usize,
     /// Sessions dropped to stay within capacity.
     pub evictions: usize,
-    /// Datasets synthesised from scratch while building sessions.
+    /// Dataset edge lists synthesised from scratch (a session materialises
+    /// its dataset's edges only to build a shard summary it cannot load).
     pub datasets_synthesized: usize,
-    /// Datasets loaded from the persistent artifact cache.
+    /// Dataset edge lists loaded from the persistent artifact cache.
     pub datasets_loaded: usize,
     /// Times a key's circuit breaker opened (threshold reached or a
     /// half-open trial failed).
@@ -179,6 +181,16 @@ struct PoolInner {
     tick: u64,
 }
 
+/// The dataset handles pooled sessions share, one per `(spec, seed)`, so
+/// sessions over one dataset share one edge load.
+#[derive(Default)]
+struct PoolDatasets {
+    handles: HashMap<(DatasetSpec, u64), Dataset>,
+    /// Materialisations counted from handles already dropped from
+    /// `handles`: `(loaded, synthesized)`.
+    retired: (usize, usize),
+}
+
 /// An LRU cache of `Arc<SimSession>` keyed by scenario session identity,
 /// backed by the persistent artifact cache.
 pub struct SessionPool {
@@ -192,8 +204,7 @@ pub struct SessionPool {
     misses: AtomicUsize,
     sessions_built: AtomicUsize,
     evictions: AtomicUsize,
-    datasets_synthesized: AtomicUsize,
-    datasets_loaded: AtomicUsize,
+    datasets: Mutex<PoolDatasets>,
     breaker_trips: AtomicUsize,
     breaker_rejections: AtomicUsize,
 }
@@ -216,8 +227,7 @@ impl SessionPool {
             misses: AtomicUsize::new(0),
             sessions_built: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
-            datasets_synthesized: AtomicUsize::new(0),
-            datasets_loaded: AtomicUsize::new(0),
+            datasets: Mutex::new(PoolDatasets::default()),
             breaker_trips: AtomicUsize::new(0),
             breaker_rejections: AtomicUsize::new(0),
         }
@@ -420,21 +430,48 @@ impl SessionPool {
                 None => break, // everything else is in flight (or capacity 1)
             }
         }
+        drop(inner);
+        self.retire_unshared_datasets();
     }
 
-    /// Builds a session through the same materialisation path the sweep
-    /// engine uses, so pooled sessions are bit-identical to sweep sessions.
-    fn build(&self, scenario: &ScenarioSpec) -> Result<Arc<SimSession>, GnneratorError> {
-        let dataset = materialize_dataset(
-            scenario.dataset,
-            scenario.seed,
-            self.artifact_cache.as_deref(),
-        )?;
-        if dataset.loaded_from_cache {
-            self.datasets_loaded.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.datasets_synthesized.fetch_add(1, Ordering::Relaxed);
+    /// Drops the dataset handles no session holds any more (an evicted
+    /// session still serving a request keeps its handle until a later
+    /// eviction), counting the edges they materialised, so the pool keeps
+    /// no edge list its sessions have let go.
+    fn retire_unshared_datasets(&self) {
+        let mut datasets = lock_recover(&self.datasets);
+        let PoolDatasets { handles, retired } = &mut *datasets;
+        handles.retain(|_, dataset| {
+            if dataset.handles() > 1 {
+                return true;
+            }
+            match dataset.provenance() {
+                Some(p) if p.loaded_from_cache => retired.0 += 1,
+                Some(_) => retired.1 += 1,
+                None => {}
+            }
+            false
+        });
+    }
+
+    /// The shared handle on `scenario`'s dataset: validates the spec, opens
+    /// no file.
+    fn dataset(&self, scenario: &ScenarioSpec) -> Result<Dataset, GnneratorError> {
+        let key = (scenario.dataset, scenario.seed);
+        let mut datasets = lock_recover(&self.datasets);
+        if let Some(hit) = datasets.handles.get(&key) {
+            return Ok(hit.clone());
         }
+        let dataset = Dataset::open(key.0, key.1, self.artifact_cache.clone())?;
+        datasets.handles.insert(key, dataset.clone());
+        Ok(dataset)
+    }
+
+    /// Builds a session through the same dataset handle and session path
+    /// the sweep engine uses, so pooled sessions are bit-identical to sweep
+    /// sessions.
+    fn build(&self, scenario: &ScenarioSpec) -> Result<Arc<SimSession>, GnneratorError> {
+        let dataset = self.dataset(scenario)?;
         let mut session = build_session(scenario, &dataset, self.artifact_cache.as_ref())?;
         if let Some(recorder) = &self.recorder {
             session = session.with_recorder(recorder.clone());
@@ -489,6 +526,18 @@ impl SessionPool {
             .values()
             .filter(|state| state.open_until.is_some_and(|until| until > now))
             .count();
+        let (datasets_loaded, datasets_synthesized) = {
+            let datasets = lock_recover(&self.datasets);
+            let (mut loaded, mut synthesized) = datasets.retired;
+            for provenance in datasets.handles.values().filter_map(Dataset::provenance) {
+                if provenance.loaded_from_cache {
+                    loaded += 1;
+                } else {
+                    synthesized += 1;
+                }
+            }
+            (loaded, synthesized)
+        };
         PoolStats {
             size,
             capacity: self.capacity,
@@ -496,8 +545,8 @@ impl SessionPool {
             misses: self.misses.load(Ordering::Relaxed),
             sessions_built: self.sessions_built.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            datasets_synthesized: self.datasets_synthesized.load(Ordering::Relaxed),
-            datasets_loaded: self.datasets_loaded.load(Ordering::Relaxed),
+            datasets_synthesized,
+            datasets_loaded,
             breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
             breaker_rejections: self.breaker_rejections.load(Ordering::Relaxed),
             quarantined_keys,
@@ -523,7 +572,7 @@ impl std::fmt::Debug for SessionPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gnnerator::{BackendKind, DataflowConfig, GnneratorConfig};
+    use gnnerator::{evaluate_scenario, BackendKind, DataflowConfig, GnneratorConfig};
     use gnnerator_gnn::NetworkKind;
     use gnnerator_graph::datasets::DatasetKind;
 
@@ -727,16 +776,53 @@ mod tests {
         let spec = scenario(DatasetKind::Cora, 5);
 
         let cold = SessionPool::new(2, Some(Arc::clone(&cache)));
-        cold.get(&spec).unwrap();
+        let cold_lookup = cold.get(&spec).unwrap();
+        assert_eq!(
+            cold.stats().datasets_synthesized,
+            0,
+            "a build reads no edge"
+        );
+        let reference = evaluate_scenario(&spec, &cold_lookup.session).unwrap();
         assert_eq!(cold.stats().datasets_synthesized, 1);
         assert_eq!(cold.stats().datasets_loaded, 0);
 
-        // A fresh pool over the same artifact directory loads from disk.
+        // A fresh pool over the same artifact directory loads every shard
+        // summary from disk, so it never needs the dataset's edges.
         let warm = SessionPool::new(2, Some(cache));
         let warm_lookup = warm.get(&spec).unwrap();
         assert!(!warm_lookup.reused, "fresh pool, so the *pool* missed");
+        assert_eq!(
+            evaluate_scenario(&spec, &warm_lookup.session).unwrap(),
+            reference
+        );
+        assert_eq!(warm_lookup.session.shard_grids_built(), 0);
         assert_eq!(warm.stats().datasets_synthesized, 0);
-        assert_eq!(warm.stats().datasets_loaded, 1);
+        assert_eq!(warm.stats().datasets_loaded, 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sessions_share_a_dataset_and_eviction_keeps_its_count() {
+        let pool = SessionPool::new(1, None);
+        let gcn = scenario(DatasetKind::Cora, 1);
+        let mut sage = gcn.clone();
+        sage.network = NetworkKind::Graphsage;
+        for point in [&gcn, &sage] {
+            let lookup = pool.get(point).unwrap();
+            evaluate_scenario(point, &lookup.session).unwrap();
+        }
+        // Two sessions, one dataset: one synthesis, and the evicted GCN
+        // session's handle stays while the GraphSAGE session holds it.
+        assert_eq!(pool.stats().evictions, 1);
+        assert_eq!(pool.stats().datasets_synthesized, 1);
+
+        // Evicting the last session over Cora drops its handle (and edges)
+        // but not its count.
+        let other = scenario(DatasetKind::Citeseer, 1);
+        let lookup = pool.get(&other).unwrap();
+        evaluate_scenario(&other, &lookup.session).unwrap();
+        assert_eq!(pool.stats().evictions, 2);
+        assert_eq!(pool.stats().datasets_synthesized, 2);
+        assert_eq!(lock_recover(&pool.datasets).handles.len(), 1);
     }
 }

@@ -40,7 +40,9 @@ fn compiled_program_structure_matches_the_model() {
         DataflowConfig::paper_default(),
     )
     .unwrap();
-    let program = compiler.compile(&model, &dataset.edge_list).unwrap();
+    let program = compiler
+        .compile(&model, dataset.edge_list().unwrap())
+        .unwrap();
     assert_eq!(program.num_layers(), model.num_layers());
     assert_eq!(program.num_nodes, dataset.num_nodes());
     for plan in &program.layers {
@@ -175,7 +177,9 @@ fn traversal_order_choice_matches_the_analytical_model() {
         DataflowConfig::conventional(),
     )
     .unwrap();
-    let program = compiler.compile(&model, &dataset.edge_list).unwrap();
+    let program = compiler
+        .compile(&model, dataset.edge_list().unwrap())
+        .unwrap();
     let layer0 = &program.layers[0];
     assert!(layer0.grid_dim() > 1);
     assert_eq!(layer0.traversal, TraversalOrder::DestinationStationary);

@@ -13,7 +13,7 @@ use gnnerator::{
     BackendKind, DataflowConfig, GnneratorConfig, ScenarioResult, ScenarioSpec, SweepRunner,
 };
 use gnnerator_gnn::NetworkKind;
-use gnnerator_graph::datasets::DatasetKind;
+use gnnerator_graph::datasets::{Dataset, DatasetKind};
 use gnnerator_graph::{generators, ArtifactCache, GraphError};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -210,10 +210,11 @@ fn cache_read_fault_on_a_warm_summary_load_falls_back_to_a_rebuild() {
     let cache = Arc::new(ArtifactCache::new(&dir));
     let warm = SweepRunner::new().with_artifact_cache(Arc::clone(&cache));
     for scenario in &scenarios {
-        warm.dataset(scenario)
-            .expect("dataset loads before the fault");
+        let dataset = warm.dataset(scenario).unwrap();
+        dataset.edge_list().expect("dataset loads before the fault");
     }
     assert_eq!(warm.datasets_synthesized(), 0);
+    assert_eq!(warm.datasets_loaded(), 2);
     gnnerator_faults::configure("cache_read:io", 0).unwrap();
     let faulted = warm
         .run_serial(&scenarios)
@@ -237,6 +238,49 @@ fn cache_read_fault_on_a_warm_summary_load_falls_back_to_a_rebuild() {
 }
 
 #[test]
+fn cache_read_fault_on_the_lazy_edge_load_falls_back_to_synthesis() {
+    let _guard = fault_guard();
+    let scenarios = grid();
+    let dir = scratch_dir("edge-read");
+    let cold = SweepRunner::new().with_artifact_cache(Arc::new(ArtifactCache::new(&dir)));
+    let reference = cold.run_serial(&scenarios).expect("cold run");
+    let summaries = summary_artifacts(&dir);
+    assert!(summaries > 0);
+
+    // Keep the dataset artifacts, delete every summary: a warm runner must
+    // build each summary, so it needs the edges, and every read faults.
+    for entry in std::fs::read_dir(&dir).unwrap().flatten() {
+        if entry.file_name().to_string_lossy().starts_with("grid-") {
+            std::fs::remove_file(entry.path()).unwrap();
+        }
+    }
+    let cache = Arc::new(ArtifactCache::new(&dir));
+    let warm = SweepRunner::new().with_artifact_cache(Arc::clone(&cache));
+    gnnerator_faults::configure("cache_read:io", 0).unwrap();
+    let faulted = warm
+        .run_serial(&scenarios)
+        .expect("a faulted edge load falls back to synthesis");
+    gnnerator_faults::clear();
+    assert_bit_identical(&reference, &faulted, "edge load faults");
+    assert_eq!(warm.datasets_loaded(), 0);
+    assert_eq!(warm.datasets_synthesized(), 2);
+    assert_eq!(warm.total_shard_grids_built(), summaries);
+    // Injected faults are I/O errors: nothing quarantined, and the next
+    // clean run loads every summary again (and so reads no edge).
+    assert_eq!(cache.corrupt_artifacts(), 0);
+    let healed = SweepRunner::new().with_artifact_cache(Arc::new(ArtifactCache::new(&dir)));
+    assert_bit_identical(
+        &reference,
+        &healed.run_serial(&scenarios).unwrap(),
+        "healed",
+    );
+    assert_eq!(healed.total_shard_grids_built(), 0);
+    assert_eq!(healed.total_shard_grids_loaded(), summaries);
+    assert_eq!(healed.datasets_loaded() + healed.datasets_synthesized(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn cache_write_fault_on_a_summary_store_leaves_a_cold_but_correct_next_run() {
     let _guard = fault_guard();
     let scenarios = grid();
@@ -248,8 +292,9 @@ fn cache_write_fault_on_a_summary_store_leaves_a_cold_but_correct_next_run() {
     let dir = scratch_dir("summary-write");
     let first = SweepRunner::new().with_artifact_cache(Arc::new(ArtifactCache::new(&dir)));
     for scenario in &scenarios {
-        first
-            .dataset(scenario)
+        let dataset = first.dataset(scenario).unwrap();
+        dataset
+            .edge_list()
             .expect("dataset stores before the fault");
     }
     gnnerator_faults::configure("cache_write:io", 0).unwrap();
@@ -324,7 +369,16 @@ fn graph_build_worker_faults_are_typed_and_reruns_are_bit_identical() {
         clean_edges
     );
     let rebuilt = spec.synthesize(7).unwrap();
-    assert_eq!(rebuilt.edge_list, clean.edge_list);
+    assert_eq!(rebuilt.edge_list().unwrap(), clean.edge_list().unwrap());
+
+    // A lazy handle's failed materialisation is not kept: the next call on
+    // the same handle builds the same edges.
+    let lazy = Dataset::open(spec, 7, None).unwrap();
+    gnnerator_faults::configure("graph_build:error", 0).unwrap();
+    assert_worker_fault(lazy.edge_list(), "lazy edge list");
+    gnnerator_faults::clear();
+    assert_eq!(lazy.provenance(), None);
+    assert_eq!(lazy.edge_list().unwrap(), clean.edge_list().unwrap());
     // The feature table is a function of the spec and the seed, and the
     // banded fill checks no failpoint: it is the same under any fault.
     assert_eq!(spec.features(rebuilt.seed), spec.features(clean.seed));

@@ -45,7 +45,7 @@ fn blocked_execution_matches_reference_on_scaled_paper_datasets() {
             assert_matches_reference(
                 kind,
                 DataflowConfig::paper_default(),
-                &dataset.edge_list,
+                dataset.edge_list().unwrap(),
                 &spec.features(13),
                 5,
             );

@@ -65,7 +65,11 @@ fn warm_cache_run_skips_all_graph_builds_and_is_bit_identical() {
     let warm_results = warm.run(&scenarios).unwrap();
     assert_eq!(warm.datasets_synthesized(), 0, "zero dataset synthesis");
     assert_eq!(warm.total_shard_grids_built(), 0, "zero shard builds");
-    assert!(warm.datasets_loaded() > 0);
+    assert_eq!(
+        warm.datasets_loaded(),
+        0,
+        "every summary loads, so no edge is read"
+    );
     assert!(warm.total_shard_grids_loaded() > 0);
 
     assert_eq!(warm_results.len(), cold_results.len());
@@ -135,7 +139,7 @@ fn v2_grid_artifacts_are_quarantined_and_rebuilt_once() {
         let dataset = cold.dataset(scenario).unwrap();
         edges_by_graph.insert(
             ArtifactCache::dataset_key(&scenario.dataset, scenario.seed),
-            EdgeList::clone(&dataset.edge_list),
+            EdgeList::clone(dataset.edge_list().unwrap()),
         );
     }
     let grid_files: Vec<PathBuf> = std::fs::read_dir(&dir)
@@ -237,15 +241,29 @@ fn v4_dataset_artifacts_are_quarantined_and_rebuilt_once() {
     }
     assert_eq!(dataset_files.len(), datasets);
 
-    // Each stale artifact is rejected on its version, quarantined and
-    // re-synthesised exactly once, with bit-identical reports; the
-    // summaries still load.
+    // The summaries still load, so a run over the upgraded root reads no
+    // dataset artifact at all: bit-identical reports, nothing quarantined.
     let cache = Arc::new(ArtifactCache::new(&dir));
     let upgraded = SweepRunner::new().with_artifact_cache(Arc::clone(&cache));
     assert_eq!(upgraded.run_serial(&scenarios).unwrap(), cold_results);
-    assert_eq!(upgraded.datasets_synthesized(), datasets);
+    assert_eq!(upgraded.datasets_synthesized(), 0);
     assert_eq!(upgraded.datasets_loaded(), 0);
     assert_eq!(upgraded.total_shard_grids_built(), 0);
+    assert_eq!(cache.corrupt_artifacts(), 0);
+
+    // Once the edges are needed (as a summary miss needs them), each stale
+    // artifact is rejected on its version, quarantined and re-synthesised
+    // exactly once.
+    let force_edges = |runner: &SweepRunner| {
+        for scenario in &scenarios {
+            let dataset = runner.dataset(scenario).unwrap();
+            let reference = cold.dataset(scenario).unwrap();
+            assert_eq!(dataset.edge_list().unwrap(), reference.edge_list().unwrap());
+        }
+    };
+    force_edges(&upgraded);
+    assert_eq!(upgraded.datasets_synthesized(), datasets);
+    assert_eq!(upgraded.datasets_loaded(), 0);
     assert_eq!(cache.corrupt_artifacts(), datasets);
     for path in &dataset_files {
         assert!(
@@ -256,9 +274,13 @@ fn v4_dataset_artifacts_are_quarantined_and_rebuilt_once() {
         assert!(path.exists(), "rebuilt dataset republished");
     }
 
-    // The republished datasets serve the next run without synthesis.
+    // The next warm run again reads no dataset; when it does need the
+    // edges, the republished artifacts serve them without synthesis.
     let warm = SweepRunner::new().with_artifact_cache(Arc::new(ArtifactCache::new(&dir)));
     assert_eq!(warm.run_serial(&scenarios).unwrap(), cold_results);
+    assert_eq!(warm.datasets_synthesized(), 0);
+    assert_eq!(warm.datasets_loaded(), 0);
+    force_edges(&warm);
     assert_eq!(warm.datasets_synthesized(), 0);
     assert_eq!(warm.datasets_loaded(), datasets);
     std::fs::remove_dir_all(&dir).ok();
@@ -299,12 +321,14 @@ fn corrupted_cache_files_fall_back_to_identical_fresh_builds() {
         cache.load_dataset(&dataset.spec, dataset.seed),
         Err(GraphError::CacheArtifact { .. })
     ));
-    // ...the runner falls back to synthesis (and repairs the artifact)...
+    // ...a runner's dataset falls back to synthesis when its edges are
+    // needed (and repairs the artifact)...
     let runner = SweepRunner::new().with_artifact_cache(Arc::clone(&cache));
     let rebuilt = runner.dataset_for(dataset.spec, dataset.seed).unwrap();
+    assert_eq!(runner.datasets_synthesized(), 0, "opening reads nothing");
+    assert_eq!(rebuilt.edge_list().unwrap(), dataset.edge_list().unwrap());
     assert_eq!(runner.datasets_synthesized(), 1);
     assert_eq!(runner.datasets_loaded(), 0);
-    assert_eq!(rebuilt.edge_list, dataset.edge_list);
     assert!(cache
         .load_dataset(&dataset.spec, dataset.seed)
         .unwrap()
@@ -344,7 +368,7 @@ fn ogbn_scale_spec_flows_through_the_streaming_pipeline() {
     assert!(spec.edges > 100_000);
     let dataset = spec.synthesize(31).unwrap();
     assert_eq!(dataset.num_edges(), spec.edges);
-    assert!(dataset.edge_list.is_sorted());
+    assert!(dataset.edge_list().unwrap().is_sorted());
     let model = NetworkKind::Gcn
         .build(dataset.spec.feature_dim, 16, 40, 1)
         .unwrap();
@@ -357,4 +381,82 @@ fn ogbn_scale_spec_flows_through_the_streaming_pipeline() {
         .unwrap();
     assert!(report.total_cycles > 0);
     assert_eq!(report.dataset_name, "ogbn-arxiv");
+}
+
+/// The published dataset artifacts under `dir`, sorted.
+fn dataset_artifacts(dir: &Path) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| {
+            let name = path.file_name().unwrap().to_string_lossy();
+            name.starts_with("ds-") && name.ends_with(".bin")
+        })
+        .collect();
+    paths.sort();
+    paths
+}
+
+#[test]
+fn a_warm_restart_reads_no_dataset_bytes() {
+    // Timing reads shard summaries and counts only, so once every summary
+    // is on disk the dataset artifacts are never opened: deleting them, or
+    // overwriting them with garbage, changes nothing a warm run computes.
+    for garbage in [false, true] {
+        let dir = scratch_dir("no-dataset-bytes");
+        let scenarios = grid();
+        let cold = SweepRunner::new().with_artifact_cache(Arc::new(ArtifactCache::new(&dir)));
+        let reference = cold.run_serial(&scenarios).unwrap();
+        let artifacts = dataset_artifacts(&dir);
+        assert_eq!(artifacts.len(), 2);
+        for path in &artifacts {
+            if garbage {
+                std::fs::write(path, b"not an artifact").unwrap();
+            } else {
+                std::fs::remove_file(path).unwrap();
+            }
+        }
+
+        let cache = Arc::new(ArtifactCache::new(&dir));
+        let warm = SweepRunner::new().with_artifact_cache(Arc::clone(&cache));
+        assert_eq!(
+            warm.run_serial(&scenarios).unwrap(),
+            reference,
+            "garbage: {garbage}"
+        );
+        assert_eq!(warm.datasets_loaded(), 0);
+        assert_eq!(warm.datasets_synthesized(), 0);
+        assert_eq!(warm.total_shard_grids_built(), 0);
+
+        // The serving pool's warm sessions read no dataset either.
+        let pool = gnnerator_serve::SessionPool::new(4, Some(Arc::clone(&cache)));
+        for (scenario, expected) in scenarios.iter().zip(&reference) {
+            let session = pool.get(scenario).unwrap().session;
+            assert_eq!(
+                &gnnerator::evaluate_scenario(scenario, &session).unwrap(),
+                expected
+            );
+            assert_eq!(session.shard_grids_built(), 0);
+        }
+        let stats = pool.stats();
+        assert_eq!((stats.datasets_loaded, stats.datasets_synthesized), (0, 0));
+
+        assert_eq!(
+            cache.corrupt_artifacts(),
+            0,
+            "nothing read, nothing quarantined"
+        );
+        if garbage {
+            assert_eq!(dataset_artifacts(&dir), artifacts);
+            for path in &artifacts {
+                assert_eq!(std::fs::read(path).unwrap(), b"not an artifact");
+            }
+        } else {
+            assert!(
+                dataset_artifacts(&dir).is_empty(),
+                "no dataset artifact reappears"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
