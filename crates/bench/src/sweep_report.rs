@@ -20,7 +20,6 @@ use gnnerator::{
 };
 use gnnerator_gnn::NetworkKind;
 use gnnerator_graph::datasets::DatasetKind;
-use gnnerator_observe::Recorder;
 // One JSON layer for every artifact: rows are rendered with the serving
 // layer's writers and parsed with its parser.
 use gnnerator_serve::json::{json_opt_f64, json_opt_u64, json_string};
@@ -167,10 +166,6 @@ pub struct SweepPoint {
     pub speedup_vs_gpu: Option<f64>,
     /// Speedup over HyGCN (accelerator points only).
     pub speedup_vs_hygcn: Option<f64>,
-    /// Process-wide peak transient graph-build memory (bytes) observed by
-    /// the time this point was evaluated. Absent in rows written before the
-    /// column existed.
-    pub peak_resident_bytes: Option<u64>,
 }
 
 impl SweepPoint {
@@ -194,7 +189,6 @@ impl SweepPoint {
             baseline_hygcn_seconds: result.baseline_seconds.map(|b| b.hygcn),
             speedup_vs_gpu: result.speedup_vs_gpu(),
             speedup_vs_hygcn: result.speedup_vs_hygcn(),
-            peak_resident_bytes: Some(result.peak_resident_bytes),
         }
     }
 
@@ -206,7 +200,7 @@ impl SweepPoint {
     /// than producing an unparseable document.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"label\": {}, \"backend\": {}, \"network\": {}, \"dataset\": {}, \"dataflow\": {}, \"config\": {}, \"seconds\": {}, \"simulate_seconds\": {}, \"total_cycles\": {}, \"dram_bytes\": {}, \"occupancy\": {}, \"occupied_shards\": {}, \"baseline_gpu_seconds\": {}, \"baseline_hygcn_seconds\": {}, \"speedup_vs_gpu\": {}, \"speedup_vs_hygcn\": {}, \"peak_resident_bytes\": {}}}",
+            "{{\"label\": {}, \"backend\": {}, \"network\": {}, \"dataset\": {}, \"dataflow\": {}, \"config\": {}, \"seconds\": {}, \"simulate_seconds\": {}, \"total_cycles\": {}, \"dram_bytes\": {}, \"occupancy\": {}, \"occupied_shards\": {}, \"baseline_gpu_seconds\": {}, \"baseline_hygcn_seconds\": {}, \"speedup_vs_gpu\": {}, \"speedup_vs_hygcn\": {}}}",
             json_string(&self.label),
             json_string(&self.backend),
             json_string(&self.network),
@@ -223,7 +217,6 @@ impl SweepPoint {
             json_opt_f64(self.baseline_hygcn_seconds),
             json_opt_f64(self.speedup_vs_gpu),
             json_opt_f64(self.speedup_vs_hygcn),
-            json_opt_u64(self.peak_resident_bytes),
         )
     }
 
@@ -260,9 +253,6 @@ impl SweepPoint {
             baseline_hygcn_seconds: opt_f64("baseline_hygcn_seconds")?,
             speedup_vs_gpu: opt_f64("speedup_vs_gpu")?,
             speedup_vs_hygcn: opt_f64("speedup_vs_hygcn")?,
-            // A telemetry column: rows written before it existed lack it,
-            // so a missing key is `None`, not a parse failure.
-            peak_resident_bytes: row.get("peak_resident_bytes").and_then(Json::as_u64),
         })
     }
 }
@@ -305,8 +295,6 @@ pub struct SweepBenchmark {
     pub shard_grids_built: usize,
     /// Shard grids loaded from the persistent artifact cache.
     pub shard_grids_loaded: usize,
-    /// Peak transient graph-build memory (bytes) observed process-wide.
-    pub peak_resident_bytes: u64,
 }
 
 impl SweepBenchmark {
@@ -378,10 +366,6 @@ impl SweepBenchmark {
         out.push_str(&format!(
             "  \"shard_grids_loaded\": {},\n",
             self.shard_grids_loaded
-        ));
-        out.push_str(&format!(
-            "  \"peak_resident_bytes\": {},\n",
-            self.peak_resident_bytes
         ));
         out.push_str("  \"points\": [\n");
         for (i, result) in self.results.iter().enumerate() {
@@ -499,7 +483,6 @@ pub fn bench_sweep(ctx: &SuiteContext) -> Result<SweepBenchmark, GnneratorError>
             + cold_runner.total_shard_grids_built(),
         shard_grids_loaded: ctx.runner().total_shard_grids_loaded()
             + cold_runner.total_shard_grids_loaded(),
-        peak_resident_bytes: Recorder::global().memory_stats().peak_resident_bytes,
     })
 }
 
@@ -590,7 +573,6 @@ mod tests {
         assert!(json.contains("\"shard_grids_loaded\""));
         assert!(json.contains("\"dataset\": \"ogbn-arxiv\""));
         assert!(json.contains("\"dataset\": \"ogbn-products\""));
-        assert!(json.contains("\"peak_resident_bytes\""));
         assert!(json.contains("\"occupancy\""));
         assert!(json.contains("\"occupied_shards\""));
         assert!(json.contains("\"simulate_seconds\""));
@@ -647,9 +629,6 @@ mod tests {
         assert_eq!(point.label, "a\"b\\c\nd");
         assert_eq!(point.seconds, 1e-3);
         assert_eq!(point.total_cycles, None);
-        // Rows written before the telemetry column existed lack it; it
-        // parses as absent rather than failing.
-        assert_eq!(point.peak_resident_bytes, None);
         // Round-trip of the escaped label.
         assert_eq!(SweepPoint::from_json(&point.to_json()), Some(point));
         // Malformed inputs are rejected, not panicked on.
@@ -677,7 +656,6 @@ mod tests {
             baseline_hygcn_seconds: Some(1.0),
             speedup_vs_gpu: Some(f64::INFINITY),
             speedup_vs_hygcn: Some(f64::NEG_INFINITY),
-            peak_resident_bytes: Some(4096),
         };
         let json = point.to_json();
         assert!(!json.contains("inf"), "{json}");

@@ -16,7 +16,6 @@ use crate::{
 use gnnerator_gnn::GnnModel;
 use gnnerator_graph::datasets::Dataset;
 use gnnerator_graph::{ArtifactCache, EdgeList, ShardPlanCache};
-use gnnerator_observe::Recorder;
 use std::fmt;
 use std::sync::Arc;
 
@@ -50,9 +49,6 @@ pub struct SimSession {
     model: GnnModel,
     dataset_name: String,
     plans: ShardPlanCache,
-    /// Telemetry sink the session's evaluations snapshot memory counters
-    /// from (the process-global recorder unless overridden).
-    recorder: Recorder,
 }
 
 impl SimSession {
@@ -87,21 +83,6 @@ impl SimSession {
         Self::build(model, dataset, Some(cache))
     }
 
-    /// Overrides the telemetry recorder the session's evaluations snapshot
-    /// memory counters from. A scoped recorder isolates this session's
-    /// counts while still propagating to the process-global view; the
-    /// default is the global recorder itself.
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// The telemetry recorder this session records into.
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
     fn build(
         model: GnnModel,
         dataset: &Dataset,
@@ -119,7 +100,6 @@ impl SimSession {
             model,
             dataset_name: dataset.spec.name.to_string(),
             plans: ShardPlanCache::for_dataset(dataset.clone(), cache),
-            recorder: Recorder::default(),
         })
     }
 
@@ -142,7 +122,6 @@ impl SimSession {
             model,
             dataset_name: dataset_name.into(),
             plans: ShardPlanCache::new(Arc::new(edges)),
-            recorder: Recorder::default(),
         })
     }
 

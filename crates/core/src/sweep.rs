@@ -216,7 +216,6 @@ pub fn evaluate_scenario(
         num_nodes: session.num_nodes(),
         num_edges: session.num_edges(),
         simulate_seconds,
-        peak_resident_bytes: session.recorder().memory_stats().peak_resident_bytes,
     })
 }
 
@@ -311,10 +310,6 @@ pub struct ScenarioResult {
     /// and evaluate. Excluded from equality: timing jitter must not break
     /// the bit-identity guarantees the sweep engine is tested against.
     pub simulate_seconds: f64,
-    /// Peak resident graph-pipeline bytes on the session's recorder at the
-    /// time this point was evaluated. Telemetry, not identity: excluded from
-    /// equality like `simulate_seconds`.
-    pub peak_resident_bytes: u64,
 }
 
 impl ScenarioResult {
@@ -410,10 +405,6 @@ pub struct SweepRunner {
     /// sharding graphs. `None` (the default) keeps the runner fully
     /// in-memory, which is what unit tests and one-shot sweeps want.
     artifact_cache: Option<Arc<ArtifactCache>>,
-    /// Explicit telemetry recorder for every session this runner builds.
-    /// `None` (the default) leaves sessions on the process-global
-    /// recorder.
-    recorder: Option<gnnerator_observe::Recorder>,
 }
 
 impl SweepRunner {
@@ -434,23 +425,6 @@ impl SweepRunner {
     /// The persistent artifact cache, if one is attached.
     pub fn artifact_cache(&self) -> Option<&Arc<ArtifactCache>> {
         self.artifact_cache.as_ref()
-    }
-
-    /// Returns this runner with a scoped telemetry [`Recorder`] applied to
-    /// every session it builds: the runner's memory counts become
-    /// attributable to this runner alone, while still propagating up the
-    /// recorder's parent chain to the process-global view. Without this, sessions record straight into the global.
-    ///
-    /// [`Recorder`]: gnnerator_observe::Recorder
-    pub fn with_recorder(mut self, recorder: gnnerator_observe::Recorder) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// The explicit telemetry recorder applied to this runner's sessions,
-    /// if any.
-    pub fn recorder(&self) -> Option<&gnnerator_observe::Recorder> {
-        self.recorder.as_ref()
     }
 
     /// Returns the dataset handle for a scenario, opening and caching it on
@@ -513,11 +487,11 @@ impl SweepRunner {
             return Ok(Arc::clone(hit));
         }
         let dataset = self.dataset(scenario)?;
-        let mut session = build_session(scenario, &dataset, self.artifact_cache.as_ref())?;
-        if let Some(recorder) = &self.recorder {
-            session = session.with_recorder(recorder.clone());
-        }
-        let session = Arc::new(session);
+        let session = Arc::new(build_session(
+            scenario,
+            &dataset,
+            self.artifact_cache.as_ref(),
+        )?);
         let mut cache = lock_recover(&self.sessions);
         Ok(Arc::clone(cache.entry(key).or_insert(session)))
     }

@@ -20,7 +20,6 @@
 
 use crate::parallel::{even_bounds, run_bands, split_bands, workers_for};
 use crate::{Edge, EdgeList, GraphError, NodeId};
-use gnnerator_observe::Recorder;
 use std::ops::Range;
 
 /// Edge records per chunk by default (32 MiB). An allocation this size is
@@ -28,12 +27,6 @@ use std::ops::Range;
 /// counting sort frees go back to the OS instead of lingering as heap that
 /// the sort's own large buffers cannot reuse.
 const CHUNK_CAPACITY: usize = 1 << 22;
-
-/// Bytes per edge record: two `u32`s.
-const RECORD_BYTES: usize = 8;
-
-/// Bytes per destination id in the counting sort's row buffer.
-const ROW_ENTRY_BYTES: usize = std::mem::size_of::<NodeId>();
 
 /// A sealed run of edge records. A symmetric chunk holds each pair once
 /// and stands for the pair and its reverse.
@@ -98,15 +91,8 @@ pub struct EdgeListBuilder {
     current: Vec<Edge>,
     /// The symmetric chunk currently being filled (one record per pair).
     current_symmetric: Vec<Edge>,
-    /// Records held across `chunks` (excludes the open chunks).
-    resident_records: usize,
     /// Directed edges sealed so far.
     sealed_edges: usize,
-    /// Builder-local resident-bytes high-water mark.
-    peak_resident_bytes: u64,
-    /// Telemetry sink for the resident-bytes peak. Defaults to the process
-    /// global; a scoped recorder attributes this build's peak to its scope.
-    recorder: Recorder,
 }
 
 impl EdgeListBuilder {
@@ -126,37 +112,20 @@ impl EdgeListBuilder {
             chunks: Vec::new(),
             current: Vec::new(),
             current_symmetric: Vec::new(),
-            resident_records: 0,
             sealed_edges: 0,
-            peak_resident_bytes: 0,
-            recorder: Recorder::default(),
         }
-    }
-
-    /// Overrides the telemetry sink the resident-bytes peak is recorded
-    /// into (the default is the process-global recorder).
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
     }
 
     /// A builder for one of the concurrent workers feeding this one: same
-    /// graph and chunk size, and a detached recorder —
-    /// [`EdgeListBuilder::absorb`] notes its peak here.
+    /// graph and chunk size.
     pub(crate) fn band_builder(&self) -> Self {
-        Self {
-            recorder: Recorder::detached(),
-            ..Self::with_chunk_capacity(self.num_nodes, self.chunk_capacity)
-        }
+        Self::with_chunk_capacity(self.num_nodes, self.chunk_capacity)
     }
 
     /// Takes over every edge of a band builder: its open chunks are sealed,
-    /// then its chunks join this builder's. The band's resident peak, on top
-    /// of what this builder already holds, is noted here.
+    /// then its chunks join this builder's.
     pub(crate) fn absorb(&mut self, mut band: EdgeListBuilder) {
         band.seal_open_chunks();
-        self.note_resident(self.resident_bytes() + band.peak_resident_bytes);
-        self.resident_records += band.resident_records;
         self.sealed_edges += band.sealed_edges;
         self.chunks.append(&mut band.chunks);
     }
@@ -164,12 +133,6 @@ impl EdgeListBuilder {
     /// Number of nodes the builder validates endpoints against.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
-    }
-
-    /// This builder's resident-bytes high-water mark (sealed chunks plus
-    /// the chunk being sealed, at each seal point).
-    pub fn peak_resident_bytes(&self) -> u64 {
-        self.peak_resident_bytes
     }
 
     /// Total number of raw (pre-dedup) directed edges streamed in so far; a
@@ -245,10 +208,6 @@ impl EdgeListBuilder {
         self.chunk_capacity.min(CHUNK_CAPACITY)
     }
 
-    fn resident_bytes(&self) -> u64 {
-        (self.resident_records * RECORD_BYTES) as u64
-    }
-
     /// Seals both open chunks, if they hold anything.
     fn seal_open_chunks(&mut self) {
         let directed = std::mem::take(&mut self.current);
@@ -268,17 +227,8 @@ impl EdgeListBuilder {
 
     /// Seals one chunk.
     fn seal(&mut self, chunk: Chunk) {
-        self.resident_records += chunk.edges.len();
-        self.note_resident(self.resident_bytes());
         self.sealed_edges += chunk.directed_len();
         self.chunks.push(chunk);
-    }
-
-    fn note_resident(&mut self, bytes: u64) {
-        if bytes > self.peak_resident_bytes {
-            self.peak_resident_bytes = bytes;
-        }
-        self.recorder.note_resident_bytes(bytes);
     }
 
     /// Returns the canonical edge list: sorted by `(src, dst)`, duplicates
@@ -312,8 +262,6 @@ impl EdgeListBuilder {
         select: impl FnOnce(usize) -> Result<Option<Selection>, GraphError>,
     ) -> Result<EdgeList, GraphError> {
         self.seal_open_chunks();
-        // Every chunk plus the row buffer is resident at the scatter.
-        self.note_resident(self.resident_bytes() + (self.sealed_edges * ROW_ENTRY_BYTES) as u64);
         let chunks = std::mem::take(&mut self.chunks);
         let edges = sort_dedup_by_source(self.num_nodes, chunks, workers, select)?;
         Ok(EdgeList::from_sorted_edges_unchecked(self.num_nodes, edges))
@@ -626,7 +574,9 @@ mod tests {
         }
         // Two sealed chunks of four records each, standing for 16 edges.
         assert_eq!(builder.len(), 16);
-        assert_eq!(builder.peak_resident_bytes(), (8 * RECORD_BYTES) as u64);
+        let records: Vec<usize> = builder.chunks.iter().map(|c| c.edges.len()).collect();
+        assert_eq!(records, [4, 4]);
+        assert!(builder.chunks.iter().all(|c| c.symmetric));
         assert_eq!(builder.finish(), symmetric_reference(n, &pairs));
     }
 

@@ -24,7 +24,7 @@ use crate::{ArtifactCache, EdgeList, GraphError, ShardSummary};
 use gnnerator_faults::lock_recover;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Cache key: the two parameters that determine a shard grid for a fixed
@@ -42,7 +42,9 @@ pub struct PlanKey {
 ///
 /// Thread-safe: scenario sweeps shard from many worker threads at once, and
 /// every caller asking for the same `(n, self-loops)` pair receives the same
-/// [`Arc<ShardSummary>`].
+/// [`Arc<ShardSummary>`], loaded or built once: callers that miss on one key
+/// wait while the first of them loads or builds it, and different keys
+/// build in parallel.
 ///
 /// # Examples
 ///
@@ -62,10 +64,9 @@ pub struct PlanKey {
 #[derive(Debug)]
 pub struct ShardPlanCache {
     source: EdgeSource,
-    plans: Mutex<HashMap<PlanKey, Arc<ShardSummary>>>,
+    plans: Mutex<HashMap<PlanKey, Arc<PlanSlot>>>,
     /// Cumulative wall-clock seconds spent inside [`ShardSummary::build`]
-    /// (cache hits cost nothing; racing duplicate builds both count, since
-    /// both actually burned the time).
+    /// (cache hits cost nothing).
     build_seconds: Mutex<f64>,
     /// Persistent backing: the artifact cache plus the graph's stable
     /// identity (a dataset key). `None` for an in-memory cache.
@@ -74,6 +75,15 @@ pub struct ShardPlanCache {
     grids_built: AtomicUsize,
     /// Number of summaries loaded from the persistent cache.
     grids_loaded: AtomicUsize,
+}
+
+/// One key's summary, loaded or built once for every caller.
+#[derive(Debug, Default)]
+struct PlanSlot {
+    summary: OnceLock<Arc<ShardSummary>>,
+    /// Held while loading or building, so concurrent misses on the key share
+    /// one. A failure leaves `summary` empty and the next call retries.
+    building: Mutex<()>,
 }
 
 /// The graph a [`ShardPlanCache`] summarises.
@@ -175,15 +185,18 @@ impl ShardPlanCache {
             nodes_per_shard,
             include_self_loops,
         };
-        if let Some(hit) = lock_recover(&self.plans).get(&key) {
+        let slot = Arc::clone(lock_recover(&self.plans).entry(key).or_default());
+        if let Some(hit) = slot.summary.get() {
             return Ok(Arc::clone(hit));
         }
-        // Build outside the lock so concurrent misses on *different* keys
-        // build in parallel; a racing duplicate build of the same key is
-        // harmless and the first insert wins.
+        // Build outside the map lock so misses on different keys build in
+        // parallel.
+        let _building = lock_recover(&slot.building);
+        if let Some(hit) = slot.summary.get() {
+            return Ok(Arc::clone(hit));
+        }
         let summary = Arc::new(self.materialize(key)?);
-        let mut plans = lock_recover(&self.plans);
-        Ok(Arc::clone(plans.entry(key).or_insert(summary)))
+        Ok(Arc::clone(slot.summary.get_or_init(|| summary)))
     }
 
     /// Loads the summary from disk or builds it fresh, maintaining the
@@ -243,7 +256,10 @@ impl ShardPlanCache {
 
     /// Number of distinct shard summaries currently cached.
     pub fn cached_plans(&self) -> usize {
-        lock_recover(&self.plans).len()
+        lock_recover(&self.plans)
+            .values()
+            .filter(|slot| slot.summary.get().is_some())
+            .count()
     }
 
     /// Cumulative wall-clock seconds this cache has spent building shard
@@ -453,6 +469,41 @@ mod tests {
         warm.plan(32, false).unwrap();
         assert_eq!(warm.grids_built(), 1);
         assert!(warm_dataset.provenance().unwrap().loaded_from_cache);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_load_or_build_once() {
+        const THREADS: usize = 8;
+        let dir = temp_dir("single-flight");
+        let artifact = Arc::new(ArtifactCache::new(&dir));
+        let edges = Arc::new(generators::rmat(2000, 16_000, 5).unwrap());
+        let reference = ShardSummary::build(&edges, 64, true).unwrap();
+        let race = |cache: &ShardPlanCache| {
+            let barrier = std::sync::Barrier::new(THREADS);
+            let plans: Vec<Arc<ShardSummary>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            cache.plan(64, true).unwrap()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert!(plans.iter().all(|plan| Arc::ptr_eq(plan, &plans[0])));
+            assert_eq!(*plans[0], reference);
+        };
+
+        // Cold: one caller builds, the others wait for its summary.
+        let cold = ShardPlanCache::with_disk_cache(Arc::clone(&edges), Arc::clone(&artifact), "g");
+        race(&cold);
+        assert_eq!((cold.grids_built(), cold.grids_loaded()), (1, 0));
+        // Warm: one caller loads the artifact the cold build stored.
+        let warm = ShardPlanCache::with_disk_cache(edges, artifact, "g");
+        race(&warm);
+        assert_eq!((warm.grids_built(), warm.grids_loaded()), (0, 1));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -228,12 +228,21 @@ impl ShardSummary {
     /// result [`EdgeList::add_self_loops`] produces — so the edge list is
     /// never cloned to add them.
     ///
+    /// The summary is one linear pass over the sorted edges, holding no
+    /// edges of its own. Sorted edges arrive grouped by contiguous source
+    /// block (grid row). Within a row, each edge bumps its destination
+    /// block's edge count; its distinct-source count grows whenever the
+    /// block sees a new source (sources arrive in ascending order), and its
+    /// distinct-destination count whenever a per-node stamp array has not
+    /// yet seen the destination in this row — a node belongs to exactly one
+    /// destination block, so a row stamp is a shard stamp.
+    ///
     /// Large lists are summarised in bands of whole grid rows, one per
-    /// worker, with near-equal edge counts: each band runs the single pass
-    /// of [`ShardSummary::build_streamed`] over its rows (and its nodes'
-    /// self-loops) with its own counters, and the bands' metadata is
-    /// concatenated row-major with arena offsets shifted by the edges of the
-    /// bands before it. The summary does not depend on the worker count.
+    /// worker, with near-equal edge counts: each band runs that pass over
+    /// its rows (and its nodes' self-loops) with its own counters, and the
+    /// bands' metadata is concatenated row-major with arena offsets shifted
+    /// by the edges of the bands before it. The summary does not depend on
+    /// the worker count.
     ///
     /// # Errors
     ///
@@ -255,9 +264,25 @@ impl ShardSummary {
         include_self_loops: bool,
         workers: usize,
     ) -> Result<Self, GraphError> {
-        let n = edges.num_nodes();
-        check_grid_shape(n, nodes_per_shard)?;
-        let sorted = sorted_edges(edges);
+        check_grid_shape(edges.num_nodes(), nodes_per_shard)?;
+        Self::summarize_sorted(
+            edges.num_nodes(),
+            nodes_per_shard,
+            &sorted_edges(edges),
+            include_self_loops,
+            workers,
+        )
+    }
+
+    /// [`ShardSummary::build_with_workers`] over edges already in
+    /// `(src, dst)` order, on a grid shape already checked.
+    fn summarize_sorted(
+        n: usize,
+        nodes_per_shard: usize,
+        sorted: &[Edge],
+        include_self_loops: bool,
+        workers: usize,
+    ) -> Result<Self, GraphError> {
         let grid_dim = n.div_ceil(nodes_per_shard);
         // `row_edge(r)`: the index of grid row `r`'s first edge.
         let row_edge = |row: usize| {
@@ -316,42 +341,11 @@ impl ShardSummary {
         Ok(Self::assemble(n, nodes_per_shard, metas))
     }
 
-    /// Summarises a `(src, dst)`-sorted edge *stream* in one linear pass,
-    /// holding no edges.
-    ///
-    /// A sorted stream delivers edges grouped by contiguous source block
-    /// (grid row). Within a row, each edge bumps its destination block's
-    /// edge count; its distinct-source count grows whenever the block sees a
-    /// new source (sources arrive in ascending order), and its
-    /// distinct-destination count whenever a per-node stamp array has not
-    /// yet seen the destination in this row — a node belongs to exactly one
-    /// destination block, so a row stamp is a shard stamp. Neither array is
-    /// reset between rows: sources and rows only ascend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidParameter`] if `nodes_per_shard` is
-    /// zero, `num_nodes` is zero, the stream is not sorted by `(src, dst)`,
-    /// or the edge count exceeds the 32-bit arena index space, and
-    /// [`GraphError::NodeOutOfRange`] for an endpoint `>= num_nodes`.
-    pub fn build_streamed<I>(
-        num_nodes: usize,
-        nodes_per_shard: usize,
-        edges: I,
-    ) -> Result<Self, GraphError>
-    where
-        I: IntoIterator<Item = Edge>,
-    {
-        check_grid_shape(num_nodes, nodes_per_shard)?;
-        let pass = summarize_rows(num_nodes, nodes_per_shard, edges)?;
-        Ok(Self::assemble(num_nodes, nodes_per_shard, pass.metas))
-    }
-
     /// Assembles a summary from its row-major occupied-shard metadata,
     /// rebuilding the CSR-style row/column indexes. Shared by
-    /// [`ShardSummary::build_streamed`] and the artifact cache's
-    /// deserialiser (the indexes are cheap linear passes, so they are
-    /// recomputed rather than stored).
+    /// [`ShardSummary::build`] and the artifact cache's deserialiser (the
+    /// indexes are cheap linear passes, so they are recomputed rather than
+    /// stored).
     pub(crate) fn assemble(
         num_nodes: usize,
         nodes_per_shard: usize,
@@ -563,40 +557,6 @@ fn arena_overflow() -> GraphError {
     GraphError::invalid("edges", "edge count exceeds the 32-bit arena index space")
 }
 
-/// Runs one [`MetaPass`] over a `(src, dst)`-sorted stream of whole grid
-/// rows, validating every edge; arena offsets start at 0.
-fn summarize_rows<I>(
-    num_nodes: usize,
-    nodes_per_shard: usize,
-    edges: I,
-) -> Result<MetaPass, GraphError>
-where
-    I: IntoIterator<Item = Edge>,
-{
-    let mut pass = MetaPass::new(num_nodes, nodes_per_shard);
-    let mut prev: Option<Edge> = None;
-    for edge in edges {
-        for node in [edge.src, edge.dst] {
-            if node as usize >= num_nodes {
-                return Err(GraphError::NodeOutOfRange { node, num_nodes });
-            }
-        }
-        if prev.is_some_and(|p| edge < p) {
-            return Err(GraphError::invalid(
-                "edges",
-                "stream must be sorted by (src, dst)",
-            ));
-        }
-        prev = Some(edge);
-        if pass.edges >= u32::MAX as usize {
-            return Err(arena_overflow());
-        }
-        pass.push(edge);
-    }
-    pass.flush_row();
-    Ok(pass)
-}
-
 /// Runs one [`MetaPass`] over a band of whole grid rows of an
 /// [`EdgeList`] — sorted (see [`sorted_edges`]) and in range by the list's
 /// invariants, so nothing is re-validated — plus, with `loops`, one
@@ -606,8 +566,8 @@ where
 /// (shard edge counts add up, a source is new to a shard once whichever of
 /// its edges comes first, destination stamps form a set), so each node's
 /// loop is pushed after its own edges unless one of them is the loop.
-/// Like the sorted merge [`ShardSummary::build_streamed`] is fed otherwise,
-/// the loops path drops repeated edges.
+/// Like the sorted-and-deduplicated [`EdgeList::add_self_loops`], the loops
+/// path drops repeated edges.
 fn summarize_band(
     num_nodes: usize,
     nodes_per_shard: usize,
@@ -644,9 +604,10 @@ fn summarize_band(
     pass
 }
 
-/// The state of [`ShardSummary::build_streamed`]'s single pass: metadata
-/// emitted so far, plus per-destination-block counters for the source-block
-/// row being read.
+/// The state of [`ShardSummary::build`]'s single pass over one band:
+/// metadata emitted so far, plus per-destination-block counters for the
+/// source-block row being read. Neither per-block array is reset between
+/// rows: sources and rows only ascend.
 struct MetaPass {
     nodes_per_shard: usize,
     metas: Vec<ShardMeta>,
@@ -832,52 +793,21 @@ impl ShardGrid {
     /// Returns [`GraphError::InvalidParameter`] if `nodes_per_shard` is zero
     /// or the edge list has no nodes.
     pub fn build(edges: &EdgeList, nodes_per_shard: usize) -> Result<Self, GraphError> {
-        Self::from_sorted(edges.num_nodes(), nodes_per_shard, &sorted_edges(edges))
-    }
-
-    /// Builds a shard grid from a `(src, dst)`-sorted edge stream.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ShardSummary::build_streamed`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use gnnerator_graph::{EdgeList, ShardGrid};
-    ///
-    /// # fn main() -> Result<(), gnnerator_graph::GraphError> {
-    /// let edges = EdgeList::from_pairs(6, &[(0, 5), (2, 4), (3, 1), (5, 0)])?;
-    /// let streamed = ShardGrid::build_streamed(6, 3, edges.iter().copied())?;
-    /// assert_eq!(streamed, ShardGrid::build(&edges, 3)?);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn build_streamed<I>(
-        num_nodes: usize,
-        nodes_per_shard: usize,
-        edges: I,
-    ) -> Result<Self, GraphError>
-    where
-        I: IntoIterator<Item = Edge>,
-    {
-        let edges: Vec<Edge> = edges.into_iter().collect();
-        Self::from_sorted(num_nodes, nodes_per_shard, &edges)
-    }
-
-    /// Summarises `sorted`, then moves it into the arena with a stable
-    /// scatter: each shard receives its edges in `(src, dst)` order.
-    fn from_sorted(
-        num_nodes: usize,
-        nodes_per_shard: usize,
-        sorted: &[Edge],
-    ) -> Result<Self, GraphError> {
-        let summary =
-            ShardSummary::build_streamed(num_nodes, nodes_per_shard, sorted.iter().copied())?;
+        check_grid_shape(edges.num_nodes(), nodes_per_shard)?;
+        let sorted = sorted_edges(edges);
+        let summary = ShardSummary::summarize_sorted(
+            edges.num_nodes(),
+            nodes_per_shard,
+            &sorted,
+            false,
+            workers_for(sorted.len()),
+        )?;
+        // A stable scatter: each shard receives its edges in `(src, dst)`
+        // order.
         let mut arena = vec![Edge::new(0, 0); summary.total_edges()];
         let mut cursors = vec![0usize; summary.grid_dim()];
         let mut row = None;
-        for &edge in sorted {
+        for &edge in sorted.iter() {
             let src_block = edge.src as usize / nodes_per_shard;
             if row != Some(src_block) {
                 row = Some(src_block);
@@ -1080,25 +1010,6 @@ mod tests {
         assert!(ShardGrid::build(&empty, 4).is_err());
     }
 
-    #[test]
-    fn streamed_build_is_bit_identical_to_in_memory() {
-        let mut sorted: Vec<Edge> = sample_edges().iter().copied().collect();
-        sorted.sort_unstable();
-        let edges = EdgeList::from_edges(8, sorted).unwrap();
-        for nps in [1, 2, 3, 4, 8, 16] {
-            let built = ShardGrid::build(&edges, nps).unwrap();
-            let streamed =
-                ShardGrid::build_streamed(edges.num_nodes(), nps, edges.iter().copied()).unwrap();
-            assert_eq!(streamed, built, "nps={nps}");
-        }
-        // An empty sorted stream matches the edgeless build.
-        let empty = EdgeList::new(5);
-        assert_eq!(
-            ShardGrid::build_streamed(5, 2, std::iter::empty()).unwrap(),
-            ShardGrid::build(&empty, 2).unwrap()
-        );
-    }
-
     /// The historical build: one comparison sort of the whole arena by
     /// shard coordinate, then a scan that sorts each shard's destinations to
     /// count them.
@@ -1174,20 +1085,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn streamed_build_rejects_bad_input() {
-        assert!(ShardGrid::build_streamed(8, 0, std::iter::empty()).is_err());
-        assert!(ShardGrid::build_streamed(0, 4, std::iter::empty()).is_err());
-        // Out-of-range endpoint.
-        assert!(matches!(
-            ShardGrid::build_streamed(4, 2, [Edge::new(0, 4)].into_iter()),
-            Err(GraphError::NodeOutOfRange { node: 4, .. })
-        ));
-        // Unsorted stream.
-        let err = ShardGrid::build_streamed(4, 2, [Edge::new(2, 0), Edge::new(1, 3)]).unwrap_err();
-        assert!(err.to_string().contains("sorted"), "{err}");
     }
 
     #[test]

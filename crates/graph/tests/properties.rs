@@ -433,20 +433,6 @@ proptest! {
     }
 
     #[test]
-    fn streamed_shard_build_matches_the_in_memory_build(
-        edges in edge_list(),
-        nps in 1usize..10,
-    ) {
-        prop_assume!(edges.num_nodes() > 0);
-        let grid = ShardGrid::build(&edges, nps).unwrap();
-        let mut sorted: Vec<Edge> = edges.iter().copied().collect();
-        sorted.sort_unstable();
-        let streamed =
-            ShardGrid::build_streamed(edges.num_nodes(), nps, sorted.into_iter()).unwrap();
-        prop_assert_eq!(streamed, grid);
-    }
-
-    #[test]
     fn merge_based_canonical_ops_match_the_resort_reference(edges in edge_list()) {
         // dedup → symmetrize → add_self_loops down the sorted fast paths
         // must equal the historical always-resort pipeline.

@@ -3,7 +3,7 @@
 //! The admission-control work needs to answer "where does a request's time
 //! go under load" — queue wait, evaluation, serialization — without keeping
 //! every sample. The log₂-bucketed [`Histogram`] lives in
-//! `gnnerator-observe` (the workspace-wide telemetry spine) and is
+//! `gnnerator-observe` (the serving layer's telemetry primitives) and is
 //! re-exported here so serving code keeps its historical import path.
 //! `serve_bench` separately records exact per-request samples client-side;
 //! the server's histograms are the always-on, cheap approximation surfaced

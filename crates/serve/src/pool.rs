@@ -196,7 +196,6 @@ struct PoolDatasets {
 pub struct SessionPool {
     capacity: usize,
     artifact_cache: Option<Arc<ArtifactCache>>,
-    recorder: Option<gnnerator_observe::Recorder>,
     inner: Mutex<PoolInner>,
     breaker_config: BreakerConfig,
     breakers: Mutex<HashMap<SessionKey, BreakerState>>,
@@ -216,7 +215,6 @@ impl SessionPool {
         Self {
             capacity: capacity.max(1),
             artifact_cache: artifact_cache.filter(|c| c.is_enabled()),
-            recorder: None,
             inner: Mutex::new(PoolInner {
                 entries: HashMap::new(),
                 tick: 0,
@@ -231,15 +229,6 @@ impl SessionPool {
             breaker_trips: AtomicUsize::new(0),
             breaker_rejections: AtomicUsize::new(0),
         }
-    }
-
-    /// Routes each built session's memory telemetry through
-    /// `recorder` (a scoped child still propagates to the global root).
-    /// Without this, sessions record against the process-global recorder.
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: gnnerator_observe::Recorder) -> Self {
-        self.recorder = Some(recorder);
-        self
     }
 
     /// Overrides the circuit-breaker tuning (threshold and backoff window).
@@ -472,11 +461,11 @@ impl SessionPool {
     /// sessions.
     fn build(&self, scenario: &ScenarioSpec) -> Result<Arc<SimSession>, GnneratorError> {
         let dataset = self.dataset(scenario)?;
-        let mut session = build_session(scenario, &dataset, self.artifact_cache.as_ref())?;
-        if let Some(recorder) = &self.recorder {
-            session = session.with_recorder(recorder.clone());
-        }
-        Ok(Arc::new(session))
+        Ok(Arc::new(build_session(
+            scenario,
+            &dataset,
+            self.artifact_cache.as_ref(),
+        )?))
     }
 
     /// A snapshot of every key with live breaker bookkeeping (keys recover

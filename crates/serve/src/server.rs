@@ -62,7 +62,7 @@ use crate::request::scenario_from_json;
 use gnnerator::{evaluate_scenario_batch, ScenarioResult, ScenarioSpec, SessionKey, SimSession};
 use gnnerator_faults::lock_recover;
 use gnnerator_graph::ArtifactCache;
-use gnnerator_observe::{PromText, Recorder, RequestProvenance};
+use gnnerator_observe::{PromText, RequestProvenance};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -1373,10 +1373,6 @@ fn stats_body(state: &ServerState) -> String {
         state.worker_panics.load(Ordering::Relaxed),
         state.worker_respawns.load(Ordering::Relaxed),
     );
-    let memory = format!(
-        "{{\"peak_resident_bytes\": {}}}",
-        Recorder::global().memory_stats().peak_resident_bytes,
-    );
     let faults = gnnerator_faults::stats()
         .into_iter()
         .map(|point| {
@@ -1417,7 +1413,7 @@ fn stats_body(state: &ServerState) -> String {
          \"datasets_loaded\": {}, \"breaker_trips\": {}, \"breaker_rejections\": {}, \
          \"quarantined_keys\": {}, \"corrupt_artifacts\": {}}}, \
          \"breaker_keys\": [{breaker_keys}], \
-         \"workers\": {}, \"memory\": {}, \"faults\": [{}], \
+         \"workers\": {}, \"faults\": [{}], \
          \"faults_armed\": {faults_armed}, \"admission\": {}, \
          \"batch\": {}, \"latency\": {}, \"endpoints\": {{{}}}}}",
         json_f64(state.started.elapsed().as_secs_f64()),
@@ -1436,7 +1432,6 @@ fn stats_body(state: &ServerState) -> String {
         pool.quarantined_keys,
         pool.corrupt_artifacts,
         workers,
-        memory,
         faults,
         admission,
         batch,
@@ -1448,8 +1443,7 @@ fn stats_body(state: &ServerState) -> String {
 /// Renders the unified telemetry as Prometheus text (exposition format
 /// 0.0.4) for `GET /metrics`: request/error counters, the four stage
 /// histograms, pool and admission counters, worker liveness, per-key
-/// breaker states, graph memory telemetry from the global
-/// [`Recorder`], and fault-injection hit/trip counts.
+/// breaker states, and fault-injection hit/trip counts.
 fn metrics_body(state: &ServerState) -> String {
     let mut prom = PromText::new();
     prom.counter(
@@ -1704,13 +1698,6 @@ fn metrics_body(state: &ServerState) -> String {
         state.worker_respawns.load(Ordering::Relaxed) as u64,
     );
 
-    // Graph memory telemetry from the global recorder.
-    let memory = Recorder::global().memory_stats();
-    prom.gauge(
-        "gnnerator_memory_peak_resident_bytes",
-        "High-water mark of tracked resident graph bytes.",
-        memory.peak_resident_bytes as f64,
-    );
     // Fault injection: armed spec plus per-point hit/trip counts.
     let armed = gnnerator_faults::armed_spec();
     prom.gauge(

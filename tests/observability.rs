@@ -1,10 +1,10 @@
 //! Integration tests for the unified observability surface: `GET /metrics`
 //! exposition correctness under concurrent scrapes, counter monotonicity,
-//! histogram coherence, per-request provenance, graceful drain, and the
-//! load-bearing guarantee that telemetry never perturbs simulation results.
+//! histogram coherence, `/stats` agreeing with `/metrics`, per-request
+//! provenance, graceful drain, and bit-identical results across runners
+//! sharing one artifact cache.
 
 use gnnerator::{ScenarioSpec, SweepRunner};
-use gnnerator_observe::Recorder;
 use gnnerator_serve::{client, scenario_from_json, Json, ServeConfig, SessionServer};
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -103,7 +103,6 @@ fn concurrent_scrapes_parse_and_counters_stay_monotonic() {
             "gnnerator_pool_hits_total",
             "gnnerator_pool_misses_total",
             "gnnerator_workers_alive",
-            "gnnerator_memory_peak_resident_bytes",
             "gnnerator_breaker_trips_total",
         ] {
             assert!(samples.contains_key(series), "missing series {series}");
@@ -135,30 +134,147 @@ fn concurrent_scrapes_parse_and_counters_stay_monotonic() {
         "the extra request must be visible"
     );
 
-    // `/stats` and `/metrics` read the memory peak from one source, so on
-    // the idle server they agree. The peak is process-wide and other tests
-    // in this binary may raise it at any moment; a `/metrics` read between
-    // two equal `/stats` reads saw the same value, because it only rises.
-    let stats_peak = || {
+    server.shutdown();
+}
+
+/// Every `/stats` counter that scrapes do not move, with its `/metrics`
+/// series: pool, breaker, queue, worker and batch counters.
+const STATS_SERIES: [(&str, &str, &str); 26] = [
+    ("", "errors", "gnnerator_errors_total"),
+    ("pool", "size", "gnnerator_pool_sessions"),
+    ("pool", "capacity", "gnnerator_pool_capacity"),
+    ("pool", "hits", "gnnerator_pool_hits_total"),
+    ("pool", "misses", "gnnerator_pool_misses_total"),
+    (
+        "pool",
+        "sessions_built",
+        "gnnerator_pool_sessions_built_total",
+    ),
+    ("pool", "evictions", "gnnerator_pool_evictions_total"),
+    (
+        "pool",
+        "datasets_synthesized",
+        "gnnerator_pool_datasets_synthesized_total",
+    ),
+    (
+        "pool",
+        "datasets_loaded",
+        "gnnerator_pool_datasets_loaded_total",
+    ),
+    (
+        "pool",
+        "corrupt_artifacts",
+        "gnnerator_pool_corrupt_artifacts_total",
+    ),
+    ("pool", "breaker_trips", "gnnerator_breaker_trips_total"),
+    (
+        "pool",
+        "breaker_rejections",
+        "gnnerator_breaker_rejections_total",
+    ),
+    (
+        "pool",
+        "quarantined_keys",
+        "gnnerator_breaker_quarantined_keys",
+    ),
+    ("admission", "queue_capacity", "gnnerator_queue_capacity"),
+    ("admission", "queue_depth", "gnnerator_queue_depth"),
+    (
+        "admission",
+        "peak_queue_depth",
+        "gnnerator_queue_peak_depth",
+    ),
+    ("admission", "shed", "gnnerator_queue_shed_total"),
+    ("admission", "expired", "gnnerator_queue_expired_total"),
+    (
+        "admission",
+        "refused_connections",
+        "gnnerator_connections_refused_total",
+    ),
+    ("workers", "configured", "gnnerator_workers_configured"),
+    ("workers", "alive", "gnnerator_workers_alive"),
+    ("workers", "panics", "gnnerator_worker_panics_total"),
+    ("workers", "respawns", "gnnerator_worker_respawns_total"),
+    ("batch", "batches", "gnnerator_batches_total"),
+    (
+        "batch",
+        "batched_requests",
+        "gnnerator_batched_requests_total",
+    ),
+    ("batch", "solo_requests", "gnnerator_solo_requests_total"),
+];
+
+#[test]
+fn stats_counters_equal_their_metrics_series() {
+    let (server, addr) = start_server();
+    // Traffic that moves the pool, batch and error counters: misses and
+    // hits on two datasets, a baseline, a concurrent burst on one key, and
+    // a rejected request.
+    for (dataset, backend) in [
+        ("cora", "gnnerator"),
+        ("cora", "gnnerator"),
+        ("citeseer", "gnnerator"),
+        ("cora", "gpu-roofline"),
+    ] {
+        let response = client::post(addr, "/simulate", &body(dataset, backend)).unwrap();
+        assert!(response.is_ok(), "{}", response.body);
+    }
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(move || {
+                let response = client::post(addr, "/simulate", &body("cora", "hygcn")).unwrap();
+                assert!(response.is_ok(), "{}", response.body);
+            });
+        }
+    });
+    let rejected = client::post(addr, "/simulate", "{\"dataset\": \"nope\"}").unwrap();
+    assert_eq!(rejected.status, 400, "{}", rejected.body);
+
+    let stats = || {
         let response = client::get(addr, "/stats").expect("stats succeeds");
         assert_eq!(response.status, 200, "{}", response.body);
-        Json::parse(&response.body)
-            .and_then(|stats| stats.get("memory")?.get("peak_resident_bytes")?.as_u64())
-            .expect("/stats carries memory.peak_resident_bytes")
+        let json = Json::parse(&response.body).expect("/stats is JSON");
+        STATS_SERIES.map(|(section, field, _)| {
+            let object = if section.is_empty() {
+                Some(&json)
+            } else {
+                json.get(section)
+            };
+            object
+                .and_then(|object| object.get(field)?.as_u64())
+                .unwrap_or_else(|| panic!("/stats lacks {section}.{field}"))
+        })
     };
+    // A worker may still be finishing its bookkeeping after the last
+    // response; compare once `/stats` reads the same on both sides of a
+    // scrape.
     let agreed = (0..50).any(|_| {
-        let before = stats_peak();
-        let metrics_peak = scrape(addr).1["gnnerator_memory_peak_resident_bytes"];
-        if stats_peak() != before {
+        let before = stats();
+        let samples = scrape(addr).1;
+        if stats() != before {
+            std::thread::sleep(std::time::Duration::from_millis(10));
             return false;
         }
-        assert_eq!(metrics_peak, before as f64, "/metrics vs /stats peak");
+        for ((section, field, series), value) in STATS_SERIES.iter().zip(before) {
+            assert_eq!(
+                samples.get(*series).copied(),
+                Some(value as f64),
+                "/stats {section}.{field} vs /metrics {series}"
+            );
+        }
         true
     });
-    assert!(
-        agreed,
-        "the memory peak never held still across three reads"
-    );
+    assert!(agreed, "/stats never held still across a scrape");
+    let counts = stats();
+    let count = |field: &str| {
+        let index = STATS_SERIES
+            .iter()
+            .position(|(_, name, _)| *name == field)
+            .unwrap();
+        counts[index]
+    };
+    assert!(count("hits") > 0 && count("misses") > 0, "{counts:?}");
+    assert!(count("errors") > 0, "{counts:?}");
     server.shutdown();
 }
 
@@ -272,50 +388,47 @@ fn provenance_is_opt_in_and_carries_the_stage_spans() {
 }
 
 #[test]
-fn sweep_results_are_bit_identical_with_and_without_a_scoped_recorder() {
+fn runners_sharing_one_artifact_cache_are_bit_identical_and_warm_ones_load_every_summary() {
     let scenarios = [
         scenario("cora", "gnnerator"),
         scenario("cora", "gpu-roofline"),
         scenario("citeseer", "gnnerator"),
     ];
-    // A shared artifact cache on every runner: the first runner stores the
-    // shard summaries the other two load, and all three must still match
-    // bit for bit.
+    // The first runner stores the shard summaries the other two load, and
+    // all three must still match bit for bit.
     let dir = std::env::temp_dir().join(format!("gnnerator-observe-sweep-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let cache = std::sync::Arc::new(gnnerator_graph::ArtifactCache::new(&dir));
-    let cached = |runner: SweepRunner| runner.with_artifact_cache(std::sync::Arc::clone(&cache));
-    let plain = cached(SweepRunner::new());
-    let scoped = cached(SweepRunner::new()).with_recorder(Recorder::scoped());
-    let detached = cached(SweepRunner::new()).with_recorder(Recorder::detached());
+    let cached = || SweepRunner::new().with_artifact_cache(std::sync::Arc::clone(&cache));
+    let cold = cached();
+    let warm = [cached(), cached()];
     for spec in &scenarios {
-        let reference = plain.run_one(spec).expect("plain run succeeds");
-        for (label, runner) in [("scoped", &scoped), ("detached", &detached)] {
-            let traced = runner.run_one(spec).expect("traced run succeeds");
+        let reference = cold.run_one(spec).expect("cold run succeeds");
+        for (index, runner) in warm.iter().enumerate() {
+            let result = runner.run_one(spec).expect("warm run succeeds");
             assert_eq!(
-                reference, traced,
-                "{label}: results must be equal (telemetry excluded from Eq)"
+                reference, result,
+                "warm runner {index}: results must be equal (timing excluded from Eq)"
             );
             assert_eq!(
                 reference.seconds().to_bits(),
-                traced.seconds().to_bits(),
-                "{label}: modeled seconds must be bit-identical"
+                result.seconds().to_bits(),
+                "warm runner {index}: modeled seconds must be bit-identical"
             );
             assert_eq!(
-                reference.evaluation.total_cycles, traced.evaluation.total_cycles,
-                "{label}: cycle counts must be bit-identical"
+                reference.evaluation.total_cycles, result.evaluation.total_cycles,
+                "warm runner {index}: cycle counts must be bit-identical"
             );
         }
     }
-    // The warm runners loaded every summary instead of building it, and
-    // each session carries its runner's recorder.
-    for runner in [&scoped, &detached] {
+    // The warm runners loaded every summary instead of building it.
+    assert!(cold.total_shard_grids_built() > 0);
+    for runner in &warm {
         assert_eq!(runner.total_shard_grids_built(), 0);
-        assert!(runner.total_shard_grids_loaded() > 0);
-        let session = runner.session(&scenarios[0]).unwrap();
-        assert!(session
-            .recorder()
-            .same_as(runner.recorder().expect("recorder set")));
+        assert_eq!(
+            runner.total_shard_grids_loaded(),
+            cold.total_shard_grids_built()
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -27,14 +27,13 @@ fn scratch_dir(label: &str) -> PathBuf {
 }
 
 /// The sweep's `BENCH_sweep.json` point rows with the columns that
-/// legitimately differ between runs (wall clock, memory telemetry) masked.
+/// legitimately differ between runs (the wall clock) masked.
 fn masked_points(results: &[ScenarioResult]) -> Vec<String> {
     results
         .iter()
         .map(|result| {
             let mut point = SweepPoint::from_result(result);
             point.simulate_seconds = 0.0;
-            point.peak_resident_bytes = None;
             point.to_json()
         })
         .collect()
