@@ -397,7 +397,7 @@ impl ArtifactCache {
                             format!("edge {edge} out of range for {num_nodes} nodes"),
                         ));
                     }
-                    sorted &= last.map_or(true, |last| last <= edge);
+                    sorted &= last.is_none_or(|last| last <= edge);
                     last = Some(edge);
                     edges.push(edge);
                 }

@@ -14,6 +14,14 @@
 //! integers, with no comparison sort over whole edges. The rows are cut
 //! into bands of near-equal edge counts, one per worker.
 //!
+//! A dense row, one with at least `num_nodes / 128` candidates (R-MAT's hub
+//! rows), is deduplicated without a sort: its destinations set bits in the
+//! worker's `num_nodes`-bit bitmap, which is then read back in ascending
+//! order and cleared as it is read. That writes the same sorted, distinct
+//! row as a sort and dedup. Reading the bitmap back costs `num_nodes / 64`
+//! words per row, so the threshold scales with the node count rather than
+//! being a fixed row length.
+//!
 //! The output is bit-identical to `collect → sort_unstable → dedup` on the
 //! same edge multiset (the property tests pin this), at any worker count,
 //! so the generators' seeded determinism is preserved.
@@ -31,6 +39,7 @@ const CHUNK_CAPACITY: usize = 1 << 22;
 /// A sealed run of edge records. A symmetric chunk holds each pair once
 /// and stands for the pair and its reverse.
 #[derive(Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 struct Chunk {
     edges: Vec<Edge>,
     symmetric: bool,
@@ -81,6 +90,7 @@ impl Chunk {
 /// # }
 /// ```
 #[derive(Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct EdgeListBuilder {
     num_nodes: usize,
     /// Records per chunk.
@@ -337,6 +347,76 @@ impl Selection {
     }
 }
 
+/// A row is dense when it holds at least one candidate per this many nodes.
+/// Its bitmap scan (`num_nodes / 64` words) then costs at most two words
+/// per candidate, which is cheaper than sorting a row that long; a fixed
+/// length threshold would scan a large graph's bitmap for rows too short
+/// to pay for it.
+const NODES_PER_DENSE_CANDIDATE: usize = 128;
+
+/// One worker's per-row deduplication: sorts short rows and runs dense
+/// ones through a bitmap over the nodes.
+struct RowDedup {
+    num_nodes: usize,
+    /// Rows with at least this many candidates are dense.
+    dense_len: usize,
+    /// One bit per node, all clear between rows; allocated at the first
+    /// dense row.
+    bitmap: Vec<u64>,
+}
+
+impl RowDedup {
+    fn new(num_nodes: usize) -> Self {
+        Self {
+            num_nodes,
+            dense_len: dense_row_len(num_nodes),
+            bitmap: Vec::new(),
+        }
+    }
+
+    /// Writes the distinct destinations of `dsts[row]`, ascending, to
+    /// `dsts[out..]` (with `out <= row.start`), and returns their number.
+    fn dedup(&mut self, dsts: &mut [NodeId], row: Range<usize>, out: usize) -> usize {
+        if row.len() < self.dense_len {
+            dsts[row.clone()].sort_unstable();
+            let mut next = out;
+            let mut last = None;
+            for i in row {
+                let dst = dsts[i];
+                if last != Some(dst) {
+                    dsts[next] = dst;
+                    next += 1;
+                    last = Some(dst);
+                }
+            }
+            return next - out;
+        }
+        if self.bitmap.is_empty() {
+            self.bitmap = vec![0; self.num_nodes.div_ceil(64)];
+        }
+        for &dst in &dsts[row] {
+            self.bitmap[dst as usize / 64] |= 1 << (dst % 64);
+        }
+        // Read the set bits back in ascending order, clearing as we go.
+        let mut next = out;
+        for (w, word) in self.bitmap.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                dsts[next] = (w * 64) as NodeId + bits.trailing_zeros();
+                next += 1;
+                bits &= bits - 1;
+            }
+        }
+        next - out
+    }
+}
+
+/// The candidate count from which a row over `num_nodes` nodes is dense
+/// (at least 1, so an empty row is never scanned).
+fn dense_row_len(num_nodes: usize) -> usize {
+    (num_nodes / NODES_PER_DENSE_CANDIDATE).max(1)
+}
+
 /// One worker's band of the counting sort: a range of source rows and its
 /// slice of the destination buffer.
 struct RowBand<'a> {
@@ -354,8 +434,10 @@ struct RowBand<'a> {
 ///    destination ids only.
 /// 2. The rows are cut into `workers` bands of near-equal candidate counts
 ///    and the buffer is split at the band edges. Each worker scatters its
-///    band's destinations from every chunk, then sorts and deduplicates
-///    each of its rows in place. The chunks are dropped once scattered.
+///    band's destinations from every chunk. The chunks are dropped once
+///    every band is scattered, and each worker then deduplicates its rows
+///    in place: it sorts a short row and runs a dense one through a bitmap
+///    over the nodes (see [`RowDedup`]).
 /// 3. Once the number of distinct edges is known, `select` may pick the
 ///    ones to keep. The output is split at the prefix sums of the bands'
 ///    kept counts, and each worker writes its band's kept edges.
@@ -428,29 +510,26 @@ fn sort_dedup_by_source(
                 }
             });
         }
-        // `cursor` now holds each row's end. Sort each row and compact its
-        // distinct destinations to the front of the band.
+        // `cursor` now holds each row's end.
+        band.unique_ends = cursor;
+        Ok(band)
+    })?;
+    // Every band has read every chunk. Dropping them before the rows are
+    // deduplicated keeps the dense rows' bitmaps off the peak.
+    drop(chunks);
+    let bands = run_bands(bands, |mut band| {
+        // Compact each row's distinct destinations to the front of the band.
+        let mut rows = RowDedup::new(num_nodes);
         let mut unique = 0usize;
         let mut begin = 0usize;
-        band.unique_ends = cursor;
         for end in &mut band.unique_ends {
             let row_stop = *end;
-            band.dsts[begin..row_stop].sort_unstable();
-            let mut last = None;
-            for i in begin..row_stop {
-                let dst = band.dsts[i];
-                if last != Some(dst) {
-                    band.dsts[unique] = dst;
-                    unique += 1;
-                    last = Some(dst);
-                }
-            }
+            unique += rows.dedup(band.dsts, begin..row_stop, unique);
             *end = unique;
             begin = row_stop;
         }
         Ok(band)
     })?;
-    drop(chunks);
 
     // `firsts[t]` is band `t`'s first distinct edge in list order.
     let firsts = prefix_sums(
@@ -591,7 +670,17 @@ mod tests {
             .map(|e| Edge::new(e.src / 10 * 10, e.dst))
             .collect();
         let tiny = vec![Edge::new(2, 0), Edge::new(0, 1), Edge::new(2, 0)];
-        for (n, edges) in [(40usize, hub), (200, sparse), (3, tiny), (5, Vec::new())] {
+        // Sparse rows that sort, around a hub row far above the dense
+        // threshold (3000 / 128 = 23 candidates).
+        let mut sparse_hub = pseudo_random_edges(3000, 4000);
+        sparse_hub.extend((0..2500u32).map(|i| Edge::new(1234, (i * 7919) % 3000)));
+        for (n, edges) in [
+            (40usize, hub),
+            (200, sparse),
+            (3, tiny),
+            (5, Vec::new()),
+            (3000, sparse_hub),
+        ] {
             let (symmetric, directed) = edges.split_at(edges.len() / 3);
             let mut all = directed.to_vec();
             all.extend(symmetric.iter().flat_map(|&e| [e, e.reversed()]));
@@ -622,6 +711,82 @@ mod tests {
                 assert_eq!(retained, thirds);
                 assert_eq!(selected, thirds, "n {n}, {workers} workers, selected");
             }
+        }
+    }
+
+    #[test]
+    fn dense_rows_dedup_like_sorted_rows() {
+        let n = 2000usize;
+        let dense = dense_row_len(n);
+        assert_eq!(dense, 15);
+        // Sources 10..=15: rows one short of, at and one past the
+        // threshold (each with a duplicate), a row holding every node, a
+        // self-loop row and a row of heavy duplicates.
+        let mut rows: Vec<(u32, Vec<u32>)> = [dense - 1, dense, dense + 1]
+            .into_iter()
+            .zip(10u32..)
+            .map(|(len, src)| {
+                let mut dsts: Vec<u32> = (1..len as u32).map(|i| (i * 331) % 2000).collect();
+                dsts.push(dsts[0]);
+                (src, dsts)
+            })
+            .collect();
+        rows.push((13, (0..n as u32).rev().collect()));
+        rows.push((
+            14,
+            (0..40u32)
+                .map(|i| if i % 3 == 0 { 14 } else { i * 50 })
+                .collect(),
+        ));
+        rows.push((
+            15,
+            (0..400u32)
+                .map(|i| [1999, 0, 777][i as usize % 3])
+                .collect(),
+        ));
+        // Sparse rows, directed and symmetric, that never touch 10..=15.
+        let away = |e: Edge| Edge::new(e.src.max(16), e.dst.max(16));
+        let mut directed: Vec<Edge> = rows
+            .iter()
+            .flat_map(|(src, dsts)| dsts.iter().map(|&dst| Edge::new(*src, dst)))
+            .chain(pseudo_random_edges(n, 3000).into_iter().map(away))
+            .collect();
+        // Interleave the rows' candidates over the chunks, as sampling does.
+        let len = directed.len();
+        directed.sort_by_key(|e| (e.src.wrapping_mul(7919) ^ e.dst) as usize % len);
+        let symmetric: Vec<Edge> = pseudo_random_edges(n, 1500)
+            .into_iter()
+            .map(|e| away(e.reversed()))
+            .collect();
+        let mut all = directed.clone();
+        all.extend(symmetric.iter().flat_map(|&e| [e, e.reversed()]));
+        for (src, dsts) in &rows {
+            let candidates = all.iter().filter(|e| e.src == *src).count();
+            assert_eq!(candidates, dsts.len(), "row {src}");
+        }
+        let expected = reference(n, &all);
+        for workers in [1, 2, 7] {
+            let chunks = || {
+                let mut chunks: Vec<Chunk> = directed
+                    .chunks(500)
+                    .map(|c| Chunk::directed(c.to_vec()))
+                    .collect();
+                chunks.push(Chunk {
+                    edges: symmetric.clone(),
+                    symmetric: true,
+                });
+                chunks
+            };
+            let sorted = sort_dedup_by_source(n, chunks(), workers, |_| Ok(None)).unwrap();
+            assert_eq!(sorted, expected.as_slice(), "{workers} workers");
+            let selected = sort_dedup_by_source(n, chunks(), workers, |len| {
+                let mut selection = Selection::with_len(len);
+                (1..len).step_by(2).for_each(|i| selection.insert(i));
+                Ok(Some(selection))
+            })
+            .unwrap();
+            let odd: Vec<Edge> = expected.iter().copied().skip(1).step_by(2).collect();
+            assert_eq!(selected, odd, "{workers} workers, selected");
         }
     }
 

@@ -174,7 +174,7 @@ impl EdgeList {
     /// Returns [`GraphError::NodeOutOfRange`] if an endpoint is out of range.
     pub fn push(&mut self, edge: Edge) -> Result<(), GraphError> {
         Self::validate(self.num_nodes, edge)?;
-        self.sorted = self.sorted && self.edges.last().map_or(true, |last| *last <= edge);
+        self.sorted = self.sorted && self.edges.last().is_none_or(|last| *last <= edge);
         self.edges.push(edge);
         Ok(())
     }
@@ -335,7 +335,7 @@ impl Extend<Edge> for EdgeList {
     fn extend<T: IntoIterator<Item = Edge>>(&mut self, iter: T) {
         for edge in iter {
             if Self::validate(self.num_nodes, edge).is_ok() {
-                self.sorted = self.sorted && self.edges.last().map_or(true, |last| *last <= edge);
+                self.sorted = self.sorted && self.edges.last().is_none_or(|last| *last <= edge);
                 self.edges.push(edge);
             }
         }

@@ -21,6 +21,20 @@
 //! generator is advanced past every attempt before the sequential trim. The trim shuffles edge positions
 //! rather than edges and keeps the survivors in list order, so it needs no
 //! sort, and the builder writes out only the surviving edges.
+//!
+//! Within a band, the sampler runs 8 consecutive attempts in lockstep
+//! lanes, and the lanes are bit-identical to the one-at-a-time loop for the
+//! same reason: SplitMix64 is counter-based (draw `k` is a pure mix of
+//! `state + (k + 1)·γ`), so lane `l` starts from a copy of the generator
+//! advanced to attempt `a + l`, draws exactly the draws that attempt draws,
+//! and then skips the other 7 lanes' attempts. Kept pairs are pushed in
+//! attempt order, and a tail of fewer than 8 attempts runs one at a time.
+//! One lane body is compiled twice, under `#[target_feature]` for AVX-512
+//! (F and DQ, for the 64-bit lane multiply) and for AVX2, which turns the
+//! lane loops into vector instructions; without those features 8 lanes are
+//! slower than one. Each band picks the fastest path the CPU reports with
+//! `is_x86_feature_detected!`, and falls back to the one-at-a-time loop on
+//! other CPUs and architectures. There is no setting for the path.
 
 use crate::edge_builder::Selection;
 use crate::parallel::{even_bounds, run_bands, workers_for};
@@ -54,6 +68,201 @@ fn rmat_thresholds() -> [u64; 3] {
 /// 2 bottom-left (source bit set) and 3 bottom-right (both bits set).
 fn rmat_quadrant(m: u64, [t_a, t_ab, t_abc]: [u64; 3]) -> usize {
     usize::from(m >= t_a) + usize::from(m >= t_ab) + usize::from(m >= t_abc)
+}
+
+/// Attempts one lane group samples in lockstep.
+const LANES: usize = 8;
+
+/// A way to run a band of R-MAT attempts. Every path streams the same pairs
+/// in the same order (see the [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SamplerPath {
+    /// One attempt at a time.
+    Scalar,
+    /// [`LANES`] attempts at a time, compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// [`LANES`] attempts at a time, compiled for AVX-512 (DQ adds the
+    /// 64-bit lane multiply SplitMix64 needs).
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl SamplerPath {
+    /// The paths this CPU can run, fastest first; [`SamplerPath::Scalar`]
+    /// is always last.
+    fn detected() -> Vec<Self> {
+        let mut paths = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if avx512_detected() {
+                paths.push(Self::Avx512);
+            }
+            if is_x86_feature_detected!("avx2") {
+                paths.push(Self::Avx2);
+            }
+        }
+        paths.push(Self::Scalar);
+        paths
+    }
+
+    /// The fastest path this CPU can run.
+    fn fastest() -> Self {
+        Self::detected()[0]
+    }
+}
+
+/// Whether this CPU has the features [`sample_lanes_avx512`] is compiled
+/// for.
+#[cfg(target_arch = "x86_64")]
+fn avx512_detected() -> bool {
+    is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq")
+}
+
+/// What every R-MAT attempt shares: the node count a pair must fall below,
+/// the draws (levels) per attempt and the quadrant thresholds.
+#[derive(Debug, Clone, Copy)]
+struct Sampler {
+    num_nodes: usize,
+    levels: u32,
+    thresholds: [u64; 3],
+}
+
+impl Sampler {
+    fn new(num_nodes: usize) -> Self {
+        Self {
+            num_nodes,
+            levels: (num_nodes as f64).log2().ceil() as u32,
+            thresholds: rmat_thresholds(),
+        }
+    }
+
+    /// A copy of the stream `rng` positioned at `attempt`'s first draw:
+    /// every attempt consumes exactly `levels` draws.
+    fn stream_at(&self, rng: &StdRng, attempt: usize) -> StdRng {
+        let mut rng = rng.clone();
+        rng.advance(attempt as u64 * u64::from(self.levels));
+        rng
+    }
+
+    /// Streams the kept pairs of the `attempts` of `rng`'s stream into
+    /// `band`, on `path` (the scalar path if this CPU cannot run it).
+    fn sample(
+        &self,
+        path: SamplerPath,
+        rng: &StdRng,
+        attempts: Range<usize>,
+        band: &mut EdgeListBuilder,
+    ) -> Result<(), GraphError> {
+        match path {
+            #[cfg(target_arch = "x86_64")]
+            SamplerPath::Avx512 if avx512_detected() => {
+                // SAFETY: the guard has just detected avx512f and
+                // avx512dq on this CPU, the only features
+                // `sample_lanes_avx512` is compiled for.
+                unsafe { sample_lanes_avx512(self, rng, attempts, band) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            SamplerPath::Avx2 if is_x86_feature_detected!("avx2") => {
+                // SAFETY: the guard has just detected avx2 on this CPU, the
+                // only feature `sample_lanes_avx2` is compiled for.
+                unsafe { sample_lanes_avx2(self, rng, attempts, band) }
+            }
+            _ => self.sample_scalar(rng, attempts, band),
+        }
+    }
+
+    /// The attempts one at a time.
+    fn sample_scalar(
+        &self,
+        rng: &StdRng,
+        attempts: Range<usize>,
+        band: &mut EdgeListBuilder,
+    ) -> Result<(), GraphError> {
+        let mut rng = self.stream_at(rng, attempts.start);
+        for _ in attempts {
+            let (mut src, mut dst) = (0usize, 0usize);
+            // One bit of each endpoint per level, most significant first.
+            for _ in 0..self.levels {
+                let quadrant = rmat_quadrant(rng.next_u64() >> 11, self.thresholds);
+                src = (src << 1) | (quadrant >> 1);
+                dst = (dst << 1) | (quadrant & 1);
+            }
+            self.keep(src, dst, band)?;
+        }
+        Ok(())
+    }
+
+    /// The attempts in groups of [`LANES`] consecutive ones run in
+    /// lockstep, lane `l` of a group drawing exactly the draws attempt
+    /// `a + l` draws on the scalar path; a shorter tail runs scalar.
+    /// Inlined into each `#[target_feature]` wrapper, whose features turn
+    /// the lane loops into vector instructions.
+    #[inline(always)]
+    fn sample_lanes(
+        &self,
+        rng: &StdRng,
+        attempts: Range<usize>,
+        band: &mut EdgeListBuilder,
+    ) -> Result<(), GraphError> {
+        let groups = attempts.len() / LANES;
+        let mut lanes: [StdRng; LANES] =
+            std::array::from_fn(|lane| self.stream_at(rng, attempts.start + lane));
+        // After one attempt, a lane skips the other lanes' attempts.
+        let skip = (LANES as u64 - 1) * u64::from(self.levels);
+        for _ in 0..groups {
+            let mut src = [0usize; LANES];
+            let mut dst = [0usize; LANES];
+            for _ in 0..self.levels {
+                for ((rng, src), dst) in lanes.iter_mut().zip(&mut src).zip(&mut dst) {
+                    let quadrant = rmat_quadrant(rng.next_u64() >> 11, self.thresholds);
+                    *src = (*src << 1) | (quadrant >> 1);
+                    *dst = (*dst << 1) | (quadrant & 1);
+                }
+            }
+            for ((rng, src), dst) in lanes.iter_mut().zip(src).zip(dst) {
+                rng.advance(skip);
+                self.keep(src, dst, band)?;
+            }
+        }
+        self.sample_scalar(rng, attempts.start + groups * LANES..attempts.end, band)
+    }
+
+    /// Streams a sampled pair (and its reverse) unless it falls outside the
+    /// graph or is a self-loop.
+    #[inline(always)]
+    fn keep(&self, src: usize, dst: usize, band: &mut EdgeListBuilder) -> Result<(), GraphError> {
+        if src < self.num_nodes && dst < self.num_nodes && src != dst {
+            band.push_symmetric(Edge::new(src as NodeId, dst as NodeId))?;
+        }
+        Ok(())
+    }
+}
+
+/// [`Sampler::sample_lanes`] compiled for AVX-512. A call is `unsafe`: the
+/// caller must have detected `avx512f` and `avx512dq` on this CPU.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn sample_lanes_avx512(
+    sampler: &Sampler,
+    rng: &StdRng,
+    attempts: Range<usize>,
+    band: &mut EdgeListBuilder,
+) -> Result<(), GraphError> {
+    sampler.sample_lanes(rng, attempts, band)
+}
+
+/// [`Sampler::sample_lanes`] compiled for AVX2. A call is `unsafe`: the
+/// caller must have detected `avx2` on this CPU.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sample_lanes_avx2(
+    sampler: &Sampler,
+    rng: &StdRng,
+    attempts: Range<usize>,
+    band: &mut EdgeListBuilder,
+) -> Result<(), GraphError> {
+    sampler.sample_lanes(rng, attempts, band)
 }
 
 /// Generates an Erdős–Rényi `G(n, p)` directed graph (no self-loops).
@@ -165,41 +374,25 @@ pub(crate) fn rmat_with_workers(
         return Err(GraphError::invalid("target_edges", "must be positive"));
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let levels = (num_nodes as f64).log2().ceil() as u32;
-    let thresholds = rmat_thresholds();
+    let sampler = Sampler::new(num_nodes);
 
     let mut builder = EdgeListBuilder::new(num_nodes);
     // Symmetrisation halves the unique directed edge count on average, and
     // deduplication removes collisions, so oversample before trimming.
     let attempts = target_edges * 2;
-    // Every attempt consumes exactly `levels` draws, so the attempt range
-    // `[a, b)` starts `a · levels` draws into the stream.
     let bounds = even_bounds(attempts, workers);
     let bands: Vec<(Range<usize>, EdgeListBuilder)> = bounds
         .windows(2)
         .map(|w| (w[0]..w[1], builder.band_builder()))
         .collect();
     let bands = run_bands(bands, |(range, mut band)| {
-        let mut rng = rng.clone();
-        rng.advance(range.start as u64 * u64::from(levels));
-        for _ in range {
-            let (mut src, mut dst) = (0usize, 0usize);
-            // One bit of each endpoint per level, most significant first.
-            for _ in 0..levels {
-                let quadrant = rmat_quadrant(rng.next_u64() >> 11, thresholds);
-                src = (src << 1) | (quadrant >> 1);
-                dst = (dst << 1) | (quadrant & 1);
-            }
-            if src < num_nodes && dst < num_nodes && src != dst {
-                band.push_symmetric(Edge::new(src as NodeId, dst as NodeId))?;
-            }
-        }
+        sampler.sample(SamplerPath::fastest(), &rng, range, &mut band)?;
         Ok(band)
     })?;
     for band in bands {
         builder.absorb(band);
     }
-    rng.advance(attempts as u64 * u64::from(levels));
+    rng.advance(attempts as u64 * u64::from(sampler.levels));
     // The trim picks its survivors by index once the distinct count is
     // known, so the builder writes out only the edges that survive.
     builder.try_finish_selected(workers, |len| trim_selection(len, target_edges, &mut rng))
@@ -572,6 +765,50 @@ mod tests {
                 rmat_exact_with_workers(150, 1100, 21, 1).unwrap(),
                 "top-up case, {workers} workers"
             );
+        }
+    }
+
+    #[test]
+    fn lane_paths_match_the_scalar_sampler() {
+        let paths = SamplerPath::detected();
+        assert_eq!(paths.last(), Some(&SamplerPath::Scalar));
+        // Node counts below a lane group and not powers of two (rejected
+        // samples), and bands that leave 0, 1 and 7 attempts for the
+        // scalar tail.
+        for (n, seed) in [
+            (1usize, 3u64),
+            (3, 7),
+            (7, 2),
+            (100, 9),
+            (333, 14),
+            (1000, 1),
+        ] {
+            let sampler = Sampler::new(n);
+            let rng = StdRng::seed_from_u64(seed);
+            for workers in [1usize, 2, 7] {
+                for tail in [0, 1, 7] {
+                    let band_len = 5 * LANES + tail;
+                    let bounds = even_bounds(workers * band_len, workers);
+                    for range in bounds.windows(2).map(|w| w[0]..w[1]) {
+                        assert_eq!(range.len() % LANES, tail);
+                        let band = |path| {
+                            let mut band = EdgeListBuilder::with_chunk_capacity(n, 16);
+                            sampler
+                                .sample(path, &rng, range.clone(), &mut band)
+                                .unwrap();
+                            band
+                        };
+                        let scalar = band(SamplerPath::Scalar);
+                        for &path in &paths {
+                            assert_eq!(
+                                band(path),
+                                scalar,
+                                "{path:?}: n {n}, seed {seed}, {workers} workers, band {range:?}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -912,7 +912,11 @@ impl Iterator for SerpentineCoords {
         let s = self.grid_dim;
         let outer = self.next / s;
         let raw = self.next % s;
-        let inner = if outer % 2 == 0 { raw } else { s - 1 - raw };
+        let inner = if outer.is_multiple_of(2) {
+            raw
+        } else {
+            s - 1 - raw
+        };
         self.next += 1;
         Some(match self.order {
             TraversalOrder::DestinationStationary => ShardCoord::new(inner, outer),

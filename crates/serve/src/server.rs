@@ -1655,6 +1655,11 @@ fn metrics_body(state: &ServerState) -> String {
         "Jobs answered 503 because their deadline expired while queued.",
         state.queue.expired_count() as u64,
     );
+    prom.counter(
+        "gnnerator_queue_inline_total",
+        "Requests evaluated on an idle worker without entering the queue.",
+        state.queue.idle_claim_count() as u64,
+    );
     prom.gauge(
         "gnnerator_connections_active",
         "Connections currently open.",

@@ -162,6 +162,7 @@ pub mod rngs {
         /// the fixed increment to the state before mixing, so `draws`
         /// draws add `draws` increments. Lets a counter-indexed consumer
         /// start the `k`-th of several equal-length draw ranges directly.
+        #[inline]
         pub fn advance(&mut self, draws: u64) {
             self.state = self.state.wrapping_add(GAMMA.wrapping_mul(draws));
         }
@@ -178,6 +179,7 @@ pub mod rngs {
     }
 
     impl RngCore for StdRng {
+        #[inline]
         fn next_u64(&mut self) -> u64 {
             self.state = self.state.wrapping_add(GAMMA);
             let mut z = self.state;

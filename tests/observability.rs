@@ -139,7 +139,7 @@ fn concurrent_scrapes_parse_and_counters_stay_monotonic() {
 
 /// Every `/stats` counter that scrapes do not move, with its `/metrics`
 /// series: pool, breaker, queue, worker and batch counters.
-const STATS_SERIES: [(&str, &str, &str); 26] = [
+const STATS_SERIES: [(&str, &str, &str); 27] = [
     ("", "errors", "gnnerator_errors_total"),
     ("pool", "size", "gnnerator_pool_sessions"),
     ("pool", "capacity", "gnnerator_pool_capacity"),
@@ -186,6 +186,7 @@ const STATS_SERIES: [(&str, &str, &str); 26] = [
     ),
     ("admission", "shed", "gnnerator_queue_shed_total"),
     ("admission", "expired", "gnnerator_queue_expired_total"),
+    ("admission", "inline", "gnnerator_queue_inline_total"),
     (
         "admission",
         "refused_connections",
@@ -234,7 +235,7 @@ fn stats_counters_equal_their_metrics_series() {
         let response = client::get(addr, "/stats").expect("stats succeeds");
         assert_eq!(response.status, 200, "{}", response.body);
         let json = Json::parse(&response.body).expect("/stats is JSON");
-        STATS_SERIES.map(|(section, field, _)| {
+        let counts = STATS_SERIES.map(|(section, field, _)| {
             let object = if section.is_empty() {
                 Some(&json)
             } else {
@@ -243,7 +244,12 @@ fn stats_counters_equal_their_metrics_series() {
             object
                 .and_then(|object| object.get(field)?.as_u64())
                 .unwrap_or_else(|| panic!("/stats lacks {section}.{field}"))
-        })
+        });
+        let mean_batch_size = json
+            .get("batch")
+            .and_then(|batch| batch.get("mean_batch_size")?.as_f64())
+            .expect("/stats lacks batch.mean_batch_size");
+        (counts, mean_batch_size)
     };
     // A worker may still be finishing its bookkeeping after the last
     // response; compare once `/stats` reads the same on both sides of a
@@ -255,17 +261,28 @@ fn stats_counters_equal_their_metrics_series() {
             std::thread::sleep(std::time::Duration::from_millis(10));
             return false;
         }
-        for ((section, field, series), value) in STATS_SERIES.iter().zip(before) {
+        let (counts, mean_batch_size) = before;
+        for ((section, field, series), value) in STATS_SERIES.iter().zip(counts) {
             assert_eq!(
                 samples.get(*series).copied(),
                 Some(value as f64),
                 "/stats {section}.{field} vs /metrics {series}"
             );
         }
+        // The mean is derived: requests over passes, where every solo
+        // request is a pass of its own.
+        let series = |name: &str| samples[name];
+        let solo = series("gnnerator_solo_requests_total");
+        assert_eq!(
+            mean_batch_size,
+            (series("gnnerator_batched_requests_total") + solo)
+                / (series("gnnerator_batches_total") + solo),
+            "/stats batch.mean_batch_size vs the batch series"
+        );
         true
     });
     assert!(agreed, "/stats never held still across a scrape");
-    let counts = stats();
+    let (counts, _) = stats();
     let count = |field: &str| {
         let index = STATS_SERIES
             .iter()
