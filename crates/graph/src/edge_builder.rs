@@ -9,24 +9,28 @@
 //! [`EdgeListBuilder::finish`] then produces one sorted, duplicate-free
 //! [`EdgeList`] with a counting sort by source (see
 //! [`sort_dedup_by_source`]): every edge's destination is scattered into
-//! its source's row of one `u32` buffer, and each row is sorted and
-//! deduplicated on its own — `O(V + E)` plus per-row sorts of small
-//! integers, with no comparison sort over whole edges. The rows are cut
-//! into bands of near-equal edge counts, one per worker.
+//! its source's row of one `u32` buffer, and each row is deduplicated on
+//! its own — `O(V + E)` plus per-row sorts of short rows, with no
+//! comparison sort over whole edges. The scatter cuts the rows into bands
+//! of near-equal candidate counts, one per worker; the dedup cuts them
+//! again by its own cost.
 //!
-//! A dense row, one with at least `num_nodes / 128` candidates (R-MAT's hub
-//! rows), is deduplicated without a sort: its destinations set bits in the
-//! worker's `num_nodes`-bit bitmap, which is then read back in ascending
-//! order and cleared as it is read. That writes the same sorted, distinct
-//! row as a sort and dedup. Reading the bitmap back costs `num_nodes / 64`
-//! words per row, so the threshold scales with the node count rather than
-//! being a fixed row length.
+//! Only a short row, one with fewer than `num_nodes / 4096` candidates, is
+//! sorted. Every longer row (R-MAT's hub rows and its mid-length rows) is
+//! deduplicated through two bitmaps of the worker's: each destination sets
+//! its bit in a `num_nodes`-bit bitmap and, in a summary bitmap with one
+//! bit per bitmap word, the bit of that word. The summary is then read in
+//! ascending order, and only the bitmap words it marks are read back and
+//! cleared. That writes the same sorted, distinct row as a sort and dedup.
+//! Reading the summary costs `num_nodes / 4096` words per row, so the
+//! threshold scales with the node count rather than being a fixed row
+//! length.
 //!
 //! The output is bit-identical to `collect → sort_unstable → dedup` on the
 //! same edge multiset (the property tests pin this), at any worker count,
 //! so the generators' seeded determinism is preserved.
 
-use crate::parallel::{even_bounds, run_bands, split_bands, workers_for};
+use crate::parallel::{even_bounds, run_bands, split_bands, weighted_bounds, workers_for};
 use crate::{Edge, EdgeList, GraphError, NodeId};
 use std::ops::Range;
 
@@ -297,31 +301,47 @@ pub(crate) struct Selection {
 
 impl Selection {
     /// An empty selection over `len` indices.
+    #[cfg(test)]
     pub(crate) fn with_len(len: usize) -> Self {
         Self {
             words: vec![0; len.div_ceil(64)],
         }
     }
 
+    /// The selection whose index `i` is bit `i % 64` of `words[i / 64]`.
+    pub(crate) fn from_words(words: Vec<u64>) -> Self {
+        Self { words }
+    }
+
+    #[cfg(test)]
     pub(crate) fn insert(&mut self, index: usize) {
         self.words[index / 64] |= 1 << (index % 64);
     }
 
-    /// Calls `f` on every selected index in `range`, ascending.
-    fn for_each_in(&self, range: Range<usize>, mut f: impl FnMut(usize)) {
-        if range.is_empty() {
-            return;
-        }
-        let (first, last) = (range.start / 64, (range.end - 1) / 64);
-        for w in first..=last {
+    /// The words covering `range`, as `(word index, word)` with the bits
+    /// outside `range` cleared.
+    fn words_in(&self, range: Range<usize>) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let words = if range.is_empty() {
+            0..0
+        } else {
+            range.start / 64..(range.end - 1) / 64 + 1
+        };
+        words.map(move |w| {
             let mut word = self.words[w];
-            if w == first {
+            if w == range.start / 64 {
                 word &= u64::MAX << (range.start % 64);
             }
             let top = range.end - w * 64;
             if top < 64 {
                 word &= (1 << top) - 1;
             }
+            (w, word)
+        })
+    }
+
+    /// Calls `f` on every selected index in `range`, ascending.
+    pub(crate) fn for_each_in(&self, range: Range<usize>, mut f: impl FnMut(usize)) {
+        for (w, mut word) in self.words_in(range) {
             while word != 0 {
                 f(w * 64 + word.trailing_zeros() as usize);
                 word &= word - 1;
@@ -329,10 +349,11 @@ impl Selection {
         }
     }
 
+    /// The number of selected indices in `range`.
     fn count_in(&self, range: Range<usize>) -> usize {
-        let mut count = 0;
-        self.for_each_in(range, |_| count += 1);
-        count
+        self.words_in(range)
+            .map(|(_, word)| word.count_ones() as usize)
+            .sum()
     }
 
     /// Keeps the selected edges of `edges`, in order, compacting in place.
@@ -347,37 +368,41 @@ impl Selection {
     }
 }
 
-/// A row is dense when it holds at least one candidate per this many nodes.
-/// Its bitmap scan (`num_nodes / 64` words) then costs at most two words
-/// per candidate, which is cheaper than sorting a row that long; a fixed
-/// length threshold would scan a large graph's bitmap for rows too short
-/// to pay for it.
-const NODES_PER_DENSE_CANDIDATE: usize = 128;
+/// A row goes through the bitmaps when it holds at least one candidate per
+/// this many nodes. Its summary scan (`num_nodes / 4096` words) then costs
+/// at most one word per candidate, which is cheaper than sorting a row that
+/// long; a fixed length threshold would scan a large graph's summary for
+/// rows too short to pay for it.
+const NODES_PER_BITMAP_CANDIDATE: usize = 4096;
 
-/// One worker's per-row deduplication: sorts short rows and runs dense
-/// ones through a bitmap over the nodes.
+/// One worker's per-row deduplication: sorts short rows and runs the others
+/// through a two-level bitmap over the nodes.
 struct RowDedup {
     num_nodes: usize,
-    /// Rows with at least this many candidates are dense.
-    dense_len: usize,
+    /// Rows with at least this many candidates go through the bitmaps.
+    bitmap_len: usize,
     /// One bit per node, all clear between rows; allocated at the first
-    /// dense row.
+    /// bitmap row.
     bitmap: Vec<u64>,
+    /// One bit per `bitmap` word, set when the word may hold a set bit;
+    /// all clear between rows.
+    summary: Vec<u64>,
 }
 
 impl RowDedup {
     fn new(num_nodes: usize) -> Self {
         Self {
             num_nodes,
-            dense_len: dense_row_len(num_nodes),
+            bitmap_len: bitmap_row_len(num_nodes),
             bitmap: Vec::new(),
+            summary: Vec::new(),
         }
     }
 
     /// Writes the distinct destinations of `dsts[row]`, ascending, to
     /// `dsts[out..]` (with `out <= row.start`), and returns their number.
     fn dedup(&mut self, dsts: &mut [NodeId], row: Range<usize>, out: usize) -> usize {
-        if row.len() < self.dense_len {
+        if row.len() < self.bitmap_len {
             dsts[row.clone()].sort_unstable();
             let mut next = out;
             let mut last = None;
@@ -393,36 +418,55 @@ impl RowDedup {
         }
         if self.bitmap.is_empty() {
             self.bitmap = vec![0; self.num_nodes.div_ceil(64)];
+            self.summary = vec![0; self.bitmap.len().div_ceil(64)];
         }
         for &dst in &dsts[row] {
-            self.bitmap[dst as usize / 64] |= 1 << (dst % 64);
+            let word = dst as usize / 64;
+            self.bitmap[word] |= 1 << (dst % 64);
+            self.summary[word / 64] |= 1 << (word % 64);
         }
-        // Read the set bits back in ascending order, clearing as we go.
+        // Read the marked words back in ascending order, clearing as we go.
         let mut next = out;
-        for (w, word) in self.bitmap.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                dsts[next] = (w * 64) as NodeId + bits.trailing_zeros();
-                next += 1;
-                bits &= bits - 1;
+        for (s, marks) in self.summary.iter_mut().enumerate() {
+            let mut marks = std::mem::take(marks);
+            while marks != 0 {
+                let w = s * 64 + marks.trailing_zeros() as usize;
+                let mut bits = std::mem::take(&mut self.bitmap[w]);
+                while bits != 0 {
+                    dsts[next] = (w * 64) as NodeId + bits.trailing_zeros();
+                    next += 1;
+                    bits &= bits - 1;
+                }
+                marks &= marks - 1;
             }
         }
         next - out
     }
 }
 
-/// The candidate count from which a row over `num_nodes` nodes is dense
-/// (at least 1, so an empty row is never scanned).
-fn dense_row_len(num_nodes: usize) -> usize {
-    (num_nodes / NODES_PER_DENSE_CANDIDATE).max(1)
+/// The candidate count from which a row over `num_nodes` nodes goes
+/// through the bitmaps (at least 1, so an empty row is never scanned).
+fn bitmap_row_len(num_nodes: usize) -> usize {
+    (num_nodes / NODES_PER_BITMAP_CANDIDATE).max(1)
 }
 
-/// One worker's band of the counting sort: a range of source rows and its
-/// slice of the destination buffer.
+/// The relative cost of deduplicating a row of `len` candidates: `len`
+/// through the bitmaps, `len · log2(len)` (rounded up, at least `len`) for
+/// a sorted row.
+fn dedup_cost(len: usize, bitmap_len: usize) -> usize {
+    if len >= bitmap_len {
+        len
+    } else {
+        len * (usize::BITS - len.leading_zeros()) as usize
+    }
+}
+
+/// One worker's band of the dedup: a range of source rows and its slice of
+/// the destination buffer.
 struct RowBand<'a> {
     rows: Range<usize>,
     dsts: &'a mut [NodeId],
-    /// Band-relative end of each row's distinct destinations, once sorted.
+    /// Band-relative end of each row's distinct destinations.
     unique_ends: Vec<usize>,
 }
 
@@ -435,16 +479,18 @@ struct RowBand<'a> {
 /// 2. The rows are cut into `workers` bands of near-equal candidate counts
 ///    and the buffer is split at the band edges. Each worker scatters its
 ///    band's destinations from every chunk. The chunks are dropped once
-///    every band is scattered, and each worker then deduplicates its rows
-///    in place: it sorts a short row and runs a dense one through a bitmap
-///    over the nodes (see [`RowDedup`]).
-/// 3. Once the number of distinct edges is known, `select` may pick the
+///    every band is scattered.
+/// 3. The rows are cut again, into `workers` bands of near-equal dedup cost
+///    (see [`dedup_cost`]), and each worker deduplicates its rows, compacting
+///    them to the front of its band: it sorts a short row and runs a longer
+///    one through a two-level bitmap over the nodes (see [`RowDedup`]).
+/// 4. Once the number of distinct edges is known, `select` may pick the
 ///    ones to keep. The output is split at the prefix sums of the bands'
 ///    kept counts, and each worker writes its band's kept edges.
 ///
 /// No comparison ever looks at a whole edge, and the bands are fixed by the
 /// input alone, so the result is the same at any worker count. Cost is
-/// `O(V + E)` plus the per-row sorts.
+/// `O(V + E)` plus the short rows' sorts.
 ///
 /// # Errors
 ///
@@ -477,57 +523,72 @@ fn sort_dedup_by_source(
     let total = row_start[num_nodes];
 
     // Row bands of near-equal candidate counts; a hub row stays whole.
-    let mut row_bounds: Vec<usize> = even_bounds(total, workers)
-        .into_iter()
-        .map(|target| row_start.partition_point(|&start| start < target))
-        .collect();
-    *row_bounds.last_mut().expect("at least one band") = num_nodes;
-    let dst_bounds: Vec<usize> = row_bounds.iter().map(|&row| row_start[row]).collect();
+    let row_bounds = weighted_bounds(num_nodes, workers, &|row| {
+        row_start[row + 1] - row_start[row]
+    });
     let mut dsts: Vec<NodeId> = vec![0; total];
-    let bands: Vec<RowBand<'_>> = split_bands(&mut dsts, &dst_bounds)
-        .into_iter()
-        .zip(row_bounds.windows(2))
-        .map(|(dsts, rows)| RowBand {
-            rows: rows[0]..rows[1],
-            dsts,
-            unique_ends: Vec::new(),
-        })
+    let scatter_bands: Vec<(Range<usize>, &mut [NodeId])> = row_bounds
+        .windows(2)
+        .map(|rows| rows[0]..rows[1])
+        .zip(split_bands(
+            &mut dsts,
+            &row_offsets(&row_start, &row_bounds),
+        ))
         .collect();
-    let bands = run_bands(bands, |mut band| {
-        let base = row_start[band.rows.start];
-        let mut cursor: Vec<usize> = row_start[band.rows.clone()]
+    run_bands(scatter_bands, |(rows, dsts)| {
+        let base = row_start[rows.start];
+        let mut cursor: Vec<usize> = row_start[rows.clone()]
             .iter()
             .map(|start| start - base)
             .collect();
         for chunk in &chunks {
             chunk.for_each_directed(|edge| {
                 if let Some(slot) = (edge.src as usize)
-                    .checked_sub(band.rows.start)
+                    .checked_sub(rows.start)
                     .and_then(|row| cursor.get_mut(row))
                 {
-                    band.dsts[*slot] = edge.dst;
+                    dsts[*slot] = edge.dst;
                     *slot += 1;
                 }
             });
         }
-        // `cursor` now holds each row's end.
-        band.unique_ends = cursor;
-        Ok(band)
+        Ok(())
     })?;
     // Every band has read every chunk. Dropping them before the rows are
-    // deduplicated keeps the dense rows' bitmaps off the peak.
+    // deduplicated keeps the bitmaps off the peak.
     drop(chunks);
+
+    // Each dedup band compacts inside its own region, so its rows are cut
+    // by the dedup's cost, not by the scatter's.
+    let bitmap_len = bitmap_row_len(num_nodes);
+    let row_bounds = weighted_bounds(num_nodes, workers, &|row| {
+        dedup_cost(row_start[row + 1] - row_start[row], bitmap_len)
+    });
+    let bands: Vec<RowBand<'_>> = row_bounds
+        .windows(2)
+        .zip(split_bands(
+            &mut dsts,
+            &row_offsets(&row_start, &row_bounds),
+        ))
+        .map(|(rows, dsts)| RowBand {
+            rows: rows[0]..rows[1],
+            dsts,
+            unique_ends: Vec::new(),
+        })
+        .collect();
     let bands = run_bands(bands, |mut band| {
-        // Compact each row's distinct destinations to the front of the band.
         let mut rows = RowDedup::new(num_nodes);
+        let base = row_start[band.rows.start];
         let mut unique = 0usize;
-        let mut begin = 0usize;
-        for end in &mut band.unique_ends {
-            let row_stop = *end;
-            unique += rows.dedup(band.dsts, begin..row_stop, unique);
-            *end = unique;
-            begin = row_stop;
-        }
+        band.unique_ends = band
+            .rows
+            .clone()
+            .map(|row| {
+                let candidates = row_start[row] - base..row_start[row + 1] - base;
+                unique += rows.dedup(band.dsts, candidates, unique);
+                unique
+            })
+            .collect();
         Ok(band)
     })?;
 
@@ -573,6 +634,11 @@ fn sort_dedup_by_source(
         Ok(())
     })?;
     Ok(edges)
+}
+
+/// Where each of the ascending `rows` begins in the destination buffer.
+fn row_offsets(row_start: &[usize], rows: &[usize]) -> Vec<usize> {
+    rows.iter().map(|&row| row_start[row]).collect()
 }
 
 /// `[0, c₀, c₀ + c₁, …]`: the bounds of consecutive runs of the given
@@ -670,16 +736,16 @@ mod tests {
             .map(|e| Edge::new(e.src / 10 * 10, e.dst))
             .collect();
         let tiny = vec![Edge::new(2, 0), Edge::new(0, 1), Edge::new(2, 0)];
-        // Sparse rows that sort, around a hub row far above the dense
-        // threshold (3000 / 128 = 23 candidates).
-        let mut sparse_hub = pseudo_random_edges(3000, 4000);
-        sparse_hub.extend((0..2500u32).map(|i| Edge::new(1234, (i * 7919) % 3000)));
+        // Sparse rows that sort, around a hub row far above the bitmap
+        // threshold (30000 / 4096 = 7 candidates).
+        let mut sparse_hub = pseudo_random_edges(30_000, 4000);
+        sparse_hub.extend((0..2500u32).map(|i| Edge::new(1234, (i * 7919) % 30_000)));
         for (n, edges) in [
             (40usize, hub),
             (200, sparse),
             (3, tiny),
             (5, Vec::new()),
-            (3000, sparse_hub),
+            (30_000, sparse_hub),
         ] {
             let (symmetric, directed) = edges.split_at(edges.len() / 3);
             let mut all = directed.to_vec();
@@ -716,36 +782,37 @@ mod tests {
 
     #[test]
     fn dense_rows_dedup_like_sorted_rows() {
-        let n = 2000usize;
-        let dense = dense_row_len(n);
-        assert_eq!(dense, 15);
-        // Sources 10..=15: rows one short of, at and one past the
-        // threshold (each with a duplicate), a row holding every node, a
-        // self-loop row and a row of heavy duplicates.
-        let mut rows: Vec<(u32, Vec<u32>)> = [dense - 1, dense, dense + 1]
+        // Rows at or above the bitmap threshold go through the two-level
+        // bitmap, shorter rows through the sort; both must write what
+        // sort-then-dedup writes.
+        let n = 100_000usize;
+        let threshold = bitmap_row_len(n);
+        assert_eq!(threshold, 24);
+        assert_eq!(bitmap_row_len(4095), 1);
+        // Sources 10..=16: rows one short of, at and one past the threshold
+        // (each with a duplicate), a hub row spread over every summary word,
+        // a row holding every node, a self-loop row and a row of one
+        // repeated destination.
+        let mut rows: Vec<(u32, Vec<u32>)> = [threshold - 1, threshold, threshold + 1]
             .into_iter()
             .zip(10u32..)
             .map(|(len, src)| {
-                let mut dsts: Vec<u32> = (1..len as u32).map(|i| (i * 331) % 2000).collect();
+                let mut dsts: Vec<u32> = (1..len as u32).map(|i| (i * 33_331) % 100_000).collect();
                 dsts.push(dsts[0]);
                 (src, dsts)
             })
             .collect();
-        rows.push((13, (0..n as u32).rev().collect()));
-        rows.push((
-            14,
-            (0..40u32)
-                .map(|i| if i % 3 == 0 { 14 } else { i * 50 })
-                .collect(),
-        ));
+        rows.push((13, (0..20_000u32).map(|i| (i * 7919) % 100_000).collect()));
+        rows.push((14, (0..n as u32).rev().collect()));
         rows.push((
             15,
-            (0..400u32)
-                .map(|i| [1999, 0, 777][i as usize % 3])
+            (0..40u32)
+                .map(|i| if i % 3 == 0 { 15 } else { i * 2500 })
                 .collect(),
         ));
-        // Sparse rows, directed and symmetric, that never touch 10..=15.
-        let away = |e: Edge| Edge::new(e.src.max(16), e.dst.max(16));
+        rows.push((16, vec![99_999; 400]));
+        // Sparse rows, directed and symmetric, that never touch 10..=16.
+        let away = |e: Edge| Edge::new(e.src.max(17), e.dst.max(17));
         let mut directed: Vec<Edge> = rows
             .iter()
             .flat_map(|(src, dsts)| dsts.iter().map(|&dst| Edge::new(*src, dst)))
@@ -768,7 +835,7 @@ mod tests {
         for workers in [1, 2, 7] {
             let chunks = || {
                 let mut chunks: Vec<Chunk> = directed
-                    .chunks(500)
+                    .chunks(5000)
                     .map(|c| Chunk::directed(c.to_vec()))
                     .collect();
                 chunks.push(Chunk {
@@ -787,6 +854,29 @@ mod tests {
             .unwrap();
             let odd: Vec<Edge> = expected.iter().copied().skip(1).step_by(2).collect();
             assert_eq!(selected, odd, "{workers} workers, selected");
+        }
+    }
+
+    #[test]
+    fn selection_counts_match_its_indices() {
+        let len = 300;
+        let mut selection = Selection::with_len(len);
+        for i in (0..len).filter(|i| i % 7 == 0 || (60..70).contains(i)) {
+            selection.insert(i);
+        }
+        for range in [0..0, 0..len, 3..5, 63..64, 64..128, 60..190, 129..299, 5..5] {
+            let mut listed = Vec::new();
+            selection.for_each_in(range.clone(), |i| listed.push(i));
+            let expected: Vec<usize> = range
+                .clone()
+                .filter(|i| i % 7 == 0 || (60..70).contains(i))
+                .collect();
+            assert_eq!(listed, expected, "{range:?}");
+            assert_eq!(
+                selection.count_in(range.clone()),
+                expected.len(),
+                "{range:?}"
+            );
         }
     }
 

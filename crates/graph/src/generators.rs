@@ -18,9 +18,14 @@
 //! starts `a · levels` draws in, where an O(1) [`StdRng::advance`] puts a
 //! copy of the generator. Each worker streams its kept pairs into its own
 //! builder; the builders are absorbed in worker order and the caller's
-//! generator is advanced past every attempt before the sequential trim. The trim shuffles edge positions
-//! rather than edges and keeps the survivors in list order, so it needs no
-//! sort, and the builder writes out only the surviving edges.
+//! generator is advanced past every attempt before the trim. The trim
+//! picks surviving edge positions rather than shuffling edges and keeps the
+//! survivors in list order, so it needs no sort, and the builder writes out
+//! only the surviving edges. Its partial Fisher–Yates shuffle runs in
+//! parallel for the same reason the sampler does: step `t`'s draw is draw
+//! `t` of the stream, so every step's swap target is known up front, and
+//! which positions survive follows from who hit each slot last (see
+//! `trim_selection_with_workers`).
 //!
 //! Within a band, the sampler runs 8 consecutive attempts in lockstep
 //! lanes, and the lanes are bit-identical to the one-at-a-time loop for the
@@ -37,11 +42,12 @@
 //! other CPUs and architectures. There is no setting for the path.
 
 use crate::edge_builder::Selection;
-use crate::parallel::{even_bounds, run_bands, workers_for};
+use crate::parallel::{even_bounds, run_bands, split_bands, weighted_bounds, workers_for};
 use crate::{Edge, EdgeList, EdgeListBuilder, GraphError, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The classic R-MAT quadrant probabilities `a`, `b`, `c` (top-left,
 /// top-right, bottom-left); `d = 1 - a - b - c` is the bottom-right rest.
@@ -395,7 +401,9 @@ pub(crate) fn rmat_with_workers(
     rng.advance(attempts as u64 * u64::from(sampler.levels));
     // The trim picks its survivors by index once the distinct count is
     // known, so the builder writes out only the edges that survive.
-    builder.try_finish_selected(workers, |len| trim_selection(len, target_edges, &mut rng))
+    builder.try_finish_selected(workers, |len| {
+        trim_selection_with_workers(len, target_edges, &mut rng, workers)
+    })
 }
 
 /// Generates a power-law graph with *exactly* `target_edges` directed edges
@@ -509,40 +517,233 @@ fn trim_to(edges: EdgeList, target: usize, rng: &mut StdRng) -> Result<EdgeList,
     Ok(EdgeList::from_sorted_edges_unchecked(num_nodes, all))
 }
 
+/// Slots per trim bucket: a bucket's last-hitter array (one `u32` per
+/// slot, 1 MiB) stays in L2 while the bucket's steps hit it.
+const TRIM_BUCKET_SLOTS: usize = 1 << 18;
+
+/// "No step" in the trim's step-id arrays (a step id is below `len`, which
+/// is at most `u32::MAX`).
+const NO_STEP: u32 = u32::MAX;
+
 /// Which of a sorted, duplicate-free list's `len` edges survive a trim to
-/// `target` edges, or `None` when nothing is trimmed.
-///
-/// A partial Fisher–Yates shuffle picks the survivors, sequentially (each
-/// swap depends on the last). It shuffles edge positions rather than the
-/// edges, with the same draws and the same swaps, so the surviving
-/// positions are exactly those the historical in-place edge shuffle kept.
-/// The list is sorted and free of duplicates, so keeping the edges at those
-/// positions in list order yields the survivors already in `(src, dst)`
-/// order: the historical re-sort is not needed.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] for more than `u32::MAX` edges.
+/// `target` edges, or `None` when nothing is trimmed (see
+/// [`trim_selection_with_workers`]).
 fn trim_selection(
     len: usize,
     target: usize,
     rng: &mut StdRng,
 ) -> Result<Option<Selection>, GraphError> {
+    trim_selection_with_workers(len, target, rng, workers_for(target))
+}
+
+/// [`trim_selection`] on `workers` workers (the selection does not depend
+/// on the count).
+///
+/// The survivors are the positions a partial Fisher–Yates shuffle of
+/// `0..len` leaves in its first `target` slots: step `t` swaps slot `t` with
+/// slot `j_t = t + next_u64() % (len − t)`, draw `t` of `rng`'s stream, and
+/// the caller's `rng` ends `target` draws later, as if the loop had run. The
+/// list is sorted and free of duplicates, so keeping the edges at those
+/// positions in list order yields the survivors already in `(src, dst)`
+/// order.
+///
+/// The steps run in parallel, not one after another. Step `t` never
+/// touches slot `t` again, so what it leaves there is what slot `j_t` held
+/// just before it: `j_t` itself when no earlier step hit that slot, else
+/// what the last earlier hitter `hp(t)` found in its own slot. A front slot
+/// `x < target` holds `x` until step `x` unless an earlier step hit it, in
+/// which case it holds what the last such step `lh(x)` found in its slot.
+/// So the survivors are `{j_t : hp(t) = none} ∪ {root(hp(t))}`, where
+/// `root(s)` follows `lh` from `s` until it reaches a step whose slot no
+/// earlier step hit, and is that step.
+///
+/// Only steps up to `x` hit slot `x`, so `lh(x)` is simply the last step
+/// that hit it, unless step `x` hit its own slot; such a step is never an
+/// `hp` (no later step can hit slot `x`) nor an `lh` (its slot is not after
+/// it), so no root walk reaches it.
+///
+/// 1. The draws are computed in parallel at their stream offsets, and the
+///    step ids are stably bucketed by the slot they hit,
+///    [`TRIM_BUCKET_SLOTS`] slots per bucket.
+/// 2. One pass per bucket, in step order, through the bucket's last-hitter
+///    array gives each step its `hp`, and leaves each front slot's `lh` in
+///    the array. A step with no earlier hitter keeps `j_t`; the others keep
+///    their `hp` for the next stage.
+/// 3. Once every `lh` is known, each kept `hp` is followed to its root.
+///
+/// The scratch is the bucketed step ids and the front slots' `lh`,
+/// `8 · target` bytes (`j_t` is recomputed from the stream rather than
+/// stored), plus the `len`-bit selection and, per worker, the last hitters
+/// of one bucket's other slots.
+///
+/// # Errors
+///
+/// Returns [`GraphError::InvalidParameter`] for more than `u32::MAX` edges,
+/// and [`GraphError::BuildWorker`] if a worker fails.
+fn trim_selection_with_workers(
+    len: usize,
+    target: usize,
+    rng: &mut StdRng,
+    workers: usize,
+) -> Result<Option<Selection>, GraphError> {
     if len <= target {
         return Ok(None);
     }
-    let count = u32::try_from(len)
+    u32::try_from(len)
         .map_err(|_| GraphError::invalid("edges", "more than u32::MAX edges to trim"))?;
-    let mut positions: Vec<u32> = (0..count).collect();
-    for i in 0..target {
-        let j = rng.gen_range(i..len);
-        positions.swap(i, j);
+    let draws = TrimDraws {
+        stream: rng.clone(),
+        len,
+    };
+    rng.advance(target as u64);
+    let buckets = len.div_ceil(TRIM_BUCKET_SLOTS);
+    let bucket_slots = |bucket: usize| {
+        (bucket * TRIM_BUCKET_SLOTS).min(len)..((bucket + 1) * TRIM_BUCKET_SLOTS).min(len)
+    };
+    // 1. The step ids, grouped by the bucket they hit.
+    let mut steps = vec![0u32; target];
+    let bucket_bounds = bucket_steps(&draws, &mut steps, buckets, workers)?;
+
+    // 2. One pass per bucket, buckets cut into worker bands by their steps.
+    // A front slot's last hitter is its `lh`, so the front slots' entries of
+    // the last-hitter array are kept, and only the other slots' entries are
+    // per-worker scratch.
+    let front = |bucket: usize| {
+        let slots = bucket_slots(bucket);
+        slots.start.min(target)..slots.end.min(target)
+    };
+    let band_bounds = weighted_bounds(buckets, workers, &|bucket| {
+        bucket_bounds[bucket + 1] - bucket_bounds[bucket]
+    });
+    let step_cuts: Vec<usize> = band_bounds.iter().map(|&b| bucket_bounds[b]).collect();
+    let front_cuts: Vec<usize> = band_bounds.iter().map(|&b| front(b).start).collect();
+    // A bucket's slots are whole selection words, so each band owns its
+    // buckets' words.
+    let word_cuts: Vec<usize> = band_bounds
+        .iter()
+        .map(|&b| bucket_slots(b).start.div_ceil(64))
+        .collect();
+    let mut last_hitters = vec![0u32; target];
+    let mut kept = vec![0u64; len.div_ceil(64)];
+    let bands: Vec<_> = band_bounds
+        .windows(2)
+        .map(|w| w[0]..w[1])
+        .zip(split_bands(&mut steps, &step_cuts))
+        .zip(split_bands(&mut last_hitters, &front_cuts))
+        .zip(split_bands(&mut kept, &word_cuts))
+        .collect();
+    run_bands(bands, |(((band, mut steps), mut lh), kept)| {
+        let first_slot = band.start * TRIM_BUCKET_SLOTS;
+        let mut back = Vec::new();
+        for bucket in band {
+            let slots = bucket_slots(bucket);
+            let (bucket_steps, rest) = std::mem::take(&mut steps)
+                .split_at_mut(bucket_bounds[bucket + 1] - bucket_bounds[bucket]);
+            steps = rest;
+            let (front, rest) = std::mem::take(&mut lh).split_at_mut(front(bucket).len());
+            lh = rest;
+            // The last step so far that hit each of the bucket's slots: its
+            // front slots, then the others.
+            front.fill(NO_STEP);
+            back.clear();
+            back.resize(slots.len() - front.len(), NO_STEP);
+            for entry in bucket_steps.iter_mut() {
+                let slot = draws.slot(*entry as usize);
+                let k = slot - slots.start;
+                let last = match front.get_mut(k) {
+                    Some(last) => last,
+                    None => &mut back[k - front.len()],
+                };
+                let previous = std::mem::replace(last, *entry);
+                let local = slot - first_slot;
+                kept[local / 64] |= u64::from(previous == NO_STEP) << (local % 64);
+                *entry = previous;
+            }
+        }
+        Ok(())
+    })?;
+
+    // 3. Each step that had an earlier hitter keeps its hitter's root, a
+    // front slot in any band's words.
+    let kept: Vec<AtomicU64> = kept.into_iter().map(AtomicU64::new).collect();
+    let last_hitters = &last_hitters;
+    run_bands(
+        split_bands(&mut steps, &even_bounds(target, workers)),
+        |band| {
+            for &hitter in band.iter().filter(|&&hitter| hitter != NO_STEP) {
+                let mut root = hitter as usize;
+                while last_hitters[root] != NO_STEP {
+                    root = last_hitters[root] as usize;
+                }
+                kept[root / 64].fetch_or(1 << (root % 64), Ordering::Relaxed);
+            }
+            Ok(())
+        },
+    )?;
+    let words = kept.into_iter().map(AtomicU64::into_inner).collect();
+    Ok(Some(Selection::from_words(words)))
+}
+
+/// The trim's swap targets: step `t` swaps slot `t` with
+/// [`TrimDraws::slot`]`(t)`.
+struct TrimDraws {
+    /// The stream at step 0's draw.
+    stream: StdRng,
+    len: usize,
+}
+
+impl TrimDraws {
+    /// `j_t = t + next_u64() % (len − t)`, with draw `t` of the stream.
+    fn slot(&self, step: usize) -> usize {
+        let mut rng = self.stream.clone();
+        rng.advance(step as u64);
+        step + (rng.next_u64() % (self.len - step) as u64) as usize
     }
-    let mut kept = Selection::with_len(len);
-    for &position in &positions[..target] {
-        kept.insert(position as usize);
+}
+
+/// Step 1 of the trim: writes the ids of steps `0..steps.len()` to
+/// `steps`, stably grouped by the bucket of [`TRIM_BUCKET_SLOTS`] slots their
+/// draw hits, and returns the bounds of each bucket's group. Each step band
+/// counts its hits per bucket, then writes its step ids, band after band
+/// within a bucket.
+fn bucket_steps(
+    draws: &TrimDraws,
+    steps: &mut [u32],
+    buckets: usize,
+    workers: usize,
+) -> Result<Vec<usize>, GraphError> {
+    let target = steps.len();
+    let step_bounds = even_bounds(target, workers);
+    let step_bands: Vec<Range<usize>> = step_bounds.windows(2).map(|w| w[0]..w[1]).collect();
+    let counts = run_bands(step_bands.clone(), |band| {
+        let mut counts = vec![0usize; buckets];
+        for step in band {
+            counts[draws.slot(step) / TRIM_BUCKET_SLOTS] += 1;
+        }
+        Ok(counts)
+    })?;
+    let mut bucket_bounds = vec![0usize];
+    let mut band_runs: Vec<Vec<&mut [u32]>> = step_bands.iter().map(|_| Vec::new()).collect();
+    let mut rest = steps;
+    for bucket in 0..buckets {
+        for (runs, counts) in band_runs.iter_mut().zip(&counts) {
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(counts[bucket]);
+            runs.push(run);
+            rest = tail;
+        }
+        bucket_bounds.push(target - rest.len());
     }
-    Ok(Some(kept))
+    let items = step_bands.into_iter().zip(band_runs).collect();
+    run_bands(items, |(band, mut runs)| {
+        let mut filled = vec![0usize; buckets];
+        for step in band {
+            let bucket = draws.slot(step) / TRIM_BUCKET_SLOTS;
+            runs[bucket][filled[bucket]] = step as u32;
+            filled[bucket] += 1;
+        }
+        Ok(())
+    })?;
+    Ok(bucket_bounds)
 }
 
 #[cfg(test)]
@@ -810,6 +1011,91 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The sequential partial Fisher–Yates loop over positions: the kept
+    /// positions, ascending, and how many steps hit their own slot.
+    fn sequential_trim(len: usize, target: usize, rng: &mut StdRng) -> (Vec<usize>, usize) {
+        let mut positions: Vec<usize> = (0..len).collect();
+        let mut self_hits = 0;
+        for i in 0..target {
+            let j = rng.gen_range(i..len);
+            self_hits += usize::from(j == i);
+            positions.swap(i, j);
+        }
+        positions.truncate(target);
+        positions.sort_unstable();
+        (positions, self_hits)
+    }
+
+    #[test]
+    fn parallel_trim_matches_the_sequential_loop() {
+        let bucket = TRIM_BUCKET_SLOTS;
+        let mut state = 0x7e57_u64;
+        let mut cases = vec![
+            (2usize, 1usize),
+            (5, 4),
+            (1000, 1),
+            (1000, 999),
+            (bucket - 1, bucket / 3),
+            (bucket, bucket - 1),
+            (bucket + 1, bucket),
+            (bucket + 1, 1),
+            (3 * bucket + 5, bucket + 17),
+        ];
+        for _ in 0..6 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let len = 2 + (state >> 40) as usize % 3000;
+            cases.push((len, 1 + (state >> 20) as usize % (len - 1)));
+        }
+        let mut self_hits = 0;
+        for (case, (len, target)) in cases.into_iter().enumerate() {
+            let seed = 17 + case as u64;
+            let mut oracle_rng = StdRng::seed_from_u64(seed);
+            let (expected, hits) = sequential_trim(len, target, &mut oracle_rng);
+            self_hits += hits;
+            for workers in [1, 2, 7] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let kept = trim_selection_with_workers(len, target, &mut rng, workers)
+                    .unwrap()
+                    .expect("a list longer than the target is trimmed");
+                let mut positions = Vec::new();
+                kept.for_each_in(0..len, |i| positions.push(i));
+                assert_eq!(
+                    positions, expected,
+                    "len {len}, target {target}, {workers} workers"
+                );
+                // The caller's stream ends where the loop's would.
+                assert_eq!(
+                    rng, oracle_rng,
+                    "len {len}, target {target}, {workers} workers"
+                );
+            }
+        }
+        assert!(self_hits > 0, "some step must hit its own slot");
+        // Nothing to trim: no selection, and no draw.
+        let mut rng = StdRng::seed_from_u64(3);
+        assert!(trim_selection_with_workers(10, 10, &mut rng, 2)
+            .unwrap()
+            .is_none());
+        assert_eq!(rng, StdRng::seed_from_u64(3));
+    }
+
+    /// The full-scale ogbn-products edge list (2.4M nodes, 60M edges, seed
+    /// 5), pinned by its FNV-1a digest over `src << 32 | dst`. It reaches
+    /// row lengths and trim buckets (172M slots, 658 buckets) that the small
+    /// cases never do. Run it in release:
+    /// `cargo test --release -p gnnerator-graph -- --ignored full_scale`.
+    #[test]
+    #[ignore = "full scale: about 10 s and 1.5 GB in a release build"]
+    fn full_scale_products_edges_keep_their_digest() {
+        let spec = crate::datasets::DatasetKind::OgbnProductsScale.spec();
+        let edges = rmat_exact(spec.vertices, spec.edges, 5).unwrap();
+        assert_eq!(edges.num_edges(), spec.edges);
+        let digest = edges.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, e| {
+            (h ^ (u64::from(e.src) << 32 | u64::from(e.dst))).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(format!("{digest:016x}"), "18ed8133dc997cc9");
     }
 
     #[test]

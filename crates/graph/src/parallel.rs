@@ -1,11 +1,11 @@
 //! Scoped worker bands for the cold graph build.
 //!
 //! Every parallel stage of the build (R-MAT sampling, the builder's counting
-//! sort, the feature fill and the shard-summary pass) splits its work into
-//! contiguous bands, runs one band per scoped thread and combines the band
-//! results in band order. Bands are fixed by the input alone, never by
-//! thread timing, so the output is the same at any worker count; the worker
-//! count only decides how many bands there are.
+//! sort and dedup, the trim, the feature fill and the shard-summary pass)
+//! splits its work into contiguous bands, runs one band per scoped thread
+//! and combines the band results in band order. Bands are fixed by the
+//! input alone, never by thread timing, so the output is the same at any
+//! worker count; the worker count only decides how many bands there are.
 //!
 //! The count comes from [`std::thread::available_parallelism`], capped so
 //! that each worker gets at least [`MIN_WORK_PER_WORKER`] items: tiny
@@ -17,6 +17,7 @@
 use crate::GraphError;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, PoisonError};
 
 /// Items (sampling attempts, edges, feature values) one worker must have
 /// before a further worker pays for its thread.
@@ -39,6 +40,31 @@ pub(crate) fn even_bounds(total: usize, parts: usize) -> Vec<usize> {
     (0..=parts).map(|t| total * t / parts).collect()
 }
 
+/// `parts + 1` ascending bounds cutting items `0..items` into `parts`
+/// contiguous runs of near-equal total `weight`: each inner bound is the
+/// item boundary whose weight prefix lies nearest to an even share. The
+/// first bound is 0 and the last is `items`.
+pub(crate) fn weighted_bounds(
+    items: usize,
+    parts: usize,
+    weight: &dyn Fn(usize) -> usize,
+) -> Vec<usize> {
+    let targets = even_bounds((0..items).map(weight).sum(), parts);
+    let mut bounds = Vec::with_capacity(targets.len());
+    let mut before = 0usize;
+    for item in 0..items {
+        let after = before + weight(item);
+        while bounds.len() + 1 < targets.len() && after >= targets[bounds.len()] {
+            let target = targets[bounds.len()];
+            let nearer_start = target.saturating_sub(before) <= after - target;
+            bounds.push(if nearer_start { item } else { item + 1 });
+        }
+        before = after;
+    }
+    bounds.resize(targets.len(), items);
+    bounds
+}
+
 /// Splits `slice` at the ascending `bounds` (which start at 0 and end at
 /// `slice.len()`) into `bounds.len() - 1` disjoint mutable bands.
 pub(crate) fn split_bands<'a, T>(mut slice: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [T]> {
@@ -54,6 +80,9 @@ pub(crate) fn split_bands<'a, T>(mut slice: &'a mut [T], bounds: &[usize]) -> Ve
 /// Runs `job` on every item, one scoped thread per item (the first on the
 /// calling thread), and returns the results in item order.
 ///
+/// The threads are started by one non-generic [`run_each`], so each call
+/// site adds only its job to the binary, not a copy of the thread code.
+///
 /// # Errors
 ///
 /// Returns the first failing item's error in item order: a job's own error,
@@ -65,26 +94,52 @@ where
     T: Send,
     F: Fn(I) -> Result<T, GraphError> + Sync,
 {
-    let job = |item: I| {
-        gnnerator_faults::check(FAILPOINT).map_err(|e| GraphError::BuildWorker {
-            message: e.to_string(),
-        })?;
-        job(item)
-    };
-    let mut items = items.into_iter();
-    let first = items.next();
+    let inputs: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    let outputs: Vec<Mutex<Option<Result<T, GraphError>>>> =
+        inputs.iter().map(|_| Mutex::new(None)).collect();
+    let panics = run_each(inputs.len(), &|index| {
+        let item = lock(&inputs[index]).take().expect("each item runs once");
+        let result = gnnerator_faults::check(FAILPOINT)
+            .map_err(|e| GraphError::BuildWorker {
+                message: e.to_string(),
+            })
+            .and_then(|()| job(item));
+        *lock(&outputs[index]) = Some(result);
+    });
+    outputs
+        .into_iter()
+        .zip(panics)
+        .map(|(output, panic)| match panic {
+            Err(payload) => Err(panicked(payload)),
+            Ok(()) => output
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("a job that returned stored its result"),
+        })
+        .collect()
+}
+
+/// Runs `work(index)` for every index below `count`, one scoped thread per
+/// index (index 0 on the calling thread), and returns each index's panic,
+/// if any, once every thread has finished.
+fn run_each(count: usize, work: &(dyn Fn(usize) + Sync)) -> Vec<std::thread::Result<()>> {
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items.map(|item| scope.spawn(|| job(item))).collect();
-        let mut results = Vec::with_capacity(handles.len() + 1);
-        if let Some(item) = first {
-            results.push(catch_unwind(AssertUnwindSafe(|| job(item))));
+        let handles: Vec<_> = (1..count)
+            .map(|index| scope.spawn(move || work(index)))
+            .collect();
+        let mut results = Vec::with_capacity(count);
+        if count > 0 {
+            results.push(catch_unwind(AssertUnwindSafe(|| work(0))));
         }
         results.extend(handles.into_iter().map(|handle| handle.join()));
         results
-            .into_iter()
-            .map(|result| result.unwrap_or_else(|panic| Err(panicked(panic))))
-            .collect()
     })
+}
+
+/// Locks a job's slot; a slot is only ever touched by its own job, so a
+/// poisoned lock still holds a consistent value.
+fn lock<T>(slot: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn panicked(payload: Box<dyn Any + Send>) -> GraphError {
@@ -107,6 +162,20 @@ mod tests {
         assert_eq!(even_bounds(10, 3), vec![0, 3, 6, 10]);
         assert_eq!(even_bounds(2, 4), vec![0, 0, 1, 1, 2]);
         assert_eq!(even_bounds(5, 0), vec![0, 5]);
+    }
+
+    #[test]
+    fn weighted_bounds_balance_the_weight() {
+        // Weights 1, 1, 1, 1, 8, 1, 1: the heavy item starts the second of
+        // two parts and is the middle one of three by itself; weightless
+        // items all fall into the last part.
+        let weights = [1, 1, 1, 1, 8, 1, 1];
+        assert_eq!(weighted_bounds(7, 2, &|i| weights[i]), vec![0, 4, 7]);
+        assert_eq!(weighted_bounds(7, 3, &|i| weights[i]), vec![0, 4, 5, 7]);
+        assert_eq!(weighted_bounds(7, 1, &|i| weights[i]), vec![0, 7]);
+        assert_eq!(weighted_bounds(0, 3, &|_| 1), vec![0, 0, 0, 0]);
+        assert_eq!(weighted_bounds(4, 2, &|_| 0), vec![0, 0, 4]);
+        assert_eq!(weighted_bounds(10, 4, &|_| 1), even_bounds(10, 4));
     }
 
     #[test]

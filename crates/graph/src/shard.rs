@@ -230,12 +230,14 @@ impl ShardSummary {
     ///
     /// The summary is one linear pass over the sorted edges, holding no
     /// edges of its own. Sorted edges arrive grouped by contiguous source
-    /// block (grid row). Within a row, each edge bumps its destination
-    /// block's edge count; its distinct-source count grows whenever the
-    /// block sees a new source (sources arrive in ascending order), and its
-    /// distinct-destination count whenever a per-node stamp array has not
-    /// yet seen the destination in this row — a node belongs to exactly one
-    /// destination block, so a row stamp is a shard stamp.
+    /// block (grid row), and within it by source, each source's run sorted
+    /// by destination. A run's edges to one destination block are one
+    /// segment, found by a binary search for the block's end: it adds its
+    /// length to that shard's edge count, one to its distinct-source count,
+    /// and to its distinct-destination count the destinations a per-node
+    /// stamp array has not yet seen in this row — a node belongs to exactly
+    /// one destination block, so a row stamp is a shard stamp. A node's
+    /// self-loop joins its own run's segment, or makes one.
     ///
     /// Large lists are summarised in bands of whole grid rows, one per
     /// worker, with near-equal edge counts: each band runs that pass over
@@ -559,15 +561,10 @@ fn arena_overflow() -> GraphError {
 
 /// Runs one [`MetaPass`] over a band of whole grid rows of an
 /// [`EdgeList`] — sorted (see [`sorted_edges`]) and in range by the list's
-/// invariants, so nothing is re-validated — plus, with `loops`, one
-/// self-loop per node of the band.
-///
-/// The pass's counts do not depend on the order of one source's edges
-/// (shard edge counts add up, a source is new to a shard once whichever of
-/// its edges comes first, destination stamps form a set), so each node's
-/// loop is pushed after its own edges unless one of them is the loop.
-/// Like the sorted-and-deduplicated [`EdgeList::add_self_loops`], the loops
-/// path drops repeated edges.
+/// invariants, so nothing is re-validated — one source's run of edges at a
+/// time, plus, with `loops`, one self-loop per node of the band merged into
+/// that node's run. Like the sorted-and-deduplicated
+/// [`EdgeList::add_self_loops`], the loops path drops repeated edges.
 fn summarize_band(
     num_nodes: usize,
     nodes_per_shard: usize,
@@ -575,39 +572,37 @@ fn summarize_band(
     loops: Option<Range<usize>>,
 ) -> MetaPass {
     let mut pass = MetaPass::new(num_nodes, nodes_per_shard);
+    let mut rest = edges;
     match loops {
-        None => edges.iter().for_each(|&edge| pass.push(edge)),
+        None => {
+            while let Some(&Edge { src, .. }) = rest.first() {
+                pass.push_source(src, take_run(&mut rest, src), false);
+            }
+        }
         Some(nodes) => {
-            let mut rest = edges;
             for v in nodes {
                 let v = v as NodeId;
-                let own = rest.iter().take_while(|e| e.src == v).count();
-                let (run, tail) = rest.split_at(own);
-                let mut has_loop = false;
-                let mut prev = None;
-                for &edge in run {
-                    if prev != Some(edge) {
-                        prev = Some(edge);
-                        has_loop |= edge.dst == v;
-                        pass.push(edge);
-                    }
-                }
-                if !has_loop {
-                    pass.push(Edge::new(v, v));
-                }
-                rest = tail;
+                pass.push_source(v, take_run(&mut rest, v), true);
             }
-            debug_assert!(rest.is_empty(), "band edges outside its nodes");
         }
     }
+    debug_assert!(rest.is_empty(), "band edges outside its nodes");
     pass.flush_row();
     pass
 }
 
+/// Splits `src`'s run of edges off the front of `rest`.
+fn take_run<'a>(rest: &mut &'a [Edge], src: NodeId) -> &'a [Edge] {
+    let own = rest.iter().take_while(|e| e.src == src).count();
+    let (run, tail) = rest.split_at(own);
+    *rest = tail;
+    run
+}
+
 /// The state of [`ShardSummary::build`]'s single pass over one band:
 /// metadata emitted so far, plus per-destination-block counters for the
-/// source-block row being read. Neither per-block array is reset between
-/// rows: sources and rows only ascend.
+/// source-block row being read. Neither per-node nor per-block array is
+/// reset between rows: rows only ascend.
 struct MetaPass {
     nodes_per_shard: usize,
     metas: Vec<ShardMeta>,
@@ -622,8 +617,6 @@ struct MetaPass {
     /// Per destination block: the current row's edge, distinct-source and
     /// distinct-destination counts. Zero again between rows.
     counts: Vec<[u32; 3]>,
-    /// Per destination block: one more than the last source counted.
-    last_source: Vec<u32>,
     /// Per node: one more than the last row that counted it as a
     /// destination.
     destination_stamps: Vec<u32>,
@@ -640,32 +633,77 @@ impl MetaPass {
             row: 0,
             touched: Vec::new(),
             counts: vec![[0; 3]; grid_dim],
-            last_source: vec![0; grid_dim],
             destination_stamps: vec![0; num_nodes],
         }
     }
 
-    fn push(&mut self, edge: Edge) {
-        let row = edge.src as usize / self.nodes_per_shard;
+    /// Counts source `src`'s run of edges, sorted by destination, plus the
+    /// self-loop `(src, src)` when `with_loop` and the run lacks it; the
+    /// loops path also drops repeated edges. A run's edges to one
+    /// destination block are one segment, which adds its length to the
+    /// shard's edges, one distinct source, and its destinations not yet
+    /// stamped in this row (a node belongs to exactly one destination
+    /// block, so a row stamp is a shard stamp).
+    fn push_source(&mut self, src: NodeId, run: &[Edge], with_loop: bool) {
+        let nodes_per_shard = self.nodes_per_shard;
+        let row = src as usize / nodes_per_shard;
         if row != self.row {
             self.flush_row();
             self.row = row;
         }
-        let block = edge.dst as usize / self.nodes_per_shard;
+        // Rows are node ids divided by the block size, so they fit a u32.
+        let stamp = row as u32 + 1;
+        // Whether a destination is new to the shard is data-dependent, so
+        // it is counted without branches.
+        let fresh = |stamps: &mut [u32], dst: NodeId| {
+            u32::from(std::mem::replace(&mut stamps[dst as usize], stamp) != stamp)
+        };
+        let mut loop_pending = with_loop;
+        let mut rest = run;
+        while let Some(first) = rest.first() {
+            let block = first.dst as usize / nodes_per_shard;
+            let end = (block + 1) * nodes_per_shard;
+            let len = rest.partition_point(|e| (e.dst as usize) < end);
+            let (segment, tail) = rest.split_at(len);
+            rest = tail;
+            let (mut repeats, mut distinct, mut has_loop) = (0u32, 0u32, false);
+            let mut prev = None;
+            for edge in segment {
+                repeats += u32::from(prev == Some(edge.dst));
+                prev = Some(edge.dst);
+                distinct += fresh(&mut self.destination_stamps, edge.dst);
+                has_loop |= edge.dst == src;
+            }
+            let mut edges = len as u32;
+            if with_loop {
+                edges -= repeats;
+            }
+            if loop_pending && block == row {
+                loop_pending = false;
+                if !has_loop {
+                    edges += 1;
+                    distinct += fresh(&mut self.destination_stamps, src);
+                }
+            }
+            self.add_segment(block, edges, distinct);
+        }
+        if loop_pending {
+            let distinct = fresh(&mut self.destination_stamps, src);
+            self.add_segment(row, 1, distinct);
+        }
+    }
+
+    /// Adds one source's segment of `edges` edges, `distinct` of them to
+    /// destinations new to the shard, to destination block `block`.
+    fn add_segment(&mut self, block: usize, edges: u32, distinct: u32) {
         let counts = &mut self.counts[block];
         if counts[0] == 0 {
             self.touched.push(block);
         }
-        // Whether the source and the destination are new to the shard is
-        // data-dependent, so both are counted without branches.
-        let last_source = std::mem::replace(&mut self.last_source[block], edge.src + 1);
-        // Rows are node ids divided by the block size, so they fit a u32.
-        let stamp = self.row as u32 + 1;
-        let seen = std::mem::replace(&mut self.destination_stamps[edge.dst as usize], stamp);
-        counts[0] += 1;
-        counts[1] += u32::from(last_source != edge.src + 1);
-        counts[2] += u32::from(seen != stamp);
-        self.edges += 1;
+        counts[0] += edges;
+        counts[1] += 1;
+        counts[2] += distinct;
+        self.edges += edges as usize;
     }
 
     /// Emits one [`ShardMeta`] per occupied shard of the current row, in
@@ -1086,6 +1124,54 @@ mod tests {
                     let grid = ShardGrid::build(list, nps).unwrap();
                     assert_eq!(grid.edges(), arena, "n {n} nps {nps}");
                     assert_eq!(grid.metas(), metas, "n {n} nps {nps}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn summaries_match_the_historical_build_at_any_worker_count() {
+        // Source runs against the historical sort-and-scan: unsorted lists
+        // with duplicates, with and without self-loops already present,
+        // summarised with and without virtual loops, at one node per shard
+        // up to wider than the graph, on 1, 2 and 7 workers.
+        let mut state = 0x0dd5_u64;
+        for n in [1usize, 3, 40, 301] {
+            let mut with_loops = EdgeList::new(n);
+            for _ in 0..n * 8 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let src = ((state >> 33) % n as u64) as NodeId;
+                let dst = match state & 7 {
+                    0 => src,
+                    1 => ((state >> 13) % n.min(4) as u64) as NodeId,
+                    _ => ((state >> 13) % n as u64) as NodeId,
+                };
+                with_loops.push(Edge::new(src, dst)).unwrap();
+            }
+            let mut without_loops = EdgeList::new(n);
+            for &edge in with_loops.iter().filter(|e| e.src != e.dst) {
+                without_loops.push(edge).unwrap();
+            }
+            let mut sorted = with_loops.clone();
+            sorted.symmetrize();
+            for edges in [&with_loops, &without_loops, &sorted] {
+                let mut looped = edges.clone();
+                looped.add_self_loops();
+                for nps in [1, 2, 7, n, n + 3] {
+                    for (loops, materialised) in [(false, edges), (true, &looped)] {
+                        let (_, metas) = historical_build(materialised, nps);
+                        for workers in [1, 2, 7] {
+                            let summary =
+                                ShardSummary::build_with_workers(edges, nps, loops, workers)
+                                    .unwrap();
+                            assert_eq!(
+                                summary.metas(),
+                                metas,
+                                "n {n} nps {nps} loops {loops} sorted {} x{workers}",
+                                edges.is_sorted()
+                            );
+                        }
+                    }
                 }
             }
         }
