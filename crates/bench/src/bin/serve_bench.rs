@@ -3,11 +3,11 @@
 //! Starts an in-process [`SessionServer`], warms its session pool, then
 //! measures four ways of answering the same mixed-backend request stream:
 //!
-//! 1. **cold replay** — no server: every request builds a fresh
-//!    [`SimSession`](gnnerator::SimSession) and evaluates it, the way the
-//!    harness answered one-shot questions before the serving layer (the
-//!    same convention `BENCH_sweep.json`'s `serial_seconds` uses: datasets
-//!    are pre-materialised and shared, compilation is paid per request);
+//! 1. **cold replay** — no server: every request is evaluated on the
+//!    one-shot path ([`one_shot_evaluation`]), the way the harness answered
+//!    one-shot questions before the serving layer (the same path and
+//!    convention `BENCH_sweep.json`'s `serial_seconds` uses: dataset edges
+//!    are pre-materialised and shared, sharding is paid per request);
 //! 2. **serial HTTP, connection per request** — one client replaying the
 //!    stream with a fresh `Connection: close` socket each time (the PR-5
 //!    serving path);
@@ -42,6 +42,7 @@
 
 use gnnerator::{build_session, evaluate_scenario, ScenarioSpec};
 use gnnerator_bench::suite::scale_from_args;
+use gnnerator_bench::sweep_report::one_shot_evaluation;
 use gnnerator_graph::datasets::Dataset;
 use gnnerator_serve::{
     client, client::ClientConnection, scenario_from_json, Json, ServeConfig, SessionServer,
@@ -183,28 +184,24 @@ fn main() {
     let total_requests = clients * requests_per_client;
 
     // Cold replay baseline: pre-materialise datasets (identical work either
-    // way, excluded from the timing — the BENCH_sweep convention), then pay
-    // a fresh session build per request.
-    let mut datasets: HashMap<(String, u64), Arc<Dataset>> = HashMap::new();
+    // way, excluded from the timing — the BENCH_sweep convention), then shard
+    // from scratch per request.
+    let mut datasets: HashMap<(String, u64), Dataset> = HashMap::new();
     for scenario in &scenarios {
         datasets
             .entry((scenario.dataset.name.to_string(), scenario.seed))
             .or_insert_with(|| {
-                Arc::new(
-                    scenario
-                        .dataset
-                        .synthesize(scenario.seed)
-                        .expect("request-mix datasets synthesise"),
-                )
+                scenario
+                    .dataset
+                    .synthesize(scenario.seed)
+                    .expect("request-mix datasets synthesise")
             });
     }
     let start = Instant::now();
     for i in 0..total_requests {
         let scenario = &scenarios[i % scenarios.len()];
         let dataset = &datasets[&(scenario.dataset.name.to_string(), scenario.seed)];
-        let session =
-            Arc::new(build_session(scenario, dataset, None).expect("cold session build failed"));
-        evaluate_scenario(scenario, &session).expect("cold evaluation failed");
+        one_shot_evaluation(scenario, dataset).expect("cold evaluation failed");
     }
     let cold_seconds = start.elapsed().as_secs_f64();
 
@@ -329,7 +326,7 @@ fn main() {
     server.shutdown();
 
     println!(
-        "cold replay (fresh session per request):   {total_requests} requests in {cold_seconds:.3}s ({cold_rps:.1} req/s)"
+        "cold replay (one-shot path per request):   {total_requests} requests in {cold_seconds:.3}s ({cold_rps:.1} req/s)"
     );
     println!(
         "serial HTTP, connection per request:       {total_requests} requests in {serial_close_seconds:.3}s ({serial_close_rps:.1} req/s)"
@@ -564,7 +561,7 @@ fn run_chaos(
     addr: SocketAddr,
     bodies: &[String],
     scenarios: &[ScenarioSpec],
-    datasets: &HashMap<(String, u64), Arc<Dataset>>,
+    datasets: &HashMap<(String, u64), Dataset>,
     connections: usize,
     requests: usize,
     scale: f64,

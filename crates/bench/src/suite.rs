@@ -324,7 +324,7 @@ impl SuiteContext {
     ///
     /// Propagates degenerate-spec errors (cannot occur for the built-in
     /// specs).
-    pub fn dataset(&self, kind: DatasetKind) -> Result<Arc<Dataset>, GnneratorError> {
+    pub fn dataset(&self, kind: DatasetKind) -> Result<Dataset, GnneratorError> {
         self.runner
             .dataset_for(self.dataset_spec(kind), self.dataset_seed(kind))
     }

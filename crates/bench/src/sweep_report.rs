@@ -5,26 +5,26 @@
 //!
 //! The grid mixes platforms: every workload runs under four accelerator
 //! dataflows *and* on the GPU-roofline and HyGCN backends, all through one
-//! [`SweepRunner`] invocation, plus an ogbn-arxiv-scale extension point
-//! (≥1M edges at full scale) that the streaming graph-build pipeline opened
-//! to the same path. Accelerator rows carry `speedup_vs_gpu` /
-//! `speedup_vs_hygcn` columns derived from the baseline seconds attached by
-//! the sweep engine itself; the document's top level records the
-//! graph-build telemetry (`graph_build_seconds`, synthesis/load and shard
-//! build/load counters) that the warm-cache CI assertions check.
+//! [`SweepRunner`](gnnerator::SweepRunner) invocation, plus an
+//! ogbn-arxiv-scale extension point (≥1M edges at full scale) that the
+//! streaming graph-build pipeline opened to the same path. Accelerator rows
+//! carry `speedup_vs_gpu` / `speedup_vs_hygcn` columns derived from the
+//! baseline seconds attached by the sweep engine itself; the document's top
+//! level records the graph-build telemetry (`graph_build_seconds`,
+//! synthesis/load and shard build/load counters) that the warm-cache CI
+//! assertions check.
 
 use crate::suite::{full_suite, SuiteContext, Workload};
 use gnnerator::{
     Backend, BackendKind, DataflowConfig, GnneratorError, GpuRooflineBackend, HygcnBackend, Report,
-    ScenarioResult, ScenarioSpec, Simulator, SweepRunner,
+    ScenarioResult, ScenarioSpec, Simulator,
 };
 use gnnerator_gnn::NetworkKind;
-use gnnerator_graph::datasets::DatasetKind;
+use gnnerator_graph::datasets::{Dataset, DatasetKind};
 // One JSON layer for every artifact: rows are rendered with the serving
 // layer's writers and parsed with its parser.
 use gnnerator_serve::json::{json_opt_f64, json_opt_u64, json_string};
 use gnnerator_serve::Json;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The dataflows every workload is swept across on the accelerator.
@@ -262,12 +262,16 @@ impl SweepPoint {
 pub struct SweepBenchmark {
     /// The per-scenario results from the parallel sweep engine.
     pub results: Vec<ScenarioResult>,
-    /// Wall-clock seconds of the parallel, compile-once sweep.
+    /// Wall-clock seconds of the parallel, compile-once sweep on the
+    /// context's runner, over the shard summaries its datasets share (any
+    /// summary no earlier experiment derived is loaded or built inside this
+    /// time).
     pub parallel_seconds: f64,
-    /// Wall-clock seconds of the serial path (a fresh `Simulator` compiling
+    /// Wall-clock seconds of the serial path (a fresh `Simulator` sharding
     /// from scratch per accelerator scenario, and direct backend evaluations
     /// for the baselines — the way the harness worked before the session and
-    /// backend refactors).
+    /// backend refactors), so `speedup` measures sharding once against
+    /// sharding per point.
     pub serial_seconds: f64,
     /// Whether every parallel result was bit-identical to its serial twin
     /// (evaluations for all backends, full reports for accelerator points).
@@ -276,9 +280,10 @@ pub struct SweepBenchmark {
     pub threads: usize,
     /// Dataset scale the sweep ran at.
     pub scale: f64,
-    /// Seconds the sweep's sessions spent building shard grids, summed
-    /// across worker threads (CPU time, so it can exceed the wall-clock
-    /// `parallel_seconds` on multi-core runners; cache hits are free).
+    /// Seconds the runner's datasets spent building shard summaries over the
+    /// whole run (every experiment, not only the sweep), summed across
+    /// worker threads (CPU time, so it can exceed the wall-clock
+    /// `parallel_seconds` on multi-core runners; loads and hits are free).
     pub shard_build_seconds: f64,
     /// Seconds spent materialising dataset edge lists (synthesis, or the
     /// artifact-cache loads that replaced it), summed across worker threads.
@@ -287,13 +292,16 @@ pub struct SweepBenchmark {
     /// warm-cache run).
     pub datasets_synthesized: usize,
     /// Dataset edge lists loaded from the persistent artifact cache. Only a
-    /// shard summary that must be built needs them: on a warm run that is
-    /// the serial reference's one-shot `Simulator::simulate`, which shards
-    /// from scratch.
+    /// shard summary that must be built needs them, and so does the serial
+    /// reference's one-shot `Simulator::simulate`, which shards from
+    /// scratch: on a warm run the benchmark loads every edge list for the
+    /// serial path alone.
     pub datasets_loaded: usize,
-    /// Shard grids built from scratch this run (0 on a warm-cache run).
+    /// Shard summaries built from scratch this run, each key once per
+    /// dataset (0 on a warm-cache run).
     pub shard_grids_built: usize,
-    /// Shard grids loaded from the persistent artifact cache.
+    /// Shard summaries loaded from the persistent artifact cache, each key
+    /// once per dataset (0 on a cold run).
     pub shard_grids_loaded: usize,
 }
 
@@ -381,14 +389,18 @@ impl SweepBenchmark {
     }
 }
 
-/// Evaluates one scenario the pre-sweep way: a fresh `Simulator` compiled
-/// from scratch for accelerator points, a direct backend evaluation for
+/// Evaluates one scenario on `dataset` the pre-sweep way: a fresh
+/// `Simulator` sharding from scratch for accelerator points (no summary the
+/// dataset holds is read or filled), a direct backend evaluation for
 /// baselines.
-fn serial_reference(
-    ctx: &SuiteContext,
+///
+/// # Errors
+///
+/// Propagates model-construction, simulation and backend-evaluation errors.
+pub fn one_shot_evaluation(
     scenario: &ScenarioSpec,
+    dataset: &Dataset,
 ) -> Result<(gnnerator::BackendEvaluation, Option<Report>), GnneratorError> {
-    let dataset = ctx.runner().dataset(scenario)?;
     let model = scenario
         .network
         .build(
@@ -401,7 +413,7 @@ fn serial_reference(
     match scenario.backend {
         BackendKind::Gnnerator => {
             let report = Simulator::with_dataflow(scenario.config.clone(), scenario.dataflow)?
-                .simulate(&model, &dataset)?;
+                .simulate(&model, dataset)?;
             Ok((report.to_evaluation(), Some(report)))
         }
         BackendKind::GpuRoofline => GpuRooflineBackend::rtx_2080_ti()
@@ -420,42 +432,36 @@ fn serial_reference(
 /// parallel sweep engine, then the same grid through the serial per-run
 /// path, comparing results bit for bit.
 ///
-/// Both paths share pre-materialised datasets (materialisation is identical
-/// work either way and is excluded from the timings). The sweep path runs on
-/// a **cold** runner, so its time includes the one-time compilation of each
-/// distinct (dataset, model) session — the honest cost of the compile-once
-/// architecture — while the serial path re-compiles per scenario the way the
-/// harness did before the session refactor. When `ctx`'s runner has a
-/// persistent artifact cache the cold runner shares it, so the serial path
-/// (which always shards from scratch) doubles as a correctness check of the
-/// cached artifacts on every run.
+/// Both paths share pre-materialised dataset edges (materialisation is
+/// identical work either way and is excluded from the timings). The sweep
+/// path runs on `ctx`'s own runner, so it evaluates over the shard summaries
+/// each dataset already holds from earlier experiments, and loads or builds
+/// only the summaries none of them derived; the serial path shards from
+/// scratch per scenario the way the harness did before the session
+/// refactor, so `speedup` measures sharding once against sharding per
+/// point. Because the serial path never reads a cached summary, it doubles
+/// as a correctness check of every summary the artifact cache served.
 ///
 /// # Errors
 ///
 /// Propagates simulation and backend-evaluation errors from either path.
 pub fn bench_sweep(ctx: &SuiteContext) -> Result<SweepBenchmark, GnneratorError> {
     let scenarios = sweep_scenarios(ctx);
-    let cold_runner = match ctx.runner().artifact_cache() {
-        Some(cache) => SweepRunner::new().with_artifact_cache(Arc::clone(cache)),
-        None => SweepRunner::new(),
-    };
+    let runner = ctx.runner();
     for scenario in &scenarios {
-        let dataset = ctx.runner().dataset(scenario)?;
         // Materialise the edges up front: the serial reference shards from
         // them, and materialisation is excluded from both timings.
-        dataset.edge_list()?;
-        cold_runner.insert_dataset(scenario.dataset, scenario.seed, dataset);
+        runner.dataset(scenario)?.edge_list()?;
     }
 
     let start = Instant::now();
-    let results = cold_runner.run(&scenarios)?;
+    let results = runner.run(&scenarios)?;
     let parallel_seconds = start.elapsed().as_secs_f64();
-    let shard_build_seconds = cold_runner.total_shard_build_seconds();
 
     let start = Instant::now();
     let mut serial = Vec::with_capacity(scenarios.len());
     for scenario in &scenarios {
-        serial.push(serial_reference(ctx, scenario)?);
+        serial.push(one_shot_evaluation(scenario, &runner.dataset(scenario)?)?);
     }
     let serial_seconds = start.elapsed().as_secs_f64();
 
@@ -473,16 +479,12 @@ pub fn bench_sweep(ctx: &SuiteContext) -> Result<SweepBenchmark, GnneratorError>
         bit_identical,
         threads: std::thread::available_parallelism().map_or(1, usize::from),
         scale: ctx.options().scale,
-        shard_build_seconds,
-        // The cold runner shares `ctx`'s dataset handles, so `ctx` alone
-        // counts every edge list either path materialised.
-        graph_build_seconds: ctx.runner().graph_build_seconds(),
-        datasets_synthesized: ctx.runner().datasets_synthesized(),
-        datasets_loaded: ctx.runner().datasets_loaded(),
-        shard_grids_built: ctx.runner().total_shard_grids_built()
-            + cold_runner.total_shard_grids_built(),
-        shard_grids_loaded: ctx.runner().total_shard_grids_loaded()
-            + cold_runner.total_shard_grids_loaded(),
+        shard_build_seconds: runner.total_shard_build_seconds(),
+        graph_build_seconds: runner.graph_build_seconds(),
+        datasets_synthesized: runner.datasets_synthesized(),
+        datasets_loaded: runner.datasets_loaded(),
+        shard_grids_built: runner.total_shard_grids_built(),
+        shard_grids_loaded: runner.total_shard_grids_loaded(),
     })
 }
 

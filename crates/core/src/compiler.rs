@@ -1,7 +1,8 @@
 use crate::program::{AggregationOp, DenseOp, LayerPlan, Program};
 use crate::{cost, DataflowConfig, GnneratorConfig, GnneratorError, GraphEngine};
 use gnnerator_gnn::{GnnModel, Stage};
-use gnnerator_graph::{EdgeList, ShardPlanCache};
+use gnnerator_graph::datasets::Dataset;
+use gnnerator_graph::{EdgeList, GraphError, ShardSummary};
 use std::sync::Arc;
 
 /// The GNNerator compiler: lowers a [`GnnModel`] plus a graph onto the two
@@ -72,44 +73,60 @@ impl Compiler {
         &self.dataflow
     }
 
-    /// Compiles `model` for execution on the graph described by `edges`.
+    /// Compiles `model` for execution on the graph described by `edges`,
+    /// summarising the shard grid straight from the borrowed list. Layers
+    /// that derive the same shard parameters share one summary.
     ///
     /// # Errors
     ///
-    /// Returns [`GnneratorError::Unmappable`] if a layer has a stage structure
-    /// the two-engine pipeline cannot express (more than one aggregation or
-    /// more than one dense stage on either side of it), and propagates graph
-    /// errors from sharding.
+    /// Returns [`GnneratorError::Unmappable`] if the graph has no nodes or a
+    /// layer has a stage structure the two-engine pipeline cannot express
+    /// (more than one aggregation or more than one dense stage on either
+    /// side of it), and propagates graph errors from sharding.
     pub fn compile(&self, model: &GnnModel, edges: &EdgeList) -> Result<Program, GnneratorError> {
-        // A throwaway cache keeps the one-shot path on the same code as the
-        // session path (and already dedups identical grids across layers).
-        let plans = ShardPlanCache::new(Arc::new(edges.clone()));
-        self.compile_cached(model, &plans)
+        let mut built: Vec<((usize, bool), Arc<ShardSummary>)> = Vec::new();
+        self.compile_with(model, edges.num_nodes(), edges.num_edges(), |n, loops| {
+            if let Some((_, hit)) = built.iter().find(|(key, _)| *key == (n, loops)) {
+                return Ok(Arc::clone(hit));
+            }
+            let summary = Arc::new(ShardSummary::build(edges, n, loops)?);
+            built.push(((n, loops), Arc::clone(&summary)));
+            Ok(summary)
+        })
     }
 
-    /// Compiles `model` against a shard-plan cache, reusing any grids the
-    /// cache already holds.
-    ///
-    /// This is the compile-once path used by
-    /// [`SimSession`](crate::SimSession): sweeping many configurations over
-    /// one graph re-shards only when the derived nodes-per-shard parameter
-    /// actually changes.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Compiler::compile`].
-    pub fn compile_cached(
+    /// Compiles `model` against `dataset`'s shared shard summaries: the
+    /// compile-once path of [`SimSession`](crate::SimSession), which loads
+    /// or builds a summary only the first time any session over the dataset
+    /// derives its shard parameters.
+    pub(crate) fn compile_dataset(
         &self,
         model: &GnnModel,
-        plans: &ShardPlanCache,
+        dataset: &Dataset,
     ) -> Result<Program, GnneratorError> {
-        let (num_nodes, num_edges) = (plans.num_nodes(), plans.num_edges());
+        self.compile_with(
+            model,
+            dataset.num_nodes(),
+            dataset.num_edges(),
+            |n, loops| dataset.plan(n, loops),
+        )
+    }
+
+    /// Compiles `model` for a graph of `num_nodes` nodes and `num_edges`
+    /// edges whose shard summaries `plan(n, self_loops)` supplies.
+    fn compile_with(
+        &self,
+        model: &GnnModel,
+        num_nodes: usize,
+        num_edges: usize,
+        mut plan: impl FnMut(usize, bool) -> Result<Arc<ShardSummary>, GraphError>,
+    ) -> Result<Program, GnneratorError> {
         if num_nodes == 0 {
             return Err(GnneratorError::unmappable("graph has no nodes"));
         }
         let mut layers = Vec::with_capacity(model.num_layers());
         for (index, layer) in model.layers().iter().enumerate() {
-            layers.push(self.compile_layer(index, layer, plans)?);
+            layers.push(self.compile_layer(index, layer, num_nodes, &mut plan)?);
         }
         Ok(Program {
             model_name: model.name().to_string(),
@@ -123,7 +140,8 @@ impl Compiler {
         &self,
         layer_index: usize,
         layer: &gnnerator_gnn::GnnLayer,
-        plans: &ShardPlanCache,
+        num_nodes: usize,
+        plan: &mut impl FnMut(usize, bool) -> Result<Arc<ShardSummary>, GraphError>,
     ) -> Result<LayerPlan, GnneratorError> {
         let (pre_dense, aggregation, post_dense) = split_stages(layer_index, layer)?;
 
@@ -134,13 +152,13 @@ impl Compiler {
         let nodes_per_shard = self
             .graph_engine
             .nodes_per_shard(block_size)
-            .min(plans.num_nodes())
+            .min(num_nodes)
             .max(1);
 
         // Self-inclusive aggregation is realised by adding self-loop edges so
         // the Graph Engine treats every contribution uniformly.
         let include_self = aggregation.map(|a| a.include_self).unwrap_or(false);
-        let grid = plans.plan(nodes_per_shard, include_self)?;
+        let grid = plan(nodes_per_shard, include_self)?;
 
         let traversal = self
             .dataflow

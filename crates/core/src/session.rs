@@ -2,12 +2,13 @@
 //!
 //! Every figure and table in the paper's evaluation is a *sweep*: the same
 //! model/dataset pair simulated under many `(platform, dataflow)` points. A
-//! [`SimSession`] pins one model and one graph, validates them once, and
-//! hands out immutable [`CompiledWorkload`]s — the program plus shared shard
-//! plans — that the [`Simulator`](crate::Simulator) executes without ever
-//! touching the session again. Shard grids are memoised in a
-//! [`ShardPlanCache`], so two configurations that derive the same
-//! nodes-per-shard parameter share one grid instead of re-sharding.
+//! [`SimSession`] is one model and one [`Dataset`] handle, validated once;
+//! it hands out immutable [`CompiledWorkload`]s (the program plus shared
+//! shard summaries) that the [`Simulator`](crate::Simulator) executes
+//! without ever touching the session again. The shard summaries belong to
+//! the dataset handle ([`Dataset::plan`]), so every configuration, and every
+//! other session over the same handle, that derives the same nodes-per-shard
+//! parameter shares one summary instead of re-sharding.
 
 use crate::{
     BackendEvaluation, Compiler, DataflowConfig, GnneratorConfig, GnneratorError, Program, Report,
@@ -15,9 +16,7 @@ use crate::{
 };
 use gnnerator_gnn::GnnModel;
 use gnnerator_graph::datasets::Dataset;
-use gnnerator_graph::{ArtifactCache, EdgeList, ShardPlanCache};
 use std::fmt;
-use std::sync::Arc;
 
 /// A reusable simulation context: one model, one graph, many configurations.
 ///
@@ -47,16 +46,15 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct SimSession {
     model: GnnModel,
-    dataset_name: String,
-    plans: ShardPlanCache,
+    dataset: Dataset,
 }
 
 impl SimSession {
-    /// Creates a session for `model` running on `dataset`, with purely
-    /// in-memory shard-plan caching.
+    /// Creates a session for `model` running on `dataset`.
     ///
-    /// The session shares the dataset handle and reads no edge until its
-    /// first compile builds a shard summary.
+    /// The session shares the dataset handle, and with it the handle's
+    /// shard summaries and artifact cache; it reads no edge until a compile
+    /// must build a summary.
     ///
     /// # Errors
     ///
@@ -64,64 +62,10 @@ impl SimSession {
     /// and [`GnneratorError::Unmappable`] if its feature dimension
     /// (`spec.feature_dim`) does not match the model's input dimension.
     pub fn new(model: GnnModel, dataset: &Dataset) -> Result<Self, GnneratorError> {
-        Self::build(model, dataset, None)
-    }
-
-    /// Like [`SimSession::new`], but shard grids are additionally persisted
-    /// in (and loaded from) `cache`, keyed by the dataset's `(spec, seed)`
-    /// identity — repeated harness runs skip re-sharding entirely, and a
-    /// session whose every summary loads never materialises its edges.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SimSession::new`].
-    pub fn with_artifact_cache(
-        model: GnnModel,
-        dataset: &Dataset,
-        cache: Arc<ArtifactCache>,
-    ) -> Result<Self, GnneratorError> {
-        Self::build(model, dataset, Some(cache))
-    }
-
-    fn build(
-        model: GnnModel,
-        dataset: &Dataset,
-        cache: Option<Arc<ArtifactCache>>,
-    ) -> Result<Self, GnneratorError> {
-        dataset.spec.validate()?;
-        if dataset.spec.feature_dim != model.input_dim() {
-            return Err(GnneratorError::unmappable(format!(
-                "dataset features are {}-dimensional but the model expects {}",
-                dataset.spec.feature_dim,
-                model.input_dim()
-            )));
-        }
+        check_inputs(&model, dataset)?;
         Ok(Self {
             model,
-            dataset_name: dataset.spec.name.to_string(),
-            plans: ShardPlanCache::for_dataset(dataset.clone(), cache),
-        })
-    }
-
-    /// Creates a session for `model` running on a bare edge list (no
-    /// persistent shard-plan caching: an anonymous edge list has no stable
-    /// cache identity).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnneratorError::Unmappable`] if the graph has no nodes.
-    pub fn from_edges(
-        model: GnnModel,
-        edges: EdgeList,
-        dataset_name: impl Into<String>,
-    ) -> Result<Self, GnneratorError> {
-        if edges.num_nodes() == 0 {
-            return Err(GnneratorError::unmappable("graph has no nodes"));
-        }
-        Ok(Self {
-            model,
-            dataset_name: dataset_name.into(),
-            plans: ShardPlanCache::new(Arc::new(edges)),
+            dataset: dataset.clone(),
         })
     }
 
@@ -130,49 +74,37 @@ impl SimSession {
         &self.model
     }
 
+    /// The dataset handle this session compiles against.
+    pub fn dataset(&self) -> &Dataset {
+        &self.dataset
+    }
+
     /// The dataset name stamped into reports.
     pub fn dataset_name(&self) -> &str {
-        &self.dataset_name
+        self.dataset.spec.name
     }
 
     /// Number of nodes in the session's graph.
     pub fn num_nodes(&self) -> usize {
-        self.plans.num_nodes()
+        self.dataset.num_nodes()
     }
 
     /// Number of edges in the session's graph (excluding compiler-added
     /// self-loops).
     pub fn num_edges(&self) -> usize {
-        self.plans.num_edges()
+        self.dataset.num_edges()
     }
 
-    /// Number of distinct shard grids built so far.
+    /// Number of distinct shard summaries held by this session's dataset,
+    /// shared across every model compiled against it.
     pub fn cached_shard_plans(&self) -> usize {
-        self.plans.cached_plans()
-    }
-
-    /// Cumulative wall-clock seconds this session has spent building shard
-    /// grids (cache hits are free; feeds `BENCH_sweep.json`'s
-    /// `shard_build_seconds`).
-    pub fn shard_build_seconds(&self) -> f64 {
-        self.plans.build_seconds()
-    }
-
-    /// Number of shard grids this session built from scratch.
-    pub fn shard_grids_built(&self) -> usize {
-        self.plans.grids_built()
-    }
-
-    /// Number of shard grids this session loaded from the persistent
-    /// artifact cache.
-    pub fn shard_grids_loaded(&self) -> usize {
-        self.plans.grids_loaded()
+        self.dataset.cached_plans()
     }
 
     /// Compiles this session's workload for one `(platform, dataflow)` point.
     ///
-    /// Shard grids are reused from the session cache whenever the derived
-    /// shard parameters match an earlier compilation.
+    /// Shard summaries are reused from the dataset whenever the derived
+    /// shard parameters match an earlier compilation by any session over it.
     ///
     /// # Errors
     ///
@@ -183,11 +115,11 @@ impl SimSession {
         dataflow: DataflowConfig,
     ) -> Result<CompiledWorkload, GnneratorError> {
         let compiler = Compiler::new(config.clone(), dataflow)?;
-        let program = compiler.compile_cached(&self.model, &self.plans)?;
+        let program = compiler.compile_dataset(&self.model, &self.dataset)?;
         Ok(CompiledWorkload {
             config: config.clone(),
             dataflow,
-            dataset_name: self.dataset_name.clone(),
+            dataset_name: self.dataset_name().to_string(),
             program,
         })
     }
@@ -226,7 +158,7 @@ impl fmt::Display for SimSession {
             f,
             "session: {} on {} ({} nodes / {} edges, {} cached shard plans)",
             self.model.name(),
-            self.dataset_name,
+            self.dataset_name(),
             self.num_nodes(),
             self.num_edges(),
             self.cached_shard_plans()
@@ -234,8 +166,23 @@ impl fmt::Display for SimSession {
     }
 }
 
+/// Checks that `dataset` can feed `model`: a valid spec whose feature
+/// dimension is the model's input dimension.
+pub(crate) fn check_inputs(model: &GnnModel, dataset: &Dataset) -> Result<(), GnneratorError> {
+    dataset.spec.validate()?;
+    if dataset.spec.feature_dim != model.input_dim() {
+        return Err(GnneratorError::unmappable(format!(
+            "dataset features are {}-dimensional but the model expects {}",
+            dataset.spec.feature_dim,
+            model.input_dim()
+        )));
+    }
+    Ok(())
+}
+
 /// An immutable compiled artifact: everything the simulator needs to execute
-/// one scenario point, with shard plans shared back into the owning session.
+/// one scenario point, with shard summaries shared with the session's
+/// dataset.
 #[derive(Debug, Clone)]
 pub struct CompiledWorkload {
     config: GnneratorConfig,
@@ -318,8 +265,17 @@ mod tests {
 
     #[test]
     fn rejects_empty_graphs() {
-        let model = NetworkKind::Gcn.build(8, 8, 4, 1).unwrap();
-        assert!(SimSession::from_edges(model, EdgeList::new(0), "empty").is_err());
+        let mut dataset = DatasetKind::Cora
+            .spec()
+            .scaled(0.03)
+            .synthesize(11)
+            .unwrap();
+        dataset.spec.vertices = 0;
+        let model = NetworkKind::Gcn.build(1433, 8, 4, 1).unwrap();
+        assert!(matches!(
+            SimSession::new(model, &dataset),
+            Err(GnneratorError::Graph(_))
+        ));
     }
 
     #[test]
@@ -399,32 +355,33 @@ mod tests {
             std::env::temp_dir().join(format!("gnnerator-session-cache-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let cache = Arc::new(ArtifactCache::new(&dir));
-        let dataset = DatasetKind::Cora
-            .spec()
-            .scaled(0.03)
-            .synthesize(11)
-            .unwrap();
+        let spec = DatasetKind::Cora.spec().scaled(0.03);
         let model = NetworkKind::Gcn
-            .build_paper_config(dataset.spec.feature_dim, 7)
+            .build_paper_config(spec.feature_dim, 7)
             .unwrap();
         let config = GnneratorConfig::paper_default();
 
-        let cold =
-            SimSession::with_artifact_cache(model.clone(), &dataset, Arc::clone(&cache)).unwrap();
+        let open = || Dataset::open(spec, 11, Some(Arc::clone(&cache))).unwrap();
+
+        let cold = SimSession::new(model.clone(), &open()).unwrap();
         let cold_report = cold
             .simulate(&config, DataflowConfig::paper_default())
             .unwrap();
-        assert!(cold.shard_grids_built() > 0);
-        assert_eq!(cold.shard_grids_loaded(), 0);
+        assert!(cold.dataset().grids_built() > 0);
+        assert_eq!(cold.dataset().grids_loaded(), 0);
 
-        // A fresh session over the same dataset loads every grid from disk
-        // and reproduces the report bit for bit.
-        let warm = SimSession::with_artifact_cache(model, &dataset, cache).unwrap();
+        // A session over a fresh handle on the same dataset loads every
+        // grid from disk and reproduces the report bit for bit.
+        let warm = SimSession::new(model, &open()).unwrap();
         let warm_report = warm
             .simulate(&config, DataflowConfig::paper_default())
             .unwrap();
-        assert_eq!(warm.shard_grids_built(), 0, "warm session never reshards");
-        assert!(warm.shard_grids_loaded() > 0);
+        assert_eq!(
+            warm.dataset().grids_built(),
+            0,
+            "warm session never reshards"
+        );
+        assert!(warm.dataset().grids_loaded() > 0);
         assert_eq!(warm_report, cold_report);
         std::fs::remove_dir_all(&dir).ok();
     }

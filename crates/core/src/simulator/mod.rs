@@ -23,9 +23,10 @@ mod graph_timing;
 mod layer;
 
 use crate::dram::DramModel;
+use crate::session::check_inputs;
 use crate::{
-    CompiledWorkload, DataflowConfig, DenseEngine, GnneratorConfig, GnneratorError, GraphEngine,
-    Program, Report, SimSession,
+    CompiledWorkload, Compiler, DataflowConfig, DenseEngine, GnneratorConfig, GnneratorError,
+    GraphEngine, Program, Report,
 };
 use gnnerator_gnn::GnnModel;
 use gnnerator_graph::datasets::Dataset;
@@ -37,10 +38,12 @@ pub type Cycle = u64;
 /// The GNNerator cycle-level timing simulator.
 ///
 /// The simulator executes compiled artifacts it *borrows*: the compile-once
-/// path goes through [`SimSession`] → [`CompiledWorkload`] →
-/// [`Simulator::execute`], and the convenience methods on a constructed
-/// `Simulator` build a throwaway session internally. Both paths run the same
-/// controller, so their reports are bit-identical.
+/// path goes through [`SimSession`](crate::SimSession) → [`CompiledWorkload`]
+/// → [`Simulator::execute`], while the convenience methods on a constructed
+/// `Simulator` compile from scratch, sharding the edge list anew and sharing
+/// no summary with any session. Both paths run the same controller, so
+/// their reports are bit-identical, and the one-shot path is the
+/// independent reference the compile-once path is tested against.
 ///
 /// # Examples
 ///
@@ -104,7 +107,8 @@ impl Simulator {
     /// Executes a compiled workload, borrowing its program and shard plans.
     ///
     /// This is the hot path of scenario sweeps: compilation (sharding, stage
-    /// splitting) happened once in the owning [`SimSession`], and execution
+    /// splitting) happened once in the owning
+    /// [`SimSession`](crate::SimSession), and execution
     /// allocates nothing but the engine timers.
     ///
     /// # Errors
@@ -120,19 +124,22 @@ impl Simulator {
         )
     }
 
-    /// Simulates `model` running on `dataset`.
+    /// Simulates `model` running on `dataset`, sharding its edge list from
+    /// scratch (the dataset's shared shard summaries are neither read nor
+    /// filled).
     ///
     /// # Errors
     ///
     /// Returns [`GnneratorError::Unmappable`] if the dataset's feature
     /// dimension does not match the model's input dimension, and propagates
-    /// compilation errors.
+    /// edge-materialisation and compilation errors.
     pub fn simulate(&self, model: &GnnModel, dataset: &Dataset) -> Result<Report, GnneratorError> {
-        let session = SimSession::new(model.clone(), dataset)?;
-        session.simulate(&self.config, self.dataflow)
+        check_inputs(model, dataset)?;
+        self.simulate_edges(model, dataset.edge_list()?, dataset.spec.name)
     }
 
-    /// Simulates `model` running on the graph described by `edges`.
+    /// Simulates `model` running on the graph described by `edges`, sharding
+    /// it from scratch.
     ///
     /// # Errors
     ///
@@ -144,8 +151,8 @@ impl Simulator {
         edges: &EdgeList,
         dataset_name: &str,
     ) -> Result<Report, GnneratorError> {
-        let session = SimSession::from_edges(model.clone(), edges.clone(), dataset_name)?;
-        session.simulate(&self.config, self.dataflow)
+        let program = Compiler::new(self.config.clone(), self.dataflow)?.compile(model, edges)?;
+        Self::run_program(&self.config, &program, dataset_name)
     }
 
     /// Runs a compiled program on the engines described by `config`.
@@ -183,6 +190,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimSession;
     use gnnerator_gnn::NetworkKind;
     use gnnerator_graph::datasets::DatasetKind;
     use gnnerator_graph::{generators, TraversalOrder};

@@ -4,9 +4,10 @@
 //! points — (backend × network × dataset × platform configuration ×
 //! dataflow) — and evaluates each one. A [`SweepRunner`] owns the two caches
 //! that make this cheap (dataset handles, keyed by spec and seed, whose
-//! edges materialise at most once; compiled [`SimSession`]s, keyed by
-//! dataset and model shape) and executes a batch of [`ScenarioSpec`]s in
-//! parallel on scoped worker threads.
+//! edges materialise at most once and whose shard summaries every session
+//! over them shares; compiled [`SimSession`]s, keyed by dataset and model
+//! shape) and executes a batch of [`ScenarioSpec`]s in parallel on scoped
+//! worker threads.
 //!
 //! Scenario execution routes through the [`Backend`] trait: the simulated
 //! accelerator ([`GnneratorBackend`]) and the two analytical baselines
@@ -29,7 +30,7 @@ use crate::{
 use gnnerator_baselines::guarded_speedup;
 use gnnerator_faults::lock_recover;
 use gnnerator_gnn::NetworkKind;
-use gnnerator_graph::datasets::{Dataset, DatasetSpec, Provenance};
+use gnnerator_graph::datasets::{Dataset, DatasetSpec};
 use gnnerator_graph::ArtifactCache;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -140,11 +141,15 @@ impl ScenarioSpec {
 }
 
 /// Builds the compiled session for a scenario's (dataset, model) pair —
-/// the model is constructed from the scenario's shape fields, and shard
-/// grids are persisted in `cache` when one is supplied. The session shares
-/// `dataset`'s handle and opens no file: its first compile loads or builds
-/// the shard summaries, and only a summary that must be built materialises
-/// the edges.
+/// the model is constructed from the scenario's shape fields. The session
+/// shares `dataset`'s handle and opens no file: its first compile takes the
+/// shard summaries the handle holds, or loads or builds them (persisting
+/// them in the handle's own artifact cache, if it was opened with one), and
+/// only a summary that must be built materialises the edges.
+///
+/// `_cache` is not read: where summaries persist is the dataset handle's
+/// choice ([`Dataset::open`]). The parameter remains so that existing
+/// three-argument callers keep compiling.
 ///
 /// Carries the `session_build` fault-injection point: an injected error or
 /// delay here models a slow or failing cold compile.
@@ -155,7 +160,7 @@ impl ScenarioSpec {
 pub fn build_session(
     scenario: &ScenarioSpec,
     dataset: &Dataset,
-    cache: Option<&Arc<ArtifactCache>>,
+    _cache: Option<&Arc<ArtifactCache>>,
 ) -> Result<SimSession, GnneratorError> {
     gnnerator_faults::check("session_build").map_err(|e| GnneratorError::backend(e.to_string()))?;
     let model = scenario
@@ -167,10 +172,7 @@ pub fn build_session(
             scenario.hidden_layers,
         )
         .map_err(GnneratorError::from)?;
-    match cache {
-        Some(artifacts) => SimSession::with_artifact_cache(model, dataset, Arc::clone(artifacts)),
-        None => SimSession::new(model, dataset),
-    }
+    SimSession::new(model, dataset)
 }
 
 /// Evaluates one scenario against an already-compiled session, producing
@@ -359,10 +361,11 @@ pub type SessionKey = (DatasetSpec, u64, NetworkKind, usize, usize, usize);
 /// caches, dispatching each point through its [`Backend`].
 ///
 /// The dataset cache holds one [`Dataset`] handle per `(spec, seed)`, shared
-/// by every session over it; a handle's edges are materialised (loaded from
-/// the artifact cache, or synthesised) only when one of those sessions must
-/// build a shard summary, and the `datasets_*` counters count exactly those
-/// materialisations.
+/// by every session over it, and with it one table of shard summaries: a
+/// summary is loaded or built once per runner, whichever session asks
+/// first. A handle's edges are materialised (loaded from the artifact cache,
+/// or synthesised) only when a summary must be built, and the `datasets_*`
+/// counters count exactly those materialisations.
 ///
 /// # Examples
 ///
@@ -399,7 +402,7 @@ pub type SessionKey = (DatasetSpec, u64, NetworkKind, usize, usize, usize);
 /// ```
 #[derive(Debug, Default)]
 pub struct SweepRunner {
-    datasets: Mutex<HashMap<DatasetKey, Arc<Dataset>>>,
+    datasets: Mutex<HashMap<DatasetKey, Dataset>>,
     sessions: Mutex<HashMap<SessionKey, Arc<SimSession>>>,
     /// Persistent artifact cache consulted before synthesising datasets or
     /// sharding graphs. `None` (the default) keeps the runner fully
@@ -413,10 +416,11 @@ impl SweepRunner {
         Self::default()
     }
 
-    /// Returns this runner with a persistent [`ArtifactCache`] attached:
-    /// datasets and shard grids are loaded from disk when present and stored
-    /// back after a fresh build, so repeated harness runs skip synthesis and
-    /// re-sharding entirely.
+    /// Returns this runner with a persistent [`ArtifactCache`] attached: the
+    /// runner opens its dataset handles on it, so edges and shard summaries
+    /// are loaded from disk when present and stored back after a fresh
+    /// build, and repeated harness runs skip synthesis and re-sharding
+    /// entirely.
     pub fn with_artifact_cache(mut self, cache: Arc<ArtifactCache>) -> Self {
         self.artifact_cache = cache.is_enabled().then_some(cache);
         self
@@ -434,7 +438,7 @@ impl SweepRunner {
     /// # Errors
     ///
     /// Returns [`GnneratorError::Graph`] for a degenerate spec.
-    pub fn dataset(&self, scenario: &ScenarioSpec) -> Result<Arc<Dataset>, GnneratorError> {
+    pub fn dataset(&self, scenario: &ScenarioSpec) -> Result<Dataset, GnneratorError> {
         let (spec, seed) = scenario.dataset_key();
         self.dataset_for(spec, seed)
     }
@@ -445,31 +449,14 @@ impl SweepRunner {
     /// # Errors
     ///
     /// Returns [`GnneratorError::Graph`] for a degenerate spec.
-    pub fn dataset_for(
-        &self,
-        spec: DatasetSpec,
-        seed: u64,
-    ) -> Result<Arc<Dataset>, GnneratorError> {
+    pub fn dataset_for(&self, spec: DatasetSpec, seed: u64) -> Result<Dataset, GnneratorError> {
         let mut datasets = lock_recover(&self.datasets);
         if let Some(hit) = datasets.get(&(spec, seed)) {
-            return Ok(Arc::clone(hit));
+            return Ok(hit.clone());
         }
-        let dataset = Arc::new(Dataset::open(spec, seed, self.artifact_cache.clone())?);
-        datasets.insert((spec, seed), Arc::clone(&dataset));
+        let dataset = Dataset::open(spec, seed, self.artifact_cache.clone())?;
+        datasets.insert((spec, seed), dataset.clone());
         Ok(dataset)
-    }
-
-    /// Seeds the dataset cache with a dataset handle for `(spec, seed)`,
-    /// sharing it (and its edges, once materialised) instead of opening a
-    /// new one.
-    ///
-    /// Used to hand graphs between runners — e.g. benchmarking a cold runner
-    /// without re-paying (or timing) dataset synthesis. Both runners then
-    /// count the handle's materialisation.
-    pub fn insert_dataset(&self, spec: DatasetSpec, seed: u64, dataset: Arc<Dataset>) {
-        lock_recover(&self.datasets)
-            .entry((spec, seed))
-            .or_insert(dataset);
     }
 
     /// Returns the compiled session for a scenario's (dataset, model) pair,
@@ -487,11 +474,7 @@ impl SweepRunner {
             return Ok(Arc::clone(hit));
         }
         let dataset = self.dataset(scenario)?;
-        let session = Arc::new(build_session(
-            scenario,
-            &dataset,
-            self.artifact_cache.as_ref(),
-        )?);
+        let session = Arc::new(build_session(scenario, &dataset, None)?);
         let mut cache = lock_recover(&self.sessions);
         Ok(Arc::clone(cache.entry(key).or_insert(session)))
     }
@@ -547,9 +530,9 @@ impl SweepRunner {
     pub fn run(&self, scenarios: &[ScenarioSpec]) -> Result<Vec<ScenarioResult>, GnneratorError> {
         // Phase 1: build each distinct session once, in parallel, so the
         // scenario phase starts without session-build stampedes. (Sessions
-        // are cheap; the first compile of each, in phase 2, loads or builds
-        // its summaries and materialises a dataset's edges at most once,
-        // behind the dataset's own lock.) Build failures are *not*
+        // are cheap; the first compile of each, in phase 2, takes its
+        // dataset's summaries, each loaded or built once behind the
+        // dataset's own locks, and materialises the edges at most once.) Build failures are *not*
         // propagated here: a session-build error would surface in whatever
         // order the deduplicated keys race, which is not necessarily the
         // lowest failing scenario index. Phase 2 re-derives every error
@@ -591,61 +574,47 @@ impl SweepRunner {
         lock_recover(&self.sessions).len()
     }
 
-    /// Cumulative wall-clock seconds every cached session has spent building
-    /// shard grids.
-    pub fn total_shard_build_seconds(&self) -> f64 {
-        lock_recover(&self.sessions)
-            .values()
-            .map(|session| session.shard_build_seconds())
-            .sum()
+    /// Sums `count` over the cached dataset handles.
+    fn sum_datasets<T: std::iter::Sum>(&self, count: impl Fn(&Dataset) -> T) -> T {
+        lock_recover(&self.datasets).values().map(count).sum()
     }
 
-    /// How each cached dataset whose edges have been materialised got them.
-    fn provenances(&self) -> Vec<Provenance> {
-        lock_recover(&self.datasets)
-            .values()
-            .filter_map(|dataset| dataset.provenance())
-            .collect()
+    /// Cumulative wall-clock seconds spent building the cached datasets'
+    /// shard summaries.
+    pub fn total_shard_build_seconds(&self) -> f64 {
+        self.sum_datasets(Dataset::shard_build_seconds)
     }
 
     /// Cumulative wall-clock seconds spent materialising the cached datasets'
     /// edges (synthesis or artifact-cache loads).
     pub fn graph_build_seconds(&self) -> f64 {
-        self.provenances().iter().map(|p| p.build_seconds).sum()
+        self.sum_datasets(|dataset| dataset.provenance().map_or(0.0, |p| p.build_seconds))
     }
 
     /// Number of cached datasets whose edges were synthesised from scratch.
     pub fn datasets_synthesized(&self) -> usize {
-        self.provenances()
-            .iter()
-            .filter(|p| !p.loaded_from_cache)
-            .count()
+        self.sum_datasets(|dataset| {
+            usize::from(dataset.provenance().is_some_and(|p| !p.loaded_from_cache))
+        })
     }
 
     /// Number of cached datasets whose edges were loaded from the artifact
     /// cache. Zero on a warm run whose every shard summary loads.
     pub fn datasets_loaded(&self) -> usize {
-        self.provenances()
-            .iter()
-            .filter(|p| p.loaded_from_cache)
-            .count()
+        self.sum_datasets(|dataset| {
+            usize::from(dataset.provenance().is_some_and(|p| p.loaded_from_cache))
+        })
     }
 
-    /// Total shard grids built from scratch across every cached session.
+    /// Total shard summaries built from scratch across the cached datasets.
     pub fn total_shard_grids_built(&self) -> usize {
-        lock_recover(&self.sessions)
-            .values()
-            .map(|session| session.shard_grids_built())
-            .sum()
+        self.sum_datasets(Dataset::grids_built)
     }
 
-    /// Total shard grids loaded from the artifact cache across every cached
-    /// session.
+    /// Total shard summaries loaded from the artifact cache across the
+    /// cached datasets.
     pub fn total_shard_grids_loaded(&self) -> usize {
-        lock_recover(&self.sessions)
-            .values()
-            .map(|session| session.shard_grids_loaded())
-            .sum()
+        self.sum_datasets(Dataset::grids_loaded)
     }
 }
 

@@ -16,14 +16,20 @@
 //! edges only to build a summary it cannot load. The feature values, which
 //! only the value-level executors need, are a pure function of
 //! `(spec, seed)`: [`DatasetSpec::features`].
+//!
+//! The handle also holds the graph's shard summaries ([`Dataset::plan`]),
+//! one per nodes-per-shard and self-loop choice, shared by every session
+//! over the dataset and persisted in the same artifact cache as its edges.
 
 use crate::parallel::{even_bounds, split_bands, workers_for};
-use crate::{generators, ArtifactCache, EdgeList, GraphError, NodeFeatures};
+use crate::plan_cache::{PlanKey, PlanTable};
+use crate::{generators, ArtifactCache, EdgeList, GraphError, NodeFeatures, ShardSummary};
 use gnnerator_faults::lock_recover;
 use gnnerator_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -420,8 +426,9 @@ fn random_features(rows: usize, dim: usize, seed: u64, workers: usize) -> NodeFe
     NodeFeatures::from_matrix(matrix)
 }
 
-/// A dataset handle: its identity `(spec, seed)` and one edge list shared by
-/// every clone, materialised on first use.
+/// A dataset handle: its identity `(spec, seed)`, and one edge list and one
+/// table of shard summaries shared by every clone, each materialised on
+/// first use.
 ///
 /// The counts are the spec's, so [`Dataset::num_nodes`] and
 /// [`Dataset::num_edges`] read no edge. The first [`Dataset::edge_list`]
@@ -429,8 +436,10 @@ fn random_features(rows: usize, dim: usize, seed: u64, workers: usize) -> NodeFe
 /// from [`Dataset::open`] loads them from its artifact cache, or synthesises
 /// them and stores them back; [`DatasetSpec::synthesize`] and
 /// [`ArtifactCache::load_dataset`] return handles whose edges are already
-/// in place. Feature values are not stored; [`DatasetSpec::features`]
-/// computes them from `spec` and `seed`.
+/// in place. [`Dataset::plan`] loads or builds each shard summary once for
+/// all clones, and reads the edges only to build one. Feature values are
+/// not stored; [`DatasetSpec::features`] computes them from `spec` and
+/// `seed`.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     /// The specification this dataset was synthesised from.
@@ -452,17 +461,19 @@ pub struct Provenance {
     pub loaded_from_cache: bool,
 }
 
-/// The lazily materialised edge list every clone of a [`Dataset`] shares.
+/// The lazily materialised edge list and shard summaries every clone of a
+/// [`Dataset`] shares.
 #[derive(Debug)]
 struct EdgeCell {
-    /// Where the edges load from, and where a fresh synthesis is stored back
-    /// (best-effort); `None` synthesises only.
+    /// Where the edges and summaries load from, and where fresh ones are
+    /// stored back (best-effort); `None` keeps them in memory only.
     cache: Option<Arc<ArtifactCache>>,
     edges: OnceLock<(EdgeList, Provenance)>,
     /// Held while materialising, so concurrent first calls share one load.
     /// A failed materialisation leaves `edges` empty and the next call
     /// retries.
     materializing: Mutex<()>,
+    plans: PlanTable,
 }
 
 impl Dataset {
@@ -509,6 +520,7 @@ impl Dataset {
             cache,
             edges,
             materializing: Mutex::new(()),
+            plans: PlanTable::default(),
         };
         Self {
             spec,
@@ -560,6 +572,122 @@ impl Dataset {
     /// How many handles (this one included) share this dataset's edge list.
     pub fn handles(&self) -> usize {
         Arc::strong_count(&self.cell)
+    }
+
+    /// The shard summary of this graph for `(nodes_per_shard,
+    /// include_self_loops)`, loaded or built once for every clone of this
+    /// handle.
+    ///
+    /// A missing summary is loaded from the handle's artifact cache when
+    /// that holds one whose shape fits the spec's counts, which reads no
+    /// edge. Otherwise the edges are materialised and the summary is built
+    /// and stored back (best-effort). A corrupt or stale artifact counts as
+    /// a miss and is overwritten.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`ShardSummary::build`] errors (zero `nodes_per_shard`) and
+    /// the errors of materialising the edges. An error is not kept: the next
+    /// call tries again.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use gnnerator_graph::datasets::DatasetKind;
+    ///
+    /// # fn main() -> Result<(), gnnerator_graph::GraphError> {
+    /// let dataset = DatasetKind::Cora.spec().scaled(0.05).synthesize(3)?;
+    /// let a = dataset.plan(32, false)?;
+    /// let b = dataset.clone().plan(32, false)?;
+    /// assert!(std::sync::Arc::ptr_eq(&a, &b)); // every clone shares it
+    /// assert_eq!((dataset.cached_plans(), dataset.grids_built()), (1, 1));
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn plan(
+        &self,
+        nodes_per_shard: usize,
+        include_self_loops: bool,
+    ) -> Result<Arc<ShardSummary>, GraphError> {
+        let key = PlanKey {
+            nodes_per_shard,
+            include_self_loops,
+        };
+        self.cell.plans.get_or_fill(key, || self.load_or_build(key))
+    }
+
+    /// Loads `key`'s summary from the artifact cache or builds it fresh.
+    fn load_or_build(&self, key: PlanKey) -> Result<ShardSummary, GraphError> {
+        let plans = &self.cell.plans;
+        // A zero `nodes_per_shard` skips the summary artifacts and surfaces
+        // its parameter error from the build, so an invalid request can
+        // never be "answered" by a stale artifact.
+        let Some(cache) = self
+            .cell
+            .cache
+            .as_deref()
+            .filter(|_| key.nodes_per_shard > 0)
+        else {
+            return plans.build(self.edge_list()?, key);
+        };
+        let artifact_key = ArtifactCache::grid_key(
+            &ArtifactCache::dataset_key(&self.spec, self.seed),
+            key.nodes_per_shard,
+            key.include_self_loops,
+        );
+        match cache.load_summary(&artifact_key) {
+            Ok(Some(summary)) if self.fits(&summary, key) => {
+                plans.loaded.fetch_add(1, Ordering::Relaxed);
+                return Ok(summary);
+            }
+            // A clean miss, a shape mismatch or a corrupt/stale artifact:
+            // rebuild and overwrite.
+            Ok(_) | Err(GraphError::CacheArtifact { .. }) => {}
+            Err(other) => return Err(other),
+        }
+        let summary = plans.build(self.edge_list()?, key)?;
+        // Persistence is best-effort: a failed store costs the next run a
+        // rebuild, never a wrong result.
+        cache.store_summary(&artifact_key, &summary).ok();
+        Ok(summary)
+    }
+
+    /// Whether a loaded summary has the shape this dataset would produce
+    /// under `key`, judged from the spec's counts alone: the node count and
+    /// block size must match, and the edge total must be the spec's (or,
+    /// with self-loops merged in, lie between one loop per node and one
+    /// extra edge per node).
+    fn fits(&self, summary: &ShardSummary, key: PlanKey) -> bool {
+        let (nodes, edges) = (self.num_nodes(), self.num_edges());
+        let total = summary.total_edges();
+        summary.num_nodes() == nodes
+            && summary.nodes_per_shard() == key.nodes_per_shard
+            && if key.include_self_loops {
+                (nodes..=edges + nodes).contains(&total)
+            } else {
+                total == edges
+            }
+    }
+
+    /// Number of distinct shard summaries this dataset holds.
+    pub fn cached_plans(&self) -> usize {
+        self.cell.plans.cached()
+    }
+
+    /// Number of shard summaries built from scratch for this dataset.
+    pub fn grids_built(&self) -> usize {
+        self.cell.plans.built.load(Ordering::Relaxed)
+    }
+
+    /// Number of shard summaries loaded from the artifact cache.
+    pub fn grids_loaded(&self) -> usize {
+        self.cell.plans.loaded.load(Ordering::Relaxed)
+    }
+
+    /// Cumulative wall-clock seconds spent building this dataset's shard
+    /// summaries (loads and in-memory hits are free).
+    pub fn shard_build_seconds(&self) -> f64 {
+        *lock_recover(&self.cell.plans.build_seconds)
     }
 
     fn materialize(

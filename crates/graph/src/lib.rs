@@ -21,8 +21,8 @@
 //!   geometric skip sampling and an R-MAT/power-law generator) used to stand
 //!   in for the real datasets,
 //! * [`datasets`] — the Table II dataset specifications (plus an ogbn-scale
-//!   extension) and synthesisers; a synthesised dataset is its spec, its
-//!   seed and its edge list,
+//!   extension) and synthesisers; a dataset handle is its spec and seed,
+//!   with its edge list and its shard summaries materialised on first use,
 //! * [`ShardSummary`] — the 2-D shard grid as the timing model sees it: one
 //!   [`ShardMeta`] per occupied shard (edge count, distinct endpoints) plus
 //!   row/column indexes, with source-/destination-stationary traversal
@@ -68,7 +68,6 @@ pub use edge_builder::EdgeListBuilder;
 pub use edge_list::{Edge, EdgeList};
 pub use error::GraphError;
 pub use features::NodeFeatures;
-pub use plan_cache::{PlanKey, ShardPlanCache};
 pub use shard::{
     OccupiedTraversal, SerpentineCoords, ShardCoord, ShardGrid, ShardMeta, ShardSummary, ShardView,
     TraversalOrder, BYTES_PER_EDGE, BYTES_PER_FEATURE_ELEMENT,

@@ -5,11 +5,12 @@
 //! immutable and `Arc`-shareable once built. The pool keys sessions by
 //! [`ScenarioSpec::session_key`] — the same identity the sweep engine's
 //! session cache uses — holds the hottest `capacity` of them in memory (LRU
-//! eviction), shares one dataset handle among the sessions over each
-//! `(spec, seed)`, and backs cold starts with the persistent
-//! [`ArtifactCache`] so an evicted or never-seen session loads its shard
-//! summaries from disk, and reads its dataset's edges only when a summary
-//! must be rebuilt.
+//! eviction), and shares one dataset handle among the sessions over each
+//! `(spec, seed)`. The shard summaries live on that handle, so sessions for
+//! different models over one dataset share every summary whose key they
+//! derive alike. Handles are opened on the persistent [`ArtifactCache`], so
+//! a summary no live session holds loads from disk, and the dataset's edges
+//! are read only when a summary must be rebuilt.
 //!
 //! Concurrent requests for the *same* key serialise on a per-key build slot
 //! (no thundering herd: one requester builds, the rest wait and share the
@@ -461,11 +462,7 @@ impl SessionPool {
     /// sessions.
     fn build(&self, scenario: &ScenarioSpec) -> Result<Arc<SimSession>, GnneratorError> {
         let dataset = self.dataset(scenario)?;
-        Ok(Arc::new(build_session(
-            scenario,
-            &dataset,
-            self.artifact_cache.as_ref(),
-        )?))
+        Ok(Arc::new(build_session(scenario, &dataset, None)?))
     }
 
     /// A snapshot of every key with live breaker bookkeeping (keys recover
@@ -784,10 +781,40 @@ mod tests {
             evaluate_scenario(&spec, &warm_lookup.session).unwrap(),
             reference
         );
-        assert_eq!(warm_lookup.session.shard_grids_built(), 0);
+        assert_eq!(warm_lookup.session.dataset().grids_built(), 0);
         assert_eq!(warm.stats().datasets_synthesized, 0);
         assert_eq!(warm.stats().datasets_loaded, 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn two_networks_over_one_dataset_share_its_summaries() {
+        let pool = SessionPool::new(4, None);
+        let gcn = scenario(DatasetKind::Cora, 1);
+        let mut sage = gcn.clone();
+        sage.network = NetworkKind::Graphsage;
+        let config = GnneratorConfig::paper_default();
+        let dataflow = DataflowConfig::paper_default();
+
+        let first = pool.get(&gcn).unwrap().session;
+        let first_program = first.compile(&config, dataflow).unwrap();
+        let dataset = first.dataset();
+        let counts = (dataset.grids_built(), dataset.grids_loaded());
+        assert!(counts.0 > 0);
+
+        let second = pool.get(&sage).unwrap().session;
+        assert!(!Arc::ptr_eq(&first, &second), "two sessions");
+        let second_program = second.compile(&config, dataflow).unwrap();
+        assert_eq!(
+            (dataset.grids_built(), dataset.grids_loaded()),
+            counts,
+            "the second model's first compile loads and builds nothing"
+        );
+        let (a, b) = (first_program.program(), second_program.program());
+        assert_eq!(a.num_layers(), b.num_layers());
+        for (a, b) in a.layers.iter().zip(&b.layers) {
+            assert!(Arc::ptr_eq(&a.grid, &b.grid), "layer {}", a.layer_index);
+        }
     }
 
     #[test]

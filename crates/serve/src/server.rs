@@ -1142,6 +1142,8 @@ fn compile_response(
         Ok(workload) => workload,
         Err(e) => return (500, error_body(&e.to_string())),
     };
+    // `cached_shard_plans` counts the summaries held by this session's
+    // dataset, shared across every model served over it.
     let body = format!(
         "{{\"model\": {}, \"dataset\": {}, \"config\": {}, \"dataflow\": {}, \
          \"num_layers\": {}, \"num_nodes\": {}, \"num_edges\": {}, \

@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("Model:   {model}");
 
     // 3. Open a session: the model and graph are validated once, and every
-    //    configuration compiled from here shares the session's shard plans.
+    //    configuration compiled from here shares the dataset's shard summaries.
     let session = SimSession::new(model, &dataset)?;
     let config = GnneratorConfig::paper_default();
     println!("Target:  {config}");
@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
     println!(
         "{session} ({:.2} ms spent sharding)",
-        session.shard_build_seconds() * 1e3
+        session.dataset().shard_build_seconds() * 1e3
     );
     Ok(())
 }

@@ -8,7 +8,7 @@ use gnnerator::{
     BackendKind, DataflowConfig, GnneratorConfig, ScenarioSpec, SimSession, SweepRunner,
 };
 use gnnerator_gnn::NetworkKind;
-use gnnerator_graph::datasets::DatasetKind;
+use gnnerator_graph::datasets::{Dataset, DatasetKind};
 use gnnerator_graph::{ArtifactCache, EdgeList, GraphError, NodeFeatures, ShardGrid};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -301,8 +301,8 @@ fn corrupted_cache_files_fall_back_to_identical_fresh_builds() {
     let cache = Arc::new(ArtifactCache::new(&dir));
     cache.store_dataset(&dataset).unwrap();
 
-    let pristine =
-        SimSession::with_artifact_cache(model.clone(), &dataset, Arc::clone(&cache)).unwrap();
+    let persisted = Dataset::open(dataset.spec, dataset.seed, Some(Arc::clone(&cache))).unwrap();
+    let pristine = SimSession::new(model.clone(), &persisted).unwrap();
     let reference = pristine
         .simulate(&config, DataflowConfig::paper_default())
         .unwrap();
@@ -334,7 +334,7 @@ fn corrupted_cache_files_fall_back_to_identical_fresh_builds() {
         .unwrap()
         .is_some());
     // ...and a session over the repaired state reproduces the report.
-    let session = SimSession::with_artifact_cache(model, &rebuilt, cache).unwrap();
+    let session = SimSession::new(model, &rebuilt).unwrap();
     let report = session
         .simulate(&config, DataflowConfig::paper_default())
         .unwrap();
@@ -436,7 +436,7 @@ fn a_warm_restart_reads_no_dataset_bytes() {
                 &gnnerator::evaluate_scenario(scenario, &session).unwrap(),
                 expected
             );
-            assert_eq!(session.shard_grids_built(), 0);
+            assert_eq!(session.dataset().grids_built(), 0);
         }
         let stats = pool.stats();
         assert_eq!((stats.datasets_loaded, stats.datasets_synthesized), (0, 0));

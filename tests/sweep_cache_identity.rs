@@ -62,13 +62,17 @@ fn warm_sweep_is_bit_identical_to_the_cold_sweep() {
     let cold = sweep(&dir);
     assert!(cold.datasets_synthesized > 0);
     assert!(cold.grids_built > 0);
+    // Sessions over one dataset share its summaries, so a cold run never
+    // reads back a summary it has just written.
+    assert_eq!(cold.grids_loaded, 0);
     assert!(!cold.points.is_empty());
 
-    // Warm: zero synthesis, zero summary builds, identical points.
+    // Warm: zero synthesis, zero summary builds, each summary loaded once
+    // however many models share it, identical points.
     let warm = sweep(&dir);
     assert_eq!(warm.datasets_synthesized, 0);
     assert_eq!(warm.grids_built, 0);
-    assert!(warm.grids_loaded > 0);
+    assert_eq!(warm.grids_loaded, cold.grids_built);
     assert_eq!(warm.points, cold.points, "warm vs cold");
 
     std::fs::remove_dir_all(&dir).ok();

@@ -253,7 +253,8 @@ fn session_reuse_matches_fresh_compilation_end_to_end() {
     let config = GnneratorConfig::paper_default();
 
     // Exercise the same session across many dataflows, interleaved with
-    // repeats, and compare every report against a from-scratch compile.
+    // repeats, and compare every report against the one-shot path, which
+    // shards from scratch instead of reading the dataset's shared summaries.
     let dataflows = [
         DataflowConfig::blocked(64),
         DataflowConfig::conventional(),
@@ -263,10 +264,12 @@ fn session_reuse_matches_fresh_compilation_end_to_end() {
     ];
     for dataflow in dataflows {
         let reused = session.simulate(&config, dataflow).unwrap();
-        let fresh_session = SimSession::new(model.clone(), &dataset).unwrap();
-        let fresh = fresh_session.simulate(&config, dataflow).unwrap();
+        let fresh = Simulator::with_dataflow(config.clone(), dataflow)
+            .unwrap()
+            .simulate(&model, &dataset)
+            .unwrap();
         assert_eq!(reused, fresh, "{dataflow}");
     }
-    // The repeats above must not have grown the plan cache.
+    // The repeats above must not have grown the dataset's summary table.
     assert!(session.cached_shard_plans() <= 3);
 }
