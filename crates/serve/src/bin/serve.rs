@@ -11,57 +11,52 @@
 //! (unset → `target/gnnerator-cache`; `off`, `0` or empty → disabled).
 //! Deterministic fault injection arms from `GNNERATOR_FAULTS` /
 //! `GNNERATOR_FAULTS_SEED` (see the `gnnerator-faults` crate).
+//! An unknown flag, a flag without a value or a value that does not parse
+//! exits with status 2 and a message naming the flag.
 //! The server runs until a client posts `/shutdown`.
 
 use gnnerator_graph::ArtifactCache;
 use gnnerator_serve::{ServeConfig, SessionServer};
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Reports a usage error on stderr and exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("serve: {message}");
+    std::process::exit(2);
+}
+
+/// Parses `value` for `flag`, exiting with a usage error that names the
+/// flag when it does not parse.
+fn parse<T: FromStr>(flag: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag}: cannot parse {value:?}")))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
     let mut addr = "127.0.0.1:8642".to_string();
     let mut config = ServeConfig::from_env();
-    for window in args.windows(2) {
-        let value = window[1].as_str();
-        match window[0].as_str() {
-            "--addr" => addr = value.to_string(),
-            "--workers" => {
-                if let Ok(workers) = value.parse() {
-                    config.workers = workers;
-                }
-            }
-            "--pool-capacity" => {
-                if let Ok(capacity) = value.parse() {
-                    config.pool_capacity = capacity;
-                }
-            }
-            "--queue-depth" => {
-                if let Ok(depth) = value.parse() {
-                    config.queue_depth = depth;
-                }
-            }
-            "--max-batch" => {
-                if let Ok(batch) = value.parse() {
-                    config.max_batch = batch;
-                }
-            }
-            "--connection-inflight" => {
-                if let Ok(inflight) = value.parse() {
-                    config.connection_inflight = inflight;
-                }
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+        };
+        match flag.as_str() {
+            "--addr" => addr = value(),
+            "--workers" => config.workers = parse(&flag, &value()),
+            "--pool-capacity" => config.pool_capacity = parse(&flag, &value()),
+            "--queue-depth" => config.queue_depth = parse(&flag, &value()),
+            "--max-batch" => config.max_batch = parse(&flag, &value()),
+            "--connection-inflight" => config.connection_inflight = parse(&flag, &value()),
             "--idle-timeout-ms" => {
-                if let Ok(ms) = value.parse::<u64>() {
-                    config.idle_timeout = Duration::from_millis(ms.max(1));
-                }
+                let ms: u64 = parse(&flag, &value());
+                config.idle_timeout = Duration::from_millis(ms.max(1));
             }
-            "--max-connections" => {
-                if let Ok(connections) = value.parse() {
-                    config.max_connections = connections;
-                }
-            }
-            _ => {}
+            "--max-connections" => config.max_connections = parse(&flag, &value()),
+            _ => usage_error(&format!("unknown flag {flag}")),
         }
     }
 

@@ -1,12 +1,11 @@
 //! A tiny blocking HTTP client for the serving API.
 //!
-//! Used by the load generator, the integration tests and the examples; kept
-//! in the library so every consumer speaks the exact same (minimal) dialect
-//! the server implements. Two shapes:
+//! Used by the integration tests, the examples and the repository
+//! benchmark; kept in the library so every consumer speaks the exact same
+//! (minimal) dialect the server implements. Two shapes:
 //!
 //! * the one-shot helpers ([`request`], [`post`], [`get`]) open a fresh
-//!   connection per request (`Connection: close`) — handy for smoke tests
-//!   and the cold-path baseline in `serve_bench`;
+//!   connection per request (`Connection: close`) — handy for smoke tests;
 //! * [`ClientConnection`] holds one keep-alive socket behind a buffered
 //!   reader, frames responses by `Content-Length` (the connection stays
 //!   open, so EOF no longer delimits), transparently reconnects once when
@@ -14,13 +13,7 @@
 //!   [`ClientConnection::pipeline`] several requests before reading any
 //!   response. Each request leaves in one write; each response head is
 //!   found in the read buffer and parsed in place, and bytes past its body
-//!   (the next pipelined response) stay buffered;
-//! * [`RetryPolicy`] adds client-side resilience on top of either shape:
-//!   `429`/`503` responses are retried after honouring the server's
-//!   `Retry-After` hint, and transport failures (connect refused, stale
-//!   pooled sockets) back off exponentially with **deterministic** jitter —
-//!   the same seed replays the same retry schedule, so load tests with
-//!   retries stay reproducible.
+//!   (the next pipelined response) stay buffered.
 
 use crate::http::{read_head, HeadError, READ_BUFFER_BYTES};
 use crate::json::Json;
@@ -158,122 +151,6 @@ pub fn get(addr: SocketAddr, path: &str) -> Result<ClientResponse, String> {
     request(addr, "GET", path, "")
 }
 
-/// Client-side retry tuning: how many times to retry, and how long to wait
-/// between attempts.
-///
-/// Two failure classes are retried:
-///
-/// * **Backpressure** — a `429` or `503` response. The server's
-///   `Retry-After` hint is honoured (capped at [`RetryPolicy::max_delay`]);
-///   without one the exponential backoff schedule applies.
-/// * **Transport** — connect refused/timed out, or a pooled socket that
-///   died. Waits follow bounded exponential backoff.
-///
-/// Backoff jitter is **deterministic**: it derives from
-/// [`RetryPolicy::seed`] and the attempt number alone, so a load test that
-/// retries is bit-reproducible run to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retry attempts after the first try (0 = never retry).
-    pub max_retries: u32,
-    /// First backoff wait; doubles each further attempt.
-    pub base_delay: Duration,
-    /// Cap on any single wait, from backoff or `Retry-After` alike.
-    pub max_delay: Duration,
-    /// Seed for the deterministic jitter.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    /// Three retries, 100 ms base, 2 s cap, seed 0.
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            base_delay: Duration::from_millis(100),
-            max_delay: Duration::from_secs(2),
-            seed: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The wait before retry `attempt` (0-based): exponential, capped, with
-    /// deterministic jitter in the upper half of the window.
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let exponential = self
-            .base_delay
-            .saturating_mul(1u32 << attempt.min(10))
-            .min(self.max_delay);
-        // FNV-1a over (seed, attempt) → a fraction in [0.5, 1.0): jittered
-        // but replayable.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self
-            .seed
-            .to_le_bytes()
-            .into_iter()
-            .chain(attempt.to_le_bytes())
-        {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let fraction = 0.5 + (hash as f64 / u64::MAX as f64) * 0.5;
-        exponential.mul_f64(fraction)
-    }
-
-    /// The wait after a backpressure response: the server's `Retry-After`
-    /// hint when present (capped), the backoff schedule otherwise.
-    fn backpressure_delay(&self, response: &ClientResponse, attempt: u32) -> Duration {
-        response
-            .header("retry-after")
-            .and_then(|value| value.trim().parse::<u64>().ok())
-            .map(Duration::from_secs)
-            .unwrap_or_else(|| self.backoff(attempt))
-            .min(self.max_delay)
-    }
-
-    /// Whether a response should be retried (backpressure statuses only —
-    /// anything else, including 5xx evaluation errors, is final).
-    fn should_retry(response: &ClientResponse) -> bool {
-        matches!(response.status, 429 | 503)
-    }
-}
-
-/// [`request`] with retries per `policy`: backpressure responses honour
-/// `Retry-After`, transport failures back off exponentially. Returns the
-/// last response once retries are exhausted (a `429` after `max_retries`
-/// waits is still a `429` — the caller sees the truth).
-///
-/// # Errors
-///
-/// The last transport error, if the final attempt failed to transport.
-pub fn request_with_retry(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-    policy: RetryPolicy,
-) -> Result<ClientResponse, String> {
-    let mut attempt = 0;
-    loop {
-        let outcome = request(addr, method, path, body);
-        match outcome {
-            Ok(response)
-                if RetryPolicy::should_retry(&response) && attempt < policy.max_retries =>
-            {
-                std::thread::sleep(policy.backpressure_delay(&response, attempt));
-            }
-            Ok(response) => return Ok(response),
-            Err(message) => {
-                if attempt >= policy.max_retries {
-                    return Err(message);
-                }
-                std::thread::sleep(policy.backoff(attempt));
-            }
-        }
-        attempt += 1;
-    }
-}
-
 /// A transport failure, split by whether retrying on a fresh socket is
 /// safe: a pooled keep-alive socket the server idle-reaped yields EOF
 /// *before any response byte* — nothing was processed, so resending is
@@ -298,7 +175,7 @@ impl ClientConnection {
     }
 
     /// Drops the pooled socket (the next request redials).
-    pub fn close(&mut self) {
+    fn close(&mut self) {
         self.stream = None;
     }
 
@@ -351,43 +228,6 @@ impl ClientConnection {
             }
             Err(TransportError::Stale) => Err("connection closed before response".to_string()),
             Err(TransportError::Other(message)) => Err(message),
-        }
-    }
-
-    /// [`ClientConnection::request`] with retries per `policy`:
-    /// backpressure responses honour `Retry-After`, transport failures
-    /// (including a dead pooled socket past the built-in single stale
-    /// retry) redial after exponential backoff. Returns the last response
-    /// once retries are exhausted.
-    ///
-    /// # Errors
-    ///
-    /// The last transport error, if the final attempt failed to transport.
-    pub fn request_with_retry(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: &str,
-        policy: RetryPolicy,
-    ) -> Result<ClientResponse, String> {
-        let mut attempt = 0;
-        loop {
-            match self.request(method, path, body) {
-                Ok(response)
-                    if RetryPolicy::should_retry(&response) && attempt < policy.max_retries =>
-                {
-                    std::thread::sleep(policy.backpressure_delay(&response, attempt));
-                }
-                Ok(response) => return Ok(response),
-                Err(message) => {
-                    if attempt >= policy.max_retries {
-                        return Err(message);
-                    }
-                    self.close();
-                    std::thread::sleep(policy.backoff(attempt));
-                }
-            }
-            attempt += 1;
         }
     }
 
@@ -531,113 +371,6 @@ fn read_response(reader: &mut impl BufRead) -> Result<ClientResponse, TransportE
 mod tests {
     use super::*;
     use std::net::TcpListener;
-
-    #[test]
-    fn backoff_is_deterministic_bounded_and_grows() {
-        let policy = RetryPolicy {
-            max_retries: 5,
-            base_delay: Duration::from_millis(100),
-            max_delay: Duration::from_secs(1),
-            seed: 42,
-        };
-        let first: Vec<Duration> = (0..6).map(|a| policy.backoff(a)).collect();
-        let second: Vec<Duration> = (0..6).map(|a| policy.backoff(a)).collect();
-        assert_eq!(first, second, "same seed, same schedule");
-        for (attempt, delay) in first.iter().enumerate() {
-            assert!(*delay <= Duration::from_secs(1), "cap holds");
-            // Jitter stays in the upper half of the exponential window.
-            let window = Duration::from_millis(100 * (1 << attempt.min(10))).min(policy.max_delay);
-            assert!(
-                *delay >= window.mul_f64(0.5),
-                "attempt {attempt}: {delay:?}"
-            );
-        }
-        let other = RetryPolicy { seed: 43, ..policy };
-        assert_ne!(
-            (0..6).map(|a| other.backoff(a)).collect::<Vec<_>>(),
-            first,
-            "a different seed reshuffles the jitter"
-        );
-    }
-
-    /// A scripted one-shot server: each accepted connection gets the next
-    /// canned response; returns the number of requests served.
-    fn scripted_server(responses: Vec<String>) -> (SocketAddr, std::thread::JoinHandle<usize>) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
-        let addr = listener.local_addr().expect("bound addr");
-        let handle = std::thread::spawn(move || {
-            let mut served = 0;
-            for response in responses {
-                let Ok((mut stream, _)) = listener.accept() else {
-                    break;
-                };
-                // Drain the request head so the client's write completes.
-                let mut buffer = [0u8; 4096];
-                let _ = stream.read(&mut buffer);
-                stream.write_all(response.as_bytes()).ok();
-                served += 1;
-            }
-            served
-        });
-        (addr, handle)
-    }
-
-    #[test]
-    fn retry_honours_retry_after_on_503_then_succeeds() {
-        let busy = "HTTP/1.1 503 Service Unavailable\r\nContent-Length: 2\r\n\
-                    Retry-After: 0\r\nConnection: close\r\n\r\n{}"
-            .to_string();
-        let ok = "HTTP/1.1 200 OK\r\nContent-Length: 12\r\nConnection: close\r\n\r\n{\"ok\": true}"
-            .to_string();
-        let (addr, server) = scripted_server(vec![busy.clone(), busy, ok]);
-        let policy = RetryPolicy {
-            max_retries: 3,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(10),
-            seed: 7,
-        };
-        let response = request_with_retry(addr, "GET", "/stats", "", policy).expect("transported");
-        assert_eq!(response.status, 200, "retried through two 503s");
-        assert_eq!(server.join().unwrap(), 3);
-    }
-
-    #[test]
-    fn exhausted_retries_surface_the_last_backpressure_response() {
-        let busy = "HTTP/1.1 429 Too Many Requests\r\nContent-Length: 2\r\n\
-                    Retry-After: 0\r\nConnection: close\r\n\r\n{}"
-            .to_string();
-        let (addr, server) = scripted_server(vec![busy.clone(), busy.clone(), busy]);
-        let policy = RetryPolicy {
-            max_retries: 2,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(10),
-            seed: 7,
-        };
-        let response = request_with_retry(addr, "GET", "/stats", "", policy).expect("transported");
-        assert_eq!(response.status, 429, "the caller sees the truth");
-        assert_eq!(server.join().unwrap(), 3, "initial try + two retries");
-    }
-
-    #[test]
-    fn connect_failures_back_off_then_report_the_transport_error() {
-        // Bind-then-drop: the port is (momentarily) refusing connections.
-        let addr = {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
-            listener.local_addr().expect("bound addr")
-        };
-        let policy = RetryPolicy {
-            max_retries: 2,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(5),
-            seed: 7,
-        };
-        let started = std::time::Instant::now();
-        let outcome = request_with_retry(addr, "GET", "/stats", "", policy);
-        assert!(outcome.is_err(), "nothing is listening");
-        assert!(outcome.unwrap_err().contains("connecting to"));
-        // Two backoff waits happened (tiny, but nonzero).
-        assert!(started.elapsed() >= policy.backoff(0));
-    }
 
     /// Two keep-alive responses back to back, as one segment carries them.
     const TWO_RESPONSES: &str = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\

@@ -5,8 +5,7 @@
 //! O(1), memory is a few hundred bytes, and p50/p99 come from a cumulative
 //! walk with geometric interpolation inside the winning bucket. Exact
 //! per-sample accuracy is traded for an always-on, constant-cost
-//! approximation; anything needing exact samples (e.g. `serve_bench`)
-//! records them client-side.
+//! approximation; anything needing exact samples records them client-side.
 
 /// Lower edge of the first finite bucket. Anything faster lands in an
 /// underflow bucket reported as `< 1 µs`.
@@ -154,17 +153,16 @@ impl Histogram {
         }
         out
     }
-
-    /// Sum of the raw per-bucket counts. Always equals [`Histogram::count`];
-    /// pinned by the observability test suite as a coherence invariant.
-    pub fn bucket_total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sum of the raw per-bucket counts: always equals [`Histogram::count`].
+    fn bucket_total(h: &Histogram) -> u64 {
+        h.counts.iter().sum()
+    }
 
     #[test]
     fn empty_histogram_reports_zeroes() {
@@ -237,7 +235,7 @@ mod tests {
             prev_bound = bound;
             prev_count = count;
         }
-        assert_eq!(h.bucket_total(), h.count());
+        assert_eq!(bucket_total(&h), h.count());
     }
 
     #[test]
@@ -246,7 +244,7 @@ mod tests {
         for i in 0..1000 {
             h.record(i as f64 * 3.7e-6);
         }
-        assert_eq!(h.bucket_total(), h.count());
+        assert_eq!(bucket_total(&h), h.count());
         assert_eq!(h.count(), 1000);
     }
 }

@@ -17,7 +17,10 @@
 //!   `POST /simulate`, `POST /compile`, `POST /sweep`, `GET /stats` and
 //!   `POST /shutdown`,
 //! * [`json`] / [`http`] / [`client`] — the hand-rolled JSON and HTTP
-//!   plumbing, in the style of the benchmark harness's `sweep_report.rs`.
+//!   plumbing, in the style of the benchmark harness's `sweep_report.rs`,
+//! * the telemetry behind `/stats` and `/metrics`: a log₂ latency
+//!   histogram, a Prometheus text writer and the per-request provenance
+//!   spans `X-Provenance` attaches.
 //!
 //! Every scenario executes through the core crate's
 //! [`evaluate_scenario`](gnnerator::evaluate_scenario) — the same code path
@@ -55,10 +58,13 @@
 
 mod batch;
 pub mod client;
+mod hist;
 pub mod http;
 pub mod json;
 mod metrics;
 mod pool;
+mod prom;
+mod provenance;
 mod request;
 mod server;
 

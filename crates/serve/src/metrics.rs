@@ -2,14 +2,10 @@
 //!
 //! The admission-control work needs to answer "where does a request's time
 //! go under load" — queue wait, evaluation, serialization — without keeping
-//! every sample. The log₂-bucketed [`Histogram`] lives in
-//! `gnnerator-observe` (the serving layer's telemetry primitives) and is
-//! re-exported here so serving code keeps its historical import path.
-//! `serve_bench` separately records exact per-request samples client-side;
-//! the server's histograms are the always-on, cheap approximation surfaced
-//! on `/stats` and `/metrics`.
+//! every sample. The log₂-bucketed [`Histogram`] is the always-on, cheap
+//! approximation surfaced on `/stats` and `/metrics`.
 
-pub use gnnerator_observe::Histogram;
+use crate::hist::Histogram;
 
 /// Counters describing how `/simulate` requests coalesced into evaluation
 /// passes. Coherence invariant (pinned by tests):
@@ -85,14 +81,5 @@ mod tests {
         assert_eq!(b.max_batch_size, 4);
         assert_eq!(b.batched_requests + b.solo_requests, 8, "== total");
         assert!((b.mean_batch_size() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reexported_histogram_is_the_observe_histogram() {
-        // The workspace invariant is a single histogram implementation;
-        // this pins the re-export so a local copy cannot quietly return.
-        let mut h: gnnerator_observe::Histogram = Histogram::new();
-        h.record(1e-3);
-        assert_eq!(h.count(), 1);
     }
 }

@@ -52,17 +52,19 @@
 //! stage histograms either way.
 
 use crate::batch::{EvalSlot, Job, JobKind, JobQueue, Reply, SubmitError};
+use crate::hist::Histogram;
 use crate::http::{
     read_request, write_response, HttpError, Request, ResponseOptions, READ_BUFFER_BYTES,
 };
 use crate::json::{json_f64, json_opt_f64, json_opt_u64, json_string, Json};
-use crate::metrics::{Histogram, Metrics};
+use crate::metrics::Metrics;
 use crate::pool::{BreakerConfig, PoolError, SessionPool};
+use crate::prom::PromText;
+use crate::provenance::RequestProvenance;
 use crate::request::scenario_from_json;
 use gnnerator::{evaluate_scenario_batch, ScenarioResult, ScenarioSpec, SessionKey, SimSession};
 use gnnerator_faults::lock_recover;
 use gnnerator_graph::ArtifactCache;
-use gnnerator_observe::{PromText, RequestProvenance};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

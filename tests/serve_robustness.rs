@@ -5,15 +5,18 @@
 //! poison-recovering helpers); `/readyz` flips unready while the admission
 //! queue is full; queued requests past their `X-Deadline-Ms` are answered
 //! `503` without being evaluated; and repeated cold-build failures trip the
-//! per-key circuit breaker, which re-closes after its backoff window.
+//! per-key circuit breaker, which `/metrics` reports while it is open and
+//! which re-closes after its backoff window.
 //!
 //! Every test arms the process-global `gnnerator-faults` registry, so they
 //! serialise on one mutex and clear the registry on entry.
 
-use gnnerator_serve::{client, BreakerConfig, Json, ServeConfig, SessionServer};
+use gnnerator::SweepRunner;
+use gnnerator_serve::client::{self, ClientResponse};
+use gnnerator_serve::{scenario_from_json, BreakerConfig, Json, ServeConfig, SessionServer};
 use std::net::SocketAddr;
 use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Serialises tests that touch the process-global fault registry.
 fn fault_guard() -> MutexGuard<'static, ()> {
@@ -29,6 +32,27 @@ fn body(seed: u64) -> String {
         "{{\"dataset\": \"cora\", \"network\": \"gcn\", \"backend\": \"gnnerator\", \
          \"scale\": 0.03, \"seed\": {seed}, \"hidden_dim\": 8, \"out_dim\": 4}}"
     )
+}
+
+/// Asserts a served point is bit-identical to `SweepRunner::run_one` on
+/// the same request: the server recovered without corrupting its sessions.
+fn assert_matches_run_one(request: &str, response: &ClientResponse) {
+    let scenario = scenario_from_json(&Json::parse(request).unwrap()).unwrap();
+    let reference = SweepRunner::new().run_one(&scenario).unwrap();
+    let point = response.json().expect("point JSON");
+    assert_eq!(
+        point
+            .get("seconds")
+            .and_then(Json::as_f64)
+            .map(f64::to_bits),
+        Some(reference.seconds().to_bits()),
+        "{}",
+        response.body
+    );
+    assert_eq!(
+        point.get("total_cycles").and_then(Json::as_u64),
+        reference.evaluation.total_cycles
+    );
 }
 
 fn start_server(config: ServeConfig) -> (SessionServer, SocketAddr) {
@@ -90,7 +114,12 @@ fn panicked_workers_answer_500_and_are_respawned() {
     // respawned before the next request.
     let mut statuses = Vec::new();
     for _ in 0..6 {
+        let started = Instant::now();
         let response = client::post(addr, "/simulate", &warm).expect("request answered, not hung");
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "an injected panic must fail fast"
+        );
         if response.status == 500 {
             assert!(
                 response.body.contains("worker panicked"),
@@ -116,6 +145,7 @@ fn panicked_workers_answer_500_and_are_respawned() {
     let _ = std::panic::take_hook();
     let response = client::post(addr, "/simulate", &warm).expect("post-recovery request");
     assert_eq!(response.status, 200, "{}", response.body);
+    assert_matches_run_one(&warm, &response);
     let stats = stats(addr);
     let panics = stat_u64(&stats, "workers", "panics");
     assert!(panics > 0, "worker panics were not counted");
@@ -167,6 +197,12 @@ fn readyz_flips_unready_while_the_queue_is_full() {
             ready.body
         );
         let probe = ready.json().expect("readyz body is JSON");
+        assert_eq!(
+            probe.get("ready").and_then(Json::as_bool),
+            Some(false),
+            "{}",
+            ready.body
+        );
         assert_eq!(
             probe
                 .get("queue")
@@ -285,6 +321,38 @@ fn repeated_cold_build_failures_trip_the_breaker_which_recloses_after_backoff() 
         rejected.body
     );
 
+    // While the breaker is open, the scrape shows the armed fault, the
+    // failpoint's hits and trips, and the breaker's trip and key state.
+    let metrics = client::get(addr, "/metrics").expect("scrape answered");
+    assert_eq!(metrics.status, 200, "{}", metrics.body);
+    let sample = |series: &str| {
+        metrics
+            .body
+            .lines()
+            .find_map(|line| {
+                line.strip_prefix(series)?
+                    .strip_prefix(' ')?
+                    .parse::<f64>()
+                    .ok()
+            })
+            .unwrap_or_else(|| panic!("no {series} sample in:\n{}", metrics.body))
+    };
+    assert_eq!(sample("gnnerator_faults_armed"), 1.0);
+    assert_eq!(
+        sample("gnnerator_faults_spec{spec=\"session_build:error\"}"),
+        1.0
+    );
+    assert!(sample("gnnerator_fault_hits_total{point=\"session_build\"}") > 0.0);
+    assert!(sample("gnnerator_fault_trips_total{point=\"session_build\"}") > 0.0);
+    assert!(sample("gnnerator_breaker_trips_total") >= 1.0);
+    assert!(
+        metrics.body.lines().any(
+            |line| line.starts_with("gnnerator_breaker_open{key=\"cora/") && line.ends_with(" 1")
+        ),
+        "no open-breaker sample for the cora key:\n{}",
+        metrics.body
+    );
+
     // Clearing the fault does not close the breaker early: the key stays
     // quarantined until its backoff window elapses, then one half-open
     // trial succeeds and the key serves warm again.
@@ -300,6 +368,7 @@ fn repeated_cold_build_failures_trip_the_breaker_which_recloses_after_backoff() 
     );
     let warm = client::post(addr, "/simulate", &doomed).expect("request answered");
     assert_eq!(warm.status, 200, "{}", warm.body);
+    assert_matches_run_one(&doomed, &warm);
 
     let stats = stats(addr);
     assert!(stat_u64(&stats, "pool", "breaker_trips") >= 1);
