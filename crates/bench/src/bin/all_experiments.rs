@@ -7,13 +7,13 @@
 use gnnerator::BackendKind;
 use gnnerator_bench::experiments::{self, FIGURE4_BLOCK_SIZES};
 use gnnerator_bench::rows::format_ms;
-use gnnerator_bench::suite::{scale_from_args, SuiteContext, SuiteOptions};
+use gnnerator_bench::suite::{scale_or_exit, SuiteContext, SuiteOptions};
 use gnnerator_bench::sweep_report;
 use gnnerator_graph::ArtifactCache;
 use std::sync::Arc;
 
 fn main() {
-    let scale = scale_from_args(std::env::args());
+    let scale = scale_or_exit();
     let options = SuiteOptions::paper().with_scale(scale);
     println!("GNNerator reproduction — full experiment sweep (dataset scale {scale})");
     println!();

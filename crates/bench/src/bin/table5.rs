@@ -5,10 +5,10 @@
 //! Usage: `cargo run -p gnnerator-bench --release --bin table5 [-- --scale 0.1]`
 
 use gnnerator_bench::experiments;
-use gnnerator_bench::suite::{scale_from_args, SuiteContext, SuiteOptions};
+use gnnerator_bench::suite::{scale_or_exit, SuiteContext, SuiteOptions};
 
 fn main() {
-    let scale = scale_from_args(std::env::args());
+    let scale = scale_or_exit();
     let options = SuiteOptions::paper().with_scale(scale);
     println!("Synthesising datasets (scale {scale})...");
     let ctx = SuiteContext::materialize(&options).expect("dataset synthesis failed");

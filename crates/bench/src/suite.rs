@@ -73,26 +73,40 @@ impl fmt::Display for Workload {
 /// Unrecognised arguments are ignored so the harness binaries stay
 /// dependency-free.
 ///
+/// # Errors
+///
+/// A `--scale` without a value, or with one that is not a number in
+/// (0, 1], is an error whose message names `--scale`.
+///
 /// # Examples
 ///
 /// ```
 /// use gnnerator_bench::suite::scale_from_args;
-/// let args = ["fig3".to_string(), "--scale".to_string(), "0.25".to_string()];
-/// assert!((scale_from_args(args.into_iter()) - 0.25).abs() < 1e-9);
-/// assert_eq!(scale_from_args(["fig3".to_string()].into_iter()), 1.0);
+/// let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+/// assert_eq!(scale_from_args(args(&["fig3", "--scale", "0.25"]).into_iter()), Ok(0.25));
+/// assert_eq!(scale_from_args(args(&["fig3"]).into_iter()), Ok(1.0));
+/// let error = scale_from_args(args(&["fig3", "--scale", "2"]).into_iter()).unwrap_err();
+/// assert!(error.contains("--scale"));
 /// ```
-pub fn scale_from_args(args: impl Iterator<Item = String>) -> f64 {
-    let args: Vec<String> = args.collect();
-    for window in args.windows(2) {
-        if window[0] == "--scale" {
-            if let Ok(scale) = window[1].parse::<f64>() {
-                if scale > 0.0 && scale <= 1.0 {
-                    return scale;
-                }
-            }
-        }
+pub fn scale_from_args(args: impl Iterator<Item = String>) -> Result<f64, String> {
+    let mut args = args.skip_while(|arg| arg != "--scale");
+    if args.next().is_none() {
+        return Ok(1.0);
     }
-    1.0
+    let value = args.next().ok_or("--scale needs a value")?;
+    match value.parse::<f64>() {
+        Ok(scale) if scale > 0.0 && scale <= 1.0 => Ok(scale),
+        _ => Err(format!("--scale: {value:?} is not a number in (0, 1]")),
+    }
+}
+
+/// [`scale_from_args`] over the process's own arguments: a bad `--scale`
+/// prints the error and exits with status 2.
+pub fn scale_or_exit() -> f64 {
+    scale_from_args(std::env::args()).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    })
 }
 
 /// The nine benchmarks of Figure 3, in the paper's order.
@@ -483,6 +497,20 @@ mod tests {
 
     fn quick_context() -> SuiteContext {
         SuiteContext::materialize(&SuiteOptions::quick()).unwrap()
+    }
+
+    #[test]
+    fn bad_scales_are_errors_naming_the_flag() {
+        for args in [
+            &["fig3", "--scale", "abc"][..],
+            &["fig3", "--scale", "0"],
+            &["fig3", "--scale", "1.5"],
+            &["fig3", "--scale"],
+        ] {
+            let args = args.iter().map(|arg| arg.to_string());
+            let error = scale_from_args(args).unwrap_err();
+            assert!(error.contains("--scale"), "{error}");
+        }
     }
 
     #[test]

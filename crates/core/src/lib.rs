@@ -87,6 +87,6 @@ pub use report::{LayerReport, Report};
 pub use session::{CompiledWorkload, SimSession};
 pub use simulator::{Cycle, Simulator};
 pub use sweep::{
-    build_session, evaluate_scenario, evaluate_scenario_batch, BaselineSeconds, ScenarioResult,
-    ScenarioSpec, SessionKey, SweepRunner,
+    build_session, evaluate_scenario, BaselineSeconds, ScenarioResult, ScenarioSpec, SessionKey,
+    SweepRunner,
 };

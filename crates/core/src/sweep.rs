@@ -177,12 +177,14 @@ pub fn build_session(
 
 /// Evaluates one scenario against an already-compiled session, producing
 /// the same [`ScenarioResult`] the sweep engine does — this *is* the body
-/// of [`SweepRunner::run_one`], shared with the serving layer so served
-/// responses are bit-identical to sweep results.
+/// of [`SweepRunner::run_one`]. The serving layer calls it once per served
+/// scenario, `/sweep` bodies included, so served responses are
+/// bit-identical to sweep results.
 ///
 /// Carries the `eval` fault-injection point. In the serving layer this body
-/// runs on the eval worker threads, so an injected `eval:panic` exercises
-/// worker supervision end to end.
+/// runs inside the guarded evaluation slot (on a worker, or inline on an
+/// idle connection thread), so an injected `eval:panic` exercises worker
+/// supervision end to end.
 ///
 /// # Errors
 ///
@@ -219,37 +221,6 @@ pub fn evaluate_scenario(
         num_edges: session.num_edges(),
         simulate_seconds,
     })
-}
-
-/// Evaluates a batch of scenarios that share one compiled session as a
-/// single `/sweep`-style pass: the session is resolved once, stays warm in
-/// cache for the whole batch, and every point is produced by the exact same
-/// [`evaluate_scenario`] body [`SweepRunner::run_one`] executes — so batched
-/// results are bit-identical to evaluating each scenario alone (pinned by
-/// the serving batching tests).
-///
-/// This is the serving layer's request-coalescing entry point: concurrently
-/// queued `/simulate` requests whose [`ScenarioSpec::session_key`]s match
-/// are folded into one call, amortising dispatch and session lookup across
-/// the batch. Scenarios may differ in backend/dataflow/config (those are
-/// not part of the session key); callers group by session key.
-///
-/// Each scenario's outcome is reported individually — one degenerate point
-/// must not poison its batch-mates.
-pub fn evaluate_scenario_batch(
-    scenarios: &[ScenarioSpec],
-    session: &Arc<SimSession>,
-) -> Vec<Result<ScenarioResult, GnneratorError>> {
-    debug_assert!(
-        scenarios
-            .windows(2)
-            .all(|pair| pair[0].session_key() == pair[1].session_key()),
-        "a batch must share one session key"
-    );
-    scenarios
-        .iter()
-        .map(|scenario| evaluate_scenario(scenario, session))
-        .collect()
 }
 
 impl fmt::Display for ScenarioSpec {
@@ -875,52 +846,6 @@ mod tests {
             let serial_err = SweepRunner::new().run_serial(&scenarios).unwrap_err();
             assert_eq!(parallel_err, serial_err);
         }
-    }
-
-    #[test]
-    fn batch_evaluation_is_bit_identical_to_run_one() {
-        // The serving layer coalesces same-session-key requests into one
-        // evaluate_scenario_batch call; every point must match the
-        // one-at-a-time path exactly. Backend and dataflow variants share a
-        // session key, so a realistic batch mixes them.
-        let base = scenario_grid().remove(0);
-        let mut conventional = base.clone();
-        conventional.dataflow = DataflowConfig::conventional();
-        let batch = [
-            base.clone(),
-            base.clone().with_backend(BackendKind::GpuRoofline),
-            base.clone().with_backend(BackendKind::Hygcn),
-            conventional,
-            base.clone(), // duplicates batch too
-        ];
-        let runner = SweepRunner::new();
-        let session = runner.session(&base).unwrap();
-        let results = evaluate_scenario_batch(&batch, &session);
-        assert_eq!(results.len(), batch.len());
-        for (scenario, result) in batch.iter().zip(results) {
-            assert_eq!(result.unwrap(), runner.run_one(scenario).unwrap());
-        }
-    }
-
-    #[test]
-    fn batch_evaluation_reports_per_scenario_errors() {
-        // One degenerate point must not poison its batch-mates.
-        let base = scenario_grid().remove(0);
-        let mut bad = base.clone();
-        bad.dataflow = DataflowConfig {
-            blocking: crate::BlockingPolicy::FeatureBlocked { block_size: 0 },
-            traversal: None,
-        };
-        let batch = [base.clone(), bad, base.clone()];
-        let runner = SweepRunner::new();
-        let session = runner.session(&base).unwrap();
-        let results = evaluate_scenario_batch(&batch, &session);
-        assert!(results[0].is_ok());
-        assert!(matches!(
-            results[1],
-            Err(GnneratorError::InvalidDataflow { .. })
-        ));
-        assert!(results[2].is_ok());
     }
 
     #[test]

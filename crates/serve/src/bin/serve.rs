@@ -2,17 +2,18 @@
 //!
 //! Usage: `cargo run -p gnnerator-serve --release --bin serve -- \
 //!     [--addr 127.0.0.1:8642] [--workers N] [--pool-capacity N] \
-//!     [--queue-depth N] [--max-batch N] [--connection-inflight N] \
+//!     [--queue-depth N] [--connection-inflight N] \
 //!     [--idle-timeout-ms N] [--max-connections N]`
 //!
-//! Defaults come from [`ServeConfig::from_env`], so every knob is also
-//! settable through `GNNERATOR_SERVE_*` environment variables (flags win).
+//! Every knob also reads a `GNNERATOR_SERVE_*` environment variable (flags
+//! win); `BREAKER_THRESHOLD` and `BREAKER_BACKOFF_MS` are environment-only.
 //! The persistent artifact cache is configured through `GNNERATOR_CACHE`
 //! (unset → `target/gnnerator-cache`; `off`, `0` or empty → disabled).
 //! Deterministic fault injection arms from `GNNERATOR_FAULTS` /
 //! `GNNERATOR_FAULTS_SEED` (see the `gnnerator-faults` crate).
-//! An unknown flag, a flag without a value or a value that does not parse
-//! exits with status 2 and a message naming the flag.
+//! An unknown flag or `GNNERATOR_SERVE_*` variable, a flag without a value
+//! or a value that does not parse exits with status 2 and a message naming
+//! the flag or variable.
 //! The server runs until a client posts `/shutdown`.
 
 use gnnerator_graph::ArtifactCache;
@@ -27,36 +28,65 @@ fn usage_error(message: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Parses `value` for `flag`, exiting with a usage error that names the
-/// flag when it does not parse.
-fn parse<T: FromStr>(flag: &str, value: &str) -> T {
+/// Parses `value` for `source` (a flag or variable name), exiting with a
+/// usage error that names it when the value does not parse.
+fn parse<T: FromStr>(source: &str, value: &str) -> T {
     value
         .parse()
-        .unwrap_or_else(|_| usage_error(&format!("{flag}: cannot parse {value:?}")))
+        .unwrap_or_else(|_| usage_error(&format!("{source}: cannot parse {value:?}")))
+}
+
+/// Sets the knob that the flag or variable `name` stands for from `value`;
+/// `false` when `name` stands for no knob.
+fn set(config: &mut ServeConfig, name: &str, value: &str) -> bool {
+    let millis = |ms: u64| Duration::from_millis(ms.max(1));
+    match name {
+        "--workers" | "GNNERATOR_SERVE_WORKERS" => config.workers = parse(name, value),
+        "--pool-capacity" | "GNNERATOR_SERVE_POOL_CAPACITY" => {
+            config.pool_capacity = parse(name, value);
+        }
+        "--queue-depth" | "GNNERATOR_SERVE_QUEUE_DEPTH" => config.queue_depth = parse(name, value),
+        "--connection-inflight" | "GNNERATOR_SERVE_CONNECTION_INFLIGHT" => {
+            config.connection_inflight = parse(name, value);
+        }
+        "--idle-timeout-ms" | "GNNERATOR_SERVE_IDLE_TIMEOUT_MS" => {
+            config.idle_timeout = millis(parse(name, value));
+        }
+        "--max-connections" | "GNNERATOR_SERVE_MAX_CONNECTIONS" => {
+            config.max_connections = parse(name, value);
+        }
+        "GNNERATOR_SERVE_BREAKER_THRESHOLD" => config.breaker.threshold = parse(name, value),
+        "GNNERATOR_SERVE_BREAKER_BACKOFF_MS" => {
+            config.breaker.base_backoff = millis(parse(name, value));
+        }
+        _ => return false,
+    }
+    true
 }
 
 fn main() {
     let mut addr = "127.0.0.1:8642".to_string();
-    let mut config = ServeConfig::from_env();
+    let mut config = ServeConfig::default();
+    for (name, value) in std::env::vars_os() {
+        let Some(name) = name.to_str().filter(|n| n.starts_with("GNNERATOR_SERVE_")) else {
+            continue;
+        };
+        let value = value
+            .to_str()
+            .unwrap_or_else(|| usage_error(&format!("{name} is not UTF-8")));
+        if !set(&mut config, name, value.trim()) {
+            usage_error(&format!("unknown variable {name}"));
+        }
+    }
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
-        };
-        match flag.as_str() {
-            "--addr" => addr = value(),
-            "--workers" => config.workers = parse(&flag, &value()),
-            "--pool-capacity" => config.pool_capacity = parse(&flag, &value()),
-            "--queue-depth" => config.queue_depth = parse(&flag, &value()),
-            "--max-batch" => config.max_batch = parse(&flag, &value()),
-            "--connection-inflight" => config.connection_inflight = parse(&flag, &value()),
-            "--idle-timeout-ms" => {
-                let ms: u64 = parse(&flag, &value());
-                config.idle_timeout = Duration::from_millis(ms.max(1));
-            }
-            "--max-connections" => config.max_connections = parse(&flag, &value()),
-            _ => usage_error(&format!("unknown flag {flag}")),
+        let value = args
+            .next()
+            .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")));
+        if flag == "--addr" {
+            addr = value;
+        } else if !flag.starts_with("--") || !set(&mut config, &flag, &value) {
+            usage_error(&format!("unknown flag {flag}"));
         }
     }
 
@@ -83,12 +113,11 @@ fn main() {
     config.artifact_cache = Some(cache);
 
     let summary = format!(
-        "{} workers, pool capacity {}, queue depth {}, max batch {}, \
+        "{} workers, pool capacity {}, queue depth {}, \
          {} in-flight/conn, idle timeout {} ms, max {} connections",
         config.workers,
         config.pool_capacity,
         config.queue_depth,
-        config.max_batch,
         config.connection_inflight,
         config.idle_timeout.as_millis(),
         config.max_connections,

@@ -251,8 +251,8 @@ impl ClientConnection {
 
     /// Writes every request back-to-back before reading any response
     /// (HTTP/1.1 pipelining), then reads the responses in order. Exercises
-    /// the server's read-ahead path and lets concurrently queued same-key
-    /// requests coalesce.
+    /// the server's read-ahead path, which hands later requests to free
+    /// evaluation workers while earlier ones are still being evaluated.
     ///
     /// # Errors
     ///

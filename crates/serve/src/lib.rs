@@ -56,7 +56,6 @@
 
 #![warn(missing_docs)]
 
-mod batch;
 pub mod client;
 mod hist;
 pub mod http;
@@ -65,6 +64,7 @@ mod metrics;
 mod pool;
 mod prom;
 mod provenance;
+mod queue;
 mod request;
 mod server;
 

@@ -24,8 +24,6 @@ pub struct RequestProvenance {
     pub session_key: String,
     /// Backend evaluated.
     pub backend: String,
-    /// How many requests shared the evaluation pass.
-    pub batch_size: u64,
     /// Whether the session came from the pool (`true`) or was built for
     /// this request.
     pub session_reused: bool,
@@ -54,7 +52,6 @@ mod tests {
         let mut p = RequestProvenance {
             session_key: "cora/7".into(),
             backend: "gnnerator".into(),
-            batch_size: 3,
             session_reused: true,
             ..Default::default()
         };

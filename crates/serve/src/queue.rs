@@ -1,35 +1,26 @@
-//! The bounded admission queue and session-keyed request coalescing.
+//! The bounded admission queue and the evaluation-slot bound.
 //!
 //! Connection threads parse requests and submit [`Job`]s here; evaluation
-//! workers pull them back out. Three properties live in this module:
+//! workers take them back out one at a time, oldest first. Two properties
+//! live in this module:
 //!
 //! * **Admission control** — the queue holds at most `capacity` jobs.
 //!   A submit against a full queue fails immediately ([`SubmitError::Full`])
 //!   and the connection answers `429` + `Retry-After` instead of letting
 //!   latency (and memory) grow without bound. Peak depth and shed counts
 //!   are tracked for `/stats`.
-//! * **Coalescing** — [`JobQueue::next_batch`] pops the oldest job and, when
-//!   it is a `/simulate` job, drains every other queued `/simulate` job
-//!   sharing its [`SessionKey`] (up to `max_batch`). The worker evaluates
-//!   the whole batch as one `/sweep`-style pass over a single warm session
-//!   ([`evaluate_scenario_batch`](gnnerator::evaluate_scenario_batch)) and
-//!   fans the results back out through each job's reply channel.
 //! * **The evaluation bound** — the queue owns one [`EvalSlot`] per
-//!   worker, and every evaluation pass holds one. A worker takes a batch
-//!   only together with a free slot; a connection thread may evaluate a
-//!   warm request itself only through [`JobQueue::try_claim_idle`], which
+//!   worker, and every evaluation holds one. A worker takes a job only
+//!   together with a free slot; a connection thread may evaluate a warm
+//!   request itself only through [`JobQueue::try_claim_idle`], which
 //!   succeeds only while nothing is queued and nothing is being
 //!   evaluated. So the worker count bounds concurrent evaluations on both
-//!   paths, a request never overtakes queued work, and requests that
-//!   overlap in time still meet in the queue, where they coalesce.
+//!   paths, and a request never overtakes queued work.
 //!
-//! Fairness note: coalescing pulls same-key jobs *forward* in the queue.
-//! That is deliberate — those requests ride along at almost zero marginal
-//! cost — while jobs of other keys keep their relative order. The
-//! per-connection in-flight cap (enforced by the connection loop, not
+//! The per-connection in-flight cap (enforced by the connection loop, not
 //! here) stops any single client from monopolising the queue.
 
-use gnnerator::{ScenarioSpec, SessionKey};
+use gnnerator::ScenarioSpec;
 use gnnerator_faults::{lock_recover, wait_recover};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,23 +31,12 @@ use std::time::Instant;
 /// What a worker does with a dequeued job.
 #[derive(Debug)]
 pub enum JobKind {
-    /// Evaluate one scenario (batchable by session key).
+    /// Evaluate one scenario.
     Simulate(Box<ScenarioSpec>),
     /// Compile one accelerator scenario without executing it.
     Compile(Box<ScenarioSpec>),
-    /// Evaluate an ordered batch of scenarios (a `/sweep` body).
+    /// Evaluate an ordered list of scenarios (a `/sweep` body).
     Sweep(Vec<ScenarioSpec>),
-}
-
-impl JobKind {
-    /// The session key this job coalesces on (`/simulate` only — `/sweep`
-    /// bodies group internally and `/compile` runs solo).
-    fn coalescing_key(&self) -> Option<SessionKey> {
-        match self {
-            JobKind::Simulate(scenario) => Some(scenario.session_key()),
-            _ => None,
-        }
-    }
 }
 
 /// A finished response, produced by a worker and written by the
@@ -113,7 +93,7 @@ struct QueueInner {
 }
 
 /// One of the queue's evaluation slots, held for the length of one
-/// evaluation pass. Dropping it — during a panic's unwind too — frees the
+/// evaluation. Dropping it — during a panic's unwind too — frees the
 /// slot and wakes a worker waiting for one.
 #[must_use = "the slot is freed as soon as it is dropped"]
 pub struct EvalSlot<'a> {
@@ -127,7 +107,7 @@ impl Drop for EvalSlot<'_> {
     }
 }
 
-/// The bounded, coalescing job queue shared by every connection thread and
+/// The bounded job queue shared by every connection thread and
 /// evaluation worker.
 pub struct JobQueue {
     inner: Mutex<QueueInner>,
@@ -142,7 +122,7 @@ pub struct JobQueue {
 
 impl JobQueue {
     /// A queue admitting at most `capacity` (minimum 1) waiting jobs, with
-    /// `slots` (minimum 1) concurrent evaluation passes.
+    /// `slots` (minimum 1) concurrent evaluations.
     pub fn new(capacity: usize, slots: usize) -> Self {
         Self {
             inner: Mutex::new(QueueInner {
@@ -184,51 +164,26 @@ impl JobQueue {
         Ok(())
     }
 
-    /// Blocks for the next unit of work and a free evaluation slot to run
-    /// it in: the oldest queued job plus — for `/simulate` jobs — every
-    /// other queued `/simulate` job sharing its session key, oldest first,
-    /// up to `max_batch` total. Returns `None` once the queue is closed
-    /// *and* drained.
+    /// Blocks for the oldest queued job and a free evaluation slot to run
+    /// it in. Returns `None` once the queue is closed *and* drained.
     ///
     /// Jobs whose [`Job::deadline`] passed while they waited are never
     /// handed to a worker: they are answered `503` here (and counted in
     /// [`JobQueue::expired_count`]) — evaluating them would burn worker
     /// time on a response the client has already given up on.
-    pub fn next_batch(&self, max_batch: usize) -> Option<(Vec<Job>, EvalSlot<'_>)> {
-        let max_batch = max_batch.max(1);
+    pub fn next_job(&self) -> Option<(Job, EvalSlot<'_>)> {
         let mut inner = lock_recover(&self.inner);
         loop {
             while inner.busy < self.slots {
-                let Some(first) = inner.jobs.pop_front() else {
+                let Some(job) = inner.jobs.pop_front() else {
                     break;
                 };
-                if first.expired() {
-                    self.answer_expired(first);
+                if job.expired() {
+                    self.answer_expired(job);
                     continue;
                 }
-                let mut batch = Vec::with_capacity(4);
-                if let Some(key) = first.kind.coalescing_key() {
-                    batch.push(first);
-                    let mut index = 0;
-                    while batch.len() < max_batch && index < inner.jobs.len() {
-                        if inner.jobs[index].expired() {
-                            // Expired riders found during the scan are
-                            // answered now rather than rotting in place.
-                            let expired = inner.jobs.remove(index).expect("indexed job exists");
-                            self.answer_expired(expired);
-                        } else if inner.jobs[index].kind.coalescing_key() == Some(key) {
-                            // O(queue) removal; queues are small (bounded)
-                            // and this runs once per evaluation pass.
-                            batch.push(inner.jobs.remove(index).expect("indexed job exists"));
-                        } else {
-                            index += 1;
-                        }
-                    }
-                } else {
-                    batch.push(first);
-                }
                 inner.busy += 1;
-                return Some((batch, EvalSlot { queue: self }));
+                return Some((job, EvalSlot { queue: self }));
             }
             if inner.closed && inner.jobs.is_empty() {
                 return None;
@@ -239,10 +194,9 @@ impl JobQueue {
 
     /// Takes an evaluation slot for a request the caller evaluates itself,
     /// but only while the queue is open and idle — no job queued, no slot
-    /// held. The caller then overtakes nobody and has nothing to coalesce
-    /// with; under any overlap the request goes through the queue (`None`),
-    /// where concurrent same-key requests batch. Claims count towards the
-    /// slot bound like worker batches.
+    /// held — so the caller overtakes nobody. Under any overlap the request
+    /// goes through the queue (`None`). Claims count towards the slot bound
+    /// like worker jobs.
     pub fn try_claim_idle(&self) -> Option<EvalSlot<'_>> {
         let mut inner = lock_recover(&self.inner);
         if inner.closed || !inner.jobs.is_empty() || inner.busy > 0 {
@@ -253,7 +207,7 @@ impl JobQueue {
         Some(EvalSlot { queue: self })
     }
 
-    /// Whether nothing is queued and no evaluation pass is running — what a
+    /// Whether nothing is queued and no evaluation is running — what a
     /// graceful drain waits for.
     pub fn is_idle(&self) -> bool {
         let inner = lock_recover(&self.inner);
@@ -272,7 +226,7 @@ impl JobQueue {
     }
 
     /// Marks the queue closed and wakes every waiting worker. Already
-    /// queued jobs are still drained by `next_batch`; new submits fail with
+    /// queued jobs are still drained by `next_job`; new submits fail with
     /// [`SubmitError::Closed`].
     pub fn close(&self) {
         lock_recover(&self.inner).closed = true;
@@ -317,7 +271,7 @@ mod tests {
     use gnnerator::{DataflowConfig, GnneratorConfig};
     use gnnerator_gnn::NetworkKind;
     use gnnerator_graph::datasets::DatasetKind;
-    use std::sync::mpsc::channel;
+    use std::sync::mpsc::{channel, Receiver};
 
     fn scenario(kind: DatasetKind, seed: u64) -> ScenarioSpec {
         ScenarioSpec::new(
@@ -331,27 +285,28 @@ mod tests {
         )
     }
 
-    fn simulate_job(kind: DatasetKind, seed: u64) -> Job {
-        let (reply, _rx) = channel();
-        // The receiver is dropped: sends become no-ops, which is exactly
-        // the disconnect-tolerant behavior workers rely on.
-        Job {
-            kind: JobKind::Simulate(Box::new(scenario(kind, seed))),
+    fn job(kind: JobKind, deadline: Option<Instant>) -> (Job, Receiver<Reply>) {
+        let (reply, receiver) = channel();
+        let job = Job {
+            kind,
             reply,
             enqueued: Instant::now(),
-            deadline: None,
+            deadline,
             provenance: false,
-        }
+        };
+        (job, receiver)
     }
 
-    fn sweep_job(kind: DatasetKind) -> Job {
-        let (reply, _rx) = channel();
-        Job {
-            kind: JobKind::Sweep(vec![scenario(kind, 1)]),
-            reply,
-            enqueued: Instant::now(),
-            deadline: None,
-            provenance: false,
+    fn simulate_job(kind: DatasetKind, seed: u64) -> Job {
+        // The receiver is dropped: sends become no-ops, which is exactly
+        // the disconnect-tolerant behavior workers rely on.
+        job(JobKind::Simulate(Box::new(scenario(kind, seed))), None).0
+    }
+
+    fn dataset_of(job: &Job) -> &'static str {
+        match &job.kind {
+            JobKind::Simulate(s) | JobKind::Compile(s) => s.dataset.name,
+            JobKind::Sweep(scenarios) => scenarios[0].dataset.name,
         }
     }
 
@@ -375,65 +330,28 @@ mod tests {
         assert_eq!(queue.shed_count(), 2);
         assert_eq!(queue.depth(), 2, "depth never exceeds capacity");
         assert_eq!(queue.peak_depth(), 2);
-        // Draining one slot re-admits.
-        let (batch, _slot) = queue.next_batch(1).unwrap();
-        assert_eq!(batch.len(), 1);
+        // Draining one job re-admits.
+        let _taken = queue.next_job().unwrap();
         queue.submit(simulate_job(DatasetKind::Cora, 5)).unwrap();
     }
 
     #[test]
-    fn same_key_simulate_jobs_coalesce_oldest_first() {
+    fn jobs_leave_in_arrival_order() {
         let queue = JobQueue::new(16, 4);
-        // cora/1 twice, citeseer/1 between them, cora/1 again: the batch
-        // must take all three cora jobs and leave citeseer at the front.
+        // Same-key jobs with other work between them: each leaves alone,
+        // in the order it arrived.
+        let sweep = JobKind::Sweep(vec![scenario(DatasetKind::Pubmed, 1)]);
         queue.submit(simulate_job(DatasetKind::Cora, 1)).unwrap();
         queue
             .submit(simulate_job(DatasetKind::Citeseer, 1))
             .unwrap();
+        queue.submit(job(sweep, None).0).unwrap();
         queue.submit(simulate_job(DatasetKind::Cora, 1)).unwrap();
-        queue.submit(simulate_job(DatasetKind::Cora, 1)).unwrap();
-        let (batch, _slot) = queue.next_batch(16).unwrap();
-        assert_eq!(batch.len(), 3);
-        for job in &batch {
-            match &job.kind {
-                JobKind::Simulate(s) => assert_eq!(s.dataset.name, "cora"),
-                other => panic!("unexpected job {other:?}"),
-            }
-        }
-        let (rest, _rest_slot) = queue.next_batch(16).unwrap();
-        assert_eq!(rest.len(), 1);
-        match &rest[0].kind {
-            JobKind::Simulate(s) => assert_eq!(s.dataset.name, "citeseer"),
-            other => panic!("unexpected job {other:?}"),
-        }
-    }
-
-    #[test]
-    fn different_seeds_have_different_keys_and_do_not_coalesce() {
-        let queue = JobQueue::new(16, 4);
-        queue.submit(simulate_job(DatasetKind::Cora, 1)).unwrap();
-        queue.submit(simulate_job(DatasetKind::Cora, 2)).unwrap();
-        assert_eq!(queue.next_batch(16).unwrap().0.len(), 1);
-        assert_eq!(queue.next_batch(16).unwrap().0.len(), 1);
-    }
-
-    #[test]
-    fn max_batch_caps_a_coalescing_pass() {
-        let queue = JobQueue::new(16, 4);
-        for _ in 0..5 {
-            queue.submit(simulate_job(DatasetKind::Cora, 1)).unwrap();
-        }
-        assert_eq!(queue.next_batch(3).unwrap().0.len(), 3);
-        assert_eq!(queue.next_batch(3).unwrap().0.len(), 2);
-    }
-
-    #[test]
-    fn sweep_and_compile_jobs_never_coalesce() {
-        let queue = JobQueue::new(16, 4);
-        queue.submit(sweep_job(DatasetKind::Cora)).unwrap();
-        queue.submit(sweep_job(DatasetKind::Cora)).unwrap();
-        assert_eq!(queue.next_batch(16).unwrap().0.len(), 1);
-        assert_eq!(queue.next_batch(16).unwrap().0.len(), 1);
+        let order: Vec<&str> = (0..4)
+            .map(|_| dataset_of(&queue.next_job().unwrap().0))
+            .collect();
+        assert_eq!(order, ["cora", "citeseer", "pubmed", "cora"]);
+        assert_eq!(queue.depth(), 0);
     }
 
     #[test]
@@ -447,72 +365,44 @@ mod tests {
                 .unwrap_err(),
             SubmitError::Closed
         );
-        assert_eq!(queue.next_batch(16).unwrap().0.len(), 1, "drained first");
-        assert!(queue.next_batch(16).is_none(), "then workers exit");
+        assert!(queue.next_job().is_some(), "drained first");
+        assert!(queue.next_job().is_none(), "then workers exit");
     }
 
     #[test]
     fn queue_expired_jobs_are_answered_503_not_evaluated() {
         let queue = JobQueue::new(16, 4);
-        // An already-expired simulate job, then a live one of a different
-        // key: the expired job is answered 503 and the live one dequeues.
-        let (reply, expired_rx) = channel();
-        queue
-            .submit(Job {
-                kind: JobKind::Simulate(Box::new(scenario(DatasetKind::Cora, 1))),
-                reply,
-                enqueued: Instant::now(),
-                deadline: Some(Instant::now() - std::time::Duration::from_millis(5)),
-                provenance: false,
-            })
-            .unwrap();
+        let past = Some(Instant::now() - std::time::Duration::from_millis(5));
+        // A live job, an already-expired one, then another live one: the
+        // expired job is answered 503 when it reaches the front, and the
+        // live ones dequeue around it.
+        let (expired, expired_rx) = job(
+            JobKind::Simulate(Box::new(scenario(DatasetKind::Pubmed, 1))),
+            past,
+        );
+        queue.submit(simulate_job(DatasetKind::Cora, 1)).unwrap();
+        queue.submit(expired).unwrap();
         queue
             .submit(simulate_job(DatasetKind::Citeseer, 1))
             .unwrap();
-        let (batch, _slot) = queue.next_batch(16).unwrap();
-        assert_eq!(batch.len(), 1);
-        match &batch[0].kind {
-            JobKind::Simulate(s) => assert_eq!(s.dataset.name, "citeseer"),
-            other => panic!("unexpected job {other:?}"),
-        }
+        assert_eq!(dataset_of(&queue.next_job().unwrap().0), "cora");
+        assert!(expired_rx.try_recv().is_err(), "not reached yet");
+        assert_eq!(dataset_of(&queue.next_job().unwrap().0), "citeseer");
         let reply = expired_rx.try_recv().expect("expired job was answered");
         assert_eq!(reply.status, 503);
         assert!(reply.body.contains("deadline expired"), "{}", reply.body);
         assert_eq!(queue.expired_count(), 1);
-
-        // An expired rider between two coalescable jobs is cleared by the
-        // coalescing scan.
-        let (reply, rider_rx) = channel();
-        queue.submit(simulate_job(DatasetKind::Cora, 1)).unwrap();
-        queue
-            .submit(Job {
-                kind: JobKind::Simulate(Box::new(scenario(DatasetKind::Pubmed, 1))),
-                reply,
-                enqueued: Instant::now(),
-                deadline: Some(Instant::now() - std::time::Duration::from_millis(5)),
-                provenance: false,
-            })
-            .unwrap();
-        queue.submit(simulate_job(DatasetKind::Cora, 1)).unwrap();
-        let (batch, _slot) = queue.next_batch(16).unwrap();
-        assert_eq!(batch.len(), 2, "both cora jobs coalesced");
-        assert_eq!(rider_rx.try_recv().expect("rider answered").status, 503);
-        assert_eq!(queue.expired_count(), 2);
         assert_eq!(queue.depth(), 0);
 
         // Future deadlines do not expire.
-        let (reply, _rx) = channel();
-        queue
-            .submit(Job {
-                kind: JobKind::Simulate(Box::new(scenario(DatasetKind::Cora, 1))),
-                reply,
-                enqueued: Instant::now(),
-                deadline: Some(Instant::now() + std::time::Duration::from_secs(60)),
-                provenance: false,
-            })
-            .unwrap();
-        assert_eq!(queue.next_batch(16).unwrap().0.len(), 1);
-        assert_eq!(queue.expired_count(), 2);
+        let future = Some(Instant::now() + std::time::Duration::from_secs(60));
+        let (live, _rx) = job(
+            JobKind::Simulate(Box::new(scenario(DatasetKind::Cora, 1))),
+            future,
+        );
+        queue.submit(live).unwrap();
+        assert!(queue.next_job().is_some());
+        assert_eq!(queue.expired_count(), 1);
     }
 
     #[test]
@@ -520,11 +410,11 @@ mod tests {
         let queue = std::sync::Arc::new(JobQueue::new(4, 4));
         let waiter = {
             let queue = std::sync::Arc::clone(&queue);
-            std::thread::spawn(move || queue.next_batch(4).map(|(batch, _)| batch.len()))
+            std::thread::spawn(move || queue.next_job().map(|(job, _)| dataset_of(&job)))
         };
         std::thread::sleep(std::time::Duration::from_millis(50));
         queue.submit(simulate_job(DatasetKind::Cora, 1)).unwrap();
-        assert_eq!(waiter.join().unwrap(), Some(1));
+        assert_eq!(waiter.join().unwrap(), Some("cora"));
     }
 
     #[test]
@@ -546,9 +436,8 @@ mod tests {
         );
         // Two workers hold every slot.
         queue.submit(simulate_job(DatasetKind::Cora, 2)).unwrap();
-        let (first, first_slot) = queue.next_batch(4).unwrap();
-        let (second, second_slot) = queue.next_batch(4).unwrap();
-        assert_eq!((first.len(), second.len()), (1, 1));
+        let (_first, first_slot) = queue.next_job().unwrap();
+        let (_second, second_slot) = queue.next_job().unwrap();
         assert!(queue.try_claim_idle().is_none(), "every slot held");
         drop((first_slot, second_slot));
         drop(queue.try_claim_idle().expect("idle again"));
@@ -559,7 +448,7 @@ mod tests {
     }
 
     #[test]
-    fn next_batch_waits_for_a_free_slot() {
+    fn next_job_waits_for_a_free_slot() {
         let queue = std::sync::Arc::new(JobQueue::new(4, 1));
         let held = queue.try_claim_idle().expect("the only slot");
         queue.submit(simulate_job(DatasetKind::Cora, 1)).unwrap();
@@ -567,7 +456,7 @@ mod tests {
         let waiter = {
             let queue = std::sync::Arc::clone(&queue);
             std::thread::spawn(move || {
-                let got = queue.next_batch(4).map(|(batch, _)| batch.len());
+                let got = queue.next_job().map(|(job, _)| dataset_of(&job));
                 done.send(()).unwrap();
                 got
             })
@@ -576,13 +465,13 @@ mod tests {
             waiting
                 .recv_timeout(std::time::Duration::from_millis(100))
                 .is_err(),
-            "a batch was handed out while every slot was held"
+            "a job was handed out while every slot was held"
         );
         assert_eq!(queue.depth(), 1, "the job still waits in the queue");
         drop(held);
         assert_eq!(
             waiter.join().unwrap(),
-            Some(1),
+            Some("cora"),
             "release resumes the worker"
         );
         assert!(queue.is_idle(), "the worker's slot was returned");

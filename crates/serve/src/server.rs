@@ -12,33 +12,29 @@
 //!   and push evaluation work into a bounded admission queue (a full queue
 //!   sheds the request with `429` + `Retry-After` instead of queueing
 //!   unbounded latency),
-//! * **evaluation workers** that pull from the queue; concurrently queued
-//!   `/simulate` requests sharing a
-//!   [`session_key`](gnnerator::ScenarioSpec::session_key) are coalesced
-//!   into one batch evaluated over a single warm session and fanned back
-//!   out, exactly like a `/sweep` body.
+//! * **evaluation workers** that take one queued job at a time, oldest
+//!   first, and answer it.
 //!
 //! A `/simulate` request whose session is already pooled, arriving while
 //! the server is idle (nothing queued, nothing being evaluated), skips the
 //! hand-off: its connection thread takes an evaluation slot and evaluates
-//! it through the same guarded batch path a worker runs. Every evaluation,
-//! on either path, holds one of [`ServeConfig::workers`] slots, so that
-//! count still bounds concurrent evaluations; cold builds, contention and
-//! coalescing go through the queue.
+//! it through the same guarded path a worker runs. Every evaluation, on
+//! either path, holds one of [`ServeConfig::workers`] slots, so that count
+//! still bounds concurrent evaluations; cold builds and contention go
+//! through the queue.
 //!
 //! All scenario execution routes through the shared [`SessionPool`] and the
-//! core crate's [`evaluate_scenario_batch`] — a straight per-scenario map
-//! of the `evaluate_scenario` path `SweepRunner::run_one` uses — so served
-//! results are bit-identical to sweep results, batched or not.
+//! core crate's [`evaluate_scenario`] — the path `SweepRunner::run_one`
+//! uses — so served results are bit-identical to sweep results.
 //!
 //! # Endpoints
 //!
 //! | endpoint         | body                        | answers with |
 //! |------------------|-----------------------------|--------------|
-//! | `POST /simulate` | one scenario object         | the evaluated point (seconds, cycles, speedups, `session_reused`, `latency_seconds`, `batch_size`) |
+//! | `POST /simulate` | one scenario object         | the evaluated point (seconds, cycles, speedups, `session_reused`, `latency_seconds`) |
 //! | `POST /compile`  | one accelerator scenario    | the compiled-workload summary (no execution) |
-//! | `POST /sweep`    | `{"scenarios": [...]}`      | every point, in order, evaluated batch-per-session-key |
-//! | `GET /stats`     | —                           | pool counters, admission/batching counters, worker supervision, per-key breaker states, armed fault spec, queue-wait / session-build / evaluate / serialize latency histograms (p50/p90/p99) |
+//! | `POST /sweep`    | `{"scenarios": [...]}`      | every point, evaluated in order |
+//! | `GET /stats`     | —                           | pool counters, admission counters, worker supervision, per-key breaker states, armed fault spec, queue-wait / session-build / evaluate / serialize latency histograms (p50/p90/p99) |
 //! | `GET /metrics`   | —                           | the same telemetry as Prometheus text (version 0.0.4): counters, gauges and full histogram families |
 //! | `GET /healthz`   | —                           | liveness: `200` unless a shutdown is in progress |
 //! | `GET /readyz`    | —                           | readiness: `200` only with queue headroom and live workers; `503` with per-component detail otherwise (including while draining) |
@@ -47,11 +43,9 @@
 //!
 //! `/simulate` responses additionally carry a per-request provenance
 //! breakdown (queue wait → session build → evaluate → serialize, plus the
-//! session key, backend and batch size) when the
-//! client opts in with `X-Provenance: 1`; the same spans feed the central
+//! session key and backend) when the client opts in with `X-Provenance: 1`; the same spans feed the central
 //! stage histograms either way.
 
-use crate::batch::{EvalSlot, Job, JobKind, JobQueue, Reply, SubmitError};
 use crate::hist::Histogram;
 use crate::http::{
     read_request, write_response, HttpError, Request, ResponseOptions, READ_BUFFER_BYTES,
@@ -61,15 +55,16 @@ use crate::metrics::Metrics;
 use crate::pool::{BreakerConfig, PoolError, SessionPool};
 use crate::prom::PromText;
 use crate::provenance::RequestProvenance;
+use crate::queue::{EvalSlot, Job, JobKind, JobQueue, Reply, SubmitError};
 use crate::request::scenario_from_json;
-use gnnerator::{evaluate_scenario_batch, ScenarioResult, ScenarioSpec, SessionKey, SimSession};
+use gnnerator::{evaluate_scenario, ScenarioResult, ScenarioSpec};
 use gnnerator_faults::lock_recover;
 use gnnerator_graph::ArtifactCache;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -87,7 +82,7 @@ const WORKER_REPLY_TIMEOUT: Duration = Duration::from_secs(600);
 /// Configuration for a [`SessionServer`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Evaluation worker threads (each evaluates one batch at a time), and
+    /// Evaluation worker threads (each evaluates one job at a time), and
     /// the bound on concurrent evaluations, connection threads' inline
     /// ones included.
     pub workers: usize,
@@ -97,8 +92,6 @@ pub struct ServeConfig {
     pub artifact_cache: Option<Arc<ArtifactCache>>,
     /// Evaluation jobs admitted to the queue before load shedding (`429`).
     pub queue_depth: usize,
-    /// Most `/simulate` requests one coalesced evaluation pass absorbs.
-    pub max_batch: usize,
     /// Pipelined requests one connection may have unanswered before the
     /// server stops reading ahead on that socket.
     pub connection_inflight: usize,
@@ -115,9 +108,9 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     /// Workers scale with the machine (capped at 8); 32 warm sessions; no
     /// artifact cache (callers opt in, typically via
-    /// [`ArtifactCache::from_env`]); a 256-deep admission queue, 16-wide
-    /// batches, 8 pipelined requests per connection, 30 s idle timeout and
-    /// 1024 concurrent connections.
+    /// [`ArtifactCache::from_env`]); a 256-deep admission queue, 8
+    /// pipelined requests per connection, 30 s idle timeout and 1024
+    /// concurrent connections.
     fn default() -> Self {
         Self {
             workers: std::thread::available_parallelism()
@@ -127,54 +120,11 @@ impl Default for ServeConfig {
             pool_capacity: 32,
             artifact_cache: None,
             queue_depth: 256,
-            max_batch: 16,
             connection_inflight: 8,
             idle_timeout: Duration::from_secs(30),
             max_connections: 1024,
             breaker: BreakerConfig::default(),
         }
-    }
-}
-
-impl ServeConfig {
-    /// The defaults with `GNNERATOR_SERVE_*` environment overrides applied:
-    /// `WORKERS`, `POOL_CAPACITY`, `QUEUE_DEPTH`, `MAX_BATCH`,
-    /// `CONNECTION_INFLIGHT`, `IDLE_TIMEOUT_MS`, `MAX_CONNECTIONS`,
-    /// `BREAKER_THRESHOLD` and `BREAKER_BACKOFF_MS` suffixes, each a
-    /// positive integer. Unset or unparseable variables keep the default.
-    pub fn from_env() -> Self {
-        fn read(name: &str) -> Option<usize> {
-            std::env::var(name).ok()?.trim().parse().ok()
-        }
-        let mut config = Self::default();
-        if let Some(v) = read("GNNERATOR_SERVE_WORKERS") {
-            config.workers = v.max(1);
-        }
-        if let Some(v) = read("GNNERATOR_SERVE_POOL_CAPACITY") {
-            config.pool_capacity = v.max(1);
-        }
-        if let Some(v) = read("GNNERATOR_SERVE_QUEUE_DEPTH") {
-            config.queue_depth = v.max(1);
-        }
-        if let Some(v) = read("GNNERATOR_SERVE_MAX_BATCH") {
-            config.max_batch = v.max(1);
-        }
-        if let Some(v) = read("GNNERATOR_SERVE_CONNECTION_INFLIGHT") {
-            config.connection_inflight = v.max(1);
-        }
-        if let Some(v) = read("GNNERATOR_SERVE_IDLE_TIMEOUT_MS") {
-            config.idle_timeout = Duration::from_millis(v.max(1) as u64);
-        }
-        if let Some(v) = read("GNNERATOR_SERVE_MAX_CONNECTIONS") {
-            config.max_connections = v.max(1);
-        }
-        if let Some(v) = read("GNNERATOR_SERVE_BREAKER_THRESHOLD") {
-            config.breaker.threshold = v.clamp(1, u32::MAX as usize) as u32;
-        }
-        if let Some(v) = read("GNNERATOR_SERVE_BREAKER_BACKOFF_MS") {
-            config.breaker.base_backoff = Duration::from_millis(v.max(1) as u64);
-        }
-        config
     }
 }
 
@@ -252,7 +202,6 @@ struct ServerState {
     errors: AtomicUsize,
     endpoints: Mutex<EndpointStats>,
     // Admission knobs, kept here so `/stats` can report them.
-    max_batch: usize,
     connection_inflight: usize,
     max_connections: usize,
     idle_timeout: Duration,
@@ -297,7 +246,6 @@ impl SessionServer {
             requests: AtomicUsize::new(0),
             errors: AtomicUsize::new(0),
             endpoints: Mutex::new(EndpointStats::default()),
-            max_batch: config.max_batch.max(1),
             connection_inflight: config.connection_inflight.max(1),
             max_connections: config.max_connections.max(1),
             idle_timeout: config.idle_timeout,
@@ -555,9 +503,9 @@ fn serve_connection(stream: TcpStream, state: &Arc<ServerState>) {
         // Admit requests: block for the first one, then read ahead only
         // while an earlier request still waits on a worker, pipelined bytes
         // have actually arrived and the in-flight cap allows. Responses are
-        // never reordered, so reading ahead just lets queued work coalesce
-        // while earlier answers are in flight; with every earlier answer
-        // ready, writing it comes first.
+        // never reordered; reading ahead lets a pipelined client's later
+        // requests reach other workers while earlier ones are evaluated.
+        // With every earlier answer ready, writing it comes first.
         while !reads_done && inflight.len() < state.connection_inflight {
             if !inflight.is_empty() {
                 let awaiting_worker = inflight
@@ -828,8 +776,8 @@ fn readyz_body(state: &ServerState) -> (u16, String) {
 ///
 /// A `/simulate` request whose session is already pooled is evaluated
 /// right here when [`JobQueue::try_claim_idle`] grants a slot: the server
-/// is idle, so there is nothing to coalesce with and nobody to overtake,
-/// and the worker hand-off would only add two thread wake-ups.
+/// is idle, so there is nobody to overtake, and the worker hand-off would
+/// only add two thread wake-ups.
 fn submit(
     kind: JobKind,
     keep_alive: bool,
@@ -865,7 +813,7 @@ fn submit(
     };
     let warm = matches!(&job.kind, JobKind::Simulate(scenario) if state.pool.is_built(scenario));
     if let Some(slot) = warm.then(|| state.queue.try_claim_idle()).flatten() {
-        evaluate_guarded(vec![job], slot, state);
+        evaluate_guarded(job, slot, state);
         return match receiver.try_recv() {
             Ok(reply) => Pending::answered(reply, keep_alive),
             Err(_) => Pending::Ready {
@@ -926,182 +874,109 @@ fn parse_sweep(body: &str) -> Result<Vec<ScenarioSpec>, String> {
 // Evaluation workers
 // ---------------------------------------------------------------------------
 
-/// Responses an evaluation pass produced, each with the channel it goes
-/// to. They are sent only after the pass returns its evaluation slot.
-type Replies = Vec<(Sender<Reply>, Reply)>;
-
-/// The evaluation worker loop: one guarded pass per batch, each in the
-/// slot [`JobQueue::next_batch`] handed out with it. The loop only exits
+/// The evaluation worker loop: one guarded evaluation per job, each in the
+/// slot [`JobQueue::next_job`] handed out with it. The loop only exits
 /// once the queue is closed and drained.
-fn eval_worker_loop(state: &Arc<ServerState>) {
-    while let Some((batch, slot)) = state.queue.next_batch(state.max_batch) {
-        evaluate_guarded(batch, slot, state);
+fn eval_worker_loop(state: &ServerState) {
+    while let Some((job, slot)) = state.queue.next_job() {
+        evaluate_guarded(job, slot, state);
     }
     state.workers_alive.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// Evaluates one batch in `slot`, on a worker or inline on a connection
-/// thread alike, then answers its jobs. The slot is returned first, so a
-/// client that sends its next request as soon as it hears back finds the
-/// server idle. A panic (injected via the `eval` failpoint or real) is
-/// caught here: the panic and the evaluator's recovery are counted for
-/// `/stats`, every job of the batch is answered with a typed `500` instead
-/// of waiting out the reply timeout, and the evaluator keeps serving.
-fn evaluate_guarded(batch: Vec<Job>, slot: EvalSlot<'_>, state: &Arc<ServerState>) {
-    let senders: Vec<Sender<Reply>> = batch.iter().map(|job| job.reply.clone()).collect();
+/// Evaluates one job in `slot`, on a worker or inline on a connection
+/// thread alike, then answers it. The slot is returned first, so a client
+/// that sends its next request as soon as it hears back finds the server
+/// idle. A panic (injected via the `eval` failpoint or real) is caught
+/// here: the panic and the evaluator's recovery are counted for `/stats`,
+/// the job is answered with a typed `500` instead of waiting out the reply
+/// timeout, and the evaluator keeps serving.
+fn evaluate_guarded(job: Job, slot: EvalSlot<'_>, state: &ServerState) {
+    let sender = job.reply.clone();
     let outcome =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process_batch(batch, state)));
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process_job(job, state)));
     drop(slot);
-    let replies = outcome.unwrap_or_else(|_| {
+    let reply = outcome.unwrap_or_else(|_| {
         state.worker_panics.fetch_add(1, Ordering::Relaxed);
         state.worker_respawns.fetch_add(1, Ordering::Relaxed);
-        let body = error_body("evaluation worker panicked; the request was aborted");
-        senders
-            .into_iter()
-            .map(|sender| {
-                let body = body.clone();
-                (sender, Reply { status: 500, body })
-            })
-            .collect()
-    });
-    for (sender, reply) in replies {
-        let _ = sender.send(reply); // a vanished client's receiver is gone
-    }
-}
-
-fn process_batch(batch: Vec<Job>, state: &Arc<ServerState>) -> Replies {
-    let picked_up = Instant::now();
-    {
-        let mut metrics = lock_recover(&state.metrics);
-        for job in &batch {
-            metrics
-                .queue_wait
-                .record(picked_up.duration_since(job.enqueued).as_secs_f64());
+        Reply {
+            status: 500,
+            body: error_body("evaluation worker panicked; the request was aborted"),
         }
-    }
-    // A batch is either 1+ same-session-key Simulate jobs, or exactly one
-    // Compile/Sweep job (those never coalesce).
-    if matches!(batch[0].kind, JobKind::Simulate(_)) {
-        return process_simulate_batch(batch, state);
-    }
-    batch
-        .into_iter()
-        .map(|job| {
-            let (path, (status, body)) = match &job.kind {
-                JobKind::Compile(scenario) => {
-                    ("/compile", compile_response(scenario, state, job.enqueued))
-                }
-                JobKind::Sweep(scenarios) => {
-                    ("/sweep", sweep_response(scenarios, state, job.enqueued))
-                }
-                JobKind::Simulate(_) => unreachable!("/simulate jobs are batched by key"),
-            };
-            record_endpoint_latency(state, path, job.enqueued.elapsed().as_secs_f64());
-            (job.reply, Reply { status, body })
-        })
-        .collect()
+    });
+    let _ = sender.send(reply); // a vanished client's receiver is gone
 }
 
-fn process_simulate_batch(batch: Vec<Job>, state: &Arc<ServerState>) -> Replies {
-    let size = batch.len();
-    let picked_up = Instant::now();
-    let mut jobs = Vec::with_capacity(size);
-    for job in batch {
-        let Job {
-            kind,
-            reply,
-            enqueued,
-            provenance,
-            ..
-        } = job;
-        let JobKind::Simulate(scenario) = kind else {
-            continue; // unreachable: coalescing only groups Simulate jobs
-        };
-        jobs.push((*scenario, reply, enqueued, provenance));
-    }
-    // Per-request queue waits, measured once so provenance spans and the
-    // central queue_wait histogram describe the same instant.
-    let queue_waits: Vec<f64> = jobs
-        .iter()
-        .map(|(_, _, enqueued, _)| picked_up.duration_since(*enqueued).as_secs_f64())
-        .collect();
-    // One pool lookup *per request* keeps hit/miss accounting identical to
-    // the one-at-a-time path: the first cold request builds (a miss), the
-    // coalesced rest are warm hits on the same key.
-    let build_started = Instant::now();
-    let lookups: Vec<_> = jobs
-        .iter()
-        .map(|(scenario, _, _, _)| state.pool.get(scenario))
-        .collect();
-    let build_seconds = build_started.elapsed().as_secs_f64();
-    let session: Option<Arc<SimSession>> = lookups
-        .iter()
-        .find_map(|lookup| lookup.as_ref().ok().map(|l| Arc::clone(&l.session)));
-    let scenarios: Vec<ScenarioSpec> = jobs.iter().map(|(s, _, _, _)| s.clone()).collect();
-    let results = match &session {
-        Some(session) => evaluate_scenario_batch(&scenarios, session),
-        None => Vec::new(), // every lookup failed; answered per-job below
+fn process_job(job: Job, state: &ServerState) -> Reply {
+    let queue_wait = job.enqueued.elapsed().as_secs_f64();
+    lock_recover(&state.metrics).queue_wait.record(queue_wait);
+    let (path, (status, body)) = match &job.kind {
+        JobKind::Simulate(scenario) => (
+            "/simulate",
+            simulate_response(scenario, &job, queue_wait, state),
+        ),
+        JobKind::Compile(scenario) => ("/compile", compile_response(scenario, state, job.enqueued)),
+        JobKind::Sweep(scenarios) => ("/sweep", sweep_response(scenarios, state, job.enqueued)),
     };
+    record_endpoint_latency(state, path, job.enqueued.elapsed().as_secs_f64());
+    Reply { status, body }
+}
+
+/// Answers one `/simulate` job: its own pool lookup and evaluation, the
+/// point, and the provenance breakdown when the client asked for it.
+fn simulate_response(
+    scenario: &ScenarioSpec,
+    job: &Job,
+    queue_wait: f64,
+    state: &ServerState,
+) -> (u16, String) {
+    let build_started = Instant::now();
+    let lookup = state.pool.get(scenario);
+    let build_seconds = build_started.elapsed().as_secs_f64();
+    let evaluated =
+        lookup.map(|lookup| (lookup.reused, evaluate_scenario(scenario, &lookup.session)));
     {
         let mut metrics = lock_recover(&state.metrics);
-        metrics.batch.record(size);
         metrics.session_build.record(build_seconds);
-        for result in results.iter().flatten() {
+        if let Ok((_, Ok(result))) = &evaluated {
             metrics.evaluate.record(result.simulate_seconds);
         }
     }
-    let mut replies = Vec::with_capacity(size);
-    for (index, ((scenario, reply, enqueued, wants_provenance), lookup)) in
-        jobs.into_iter().zip(lookups).enumerate()
-    {
-        let (status, body) = match lookup {
-            Err(e) => (pool_error_status(&e), error_body(&e.to_string())),
-            Ok(lookup) => match results.get(index) {
-                Some(Ok(result)) => {
-                    let serialize_started = Instant::now();
-                    let mut body = point_json(
-                        result,
-                        Some(ServingInfo {
-                            reused: lookup.reused,
-                            latency_seconds: enqueued.elapsed().as_secs_f64(),
-                            batch_size: size,
-                        }),
-                    );
-                    let serialize_seconds = serialize_started.elapsed().as_secs_f64();
-                    lock_recover(&state.metrics)
-                        .serialize
-                        .record(serialize_seconds);
-                    if wants_provenance {
-                        let mut provenance = RequestProvenance {
-                            session_key: SessionPool::key_label(&scenario.session_key()),
-                            backend: result.backend().as_str().to_string(),
-                            batch_size: size as u64,
-                            session_reused: lookup.reused,
-                            spans: Vec::new(),
-                        };
-                        provenance.span("queue_wait", queue_waits[index]);
-                        provenance.span(
-                            "session_build",
-                            if lookup.reused { 0.0 } else { build_seconds },
-                        );
-                        provenance.span("evaluate", result.simulate_seconds);
-                        provenance.span("serialize", serialize_seconds);
-                        body.pop(); // splice into the closed point object
-                        body.push_str(&format!(
-                            ", \"provenance\": {}}}",
-                            provenance_json(&provenance)
-                        ));
-                    }
-                    (200, body)
-                }
-                Some(Err(e)) => (500, error_body(&e.to_string())),
-                None => (500, error_body("session build failed for this batch")),
-            },
+    let (reused, result) = match evaluated {
+        Ok((reused, Ok(result))) => (reused, result),
+        Ok((_, Err(e))) => return (500, error_body(&e.to_string())),
+        Err(e) => return (pool_error_status(&e), error_body(&e.to_string())),
+    };
+    let serialize_started = Instant::now();
+    let mut body = point_json(
+        &result,
+        Some(ServingInfo {
+            reused,
+            latency_seconds: job.enqueued.elapsed().as_secs_f64(),
+        }),
+    );
+    let serialize_seconds = serialize_started.elapsed().as_secs_f64();
+    lock_recover(&state.metrics)
+        .serialize
+        .record(serialize_seconds);
+    if job.provenance {
+        let mut provenance = RequestProvenance {
+            session_key: SessionPool::key_label(&scenario.session_key()),
+            backend: result.backend().as_str().to_string(),
+            session_reused: reused,
+            spans: Vec::new(),
         };
-        record_endpoint_latency(state, "/simulate", enqueued.elapsed().as_secs_f64());
-        replies.push((reply, Reply { status, body }));
+        provenance.span("queue_wait", queue_wait);
+        provenance.span("session_build", if reused { 0.0 } else { build_seconds });
+        provenance.span("evaluate", result.simulate_seconds);
+        provenance.span("serialize", serialize_seconds);
+        body.pop(); // splice into the closed point object
+        body.push_str(&format!(
+            ", \"provenance\": {}}}",
+            provenance_json(&provenance)
+        ));
     }
-    replies
+    (200, body)
 }
 
 /// Renders a [`RequestProvenance`] as the JSON object attached to a
@@ -1120,11 +995,10 @@ fn provenance_json(provenance: &RequestProvenance) -> String {
         .collect::<Vec<_>>()
         .join(", ");
     format!(
-        "{{\"session_key\": {}, \"backend\": {}, \"batch_size\": {}, \
+        "{{\"session_key\": {}, \"backend\": {}, \
          \"session_reused\": {}, \"total_seconds\": {}, \"spans\": [{}]}}",
         json_string(&provenance.session_key),
         json_string(&provenance.backend),
-        provenance.batch_size,
         provenance.session_reused,
         json_f64(provenance.total_seconds()),
         spans,
@@ -1164,67 +1038,34 @@ fn compile_response(
     (200, body)
 }
 
+/// Evaluates a `/sweep` body in input order — one pool lookup and one
+/// evaluation per scenario — and stops at the first failing index, like
+/// [`SweepRunner::run_serial`](gnnerator::SweepRunner::run_serial).
 fn sweep_response(
     scenarios: &[ScenarioSpec],
     state: &ServerState,
     enqueued: Instant,
 ) -> (u16, String) {
-    // Group by session key (first-seen order) so each compiled session is
-    // looked up once per scenario but evaluated as one batch; per-group
-    // order matches input order, so results are bit-identical to the
-    // one-at-a-time path.
-    let mut groups: Vec<(SessionKey, Vec<usize>)> = Vec::new();
-    for (index, scenario) in scenarios.iter().enumerate() {
-        let key = scenario.session_key();
-        if let Some((_, members)) = groups.iter_mut().find(|(k, _)| *k == key) {
-            members.push(index);
-        } else {
-            groups.push((key, vec![index]));
-        }
-    }
-    // A failed entry carries the HTTP status it should surface with (a
-    // quarantined key is `503` backpressure, a failed build/eval is `500`).
-    let mut results: Vec<Option<Result<ScenarioResult, (u16, String)>>> =
-        scenarios.iter().map(|_| None).collect();
-    for (_, members) in &groups {
-        let mut session: Option<Arc<SimSession>> = None;
-        let mut group_scenarios = Vec::with_capacity(members.len());
-        let mut group_indices = Vec::with_capacity(members.len());
-        for &index in members {
-            match state.pool.get(&scenarios[index]) {
-                Ok(lookup) => {
-                    session.get_or_insert(lookup.session);
-                    group_scenarios.push(scenarios[index].clone());
-                    group_indices.push(index);
-                }
-                Err(e) => results[index] = Some(Err((pool_error_status(&e), e.to_string()))),
-            }
-        }
-        if let Some(session) = session {
-            let evaluated = evaluate_scenario_batch(&group_scenarios, &session);
-            let mut metrics = lock_recover(&state.metrics);
-            for result in evaluated.iter().flatten() {
-                metrics.evaluate.record(result.simulate_seconds);
-            }
-            drop(metrics);
-            for (result, &index) in evaluated.into_iter().zip(&group_indices) {
-                results[index] = Some(result.map_err(|e| (500, e.to_string())));
-            }
-        }
-    }
-    // The lowest failing scenario index wins, matching the serial path.
     let mut points = Vec::with_capacity(scenarios.len());
-    for (index, result) in results.into_iter().enumerate() {
-        match result {
-            Some(Ok(result)) => points.push(point_json(&result, None)),
-            Some(Err((status, message))) => {
-                return (status, error_body(&format!("scenario {index}: {message}")))
+    for (index, scenario) in scenarios.iter().enumerate() {
+        // A quarantined key is `503` backpressure, a failed build or
+        // evaluation `500`.
+        let evaluated = state
+            .pool
+            .get(scenario)
+            .map_err(|e| (pool_error_status(&e), e.to_string()))
+            .and_then(|lookup| {
+                evaluate_scenario(scenario, &lookup.session).map_err(|e| (500, e.to_string()))
+            });
+        match evaluated {
+            Ok(result) => {
+                lock_recover(&state.metrics)
+                    .evaluate
+                    .record(result.simulate_seconds);
+                points.push(point_json(&result, None));
             }
-            None => {
-                return (
-                    500,
-                    error_body(&format!("scenario {index}: session build failed")),
-                )
+            Err((status, message)) => {
+                return (status, error_body(&format!("scenario {index}: {message}")))
             }
         }
     }
@@ -1241,14 +1082,12 @@ fn sweep_response(
 struct ServingInfo {
     reused: bool,
     latency_seconds: f64,
-    /// Requests evaluated in the same coalesced pass (1 = solo).
-    batch_size: usize,
 }
 
 /// Renders one evaluated point. The numeric columns mirror
 /// `BENCH_sweep.json`'s rows (same names, same null-for-non-finite policy);
-/// `session_reused`/`latency_seconds`/`batch_size` are appended for
-/// `/simulate` responses.
+/// `session_reused`/`latency_seconds` are appended for `/simulate`
+/// responses.
 fn point_json(result: &ScenarioResult, serving: Option<ServingInfo>) -> String {
     let report = result.report.as_ref();
     let mut body = format!(
@@ -1282,10 +1121,9 @@ fn point_json(result: &ScenarioResult, serving: Option<ServingInfo>) -> String {
     }
     if let Some(serving) = serving {
         body.push_str(&format!(
-            ", \"session_reused\": {}, \"latency_seconds\": {}, \"batch_size\": {}",
+            ", \"session_reused\": {}, \"latency_seconds\": {}",
             serving.reused,
             json_f64(serving.latency_seconds),
-            serving.batch_size,
         ));
     }
     body.push('}');
@@ -1336,7 +1174,7 @@ fn stats_body(state: &ServerState) -> String {
          \"shed\": {}, \"expired\": {}, \"inline\": {}, \"active_connections\": {}, \
          \"peak_connections\": {}, \"total_connections\": {}, \"refused_connections\": {}, \
          \"connection_inflight_cap\": {}, \"max_connections\": {}, \
-         \"max_batch\": {}, \"idle_timeout_seconds\": {}}}",
+         \"idle_timeout_seconds\": {}}}",
         state.queue.capacity(),
         state.queue.depth(),
         state.queue.peak_depth(),
@@ -1349,19 +1187,9 @@ fn stats_body(state: &ServerState) -> String {
         state.connections.refused.load(Ordering::Relaxed),
         state.connection_inflight,
         state.max_connections,
-        state.max_batch,
         json_f64(state.idle_timeout.as_secs_f64()),
     );
     let metrics = lock_recover(&state.metrics);
-    let batch = format!(
-        "{{\"batches\": {}, \"batched_requests\": {}, \"solo_requests\": {}, \
-         \"max_batch_size\": {}, \"mean_batch_size\": {}}}",
-        metrics.batch.batches,
-        metrics.batch.batched_requests,
-        metrics.batch.solo_requests,
-        metrics.batch.max_batch_size,
-        json_f64(metrics.batch.mean_batch_size()),
-    );
     let latency = format!(
         "{{\"queue_wait\": {}, \"session_build\": {}, \"evaluate\": {}, \"serialize\": {}}}",
         histogram_json(&metrics.queue_wait),
@@ -1419,7 +1247,7 @@ fn stats_body(state: &ServerState) -> String {
          \"breaker_keys\": [{breaker_keys}], \
          \"workers\": {}, \"faults\": [{}], \
          \"faults_armed\": {faults_armed}, \"admission\": {}, \
-         \"batch\": {}, \"latency\": {}, \"endpoints\": {{{}}}}}",
+         \"latency\": {}, \"endpoints\": {{{}}}}}",
         json_f64(state.started.elapsed().as_secs_f64()),
         state.requests.load(Ordering::Relaxed),
         state.errors.load(Ordering::Relaxed),
@@ -1438,7 +1266,6 @@ fn stats_body(state: &ServerState) -> String {
         workers,
         faults,
         admission,
-        batch,
         latency,
         endpoints_json,
     )
@@ -1506,26 +1333,6 @@ fn metrics_body(state: &ServerState) -> String {
             "gnnerator_serialize_seconds",
             "Response serialization latency per request.",
             &metrics.serialize,
-        );
-        prom.counter(
-            "gnnerator_batches_total",
-            "Evaluation passes that coalesced two or more requests.",
-            metrics.batch.batches,
-        );
-        prom.counter(
-            "gnnerator_batched_requests_total",
-            "Requests answered as part of a coalesced pass.",
-            metrics.batch.batched_requests,
-        );
-        prom.counter(
-            "gnnerator_solo_requests_total",
-            "Requests evaluated alone.",
-            metrics.batch.solo_requests,
-        );
-        prom.gauge(
-            "gnnerator_max_batch_size",
-            "Largest coalesced evaluation pass observed.",
-            metrics.batch.max_batch_size as f64,
         );
     }
 

@@ -1,13 +1,14 @@
 //! The `serve` binary end to end: it starts on an ephemeral port with the
 //! artifact cache off and a fault spec armed, takes its flags, answers its
 //! probes, reports the armed spec on `/metrics` and exits 0 after
-//! `POST /shutdown`; bad command-line input exits 2 with a message naming
-//! the flag.
+//! `POST /shutdown`; an unknown or unparseable flag or `GNNERATOR_SERVE_*`
+//! variable exits 2 with a message naming it.
 
 use gnnerator_serve::client;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// Kills the server if a failed assertion leaves it running.
 struct Server(Child);
@@ -84,17 +85,60 @@ fn the_binary_serves_reports_armed_faults_and_shuts_down_cleanly() {
 
 #[test]
 fn bad_flags_and_values_exit_2_naming_the_flag() {
-    for (args, flag) in [
-        (["--workers", "abc"], "--workers"),
-        (["--queue_depth", "1"], "--queue_depth"),
+    for (args, variable, named) in [
+        (&["--workers", "abc"][..], None, "--workers"),
+        (&["--queue_depth", "1"], None, "--queue_depth"),
+        (&["--max-batch", "4"], None, "--max-batch"),
+        (
+            &[],
+            Some(("GNNERATOR_SERVE_WORKERS", "abc")),
+            "GNNERATOR_SERVE_WORKERS",
+        ),
+        (
+            &[],
+            Some(("GNNERATOR_SERVE_BREAKER_THRESHOLD", "x")),
+            "GNNERATOR_SERVE_BREAKER_THRESHOLD",
+        ),
+        (
+            &[],
+            Some(("GNNERATOR_SERVE_WORKER", "4")),
+            "GNNERATOR_SERVE_WORKER",
+        ),
     ] {
-        let output = Command::new(env!("CARGO_BIN_EXE_serve"))
+        let mut command = Command::new(env!("CARGO_BIN_EXE_serve"));
+        // An ephemeral port, so an input that is wrongly accepted starts a
+        // server that cannot collide with anything; the deadline below
+        // stops it.
+        command
             .args(args)
+            .args(["--addr", "127.0.0.1:0"])
             .env("GNNERATOR_CACHE", "off")
-            .output()
-            .expect("serve runs");
-        assert_eq!(output.status.code(), Some(2), "{args:?}");
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped());
+        if let Some((name, value)) = variable {
+            command.env(name, value);
+        }
+        let mut server = Server(command.spawn().expect("serve runs"));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let status = loop {
+            if let Some(status) = server.0.try_wait().expect("serve is waitable") {
+                break status;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{args:?} {variable:?}: serve kept running"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        server
+            .0
+            .stderr
+            .take()
+            .expect("stderr is piped")
+            .read_to_string(&mut stderr)
+            .expect("stderr reads");
+        assert_eq!(status.code(), Some(2), "{args:?} {variable:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?} {variable:?}: {stderr}");
     }
 }

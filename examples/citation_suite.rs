@@ -10,12 +10,12 @@
 //! dataflow differences the paper measures).
 
 use gnnerator_bench::rows::{format_ms, format_speedup, geomean, Table};
-use gnnerator_bench::suite::{scale_from_args, SuiteContext, SuiteOptions};
+use gnnerator_bench::suite::{scale_or_exit, SuiteContext, SuiteOptions};
 use std::error::Error;
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let scale = scale_from_args(std::env::args());
+    let scale = scale_or_exit();
     println!("Synthesising the citation datasets at scale {scale}...");
     let ctx = SuiteContext::materialize(&SuiteOptions::paper().with_scale(scale))?;
 

@@ -120,7 +120,6 @@ fn concurrent_scrapes_parse_and_counters_stay_monotonic() {
         "gnnerator_requests_total",
         "gnnerator_evaluate_seconds_count",
         "gnnerator_pool_hits_total",
-        "gnnerator_solo_requests_total",
     ] {
         assert!(
             after[series] >= before[series],
@@ -138,8 +137,8 @@ fn concurrent_scrapes_parse_and_counters_stay_monotonic() {
 }
 
 /// Every `/stats` counter that scrapes do not move, with its `/metrics`
-/// series: pool, breaker, queue, worker and batch counters.
-const STATS_SERIES: [(&str, &str, &str); 27] = [
+/// series: pool, breaker, queue and worker counters.
+const STATS_SERIES: [(&str, &str, &str); 24] = [
     ("", "errors", "gnnerator_errors_total"),
     ("pool", "size", "gnnerator_pool_sessions"),
     ("pool", "capacity", "gnnerator_pool_capacity"),
@@ -196,19 +195,12 @@ const STATS_SERIES: [(&str, &str, &str); 27] = [
     ("workers", "alive", "gnnerator_workers_alive"),
     ("workers", "panics", "gnnerator_worker_panics_total"),
     ("workers", "respawns", "gnnerator_worker_respawns_total"),
-    ("batch", "batches", "gnnerator_batches_total"),
-    (
-        "batch",
-        "batched_requests",
-        "gnnerator_batched_requests_total",
-    ),
-    ("batch", "solo_requests", "gnnerator_solo_requests_total"),
 ];
 
 #[test]
 fn stats_counters_equal_their_metrics_series() {
     let (server, addr) = start_server();
-    // Traffic that moves the pool, batch and error counters: misses and
+    // Traffic that moves the pool and error counters: misses and
     // hits on two datasets, a baseline, a concurrent burst on one key, and
     // a rejected request.
     for (dataset, backend) in [
@@ -235,7 +227,7 @@ fn stats_counters_equal_their_metrics_series() {
         let response = client::get(addr, "/stats").expect("stats succeeds");
         assert_eq!(response.status, 200, "{}", response.body);
         let json = Json::parse(&response.body).expect("/stats is JSON");
-        let counts = STATS_SERIES.map(|(section, field, _)| {
+        STATS_SERIES.map(|(section, field, _)| {
             let object = if section.is_empty() {
                 Some(&json)
             } else {
@@ -244,12 +236,7 @@ fn stats_counters_equal_their_metrics_series() {
             object
                 .and_then(|object| object.get(field)?.as_u64())
                 .unwrap_or_else(|| panic!("/stats lacks {section}.{field}"))
-        });
-        let mean_batch_size = json
-            .get("batch")
-            .and_then(|batch| batch.get("mean_batch_size")?.as_f64())
-            .expect("/stats lacks batch.mean_batch_size");
-        (counts, mean_batch_size)
+        })
     };
     // A worker may still be finishing its bookkeeping after the last
     // response; compare once `/stats` reads the same on both sides of a
@@ -261,28 +248,17 @@ fn stats_counters_equal_their_metrics_series() {
             std::thread::sleep(std::time::Duration::from_millis(10));
             return false;
         }
-        let (counts, mean_batch_size) = before;
-        for ((section, field, series), value) in STATS_SERIES.iter().zip(counts) {
+        for ((section, field, series), value) in STATS_SERIES.iter().zip(before) {
             assert_eq!(
                 samples.get(*series).copied(),
                 Some(value as f64),
                 "/stats {section}.{field} vs /metrics {series}"
             );
         }
-        // The mean is derived: requests over passes, where every solo
-        // request is a pass of its own.
-        let series = |name: &str| samples[name];
-        let solo = series("gnnerator_solo_requests_total");
-        assert_eq!(
-            mean_batch_size,
-            (series("gnnerator_batched_requests_total") + solo)
-                / (series("gnnerator_batches_total") + solo),
-            "/stats batch.mean_batch_size vs the batch series"
-        );
         true
     });
     assert!(agreed, "/stats never held still across a scrape");
-    let (counts, _) = stats();
+    let counts = stats();
     let count = |field: &str| {
         let index = STATS_SERIES
             .iter()

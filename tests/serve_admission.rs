@@ -1,8 +1,8 @@
-//! Batching-correctness tests: session-keyed coalescing must be invisible
-//! in the payload (bit-identical to `SweepRunner::run_one`) and visible in
-//! the counters (`batched + solo == total`, `batch_size > 1` under
-//! overlapping-key load), and a full admission queue must shed with `429`
-//! + `Retry-After` rather than queue unbounded work.
+//! Admission tests: requests that overlap in the queue — concurrent
+//! clients, or one client's pipelined requests — stay bit-identical to
+//! `SweepRunner::run_one` and come back in request order, every request is
+//! counted once per stage, and a full admission queue sheds with `429` +
+//! `Retry-After` rather than queue unbounded work.
 
 use gnnerator::SweepRunner;
 use gnnerator_serve::{
@@ -17,7 +17,7 @@ fn body(dataset: &str, backend: &str, seed: u64, scale: f64) -> String {
     )
 }
 
-/// The warm, shared-key scenario every test coalesces on.
+/// The warm, shared-key scenario every test sends.
 fn warm_body(backend: &str) -> String {
     body("cora", backend, 9, 0.03)
 }
@@ -67,14 +67,14 @@ fn assert_bit_identical(point: &Json, reference: &gnnerator::ScenarioResult, con
 
 #[test]
 fn concurrent_overlapping_keys_stay_bit_identical_to_run_one() {
-    // One evaluation worker maximises queue overlap, hence coalescing.
+    // One evaluation worker maximises queue overlap.
     let (server, addr) = start_server(ServeConfig {
         workers: 1,
         pool_capacity: 8,
         ..ServeConfig::default()
     });
     // Three bodies, two session keys: the backend is not part of the key,
-    // so cora/gnnerator and cora/gpu-roofline coalesce onto one session.
+    // so cora/gnnerator and cora/gpu-roofline share one pooled session.
     let bodies = [
         warm_body("gnnerator"),
         warm_body("gpu-roofline"),
@@ -100,114 +100,63 @@ fn concurrent_overlapping_keys_stay_bit_identical_to_run_one() {
     });
     for (index, point) in &points {
         assert_bit_identical(point, &references[*index], &format!("body {index}"));
-        let batch_size = point
-            .get("batch_size")
-            .and_then(Json::as_u64)
-            .expect("batch_size field");
-        assert!(batch_size >= 1, "batch_size is always at least 1");
     }
     server.shutdown();
 }
 
 #[test]
-fn pipelined_same_key_requests_coalesce_and_counters_stay_coherent() {
+fn pipelined_requests_answer_in_order_and_counters_stay_coherent() {
     let (server, addr) = start_server(ServeConfig {
-        workers: 1,
+        workers: 2,
         pool_capacity: 8,
-        max_batch: 16,
         ..ServeConfig::default()
     });
     let mut connection = ClientConnection::new(addr);
-    // Warm the shared-key session so the coalesced batch evaluates fast.
+    // Warm the shared-key session so the pipelined requests evaluate fast.
     let warm = warm_body("gnnerator");
     let warmed = connection.post("/simulate", &warm).expect("warm-up");
     assert!(warmed.is_ok(), "{}", warmed.body);
-    let expected = reference(&warm);
+    let roofline = warm_body("gpu-roofline");
+    let expected = [reference(&warm), reference(&roofline)];
 
-    // Pipeline a cold blocker (fresh seed → forced session build occupying
-    // the single worker) followed by six warm same-key requests: they all
-    // queue while the blocker builds, so the worker drains them as one
-    // coalesced batch. Timing-dependent in principle, so retry with a new
-    // cold seed if a blazing build ever beats the pipelined bytes.
-    let mut observed_batch = 0u64;
-    for attempt in 0..6u64 {
-        let blocker = body("citeseer", "gnnerator", 100 + attempt, 0.05);
-        let warm_ref = warm.as_str();
-        let requests = [
-            ("POST", "/simulate", blocker.as_str()),
-            ("POST", "/simulate", warm_ref),
-            ("POST", "/simulate", warm_ref),
-            ("POST", "/simulate", warm_ref),
-            ("POST", "/simulate", warm_ref),
-            ("POST", "/simulate", warm_ref),
-            ("POST", "/simulate", warm_ref),
-        ];
-        let responses = connection.pipeline(&requests).expect("pipelined requests");
-        assert_eq!(responses.len(), requests.len());
-        for (index, response) in responses.iter().enumerate() {
-            assert!(response.is_ok(), "response {index}: {}", response.body);
-            let point = response.json().expect("point JSON");
-            if index > 0 {
-                assert_bit_identical(
-                    &point,
-                    &expected,
-                    &format!("attempt {attempt} response {index}"),
-                );
-            }
-            let batch_size = point
-                .get("batch_size")
-                .and_then(Json::as_u64)
-                .expect("batch_size field");
-            observed_batch = observed_batch.max(batch_size);
-        }
-        if observed_batch >= 2 {
-            break;
+    // A cold blocker (fresh seed, so a session build holds one worker)
+    // followed by warm requests alternating two backends over one session:
+    // read-ahead hands them to the other worker while the blocker builds,
+    // yet every answer comes back in request order.
+    let blocker = body("citeseer", "gnnerator", 100, 0.05);
+    let mut requests = vec![("POST", "/simulate", blocker.as_str())];
+    for _ in 0..3 {
+        requests.push(("POST", "/simulate", warm.as_str()));
+        requests.push(("POST", "/simulate", roofline.as_str()));
+    }
+    let responses = connection.pipeline(&requests).expect("pipelined requests");
+    assert_eq!(responses.len(), requests.len());
+    for (index, response) in responses.iter().enumerate() {
+        assert!(response.is_ok(), "response {index}: {}", response.body);
+        let point = response.json().expect("point JSON");
+        if index > 0 {
+            let context = format!("response {index}");
+            assert_bit_identical(&point, &expected[(index - 1) % 2], &context);
         }
     }
-    assert!(
-        observed_batch >= 2,
-        "overlapping same-key requests never coalesced (best batch_size {observed_batch})"
-    );
 
-    // Counters must be coherent: every /simulate that reached a worker is
-    // either batched or solo, never both, never neither.
+    // Every /simulate, inline or queued, is counted once per stage.
     let stats = connection.get("/stats").expect("stats");
     let json = stats.json().expect("stats JSON");
-    let batch = json.get("batch").expect("batch section");
-    let batched = batch
-        .get("batched_requests")
-        .and_then(Json::as_u64)
-        .expect("batched_requests");
-    let solo = batch
-        .get("solo_requests")
-        .and_then(Json::as_u64)
-        .expect("solo_requests");
     let simulate_requests = json
         .get("endpoints")
         .and_then(|e| e.get("simulate"))
         .and_then(|s| s.get("requests"))
         .and_then(Json::as_u64)
         .expect("simulate endpoint requests");
-    assert_eq!(
-        batched + solo,
-        simulate_requests,
-        "batched + solo must equal every /simulate a worker answered"
-    );
-    let max_batch_size = batch
-        .get("max_batch_size")
-        .and_then(Json::as_u64)
-        .expect("max_batch_size");
-    assert!(max_batch_size >= 2, "the coalesced pass shows up in /stats");
-    assert!(
-        max_batch_size <= 16,
-        "never beyond the configured max_batch"
-    );
+    assert_eq!(simulate_requests, requests.len() as u64 + 1);
     let latency = json.get("latency").expect("latency section");
-    for stage in ["queue_wait", "evaluate", "serialize"] {
+    for stage in ["queue_wait", "session_build", "evaluate", "serialize"] {
         let histogram = latency.get(stage).expect("stage histogram");
-        assert!(
-            histogram.get("count").and_then(Json::as_u64).unwrap_or(0) > 0,
-            "{stage} histogram recorded samples"
+        assert_eq!(
+            histogram.get("count").and_then(Json::as_u64),
+            Some(simulate_requests),
+            "{stage} histogram counts every /simulate once"
         );
         let p50 = histogram.get("p50_seconds").and_then(Json::as_f64).unwrap();
         let p99 = histogram.get("p99_seconds").and_then(Json::as_f64).unwrap();

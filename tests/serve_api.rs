@@ -201,25 +201,23 @@ fn stats_compile_and_sweep_endpoints_answer_coherently() {
     let response = client::post(addr, "/compile", &body("cora", "hygcn")).unwrap();
     assert_eq!(response.status, 400);
 
-    // /sweep evaluates a batch in order.
-    let sweep_body = format!(
-        "{{\"scenarios\": [{}, {}, {}]}}",
-        body("cora", "gnnerator"),
-        body("cora", "gpu-roofline"),
-        body("citeseer", "gnnerator"),
-    );
+    // /sweep evaluates in input order, even with two session keys
+    // interleaved.
+    let order = [
+        ("cora", "gnnerator"),
+        ("citeseer", "gnnerator"),
+        ("cora", "gpu-roofline"),
+    ];
+    let scenarios: Vec<String> = order.iter().map(|(d, b)| body(d, b)).collect();
+    let sweep_body = format!("{{\"scenarios\": [{}]}}", scenarios.join(", "));
     let response = client::post(addr, "/sweep", &sweep_body).unwrap();
     assert!(response.is_ok(), "{}", response.body);
-    let batch = response.json().unwrap();
-    assert_eq!(batch.get("count").and_then(Json::as_u64), Some(3));
-    let points = batch.get("points").and_then(Json::as_array).unwrap();
+    let sweep = response.json().unwrap();
+    assert_eq!(sweep.get("count").and_then(Json::as_u64), Some(3));
+    let points = sweep.get("points").and_then(Json::as_array).unwrap();
     assert_eq!(points.len(), 3);
     let runner = SweepRunner::new();
-    for (point, (dataset, backend)) in points.iter().zip([
-        ("cora", "gnnerator"),
-        ("cora", "gpu-roofline"),
-        ("citeseer", "gnnerator"),
-    ]) {
+    for (point, (dataset, backend)) in points.iter().zip(order) {
         let scenario = scenario_from_json(&Json::parse(&body(dataset, backend)).unwrap()).unwrap();
         let reference = runner.run_one(&scenario).unwrap();
         assert_point_matches(point, &reference, dataset);
@@ -296,7 +294,7 @@ fn shutdown_endpoint_stops_the_server_cleanly() {
 /// After warm-up, sequential keep-alive `/simulate` requests on an idle
 /// server are evaluated on their connection thread: none of them enters
 /// the admission queue, yet every one is bit-identical to `run_one`, is
-/// counted as a solo evaluation pass, and carries the full provenance
+/// counted by the evaluation metrics, and carries the full provenance
 /// breakdown when asked.
 #[test]
 fn idle_warm_requests_are_evaluated_inline_and_stay_bit_identical() {
@@ -331,7 +329,6 @@ fn idle_warm_requests_are_evaluated_inline_and_stay_bit_identical() {
         assert!(response.keep_alive(), "request {index} kept the connection");
         let point = response.json().expect("point JSON");
         assert_point_matches(&point, &reference, &format!("request {index}"));
-        assert_eq!(point.get("batch_size").and_then(Json::as_u64), Some(1));
         assert_eq!(
             point.get("session_reused").and_then(Json::as_bool),
             Some(true)
@@ -379,10 +376,15 @@ fn idle_warm_requests_are_evaluated_inline_and_stay_bit_identical() {
         .and_then(Json::as_u64)
         .expect("simulate endpoint requests");
     assert_eq!(simulate_requests, REQUESTS + 2);
+    let evaluated = after
+        .get("latency")
+        .and_then(|l| l.get("evaluate"))
+        .and_then(|e| e.get("count"))
+        .and_then(Json::as_u64)
+        .expect("evaluate histogram count");
     assert_eq!(
-        counter(&after, "batch", "batched_requests") + counter(&after, "batch", "solo_requests"),
-        simulate_requests,
-        "batched + solo covers inline evaluations too"
+        evaluated, simulate_requests,
+        "the evaluate histogram covers inline evaluations too"
     );
     server.shutdown();
 }
