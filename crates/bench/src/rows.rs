@@ -60,59 +60,9 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The table title.
     pub fn title(&self) -> &str {
         &self.title
-    }
-
-    /// The data rows.
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
-    /// Renders the table as CSV (header row followed by data rows), for
-    /// downstream plotting scripts.
-    ///
-    /// Cells containing commas or quotes are quoted per RFC 4180.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use gnnerator_bench::rows::Table;
-    /// let mut t = Table::new("Speedups", &["benchmark", "speedup"]);
-    /// t.add_row(vec!["cora-gcn".into(), "7.5".into()]);
-    /// let csv = t.to_csv();
-    /// assert_eq!(csv.lines().count(), 2);
-    /// assert!(csv.starts_with("benchmark,speedup"));
-    /// ```
-    pub fn to_csv(&self) -> String {
-        fn escape(cell: &str) -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
     }
 
     fn column_widths(&self) -> Vec<usize> {
@@ -191,9 +141,9 @@ mod tests {
         let mut t = Table::new("T", &["a", "b"]);
         t.add_row(vec!["1".into()]);
         t.add_row(vec!["1".into(), "2".into(), "3".into()]);
-        assert_eq!(t.num_rows(), 2);
-        assert_eq!(t.rows()[0].len(), 2);
-        assert_eq!(t.rows()[1].len(), 2);
+        assert_eq!(t.rows.len(), 2);
+        assert_eq!(t.rows[0].len(), 2);
+        assert_eq!(t.rows[1].len(), 2);
     }
 
     #[test]
@@ -213,26 +163,5 @@ mod tests {
     fn formatters() {
         assert_eq!(format_speedup(7.523), "7.5x");
         assert_eq!(format_ms(0.0015), "1.500 ms");
-    }
-
-    #[test]
-    fn csv_export_quotes_special_cells() {
-        let mut t = Table::new("T", &["name", "value"]);
-        t.add_row(vec!["plain".into(), "1".into()]);
-        t.add_row(vec!["with,comma".into(), "say \"hi\"".into()]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "name,value");
-        assert_eq!(lines[1], "plain,1");
-        assert_eq!(lines[2], "\"with,comma\",\"say \"\"hi\"\"\"");
-    }
-
-    #[test]
-    fn csv_export_pads_short_rows() {
-        let mut t = Table::new("T", &["a", "b", "c"]);
-        t.add_row(vec!["1".into()]);
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().nth(1), Some("1,,"));
     }
 }

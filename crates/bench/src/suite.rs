@@ -13,7 +13,6 @@ use gnnerator::{
     BackendEvaluation, BackendKind, DataflowConfig, GnneratorConfig, GnneratorError, Report,
     ScenarioResult, ScenarioSpec, SweepRunner,
 };
-use gnnerator_baselines::HygcnConfig;
 use gnnerator_gnn::{GnnModel, NetworkKind};
 use gnnerator_graph::datasets::{Dataset, DatasetKind, DatasetSpec};
 use gnnerator_graph::ArtifactCache;
@@ -50,14 +49,6 @@ impl Workload {
     /// shared per-dataset table the serving API defaults to as well.
     pub fn num_classes(&self) -> usize {
         self.dataset.num_classes()
-    }
-
-    /// HyGCN's window-shrinking sparsity-elimination speedup for this
-    /// dataset, as quoted in the paper (≈1.1× for Cora/Pubmed, ≈3× for
-    /// Citeseer). Delegates to the shared per-dataset table the HyGCN
-    /// backend itself uses.
-    pub fn hygcn_sparsity_speedup(&self) -> f64 {
-        HygcnConfig::paper_sparsity_for(self.dataset.spec().name)
     }
 }
 
@@ -162,19 +153,6 @@ impl SuiteOptions {
         self.scale = scale;
         self
     }
-
-    /// Returns a copy with a different accelerator configuration.
-    pub fn with_config(mut self, config: GnneratorConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Returns a copy with a different hidden dimension (Figure 5 sweeps 16,
-    /// 128 and 1024).
-    pub fn with_hidden_dim(mut self, hidden_dim: usize) -> Self {
-        self.hidden_dim = hidden_dim;
-        self
-    }
 }
 
 impl Default for SuiteOptions {
@@ -214,11 +192,6 @@ impl WorkloadResult {
     /// Speedup of blocked GNNerator over HyGCN (a Table V entry).
     pub fn speedup_blocked_vs_hygcn(&self) -> f64 {
         self.hygcn.seconds / self.gnnerator_blocked.seconds()
-    }
-
-    /// Speedup of unblocked GNNerator over HyGCN (a Table V entry).
-    pub fn speedup_unblocked_vs_hygcn(&self) -> f64 {
-        self.hygcn.seconds / self.gnnerator_unblocked.seconds()
     }
 }
 
@@ -373,45 +346,6 @@ impl SuiteContext {
         self.runner.run(scenarios)
     }
 
-    /// Simulates GNNerator (with the given dataflow) on a workload through
-    /// the session cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors.
-    pub fn simulate_gnnerator(
-        &self,
-        workload: &Workload,
-        dataflow: DataflowConfig,
-    ) -> Result<Report, GnneratorError> {
-        let scenario = self.scenario(workload, self.options.config.clone(), dataflow);
-        Ok(self
-            .runner
-            .run_one(&scenario)?
-            .report
-            .expect("accelerator scenario carries a report"))
-    }
-
-    /// Simulates GNNerator with an explicit platform configuration (used by
-    /// the Figure 5 scaling study).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors.
-    pub fn simulate_with_config(
-        &self,
-        workload: &Workload,
-        config: GnneratorConfig,
-        dataflow: DataflowConfig,
-    ) -> Result<Report, GnneratorError> {
-        let scenario = self.scenario(workload, config, dataflow);
-        Ok(self
-            .runner
-            .run_one(&scenario)?
-            .report
-            .expect("accelerator scenario carries a report"))
-    }
-
     /// Builds the scenario point that evaluates a workload on a baseline
     /// platform. Baseline backends ignore the accelerator configuration and
     /// dataflow, so the context defaults are stamped in for labelling only.
@@ -527,13 +461,7 @@ mod tests {
         let w = Workload::new(DatasetKind::Citeseer, NetworkKind::Graphsage);
         assert_eq!(w.label(), "citeseer-gsage");
         assert_eq!(w.num_classes(), 6);
-        assert!((w.hygcn_sparsity_speedup() - 3.0).abs() < 1e-9);
         assert_eq!(w.to_string(), "citeseer-gsage");
-        assert!(
-            (Workload::new(DatasetKind::Cora, NetworkKind::Gcn).hygcn_sparsity_speedup() - 1.1)
-                .abs()
-                < 1e-9
-        );
     }
 
     #[test]
@@ -573,7 +501,6 @@ mod tests {
         assert!(result.speedup_blocked_vs_gpu() > 0.0);
         assert!(result.speedup_unblocked_vs_gpu() > 0.0);
         assert!(result.speedup_blocked_vs_hygcn() > 0.0);
-        assert!(result.speedup_unblocked_vs_hygcn() > 0.0);
     }
 
     #[test]
@@ -634,13 +561,8 @@ mod tests {
 
     #[test]
     fn options_builders() {
-        let opts = SuiteOptions::paper()
-            .with_scale(0.5)
-            .with_hidden_dim(128)
-            .with_config(GnneratorConfig::paper_default().with_double_dense_compute());
+        let opts = SuiteOptions::paper().with_scale(0.5);
         assert!((opts.scale - 0.5).abs() < 1e-9);
-        assert_eq!(opts.hidden_dim, 128);
-        assert_eq!(opts.config.dense.array_rows, 128);
         assert_eq!(SuiteOptions::default(), SuiteOptions::paper());
     }
 }

@@ -24,7 +24,6 @@ use gnnerator_graph::datasets::{Dataset, DatasetKind};
 // One JSON layer for every artifact: rows are rendered with the serving
 // layer's writers and parsed with its parser.
 use gnnerator_serve::json::{json_opt_f64, json_opt_u64, json_string};
-use gnnerator_serve::Json;
 use std::time::Instant;
 
 /// The dataflows every workload is swept across on the accelerator.
@@ -129,9 +128,9 @@ fn products_scenario(ctx: &SuiteContext) -> ScenarioSpec {
 
 /// One machine-readable row of `BENCH_sweep.json`'s `points` array.
 ///
-/// The struct is its own serializer/deserializer (the workspace has no
-/// serialisation framework): [`SweepPoint::to_json`] and [`SweepPoint::from_json`]
-/// round-trip every field exactly, which the tests pin.
+/// The struct is its own serializer (the workspace has no serialisation
+/// framework): [`SweepPoint::to_json`] renders every field, and the tests
+/// parse each rendered row back to pin that it round-trips exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Human-readable point label.
@@ -218,42 +217,6 @@ impl SweepPoint {
             json_opt_f64(self.speedup_vs_gpu),
             json_opt_f64(self.speedup_vs_hygcn),
         )
-    }
-
-    /// Parses a row previously rendered by [`SweepPoint::to_json`].
-    ///
-    /// Fields may appear in any order; unknown fields are ignored. Returns
-    /// `None` on malformed input or missing required fields.
-    pub fn from_json(text: &str) -> Option<Self> {
-        let row = Json::parse(text)?;
-        let string = |key: &str| row.get(key)?.as_str().map(str::to_string);
-        let f64_field = |key: &str| row.get(key)?.as_f64();
-        let opt_f64 = |key: &str| match row.get(key)? {
-            Json::Null => Some(None),
-            value => value.as_f64().map(Some),
-        };
-        let opt_u64 = |key: &str| match row.get(key)? {
-            Json::Null => Some(None),
-            value => value.as_u64().map(Some),
-        };
-        Some(Self {
-            label: string("label")?,
-            backend: string("backend")?,
-            network: string("network")?,
-            dataset: string("dataset")?,
-            dataflow: string("dataflow")?,
-            config: string("config")?,
-            seconds: f64_field("seconds")?,
-            simulate_seconds: f64_field("simulate_seconds")?,
-            total_cycles: opt_u64("total_cycles")?,
-            dram_bytes: opt_u64("dram_bytes")?,
-            occupancy: opt_f64("occupancy")?,
-            occupied_shards: opt_u64("occupied_shards")?,
-            baseline_gpu_seconds: opt_f64("baseline_gpu_seconds")?,
-            baseline_hygcn_seconds: opt_f64("baseline_hygcn_seconds")?,
-            speedup_vs_gpu: opt_f64("speedup_vs_gpu")?,
-            speedup_vs_hygcn: opt_f64("speedup_vs_hygcn")?,
-        })
     }
 }
 
@@ -492,6 +455,44 @@ pub fn bench_sweep(ctx: &SuiteContext) -> Result<SweepBenchmark, GnneratorError>
 mod tests {
     use super::*;
     use crate::suite::SuiteOptions;
+    use gnnerator_serve::Json;
+
+    /// Parses a row rendered by [`SweepPoint::to_json`], so the tests can check
+    /// that every rendered row is JSON that round-trips.
+    ///
+    /// Fields may appear in any order; unknown fields are ignored. Returns
+    /// `None` on malformed input or missing required fields.
+    fn parse_point(text: &str) -> Option<SweepPoint> {
+        let row = Json::parse(text)?;
+        let string = |key: &str| row.get(key)?.as_str().map(str::to_string);
+        let f64_field = |key: &str| row.get(key)?.as_f64();
+        let opt_f64 = |key: &str| match row.get(key)? {
+            Json::Null => Some(None),
+            value => value.as_f64().map(Some),
+        };
+        let opt_u64 = |key: &str| match row.get(key)? {
+            Json::Null => Some(None),
+            value => value.as_u64().map(Some),
+        };
+        Some(SweepPoint {
+            label: string("label")?,
+            backend: string("backend")?,
+            network: string("network")?,
+            dataset: string("dataset")?,
+            dataflow: string("dataflow")?,
+            config: string("config")?,
+            seconds: f64_field("seconds")?,
+            simulate_seconds: f64_field("simulate_seconds")?,
+            total_cycles: opt_u64("total_cycles")?,
+            dram_bytes: opt_u64("dram_bytes")?,
+            occupancy: opt_f64("occupancy")?,
+            occupied_shards: opt_u64("occupied_shards")?,
+            baseline_gpu_seconds: opt_f64("baseline_gpu_seconds")?,
+            baseline_hygcn_seconds: opt_f64("baseline_hygcn_seconds")?,
+            speedup_vs_gpu: opt_f64("speedup_vs_gpu")?,
+            speedup_vs_hygcn: opt_f64("speedup_vs_hygcn")?,
+        })
+    }
 
     #[test]
     fn sweep_grid_covers_every_backend() {
@@ -604,7 +605,7 @@ mod tests {
         let results = ctx.run_scenarios(&scenarios).unwrap();
         for result in &results {
             let point = SweepPoint::from_result(result);
-            let parsed = SweepPoint::from_json(&point.to_json())
+            let parsed = parse_point(&point.to_json())
                 .unwrap_or_else(|| panic!("unparseable row: {}", point.to_json()));
             assert_eq!(parsed, point, "{}", result.scenario);
             // Accelerator rows carry the speedup columns, baselines don't.
@@ -632,16 +633,16 @@ mod tests {
                     \"occupancy\": null, \"occupied_shards\": null, \
                     \"baseline_gpu_seconds\": null, \"baseline_hygcn_seconds\": null, \
                     \"speedup_vs_gpu\": null, \"speedup_vs_hygcn\": null}";
-        let point = SweepPoint::from_json(json).unwrap();
+        let point = parse_point(json).unwrap();
         assert_eq!(point.label, "a\"b\\c\nd");
         assert_eq!(point.seconds, 1e-3);
         assert_eq!(point.total_cycles, None);
         // Round-trip of the escaped label.
-        assert_eq!(SweepPoint::from_json(&point.to_json()), Some(point));
+        assert_eq!(parse_point(&point.to_json()), Some(point));
         // Malformed inputs are rejected, not panicked on.
-        assert_eq!(SweepPoint::from_json("not json"), None);
-        assert_eq!(SweepPoint::from_json("{\"label\": }"), None);
-        assert_eq!(SweepPoint::from_json("{}"), None);
+        assert_eq!(parse_point("not json"), None);
+        assert_eq!(parse_point("{\"label\": }"), None);
+        assert_eq!(parse_point("{}"), None);
     }
 
     #[test]
@@ -667,7 +668,7 @@ mod tests {
         let json = point.to_json();
         assert!(!json.contains("inf"), "{json}");
         assert!(!json.contains("NaN"), "{json}");
-        let parsed = SweepPoint::from_json(&json).unwrap();
+        let parsed = parse_point(&json).unwrap();
         assert_eq!(parsed.speedup_vs_gpu, None);
         assert_eq!(parsed.speedup_vs_hygcn, None);
         assert_eq!(parsed.occupancy, None);
@@ -675,7 +676,7 @@ mod tests {
         point.occupancy = Some(0.75);
         point.speedup_vs_gpu = Some(4.0);
         point.speedup_vs_hygcn = Some(2.0);
-        assert_eq!(SweepPoint::from_json(&point.to_json()), Some(point));
+        assert_eq!(parse_point(&point.to_json()), Some(point));
     }
 
     #[test]

@@ -34,12 +34,6 @@ impl ShardCost {
     pub fn total(&self) -> u64 {
         self.reads + self.writes
     }
-
-    /// Total cost with an explicit relative write cost (e.g. writes that cost
-    /// `write_weight` times as much as reads).
-    pub fn weighted_total(&self, write_weight: f64) -> f64 {
-        self.reads as f64 + self.writes as f64 * write_weight
-    }
 }
 
 impl fmt::Display for ShardCost {
@@ -85,14 +79,6 @@ pub fn destination_stationary(s: u64, i: u64) -> ShardCost {
     ShardCost {
         reads: (s * s - s + 1) * i,
         writes: s,
-    }
-}
-
-/// Cost of a given traversal order.
-pub fn order_cost(order: TraversalOrder, s: u64, i: u64) -> ShardCost {
-    match order {
-        TraversalOrder::SourceStationary => source_stationary(s, i),
-        TraversalOrder::DestinationStationary => destination_stationary(s, i),
     }
 }
 
@@ -190,25 +176,12 @@ mod tests {
     }
 
     #[test]
-    fn order_cost_dispatches() {
-        assert_eq!(
-            order_cost(TraversalOrder::SourceStationary, 4, 2),
-            source_stationary(4, 2)
-        );
-        assert_eq!(
-            order_cost(TraversalOrder::DestinationStationary, 4, 2),
-            destination_stationary(4, 2)
-        );
-    }
-
-    #[test]
     fn weighted_total_scales_writes() {
         let c = ShardCost {
             reads: 10,
             writes: 5,
         };
         assert_eq!(c.total(), 15);
-        assert!((c.weighted_total(2.0) - 20.0).abs() < 1e-9);
         assert!(c.to_string().contains("10"));
     }
 

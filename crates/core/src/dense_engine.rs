@@ -94,14 +94,6 @@ impl DenseEngine {
         2 * self.output_bytes(m, n)
     }
 
-    /// Whether a `k x n` weight slice plus an `m x k` input tile fit in the
-    /// engine's (double-buffered) scratchpads. Used by the compiler to size
-    /// dense work batches.
-    pub fn tile_fits(&self, m: usize, k: usize, n: usize) -> bool {
-        let bank = self.config.buffer_bytes / 2;
-        self.weight_bytes(k, n) + self.input_bytes(m, k) + self.output_bytes(m, n) <= bank
-    }
-
     /// Whether an `m x n` output (the layer's accumulating partial sums over
     /// all feature blocks) can stay resident in the output buffer, in which
     /// case the feature-blocking dataflow pays **no** partial-sum DRAM
@@ -166,14 +158,6 @@ mod tests {
         assert_eq!(e.input_bytes(100, 64), 100 * 64 * 4);
         assert_eq!(e.output_bytes(100, 16), 100 * 16 * 4);
         assert_eq!(e.partial_sum_traffic_bytes(100, 16), 2 * 100 * 16 * 4);
-    }
-
-    #[test]
-    fn tile_fits_respects_buffer_capacity() {
-        let e = engine();
-        assert!(e.tile_fits(1024, 64, 64));
-        // An absurdly large tile does not fit in 3 MiB per bank.
-        assert!(!e.tile_fits(1_000_000, 1433, 64));
     }
 
     #[test]

@@ -50,16 +50,6 @@ impl ShardComputeUnit {
         }
     }
 
-    /// Number of GPEs.
-    pub fn num_gpes(&self) -> usize {
-        self.num_gpes
-    }
-
-    /// SIMD lanes per GPE.
-    pub fn simd_lanes(&self) -> usize {
-        self.simd_lanes
-    }
-
     /// Cycles per edge for a feature block of `block_dim` dimensions: one
     /// apply+reduce pass per `simd_lanes`-wide chunk.
     pub fn edge_cycles(&self, block_dim: usize) -> Cycle {
@@ -74,11 +64,6 @@ impl ShardComputeUnit {
         }
         let edges_per_gpe = num_edges.div_ceil(self.num_gpes) as Cycle;
         edges_per_gpe * self.edge_cycles(block_dim)
-    }
-
-    /// Aggregate throughput in feature-element operations per cycle.
-    pub fn peak_elements_per_cycle(&self) -> u64 {
-        (self.num_gpes * self.simd_lanes) as u64
     }
 }
 
@@ -114,13 +99,6 @@ impl FetchPlanner {
     pub fn destination_bytes(&self, num_dst_nodes: usize, block_dim: usize) -> u64 {
         num_dst_nodes as u64 * block_dim as u64 * BYTES_PER_ELEMENT
     }
-
-    /// Bytes needed to spill and re-load a partially aggregated destination
-    /// block, as happens for every shard but the first/last of a row under
-    /// the source-stationary order (Table I's write-cost term).
-    pub fn destination_reload_bytes(&self, num_dst_nodes: usize, block_dim: usize) -> u64 {
-        2 * self.destination_bytes(num_dst_nodes, block_dim)
-    }
 }
 
 /// The assembled Graph Engine model.
@@ -132,7 +110,6 @@ impl FetchPlanner {
 ///
 /// # fn main() -> Result<(), gnnerator::GnneratorError> {
 /// let engine = GraphEngine::new(&GraphEngineConfig::default())?;
-/// assert_eq!(engine.compute().num_gpes(), 32);
 /// // How many nodes fit on-chip when 64 dims are resident per node?
 /// let nodes = engine.nodes_per_shard(64);
 /// assert!(nodes > 10_000);
@@ -174,11 +151,6 @@ impl GraphEngine {
     /// The engine's configuration.
     pub fn config(&self) -> &GraphEngineConfig {
         &self.config
-    }
-
-    /// The Shard Compute Unit model.
-    pub fn compute(&self) -> &ShardComputeUnit {
-        &self.compute
     }
 
     /// The fetch/writeback traffic model.
@@ -240,7 +212,6 @@ mod tests {
         assert_eq!(unit.compute_cycles(80, 32), 10);
         assert_eq!(unit.compute_cycles(81, 32), 11);
         assert_eq!(unit.compute_cycles(0, 32), 0);
-        assert_eq!(unit.peak_elements_per_cycle(), 256);
     }
 
     #[test]
@@ -267,7 +238,6 @@ mod tests {
             meta.source_feature_bytes(64)
         );
         assert_eq!(f.destination_bytes(100, 16), 100 * 16 * 4);
-        assert_eq!(f.destination_reload_bytes(100, 16), 2 * 100 * 16 * 4);
     }
 
     #[test]
@@ -314,7 +284,7 @@ mod tests {
     #[test]
     fn shard_cycles_include_overhead() {
         let engine = GraphEngine::new(&GraphEngineConfig::default()).unwrap();
-        let compute = engine.compute().compute_cycles(1000, 64);
+        let compute = ShardComputeUnit::new(32, 32).compute_cycles(1000, 64);
         assert_eq!(engine.shard_cycles(1000, 64), compute + 8);
         assert_eq!(engine.shard_cycles(0, 64), 0);
     }

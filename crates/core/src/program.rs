@@ -96,27 +96,6 @@ impl LayerPlan {
         self.grid.grid_dim()
     }
 
-    /// Number of grid cells per feature block (`S * S`). The simulator's
-    /// occupancy-aware walk only visits [`occupied_shards_per_block`]
-    /// of these; the rest are provably no-ops.
-    ///
-    /// [`occupied_shards_per_block`]: LayerPlan::occupied_shards_per_block
-    pub fn shards_per_block(&self) -> usize {
-        self.grid_dim() * self.grid_dim()
-    }
-
-    /// Number of shards the simulator actually processes per feature block:
-    /// the grid's occupied (non-empty) cells.
-    pub fn occupied_shards_per_block(&self) -> usize {
-        self.grid.occupied_shards()
-    }
-
-    /// Fraction of grid cells that contain edges (the work ratio of the
-    /// occupancy-aware walk versus a dense `S²` sweep).
-    pub fn occupancy(&self) -> f64 {
-        self.grid.occupancy()
-    }
-
     /// The feature dimension flowing through the Graph Engine.
     pub fn aggregated_dim(&self) -> usize {
         self.aggregation.map(|a| a.dim).unwrap_or(self.in_dim)
@@ -158,24 +137,6 @@ impl Program {
     /// Number of layers.
     pub fn num_layers(&self) -> usize {
         self.layers.len()
-    }
-
-    /// Total number of grid cells across the whole program (`S²` per block
-    /// per layer) — the cost of a dense, occupancy-blind sweep.
-    pub fn total_shard_steps(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.num_blocks * l.shards_per_block())
-            .sum()
-    }
-
-    /// Total number of shard-processing steps the occupancy-aware simulator
-    /// actually performs (occupied shards per block per layer).
-    pub fn total_occupied_shard_steps(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.num_blocks * l.occupied_shards_per_block())
-            .sum()
     }
 }
 
@@ -245,11 +206,6 @@ mod tests {
     fn layer_plan_accessors() {
         let plan = sample_plan();
         assert_eq!(plan.grid_dim(), 2);
-        assert_eq!(plan.shards_per_block(), 4);
-        // The tiny grid holds edges (0, 1) and (2, 3): cells (0, 0) and
-        // (1, 1) only.
-        assert_eq!(plan.occupied_shards_per_block(), 2);
-        assert!((plan.occupancy() - 0.5).abs() < 1e-9);
         assert_eq!(plan.aggregated_dim(), 8);
         assert!(plan.to_string().contains("B=4"));
     }
@@ -270,9 +226,6 @@ mod tests {
             layers: vec![sample_plan(), sample_plan()],
         };
         assert_eq!(program.num_layers(), 2);
-        // 2 layers x 2 blocks x 4 cells, of which 2 are occupied.
-        assert_eq!(program.total_shard_steps(), 16);
-        assert_eq!(program.total_occupied_shard_steps(), 8);
         assert!(program.to_string().contains("gcn"));
     }
 }

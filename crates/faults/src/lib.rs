@@ -12,9 +12,9 @@
 //!   keeps an atomic hit counter and decides from
 //!   `hash(seed, name, hit_number)` alone, so the set of tripped hits is
 //!   identical run-to-run regardless of thread schedule;
-//! * poison-recovering lock helpers ([`lock_recover`], [`wait_recover`],
-//!   [`wait_timeout_recover`]) so a panic on one thread (injected or real)
-//!   can never wedge every other thread behind a poisoned mutex.
+//! * poison-recovering lock helpers ([`lock_recover`], [`wait_recover`]) so
+//!   a panic on one thread (injected or real) can never wedge every other
+//!   thread behind a poisoned mutex.
 //!
 //! The disabled fast path is a single relaxed atomic load — leaving the
 //! failpoints compiled in costs nothing measurable in production builds.
@@ -419,23 +419,6 @@ pub fn wait_recover<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> Mutex
     condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
-/// [`Condvar::wait_timeout`] that recovers from poisoning instead of
-/// panicking. The timed-out flag is reported as `false` on the poison path
-/// (the wait did return; callers re-check their predicate regardless).
-pub fn wait_timeout_recover<'a, T>(
-    condvar: &Condvar,
-    guard: MutexGuard<'a, T>,
-    timeout: Duration,
-) -> (MutexGuard<'a, T>, bool) {
-    match condvar.wait_timeout(guard, timeout) {
-        Ok((guard, timed_out)) => (guard, timed_out.timed_out()),
-        Err(poisoned) => {
-            let (guard, timed_out) = poisoned.into_inner();
-            (guard, timed_out.timed_out())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -597,13 +580,5 @@ mod tests {
         *guard += 1;
         drop(guard);
         assert_eq!(*lock_recover(&mutex), 8);
-
-        // Condvar recovery: wait_timeout on a poisoned mutex still returns
-        // a usable guard.
-        let condvar = Condvar::new();
-        let guard = lock_recover(&mutex);
-        let (guard, timed_out) = wait_timeout_recover(&condvar, guard, Duration::from_millis(5));
-        assert!(timed_out);
-        assert_eq!(*guard, 8);
     }
 }

@@ -66,16 +66,6 @@ impl Stage {
             Stage::Aggregate { dim, .. } => *dim,
         }
     }
-
-    /// Returns `true` if this is a dense (feature-extraction) stage.
-    pub fn is_dense(&self) -> bool {
-        matches!(self, Stage::Dense { .. })
-    }
-
-    /// Returns `true` if this is an aggregation stage.
-    pub fn is_aggregate(&self) -> bool {
-        matches!(self, Stage::Aggregate { .. })
-    }
 }
 
 /// One GNN layer: an ordered sequence of dense and aggregation stages.
@@ -287,44 +277,6 @@ impl GnnLayer {
         )
     }
 
-    /// Builds a GIN-style layer (Xu et al.): sum aggregation over
-    /// `N(u) ∪ u` followed by a linear transform and activation.
-    ///
-    /// The paper does not evaluate GIN, but its stage structure (graph-first,
-    /// sum reduction) maps onto GNNerator exactly like GCN does; the builder
-    /// exists to demonstrate that the accelerator model is not hard-coded to
-    /// the three evaluated networks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::InvalidModel`] for zero dimensions.
-    pub fn gin(
-        in_dim: usize,
-        out_dim: usize,
-        activation: Activation,
-        seed: u64,
-    ) -> Result<Self, GnnError> {
-        let weights = init_weights(in_dim, out_dim, seed);
-        Self::from_stages(
-            "gin",
-            in_dim,
-            vec![
-                Stage::Aggregate {
-                    dim: in_dim,
-                    aggregator: Aggregator::Sum,
-                    include_self: true,
-                },
-                Stage::Dense {
-                    in_dim,
-                    out_dim,
-                    weights,
-                    activation,
-                    concat_self: false,
-                },
-            ],
-        )
-    }
-
     /// Layer name.
     pub fn name(&self) -> &str {
         &self.name
@@ -352,18 +304,6 @@ impl GnnLayer {
             Some(Stage::Aggregate { .. }) | None => StageOrder::GraphFirst,
             Some(Stage::Dense { .. }) => StageOrder::DenseFirst,
         }
-    }
-
-    /// The dimension that flows through the aggregation stage(s) of this
-    /// layer, i.e. the dimension the Graph Engine must hold on-chip.
-    pub fn aggregated_dim(&self) -> usize {
-        self.stages
-            .iter()
-            .find_map(|s| match s {
-                Stage::Aggregate { dim, .. } => Some(*dim),
-                _ => None,
-            })
-            .unwrap_or(self.in_dim)
     }
 }
 
@@ -412,9 +352,8 @@ mod tests {
         assert_eq!(l.out_dim(), 4);
         assert_eq!(l.stage_order(), StageOrder::GraphFirst);
         assert_eq!(l.stages().len(), 2);
-        assert_eq!(l.aggregated_dim(), 8);
-        assert!(l.stages()[0].is_aggregate());
-        assert!(l.stages()[1].is_dense());
+        assert!(matches!(l.stages()[0], Stage::Aggregate { .. }));
+        assert!(matches!(l.stages()[1], Stage::Dense { .. }));
     }
 
     #[test]
@@ -439,29 +378,9 @@ mod tests {
         let l = GnnLayer::graphsage_pool(8, 4, Activation::Relu, 0).unwrap();
         assert_eq!(l.stage_order(), StageOrder::DenseFirst);
         assert_eq!(l.stages().len(), 3);
-        assert_eq!(l.aggregated_dim(), 8);
         match &l.stages()[1] {
             Stage::Aggregate { aggregator, .. } => assert_eq!(*aggregator, Aggregator::Max),
             _ => panic!("second stage should be aggregation"),
-        }
-    }
-
-    #[test]
-    fn gin_layer_uses_sum_aggregation() {
-        let l = GnnLayer::gin(8, 4, Activation::Relu, 0).unwrap();
-        assert_eq!(l.stage_order(), StageOrder::GraphFirst);
-        assert_eq!(l.in_dim(), 8);
-        assert_eq!(l.out_dim(), 4);
-        match &l.stages()[0] {
-            Stage::Aggregate {
-                aggregator,
-                include_self,
-                ..
-            } => {
-                assert_eq!(*aggregator, Aggregator::Sum);
-                assert!(include_self);
-            }
-            _ => panic!("first stage should be aggregation"),
         }
     }
 

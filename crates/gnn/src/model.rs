@@ -179,17 +179,6 @@ impl GnnModel {
     pub fn output_dim(&self) -> usize {
         self.layers[self.layers.len() - 1].out_dim()
     }
-
-    /// Largest feature dimension that flows through any aggregation stage —
-    /// the quantity that determines how much on-chip feature storage the
-    /// Graph Engine needs per node under the conventional dataflow.
-    pub fn max_aggregated_dim(&self) -> usize {
-        self.layers
-            .iter()
-            .map(GnnLayer::aggregated_dim)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 impl fmt::Display for GnnModel {
@@ -259,14 +248,6 @@ mod tests {
         let l1 = GnnLayer::gcn(8, 4, Activation::Relu, 0).unwrap();
         let l2 = GnnLayer::gcn(5, 2, Activation::Relu, 0).unwrap();
         assert!(GnnModel::new("bad", vec![l1, l2]).is_err());
-    }
-
-    #[test]
-    fn max_aggregated_dim_is_input_dim_for_paper_models() {
-        // With a single 16-wide hidden layer the widest aggregation is over
-        // the raw input features.
-        let m = NetworkKind::Gcn.build_paper_config(3703, 6).unwrap();
-        assert_eq!(m.max_aggregated_dim(), 3703);
     }
 
     #[test]

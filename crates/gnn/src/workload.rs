@@ -56,18 +56,6 @@ pub struct StageWorkload {
     pub write_bytes: u64,
 }
 
-impl StageWorkload {
-    /// Arithmetic intensity in FLOPs per ideal DRAM byte moved.
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let bytes = self.ideal_read_bytes + self.write_bytes;
-        if bytes == 0 {
-            0.0
-        } else {
-            self.flops as f64 / bytes as f64
-        }
-    }
-}
-
 /// Arithmetic and traffic requirements of one layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerWorkload {
@@ -83,14 +71,6 @@ impl LayerWorkload {
     /// Total FLOPs across all stages.
     pub fn total_flops(&self) -> u64 {
         self.stages.iter().map(|s| s.flops).sum()
-    }
-
-    /// Total ideal DRAM traffic (reads + writes) across all stages.
-    pub fn total_ideal_bytes(&self) -> u64 {
-        self.stages
-            .iter()
-            .map(|s| s.ideal_read_bytes + s.write_bytes)
-            .sum()
     }
 
     /// FLOPs attributable to dense stages.
@@ -170,14 +150,6 @@ impl ModelWorkload {
     /// Total FLOPs across the whole model.
     pub fn total_flops(&self) -> u64 {
         self.layers.iter().map(LayerWorkload::total_flops).sum()
-    }
-
-    /// Total ideal DRAM traffic across the whole model.
-    pub fn total_ideal_bytes(&self) -> u64 {
-        self.layers
-            .iter()
-            .map(LayerWorkload::total_ideal_bytes)
-            .sum()
     }
 
     /// Total dense-engine FLOPs.
@@ -322,17 +294,6 @@ mod tests {
         let sum: u64 = w.layers.iter().map(LayerWorkload::total_flops).sum();
         assert_eq!(w.total_flops(), sum);
         assert_eq!(w.total_flops(), w.dense_flops() + w.aggregate_flops());
-        assert!(w.total_ideal_bytes() > 0);
-    }
-
-    #[test]
-    fn arithmetic_intensity_is_low_for_aggregation() {
-        // Aggregation does 1 op per 4-byte element moved: intensity << 1.
-        let w = cora_gcn();
-        let agg = &w.layers[0].stages[0];
-        assert!(agg.arithmetic_intensity() < 1.0);
-        let dense = &w.layers[0].stages[1];
-        assert!(dense.arithmetic_intensity() > agg.arithmetic_intensity());
     }
 
     #[test]

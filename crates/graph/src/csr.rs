@@ -1,4 +1,4 @@
-use crate::{Edge, EdgeList, GraphError, NodeId};
+use crate::{EdgeList, GraphError, NodeId};
 
 /// A directed graph in compressed-sparse-row (CSR) form, indexed by
 /// destination node.
@@ -102,38 +102,6 @@ impl CsrGraph {
     pub fn in_degree(&self, v: NodeId) -> usize {
         self.neighbors(v).len()
     }
-
-    /// Average in-degree over all nodes.
-    pub fn average_degree(&self) -> f64 {
-        if self.num_nodes == 0 {
-            0.0
-        } else {
-            self.num_edges() as f64 / self.num_nodes as f64
-        }
-    }
-
-    /// Maximum in-degree over all nodes.
-    pub fn max_degree(&self) -> usize {
-        (0..self.num_nodes as NodeId)
-            .map(|v| self.in_degree(v))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Iterates over all edges as `Edge { src, dst }` in destination-major order.
-    pub fn iter_edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        (0..self.num_nodes as NodeId).flat_map(move |dst| {
-            self.neighbors(dst)
-                .iter()
-                .map(move |&src| Edge::new(src, dst))
-        })
-    }
-
-    /// Converts back to an edge list (destination-major order).
-    pub fn to_edge_list(&self) -> EdgeList {
-        let edges: Vec<Edge> = self.iter_edges().collect();
-        EdgeList::from_edges(self.num_nodes, edges).expect("CSR edges are in range by construction")
-    }
 }
 
 #[cfg(test)]
@@ -158,8 +126,6 @@ mod tests {
         assert_eq!(g.num_nodes(), 3);
         assert_eq!(g.num_edges(), 4);
         assert_eq!(g.in_degree(2), 2);
-        assert_eq!(g.max_degree(), 2);
-        assert!((g.average_degree() - 4.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -168,30 +134,10 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_through_edge_list() {
-        let g = triangle();
-        let list = g.to_edge_list();
-        assert_eq!(list.num_edges(), g.num_edges());
-        let g2 = CsrGraph::from_edge_list(&list);
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn iter_edges_yields_every_edge() {
-        let g = triangle();
-        let edges: Vec<Edge> = g.iter_edges().collect();
-        assert_eq!(edges.len(), 4);
-        assert!(edges.contains(&Edge::new(0, 2)));
-        assert!(edges.contains(&Edge::new(1, 2)));
-    }
-
-    #[test]
     fn empty_graph() {
         let g = CsrGraph::from_pairs(0, &[]).unwrap();
         assert_eq!(g.num_nodes(), 0);
         assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.average_degree(), 0.0);
-        assert_eq!(g.max_degree(), 0);
     }
 
     #[test]

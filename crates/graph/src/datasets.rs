@@ -196,11 +196,6 @@ impl DatasetSpec {
         (self.vertices * self.feature_dim * 4) as f64 / 1.0e6
     }
 
-    /// Average degree of the graph.
-    pub fn average_degree(&self) -> f64 {
-        self.edges as f64 / self.vertices as f64
-    }
-
     /// Synthesises a dataset with these statistics: its graph topology, from
     /// [`generators::rmat_exact`] on as many workers as the host and the
     /// size warrant, with the same edges at any worker count. The feature
@@ -287,10 +282,6 @@ impl DatasetSpec {
     /// least 16 vertices and 32 edges so tiny factors can never produce a
     /// 0-node or 0-edge graph that the sharder would reject downstream. Used
     /// by tests and by the fast variants of the benchmark harness.
-    ///
-    /// Prefer [`DatasetSpec::try_scaled`] when the factor comes from user
-    /// input: it reports non-finite or non-positive factors as a typed error
-    /// instead of silently clamping.
     pub fn scaled(&self, factor: f64) -> DatasetSpec {
         let factor = if factor.is_finite() && factor > 0.0 {
             factor
@@ -309,23 +300,6 @@ impl DatasetSpec {
             edges,
             feature_dim: self.feature_dim,
         }
-    }
-
-    /// Like [`DatasetSpec::scaled`], but rejects factors that cannot describe
-    /// a graph (NaN, infinite, zero or negative) with a typed error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidParameter`] for non-finite or
-    /// non-positive factors.
-    pub fn try_scaled(&self, factor: f64) -> Result<DatasetSpec, GraphError> {
-        if !factor.is_finite() || factor <= 0.0 {
-            return Err(GraphError::invalid(
-                "factor",
-                format!("scale factor {factor} is not a positive finite number"),
-            ));
-        }
-        Ok(self.scaled(factor))
     }
 
     /// Checks that this spec describes a graph the rest of the pipeline can
@@ -710,19 +684,6 @@ impl Dataset {
     }
 }
 
-/// Synthesises all three Table II datasets with consecutive seeds.
-///
-/// # Errors
-///
-/// Propagates generator errors (they cannot occur for the built-in specs).
-pub fn synthesize_all(seed: u64) -> Result<Vec<Dataset>, GraphError> {
-    DatasetKind::ALL
-        .iter()
-        .enumerate()
-        .map(|(i, kind)| kind.spec().synthesize(seed + i as u64))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -800,21 +761,6 @@ mod tests {
     }
 
     #[test]
-    fn try_scaled_rejects_non_positive_factors() {
-        let spec = DatasetKind::Cora.spec();
-        for factor in [0.0, -0.5, f64::NAN, f64::INFINITY] {
-            assert!(
-                matches!(
-                    spec.try_scaled(factor),
-                    Err(GraphError::InvalidParameter { .. })
-                ),
-                "factor {factor} should be rejected"
-            );
-        }
-        assert_eq!(spec.try_scaled(0.5).unwrap(), spec.scaled(0.5));
-    }
-
-    #[test]
     fn scaled_spec_preserves_feature_dim() {
         let tiny = DatasetKind::Pubmed.spec().scaled(0.01);
         assert_eq!(tiny.feature_dim, 500);
@@ -864,20 +810,6 @@ mod tests {
         let s = DatasetKind::Cora.spec().to_string();
         assert!(s.contains("2708"));
         assert!(s.contains("10556"));
-    }
-
-    #[test]
-    fn average_degree_is_sensible() {
-        for kind in DatasetKind::EXTENDED {
-            let d = kind.spec().average_degree();
-            // Citation graphs are sparse (degree 3–7); ogbn-products is a
-            // co-purchase graph and much denser (real degree ~25).
-            let band = match kind {
-                DatasetKind::OgbnProductsScale => 15.0..50.0,
-                _ => 2.0..10.0,
-            };
-            assert!(band.contains(&d), "{kind}: average degree {d}");
-        }
     }
 
     #[test]

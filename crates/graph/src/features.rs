@@ -15,7 +15,6 @@ use gnnerator_tensor::Matrix;
 /// let feats = NodeFeatures::zeros(10, 16);
 /// assert_eq!(feats.num_nodes(), 10);
 /// assert_eq!(feats.dim(), 16);
-/// assert_eq!(feats.size_bytes(), 10 * 16 * 4);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeFeatures {
@@ -55,36 +54,9 @@ impl NodeFeatures {
         self.matrix.cols()
     }
 
-    /// Total storage footprint in bytes, assuming 4-byte (f32/fp32) features.
-    ///
-    /// This is the quantity Table II reports as "Size" and the quantity the
-    /// DRAM traffic model charges when streaming features on and off chip.
-    pub fn size_bytes(&self) -> usize {
-        self.num_nodes() * self.dim() * std::mem::size_of::<f32>()
-    }
-
-    /// Storage footprint of a single node's feature vector in bytes.
-    pub fn bytes_per_node(&self) -> usize {
-        self.dim() * std::mem::size_of::<f32>()
-    }
-
-    /// The feature vector of node `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn feature(&self, v: usize) -> &[f32] {
-        self.matrix.row(v)
-    }
-
     /// Borrows the underlying matrix.
     pub fn as_matrix(&self) -> &Matrix {
         &self.matrix
-    }
-
-    /// Consumes the table and returns the underlying matrix.
-    pub fn into_matrix(self) -> Matrix {
-        self.matrix
     }
 }
 
@@ -109,14 +81,12 @@ mod tests {
         let f = NodeFeatures::zeros(100, 32);
         assert_eq!(f.num_nodes(), 100);
         assert_eq!(f.dim(), 32);
-        assert_eq!(f.size_bytes(), 100 * 32 * 4);
-        assert_eq!(f.bytes_per_node(), 128);
     }
 
     #[test]
     fn from_fn_populates_rows() {
         let f = NodeFeatures::from_fn(4, 2, |v, d| (v * 10 + d) as f32);
-        assert_eq!(f.feature(2), &[20.0, 21.0]);
+        assert_eq!(f.as_matrix().row(2), &[20.0, 21.0]);
     }
 
     #[test]
@@ -125,14 +95,5 @@ mod tests {
         let f = NodeFeatures::from(m.clone());
         assert_eq!(f.as_matrix(), &m);
         assert_eq!(f.as_ref(), &m);
-        assert_eq!(f.into_matrix(), m);
-    }
-
-    #[test]
-    fn table_ii_sizes_are_of_the_right_order() {
-        // Table II: Cora 2708 x 1433 ~ 15.6 MB (the paper counts fp32 features).
-        let cora = NodeFeatures::zeros(2708, 1433);
-        let mb = cora.size_bytes() as f64 / 1e6;
-        assert!(mb > 14.0 && mb < 17.0, "Cora feature table is {mb:.1} MB");
     }
 }

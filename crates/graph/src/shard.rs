@@ -120,13 +120,6 @@ impl ShardMeta {
         self.unique_sources as u64 * block_dim as u64 * BYTES_PER_FEATURE_ELEMENT
     }
 
-    /// Bytes of destination accumulators touched when `block_dim` feature
-    /// dimensions are resident (one spill *or* one reload; Table I's
-    /// write-cost term pays it twice).
-    pub fn destination_feature_bytes(&self, block_dim: usize) -> u64 {
-        self.unique_destinations as u64 * block_dim as u64 * BYTES_PER_FEATURE_ELEMENT
-    }
-
     fn edge_range(&self) -> Range<usize> {
         let start = self.edge_start as usize;
         start..start + self.num_edges as usize
@@ -1266,10 +1259,6 @@ mod tests {
         assert_eq!(
             meta.source_feature_bytes(64),
             2 * 64 * BYTES_PER_FEATURE_ELEMENT
-        );
-        assert_eq!(
-            meta.destination_feature_bytes(16),
-            2 * 16 * BYTES_PER_FEATURE_ELEMENT
         );
     }
 

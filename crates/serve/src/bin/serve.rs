@@ -11,9 +11,9 @@
 //! (unset → `target/gnnerator-cache`; `off`, `0` or empty → disabled).
 //! Deterministic fault injection arms from `GNNERATOR_FAULTS` /
 //! `GNNERATOR_FAULTS_SEED` (see the `gnnerator-faults` crate).
-//! An unknown flag or `GNNERATOR_SERVE_*` variable, a flag without a value
-//! or a value that does not parse exits with status 2 and a message naming
-//! the flag or variable.
+//! An unknown flag or `GNNERATOR_SERVE_*` variable, a flag without a value,
+//! a value that does not parse, or 0 workers or pooled sessions exits with
+//! status 2 and a message naming the flag or variable.
 //! The server runs until a client posts `/shutdown`.
 
 use gnnerator_graph::ArtifactCache;
@@ -40,10 +40,15 @@ fn parse<T: FromStr>(source: &str, value: &str) -> T {
 /// `false` when `name` stands for no knob.
 fn set(config: &mut ServeConfig, name: &str, value: &str) -> bool {
     let millis = |ms: u64| Duration::from_millis(ms.max(1));
+    // The server needs at least one worker and one pooled session.
+    let at_least_one = |value: &str| match parse(name, value) {
+        0 => usage_error(&format!("{name}: must be at least 1, got 0")),
+        n => n,
+    };
     match name {
-        "--workers" | "GNNERATOR_SERVE_WORKERS" => config.workers = parse(name, value),
+        "--workers" | "GNNERATOR_SERVE_WORKERS" => config.workers = at_least_one(value),
         "--pool-capacity" | "GNNERATOR_SERVE_POOL_CAPACITY" => {
-            config.pool_capacity = parse(name, value);
+            config.pool_capacity = at_least_one(value);
         }
         "--queue-depth" | "GNNERATOR_SERVE_QUEUE_DEPTH" => config.queue_depth = parse(name, value),
         "--connection-inflight" | "GNNERATOR_SERVE_CONNECTION_INFLIGHT" => {

@@ -26,11 +26,19 @@ use gnnerator::{BackendKind, DataflowConfig, GnneratorConfig, ScenarioSpec};
 use gnnerator_gnn::NetworkKind;
 use gnnerator_graph::datasets::DatasetKind;
 
-/// Upper bound on model dimensions (`hidden_dim`, `out_dim`) and the
-/// feature-block size. Far above anything the paper sweeps (Figure 5 tops
-/// out at 1024), and small enough that a single unauthenticated request
-/// cannot force a multi-gigabyte weight allocation.
+/// Upper bound on each model dimension (`hidden_dim`, `out_dim`) and the
+/// feature-block size, far above anything the paper sweeps (Figure 5 tops
+/// out at 1024). It bounds each width, not the weights: two widths at the
+/// cap already make a 16 GiB layer, which [`MAX_WEIGHT_ELEMENTS`] refuses.
 const MAX_DIM: usize = 65_536;
+
+/// Upper bound on a scenario's dense weight elements, summed over every
+/// dense stage (`in_dim * out_dim`): 2^26 `f32`s, 256 MiB. Building a
+/// session fills every weight matrix, so this bounds what one request can
+/// make the server allocate (a failed allocation aborts the process). The
+/// largest point the paper's experiments run, citeseer GraphSAGE-Pool at
+/// hidden 1024, holds 22,356,817.
+const MAX_WEIGHT_ELEMENTS: u64 = 1 << 26;
 
 /// Upper bound on `hidden_layers` — per-layer state multiplies every other
 /// allocation.
@@ -91,6 +99,25 @@ pub fn scenario_from_json(json: &Json) -> Result<ScenarioSpec, String> {
     } else {
         dataset_kind.spec().scaled(scale)
     };
+    let weights =
+        |layers| dense_weight_elements(network, spec.feature_dim, hidden_dim, out_dim, layers);
+    let elements = weights(hidden_layers);
+    if elements > MAX_WEIGHT_ELEMENTS {
+        // Blame the layer count if one hidden layer would have fitted, else
+        // the wider of the two requested widths.
+        let (name, value) = if weights(1) <= MAX_WEIGHT_ELEMENTS {
+            ("hidden_layers", hidden_layers)
+        } else if out_dim > hidden_dim {
+            ("out_dim", out_dim)
+        } else {
+            ("hidden_dim", hidden_dim)
+        };
+        return Err(format!(
+            "{name:?} {value} makes a {network} model of {elements} dense weight elements \
+             (hidden_dim {hidden_dim}, out_dim {out_dim}, hidden_layers {hidden_layers}); \
+             at most {MAX_WEIGHT_ELEMENTS} are served"
+        ));
+    }
     let mut scenario = ScenarioSpec::new(
         network,
         spec,
@@ -102,6 +129,29 @@ pub fn scenario_from_json(json: &Json) -> Result<ScenarioSpec, String> {
     );
     scenario.hidden_layers = hidden_layers;
     Ok(scenario.with_backend(backend))
+}
+
+/// Dense weight elements of the model [`NetworkKind::build`] makes from
+/// these shapes, summed over its dense stages, computed without building it.
+fn dense_weight_elements(
+    network: NetworkKind,
+    input_dim: usize,
+    hidden_dim: usize,
+    out_dim: usize,
+    hidden_layers: usize,
+) -> u64 {
+    let layer = |d_in: usize, d_out: usize| {
+        let (d_in, d_out) = (d_in as u64, d_out as u64);
+        match network {
+            NetworkKind::Gcn => d_in * d_out,
+            NetworkKind::Graphsage => 2 * d_in * d_out,
+            // The pooling MLP keeps the width, then the concat feeds `d_out`.
+            NetworkKind::GraphsagePool => d_in * d_in + 2 * d_in * d_out,
+        }
+    };
+    layer(input_dim, hidden_dim)
+        + (hidden_layers as u64 - 1) * layer(hidden_dim, hidden_dim)
+        + layer(hidden_dim, out_dim)
 }
 
 fn dataset_kind(name: &str) -> Result<DatasetKind, String> {
@@ -172,6 +222,7 @@ fn usize_field(json: &Json, key: &str) -> Result<Option<usize>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnnerator_gnn::Stage;
 
     fn parse(body: &str) -> Result<ScenarioSpec, String> {
         scenario_from_json(&Json::parse(body).expect("test body parses"))
@@ -276,6 +327,21 @@ mod tests {
                 "{\"dataset\": \"cora\", \"hidden_layers\": 1000}",
                 "hidden_layers",
             ),
+            // Widths under the cap whose weights are not: a 65536 x 65536
+            // middle layer is 17 GB of f32.
+            (
+                "{\"dataset\": \"cora\", \"scale\": 0.05, \"hidden_dim\": 65536, \
+                 \"hidden_layers\": 2}",
+                "\"hidden_dim\" 65536",
+            ),
+            (
+                "{\"dataset\": \"cora\", \"hidden_dim\": 8192, \"hidden_layers\": 64}",
+                "\"hidden_layers\" 64",
+            ),
+            (
+                "{\"dataset\": \"citeseer\", \"hidden_dim\": 2048, \"out_dim\": 65536}",
+                "\"out_dim\" 65536",
+            ),
             (
                 "{\"dataset\": \"cora\", \"block_size\": 4000000000}",
                 "block_size",
@@ -287,5 +353,38 @@ mod tests {
             let err = parse(body).unwrap_err();
             assert!(err.contains(needle), "{body} -> {err}");
         }
+    }
+
+    #[test]
+    fn weight_count_matches_the_built_model() {
+        for network in NetworkKind::ALL {
+            for (input, hidden, out, layers) in [(5, 3, 2, 1), (7, 4, 9, 3), (1, 1, 1, 1)] {
+                let model = network.build(input, hidden, out, layers).unwrap();
+                let built: u64 = model
+                    .layers()
+                    .iter()
+                    .flat_map(|layer| layer.stages())
+                    .map(|stage| match stage {
+                        Stage::Dense {
+                            in_dim, out_dim, ..
+                        } => (in_dim * out_dim) as u64,
+                        Stage::Aggregate { .. } => 0,
+                    })
+                    .sum();
+                assert_eq!(
+                    dense_weight_elements(network, input, hidden, out, layers),
+                    built,
+                    "{network} {input}/{hidden}/{out} x{layers}"
+                );
+            }
+        }
+        // The largest point the experiments run, citeseer GraphSAGE-Pool at
+        // Figure 5's widest hidden layer, is served.
+        assert_eq!(
+            dense_weight_elements(NetworkKind::GraphsagePool, 3703, 1024, 6, 1),
+            22_356_817
+        );
+        parse("{\"dataset\": \"citeseer\", \"network\": \"gsage-max\", \"hidden_dim\": 1024}")
+            .unwrap();
     }
 }

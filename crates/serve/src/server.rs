@@ -286,12 +286,6 @@ impl SessionServer {
         self.state.pool.stats()
     }
 
-    /// Whether a shutdown has been requested (by [`SessionServer::shutdown`]
-    /// or a `POST /shutdown` request).
-    pub fn is_shutting_down(&self) -> bool {
-        self.state.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Whether a graceful drain has been requested (`POST /drain`): the
     /// server stops admitting work and closes once in-flight jobs finish.
     pub fn is_draining(&self) -> bool {

@@ -89,6 +89,12 @@ fn bad_flags_and_values_exit_2_naming_the_flag() {
         (&["--workers", "abc"][..], None, "--workers"),
         (&["--queue_depth", "1"], None, "--queue_depth"),
         (&["--max-batch", "4"], None, "--max-batch"),
+        (&["--workers", "0"], None, "--workers"),
+        (
+            &[],
+            Some(("GNNERATOR_SERVE_POOL_CAPACITY", "0")),
+            "GNNERATOR_SERVE_POOL_CAPACITY",
+        ),
         (
             &[],
             Some(("GNNERATOR_SERVE_WORKERS", "abc")),

@@ -69,11 +69,6 @@ impl Activation {
             }
         }
     }
-
-    /// Returns `true` if applying this activation is a no-op.
-    pub fn is_identity(self) -> bool {
-        self == Activation::Identity
-    }
 }
 
 impl fmt::Display for Activation {
@@ -119,8 +114,6 @@ mod tests {
     fn identity_returns_input_unchanged() {
         let m = Matrix::from_fn(2, 2, |r, c| (r as f32) - (c as f32));
         assert_eq!(Activation::Identity.apply(&m), m);
-        assert!(Activation::Identity.is_identity());
-        assert!(!Activation::Relu.is_identity());
     }
 
     #[test]

@@ -43,13 +43,6 @@ pub enum TensorError {
         /// Length of the offending row.
         actual: usize,
     },
-    /// An index was outside the bounds of the matrix.
-    IndexOutOfBounds {
-        /// Requested `(row, col)` position.
-        index: (usize, usize),
-        /// Shape of the matrix as `(rows, cols)`.
-        shape: (usize, usize),
-    },
     /// The operation requires a non-empty matrix but an empty one was given.
     EmptyInput {
         /// Human readable name of the operation that failed.
@@ -76,11 +69,6 @@ impl fmt::Display for TensorError {
             } => write!(
                 f,
                 "row {row} has {actual} elements but the first row has {expected}"
-            ),
-            TensorError::IndexOutOfBounds { index, shape } => write!(
-                f,
-                "index ({}, {}) out of bounds for {}x{} matrix",
-                index.0, index.1, shape.0, shape.1
             ),
             TensorError::EmptyInput { op } => {
                 write!(f, "operation {op} requires a non-empty matrix")
@@ -126,15 +114,6 @@ mod tests {
             actual: 4,
         };
         assert!(err.to_string().contains("row 2"));
-    }
-
-    #[test]
-    fn display_index_out_of_bounds() {
-        let err = TensorError::IndexOutOfBounds {
-            index: (7, 8),
-            shape: (2, 2),
-        };
-        assert!(err.to_string().contains("(7, 8)"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! substrate; this crate provides it:
 //!
 //! * [`Matrix`] — a row-major `f32` matrix with shape-checked constructors,
-//! * [`ops`] — matrix products, transposition, concatenation and reductions,
+//! * [`ops`] — matrix products, concatenation and reductions,
 //! * [`Activation`] — the element-wise non-linearities used by the paper's
 //!   networks (ReLU for GCN/GraphSAGE, sigmoid for GraphSAGE-Pool's
 //!   pooling MLP).

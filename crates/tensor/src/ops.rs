@@ -114,31 +114,6 @@ pub fn add(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
     Ok(out)
 }
 
-/// Element-wise maximum of two matrices.
-///
-/// This is the reduction performed by GraphSAGE-Pool's max aggregator.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the shapes disagree.
-pub fn elementwise_max(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
-    if a.shape() != b.shape() {
-        return Err(TensorError::ShapeMismatch {
-            op: "elementwise_max",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let mut out = a.clone();
-    for r in 0..out.rows() {
-        let b_row = b.row(r);
-        for (v, &bv) in out.row_mut(r).iter_mut().zip(b_row) {
-            *v = v.max(bv);
-        }
-    }
-    Ok(out)
-}
-
 /// Multiplies every element of `a` by `factor`.
 pub fn scale(a: &Matrix, factor: f32) -> Matrix {
     let mut out = a.clone();
@@ -148,21 +123,6 @@ pub fn scale(a: &Matrix, factor: f32) -> Matrix {
         }
     }
     out
-}
-
-/// Returns the transpose of `a`.
-///
-/// # Examples
-///
-/// ```
-/// use gnnerator_tensor::{Matrix, ops};
-/// let a = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32);
-/// let t = ops::transpose(&a);
-/// assert_eq!(t.shape(), (3, 2));
-/// assert_eq!(t.get(2, 1), a.get(1, 2));
-/// ```
-pub fn transpose(a: &Matrix) -> Matrix {
-    Matrix::from_fn(a.cols(), a.rows(), |r, c| a.get(c, r))
 }
 
 /// Horizontally concatenates two matrices (`[a | b]`).
@@ -252,11 +212,6 @@ pub fn sum_rows(a: &Matrix, indices: &[usize]) -> Matrix {
         }
     }
     out
-}
-
-/// Frobenius norm of `a` (square root of the sum of squared elements).
-pub fn frobenius_norm(a: &Matrix) -> f32 {
-    a.iter().map(|&v| v * v).sum::<f32>().sqrt()
 }
 
 #[cfg(test)]
@@ -352,26 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_max_picks_larger() {
-        let (a, b) = small();
-        let m = elementwise_max(&a, &b).unwrap();
-        assert_eq!(m, b);
-        let m2 = elementwise_max(&b, &a).unwrap();
-        assert_eq!(m2, b);
-    }
-
-    #[test]
-    fn elementwise_max_rejects_shape_mismatch() {
-        assert!(elementwise_max(&Matrix::zeros(1, 2), &Matrix::zeros(2, 1)).is_err());
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Matrix::from_fn(3, 5, |r, c| (r * 5 + c) as f32);
-        assert_eq!(transpose(&transpose(&a)), a);
-    }
-
-    #[test]
     fn concat_cols_shapes() {
         let a = Matrix::filled(2, 2, 1.0);
         let b = Matrix::filled(2, 3, 2.0);
@@ -416,11 +351,5 @@ mod tests {
     fn sum_rows_accumulates() {
         let feats = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]).unwrap();
         assert_eq!(sum_rows(&feats, &[0, 1, 2]).get(0, 0), 6.0);
-    }
-
-    #[test]
-    fn frobenius_norm_matches_manual() {
-        let a = Matrix::from_rows(&[vec![3.0, 4.0]]).unwrap();
-        assert!((frobenius_norm(&a) - 5.0).abs() < 1e-6);
     }
 }

@@ -275,6 +275,22 @@ fn bad_requests_get_typed_errors_not_hangs() {
         let response = client::post(addr, "/simulate", body).unwrap();
         assert_eq!(response.status, 400, "{}", response.body);
     }
+    // Widths under the per-field cap whose weights are not: the 65536 x
+    // 65536 middle layer would be a 17 GB allocation that aborts the
+    // process, so the request is refused by its weight count instead.
+    let wide = "{\"dataset\": \"cora\", \"scale\": 0.05, \"hidden_dim\": 65536, \
+                \"hidden_layers\": 2}";
+    for path in ["/simulate", "/compile"] {
+        let response = client::post(addr, path, wide).unwrap();
+        assert_eq!(response.status, 400, "{path}: {}", response.body);
+        let error = response.json().expect("error responses are JSON");
+        let message = error.get("error").and_then(Json::as_str).unwrap();
+        assert!(message.contains("\"hidden_dim\""), "{path}: {message}");
+    }
+    let sweep = format!("{{\"scenarios\": [{wide}]}}");
+    let response = client::post(addr, "/sweep", &sweep).unwrap();
+    assert_eq!(response.status, 400, "/sweep: {}", response.body);
+    assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
     server.shutdown();
 }
 
