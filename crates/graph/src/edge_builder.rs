@@ -1,19 +1,21 @@
 //! Streaming, chunked edge-list construction.
 //!
-//! Generators *stream* edges into the [`EdgeListBuilder`], which seals them
-//! into fixed-capacity chunks. A symmetric pair streamed with
-//! [`EdgeListBuilder::push_symmetric`] is recorded once, in a chunk marked
-//! symmetric, and stands for both directions; every consumer of the chunk
-//! expands it.
+//! Generators *stream* symmetric pairs into the [`EdgeListBuilder`], which
+//! seals them into fixed-capacity chunks. A pair streamed with
+//! [`EdgeListBuilder::push_symmetric`] is recorded once and stands for both
+//! directions.
 //!
 //! [`EdgeListBuilder::finish`] then produces one sorted, duplicate-free
-//! [`EdgeList`] with a counting sort by source (see
-//! [`sort_dedup_by_source`]): every edge's destination is scattered into
-//! its source's row of one `u32` buffer, and each row is deduplicated on
-//! its own — `O(V + E)` plus per-row sorts of short rows, with no
-//! comparison sort over whole edges. The scatter cuts the rows into bands
-//! of near-equal candidate counts, one per worker; the dedup cuts them
-//! again by its own cost.
+//! [`EdgeList`] with a counting sort of unordered pairs (see
+//! [`sort_dedup_by_source`]): each record `(a, b)` writes `max(a, b)` once
+//! into the row of `min(a, b)` in one `u32` buffer, and each row is
+//! deduplicated on its own. Row `v` then holds `v`'s distinct *upper*
+//! neighbours, all `>= v`. `v`'s directed row in the output is its distinct
+//! lower neighbours, all below `v` and ascending, followed by that upper
+//! row; the lower neighbours are the rows below `v` that list `v`, read in
+//! ascending source order. That is `O(V + E)` plus per-row sorts of short
+//! rows, with no comparison sort over whole edges. Every stage cuts the
+//! rows into bands, one per worker, by its own cost.
 //!
 //! Only a short row, one with fewer than `num_nodes / 4096` candidates, is
 //! sorted. Every longer row (R-MAT's hub rows and its mid-length rows) is
@@ -27,55 +29,24 @@
 //! length.
 //!
 //! The output is bit-identical to `collect → sort_unstable → dedup` on the
-//! same edge multiset (the property tests pin this), at any worker count,
-//! so the generators' seeded determinism is preserved.
+//! pairs and their reverses (the property tests pin this), at any worker
+//! count, so the generators' seeded determinism is preserved.
 
 use crate::parallel::{even_bounds, run_bands, split_bands, weighted_bounds, workers_for};
 use crate::{Edge, EdgeList, GraphError, NodeId};
 use std::ops::Range;
 
-/// Edge records per chunk by default (32 MiB). An allocation this size is
-/// mapped and unmapped whole by the system allocator, so the chunks the
-/// counting sort frees go back to the OS instead of lingering as heap that
-/// the sort's own large buffers cannot reuse.
+/// Pair records per chunk by default (32 MiB). glibc maps an allocation
+/// this size on its own and unmaps it when it is freed, but that first free
+/// also raises its mmap threshold to the chunk's size: the build's later
+/// scratch below 32 MiB then comes from heap that is never trimmed, so
+/// freeing the chunks does not keep that scratch off the process's
+/// footprint.
 const CHUNK_CAPACITY: usize = 1 << 22;
 
-/// A sealed run of edge records. A symmetric chunk holds each pair once
-/// and stands for the pair and its reverse.
-#[derive(Debug)]
-#[cfg_attr(test, derive(PartialEq))]
-struct Chunk {
-    edges: Vec<Edge>,
-    symmetric: bool,
-}
-
-impl Chunk {
-    /// A chunk of plain directed edges.
-    fn directed(edges: Vec<Edge>) -> Self {
-        Self {
-            edges,
-            symmetric: false,
-        }
-    }
-
-    /// Directed edges this chunk stands for.
-    fn directed_len(&self) -> usize {
-        self.edges.len() << usize::from(self.symmetric)
-    }
-
-    /// Calls `f` on every directed edge the chunk stands for.
-    fn for_each_directed(&self, mut f: impl FnMut(Edge)) {
-        for &edge in &self.edges {
-            f(edge);
-            if self.symmetric {
-                f(edge.reversed());
-            }
-        }
-    }
-}
-
-/// A streaming builder that accumulates edges in in-memory chunks and
-/// turns them into a canonical (sorted, deduplicated) [`EdgeList`].
+/// A streaming builder that accumulates symmetric pairs in in-memory chunks
+/// and turns them into a canonical (sorted, deduplicated) [`EdgeList`]
+/// holding each pair in both directions.
 ///
 /// # Examples
 ///
@@ -84,11 +55,14 @@ impl Chunk {
 ///
 /// # fn main() -> Result<(), gnnerator_graph::GraphError> {
 /// let mut builder = EdgeListBuilder::new(4);
-/// builder.push(Edge::new(2, 1))?;
-/// builder.push(Edge::new(0, 3))?;
-/// builder.push(Edge::new(2, 1))?; // duplicate, removed on finish
+/// builder.push_symmetric(Edge::new(2, 1))?;
+/// builder.push_symmetric(Edge::new(0, 3))?;
+/// builder.push_symmetric(Edge::new(1, 2))?; // the same pair, removed on finish
 /// let edges = builder.finish();
-/// assert_eq!(edges.as_slice(), &[Edge::new(0, 3), Edge::new(2, 1)]);
+/// assert_eq!(
+///     edges.as_slice(),
+///     &[Edge::new(0, 3), Edge::new(1, 2), Edge::new(2, 1), Edge::new(3, 0)]
+/// );
 /// assert!(edges.is_sorted());
 /// # Ok(())
 /// # }
@@ -99,14 +73,12 @@ pub struct EdgeListBuilder {
     num_nodes: usize,
     /// Records per chunk.
     chunk_capacity: usize,
-    /// Sealed, still-unsorted chunks.
-    chunks: Vec<Chunk>,
-    /// The directed chunk currently being filled.
+    /// Sealed, still-unsorted chunks, one record per pair.
+    chunks: Vec<Vec<Edge>>,
+    /// The chunk currently being filled.
     current: Vec<Edge>,
-    /// The symmetric chunk currently being filled (one record per pair).
-    current_symmetric: Vec<Edge>,
-    /// Directed edges sealed so far.
-    sealed_edges: usize,
+    /// Records sealed so far.
+    sealed_records: usize,
 }
 
 impl EdgeListBuilder {
@@ -116,7 +88,7 @@ impl EdgeListBuilder {
         Self::with_chunk_capacity(num_nodes, CHUNK_CAPACITY)
     }
 
-    /// Creates a builder with an explicit chunk capacity in edge records
+    /// Creates a builder with an explicit chunk capacity in pair records
     /// (clamped to at least 1). Small capacities are useful in tests to
     /// force many chunks.
     pub fn with_chunk_capacity(num_nodes: usize, chunk_capacity: usize) -> Self {
@@ -125,8 +97,7 @@ impl EdgeListBuilder {
             chunk_capacity: chunk_capacity.max(1),
             chunks: Vec::new(),
             current: Vec::new(),
-            current_symmetric: Vec::new(),
-            sealed_edges: 0,
+            sealed_records: 0,
         }
     }
 
@@ -136,11 +107,11 @@ impl EdgeListBuilder {
         Self::with_chunk_capacity(self.num_nodes, self.chunk_capacity)
     }
 
-    /// Takes over every edge of a band builder: its open chunks are sealed,
+    /// Takes over every pair of a band builder: its open chunk is sealed,
     /// then its chunks join this builder's.
     pub(crate) fn absorb(&mut self, mut band: EdgeListBuilder) {
-        band.seal_open_chunks();
-        self.sealed_edges += band.sealed_edges;
+        band.seal_open_chunk();
+        self.sealed_records += band.sealed_records;
         self.chunks.append(&mut band.chunks);
     }
 
@@ -150,17 +121,25 @@ impl EdgeListBuilder {
     }
 
     /// Total number of raw (pre-dedup) directed edges streamed in so far; a
-    /// symmetric pair counts as two.
+    /// pair counts as two.
     pub fn len(&self) -> usize {
-        self.sealed_edges + self.current.len() + 2 * self.current_symmetric.len()
+        2 * (self.sealed_records + self.current.len())
     }
 
-    /// Returns `true` if no edges have been streamed in.
+    /// Returns `true` if no pairs have been streamed in.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    fn check_endpoints(&self, edge: Edge) -> Result<(), GraphError> {
+    /// Streams an edge and its reverse — the building block of symmetric
+    /// (undirected-semantics) graphs, replacing a post-hoc
+    /// [`EdgeList::symmetrize`] pass over the full list. The pair is stored
+    /// once, and sorted once on finish as an unordered pair.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::NodeOutOfRange`] if an endpoint is out of range.
+    pub fn push_symmetric(&mut self, edge: Edge) -> Result<(), GraphError> {
         for node in [edge.src, edge.dst] {
             if node as usize >= self.num_nodes {
                 return Err(GraphError::NodeOutOfRange {
@@ -169,92 +148,39 @@ impl EdgeListBuilder {
                 });
             }
         }
-        Ok(())
-    }
-
-    /// Streams one edge into the builder.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::NodeOutOfRange`] if an endpoint is
-    /// `>= num_nodes`.
-    pub fn push(&mut self, edge: Edge) -> Result<(), GraphError> {
-        self.check_endpoints(edge)?;
         if self.current.capacity() == 0 {
-            self.current.reserve_exact(self.open_chunk_capacity());
+            // Allocated up front, so the chunk fills without reallocating
+            // (capped for huge test capacities).
+            self.current
+                .reserve_exact(self.chunk_capacity.min(CHUNK_CAPACITY));
         }
         self.current.push(edge);
         if self.current.len() >= self.chunk_capacity {
-            let full = std::mem::take(&mut self.current);
-            self.seal(Chunk::directed(full));
+            self.seal_open_chunk();
         }
         Ok(())
     }
 
-    /// Streams an edge and its reverse — the building block of symmetric
-    /// (undirected-semantics) graphs, replacing a post-hoc
-    /// [`EdgeList::symmetrize`] pass over the full list. The pair is stored
-    /// once; both directions are counted and scattered on finish.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::NodeOutOfRange`] if an endpoint is out of range.
-    pub fn push_symmetric(&mut self, edge: Edge) -> Result<(), GraphError> {
-        self.check_endpoints(edge)?;
-        if self.current_symmetric.capacity() == 0 {
-            self.current_symmetric
-                .reserve_exact(self.open_chunk_capacity());
-        }
-        self.current_symmetric.push(edge);
-        if self.current_symmetric.len() >= self.chunk_capacity {
-            let edges = std::mem::take(&mut self.current_symmetric);
-            self.seal(Chunk {
-                edges,
-                symmetric: true,
-            });
-        }
-        Ok(())
-    }
-
-    /// Records an open chunk is allocated for up front, so it fills without
-    /// reallocating (capped for huge test capacities).
-    fn open_chunk_capacity(&self) -> usize {
-        self.chunk_capacity.min(CHUNK_CAPACITY)
-    }
-
-    /// Seals both open chunks, if they hold anything.
-    fn seal_open_chunks(&mut self) {
-        let directed = std::mem::take(&mut self.current);
-        let symmetric = std::mem::take(&mut self.current_symmetric);
-        for chunk in [
-            Chunk::directed(directed),
-            Chunk {
-                edges: symmetric,
-                symmetric: true,
-            },
-        ] {
-            if !chunk.edges.is_empty() {
-                self.seal(chunk);
-            }
+    /// Seals the open chunk, if it holds anything.
+    fn seal_open_chunk(&mut self) {
+        let chunk = std::mem::take(&mut self.current);
+        if !chunk.is_empty() {
+            self.sealed_records += chunk.len();
+            self.chunks.push(chunk);
         }
     }
 
-    /// Seals one chunk.
-    fn seal(&mut self, chunk: Chunk) {
-        self.sealed_edges += chunk.directed_len();
-        self.chunks.push(chunk);
-    }
-
-    /// Returns the canonical edge list: sorted by `(src, dst)`, duplicates
-    /// removed, by a counting sort by source in row bands on as many
-    /// workers as the input warrants.
+    /// Returns the canonical edge list: every pair in both directions,
+    /// sorted by `(src, dst)`, duplicates removed, by a counting sort in
+    /// row bands on as many workers as the input warrants.
     ///
     /// Self-loops are *kept* (the builder is policy-free); generators that
     /// need simple graphs simply never stream self-loops in.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::BuildWorker`] if a sort worker fails.
+    /// Returns [`GraphError::InvalidParameter`] for more than `u32::MAX`
+    /// pairs, and [`GraphError::BuildWorker`] if a sort worker fails.
     pub fn try_finish(self) -> Result<EdgeList, GraphError> {
         let workers = workers_for(self.len());
         self.try_finish_with_workers(workers)
@@ -275,7 +201,7 @@ impl EdgeListBuilder {
         workers: usize,
         select: impl FnOnce(usize) -> Result<Option<Selection>, GraphError>,
     ) -> Result<EdgeList, GraphError> {
-        self.seal_open_chunks();
+        self.seal_open_chunk();
         let chunks = std::mem::take(&mut self.chunks);
         let edges = sort_dedup_by_source(self.num_nodes, chunks, workers, select)?;
         Ok(EdgeList::from_sorted_edges_unchecked(self.num_nodes, edges))
@@ -286,7 +212,8 @@ impl EdgeListBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if a sort worker fails.
+    /// Panics if a sort worker fails or there are more than `u32::MAX`
+    /// pairs.
     pub fn finish(self) -> EdgeList {
         self.try_finish()
             .expect("edge-list sort workers run to completion")
@@ -316,6 +243,11 @@ impl Selection {
     #[cfg(test)]
     pub(crate) fn insert(&mut self, index: usize) {
         self.words[index / 64] |= 1 << (index % 64);
+    }
+
+    /// Whether `index` is selected.
+    fn contains(&self, index: usize) -> bool {
+        self.words[index / 64] >> (index % 64) & 1 == 1
     }
 
     /// The words covering `range`, as `(word index, word)` with the bits
@@ -461,96 +393,131 @@ fn dedup_cost(len: usize, bitmap_len: usize) -> usize {
     }
 }
 
-/// One worker's band of the dedup: a range of source rows and its slice of
-/// the destination buffer.
+/// The cost of writing out a lower neighbour, relative to an upper one: an
+/// upper row is copied in order, but each lower neighbour is a random write.
+/// On a 2-core AVX-512 host a lower neighbour took 16–19 ns at products@0.1
+/// and 35–40 ns at full scale, an upper one about 2 ns.
+const LOWER_WRITE_COST: usize = 8;
+
+/// Returns `Ok(())` if the counting sort's `u32` counters can hold
+/// `records` pairs.
+fn check_record_count(records: usize) -> Result<(), GraphError> {
+    u32::try_from(records)
+        .map(drop)
+        .map_err(|_| GraphError::invalid("pairs", "more than u32::MAX pairs to sort"))
+}
+
+/// Prefix sums of per-row counts summed over every worker's array (a
+/// row's total must fit in `u32`).
+fn row_starts(mut counts: Vec<Vec<u32>>) -> Vec<usize> {
+    let mut total = counts.pop().expect("every stage runs at least one band");
+    for worker in counts {
+        for (sum, count) in total.iter_mut().zip(worker) {
+            *sum += count;
+        }
+    }
+    prefix_sums(total.into_iter().map(|count| count as usize))
+}
+
+/// One worker's band of the dedup: a range of rows and its slice of the
+/// row buffer.
 struct RowBand<'a> {
     rows: Range<usize>,
     dsts: &'a mut [NodeId],
-    /// Band-relative end of each row's distinct destinations.
+    /// Band-relative end of each row's distinct entries.
     unique_ends: Vec<usize>,
 }
 
-/// Sorts the edges of `chunks` by `(src, dst)` and removes duplicates, on
-/// `workers` threads.
+/// Sorts the pairs of `chunks`, each standing for itself and its reverse,
+/// by `(src, dst)` and removes duplicates, on `workers` threads.
 ///
-/// 1. Per-source candidate counts, summed from per-worker counts over
-///    contiguous runs of chunks, size one row per source in a buffer of
-///    destination ids only.
-/// 2. The rows are cut into `workers` bands of near-equal candidate counts
-///    and the buffer is split at the band edges. Each worker scatters its
-///    band's destinations from every chunk. The chunks are dropped once
+/// Each record is sorted once, as an unordered pair: it is an entry
+/// `max(a, b)` in the *upper row* of `min(a, b)`.
+///
+/// 1. Per-row record counts, summed from per-worker `u32` counts over
+///    contiguous runs of chunks, size one row per node in a buffer of `u32`
+///    node ids.
+/// 2. The rows are cut into `workers` bands of near-equal record counts and
+///    the buffer is split at the band edges. Each worker scatters its
+///    band's upper endpoints from every chunk. The chunks are dropped once
 ///    every band is scattered.
 /// 3. The rows are cut again, into `workers` bands of near-equal dedup cost
 ///    (see [`dedup_cost`]), and each worker deduplicates its rows, compacting
 ///    them to the front of its band: it sorts a short row and runs a longer
-///    one through a two-level bitmap over the nodes (see [`RowDedup`]).
-/// 4. Once the number of distinct edges is known, `select` may pick the
-///    ones to keep. The output is split at the prefix sums of the bands'
-///    kept counts, and each worker writes its band's kept edges.
+///    one through a two-level bitmap over the nodes (see [`RowDedup`]). The
+///    bands are then closed up, so the distinct upper rows lie end to end.
+/// 4. Row `v`'s *lower* neighbours are the rows `u < v` whose upper row
+///    lists `v`. Per-worker counts of them, over bands of upper rows, give
+///    each node's directed row length: lower count plus upper row length.
+/// 5. Once the number of distinct edges is known, `select` may pick the
+///    ones to keep. The rows are cut into bands by write cost (see
+///    [`LOWER_WRITE_COST`]), the output is split at the prefix sums of the
+///    bands' kept counts, and each worker writes its band's rows. Directed
+///    row `v` is its lower neighbours, ascending, followed by its upper row
+///    (every lower neighbour is below `v`, every upper one at least `v`).
+///    The worker copies the upper rows, then walks every upper row below
+///    the band's end in ascending order, and each entry in the band is the
+///    next lower neighbour of its row.
 ///
 /// No comparison ever looks at a whole edge, and the bands are fixed by the
 /// input alone, so the result is the same at any worker count. Cost is
-/// `O(V + E)` plus the short rows' sorts.
+/// `O(V + E)` plus the short rows' sorts and a binary search per upper row
+/// and output band.
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::BuildWorker`] if a worker fails.
+/// Returns [`GraphError::InvalidParameter`] for more than `u32::MAX` pairs,
+/// and [`GraphError::BuildWorker`] if a worker fails.
 fn sort_dedup_by_source(
     num_nodes: usize,
-    chunks: Vec<Chunk>,
+    chunks: Vec<Vec<Edge>>,
     workers: usize,
     select: impl FnOnce(usize) -> Result<Option<Selection>, GraphError>,
 ) -> Result<Vec<Edge>, GraphError> {
-    // `row_start[s]` is where source `s`'s row begins in `dsts`.
+    check_record_count(chunks.iter().map(Vec::len).sum())?;
+    let lower_end = |edge: &Edge| edge.src.min(edge.dst) as usize;
+
+    // 1. `row_start[v]` is where node `v`'s upper row begins in `uppers`.
     let chunk_bounds = even_bounds(chunks.len(), workers);
-    let chunk_runs: Vec<&[Chunk]> = chunk_bounds
+    let chunk_runs: Vec<&[Vec<Edge>]> = chunk_bounds
         .windows(2)
         .map(|w| &chunks[w[0]..w[1]])
         .collect();
     let counts = run_bands(chunk_runs, |run| {
-        let mut counts = vec![0usize; num_nodes];
-        for chunk in run {
-            chunk.for_each_directed(|edge| counts[edge.src as usize] += 1);
+        let mut counts = vec![0u32; num_nodes];
+        for edge in run.iter().flatten() {
+            counts[lower_end(edge)] += 1;
         }
         Ok(counts)
     })?;
-    let mut row_start = vec![0usize; num_nodes + 1];
-    for s in 0..num_nodes {
-        let candidates: usize = counts.iter().map(|c| c[s]).sum();
-        row_start[s + 1] = row_start[s] + candidates;
-    }
-    drop(counts);
-    let total = row_start[num_nodes];
+    let mut row_start = row_starts(counts);
 
-    // Row bands of near-equal candidate counts; a hub row stays whole.
+    // 2. Row bands of near-equal record counts; a hub row stays whole.
     let row_bounds = weighted_bounds(num_nodes, workers, &|row| {
         row_start[row + 1] - row_start[row]
     });
-    let mut dsts: Vec<NodeId> = vec![0; total];
-    let scatter_bands: Vec<(Range<usize>, &mut [NodeId])> = row_bounds
-        .windows(2)
-        .map(|rows| rows[0]..rows[1])
+    let mut uppers: Vec<NodeId> = vec![0; row_start[num_nodes]];
+    let scatter_bands: Vec<(Range<usize>, &mut [NodeId])> = bands_of(&row_bounds)
+        .into_iter()
         .zip(split_bands(
-            &mut dsts,
+            &mut uppers,
             &row_offsets(&row_start, &row_bounds),
         ))
         .collect();
-    run_bands(scatter_bands, |(rows, dsts)| {
+    run_bands(scatter_bands, |(rows, uppers)| {
         let base = row_start[rows.start];
         let mut cursor: Vec<usize> = row_start[rows.clone()]
             .iter()
             .map(|start| start - base)
             .collect();
-        for chunk in &chunks {
-            chunk.for_each_directed(|edge| {
-                if let Some(slot) = (edge.src as usize)
-                    .checked_sub(rows.start)
-                    .and_then(|row| cursor.get_mut(row))
-                {
-                    dsts[*slot] = edge.dst;
-                    *slot += 1;
-                }
-            });
+        for edge in chunks.iter().flatten() {
+            if let Some(slot) = lower_end(edge)
+                .checked_sub(rows.start)
+                .and_then(|row| cursor.get_mut(row))
+            {
+                uppers[*slot] = edge.src.max(edge.dst);
+                *slot += 1;
+            }
         }
         Ok(())
     })?;
@@ -558,25 +525,25 @@ fn sort_dedup_by_source(
     // deduplicated keeps the bitmaps off the peak.
     drop(chunks);
 
-    // Each dedup band compacts inside its own region, so its rows are cut
-    // by the dedup's cost, not by the scatter's.
+    // 3. Each dedup band compacts inside its own region, so its rows are
+    // cut by the dedup's cost, not by the scatter's.
     let bitmap_len = bitmap_row_len(num_nodes);
     let row_bounds = weighted_bounds(num_nodes, workers, &|row| {
         dedup_cost(row_start[row + 1] - row_start[row], bitmap_len)
     });
-    let bands: Vec<RowBand<'_>> = row_bounds
-        .windows(2)
+    let bands: Vec<RowBand<'_>> = bands_of(&row_bounds)
+        .into_iter()
         .zip(split_bands(
-            &mut dsts,
+            &mut uppers,
             &row_offsets(&row_start, &row_bounds),
         ))
         .map(|(rows, dsts)| RowBand {
-            rows: rows[0]..rows[1],
+            rows,
             dsts,
             unique_ends: Vec::new(),
         })
         .collect();
-    let bands = run_bands(bands, |mut band| {
+    let bands: Vec<(Range<usize>, Vec<usize>)> = run_bands(bands, |mut band| {
         let mut rows = RowDedup::new(num_nodes);
         let base = row_start[band.rows.start];
         let mut unique = 0usize;
@@ -589,54 +556,109 @@ fn sort_dedup_by_source(
                 unique
             })
             .collect();
-        Ok(band)
+        Ok((band.rows, band.unique_ends))
     })?;
+    // Close up the bands; `row_start` becomes the distinct upper rows'
+    // starts.
+    let band_starts = row_offsets(&row_start, &row_bounds);
+    let mut next = 0;
+    for ((rows, unique_ends), start) in bands.into_iter().zip(band_starts) {
+        let unique = unique_ends.last().copied().unwrap_or(0);
+        uppers.copy_within(start..start + unique, next);
+        for (row, end) in rows.zip(unique_ends) {
+            row_start[row + 1] = next + end;
+        }
+        next += unique;
+    }
+    uppers.truncate(next);
+    uppers.shrink_to_fit();
+    let upper = |row: usize| &uppers[row_start[row]..row_start[row + 1]];
 
-    // `firsts[t]` is band `t`'s first distinct edge in list order.
-    let firsts = prefix_sums(
-        bands
-            .iter()
-            .map(|band| band.unique_ends.last().copied().unwrap_or(0)),
+    // 4. Lower-neighbour counts over bands of upper rows, then each node's
+    // directed row start: `edge_start[v]` is where `v`'s row begins in the
+    // list of distinct edges.
+    let row_bounds = weighted_bounds(num_nodes, workers, &|row| upper(row).len());
+    let counts = run_bands(bands_of(&row_bounds), |rows| {
+        let mut counts = vec![0u32; num_nodes];
+        for row in rows {
+            for &node in upper(row) {
+                counts[node as usize] += u32::from(node as usize > row);
+            }
+        }
+        Ok(counts)
+    })?;
+    let mut edge_start = row_starts(counts);
+    for row in 0..num_nodes {
+        edge_start[row + 1] += row_start[row + 1];
+    }
+    let distinct = edge_start[num_nodes];
+
+    // 5. Pick the kept edges, then write them band by band.
+    let selection = select(distinct)?;
+    let kept_in = |range: Range<usize>| match &selection {
+        Some(selection) => selection.count_in(range),
+        None => range.len(),
+    };
+    let row_bounds = weighted_bounds(num_nodes, workers, &|row| {
+        let upper = upper(row).len();
+        LOWER_WRITE_COST * (edge_start[row + 1] - edge_start[row] - upper) + upper
+    });
+    let out_bounds = prefix_sums(
+        row_bounds
+            .windows(2)
+            .map(|rows| kept_in(edge_start[rows[0]]..edge_start[rows[1]])),
     );
-    let selection = select(firsts[bands.len()])?;
-    let out_bounds = prefix_sums(firsts.windows(2).map(|range| match &selection {
-        Some(selection) => selection.count_in(range[0]..range[1]),
-        None => range[1] - range[0],
-    }));
-    let mut edges = vec![Edge::new(0, 0); out_bounds[bands.len()]];
-    let items: Vec<_> = bands
+    let mut edges = vec![Edge::new(0, 0); out_bounds[out_bounds.len() - 1]];
+    let items: Vec<_> = bands_of(&row_bounds)
         .into_iter()
-        .zip(firsts)
         .zip(split_bands(&mut edges, &out_bounds))
         .collect();
-    run_bands(items, |((band, first), out)| {
-        let Some(selection) = &selection else {
-            let mut begin = 0usize;
-            for (row, &end) in band.rows.zip(&band.unique_ends) {
-                for (slot, &dst) in out[begin..end].iter_mut().zip(&band.dsts[begin..end]) {
-                    *slot = Edge::new(row as NodeId, dst);
+    run_bands(items, |(rows, out)| {
+        // The upper rows go straight out. Each row's lower neighbours then
+        // arrive one at a time, ascending: where the next one's index is,
+        // and where it goes if kept.
+        let mut lower_next = Vec::with_capacity(rows.len());
+        let mut next = 0usize;
+        for row in rows.clone() {
+            let upper = upper(row);
+            let upper_first = edge_start[row + 1] - upper.len();
+            lower_next.push((edge_start[row], next));
+            next += kept_in(edge_start[row]..upper_first);
+            let write = |i: usize| {
+                out[next] = Edge::new(row as NodeId, upper[i - upper_first]);
+                next += 1;
+            };
+            match &selection {
+                Some(selection) => selection.for_each_in(upper_first..edge_start[row + 1], write),
+                None => (upper_first..edge_start[row + 1]).for_each(write),
+            }
+        }
+        for low in 0..rows.end {
+            let upper = upper(low);
+            let first = upper.partition_point(|&node| (node as usize) < rows.start.max(low + 1));
+            for &node in upper[first..]
+                .iter()
+                .take_while(|&&node| (node as usize) < rows.end)
+            {
+                let (index, at) = &mut lower_next[node as usize - rows.start];
+                if selection.as_ref().is_none_or(|s| s.contains(*index)) {
+                    out[*at] = Edge::new(node, low as NodeId);
+                    *at += 1;
                 }
-                begin = end;
+                *index += 1;
             }
-            return Ok(());
-        };
-        // Walk the kept indices, advancing to the row each one falls in.
-        let unique = band.unique_ends.last().copied().unwrap_or(0);
-        let (mut row, mut next) = (0usize, 0usize);
-        selection.for_each_in(first..first + unique, |index| {
-            let local = index - first;
-            while band.unique_ends[row] <= local {
-                row += 1;
-            }
-            out[next] = Edge::new((band.rows.start + row) as NodeId, band.dsts[local]);
-            next += 1;
-        });
+        }
         Ok(())
     })?;
     Ok(edges)
 }
 
-/// Where each of the ascending `rows` begins in the destination buffer.
+/// The bands between consecutive `bounds`.
+fn bands_of(bounds: &[usize]) -> Vec<Range<usize>> {
+    bounds.windows(2).map(|w| w[0]..w[1]).collect()
+}
+
+/// Where each of the ascending `rows` begins in the row buffer.
 fn row_offsets(row_start: &[usize], rows: &[usize]) -> Vec<usize> {
     rows.iter().map(|&row| row_start[row]).collect()
 }
@@ -655,8 +677,9 @@ fn prefix_sums(counts: impl Iterator<Item = usize>) -> Vec<usize> {
 mod tests {
     use super::*;
 
-    fn reference(num_nodes: usize, edges: &[Edge]) -> EdgeList {
-        let mut all: Vec<Edge> = edges.to_vec();
+    /// `collect → sort_unstable → dedup` over every pair and its reverse.
+    fn symmetric_reference(num_nodes: usize, pairs: &[Edge]) -> EdgeList {
+        let mut all: Vec<Edge> = pairs.iter().flat_map(|&e| [e, e.reversed()]).collect();
         all.sort_unstable();
         all.dedup();
         EdgeList::from_edges(num_nodes, all).unwrap()
@@ -674,18 +697,47 @@ mod tests {
         edges
     }
 
+    /// Checks `sort_dedup_by_source` on `pairs` cut into chunks of
+    /// `chunk_len`, at 1, 2 and 7 workers, keeping every edge and then
+    /// every third distinct edge.
+    fn assert_sorts_like_the_reference(n: usize, pairs: &[Edge], chunk_len: usize) {
+        let expected = symmetric_reference(n, pairs);
+        let chunks =
+            || -> Vec<Vec<Edge>> { pairs.chunks(chunk_len).map(<[Edge]>::to_vec).collect() };
+        for workers in [1, 2, 7] {
+            let sorted = sort_dedup_by_source(n, chunks(), workers, |_| Ok(None)).unwrap();
+            assert_eq!(sorted, expected.as_slice(), "n {n}, {workers} workers");
+            let mut every_third = None;
+            let selected = sort_dedup_by_source(n, chunks(), workers, |len| {
+                assert_eq!(len, expected.num_edges());
+                let mut selection = Selection::with_len(len);
+                (0..len).step_by(3).for_each(|i| selection.insert(i));
+                every_third = Some(selection.clone());
+                Ok(Some(selection))
+            })
+            .unwrap();
+            let mut retained = expected.as_slice().to_vec();
+            every_third.unwrap().retain(&mut retained);
+            let thirds: Vec<Edge> = expected.iter().copied().step_by(3).collect();
+            assert_eq!(retained, thirds);
+            assert_eq!(selected, thirds, "n {n}, {workers} workers, selected");
+        }
+    }
+
     #[test]
     fn builder_matches_collect_sort_dedup() {
-        // A deterministic pseudo-random edge stream spanning many chunks.
+        // A deterministic pseudo-random pair stream spanning many chunks,
+        // with self-loop pairs `(s, s)` among the pairs.
         let n = 50usize;
-        let edges = pseudo_random_edges(n, 5000);
+        let mut pairs = pseudo_random_edges(n, 5000);
+        pairs.extend((0..n as u32).step_by(3).map(|s| Edge::new(s, s)));
         for capacity in [1, 7, 64, 4096, usize::MAX] {
             let mut builder = EdgeListBuilder::with_chunk_capacity(n, capacity);
-            for &e in &edges {
-                builder.push(e).unwrap();
+            for &e in &pairs {
+                builder.push_symmetric(e).unwrap();
             }
             let built = builder.finish();
-            assert_eq!(built, reference(n, &edges), "capacity {capacity}");
+            assert_eq!(built, symmetric_reference(n, &pairs), "capacity {capacity}");
             assert!(built.is_sorted());
         }
     }
@@ -704,11 +756,6 @@ mod tests {
         assert_eq!(built, reference);
     }
 
-    fn symmetric_reference(num_nodes: usize, pairs: &[Edge]) -> EdgeList {
-        let both: Vec<Edge> = pairs.iter().flat_map(|&e| [e, e.reversed()]).collect();
-        reference(num_nodes, &both)
-    }
-
     #[test]
     fn symmetric_pairs_are_stored_once() {
         let n = 10usize;
@@ -719,91 +766,86 @@ mod tests {
         }
         // Two sealed chunks of four records each, standing for 16 edges.
         assert_eq!(builder.len(), 16);
-        let records: Vec<usize> = builder.chunks.iter().map(|c| c.edges.len()).collect();
+        let records: Vec<usize> = builder.chunks.iter().map(Vec::len).collect();
         assert_eq!(records, [4, 4]);
-        assert!(builder.chunks.iter().all(|c| c.symmetric));
         assert_eq!(builder.finish(), symmetric_reference(n, &pairs));
     }
 
     #[test]
     fn sort_dedup_does_not_depend_on_the_worker_count() {
-        // A hub row holding most edges, empty rows, and fewer nodes than
-        // workers; directed and symmetric chunks mixed.
+        // A hub row holding most pairs, empty rows, and fewer nodes than
+        // workers, with and without a selection.
         let mut hub = pseudo_random_edges(40, 300);
         hub.extend((0..2000u32).map(|i| Edge::new(7, (i * 13) % 40)));
         let sparse: Vec<Edge> = pseudo_random_edges(200, 150)
             .into_iter()
             .map(|e| Edge::new(e.src / 10 * 10, e.dst))
             .collect();
-        let tiny = vec![Edge::new(2, 0), Edge::new(0, 1), Edge::new(2, 0)];
+        let tiny = vec![Edge::new(2, 0), Edge::new(0, 1), Edge::new(0, 2)];
         // Sparse rows that sort, around a hub row far above the bitmap
         // threshold (30000 / 4096 = 7 candidates).
         let mut sparse_hub = pseudo_random_edges(30_000, 4000);
         sparse_hub.extend((0..2500u32).map(|i| Edge::new(1234, (i * 7919) % 30_000)));
-        for (n, edges) in [
+        // One hub that is the low end of most of its pairs (its upper row
+        // holds them) and one that is the high end (they reach it as lower
+        // neighbours), each recorded in either order, with self-loop pairs.
+        let top = 29_998u32;
+        let mut ends = pseudo_random_edges(30_000, 3000);
+        ends.extend((0..6000u32).map(|i| {
+            let pair = Edge::new(2, 3 + (i * 7919) % 29_997);
+            if i % 2 == 0 {
+                pair
+            } else {
+                pair.reversed()
+            }
+        }));
+        ends.extend((0..6000u32).map(|i| {
+            let pair = Edge::new((i * 104_729) % top, top);
+            if i % 3 == 0 {
+                pair
+            } else {
+                pair.reversed()
+            }
+        }));
+        ends.extend([2, top, 0, 17, 17].map(|s| Edge::new(s, s)));
+        for (n, pairs) in [
             (40usize, hub),
             (200, sparse),
             (3, tiny),
             (5, Vec::new()),
             (30_000, sparse_hub),
+            (30_000, ends),
         ] {
-            let (symmetric, directed) = edges.split_at(edges.len() / 3);
-            let mut all = directed.to_vec();
-            all.extend(symmetric.iter().flat_map(|&e| [e, e.reversed()]));
-            let expected = reference(n, &all);
-            for workers in [1, 2, 7] {
-                let chunks = || {
-                    let mut chunks = vec![Chunk {
-                        edges: symmetric.to_vec(),
-                        symmetric: true,
-                    }];
-                    chunks.extend(directed.chunks(37).map(|c| Chunk::directed(c.to_vec())));
-                    chunks
-                };
-                let sorted = sort_dedup_by_source(n, chunks(), workers, |_| Ok(None)).unwrap();
-                assert_eq!(sorted, expected.as_slice(), "n {n}, {workers} workers");
-                // Keeping every third distinct edge writes exactly those.
-                let mut every_third = None;
-                let selected = sort_dedup_by_source(n, chunks(), workers, |len| {
-                    let mut selection = Selection::with_len(len);
-                    (0..len).step_by(3).for_each(|i| selection.insert(i));
-                    every_third = Some(selection.clone());
-                    Ok(Some(selection))
-                })
-                .unwrap();
-                let mut retained = expected.as_slice().to_vec();
-                every_third.unwrap().retain(&mut retained);
-                let thirds: Vec<Edge> = expected.iter().copied().step_by(3).collect();
-                assert_eq!(retained, thirds);
-                assert_eq!(selected, thirds, "n {n}, {workers} workers, selected");
-            }
+            assert_sorts_like_the_reference(n, &pairs, 37);
         }
     }
 
     #[test]
     fn dense_rows_dedup_like_sorted_rows() {
-        // Rows at or above the bitmap threshold go through the two-level
-        // bitmap, shorter rows through the sort; both must write what
-        // sort-then-dedup writes.
+        // Upper rows at or above the bitmap threshold go through the
+        // two-level bitmap, shorter rows through the sort; both must write
+        // what sort-then-dedup writes.
         let n = 100_000usize;
         let threshold = bitmap_row_len(n);
         assert_eq!(threshold, 24);
         assert_eq!(bitmap_row_len(4095), 1);
-        // Sources 10..=16: rows one short of, at and one past the threshold
-        // (each with a duplicate), a hub row spread over every summary word,
-        // a row holding every node, a self-loop row and a row of one
-        // repeated destination.
+        // The upper rows of nodes 10..=16: one short of, at and one past the
+        // threshold (each with a duplicate), a hub row spread over every
+        // summary word, a row holding every node above its own, a row with
+        // self-loops and a row of one repeated node. Each pair is recorded
+        // with its low end first or second.
+        let above = |src: u32, node: u32| src + node % (n as u32 - src);
         let mut rows: Vec<(u32, Vec<u32>)> = [threshold - 1, threshold, threshold + 1]
             .into_iter()
             .zip(10u32..)
             .map(|(len, src)| {
-                let mut dsts: Vec<u32> = (1..len as u32).map(|i| (i * 33_331) % 100_000).collect();
+                let mut dsts: Vec<u32> = (1..len as u32).map(|i| above(src, i * 33_331)).collect();
                 dsts.push(dsts[0]);
                 (src, dsts)
             })
             .collect();
-        rows.push((13, (0..20_000u32).map(|i| (i * 7919) % 100_000).collect()));
-        rows.push((14, (0..n as u32).rev().collect()));
+        rows.push((13, (0..20_000u32).map(|i| above(13, i * 7919)).collect()));
+        rows.push((14, (14..n as u32).rev().collect()));
         rows.push((
             15,
             (0..40u32)
@@ -811,50 +853,30 @@ mod tests {
                 .collect(),
         ));
         rows.push((16, vec![99_999; 400]));
-        // Sparse rows, directed and symmetric, that never touch 10..=16.
+        // Sparse pairs that never touch 10..=16.
         let away = |e: Edge| Edge::new(e.src.max(17), e.dst.max(17));
-        let mut directed: Vec<Edge> = rows
+        let mut pairs: Vec<Edge> = rows
             .iter()
-            .flat_map(|(src, dsts)| dsts.iter().map(|&dst| Edge::new(*src, dst)))
-            .chain(pseudo_random_edges(n, 3000).into_iter().map(away))
-            .collect();
-        // Interleave the rows' candidates over the chunks, as sampling does.
-        let len = directed.len();
-        directed.sort_by_key(|e| (e.src.wrapping_mul(7919) ^ e.dst) as usize % len);
-        let symmetric: Vec<Edge> = pseudo_random_edges(n, 1500)
-            .into_iter()
-            .map(|e| away(e.reversed()))
-            .collect();
-        let mut all = directed.clone();
-        all.extend(symmetric.iter().flat_map(|&e| [e, e.reversed()]));
-        for (src, dsts) in &rows {
-            let candidates = all.iter().filter(|e| e.src == *src).count();
-            assert_eq!(candidates, dsts.len(), "row {src}");
-        }
-        let expected = reference(n, &all);
-        for workers in [1, 2, 7] {
-            let chunks = || {
-                let mut chunks: Vec<Chunk> = directed
-                    .chunks(5000)
-                    .map(|c| Chunk::directed(c.to_vec()))
-                    .collect();
-                chunks.push(Chunk {
-                    edges: symmetric.clone(),
-                    symmetric: true,
-                });
-                chunks
-            };
-            let sorted = sort_dedup_by_source(n, chunks(), workers, |_| Ok(None)).unwrap();
-            assert_eq!(sorted, expected.as_slice(), "{workers} workers");
-            let selected = sort_dedup_by_source(n, chunks(), workers, |len| {
-                let mut selection = Selection::with_len(len);
-                (1..len).step_by(2).for_each(|i| selection.insert(i));
-                Ok(Some(selection))
+            .flat_map(|(src, dsts)| {
+                dsts.iter().enumerate().map(|(i, &dst)| {
+                    let pair = Edge::new(*src, dst);
+                    if i % 2 == 0 {
+                        pair
+                    } else {
+                        pair.reversed()
+                    }
+                })
             })
-            .unwrap();
-            let odd: Vec<Edge> = expected.iter().copied().skip(1).step_by(2).collect();
-            assert_eq!(selected, odd, "{workers} workers, selected");
+            .chain(pseudo_random_edges(n, 4500).into_iter().map(away))
+            .collect();
+        // Interleave the rows' records over the chunks, as sampling does.
+        let len = pairs.len();
+        pairs.sort_by_key(|e| (e.src.wrapping_mul(7919) ^ e.dst) as usize % len);
+        for (src, dsts) in &rows {
+            let records = pairs.iter().filter(|e| e.src.min(e.dst) == *src).count();
+            assert_eq!(records, dsts.len(), "row {src}");
         }
+        assert_sorts_like_the_reference(n, &pairs, 5000);
     }
 
     #[test]
@@ -878,28 +900,44 @@ mod tests {
                 "{range:?}"
             );
         }
+        for i in 0..len {
+            assert_eq!(selection.contains(i), i % 7 == 0 || (60..70).contains(&i));
+        }
     }
 
     #[test]
     fn band_builders_absorbed_in_worker_order_match() {
         // The generators' flow: one band builder per worker, absorbed in
-        // worker order and finished on the same worker count.
+        // worker order and finished on the same worker count, with and
+        // without a selection.
         let n = 64usize;
         let pairs = pseudo_random_edges(n, 3000);
         let expected = symmetric_reference(n, &pairs);
         for workers in [1usize, 2, 7] {
-            let mut merged = EdgeListBuilder::with_chunk_capacity(n, 64);
-            let bounds = crate::parallel::even_bounds(pairs.len(), workers);
-            for range in bounds.windows(2) {
-                let mut band = merged.band_builder();
-                for &e in &pairs[range[0]..range[1]] {
-                    band.push_symmetric(e).unwrap();
+            let merged = || {
+                let mut merged = EdgeListBuilder::with_chunk_capacity(n, 64);
+                let bounds = crate::parallel::even_bounds(pairs.len(), workers);
+                for range in bounds.windows(2) {
+                    let mut band = merged.band_builder();
+                    for &e in &pairs[range[0]..range[1]] {
+                        band.push_symmetric(e).unwrap();
+                    }
+                    merged.absorb(band);
                 }
-                merged.absorb(band);
-            }
-            assert_eq!(merged.len(), 2 * pairs.len());
-            let built = merged.try_finish_with_workers(workers).unwrap();
+                merged
+            };
+            assert_eq!(merged().len(), 2 * pairs.len());
+            let built = merged().try_finish_with_workers(workers).unwrap();
             assert_eq!(built, expected, "{workers} workers");
+            let odd = merged()
+                .try_finish_selected(workers, |len| {
+                    let mut selection = Selection::with_len(len);
+                    (1..len).step_by(2).for_each(|i| selection.insert(i));
+                    Ok(Some(selection))
+                })
+                .unwrap();
+            let expected_odd: Vec<Edge> = expected.iter().copied().skip(1).step_by(2).collect();
+            assert_eq!(odd.as_slice(), expected_odd, "{workers} workers, selected");
         }
     }
 
@@ -907,11 +945,20 @@ mod tests {
     fn rejects_out_of_range_endpoints() {
         let mut builder = EdgeListBuilder::new(3);
         assert!(matches!(
-            builder.push(Edge::new(0, 3)),
+            builder.push_symmetric(Edge::new(0, 3)),
             Err(GraphError::NodeOutOfRange { node: 3, .. })
         ));
         assert!(builder.push_symmetric(Edge::new(4, 0)).is_err());
         assert!(builder.is_empty());
+    }
+
+    #[test]
+    fn more_pairs_than_u32_counters_hold_is_an_error() {
+        assert!(check_record_count(u32::MAX as usize).is_ok());
+        assert!(matches!(
+            check_record_count(u32::MAX as usize + 1),
+            Err(GraphError::InvalidParameter { name: "pairs", .. })
+        ));
     }
 
     #[test]
@@ -926,11 +973,11 @@ mod tests {
     fn len_counts_raw_edges_across_chunks() {
         let mut builder = EdgeListBuilder::with_chunk_capacity(4, 2);
         for _ in 0..5 {
-            builder.push(Edge::new(0, 1)).unwrap();
+            builder.push_symmetric(Edge::new(0, 1)).unwrap();
         }
-        assert_eq!(builder.len(), 5);
+        assert_eq!(builder.len(), 10);
         assert!(!builder.is_empty());
-        // Duplicates collapse on finish.
-        assert_eq!(builder.finish().num_edges(), 1);
+        // Duplicates collapse on finish, to the pair's two directions.
+        assert_eq!(builder.finish().num_edges(), 2);
     }
 }

@@ -5,9 +5,9 @@
 //! module synthesises graphs with matching statistics using the generators in
 //! this module. All generators are deterministic given a seed.
 //!
-//! The generators stream edges through the chunked
-//! [`EdgeListBuilder`], whose counting sort by
-//! source puts them in canonical order in linear time, instead of
+//! The generators stream symmetric pairs through the chunked
+//! [`EdgeListBuilder`], whose counting sort of
+//! unordered pairs puts them in canonical order in linear time, instead of
 //! materialising an unsorted list and comparison-sorting it at the end. That
 //! keeps ogbn-scale synthesis (millions of edges) off the cold-start
 //! critical path.
@@ -338,9 +338,10 @@ pub fn erdos_renyi(num_nodes: usize, p: f64, seed: u64) -> Result<EdgeList, Grap
 /// neighbourhoods and many low-degree nodes. Each level draws one 53-bit
 /// integer and picks its quadrant without branches, by counting how many of
 /// the exact integer thresholds it reaches (the same choice a `f64`
-/// comparison would make). Sampled edges are streamed symmetrically (each
-/// accepted edge and its reverse) through the chunked builder, whose
-/// counting sort by source puts them in order and deduplicates them. The
+/// comparison would make). Sampled edges are streamed as symmetric pairs
+/// (each accepted edge stands for itself and its reverse) through the
+/// chunked builder, whose counting sort of unordered pairs puts them in
+/// order and deduplicates them. The
 /// result matches the historical sort-everything-then-dedup flow bit for
 /// bit, on any number of workers (see the [module docs](self)).
 ///
@@ -1084,10 +1085,11 @@ mod tests {
     /// The full-scale ogbn-products edge list (2.4M nodes, 60M edges, seed
     /// 5), pinned by its FNV-1a digest over `src << 32 | dst`. It reaches
     /// row lengths and trim buckets (172M slots, 658 buckets) that the small
-    /// cases never do. Run it in release:
+    /// cases never do. On Linux it also bounds the process's peak resident
+    /// memory (`VmHWM`), so run it alone, in release:
     /// `cargo test --release -p gnnerator-graph -- --ignored full_scale`.
     #[test]
-    #[ignore = "full scale: about 10 s and 1.5 GB in a release build"]
+    #[ignore = "full scale: about 10 s and 1.2 GB in a release build"]
     fn full_scale_products_edges_keep_their_digest() {
         let spec = crate::datasets::DatasetKind::OgbnProductsScale.spec();
         let edges = rmat_exact(spec.vertices, spec.edges, 5).unwrap();
@@ -1096,6 +1098,25 @@ mod tests {
             (h ^ (u64::from(e.src) << 32 | u64::from(e.dst))).wrapping_mul(0x0100_0000_01b3)
         });
         assert_eq!(format!("{digest:016x}"), "18ed8133dc997cc9");
+        #[cfg(target_os = "linux")]
+        {
+            // 1,140,020 kB measured on 2 cores, plus 5 %, plus one `u32`
+            // count per node for each further worker (the counting sort's
+            // per-worker arrays).
+            let workers = std::thread::available_parallelism().map_or(1, usize::from);
+            let bound_kb = 1_197_000 + workers.saturating_sub(2) * spec.vertices * 4 / 1024;
+            let status = std::fs::read_to_string("/proc/self/status").unwrap();
+            let peak_kb: usize = status
+                .lines()
+                .find_map(|line| line.strip_prefix("VmHWM:"))
+                .and_then(|rest| rest.trim().strip_suffix("kB"))
+                .map(|kb| kb.trim().parse().unwrap())
+                .expect("/proc/self/status has a VmHWM line");
+            assert!(
+                peak_kb <= bound_kb,
+                "VmHWM {peak_kb} kB is above {bound_kb} kB"
+            );
+        }
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   compressed-sparse-row form only the value-level reference executor
 //!   (`gnnerator_gnn::reference`) reads,
 //! * [`EdgeListBuilder`] — streaming chunked construction: generators emit
-//!   in-memory edge chunks that a counting sort by source, in row bands on
-//!   several workers, puts in canonical order, instead of comparison-sorting
-//!   one giant vector at the end,
+//!   symmetric pairs into in-memory chunks that a counting sort of
+//!   unordered pairs, in row bands on several workers, puts in canonical
+//!   order, instead of comparison-sorting one giant vector at the end,
 //! * [`NodeFeatures`] — the dense per-node feature table, computed on demand
 //!   by [`DatasetSpec::features`](datasets::DatasetSpec::features) and
 //!   never stored,

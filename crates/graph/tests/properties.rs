@@ -157,18 +157,20 @@ fn check_summary_against_grid(edges: &EdgeList, nps: usize) -> Result<(), TestCa
 }
 
 /// Strategy for a hub-heavy, duplicate-heavy edge multiset: most edges leave
-/// or enter one of two hubs, or fall among three nodes, so rows are long and
-/// repeats are common.
+/// or enter one of the two lowest nodes or the two highest, or fall among
+/// three nodes, so rows are long and repeats are common.
 fn hub_heavy_edges() -> impl Strategy<Value = (usize, Vec<Edge>)> {
     (3usize..60).prop_flat_map(|n| {
-        proptest::collection::vec((0u32..4, 0..n as u32, 0..n as u32), 0..400).prop_map(
+        proptest::collection::vec((0u32..5, 0..n as u32, 0..n as u32), 0..400).prop_map(
             move |draws| {
+                let top = n as u32 - 1;
                 let edges = draws
                     .into_iter()
                     .map(|(kind, a, b)| match kind {
                         0 => Edge::new(a % 2, b),
                         1 => Edge::new(a, b % 2),
                         2 => Edge::new(a % 3, b % 3),
+                        3 => Edge::new(top - a % 2, b),
                         _ => Edge::new(a, b),
                     })
                     .collect();
@@ -176,6 +178,14 @@ fn hub_heavy_edges() -> impl Strategy<Value = (usize, Vec<Edge>)> {
             },
         )
     })
+}
+
+/// `collect → sort_unstable → dedup` over every pair and its reverse.
+fn symmetrized_reference(pairs: impl Iterator<Item = Edge>) -> Vec<Edge> {
+    let mut all: Vec<Edge> = pairs.flat_map(|e| [e, e.reversed()]).collect();
+    all.sort_unstable();
+    all.dedup();
+    all
 }
 
 /// Strategy for a small random edge list.
@@ -401,15 +411,14 @@ proptest! {
         capacity in 1usize..64,
     ) {
         // Any chunk capacity (forcing anywhere from one to hundreds of
-        // chunk merges) must reproduce collect → sort → dedup exactly.
+        // chunks) must reproduce collect → sort → dedup of the pairs and
+        // their reverses exactly, self-loop pairs included.
         let mut builder = EdgeListBuilder::with_chunk_capacity(edges.num_nodes(), capacity);
         for e in edges.iter() {
-            builder.push(*e).unwrap();
+            builder.push_symmetric(*e).unwrap();
         }
         let built = builder.finish();
-        let mut reference: Vec<Edge> = edges.iter().copied().collect();
-        reference.sort_unstable();
-        reference.dedup();
+        let reference = symmetrized_reference(edges.iter().copied());
         prop_assert_eq!(built.as_slice(), reference.as_slice());
         prop_assert!(built.is_sorted());
     }
@@ -419,13 +428,12 @@ proptest! {
         (n, edges) in hub_heavy_edges(),
         capacity in 1usize..24,
     ) {
-        // Hub rows and many small chunks through the counting sort.
-        let mut reference = edges.clone();
-        reference.sort_unstable();
-        reference.dedup();
+        // Hubs at the low and at the high end of their pairs, and many
+        // small chunks, through the counting sort.
+        let reference = symmetrized_reference(edges.iter().copied());
         let mut builder = EdgeListBuilder::with_chunk_capacity(n, capacity);
         for &e in &edges {
-            builder.push(e).unwrap();
+            builder.push_symmetric(e).unwrap();
         }
         let built = builder.finish();
         prop_assert_eq!(built.as_slice(), reference.as_slice());
